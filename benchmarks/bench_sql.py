@@ -1,12 +1,13 @@
-"""Columnar SQL benchmark: the block-vector executor vs the interpreted
+"""SQL benchmark: the compiled block pipeline vs the interpreted
 row-at-a-time reference pipeline.
 
-The execution tentpole runs the scan-to-result data path on column-vector
-blocks: ``Table.scan_column_blocks`` hands out ``ColumnBlock``s, WHERE
-predicates become selection-vector kernels, projections and join key
-extraction run per column, ORDER BY sorts pre-extracted key vectors, and
-the fused row kernels remain the fallback tier for expressions outside the
-columnar subset.  This benchmark measures exactly that trade on a
+The compiled pipeline runs the scan-to-result data path as a chain of
+operators over column-vector blocks: ``Table.scan_column_blocks`` hands
+out ``ColumnBlock``s, WHERE predicates become selection-vector kernels,
+projections and key extraction run per column, ORDER BY sorts
+pre-extracted key vectors, ``unnest`` is a block operator, and an
+expression outside the vector subset runs its row function over the
+block's rows.  This benchmark measures exactly that trade on a
 generated versioned store: the same SQL runs on two databases that differ
 only in ``exec_mode`` (``compiled`` vs ``interpreted``), the results are
 asserted identical, and ``BENCH_sql.json`` records wall-clock per scenario
@@ -186,8 +187,8 @@ def measure(config: dict) -> dict:
         }
         # Deterministic logical I/O of the compiled pipeline (the gate):
         # records/blocks actually charged, and whether every expression
-        # stayed off the interpreter (fallbacks gate at 0).  The columnar
-        # kernel count pins which tier each scenario ran on.
+        # stayed off the interpreter (fallbacks gate at 0).  The vector
+        # kernel count is the scenario's expression census.
         db = stores["compiled"][0].db
         db.reset_stats()
         stores["compiled"][0].db.query(stores["compiled"][1][name])
@@ -273,10 +274,10 @@ class TestSqlAcceptance:
             cvd.db.query(queries[name])
         stats = cvd.db.stats
         assert stats.exprs_interpreted == 0
-        # Every expression ran on a generated kernel: most scenarios on
-        # the columnar tier, the unnest join subquery on fused row kernels.
+        # Every expression ran on a vector kernel — the unnest join's
+        # sub-select included; nothing needed a row closure.
         assert stats.exprs_columnar > 0
-        assert stats.exprs_compiled + stats.exprs_columnar > 0
+        assert stats.exprs_compiled == 0
 
     def test_grouped_topk_pushdown_matches_full_ranking(self):
         cvd, queries = build_store(SMOKE, "compiled")

@@ -143,11 +143,13 @@ BENCH_PROFILES = {
     },
     "sql": {
         # Scenario row counts pin the workload; gated counters are the
-        # compiled pipeline's logical I/O (records per scan, probes per
-        # join), the LIMIT pushdown's scan fraction, the number of
+        # compiled block pipeline's logical I/O (records per scan, probes
+        # per join), the LIMIT pushdown's scan fraction, the number of
         # interpreter fallbacks (baseline 0: every benchmark expression
-        # must run on a generated kernel), and the columnar kernel and
-        # block counts that pin which execution tier each scenario took.
+        # must run on a generated kernel), and a census of the pipeline
+        # itself: vector kernels built and column blocks scanned per
+        # scenario (they move when an operator starts or stops compiling
+        # a kernel, never with the data).
         "shape": [
             ("num_versions",),
             ("num_records",),

@@ -487,20 +487,21 @@ def _print_store_status(store: Store) -> None:
 
 
 def _print_engine_status(orpheus: OrpheusDB) -> None:
-    """EXPLAIN-ish view of the execution engine: which pipeline ran.
+    """How this process's expressions ran, by kernel tier.
 
     The counters cover this process (for `status` that is recovery/replay
-    plus the command itself): statements' expressions lowered to columnar
-    vector kernels vs. fused row kernels vs. interpreter fallbacks, and
-    how many row batches / column blocks the scan kernels charged.
+    plus the command itself).  SELECTs run on the compiled block pipeline,
+    whose expressions are vector kernels; row closures serve DML, join
+    conditions and the subtrees that need a whole row; the interpreter
+    serves only what the compiler refuses.
     """
     db = orpheus.db
     stats = db.stats
     print(
-        f"engine: {db.exec_mode} mode, "
-        f"{stats.exprs_columnar} exprs columnar / "
-        f"{stats.exprs_compiled} row-compiled / "
-        f"{stats.exprs_interpreted} interpreted fallbacks, "
+        f"engine: {db.exec_mode} mode, exprs on "
+        f"{stats.exprs_columnar} vector kernels / "
+        f"{stats.exprs_compiled} row closures / "
+        f"{stats.exprs_interpreted} interpreter fallbacks, "
         f"{stats.batches_scanned} scan batches "
         f"({stats.blocks_scanned} column blocks)"
     )
@@ -659,9 +660,10 @@ def _dispatch(orpheus: OrpheusDB, args: argparse.Namespace) -> bool:
             print(
                 f"({detail['rowcount']} rows in "
                 f"{detail['total_seconds'] * 1000:.2f} ms, "
-                f"{detail['exprs_columnar']} columnar / "
-                f"{detail['exprs_compiled']} row-compiled / "
-                f"{detail['exprs_interpreted']} interpreted exprs, "
+                f"exprs on {detail['exprs_columnar']} vector kernels / "
+                f"{detail['exprs_compiled']} row closures / "
+                f"{detail['exprs_interpreted']} interpreter fallbacks, "
+                f"{detail['records_scanned']} records in "
                 f"{detail['blocks_scanned']} column blocks, "
                 f"{detail['exec_mode']} mode)"
             )

@@ -1,12 +1,12 @@
-"""Column-vector blocks: the columnar half of the execution engine.
+"""Column-vector blocks: what the compiled pipeline's operators exchange.
 
-The compiled pipeline's unit of work used to be a list of row tuples; the
-columnar refactor replaces it with a :class:`ColumnBlock` — a block that
-exposes one Python list per column, plus an optional heap-slot vector — so
-predicate, projection, key-extraction, and aggregate kernels run as
-per-column listcomps (selection vectors) instead of per-row tuple traffic.
-Analytic operators (window functions, grouped top-k) are built directly on
-these vectors.
+A :class:`ColumnBlock` exposes one Python list per column, plus an
+optional heap-slot vector, so predicate, projection, key-extraction, and
+aggregate kernels run as per-column listcomps (selection vectors) instead
+of per-row tuple traffic.  Every operator of the SELECT pipeline
+(:mod:`repro.storage.executor`) consumes and produces these blocks;
+analytic operators (window functions, grouped top-k) are built directly
+on their vectors.
 
 Blocks are *late-materializing*: a scan block keeps the live-row list it
 was built from (``block.rows``) and transposes nothing up front.  Column
@@ -16,22 +16,22 @@ property materializes the full set), so a query that filters on two
 columns and projects three pays for exactly five vectors — never the full
 width.  Kernels that can run on the row backing directly (the generated
 dual-variant kernels in :mod:`repro.storage.compile`) skip even that.
-Blocks built from computed vectors (the window step's extended block) are
-column-backed from birth and behave exactly as before.
+Blocks built from computed vectors (a general projection's output) are
+column-backed from birth.
 
 Design rules the rest of the engine relies on:
 
 * A block's vectors all have the same length; ``block.columns[p][i]`` is
-  exactly ``row[p]`` of the i-th live row the row pipeline would have
-  seen, in the same order.  Conversions between representations are
+  exactly ``row[p]`` of the i-th live row a row-at-a-time scan would
+  have seen, in the same order.  Conversions between representations are
   therefore pure layout changes — the equivalence suites compare the
-  columnar pipeline bit-for-bit against the row-compiled and interpreted
-  ones.
+  block pipeline bit-for-bit against the interpreted reference.
 * Logical I/O charging happens where blocks are produced
   (:meth:`Table.scan_column_blocks`), mirroring ``scan_batches`` exactly,
-  so switching representations never changes ``records_scanned`` /
-  ``batches_scanned`` — the counters every benchmark gate is built on.
-  Lazy materialization charges nothing: it is a layout change, not I/O.
+  so the block scan charges ``records_scanned`` / ``batches_scanned`` —
+  the counters every benchmark gate is built on — exactly as the row
+  scan does.  Lazy materialization charges nothing: it is a layout
+  change, not I/O.
 * numpy is an *optional* accelerator: when present, a few semantics-safe
   reductions (min/max over None-free int vectors) use it; when absent,
   every path runs on stdlib lists.  Nothing imports numpy at module load
@@ -64,10 +64,13 @@ class ColumnBlock:
     materialize lazily) or *column-backed* (``rows`` is ``None``,
     ``columns`` was supplied up front).  ``slots`` (optional) holds the
     heap slot of each row, for DML-style consumers that need rid/slot
-    vectors alongside the values.
+    vectors alongside the values.  ``source`` (optional) is the block a
+    projected or aggregated block was computed from, row for row — ORDER
+    BY may sort by a column the select list dropped; :func:`concat_columns`
+    carries it, :meth:`take` does not.
     """
 
-    __slots__ = ("_columns", "_single", "_width", "length", "slots", "rows")
+    __slots__ = ("_columns", "_single", "_width", "length", "slots", "rows", "source")
 
     def __init__(
         self, columns: list[list], length: int, slots: list[int] | None = None
@@ -78,6 +81,7 @@ class ColumnBlock:
         self.length = length
         self.slots = slots
         self.rows = None
+        self.source = None
 
     # ------------------------------------------------------------ building
 
@@ -98,6 +102,7 @@ class ColumnBlock:
         block.length = len(rows)
         block.slots = slots
         block.rows = rows
+        block.source = None
         return block
 
     # ------------------------------------------------------------- reading
@@ -165,13 +170,21 @@ class ColumnBlock:
 def concat_columns(blocks: Iterable[ColumnBlock], width: int) -> ColumnBlock:
     """Concatenate blocks into one (the pipeline's materialization point).
 
-    The result is row-backed: scan and filter blocks already are, so this
-    is a plain list extend; any column-backed input pays one transpose.
+    A single block comes back as is.  Otherwise the result is row-backed:
+    scan and filter blocks already are, so this is a plain list extend;
+    any column-backed input pays one transpose.
     """
+    blocks = list(blocks)
+    if len(blocks) == 1:
+        return blocks[0]
     rows: list[Row] = []
     for block in blocks:
-        rows.extend(block.rows if block.rows is not None else block.to_rows())
-    return ColumnBlock.from_rows(rows, width)
+        rows.extend(block.to_rows())
+    whole = ColumnBlock.from_rows(rows, width)
+    if blocks and blocks[0].source is not None:
+        sources = [block.source for block in blocks]
+        whole.source = concat_columns(sources, sources[0].width)
+    return whole
 
 
 def rows_iter(block: ColumnBlock) -> Iterator[Row]:
@@ -184,7 +197,7 @@ def rows_iter(block: ColumnBlock) -> Iterator[Row]:
 # ------------------------------------------------------------- reductions
 #
 # Aggregate combiners over already-extracted value vectors.  ``values``
-# excludes NULLs (the caller filters, exactly like the row pipeline's
+# excludes NULLs (the caller filters, exactly like the reference's
 # ``_compute_aggregate``), so min/max/sum see the same operand lists and
 # produce the same results — including the same TypeErrors on mixed
 # garbage.  The numpy path is used only where it is bit-equivalent:

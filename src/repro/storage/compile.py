@@ -20,6 +20,13 @@ equivalence.  Anything the compiler does not understand (aggregates,
 unresolvable columns, exotic nodes) makes :func:`compile_value` return
 ``None`` and the caller falls back to the interpreter, which stays the
 reference implementation.
+
+The block kernels the SELECT pipeline runs on
+(:func:`compile_column_predicate`, :func:`compile_column_values`) are
+*total*: each returns ``(kernel, tier)``, the tier serving it being
+``"columnar"`` (generated per-column source), or, with the tree's row
+function mapped over the block's rows, ``"compiled"`` (trees that need a
+full row) or ``"interpreted"`` (trees :func:`compile_value` refuses).
 """
 
 from __future__ import annotations
@@ -88,8 +95,7 @@ def compile_value(expr: Expression, env: EvalEnv) -> RowFunc | None:
         return None
     if is_const:
         return func
-    fused = _source_function(expr, env, func)
-    return fused if fused is not None else func
+    return _source_function(expr, env, func) or func
 
 
 # ------------------------------------------------------------------ helpers
@@ -580,9 +586,8 @@ class _ColumnContext(_SourceContext):
     the backing row tuple (``_r[N]``) — the fast path for the scan's
     late-materializing row-backed blocks — and a *vector* body whose loads
     index materialized column vectors (``_cN[_i]``).  Subtrees that would
-    need a full row ("islands") abort emission in both; the caller then
-    falls back to the fused row kernel, which remains the reference for
-    exotic expressions."""
+    need a full row ("islands") abort emission in both; the kernel then
+    maps the fused row function over the block's rows instead."""
 
     def __init__(self, env: EvalEnv):
         super().__init__(env)
@@ -623,42 +628,6 @@ def _source_function(expr: Expression, env: EvalEnv, slow: RowFunc) -> RowFunc |
     return namespace["_compiled"]
 
 
-def compile_batch_filter(
-    expr: Expression, env: EvalEnv
-) -> Callable[[list], list] | None:
-    """A ``batch -> kept rows`` kernel for a WHERE predicate, or ``None``.
-
-    The predicate's source form is inlined into the listcomp *condition*
-    of the generated function, so filtering a block costs zero per-row
-    Python calls.  SQL keeps a row only when the predicate is exactly
-    ``True`` (False and NULL both drop).  If any row raises, the whole
-    block is replayed row-by-row through the exact closure tree —
-    evaluation is pure, so the interpreter's error surfaces identically.
-    """
-    try:
-        slow, is_const = _compile(expr, env)
-    except _Uncompilable:
-        return None
-    if is_const:
-        return None  # constant predicates: the row form is already free
-    ctx = _SourceContext(env)
-    try:
-        body = _emit(expr, ctx)
-    except (_NoSource, _Uncompilable):
-        return None
-    ctx.names["_slow"] = slow
-    source = (
-        "def _compiled_filter(batch):\n"
-        "    try:\n"
-        f"        return [row for row in batch if ({body}) is _TRUE]\n"
-        "    except Exception:\n"
-        "        return [row for row in batch if _slow(row) is _TRUE]\n"
-    )
-    namespace = ctx.names
-    exec(compile(source, "<repro.storage.compile>", "exec"), namespace)
-    return namespace["_compiled_filter"]
-
-
 def _column_prelude(ctx: "_ColumnContext") -> str:
     """Local bindings for every column vector the body references."""
     return "".join(
@@ -667,9 +636,40 @@ def _column_prelude(ctx: "_ColumnContext") -> str:
     )
 
 
-def compile_column_predicate(expr: Expression, env: EvalEnv):
+def _column_source(expr: Expression, env: EvalEnv):
+    """Both generated-source variants of ``expr`` (row-fused, vector) and
+    the namespace they run in, or ``None`` outside the vector subset."""
+    try:
+        slow, _is_const = _compile(expr, env)
+        ctx = _ColumnContext(env)
+        ctx.row_mode = True
+        row_body = _emit(expr, ctx)
+        ctx.row_mode = False
+        col_body = _emit(expr, ctx)
+    except (_NoSource, _Uncompilable):
+        return None
+    ctx.names["_slow"] = slow
+    return ctx, row_body, col_body
+
+
+def _row_function(expr: Expression, env: EvalEnv) -> tuple[RowFunc, str]:
+    """``expr`` as a row function, and the tier it is: the fused closure
+    tree (trees that need a full row: both-dynamic array operators,
+    function islands) or, for uncompilable nodes, the interpreter."""
+    func = compile_value(expr, env)
+    if func is not None:
+        return func, "compiled"
+    return (lambda row: expr.evaluate(row, env)), "interpreted"
+
+
+def _kernel(ctx: _ColumnContext, source: str, name: str):
+    exec(compile(source, "<repro.storage.compile>", "exec"), ctx.names)
+    return ctx.names[name], "columnar"
+
+
+def compile_column_predicate(expr: Expression, env: EvalEnv) -> tuple[Callable, str]:
     """A ``block -> kept rows / selection vector`` kernel for a WHERE
-    predicate.
+    predicate, and its tier.
 
     Row-backed blocks take the fused fast path: one listcomp over the
     backing row list whose condition reads ``_r[N]`` directly, returning
@@ -678,28 +678,27 @@ def compile_column_predicate(expr: Expression, env: EvalEnv):
     ``range(block.length)`` reading column vectors, returning the list of
     row positions (ascending) where the predicate is exactly ``True``.
     Callers distinguish the payloads by the block's backing
-    (``block.rows is not None``).  Returns ``None`` whenever the tree
-    needs a full row (both-dynamic array operators, function islands,
-    uncompilable nodes); callers then use the fused row kernel, which
-    stays the fallback tier.  On any exception the block is replayed row-by-row
-    through the exact closure tree, reproducing the interpreter's error
-    at the offending row.
+    (``block.rows is not None``).  Outside the vector subset the same
+    contract is served by the tree's row function (see
+    :func:`_row_function`); the ``tier`` returned beside the kernel says
+    which.  On any exception
+    the block is replayed row-by-row through the exact closure tree,
+    reproducing the interpreter's error at the offending row.
     """
-    try:
-        slow, is_const = _compile(expr, env)
-    except _Uncompilable:
-        return None
-    if is_const:
-        return None  # constant predicates: nothing vectorizable to win
-    ctx = _ColumnContext(env)
-    try:
-        ctx.row_mode = True
-        row_body = _emit(expr, ctx)
-        ctx.row_mode = False
-        col_body = _emit(expr, ctx)
-    except (_NoSource, _Uncompilable):
-        return None
-    ctx.names["_slow"] = slow
+    # A bare literal would sit directly beside `is` in the generated
+    # condition (a CPython SyntaxWarning); its row function is free anyway.
+    lowered = None if isinstance(expr, Literal) else _column_source(expr, env)
+    if lowered is None:
+        func, tier = _row_function(expr, env)
+
+        def kernel(block):
+            rows = block.rows
+            if rows is not None:
+                return [row for row in rows if func(row) is True]
+            return [i for i, row in enumerate(block.to_rows()) if func(row) is True]
+
+        return kernel, tier
+    ctx, row_body, col_body = lowered
     source = (
         "def _compiled_colfilter(block):\n"
         "    _rows = block.rows\n"
@@ -720,13 +719,12 @@ def compile_column_predicate(expr: Expression, env: EvalEnv):
         "        _row = block.row\n"
         "        return [_i for _i in range(_n) if _slow(_row(_i)) is _TRUE]\n"
     )
-    namespace = ctx.names
-    exec(compile(source, "<repro.storage.compile>", "exec"), namespace)
-    return namespace["_compiled_colfilter"]
+    return _kernel(ctx, source, "_compiled_colfilter")
 
 
-def compile_column_values(expr: Expression, env: EvalEnv):
-    """A ``(block, selection) -> value vector`` kernel for one expression.
+def compile_column_values(expr: Expression, env: EvalEnv) -> tuple[Callable, str]:
+    """A ``(block, selection) -> value vector`` kernel for one expression,
+    and its tier.
 
     Evaluates ``expr`` at each selected position (``selection=None`` means
     every row of the block), returning the values in selection order —
@@ -735,18 +733,17 @@ def compile_column_values(expr: Expression, env: EvalEnv):
     block's (lazily materialized) column vector — zero copy when
     unselected; general expressions run the row-fused variant over a
     row-backed block's backing list and the vector variant otherwise.
-    Returns ``None`` for trees outside the columnar subset; exceptions
-    replay through the closure tree exactly like
+    Trees outside the vector subset map their row function over the
+    selected rows (the ``tier`` returned beside the kernel says which);
+    exceptions replay through the closure tree exactly like
     :func:`compile_column_predicate`.
     """
-    if isinstance(expr, (ColumnRef, PosRef)):
-        if isinstance(expr, PosRef):
-            position = expr.position
-        else:
-            try:
-                position = env.resolve(expr.name)
-            except ExecutionError:
-                return None
+    position = None
+    if isinstance(expr, PosRef):
+        position = expr.position
+    elif isinstance(expr, ColumnRef):
+        position = env.positions.get(expr.name)
+    if position is not None and position != EvalEnv.AMBIGUOUS:
 
         def column_kernel(block, selection, _p=position):
             if selection is None:
@@ -757,36 +754,28 @@ def compile_column_values(expr: Expression, env: EvalEnv):
             column = block.columns[_p]
             return [column[i] for i in selection]
 
-        return column_kernel
-    try:
-        slow, _is_const = _compile(expr, env)
-    except _Uncompilable:
-        return None
-    ctx = _ColumnContext(env)
-    try:
-        ctx.row_mode = True
-        row_body = _emit(expr, ctx)
-        ctx.row_mode = False
-        col_body = _emit(expr, ctx)
-    except (_NoSource, _Uncompilable):
-        return None
-    ctx.names["_slow"] = slow
+        return column_kernel, "columnar"
+    lowered = _column_source(expr, env)
+    if lowered is None:
+        func, tier = _row_function(expr, env)
+
+        def kernel(block, selection):
+            if selection is None:
+                return list(map(func, block.to_rows()))
+            return [func(block.row(i)) for i in selection]
+
+        return kernel, tier
+    ctx, row_body, col_body = lowered
     source = (
         "def _compiled_colvalues(block, selection):\n"
         "    _rows = block.rows\n"
         "    if _rows is not None:\n"
-        "        _it = (\n"
-        "            _rows if selection is None\n"
-        "            else map(_rows.__getitem__, selection)\n"
-        "        )\n"
+        "        if selection is not None:\n"
+        "            _rows = [_rows[_i] for _i in selection]\n"
         "        try:\n"
-        f"            return [{row_body} for _r in _it]\n"
+        f"            return [{row_body} for _r in _rows]\n"
         "        except Exception:\n"
-        "            _it = (\n"
-        "                _rows if selection is None\n"
-        "                else map(_rows.__getitem__, selection)\n"
-        "            )\n"
-        "            return [_slow(_r) for _r in _it]\n"
+        "            return [_slow(_r) for _r in _rows]\n"
         "    _cols = block.columns\n"
         f"{_column_prelude(ctx)}"
         "    _sel = range(block.length) if selection is None else selection\n"
@@ -796,9 +785,7 @@ def compile_column_values(expr: Expression, env: EvalEnv):
         "        _row = block.row\n"
         "        return [_slow(_row(_i)) for _i in _sel]\n"
     )
-    namespace = ctx.names
-    exec(compile(source, "<repro.storage.compile>", "exec"), namespace)
-    return namespace["_compiled_colvalues"]
+    return _kernel(ctx, source, "_compiled_colvalues")
 
 
 def _emit(expr: Expression, ctx: _SourceContext) -> str:

@@ -3,10 +3,11 @@
 A Database owns a catalog of tables, a shared I/O-stats registry, a
 ``join_method`` knob (``hash`` / ``merge`` / ``inl``) mirroring the join
 choices the paper profiles in Appendix D.1, and an ``exec_mode`` knob:
-``"compiled"`` (the default) runs the compile-then-batch pipeline —
-expressions lowered to closures once per statement, scans fed block-at-a-
-time — while ``"interpreted"`` forces the row-at-a-time reference
-executor that the equivalence tests and ``bench_sql.py`` compare against.
+``"compiled"`` (the default) runs every SELECT on the compiled block
+pipeline — expressions lowered to block kernels once per statement, a
+chain of operators fed column blocks — while ``"interpreted"`` forces the
+row-at-a-time reference executor that the equivalence tests and
+``bench_sql.py`` compare against.
 SQL goes through :meth:`Database.execute`; library code that wants to
 skip parsing can use the direct table API (:meth:`table`,
 :meth:`create_table`, ...).
@@ -235,10 +236,10 @@ class Database:
     def execute_profiled(self, statements: Sequence[ast.Statement]) -> Result:
         """EXPLAIN ANALYZE: run one SELECT, return its operator report.
 
-        The result's rows are ``(operator, rows, batches, seconds)`` in
-        pipeline order; the full detail — plus total time, the query's own
-        rowcount, and the compiled-vs-interpreted expression split — rides
-        in :attr:`Result.profile`.
+        The result's rows are ``(operator, rows, batches, seconds)`` — the
+        pipeline operators' tallies, in data-flow order; the full detail —
+        plus total time, the query's own rowcount, the logical I/O and the
+        per-tier expression census — rides in :attr:`Result.profile`.
         """
         if len(statements) != 1 or not isinstance(statements[0], ast.Select):
             raise ExecutionError("PROFILE expects exactly one SELECT statement")
@@ -260,6 +261,7 @@ class Database:
                 "batches_scanned": delta.batches_scanned,
                 "blocks_scanned": delta.blocks_scanned,
                 "records_scanned": delta.records_scanned,
+                "hash_build_rows": delta.hash_build_rows,
             }
         )
         return Result(

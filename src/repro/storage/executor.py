@@ -1,32 +1,37 @@
-"""SELECT pipeline execution for the embedded engine.
+"""SELECT execution for the embedded engine.
 
-The executor consumes parsed :class:`~repro.storage.parser.ast_nodes.Select`
-trees.  FROM resolution, join-order selection, and index shortcuts live in
-:mod:`repro.storage.planner`; this module owns everything above the joins:
-residual filtering, grouping and aggregation, set-returning ``unnest``
-expansion, DISTINCT, ORDER BY, LIMIT/OFFSET, UNION ALL, and ``SELECT INTO``.
+FROM resolution, join order and index shortcuts live in
+:mod:`repro.storage.planner`, which hands back one (possibly joined)
+source; this module owns everything above it, in two tiers.
 
-Execution is **compile-then-batch** (the database's default
-``exec_mode="compiled"``): every WHERE/SELECT/GROUP BY/ORDER BY expression
-is lowered once per statement to a closure (:mod:`repro.storage.compile`),
-and rows flow through the pipeline in blocks — a lazy base-table scan
-yields :meth:`Table.scan_batches` blocks with one stats charge each, and
-the filter/projection kernels are tight listcomps over a block.  Bare
-``LIMIT`` stops the scan as soon as enough output rows exist, and ``ORDER
-BY``+``LIMIT`` runs as a heap top-k instead of a full sort.  Expressions
-the compiler refuses fall back per expression to the interpreted
-:meth:`Expression.evaluate`; ``exec_mode="interpreted"`` forces the
-original row-at-a-time reference pipeline everywhere, which the
-equivalence property tests (and ``benchmarks/bench_sql.py``) run against.
+**The compiled block pipeline** (``exec_mode="compiled"``, the default) is
+the one path a SELECT takes.  :meth:`SelectExecutor._build` chains small
+operators — Scan → Filter → Window → Project → Unnest | Aggregate → Sort →
+Distinct → Limit — that exchange :class:`ColumnBlock`s and are iterated
+for the result.  Every expression is lowered once per statement to a block
+kernel (:mod:`repro.storage.compile`); the kernels are total, so no
+statement falls off the pipeline.  Pushdowns are choices ``_build`` makes
+once: a bare ``LIMIT`` stops pulling scan blocks when enough rows exist,
+``ORDER BY`` + ``LIMIT`` is a heap top-k (run before the projection when
+its keys are source columns), a ``row_number() <= k`` derived table keeps
+k rows per partition, an all-bare-columns select list is one
+``itemgetter`` pass.  Each operator charges rows, batches and time to the
+statement's :class:`QueryProfile`, which ``PROFILE SELECT`` reports.
+
+**The interpreted reference** (``exec_mode="interpreted"``) is the original
+row-at-a-time pipeline over :meth:`Expression.evaluate`: the equivalence
+suites and ``benchmarks/bench_sql.py`` compare the compiled pipeline with
+it, and the Aggregate operator replays a failed vectorized pass through
+its grouping so errors surface exactly as the reference raises them.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import asdict, dataclass, field, replace as _dc_replace
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ExecutionError
 from repro.storage import arrays
@@ -37,28 +42,24 @@ from repro.storage.columns import (
     reduce_min,
 )
 from repro.storage.compile import (
-    compile_batch_filter,
     compile_column_predicate,
     compile_column_values,
     compile_value,
 )
 from repro.storage.expression import (
     ArrayLiteral,
-    Between,
     BinaryOp,
     ColumnRef,
     EvalEnv,
     Expression,
     FuncCall,
-    InList,
     InSet,
-    IsNull,
-    Like,
     Literal,
     PosRef,
     Star,
     UnaryOp,
     WindowFunc,
+    map_children,
     replace_windows,
     window_calls,
 )
@@ -76,6 +77,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 Row = tuple[Any, ...]
 RowFunc = Callable[[Row], Any]
+Pairs = list[tuple[Row, Row]]  # (source row, output row)
+
+#: Set-returning functions, legal only as a whole select-list item.
+_SET_RETURNING = ("unnest", "unnest_ranges")
 
 #: Operators whose constant array operands are worth converting to bitmaps.
 _ARRAY_SET_OPS = frozenset({"<@", "@>", "&&"})
@@ -91,9 +96,9 @@ def value_evaluator(db: "Database", expr: Expression, env: EvalEnv) -> RowFunc:
     """A ``row -> value`` function for ``expr``: compiled when the engine
     mode allows and the tree is compilable, otherwise the interpreter.
 
-    The per-statement compile/fallback decision is charged to the stats
-    (``exprs_compiled`` / ``exprs_interpreted``) so EXPLAIN-ish output and
-    benchmarks can see which pipeline served a query.
+    This is the row-at-a-time form DML and join conditions run on; the
+    compile/fallback decision is charged to the stats (``exprs_compiled``
+    / ``exprs_interpreted``).
     """
     if db.exec_mode == "compiled":
         func = compile_value(expr, env)
@@ -104,8 +109,11 @@ def value_evaluator(db: "Database", expr: Expression, env: EvalEnv) -> RowFunc:
     return lambda row: expr.evaluate(row, env)
 
 
-def _constant_array(expr: Expression) -> tuple | None:
-    """The int tuple of a constant array expression, else ``None``."""
+def _bitmapized(expr: Expression) -> Expression:
+    """A constant array of bitmap-sized rids as a RidSet literal; anything
+    else as it is."""
+    from repro.storage.ridset import RidSet
+
     if isinstance(expr, Literal) and isinstance(expr.value, tuple):
         values = expr.value
     elif isinstance(expr, ArrayLiteral) and all(
@@ -113,13 +121,13 @@ def _constant_array(expr: Expression) -> tuple | None:
     ):
         values = tuple(item.value for item in expr.items)
     else:
-        return None
-    if all(isinstance(v, int) and not isinstance(v, bool) for v in values):
-        return values
-    return None
+        return expr
+    if all(type(v) is int and 0 <= v <= _MAX_BITMAP_RID for v in values):
+        return Literal(RidSet(values))
+    return expr
 
 
-def _bitmapize_array_constants(expr: Expression) -> Expression:
+def _bitmapize_array_constants(expr: Expression | None) -> Expression | None:
     """Rewrite constant array operands of ``<@``/``@>``/``&&`` to RidSets.
 
     The conversion runs once per statement, so per-row evaluation of the
@@ -127,17 +135,9 @@ def _bitmapize_array_constants(expr: Expression) -> Expression:
     re-scanning or re-hashing the constant for every row.  Only applies to
     non-negative int arrays — anything else is left for the generic path.
     """
-    from repro.storage.ridset import RidSet
-
     if isinstance(expr, BinaryOp):
         if expr.op in _ARRAY_SET_OPS:
-            left, right = expr.left, expr.right
-            values = _constant_array(left)
-            if values is not None and all(0 <= v <= _MAX_BITMAP_RID for v in values):
-                left = Literal(RidSet(values))
-            values = _constant_array(right)
-            if values is not None and all(0 <= v <= _MAX_BITMAP_RID for v in values):
-                right = Literal(RidSet(values))
+            left, right = _bitmapized(expr.left), _bitmapized(expr.right)
             if left is not expr.left or right is not expr.right:
                 return BinaryOp(expr.op, left, right)
             return expr
@@ -152,58 +152,67 @@ def _bitmapize_array_constants(expr: Expression) -> Expression:
     return expr
 
 
+def _position(env: EvalEnv, name: str) -> int | None:
+    """Where ``name`` resolves in ``env``; None when unknown or ambiguous."""
+    position = env.positions.get(name)
+    return None if position == EvalEnv.AMBIGUOUS else position
+
+
+def _counts_rows(call: FuncCall) -> bool:
+    """``count(*)`` / ``count()``: the group's size, whatever the rows hold."""
+    return call.name == "count" and (not call.args or isinstance(call.args[0], Star))
+
+
+def _column_position(expr: Expression, env: EvalEnv) -> int | None:
+    """The row position a bare column reference reads, else None."""
+    if isinstance(expr, PosRef):
+        return expr.position
+    if isinstance(expr, ColumnRef):
+        return _position(env, expr.name)
+    return None
+
+
 @dataclass
 class OpProfile:
-    """One pipeline operator's tally in a profiled execution."""
+    """One pipeline operator's tally for one statement."""
 
     op: str
     rows: int = 0
     batches: int = 0
     seconds: float = 0.0
 
+    def charge(self, rows: int, started: float | None = None) -> None:
+        """One batch of ``rows`` produced (since ``started``, when timed)."""
+        self.rows += rows
+        self.batches += 1
+        if started is not None:
+            self.seconds += time.perf_counter() - started
+
 
 class QueryProfile:
-    """Per-operator rows/batches/time for one ``PROFILE SELECT``.
+    """Per-operator rows/batches/time of one statement.
 
-    The executor charges into it at the pipeline's choke points — scan,
-    filter, project, group, order, distinct — in first-touch order, so
-    the report reads like the plan ran.  A UNION ALL's branches share one
-    profile (their operators accumulate), which matches how the engine's
-    other counters (IOStats) treat them.
+    Operators hold the tally of their name, so a UNION ALL's branches and
+    a derived table's inner pipeline accumulate into the same lines, like
+    the engine's other counters (IOStats).  ``scan`` counts base-table rows
+    read (pipeline scan, join input or index probe) and ``join`` a join's
+    output rows; the planner charges both.
     """
-
-    #: Report ordering: the pipeline's data-flow order, regardless of
-    #: which operator happened to be instantiated first.
-    _ORDER = ("scan", "filter", "window", "project", "group", "order", "distinct")
 
     def __init__(self):
         self._ops: dict[str, OpProfile] = {}
+        #: Seconds already attributed to some operator; lets a stage time
+        #: itself net of the stages it pulls from.
+        self.spent = 0.0
 
     def op(self, name: str) -> OpProfile:
-        entry = self._ops.get(name)
-        if entry is None:
-            entry = OpProfile(name)
-            self._ops[name] = entry
-        return entry
-
-    def operators(self) -> list[OpProfile]:
-        rank = {name: index for index, name in enumerate(self._ORDER)}
-        return sorted(
-            self._ops.values(), key=lambda entry: rank.get(entry.op, len(rank))
-        )
+        return self._ops.setdefault(name, OpProfile(name))
 
     def as_dict(self) -> dict:
-        return {
-            "operators": [
-                {
-                    "op": entry.op,
-                    "rows": entry.rows,
-                    "batches": entry.batches,
-                    "seconds": entry.seconds,
-                }
-                for entry in self.operators()
-            ]
-        }
+        """The tallies in first-use order — the planner's scans and joins,
+        then each pipeline's operators as ``_build`` chained them — so the
+        report reads in data-flow order."""
+        return {"operators": [asdict(entry) for entry in self._ops.values()]}
 
 
 @dataclass
@@ -235,20 +244,12 @@ def _base_name(expr: Expression, alias: str | None, position: int) -> str:
     return f"column{position + 1}"
 
 
-class _StepTimer:
-    """Times one whole pipeline stage into an :class:`OpProfile` entry."""
-
-    __slots__ = ("entry", "_started")
-
-    def __init__(self, entry: OpProfile):
-        self.entry = entry
-
-    def __enter__(self) -> OpProfile:
-        self._started = time.perf_counter()
-        return self.entry
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.entry.seconds += time.perf_counter() - self._started
+def _item_names(items: Sequence[ast.SelectItem]) -> list[str]:
+    """Output column names of a select list without ``*``."""
+    return [
+        _base_name(item.expr, item.alias, position)
+        for position, item in enumerate(items)
+    ]
 
 
 class _Desc:
@@ -302,7 +303,7 @@ def _rank_window(
 ) -> tuple[list, list[int] | None]:
     """Rank ``n`` rows for one window call over pre-extracted key vectors.
 
-    Both pipelines feed this same core — they differ only in how the key
+    Both tiers feed this same core — they differ only in how the key
     vectors are extracted — so window values are identical by construction.
     NULLs sort last ascending / first descending (the engine's ORDER BY
     convention), sorts are stable, and without ORDER BY every peer ties:
@@ -324,13 +325,8 @@ def _rank_window(
     partitions: dict[Any, list[int]] = {}
     if not part_vectors:
         partitions[None] = list(range(n))
-    elif len(part_vectors) == 1:
-        vector = part_vectors[0]
-        for i in range(n):
-            partitions.setdefault(vector[i], []).append(i)
-    else:
-        for i, key in enumerate(zip(*part_vectors)):
-            partitions.setdefault(key, []).append(i)
+    for i, key in enumerate(zip(*part_vectors)):
+        partitions.setdefault(key, []).append(i)
     values: list = [None] * n
     if limit is not None:
         survivors: list[int] = []
@@ -353,22 +349,13 @@ def _rank_window(
         elif keys is None:
             for i in indices:
                 values[i] = 1  # no ORDER BY: every row is a peer
-        elif name == "rank":
+        else:  # rank counts the rows before a peer group, dense_rank the groups
             previous = _SENTINEL
-            rank = 1
+            rank = 0
             for position, i in enumerate(indices):
                 current = keys[i]
                 if previous is _SENTINEL or not (current == previous):
-                    rank = position + 1
-                    previous = current
-                values[i] = rank
-        else:  # dense_rank
-            previous = _SENTINEL
-            rank = 0
-            for i in indices:
-                current = keys[i]
-                if previous is _SENTINEL or not (current == previous):
-                    rank += 1
+                    rank = position + 1 if name == "rank" else rank + 1
                     previous = current
                 values[i] = rank
     return values, None
@@ -389,20 +376,296 @@ def _order_vectors(
     return sorted(range(n), key=keys.__getitem__)
 
 
-def _collect_aggregates(expr: Expression, out: dict[int, FuncCall]) -> None:
-    """Collect aggregate calls exactly where ``_replace_aggregates`` would
-    rewrite them (it does not descend into Between/InList/IsNull/Like)."""
-    if isinstance(expr, FuncCall) and expr.is_aggregate:
-        out[id(expr)] = expr
-        return
-    if isinstance(expr, BinaryOp):
-        _collect_aggregates(expr.left, out)
-        _collect_aggregates(expr.right, out)
-    elif isinstance(expr, UnaryOp):
-        _collect_aggregates(expr.operand, out)
-    elif isinstance(expr, FuncCall):
-        for arg in expr.args:
-            _collect_aggregates(arg, out)
+# ------------------------------------------------------------- operators
+
+
+@dataclass
+class Operator:
+    """One stage of the compiled pipeline; iterate it for its output blocks.
+
+    Subclasses implement ``run()``, a generator over ``child`` (any
+    iterable of blocks).  Iteration charges each block produced — its rows,
+    and the time spent producing it net of the stages below — to the
+    statement's tally for this stage.
+    """
+
+    profile: QueryProfile
+    child: Iterable[ColumnBlock] | None
+    name = ""
+
+    def __post_init__(self) -> None:
+        self.tally = self.profile.op(self.name)
+
+    def __iter__(self) -> Iterator[ColumnBlock]:
+        profile, tally = self.profile, self.tally
+        blocks = self.run()
+        while True:
+            started, below = time.perf_counter(), profile.spent
+            block = next(blocks, None)
+            own = time.perf_counter() - started - (profile.spent - below)
+            tally.seconds += own
+            profile.spent += own
+            if block is None:
+                return
+            tally.batches += 1
+            tally.rows += block.length
+            yield block
+
+
+@dataclass
+class Scan(Operator):
+    """A lazy base-table scan: one stats charge per block pulled, so a
+    consumer that stops early never pays for the blocks it did not read."""
+
+    name = "scan"
+    table: Any
+
+    def run(self):
+        return self.table.scan_column_blocks()
+
+
+@dataclass
+class Filter(Operator):
+    """WHERE: keeps the rows whose predicate is exactly ``True``."""
+
+    name = "filter"
+    predicate: Callable
+    width: int
+
+    def run(self):
+        for block in self.child:
+            kept = self.predicate(block)
+            if len(kept) != block.length:
+                # A row-backed block gets its kept rows back, a
+                # column-backed one a selection vector.
+                if block.rows is not None:
+                    block = ColumnBlock.from_rows(kept, self.width)
+                else:
+                    block = block.take(kept)
+            yield block
+
+
+def _widen(block: ColumnBlock, vectors: list[list]) -> ColumnBlock:
+    """``block`` with computed columns appended to each row tuple — it
+    stays row-backed, so the stages above keep their row-layout paths."""
+    wide = [row + extra for row, extra in zip(block.to_rows(), zip(*vectors))]
+    return ColumnBlock.from_rows(wide, block.width + len(vectors))
+
+
+@dataclass
+class Window(Operator):
+    """Ranks whole partitions and appends one column per window call.
+
+    ``limit_k`` is the grouped top-k pushdown: only each partition's first
+    k rows survive (see :func:`_rank_window`).
+    """
+
+    name = "window"
+    calls: list  # (WindowFunc, partition kernels, order kernels)
+    limit_k: int | None
+    width: int
+
+    def run(self):
+        block = concat_columns(self.child, self.width)
+        vectors: list[list] = []
+        keep = None
+        for call, part, order in self.calls:
+            values, keep = _rank_window(
+                call.name,
+                block.length,
+                [kernel(block, None) for kernel in part],
+                [kernel(block, None) for kernel in order],
+                [descending for _e, descending in call.order_by],
+                self.limit_k,
+            )
+            vectors.append(values)
+        if keep is not None:
+            block = block.take(keep)
+            vectors = [[vector[i] for i in keep] for vector in vectors]
+        yield _widen(block, vectors)
+
+
+@dataclass
+class Unnest(Operator):
+    """Expands the set-returning select items of a projected block in place:
+    each row repeats once per array element; several arrays zip in
+    parallel, the shorter ones padded with NULL."""
+
+    name = "unnest"
+    ranges: dict[int, bool]  # output position -> range-encoded array?
+
+    def run(self):
+        from repro.core.compression import decode_ranges
+
+        for block in self.child:
+            columns = block.columns
+            expanded: dict[int, list] = {p: [] for p in self.ranges}
+            repeats: list[int] = []  # source row index of each output row
+            for i, found in enumerate(zip(*[columns[p] for p in self.ranges])):
+                decoded = [
+                    () if array is None else decode_ranges(array) if ranges else array
+                    for ranges, array in zip(self.ranges.values(), found)
+                ]
+                height = max(map(len, decoded))
+                repeats.extend([i] * height)
+                for values, array in zip(expanded.values(), decoded):
+                    values.extend(array)
+                    values.extend([None] * (height - len(array)))
+            columns = [
+                expanded[p] if p in expanded else [column[i] for i in repeats]
+                for p, column in enumerate(columns)
+            ]
+            out = ColumnBlock(columns, len(repeats))
+            if block.source is not None:
+                out.source = block.source.take(repeats)
+            yield out
+
+
+@dataclass
+class Project(Operator):
+    """The select list, one value kernel per item.  ``positions`` (every
+    item a bare column) is the one-pass ``itemgetter`` form for row-backed
+    blocks; ``keep_source`` remembers the input block for a Sort above."""
+
+    name = "project"
+    kernels: list
+    positions: list[int] | None
+    keep_source: bool
+
+    def run(self):
+        positions = self.positions
+        if positions is None:
+            project = None
+        elif len(positions) == 1:
+            p0 = positions[0]
+
+            def project(rows):
+                return [(row[p0],) for row in rows]
+
+        else:
+            getter = itemgetter(*positions)
+
+            def project(rows):
+                return list(map(getter, rows))
+
+        for block in self.child:
+            if project is not None and block.rows is not None:
+                out = ColumnBlock.from_rows(project(block.rows), len(positions))
+            else:
+                try:
+                    columns = [kernel(block, None) for kernel in self.kernels]
+                except Exception:
+                    # Two items can fail on different rows.  The reference
+                    # goes row by row, so replay that way for its error.
+                    for i in range(block.length):
+                        for kernel in self.kernels:
+                            kernel(block, (i,))
+                    raise
+                out = ColumnBlock(columns, block.length)
+            if self.keep_source:
+                out.source = block
+            yield out
+
+
+@dataclass
+class Aggregate(Operator):
+    """GROUP BY / aggregates: ``grouper`` maps the whole filtered input to
+    ``(representative source row, output row)`` pairs, one per group."""
+
+    name = "group"
+    grouper: Callable[[ColumnBlock], Pairs]
+    width: int
+    out_width: int
+    keep_source: bool
+
+    def run(self):
+        pairs = self.grouper(concat_columns(self.child, self.width))
+        out = ColumnBlock.from_rows([pair[1] for pair in pairs], self.out_width)
+        if self.keep_source:
+            out.source = ColumnBlock.from_rows([pair[0] for pair in pairs], self.width)
+        yield out
+
+
+@dataclass
+class Sort(Operator):
+    """ORDER BY over key vectors; ``top`` makes it a heap top-k.
+
+    A key is ``(on_block, on_source, descending)``: kernels over the block
+    itself and over ``block.source``.  With both, the reference's per-row
+    rule applies — the output row decides unless evaluating it raises
+    ExecutionError, then the source row does.
+    """
+
+    name = "order"
+    keys: list
+    top: int | None
+    width: int
+
+    def run(self):
+        block = concat_columns(self.child, self.width)
+        # Last key first, like the reference's sort passes: with several
+        # failing keys, the same one raises.
+        specs = [(self._vector(key, block), key[2]) for key in reversed(self.keys)]
+        yield block.take(_order_vectors(specs[::-1], block.length, self.top))
+
+    @staticmethod
+    def _vector(key, block: ColumnBlock) -> list:
+        on_block, on_source, _descending = key
+        if on_block is None:
+            return on_source(block.source, None)
+        try:
+            return on_block(block, None)
+        except ExecutionError:
+            if on_source is None:
+                raise
+        values = []
+        for i in range(block.length):
+            try:
+                values.append(on_block(block, (i,))[0])
+            except ExecutionError:
+                values.append(on_source(block.source, (i,))[0])
+        return values
+
+
+@dataclass
+class Distinct(Operator):
+    name = "distinct"
+    width: int
+
+    def run(self):
+        seen: set[Row] = set()
+        for block in self.child:
+            unique = []
+            for row in block.to_rows():
+                if row not in seen:
+                    seen.add(row)
+                    unique.append(row)
+            yield ColumnBlock.from_rows(unique, self.width)
+
+
+@dataclass
+class Limit(Operator):
+    """OFFSET/LIMIT as Python slices (so negative bounds, reachable via
+    parameters, mean what they mean in the reference).  ``stop_after`` is
+    the bare-LIMIT pushdown: stop pulling once that many rows exist."""
+
+    name = "limit"
+    limit: int | None
+    offset: int | None
+    stop_after: int | None
+    width: int
+
+    def run(self):
+        rows: list[Row] = []
+        for block in self.child:
+            rows.extend(block.to_rows())
+            if self.stop_after is not None and len(rows) >= self.stop_after:
+                break
+        if self.offset is not None:
+            rows = rows[self.offset :]
+        if self.limit is not None:
+            rows = rows[: self.limit]
+        yield ColumnBlock.from_rows(rows, self.width)
 
 
 class SelectExecutor:
@@ -410,37 +673,28 @@ class SelectExecutor:
 
     def __init__(self, db: "Database", profile: QueryProfile | None = None):
         self._db = db
-        #: When set, the pipeline's choke points charge per-operator
-        #: rows/batches/time into it (``PROFILE SELECT``); None — the
-        #: default — keeps every hot path exactly as before.
-        self._profile = profile
-        # Per-statement compile cache keyed by (expr, env) identity; values
-        # keep both alive so the ids stay valid for the executor's lifetime.
-        self._eval_cache: dict[tuple[int, int], tuple] = {}
+        #: The statement's operator tallies; ``PROFILE SELECT`` passes its
+        #: own in and reports it, everyone else lets it go with the executor.
+        self.profile = profile or QueryProfile()
 
-    def _evaluator(self, expr: Expression, env: EvalEnv) -> RowFunc:
-        key = (id(expr), id(env))
-        hit = self._eval_cache.get(key)
-        if hit is None:
-            hit = (value_evaluator(self._db, expr, env), expr, env)
-            self._eval_cache[key] = hit
-        return hit[0]
+    def _kernel(self, compiler: Callable, expr: Expression, env: EvalEnv):
+        """A block kernel for ``expr``, charged to the census of the tier
+        that serves it (``exprs_columnar`` / ``_compiled`` / ``_interpreted``)."""
+        kernel, tier = compiler(expr, env)
+        stats = self._db.stats
+        if tier == "columnar":
+            stats.exprs_columnar += 1
+        elif tier == "compiled":
+            stats.exprs_compiled += 1
+        else:
+            stats.exprs_interpreted += 1
+        return kernel
 
-    def _batch_filter(self, expr: Expression, env: EvalEnv) -> Callable[[list], list]:
-        """A ``batch -> kept rows`` kernel for a WHERE predicate.
-
-        Compiled mode fuses the predicate into the listcomp condition of
-        one generated function (zero per-row Python calls); otherwise the
-        row evaluator — compiled closure or interpreter — runs under a
-        generic listcomp, keeping rows where it yields exactly ``True``.
-        """
-        if self._db.exec_mode == "compiled":
-            fused = compile_batch_filter(expr, env)
-            if fused is not None:
-                self._db.stats.exprs_compiled += 1
-                return fused
-        row_func = self._evaluator(expr, env)
-        return lambda batch: [row for row in batch if row_func(row) is True]
+    def _values(self, expr: Expression | None, env: EvalEnv):
+        """The value kernel of ``expr`` (``None`` passes through)."""
+        if expr is None:
+            return None
+        return self._kernel(compile_column_values, expr, env)
 
     # ------------------------------------------------------------- top level
 
@@ -452,11 +706,8 @@ class SelectExecutor:
             other = self.execute(select.union_all_with)
             if len(other.names) != len(relation.names):
                 raise ExecutionError("UNION ALL branches have different column counts")
-            relation = Relation(
-                relation.names,
-                relation.rows + other.rows,
-                relation.types,
-            )
+            rows = relation.rows + other.rows
+            relation = Relation(relation.names, rows, relation.types)
         return relation
 
     def _execute_single(
@@ -464,667 +715,249 @@ class SelectExecutor:
     ) -> Relation:
         from repro.storage.planner import resolve_from
 
-        select = self._resolve_subqueries_in_select(select)
-        if select.where is not None:
-            select.where = _bitmapize_array_constants(select.where)
+        def resolved(expr: Expression | None) -> Expression | None:
+            return None if expr is None else self._resolve_subqueries(expr)
+
+        # Plan from a copy: the caller may execute the same AST again, and
+        # must then see its subqueries run again.
+        select = _dc_replace(
+            select,
+            where=_bitmapize_array_constants(resolved(select.where)),
+            items=[
+                ast.SelectItem(resolved(item.expr), item.alias)
+                for item in select.items
+            ],
+            having=resolved(select.having),
+        )
         source, residual_where = resolve_from(self._db, select, self)
-        compiled_mode = self._db.exec_mode == "compiled"
-        if not compiled_mode:
-            # Reference pipeline: materialize the scan up front and run
-            # everything row-at-a-time, exactly like the pre-batch engine.
-            source.materialize()
-        relation = source.relation
-        env = relation.env()
-        has_windows = any(window_calls(item.expr) for item in select.items)
-        grouped_query = bool(select.group_by) or any(
+        grouped = bool(select.group_by) or any(
             item.expr.contains_aggregate() for item in select.items
         )
-        if has_windows and grouped_query:
+        if grouped and any(window_calls(item.expr) for item in select.items):
             raise ExecutionError(
                 "window functions cannot be combined with GROUP BY or aggregates"
             )
-        output: Relation | None = None
-        ordered_pairs: list[tuple[Row, Row]] = []
-        order_done = False
-        #: env the ORDER BY source-row fallback resolves against; the
-        #: window step extends it with the synthetic __win columns.
-        order_env = env
-        if compiled_mode:
-            # Columnar pipeline: all-or-nothing per statement.  Every
-            # kernel must compile before a single block is pulled, so a
-            # bail-out to the row pipeline never double-charges the scan.
-            if grouped_query:
-                got = self._try_grouped_columnar(select, source, residual_where)
-                if got is not None:
-                    output, ordered_pairs = got
-            else:
-                got = self._try_columnar(select, source, residual_where, topk_hint)
-                if got is not None:
-                    output, ordered_pairs, order_done, order_env = got
-        if output is None:
-            predicate = (
-                self._batch_filter(residual_where, env)
-                if residual_where is not None
-                else None
+        if self._db.exec_mode == "compiled":
+            names, types, pipeline = self._build(
+                select, source, residual_where, grouped, topk_hint
             )
-            if predicate is not None and self._profile is not None:
-                predicate = self._profiled_kernel("filter", predicate)
-            if grouped_query:
-                rows = self._filtered_rows(source, predicate)
-                if self._profile is not None:
-                    with self._profiled_step("group") as step:
-                        output, ordered_pairs = self._grouped(select, relation, rows)
-                    step.rows += len(output.rows)
-                else:
-                    output, ordered_pairs = self._grouped(select, relation, rows)
-            elif has_windows:
-                # Window functions need whole partitions: materialize the
-                # filtered input, rank it, and project over the extended
-                # relation (both modes share this step, so parity holds by
-                # construction).
-                rows = self._filtered_rows(source, predicate)
-                wsource, wselect = self._windowed_source(
-                    select, relation, rows, topk_hint
-                )
-                order_env = wsource.relation.env()
-                output, ordered_pairs = self._projected(
-                    wselect, wsource, None, None, profile_scan=False
-                )
-            else:
-                stop_after = None
-                if (
-                    compiled_mode
-                    and select.limit is not None
-                    and select.limit >= 0
-                    and (select.offset or 0) >= 0
-                    and not select.order_by
-                    and not select.distinct
-                ):
-                    # Bare LIMIT: stop feeding the pipeline once enough output
-                    # rows exist; unread scan blocks are never charged.
-                    # Negative limit/offset values (reachable via parameters)
-                    # keep the reference's Python-slice semantics, so they are
-                    # never pushed down.
-                    stop_after = select.limit + (select.offset or 0)
-                output, ordered_pairs = self._projected(
-                    select, source, predicate, stop_after
-                )
-        output_env = output.env()
-        if select.order_by and not order_done:
-            top = None
-            if (
-                compiled_mode
-                and select.limit is not None
-                and select.limit >= 0
-                and (select.offset or 0) >= 0
-                and not select.distinct
-            ):
-                # ORDER BY + LIMIT k: heap top-k, O(n log k) instead of a
-                # full sort.  DISTINCT k needs an unbounded sort (k distinct
-                # rows may hide arbitrarily deep), and negative bounds keep
-                # the reference's slice semantics, so both skip the heap.
-                top = select.limit + (select.offset or 0)
-            if self._profile is not None:
-                with self._profiled_step("order") as step:
-                    ordered_pairs = self._order(
-                        select.order_by, ordered_pairs, order_env, output_env, top
-                    )
-                step.rows += len(ordered_pairs)
-            else:
-                ordered_pairs = self._order(
-                    select.order_by, ordered_pairs, order_env, output_env, top
-                )
-            output = Relation(
-                output.names, [pair[1] for pair in ordered_pairs], output.types
-            )
-        if select.distinct:
-            seen: set[Row] = set()
-            unique_rows = []
-            for row in output.rows:
-                if row not in seen:
-                    seen.add(row)
-                    unique_rows.append(row)
-            if self._profile is not None:
-                self._profile.op("distinct").rows += len(unique_rows)
-            output = Relation(output.names, unique_rows, output.types)
-        if select.offset is not None:
-            output = Relation(output.names, output.rows[select.offset :], output.types)
-        if select.limit is not None:
-            output = Relation(output.names, output.rows[: select.limit], output.types)
+            rows = concat_columns(pipeline, len(names)).to_rows()
+            output = Relation(names, rows, types)
+            self._infer_missing_types(output)
+        else:
+            output = self._interpret(select, source, residual_where, grouped)
         if select.into_table is not None:
-            self._materialize_into(select.into_table, output)
+            self._db.create_table_from_relation(select.into_table, output)
         return output
 
-    # ------------------------------------------------------------- batching
+    # ------------------------------------------------- the compiled pipeline
 
-    def _source_batches(
-        self, source: "_Source", profile_scan: bool = True
-    ) -> Iterator[list]:
-        """Row blocks of one FROM source.
-
-        Lazy base-table scans stream :meth:`Table.scan_batches` blocks (one
-        stats charge per block, and unread blocks cost nothing); already-
-        materialized relations are a single block with no copy.
-        ``profile_scan=False`` skips the profile's scan charge — used when
-        the caller already charged the real scan (the window step re-reads
-        its own materialized output, which is not a second scan).
-        """
-        if source.lazy:
-            batches = source.table.scan_batches()
-        else:
-            batches = iter((source.relation.rows,))
-        if self._profile is None or not profile_scan:
-            return batches
-        return self._profiled_batches(batches)
-
-    def _profiled_batches(self, batches: Iterator[list]) -> Iterator[list]:
-        """Charge scan rows/batches/time per block pulled."""
-        entry = self._profile.op("scan")
-        while True:
-            started = time.perf_counter()
-            batch = next(batches, None)
-            entry.seconds += time.perf_counter() - started
-            if batch is None:
-                return
-            entry.batches += 1
-            entry.rows += len(batch)
-            yield batch
-
-    def _profiled_kernel(
-        self, name: str, kernel: Callable[[list], list]
-    ) -> Callable[[list], list]:
-        """Wrap a ``batch -> rows`` kernel (filter, project) to charge its
-        per-batch time and output rows to operator ``name``."""
-        entry = self._profile.op(name)
-
-        def run(batch: list) -> list:
-            started = time.perf_counter()
-            out = kernel(batch)
-            entry.seconds += time.perf_counter() - started
-            entry.batches += 1
-            entry.rows += len(out)
-            return out
-
-        return run
-
-    def _profiled_step(self, name: str):
-        """Context manager timing one whole pipeline stage (group/order/...).
-
-        Usage: ``with self._profiled_step("order") as entry: ...`` — the
-        caller sets ``entry.rows`` to the stage's output count.  A no-op
-        placeholder when profiling is off never happens: callers guard on
-        ``self._profile``.
-        """
-        return _StepTimer(self._profile.op(name))
-
-    def _filtered_rows(
-        self, source: "_Source", predicate: Callable[[list], list] | None
-    ) -> list:
-        if predicate is None and not source.lazy:
-            return source.relation.rows
-        rows: list = []
-        for batch in self._source_batches(source):
-            if predicate is not None:
-                batch = predicate(batch)
-            rows.extend(batch)
-        return rows
-
-    # ------------------------------------------------------- columnar spine
-
-    def _source_column_blocks(self, source: "_Source") -> Iterator[ColumnBlock]:
-        """Column blocks of one FROM source.
-
-        Lazy base tables stream :meth:`Table.scan_column_blocks` (which
-        charges records/batches exactly like ``scan_batches``, plus one
-        ``blocks_scanned`` each); materialized relations transpose into a
-        single block with no extra stats charge — the rows were charged
-        when they were produced.
-        """
-        if source.lazy:
-            blocks = source.table.scan_column_blocks()
-        else:
-            width = len(source.relation.names)
-            blocks = iter((ColumnBlock.from_rows(source.relation.rows, width),))
-        if self._profile is None:
-            return blocks
-        return self._profiled_blocks(blocks)
-
-    def _profiled_blocks(
-        self, blocks: Iterator[ColumnBlock]
-    ) -> Iterator[ColumnBlock]:
-        entry = self._profile.op("scan")
-        while True:
-            started = time.perf_counter()
-            block = next(blocks, None)
-            entry.seconds += time.perf_counter() - started
-            if block is None:
-                return
-            entry.batches += 1
-            entry.rows += block.length
-            yield block
-
-    def _filtered_block(
-        self,
-        source: "_Source",
-        col_filter,
-        stop_after: int | None,
-    ) -> ColumnBlock:
-        """Scan + columnar filter, concatenated into one block.
-
-        Mirrors the row pipeline's block boundaries and stop-early logic
-        exactly, so ``records_scanned`` is identical in both pipelines.
-        Row-backed blocks get the kept rows straight from the kernel (no
-        selection vector, no gather); column-backed blocks go through the
-        selection-vector form.
-        """
-        profile = self._profile
-        width = len(source.relation.names)
-        fblocks: list[ColumnBlock] = []
-        collected = 0
-        for block in self._source_column_blocks(source):
-            if col_filter is not None:
-                started = time.perf_counter() if profile is not None else 0.0
-                payload = col_filter(block)
-                if len(payload) != block.length:
-                    if block.rows is not None:
-                        # Dual-variant kernel: the payload IS the kept rows.
-                        block = ColumnBlock.from_rows(payload, width)
-                    else:
-                        block = block.take(payload)
-                if profile is not None:
-                    entry = profile.op("filter")
-                    entry.seconds += time.perf_counter() - started
-                    entry.batches += 1
-                    entry.rows += len(payload)
-            fblocks.append(block)
-            collected += block.length
-            if stop_after is not None and collected >= stop_after:
-                break
-        fblock = fblocks[0] if len(fblocks) == 1 else concat_columns(fblocks, width)
-        if stop_after is not None and fblock.length > stop_after:
-            rows = fblock.rows
-            if rows is not None:
-                fblock = ColumnBlock.from_rows(rows[:stop_after], width)
-            else:
-                fblock = ColumnBlock(
-                    [column[:stop_after] for column in fblock.columns], stop_after
-                )
-        return fblock
-
-    def _try_columnar(
+    def _build(
         self,
         select: ast.Select,
         source: "_Source",
-        residual_where: Expression | None,
+        where: Expression | None,
+        grouped: bool,
         topk_hint: int | None,
-    ) -> tuple[Relation, list[tuple[Row, Row]], bool, EvalEnv] | None:
-        """Run a non-grouped SELECT on the block pipeline, or ``None``.
+    ) -> tuple[list[str], list[DataType | None], Iterable[ColumnBlock]]:
+        """The operator chain for one SELECT: ``(names, types, root)``.
 
-        Filter, window, projection, and (when every ORDER BY item is a
-        plain column) ordering all run as per-column vector kernels.  The
-        decision is all-or-nothing: if any expression is outside the
-        columnar subset the whole statement stays on the row pipeline,
-        whose fused row kernels remain the fallback tier.
+        Every kernel compiles here, before a single block is pulled, and
+        every pushdown is decided here, from the statement alone.
         """
+        profile = self.profile
         relation = source.relation
         env = relation.env()
-        for item in select.items:
-            if isinstance(item.expr, FuncCall) and item.expr.name in (
-                "unnest",
-                "unnest_ranges",
-            ):
-                return None  # set-returning items stay on the row pipeline
-        col_filter = None
-        if residual_where is not None:
-            col_filter = compile_column_predicate(residual_where, env)
-            if col_filter is None:
-                return None
-        calls: list[WindowFunc] = []
-        items = select.items
-        win_key_kernels: list[tuple[list, list]] = []
-        ext_env = env
-        if any(window_calls(item.expr) for item in select.items):
-            calls, items = self._window_rewrite(select, relation)
-            for call in calls:
-                part = [compile_column_values(e, env) for e in call.partition_by]
-                order = [
-                    compile_column_values(e, env) for e, _descending in call.order_by
-                ]
-                if any(kernel is None for kernel in part + order):
-                    return None
-                win_key_kernels.append((part, order))
-            ext_env = EvalEnv(
-                relation.names + [f"__win{k}" for k in range(len(calls))]
-            )
-        names: list[str] = []
-        types: list[DataType | None] = []
-        plan: list = []  # None marks Star (copy all source columns)
-        #: Source position per item when EVERY item is a bare column ref —
-        #: the itemgetter projection fast path; None once anything else
-        #: (Star, computed expression) shows up.
-        simple_positions: list[int] | None = []
-        for item in items:
-            if isinstance(item.expr, Star):
-                names.extend(relation.base_names())
-                types.extend(relation.types)
-                plan.append(None)
-                simple_positions = None
-                continue
-            kernel = compile_column_values(item.expr, ext_env)
-            if kernel is None:
-                return None
-            if simple_positions is not None:
-                position = None
-                if isinstance(item.expr, PosRef):
-                    position = item.expr.position
-                elif isinstance(item.expr, ColumnRef):
-                    try:
-                        position = ext_env.resolve(item.expr.name)
-                    except ExecutionError:
-                        position = None
-                if position is None:
-                    simple_positions = None
-                else:
-                    simple_positions.append(position)
-            names.append(_base_name(item.expr, item.alias, len(names)))
-            types.append(None)
-            plan.append(kernel)
-        # ORDER BY plan: bare column references sort as vectors (resolved
-        # against the output first, then the source — the same per-row
-        # fallback rule _order applies); anything else drops to the
-        # reference pair sort after projection.
-        output_env = EvalEnv(names)
-        order_plan: list[tuple[tuple[str, int], bool]] | None = None
-        if select.order_by:
-            order_plan = []
-            for oitem in select.order_by:
-                spec = None
-                if isinstance(oitem.expr, ColumnRef):
-                    try:
-                        spec = ("out", output_env.resolve(oitem.expr.name))
-                    except ExecutionError:
-                        try:
-                            spec = ("src", ext_env.resolve(oitem.expr.name))
-                        except ExecutionError:
-                            spec = None
-                if spec is None:
-                    order_plan = None
-                    break
-                order_plan.append((spec, oitem.descending))
-        # Committed: charge the kernel census, then pull blocks.
-        self._db.stats.exprs_columnar += (
-            (1 if col_filter is not None else 0)
-            + sum(len(part) + len(order) for part, order in win_key_kernels)
-            + sum(1 for step in plan if step is not None)
-        )
-        stop_after = None
+        width = len(relation.names)
+        node: Iterable[ColumnBlock]
+        if source.lazy:
+            node = Scan(profile, None, source.table)
+        else:
+            # Already materialized (probe, join, derived table): its rows
+            # were charged when they were produced.
+            node = [ColumnBlock.from_rows(relation.rows, width)]
+        if where is not None:
+            predicate = self._kernel(compile_column_predicate, where, env)
+            node = Filter(profile, node, predicate, width)
+        unnests: dict[int, bool] = {}  # output position -> range-encoded?
+        kernels: dict[int, Callable] = {}  # select-list kernels fixed early
+        bound = None
         if (
-            not calls
-            and select.limit is not None
+            select.limit is not None
             and select.limit >= 0
             and (select.offset or 0) >= 0
-            and not select.order_by
             and not select.distinct
         ):
-            stop_after = select.limit + (select.offset or 0)
-        profile = self._profile
-        fblock = self._filtered_block(source, col_filter, stop_after)
-        if calls:
-            started = time.perf_counter() if profile is not None else 0.0
-            limit_k = None
-            if (
-                topk_hint is not None
-                and len(calls) == 1
-                and calls[0].name == "row_number"
-            ):
-                limit_k = topk_hint
-            vectors: list[list] = []
-            keep: list[int] | None = None
-            for call, (part_kernels, order_kernels) in zip(calls, win_key_kernels):
-                part_vectors = [kernel(fblock, None) for kernel in part_kernels]
-                order_vectors = [kernel(fblock, None) for kernel in order_kernels]
-                descendings = [descending for _e, descending in call.order_by]
-                values, survivors = _rank_window(
-                    call.name,
-                    fblock.length,
-                    part_vectors,
-                    order_vectors,
-                    descendings,
-                    limit_k,
-                )
-                vectors.append(values)
-                keep = survivors
-            if keep is not None:
-                fblock = fblock.take(keep)
-                vectors = [[vector[i] for i in keep] for vector in vectors]
-            rows = fblock.rows
-            if rows is not None:
-                # Stay row-backed: append the window values to each row
-                # tuple instead of transposing the whole block, so the
-                # projection below keeps its row-layout fast paths.
-                if len(vectors) == 1:
-                    vector = vectors[0]
-                    ext_rows = [row + (value,) for row, value in zip(rows, vector)]
-                else:
-                    ext_rows = [
-                        row + extra for row, extra in zip(rows, zip(*vectors))
-                    ]
-                ext_block = ColumnBlock.from_rows(
-                    ext_rows, fblock.width + len(vectors)
-                )
-            else:
-                ext_block = ColumnBlock(fblock.columns + vectors, fblock.length)
-            if profile is not None:
-                entry = profile.op("window")
-                entry.seconds += time.perf_counter() - started
-                entry.batches += 1
-                entry.rows += ext_block.length
+            # Rows past limit+offset can never be returned, so ORDER BY
+            # needs only a heap top-k and a bare LIMIT can stop pulling.
+            # DISTINCT k may hide arbitrarily deep, and negative bounds
+            # (reachable via parameters) keep the reference's slice
+            # semantics, so neither is pushed down.
+            bound = select.limit + (select.offset or 0)
+        positions = None
+        if grouped:
+            names = _item_names(select.items)
+            types: list[DataType | None] = [None] * len(names)
         else:
-            ext_block = fblock
-        if (
-            simple_positions is not None
-            and ext_block.rows is not None
-            and profile is None
-        ):
-            # All-bare-columns projection of a row-backed block (window
-            # outputs included): one itemgetter pass over the row tuples
-            # replaces per-column materialization plus the final re-zip,
-            # and ORDER BY+LIMIT projects only the surviving rows.
-            return self._project_simple(
-                select, ext_block, simple_positions, names, types, order_plan, ext_env
-            )
-        started = time.perf_counter() if profile is not None else 0.0
-        out_columns: list[list] = []
-        for step in plan:
-            if step is None:
-                out_columns.extend(fblock.columns)
-            else:
-                out_columns.append(step(ext_block, None))
-        n_out = ext_block.length
-        if profile is not None:
-            entry = profile.op("project")
-            entry.seconds += time.perf_counter() - started
-            entry.batches += 1
-            entry.rows += n_out
-        order_done = False
-        pairs: list[tuple[Row, Row]] = []
-        if select.order_by:
-            if order_plan is not None:
-                top = None
-                if (
-                    select.limit is not None
-                    and select.limit >= 0
-                    and (select.offset or 0) >= 0
-                    and not select.distinct
-                ):
-                    top = select.limit + (select.offset or 0)
-                started = time.perf_counter() if profile is not None else 0.0
-                order_index = _order_vectors(
-                    [
-                        (
-                            out_columns[pos]
-                            if kind == "out"
-                            else ext_block.column(pos),
-                            descending,
-                        )
-                        for (kind, pos), descending in order_plan
-                    ],
-                    n_out,
-                    top,
-                )
-                out_columns = [
-                    [column[i] for i in order_index] for column in out_columns
-                ]
-                n_out = len(order_index)
-                if profile is not None:
-                    entry = profile.op("order")
-                    entry.seconds += time.perf_counter() - started
-                    entry.rows += n_out
-                order_done = True
-            else:
-                out_rows = list(zip(*out_columns)) if out_columns else [()] * n_out
-                pairs = list(zip(ext_block.to_rows(), out_rows))
-        if order_done or not select.order_by:
-            out_rows = list(zip(*out_columns)) if out_columns else [()] * n_out
-        else:
-            out_rows = [pair[1] for pair in pairs]
-        output = Relation(names, out_rows, types)
-        self._infer_missing_types(output)
-        return output, pairs, order_done, ext_env
-
-    def _project_simple(
-        self,
-        select: ast.Select,
-        fblock: ColumnBlock,
-        positions: list[int],
-        names: list[str],
-        types: list[DataType | None],
-        order_plan: list[tuple[tuple[str, int], bool]] | None,
-        ext_env: EvalEnv,
-    ) -> tuple[Relation, list[tuple[Row, Row]], bool, EvalEnv]:
-        """Bare-columns projection straight off a row-backed block.
-
-        Because every output item is a source column, ORDER BY keys (both
-        the ``out`` and ``src`` kinds) are source columns too, so sorting
-        happens on lazily materialized key vectors and only the surviving
-        rows are projected.  Semantics are identical to the generic path —
-        this is pure layout work.
-        """
-        rows = fblock.rows
-        if len(positions) == 1:
-            p0 = positions[0]
-
-            def project(src: list) -> list:
-                return [(row[p0],) for row in src]
-
-        else:
-            getter = itemgetter(*positions)
-
-            def project(src: list) -> list:
-                return list(map(getter, src))
-
-        order_done = False
-        pairs: list[tuple[Row, Row]] = []
-        if select.order_by and order_plan is not None:
-            top = None
-            if (
-                select.limit is not None
-                and select.limit >= 0
-                and (select.offset or 0) >= 0
-                and not select.distinct
-            ):
-                top = select.limit + (select.offset or 0)
-            order_index = _order_vectors(
-                [
+            calls, items, types = self._select_list(select, relation)
+            names = [item.alias for item in items]
+            if calls:
+                if len(calls) != 1 or calls[0].name != "row_number":
+                    topk_hint = None  # the pushdown ranks one row_number()
+                ranked = [
                     (
-                        fblock.column(positions[pos] if kind == "out" else pos),
-                        descending,
+                        call,
+                        [self._values(expr, env) for expr in call.partition_by],
+                        [self._values(expr, env) for expr, _d in call.order_by],
                     )
-                    for (kind, pos), descending in order_plan
-                ],
-                fblock.length,
-                top,
-            )
-            out_rows = project(list(map(rows.__getitem__, order_index)))
-            order_done = True
-        else:
-            out_rows = project(rows)
-            if select.order_by:
-                pairs = list(zip(rows, out_rows))
-        output = Relation(names, out_rows, types)
-        self._infer_missing_types(output)
-        return output, pairs, order_done, ext_env
+                    for call in calls
+                ]
+                node = Window(profile, node, ranked, topk_hint, width)
+                width += len(calls)
+            for position, item in enumerate(items):
+                call = item.expr
+                if isinstance(call, FuncCall) and call.name in _SET_RETURNING:
+                    # Project emits the array, Unnest above it expands it.
+                    unnests[position] = call.name == "unnest_ranges"
+                    if call.args:
+                        items[position] = ast.SelectItem(call.args[0], item.alias)
+                    else:
+                        # Zero-arg unnest(): the reference touches args[0]
+                        # per evaluated row, so the IndexError must stay a
+                        # rows-exist-only runtime error.
+                        def no_argument(block, selection, args=call.args):
+                            return [args[0] for _ in range(block.length)]
 
-    def _try_grouped_columnar(
-        self,
-        select: ast.Select,
-        source: "_Source",
-        residual_where: Expression | None,
-    ) -> tuple[Relation, list[tuple[Row, Row]]] | None:
-        """Vectorized GROUP BY/aggregation, or ``None`` for the row path.
+                        kernels[position] = no_argument
+            positions = [_column_position(item.expr, env) for item in items]
+            if not positions or None in positions:
+                positions = None
+        out_env = EvalEnv(names)
+        keys = [
+            self._sort_key(item.expr, out_env) + (item.descending,)
+            for item in select.order_by
+        ]
+        first = None if unnests else self._source_positions(keys, positions, env)
+        if first:
+            # Sort (or top-k) below the projection: only survivors project.
+            order = [
+                (self._values(PosRef(position), env), None, descending)
+                for position, (_o, _s, descending) in zip(first, keys)
+            ]
+            node = Sort(profile, node, order, bound, width)
+            keys = []
+        keep_source = any(on_source is not None for _o, on_source, _d in keys)
+        if grouped:
+            grouper = self._grouper(select, relation)
+            node = Aggregate(profile, node, grouper, width, len(names), keep_source)
+        else:
+            project = [
+                kernels.get(position) or self._values(item.expr, env)
+                for position, item in enumerate(items)
+            ]
+            node = Project(profile, node, project, positions, keep_source)
+            if unnests:
+                node = Unnest(profile, node, unnests)
+        if keys:
+            order = [
+                (self._values(on_output, out_env), self._values(on_source, env), d)
+                for on_output, on_source, d in keys
+            ]
+            node = Sort(profile, node, order, bound, len(names))
+        if select.distinct:
+            node = Distinct(profile, node, len(names))
+        if select.limit is not None or select.offset is not None:
+            node = Limit(profile, node, select.limit, select.offset, bound, len(names))
+        return names, types, node
+
+    @staticmethod
+    def _sort_key(
+        expr: Expression, out_env: EvalEnv
+    ) -> tuple[Expression | None, Expression | None]:
+        """One ORDER BY key as ``(over the output row, over the source row)``.
+
+        The reference evaluates a key against the output row and, if that
+        raises ExecutionError, against the source row.  Two cases need only
+        one side: a key naming no output column can only get past the
+        output row without reading a column, so the source row gives the
+        same answer; a bare output column never raises.
+        """
+        if not any(_position(out_env, name) is not None for name in expr.columns()):
+            return None, expr
+        if isinstance(expr, ColumnRef):
+            return PosRef(out_env.resolve(expr.name)), None
+        return expr, expr
+
+    @staticmethod
+    def _source_positions(
+        keys: list, positions: list[int] | None, env: EvalEnv
+    ) -> list[int] | None:
+        """The sort keys as source column positions, or ``None``.
+
+        ``positions`` says the select list is all bare columns, so it
+        cannot raise and nothing is lost by projecting only the rows that
+        survive the sort; that holds when every key is a bare column too.
+        """
+        if positions is None:
+            return None
+        found = []
+        for on_output, on_source, _descending in keys:
+            if on_output is None:
+                position = _column_position(on_source, env)
+            elif on_source is None:
+                position = positions[on_output.position]
+            else:
+                position = None
+            if position is None:
+                return None
+            found.append(position)
+        return found
+
+    def _grouper(
+        self, select: ast.Select, relation: Relation
+    ) -> Callable[[ColumnBlock], Pairs]:
+        """The Aggregate operator's ``block -> pairs`` function.
 
         Group keys and aggregate inputs are extracted once as column
         vectors over the filtered block; per-group work is then pure
-        gathering.  Any runtime error during the vectorized pass falls
-        back wholesale to :meth:`_grouped` over the same filtered rows,
-        which reproduces the reference's first-error semantics (HAVING may
-        legally skip a group whose aggregate input would raise).
+        gathering.  Any runtime error during the vectorized pass replays
+        the block through the reference's :meth:`_grouped`, which decides
+        which error surfaces first (HAVING may legally skip a group whose
+        aggregate input would raise) — as do the shapes the reference
+        rejects itself (``*``, an aggregate without arguments).
         """
-        relation = source.relation
         env = relation.env()
-        if any(isinstance(item.expr, Star) for item in select.items):
-            return None  # the reference raises; keep the error path there
-        col_filter = None
-        if residual_where is not None:
-            col_filter = compile_column_predicate(residual_where, env)
-            if col_filter is None:
-                return None
-        key_kernels = []
-        for expr in select.group_by:
-            kernel = compile_column_values(expr, env)
-            if kernel is None:
-                return None
-            key_kernels.append(kernel)
+        # The calls _replace_aggregates will hand to ``compute``, less the
+        # row counts (which read no argument vector).
         agg_calls: dict[int, FuncCall] = {}
         roots = [item.expr for item in select.items]
         if select.having is not None:
             roots.append(select.having)
         for root in roots:
-            _collect_aggregates(root, agg_calls)
-        agg_kernels: dict[int, Any] = {}
-        for key, call in agg_calls.items():
-            if call.name == "count" and (
-                not call.args or isinstance(call.args[0], Star)
-            ):
-                continue
-            if not call.args:
-                return None  # the reference raises per group; keep it there
-            kernel = compile_column_values(call.args[0], env)
-            if kernel is None:
-                return None
-            agg_kernels[key] = kernel
-        self._db.stats.exprs_columnar += (
-            (1 if col_filter is not None else 0)
-            + len(key_kernels)
-            + len(agg_kernels)
-        )
-        fblock = self._filtered_block(source, col_filter, None)
+            self._replace_aggregates(
+                root, lambda call: agg_calls.setdefault(id(call), call)
+            )
+        agg_calls = {
+            key: call for key, call in agg_calls.items() if not _counts_rows(call)
+        }
+        if any(isinstance(item.expr, Star) for item in select.items) or not all(
+            call.args for call in agg_calls.values()
+        ):
+            return lambda block: self._grouped(select, relation, block.to_rows())
+        key_kernels = [self._values(expr, env) for expr in select.group_by]
+        agg_kernels = {
+            key: self._values(call.args[0], env) for key, call in agg_calls.items()
+        }
 
-        def run() -> tuple[Relation, list[tuple[Row, Row]]]:
+        def grouper(block: ColumnBlock) -> Pairs:
             try:
                 return self._grouped_columnar(
-                    select, relation, fblock, key_kernels, agg_kernels
+                    select, relation, block, key_kernels, agg_kernels
                 )
             except Exception:
-                return self._grouped(select, relation, fblock.to_rows())
+                return self._grouped(select, relation, block.to_rows())
 
-        if self._profile is not None:
-            with self._profiled_step("group") as step:
-                output, pairs = run()
-            step.rows += len(output.rows)
-        else:
-            output, pairs = run()
-        return output, pairs
+        return grouper
 
     def _grouped_columnar(
         self,
@@ -1133,59 +966,33 @@ class SelectExecutor:
         fblock: ColumnBlock,
         key_kernels: list,
         agg_kernels: dict[int, Any],
-    ) -> tuple[Relation, list[tuple[Row, Row]]]:
-        env = relation.env()
+    ) -> Pairs:
         n = fblock.length
         groups: dict[tuple, list[int] | None] = {}
         if select.group_by:
             key_vectors = [kernel(fblock, None) for kernel in key_kernels]
-            if len(key_vectors) == 1:
-                for i, value in enumerate(key_vectors[0]):
-                    groups.setdefault((value,), []).append(i)
-            else:
-                for i, key in enumerate(zip(*key_vectors)):
-                    groups.setdefault(key, []).append(i)
+            for i, key in enumerate(zip(*key_vectors)):
+                groups.setdefault(key, []).append(i)
         elif n:
             groups[()] = None  # sentinel: every row, in order
         else:
             groups[()] = []  # global aggregate over an empty input
-        agg_vectors = {
-            key: kernel(fblock, None) for key, kernel in agg_kernels.items()
-        }
-        names: list[str] = []
-        types: list[DataType | None] = []
-        for position, item in enumerate(select.items):
-            names.append(_base_name(item.expr, item.alias, position))
-            types.append(None)
+        agg_vectors = {key: kernel(fblock, None) for key, kernel in agg_kernels.items()}
         width = len(relation.names)
-        pairs: list[tuple[Row, Row]] = []
-        for indices in groups.values():
-            if indices is None:
-                representative = fblock.row(0)
-            elif indices:
-                representative = fblock.row(indices[0])
-            else:
-                representative = tuple([None] * width)
 
-            def compute(call, indices=indices):
-                return self._vector_aggregate(call, indices, agg_vectors, n)
-
-            if select.having is not None:
-                having_value = self._replace_aggregates(
-                    select.having, compute
-                ).evaluate(representative, env)
-                if having_value is not True:
-                    continue
-            out = tuple(
-                self._replace_aggregates(item.expr, compute).evaluate(
-                    representative, env
+        def each_group():
+            for indices in groups.values():
+                if indices is None:
+                    representative = fblock.row(0)
+                elif indices:
+                    representative = fblock.row(indices[0])
+                else:
+                    representative = tuple([None] * width)
+                yield representative, lambda call, indices=indices: (
+                    self._vector_aggregate(call, indices, agg_vectors, n)
                 )
-                for item in select.items
-            )
-            pairs.append((representative, out))
-        output = Relation(names, [pair[1] for pair in pairs], types)
-        self._infer_missing_types(output)
-        return output, pairs
+
+        return self._group_pairs(select, relation, each_group())
 
     def _vector_aggregate(
         self,
@@ -1199,12 +1006,10 @@ class SelectExecutor:
         ``indices=None`` is the global-aggregate group (every row, in
         order): the vector is consumed directly instead of through an
         index gather.  Mirrors :meth:`_compute_aggregate` value-for-value:
-        the NULL filter, DISTINCT dedup order, and summation order are
-        identical, so results (including float rounding) match
-        bit-for-bit.
+        the NULL filter and the value order are identical, so results
+        (including float rounding) match bit-for-bit.
         """
-        name = call.name
-        if name == "count" and (not call.args or isinstance(call.args[0], Star)):
+        if _counts_rows(call):
             return length if indices is None else len(indices)
         vector = agg_vectors[id(call)]
         if indices is None:
@@ -1215,137 +1020,103 @@ class SelectExecutor:
                 for value in map(vector.__getitem__, indices)
                 if value is not None
             ]
-        if call.distinct:
-            values = list(dict.fromkeys(values))
-        if name == "count":
-            return len(values)
-        if name == "array_agg":
-            return arrays.make_array(values)
-        if not values:
-            return None
-        if name == "sum":
-            return sum(values)
-        if name == "avg":
-            return sum(values) / len(values)
-        if name == "min":
-            return reduce_min(values)
-        if name == "max":
-            return reduce_max(values)
-        if name == "bool_and":
-            return all(values)
-        if name == "bool_or":
-            return any(values)
-        raise ExecutionError(f"unknown aggregate {name!r}")
+        return self._combine(call, values, reduce_min, reduce_max)
 
-    # --------------------------------------------------------------- windows
+    # ------------------------------------------------------------ select list
 
-    def _window_rewrite(
+    def _select_list(
         self, select: ast.Select, relation: Relation
-    ) -> tuple[list[WindowFunc], list[ast.SelectItem]]:
-        """Collect the select list's window calls and rewrite the items to
-        reference the synthetic ``__winK`` columns the window step appends.
+    ) -> tuple[list[WindowFunc], list[ast.SelectItem], list[DataType | None]]:
+        """The select list made explicit: ``(window calls, items, types)``.
 
-        ``*`` is expanded into explicit positional references so it never
-        picks up the appended window columns.  Output names are pinned
-        here (aliases filled with what the plain pipeline would derive),
-        keeping both execution modes' results identical.
+        ``*`` expands into positional references, so it never picks up a
+        column a later stage appends; each window call becomes a positional
+        reference to the column the window step appends for it; output
+        names are pinned as aliases.  Both tiers share this step.
         """
-        calls: list[WindowFunc] = []
-        for item in select.items:
-            calls.extend(window_calls(item.expr))
-        resolved = {
-            id(call): ColumnRef(f"__win{k}") for k, call in enumerate(calls)
-        }
-        new_items: list[ast.SelectItem] = []
-        position = 0
+        width = len(relation.names)
+        calls = [call for item in select.items for call in window_calls(item.expr)]
+        resolved = {id(call): PosRef(width + k) for k, call in enumerate(calls)}
+        items: list[ast.SelectItem] = []
+        types: list[DataType | None] = []
         for item in select.items:
             if isinstance(item.expr, Star):
                 for offset, base in enumerate(relation.base_names()):
-                    new_items.append(ast.SelectItem(PosRef(offset), base))
-                position += len(relation.names)
+                    items.append(ast.SelectItem(PosRef(offset), base))
+                types.extend(relation.types)
                 continue
-            alias = item.alias or _base_name(item.expr, None, position)
-            new_items.append(
-                ast.SelectItem(replace_windows(item.expr, resolved), alias)
-            )
-            position += 1
-        return calls, new_items
+            expr = replace_windows(item.expr, resolved) if calls else item.expr
+            alias = item.alias or _base_name(item.expr, None, len(items))
+            items.append(ast.SelectItem(expr, alias))
+            types.append(None)
+        return calls, items, types
 
-    def _windowed_source(
-        self,
-        select: ast.Select,
-        relation: Relation,
-        rows: list[Row],
-        topk_hint: int | None,
-    ) -> tuple["_Source", ast.Select]:
-        """Window step for the row pipeline: rank the filtered rows, append
-        each window's value vector as a synthetic column, and hand back a
-        materialized source plus the rewritten select."""
-        from repro.storage.planner import _Source
+    # --------------------------------------------- the interpreted reference
 
-        env = relation.env()
-        calls, items = self._window_rewrite(select, relation)
-        n = len(rows)
-        limit_k = None
-        if (
-            topk_hint is not None
-            and len(calls) == 1
-            and calls[0].name == "row_number"
-        ):
-            limit_k = topk_hint
-        started = time.perf_counter() if self._profile is not None else 0.0
-        vectors: list[list] = []
-        keep: list[int] | None = None
-        for call in calls:
-            part_vectors = [
-                self._key_vector(expr, env, rows) for expr in call.partition_by
-            ]
-            order_vectors = [
-                self._key_vector(expr, env, rows)
-                for expr, _descending in call.order_by
-            ]
-            descendings = [descending for _e, descending in call.order_by]
-            values, survivors = _rank_window(
-                call.name, n, part_vectors, order_vectors, descendings, limit_k
-            )
-            vectors.append(values)
-            keep = survivors
-        if keep is not None:
-            rows = [rows[i] for i in keep]
-            vectors = [[vector[i] for i in keep] for vector in vectors]
-        if len(vectors) == 1:
-            v0 = vectors[0]
-            new_rows = [row + (v0[i],) for i, row in enumerate(rows)]
-        else:
-            new_rows = [
-                row + tuple(vector[i] for vector in vectors)
-                for i, row in enumerate(rows)
-            ]
-        if self._profile is not None:
-            entry = self._profile.op("window")
-            entry.seconds += time.perf_counter() - started
-            entry.batches += 1
-            entry.rows += len(new_rows)
-        names = relation.names + [f"__win{k}" for k in range(len(calls))]
-        types = relation.types + [None] * len(calls)
-        wselect = _dc_replace(select, items=items)
-        return _Source(Relation(names, new_rows, types), ""), wselect
-
-    def _key_vector(self, expr: Expression, env: EvalEnv, rows: list[Row]) -> list:
-        func = self._evaluator(expr, env)
-        return list(map(func, rows))
-
-    # ------------------------------------------------------------ projection
-
-    def _projected(
+    def _interpret(
         self,
         select: ast.Select,
         source: "_Source",
-        predicate: Callable[[list], list] | None,
-        stop_after: int | None = None,
-        profile_scan: bool = True,
-    ) -> tuple[Relation, list[tuple[Row, Row]]]:
+        where: Expression | None,
+        grouped: bool,
+    ) -> Relation:
+        """Row-at-a-time: materialize the scan up front, then filter,
+        group or project, order, de-duplicate and slice, each over
+        :meth:`Expression.evaluate`."""
+        source.materialize()
         relation = source.relation
+        env = relation.env()
+        rows = relation.rows
+        if where is not None:
+            rows = [row for row in rows if where.evaluate(row, env) is True]
+        if grouped:
+            names = _item_names(select.items)
+            types: list[DataType | None] = [None] * len(names)
+            pairs = self._grouped(select, relation, rows)
+        else:
+            if any(window_calls(item.expr) for item in select.items):
+                select, relation, rows = self._windowed(select, relation, rows)
+                env = relation.env()
+            names, types, pairs = self._projected(select, relation, rows)
+        output = Relation(names, [pair[1] for pair in pairs], types)
+        self._infer_missing_types(output)
+        if select.order_by:
+            pairs = self._order_multipass(select.order_by, pairs, env, output.env())
+            output.rows = [pair[1] for pair in pairs]
+        if select.distinct:
+            output.rows = list(dict.fromkeys(output.rows))
+        if select.offset is not None:
+            output.rows = output.rows[select.offset :]
+        if select.limit is not None:
+            output.rows = output.rows[: select.limit]
+        return output
+
+    def _windowed(
+        self, select: ast.Select, relation: Relation, rows: list[Row]
+    ) -> tuple[ast.Select, Relation, list[Row]]:
+        """Window step: rank the filtered rows, append each window's value
+        vector as a synthetic column, and hand back the rewritten select
+        with the widened relation and rows."""
+        env = relation.env()
+        calls, items, _types = self._select_list(select, relation)
+        vectors = [
+            _rank_window(
+                call.name,
+                len(rows),
+                [[e.evaluate(row, env) for row in rows] for e in call.partition_by],
+                [[e.evaluate(row, env) for row in rows] for e, _d in call.order_by],
+                [descending for _e, descending in call.order_by],
+            )[0]
+            for call in calls
+        ]
+        rows = [row + extra for row, extra in zip(rows, zip(*vectors))]
+        names = relation.names + [f"__win{k}" for k in range(len(calls))]
+        types = relation.types + [None] * len(calls)
+        return _dc_replace(select, items=items), Relation(names, rows, types), rows
+
+    def _projected(
+        self, select: ast.Select, relation: Relation, rows: list[Row]
+    ) -> tuple[list[str], list[DataType | None], Pairs]:
         env = relation.env()
         names: list[str] = []
         types: list[DataType | None] = []
@@ -1354,110 +1125,34 @@ class SelectExecutor:
         # array's elements; 'unnest_ranges' decodes a range-encoded array).
         unnest_positions: dict[int, str] = {}
         for item in select.items:
-            if isinstance(item.expr, Star):
+            expr = item.expr
+            if isinstance(expr, Star):
                 names.extend(relation.base_names())
                 types.extend(relation.types)
                 plan.append(None)
                 continue
             position = len(names)
-            expr = item.expr
-            if isinstance(expr, FuncCall) and expr.name in (
-                "unnest",
-                "unnest_ranges",
-            ):
+            if isinstance(expr, FuncCall) and expr.name in _SET_RETURNING:
                 unnest_positions[position] = expr.name
-                if expr.args:
-                    plan.append(self._evaluator(expr.args[0], env))
-                else:
-                    # Zero-arg unnest(): the reference touches args[0] per
-                    # evaluated row, so the IndexError must stay a
-                    # rows-exist-only runtime error, not a plan-time crash.
-                    plan.append(lambda row, args=expr.args: args[0])
+                # args[0] is touched per evaluated row, so a zero-arg
+                # unnest() is a rows-exist-only IndexError.
+                plan.append(lambda row, args=expr.args: args[0].evaluate(row, env))
             else:
-                plan.append(self._evaluator(expr, env))
+                plan.append(lambda row, expr=expr: expr.evaluate(row, env))
             names.append(_base_name(expr, item.alias, position))
             types.append(None)
-        project = self._projection_kernel(select, plan, env)
-        if self._profile is not None:
-            project = self._profiled_kernel("project", project)
-        expand = self._expand_unnest
-        if (
-            unnest_positions
-            and self._db.exec_mode == "compiled"
-            and len(plan) == 1
-            and unnest_positions.get(0) == "unnest"
-        ):
-            # Compiled-only: the lone ``SELECT unnest(arr)`` shape expands
-            # with one listcomp per source row.  The interpreted pipeline
-            # keeps the general per-element path — it is the reference.
-            expand = self._expand_single_unnest
-        pairs: list[tuple[Row, Row]] = []
-        for batch in self._source_batches(source, profile_scan):
-            if predicate is not None:
-                batch = predicate(batch)
-            new_pairs = project(batch)
-            if unnest_positions:
-                new_pairs = expand(new_pairs, unnest_positions)
-            pairs.extend(new_pairs)
-            if stop_after is not None and len(pairs) >= stop_after:
-                del pairs[stop_after:]
-                break
-        output = Relation(names, [pair[1] for pair in pairs], types)
-        self._infer_missing_types(output)
-        return output, pairs
-
-    def _projection_kernel(
-        self,
-        select: ast.Select,
-        plan: list[RowFunc | None],
-        env: EvalEnv,
-    ) -> Callable[[list], list[tuple[Row, Row]]]:
-        """A ``batch -> [(source_row, output_row)]`` kernel for the plan.
-
-        Specialized forms avoid per-row Python in the common shapes: a lone
-        ``*`` is the identity, an all-column projection is one
-        :func:`itemgetter`, and the general compiled form is a listcomp
-        over the item closures.  The fallback (a Star mixed with other
-        items) walks the plan per row like the original executor.
-        """
-        if plan == [None]:
-            return lambda batch: [(row, row) for row in batch]
-        mixed_star = any(func is None for func in plan)
-        if not mixed_star:
-            if self._db.exec_mode == "compiled" and all(
-                isinstance(item.expr, ColumnRef) for item in select.items
-            ):
-                try:
-                    positions = [env.resolve(item.expr.name) for item in select.items]
-                except ExecutionError:
-                    positions = None
-                if positions is not None:
-                    if len(positions) == 1:
-                        p0 = positions[0]
-                        return lambda batch: [(row, (row[p0],)) for row in batch]
-                    getter = itemgetter(*positions)
-                    return lambda batch: [(row, getter(row)) for row in batch]
-            if len(plan) == 1:
-                f0 = plan[0]
-                return lambda batch: [(row, (f0(row),)) for row in batch]
-            funcs = list(plan)
-            return lambda batch: [
-                (row, tuple(func(row) for func in funcs)) for row in batch
-            ]
-
-        def project(batch: list) -> list[tuple[Row, Row]]:
-            out = []
-            for row in batch:
-                values: list[Any] = []
-                for func in plan:
-                    if func is None:
-                        values.extend(row)
-                    else:
-                        values.append(func(row))
-                out.append((row, tuple(values)))
-            return out
-
-        return project
+        pairs: Pairs = []
+        for row in rows:
+            values: list[Any] = []
+            for func in plan:
+                if func is None:
+                    values.extend(row)
+                else:
+                    values.append(func(row))
+            pairs.append((row, tuple(values)))
+        if unnest_positions:
+            pairs = self._expand_unnest(pairs, unnest_positions)
+        return names, types, pairs
 
     @staticmethod
     def _expand_unnest(
@@ -1485,91 +1180,63 @@ class SelectExecutor:
                 expanded.append((source_row, tuple(values)))
         return expanded
 
-    @staticmethod
-    def _expand_single_unnest(
-        pairs: list[tuple[Row, Row]], positions: dict[int, str]
-    ) -> list[tuple[Row, Row]]:
-        """One-column ``unnest`` expansion: a listcomp per source row.
-
-        Value-identical to :meth:`_expand_unnest` for the width-1 plan it
-        is gated to — NULL arrays expand to nothing, and the ``len`` probe
-        keeps the reference's TypeError for unsized operands.
-        """
-        expanded: list[tuple[Row, Row]] = []
-        extend = expanded.extend
-        for source_row, out_row in pairs:
-            array = out_row[0]
-            if array is None or not len(array):
-                continue
-            extend([(source_row, (element,)) for element in array])
-        return expanded
-
     # -------------------------------------------------------------- grouping
 
     def _grouped(
         self, select: ast.Select, relation: Relation, rows: list[Row]
-    ) -> tuple[Relation, list[tuple[Row, Row]]]:
+    ) -> Pairs:
         env = relation.env()
         groups: dict[tuple, list[Row]] = {}
         if select.group_by:
-            key_funcs = [self._evaluator(expr, env) for expr in select.group_by]
-            if len(key_funcs) == 1:
-                key_func = key_funcs[0]
-                for row in rows:
-                    groups.setdefault((key_func(row),), []).append(row)
-            else:
-                for row in rows:
-                    key = tuple(func(row) for func in key_funcs)
-                    groups.setdefault(key, []).append(row)
-        elif rows:
-            groups[()] = rows
+            for row in rows:
+                key = tuple(expr.evaluate(row, env) for expr in select.group_by)
+                groups.setdefault(key, []).append(row)
         else:
-            groups[()] = []  # global aggregate over an empty input
-        names: list[str] = []
-        types: list[DataType | None] = []
-        for position, item in enumerate(select.items):
-            if isinstance(item.expr, Star):
-                raise ExecutionError("SELECT * is invalid with GROUP BY")
-            names.append(_base_name(item.expr, item.alias, position))
-            types.append(None)
-        pairs: list[tuple[Row, Row]] = []
-        for key, group_rows in groups.items():
-            representative = group_rows[0] if group_rows else tuple(
-                [None] * len(relation.names)
-            )
-            if select.having is not None:
-                having_value = self._eval_with_aggregates(
-                    select.having, representative, group_rows, env
+            groups[()] = rows  # global aggregate, also over an empty input
+        if any(isinstance(item.expr, Star) for item in select.items):
+            raise ExecutionError("SELECT * is invalid with GROUP BY")
+        width = len(relation.names)
+
+        def each_group():
+            for group_rows in groups.values():
+                yield (
+                    group_rows[0] if group_rows else tuple([None] * width),
+                    lambda call, group_rows=group_rows: (
+                        self._compute_aggregate(call, group_rows, env)
+                    ),
                 )
+
+        return self._group_pairs(select, relation, each_group())
+
+    def _group_pairs(
+        self, select: ast.Select, relation: Relation, groups: Iterable
+    ) -> Pairs:
+        """One output row per ``(representative row, compute)`` group that
+        passes HAVING: aggregate calls become ``compute(call)``, everything
+        around them is evaluated on the representative."""
+        env = relation.env()
+        pairs: Pairs = []
+        for representative, compute in groups:
+            if select.having is not None:
+                having_value = self._replace_aggregates(
+                    select.having, compute
+                ).evaluate(representative, env)
                 if having_value is not True:
                     continue
             out = tuple(
-                self._eval_with_aggregates(
-                    item.expr, representative, group_rows, env
+                self._replace_aggregates(item.expr, compute).evaluate(
+                    representative, env
                 )
                 for item in select.items
             )
             pairs.append((representative, out))
-        output = Relation(names, [pair[1] for pair in pairs], types)
-        self._infer_missing_types(output)
-        return output, pairs
-
-    def _eval_with_aggregates(
-        self,
-        expr: Expression,
-        representative: Row,
-        group_rows: list[Row],
-        env: EvalEnv,
-    ) -> Any:
-        def compute(call: FuncCall) -> Any:
-            return self._compute_aggregate(call, group_rows, env)
-
-        rewritten = self._replace_aggregates(expr, compute)
-        return rewritten.evaluate(representative, env)
+        return pairs
 
     def _replace_aggregates(
         self, expr: Expression, compute: Callable[[FuncCall], Any]
     ) -> Expression:
+        """Aggregates inside Between/InList/IsNull/Like are not supported:
+        those nodes are left alone (and raise when evaluated)."""
         if isinstance(expr, FuncCall) and expr.is_aggregate:
             return Literal(compute(expr))
         if isinstance(expr, BinaryOp):
@@ -1590,20 +1257,25 @@ class SelectExecutor:
                 ),
                 expr.distinct,
             )
-        if isinstance(expr, (Between, InList, IsNull, Like)):
-            return expr  # aggregates inside these are not supported
         return expr
 
     def _compute_aggregate(
         self, call: FuncCall, group_rows: list[Row], env: EvalEnv
     ) -> Any:
-        name = call.name
-        if name == "count" and (not call.args or isinstance(call.args[0], Star)):
+        if _counts_rows(call):
             return len(group_rows)
-        arg = self._evaluator(call.args[0], env)
-        # map() keeps the extraction loop in C when arg is an itemgetter
-        # (every plain-column aggregate).
-        values = [value for value in map(arg, group_rows) if value is not None]
+        arg = call.args[0]
+        values = [
+            value
+            for value in (arg.evaluate(row, env) for row in group_rows)
+            if value is not None
+        ]
+        return self._combine(call, values, min, max)
+
+    @staticmethod
+    def _combine(call: FuncCall, values: list, lowest, highest) -> Any:
+        """Fold one group's non-NULL argument values, in row order."""
+        name = call.name
         if call.distinct:
             values = list(dict.fromkeys(values))
         if name == "count":
@@ -1617,9 +1289,9 @@ class SelectExecutor:
         if name == "avg":
             return sum(values) / len(values)
         if name == "min":
-            return min(values)
+            return lowest(values)
         if name == "max":
-            return max(values)
+            return highest(values)
         if name == "bool_and":
             return all(values)
         if name == "bool_or":
@@ -1627,67 +1299,6 @@ class SelectExecutor:
         raise ExecutionError(f"unknown aggregate {name!r}")
 
     # ------------------------------------------------------------- ordering
-
-    def _order(
-        self,
-        order_by: Sequence[ast.OrderItem],
-        pairs: list[tuple[Row, Row]],
-        source_env: EvalEnv,
-        output_env: EvalEnv,
-        top: int | None = None,
-    ) -> list[tuple[Row, Row]]:
-        if self._db.exec_mode != "compiled":
-            return self._order_multipass(order_by, pairs, source_env, output_env)
-        # One composite key per pair: each ORDER BY item contributes a
-        # direction-adjusted component, so a single stable sort (or heap
-        # top-k) reproduces the reference's stable multi-pass ordering.
-        components = []
-        for item in order_by:
-            components.append(
-                (
-                    self._evaluator(item.expr, output_env),
-                    self._evaluator(item.expr, source_env),
-                    item.descending,
-                )
-            )
-
-        def component_value(pair, out_func, src_func):
-            # An item may only resolve against the source row (e.g. ORDER BY
-            # a column the projection dropped); mirror the reference's
-            # per-row fallback.
-            try:
-                value = out_func(pair[1])
-            except ExecutionError:
-                value = src_func(pair[0])
-            # None sorts first ascending (Postgres NULLS LAST is the
-            # default, but a stable deterministic rule is what matters).
-            return (value is None, value)
-
-        if len(components) == 1:
-            out_func, src_func, descending = components[0]
-            if descending:
-
-                def sort_key(pair):
-                    return _Desc(component_value(pair, out_func, src_func))
-
-            else:
-
-                def sort_key(pair):
-                    return component_value(pair, out_func, src_func)
-
-        else:
-
-            def sort_key(pair):
-                return tuple(
-                    _Desc(component_value(pair, out_func, src_func))
-                    if descending
-                    else component_value(pair, out_func, src_func)
-                    for out_func, src_func, descending in components
-                )
-
-        if top is not None and top < len(pairs):
-            return heapq.nsmallest(top, pairs, key=sort_key)
-        return sorted(pairs, key=sort_key)
 
     @staticmethod
     def _order_multipass(
@@ -1716,17 +1327,6 @@ class SelectExecutor:
 
     # ------------------------------------------------------------ subqueries
 
-    def _resolve_subqueries_in_select(self, select: ast.Select) -> ast.Select:
-        if select.where is not None:
-            select.where = self._resolve_subqueries(select.where)
-        select.items = [
-            ast.SelectItem(self._resolve_subqueries(item.expr), item.alias)
-            for item in select.items
-        ]
-        if select.having is not None:
-            select.having = self._resolve_subqueries(select.having)
-        return select
-
     def _resolve_subqueries(self, expr: Expression) -> Expression:
         if isinstance(expr, ScalarSubquery):
             relation = self.execute(expr.query)
@@ -1748,55 +1348,7 @@ class SelectExecutor:
             if len(relation.names) != 1:
                 raise ExecutionError("ARRAY(subquery) must return one column")
             return Literal(arrays.make_array(row[0] for row in relation.rows))
-        if isinstance(expr, BinaryOp):
-            return BinaryOp(
-                expr.op,
-                self._resolve_subqueries(expr.left),
-                self._resolve_subqueries(expr.right),
-            )
-        if isinstance(expr, UnaryOp):
-            return UnaryOp(expr.op, self._resolve_subqueries(expr.operand))
-        if isinstance(expr, IsNull):
-            return IsNull(self._resolve_subqueries(expr.operand), expr.negated)
-        if isinstance(expr, Between):
-            return Between(
-                self._resolve_subqueries(expr.operand),
-                self._resolve_subqueries(expr.low),
-                self._resolve_subqueries(expr.high),
-                expr.negated,
-            )
-        if isinstance(expr, InList):
-            return InList(
-                self._resolve_subqueries(expr.operand),
-                tuple(self._resolve_subqueries(item) for item in expr.items),
-                expr.negated,
-            )
-        if isinstance(expr, Like):
-            return Like(
-                self._resolve_subqueries(expr.operand),
-                self._resolve_subqueries(expr.pattern),
-                expr.negated,
-            )
-        if isinstance(expr, FuncCall):
-            return FuncCall(
-                expr.name,
-                tuple(self._resolve_subqueries(arg) for arg in expr.args),
-                expr.distinct,
-            )
-        if isinstance(expr, WindowFunc):
-            return WindowFunc(
-                expr.name,
-                tuple(self._resolve_subqueries(e) for e in expr.partition_by),
-                tuple(
-                    (self._resolve_subqueries(e), descending)
-                    for e, descending in expr.order_by
-                ),
-            )
-        if isinstance(expr, ArrayLiteral):
-            return ArrayLiteral(
-                tuple(self._resolve_subqueries(item) for item in expr.items)
-            )
-        return expr
+        return map_children(expr, self._resolve_subqueries)
 
     # ----------------------------------------------------------------- types
 
@@ -1810,6 +1362,3 @@ class SelectExecutor:
                 if value is not None:
                     relation.types[position] = infer_type(value)
                     break
-
-    def _materialize_into(self, table_name: str, relation: Relation) -> None:
-        self._db.create_table_from_relation(table_name, relation)

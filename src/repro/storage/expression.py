@@ -495,9 +495,31 @@ def _collect_windows(node: Expression, out: list["WindowFunc"]) -> None:
             _collect_windows(arg, out)
 
 
-def replace_windows(
-    expr: Expression, resolved: dict[int, Expression]
+def map_children(
+    expr: Expression, fn: Callable[[Expression], Expression]
 ) -> Expression:
+    """``expr`` rebuilt with ``fn`` applied to each direct child expression.
+
+    A child is any field holding an expression or a tuple of them (possibly
+    paired with flags, like a window's ORDER BY keys); every other field is
+    copied.  Leaves come back as they are.
+    """
+    if isinstance(expr, (Literal, ColumnRef, PosRef, Star)):
+        return expr
+
+    def convert(value: Any) -> Any:
+        if isinstance(value, Expression):
+            return fn(value)
+        if isinstance(value, tuple):
+            return tuple(convert(item) for item in value)
+        return value
+
+    return type(expr)(
+        *(convert(getattr(expr, name)) for name in expr.__dataclass_fields__)
+    )
+
+
+def replace_windows(expr: Expression, resolved: dict[int, Expression]) -> Expression:
     """Rebuild a tree with each WindowFunc (keyed by ``id``) substituted.
 
     The executor computes window vectors as synthetic appended columns and
@@ -505,50 +527,7 @@ def replace_windows(
     """
     if isinstance(expr, WindowFunc):
         return resolved[id(expr)]
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(
-            expr.op,
-            replace_windows(expr.left, resolved),
-            replace_windows(expr.right, resolved),
-        )
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, replace_windows(expr.operand, resolved))
-    if isinstance(expr, IsNull):
-        return IsNull(replace_windows(expr.operand, resolved), expr.negated)
-    if isinstance(expr, Between):
-        return Between(
-            replace_windows(expr.operand, resolved),
-            replace_windows(expr.low, resolved),
-            replace_windows(expr.high, resolved),
-            expr.negated,
-        )
-    if isinstance(expr, InList):
-        return InList(
-            replace_windows(expr.operand, resolved),
-            tuple(replace_windows(item, resolved) for item in expr.items),
-            expr.negated,
-        )
-    if isinstance(expr, InSet):
-        return InSet(
-            replace_windows(expr.operand, resolved), expr.values, expr.negated
-        )
-    if isinstance(expr, Like):
-        return Like(
-            replace_windows(expr.operand, resolved),
-            replace_windows(expr.pattern, resolved),
-            expr.negated,
-        )
-    if isinstance(expr, ArrayLiteral):
-        return ArrayLiteral(
-            tuple(replace_windows(item, resolved) for item in expr.items)
-        )
-    if isinstance(expr, FuncCall):
-        return FuncCall(
-            expr.name,
-            tuple(replace_windows(arg, resolved) for arg in expr.args),
-            expr.distinct,
-        )
-    return expr
+    return map_children(expr, lambda child: replace_windows(child, resolved))
 
 
 def conjuncts(expr: Expression | None) -> list[Expression]:

@@ -25,18 +25,18 @@ class IOStats:
     array_cells_written: int = 0
     hash_build_rows: int = 0
     sort_rows: int = 0
-    #: Execution-engine counters (the compiled batch pipeline): row blocks
-    #: charged by :meth:`Table.scan_batches`, and how many expressions each
-    #: statement lowered to closures vs. left on the interpreter.  They
-    #: describe *how* work ran, so they stay out of :attr:`total_touched`.
+    #: Execution-engine counters: row blocks charged by the batch and
+    #: block scans, and how many expressions each statement lowered to row
+    #: closures (DML, join conditions, and the block pipeline's kernels
+    #: that need a whole row) vs. left on the interpreter.  They describe
+    #: *how* work ran, so they stay out of :attr:`total_touched`.
     batches_scanned: int = 0
     exprs_compiled: int = 0
     exprs_interpreted: int = 0
-    #: Columnar-pipeline counters: column blocks handed out by
+    #: Block-pipeline counters: column blocks handed out by
     #: :meth:`Table.scan_column_blocks` (each also charges one
-    #: ``batches_scanned``, keeping the row-pipeline books unchanged), and
-    #: expressions served by per-column vector kernels instead of row
-    #: closures.  ``exprs_compiled + exprs_columnar + exprs_interpreted``
+    #: ``batches_scanned``), and expressions served by per-column vector
+    #: kernels.  ``exprs_compiled + exprs_columnar + exprs_interpreted``
     #: is the full per-statement expression census.
     blocks_scanned: int = 0
     exprs_columnar: int = 0

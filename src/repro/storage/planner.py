@@ -18,10 +18,17 @@ paper's experiments:
 
 from __future__ import annotations
 
+import time
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import ExecutionError
-from repro.storage.executor import Relation, SelectExecutor, value_evaluator
+from repro.storage.executor import (
+    OpProfile,
+    QueryProfile,
+    Relation,
+    SelectExecutor,
+    _position,
+    value_evaluator,
+)
 from repro.storage.expression import (
     BinaryOp,
     ColumnRef,
@@ -58,11 +65,18 @@ class _Source:
     difference the Fig. 19 experiments measure.
     """
 
-    def __init__(self, relation: Relation, binding: str, table=None, lazy=False):
+    def __init__(
+        self,
+        relation: Relation,
+        binding: str,
+        table=None,
+        scan: OpProfile | None = None,
+    ):
         self.relation = relation
         self.binding = binding
         self.table = table  # set only for un-filtered base-table scans
-        self.lazy = lazy
+        self.lazy = table is not None
+        self.scan = scan  # the statement's scan tally (lazy sources)
 
     def materialize(self) -> None:
         if self.lazy:
@@ -71,15 +85,13 @@ class _Source:
                 rows.extend(batch)
             self.relation.rows = rows
             self.lazy = False
+            self.scan.charge(len(rows))
 
     @property
     def known_row_count(self) -> int:
         if self.lazy:
             return self.table.row_count
         return len(self.relation.rows)
-
-    def bindings(self) -> set[str]:
-        return {name.split(".")[0] for name in self.relation.names if "." in name}
 
 
 def resolve_from(
@@ -88,14 +100,16 @@ def resolve_from(
     """Build the FROM source; returns (source, residual_where).
 
     A single un-filtered base table comes back *lazy* (``source.lazy``):
-    the executor streams it through :meth:`Table.scan_batches` so the
-    residual filter, projection, and LIMIT pushdown all run block-at-a-time
-    without an up-front materialization.  Joined/probed/derived sources are
-    materialized relations as before.
+    the executor's Scan operator streams its blocks, so the residual
+    filter, projection, and LIMIT pushdown all run block-at-a-time without
+    an up-front materialization.  Joined/probed/derived sources are
+    materialized relations; the base-table rows read for them, and each
+    join's output, are charged to the executor's profile here.
     """
     if not select.from_items:
         # SELECT without FROM: a single empty row so expressions evaluate.
         return _Source(Relation([], [()]), ""), select.where
+    profile = executor.profile
     where_parts = conjuncts(select.where)
     sources = []
     for item in select.from_items:
@@ -108,13 +122,13 @@ def resolve_from(
         nxt = remaining.pop(best_index)
         if join_keys:
             current, where_parts = _equi_join(
-                db, current, nxt, where_parts, join_keys, select=select
+                db, profile, current, nxt, where_parts, join_keys, select=select
             )
         else:
-            current = _cross_join(current, nxt)
+            current = _cross_join(profile, current, nxt)
     for join_clause in select.joins:
         source, where_parts = _scan_item(db, join_clause.item, where_parts, executor)
-        current = _explicit_join(db, current, source, join_clause)
+        current = _explicit_join(db, profile, current, source, join_clause)
     return current, combine_and(where_parts)
 
 
@@ -128,7 +142,7 @@ def _scan_item(
     executor: SelectExecutor,
 ) -> tuple[_Source, list[Expression]]:
     if isinstance(item, ast.SubqueryRef):
-        hint = _subquery_topk_hint(db, item, where_parts)
+        hint = _subquery_topk_hint(item, where_parts)
         inner = executor.execute(item.query, topk_hint=hint)
         names = [f"{item.alias}.{name.split('.')[-1]}" for name in inner.names]
         return _Source(Relation(names, inner.rows, inner.types), item.alias), (
@@ -140,9 +154,11 @@ def _scan_item(
     types = [column.dtype for column in table.schema.columns]
     eq_literals, where_parts = _extract_eq_literals(binding, table, where_parts)
     probe = _pick_index_probe(table, eq_literals)
+    scan = executor.profile.op("scan")
     if probe is not None:
         index, key, used_columns = probe
         rows = table.probe(index, key)
+        scan.charge(len(rows))
         # Conjuncts not covered by the index key stay as filters.
         for column, (literal, conjunct) in eq_literals.items():
             if column not in used_columns:
@@ -150,14 +166,11 @@ def _scan_item(
         return _Source(Relation(names, rows, types), binding), where_parts
     for _column, (_literal, conjunct) in eq_literals.items():
         where_parts.append(conjunct)
-    return (
-        _Source(Relation(names, [], types), binding, table=table, lazy=True),
-        where_parts,
-    )
+    return _Source(Relation(names, [], types), binding, table, scan), where_parts
 
 
 def _subquery_topk_hint(
-    db: "Database", item: ast.SubqueryRef, where_parts: list[Expression]
+    item: ast.SubqueryRef, where_parts: list[Expression]
 ) -> int | None:
     """Grouped top-k bound for a derived table, or ``None``.
 
@@ -168,11 +181,8 @@ def _subquery_topk_hint(
     of ranking everything the outer filter will discard.  The outer
     conjunct is NOT consumed — it still runs, so the pushdown can only
     ever drop rows that filter would drop anyway, and the hint is safe to
-    ignore.  Compiled mode only; the interpreted engine stays the
-    reference implementation.
+    ignore — which the interpreted reference does.
     """
-    if db.exec_mode != "compiled":
-        return None
     query = item.query
     if (
         query.union_all_with is not None
@@ -319,26 +329,38 @@ def _join_keys(
 
 
 def _resolvable(env: EvalEnv, name: str) -> bool:
-    position = env.positions.get(name)
-    return position is not None and position != EvalEnv.AMBIGUOUS
+    return _position(env, name) is not None
+
+
+def _joined(
+    profile: QueryProfile, started: float, left: _Source, right: _Source, rows
+) -> _Source:
+    """A join's output as a source, charged to the profile's ``join`` line."""
+    profile.op("join").charge(len(rows), started)
+    names = left.relation.names + right.relation.names
+    types = left.relation.types + right.relation.types
+    return _Source(Relation(names, rows, types), left.binding)
 
 
 def _equi_join(
     db: "Database",
+    profile: QueryProfile,
     left: _Source,
     right: _Source,
     where_parts: list[Expression],
     keys: list[tuple[str, str, Expression]],
     select: "ast.Select | None" = None,
+    residual: Expression | None = None,
 ) -> tuple[_Source, list[Expression]]:
+    """Join on ``keys``; ``residual`` (the rest of an ON condition) filters
+    the matches before the join line is charged."""
     for _l, _r, used in keys:
         where_parts = [part for part in where_parts if part is not used]
     left_positions = [left.relation.env().resolve(l) for l, _r, _u in keys]
     right_positions = [right.relation.env().resolve(r) for _l, r, _u in keys]
-    names = left.relation.names + right.relation.names
-    types = left.relation.types + right.relation.types
     method = db.join_method
     stats = db.stats
+    started = time.perf_counter()
     if method == "merge":
         left.materialize()
         right.materialize()
@@ -383,19 +405,19 @@ def _equi_join(
     else:
         # Hash join, building on the smaller side (Section 3.2's plan).
         # Compiled mode first tries to eliminate the join outright (the
-        # semi-join rewrite below); failing that, key extraction is
-        # precompiled inside the join, which returns the materialized
-        # output list directly.  Compiled mode uses the vectorized
-        # unique-build-key form (it falls back to the reference hash_join
-        # itself on duplicate keys); interpreted mode always runs the
-        # reference.
-        semi = _semi_join_rewrite(
-            db, select, left, right, keys, left_positions, right_positions,
-            where_parts,
-        )
-        if semi is not None:
-            return semi
-        join = hash_join_vectors if db.exec_mode == "compiled" else hash_join
+        # semi-join rewrite below); failing that it runs the vectorized
+        # unique-build-key form (which falls back to the reference
+        # hash_join itself on duplicate keys).  Interpreted mode always
+        # runs the reference.
+        join = hash_join
+        if db.exec_mode == "compiled":
+            semi = _semi_join_rewrite(
+                db, select, left, right, keys, left_positions, right_positions,
+                where_parts,
+            )
+            if semi is not None:
+                return semi
+            join = hash_join_vectors
         left.materialize()
         right.materialize()
         if len(left.relation.rows) <= len(right.relation.rows):
@@ -416,8 +438,11 @@ def _equi_join(
                 stats=stats,
                 build_side_first=False,
             )
-    merged = _Source(Relation(names, rows, types), left.binding)
-    return merged, where_parts
+    if residual is not None:
+        names = left.relation.names + right.relation.names
+        keep = value_evaluator(db, residual, EvalEnv(names))
+        rows = [row for row in rows if keep(row) is True]
+    return _joined(profile, started, left, right, rows), where_parts
 
 
 def _semi_join_rewrite(
@@ -452,10 +477,10 @@ def _semi_join_rewrite(
     records either way, and the build side charges the same
     ``hash_build_rows``).  Every bail-out below simply falls back to the
     reference join — including unhashable build keys, whose TypeError the
-    reference path raises itself.  Compiled mode only; the interpreted
-    engine keeps the textbook plan.
+    reference path raises itself.  The caller tries it in compiled mode
+    only; the interpreted engine keeps the textbook plan.
     """
-    if db.exec_mode != "compiled" or select is None or len(keys) != 1:
+    if select is None or len(keys) != 1:
         return None
     # Mirror the reference's build-side choice: the smaller input.  The
     # *probe* side survives, so only the build side may be eliminated.
@@ -515,42 +540,32 @@ def _inl_inner(source: _Source, positions) -> list[str] | None:
     return columns
 
 
-def _cross_join(left: _Source, right: _Source) -> _Source:
+def _cross_join(profile: QueryProfile, left: _Source, right: _Source) -> _Source:
+    started = time.perf_counter()
     left.materialize()
     right.materialize()
-    names = left.relation.names + right.relation.names
-    types = left.relation.types + right.relation.types
     rows = [lrow + rrow for lrow in left.relation.rows for rrow in right.relation.rows]
-    return _Source(Relation(names, rows, types), left.binding)
+    return _joined(profile, started, left, right, rows)
 
 
 def _explicit_join(
-    db: "Database", left: _Source, right: _Source, clause: ast.JoinClause
+    db: "Database",
+    profile: QueryProfile,
+    left: _Source,
+    right: _Source,
+    clause: ast.JoinClause,
 ) -> _Source:
-    keys = _join_keys(left, right, conjuncts(clause.condition))
-    if not (keys and clause.kind == "inner"):
-        left.materialize()
-        right.materialize()
-    names = left.relation.names + right.relation.names
-    types = left.relation.types + right.relation.types
-    env = EvalEnv(names)
+    parts = conjuncts(clause.condition)
+    keys = _join_keys(left, right, parts)
     if keys and clause.kind == "inner":
-        merged, _ = _equi_join(db, left, right, conjuncts(clause.condition), keys)
-        residual = [
-            part
-            for part in conjuncts(clause.condition)
-            if part not in [u for _l, _r, u in keys]
-        ]
-        if residual:
-            condition = combine_and(residual)
-            merged_env = merged.relation.env()
-            condition_func = value_evaluator(db, condition, merged_env)
-            merged.relation.rows = [
-                row
-                for row in merged.relation.rows
-                if condition_func(row) is True
-            ]
+        used = [u for _l, _r, u in keys]
+        residual = combine_and([part for part in parts if part not in used])
+        merged, _ = _equi_join(db, profile, left, right, parts, keys, None, residual)
         return merged
+    left.materialize()
+    right.materialize()
+    env = EvalEnv(left.relation.names + right.relation.names)
+    started = time.perf_counter()
     rows = []
     right_width = len(right.relation.names)
     condition_func = value_evaluator(db, clause.condition, env)
@@ -563,8 +578,4 @@ def _explicit_join(
                 matched = True
         if clause.kind == "left" and not matched:
             rows.append(lrow + (None,) * right_width)
-    return _Source(Relation(names, rows, types), left.binding)
-
-
-def plan_error(message: str) -> ExecutionError:  # pragma: no cover
-    return ExecutionError(message)
+    return _joined(profile, started, left, right, rows)

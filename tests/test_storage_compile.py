@@ -1,6 +1,6 @@
 """Property suite: compiled expressions/pipelines ≡ the interpreter.
 
-The compiled tier (:mod:`repro.storage.compile` plus the executor's batch
+The compiled tier (:mod:`repro.storage.compile` plus the executor's block
 pipeline) promises *zero behaviour change*: for every expression the
 compiler accepts, the generated function must produce the interpreter's
 exact value — including SQL three-valued logic — or raise the
@@ -18,7 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExecutionError, ReproError
-from repro.storage.compile import compile_value
+from repro.storage.columns import ColumnBlock
+from repro.storage.compile import (
+    compile_column_predicate,
+    compile_column_values,
+    compile_value,
+)
 from repro.storage.engine import Database
 from repro.storage.expression import (
     ArrayLiteral,
@@ -132,6 +137,32 @@ class TestExpressionEquivalence:
         fused = outcome(lambda: [r for r in rows if compiled(r) is True])
         assert fused == interpreted
 
+    @given(expr=_expressions, rows=st.lists(_rows, max_size=5))
+    @settings(max_examples=300)
+    def test_block_kernels_are_total_and_match(self, expr, rows):
+        """Every tree gets a kernel — vector, row function or interpreter —
+        and over either block layout it yields the interpreter's values
+        and keepers, or its first error."""
+        values, values_tier = compile_column_values(expr, ENV)
+        predicate, predicate_tier = compile_column_predicate(expr, ENV)
+        assert {values_tier, predicate_tier} <= {"columnar", "compiled", "interpreted"}
+        columns = [list(column) for column in zip(*rows)] or [[] for _ in COLUMNS]
+        want_values = outcome(lambda: [expr.evaluate(r, ENV) for r in rows])
+        want_kept = outcome(lambda: [r for r in rows if expr.evaluate(r, ENV) is True])
+        for block in (
+            ColumnBlock.from_rows(list(rows), len(COLUMNS)),
+            ColumnBlock(columns, len(rows)),
+        ):
+            assert outcome(lambda: values(block, None)) == want_values
+
+            def kept():
+                payload = predicate(block)
+                if block.rows is None:  # a selection vector
+                    payload = [rows[i] for i in payload]
+                return payload
+
+            assert outcome(kept) == want_kept
+
     def test_unknown_column_is_not_compiled(self):
         # The interpreter raises per evaluated row; compiling would turn
         # that into a statement-time error, so the compiler must refuse.
@@ -221,7 +252,7 @@ class TestSelectParity:
     def test_generated_pipelines_agree(
         self, where_expr, order_col, descending, limit, offset, distinct
     ):
-        """Batch pipeline ≡ row pipeline for whole generated SELECTs."""
+        """Block pipeline ≡ reference for whole generated SELECTs."""
         from repro.storage.parser import ast_nodes as ast
 
         def run(mode: str):
@@ -275,7 +306,7 @@ class TestSelectParity:
         assert results["compiled"] == results["interpreted"]
 
 
-# -------------------------------------------------- three-tier equivalence
+# ------------------------------------------------ compiled ≡ interpreted
 
 
 WINDOW_QUERIES = [
@@ -289,39 +320,80 @@ WINDOW_QUERIES = [
     "WHERE w.rn <= 2 ORDER BY w.a",
 ]
 
+#: Shapes outside the vector subset.  Before the block pipeline was total
+#: they ran on a separate row-batch tier; now they are block operators
+#: (unnest) or row-function kernels (islands, uncompilable trees).
+OFF_VECTOR_QUERIES = [
+    "SELECT unnest(arr) FROM t",
+    "SELECT a, unnest(arr) FROM t WHERE a > 1",
+    "SELECT unnest_ranges(arr) FROM t WHERE a = 4",
+    "SELECT unnest_ranges(arr) FROM t",  # odd-length array: StorageError
+    "SELECT a, unnest(arr), unnest(ARRAY[10, 20]) FROM t",
+    "SELECT unnest() FROM t",  # IndexError, and only because rows exist
+    "SELECT unnest() FROM t WHERE a > 100",
+    "SELECT a, unnest(arr) AS e FROM t WHERE a > 1 ORDER BY e DESC, a LIMIT 3",
+    "SELECT unnest(arr) AS e FROM t ORDER BY a DESC, e LIMIT 4 OFFSET 1",
+    "SELECT DISTINCT unnest(arr) FROM t",
+    "SELECT unnest(arr), row_number() OVER (ORDER BY a) FROM t",
+    # Sibling items are evaluated once per source row, before expansion: a
+    # row whose array is NULL or empty still raises.
+    "SELECT unnest(arr), 1 / (a - 3) FROM t",  # a = 3 has the empty array
+    "SELECT unnest(arr), 1 / 0 FROM t WHERE arr IS NULL",
+    "SELECT unnest_ranges(arr), a / 0 FROM t",  # not the odd-length StorageError
+    "SELECT count(*) FROM (SELECT unnest(arr) AS u, 1 / (a - 3) AS z FROM t) AS q",
+    "SELECT unnest(arr) AS e, abs(b), nosuch(a) FROM t WHERE a > 100",
+    "SELECT unnest(arr) AS e, abs(b) AS m FROM t ORDER BY m, c, e LIMIT 5",
+    "SELECT a FROM t WHERE ARRAY[a, 2] <@ arr",
+    "SELECT a FROM t WHERE arr @> ARRAY[a]",
+    "SELECT a FROM t WHERE arr && ARRAY[b, c]",
+    "SELECT a FROM t WHERE abs(b) > 4",
+    "SELECT abs(b), a FROM t ORDER BY a",
+    "SELECT s || 'x' FROM t WHERE length(s) > 1",
+    "SELECT a FROM t WHERE 1 / 0 = 1",
+    "SELECT 1 / 0 FROM t",
+    "SELECT 1 / 0 FROM t WHERE a > 100",  # no rows, no error
+    "SELECT nosuch(a) FROM t",
+    # Two items failing on different rows: the first failing *row* decides.
+    "SELECT 1 / b, nosuch(a) FROM t",
+    "SELECT 1 / (a - 2), -s FROM t",
+    "SELECT 1 / b, unnest(ARRAY[a, b]) FROM t",
+    "SELECT a FROM t WHERE nope > 1",
+    "SELECT c, sum() FROM t GROUP BY c",
+    "SELECT * FROM t GROUP BY c",
+    # ORDER BY keys that read the source row, the output row, or both.
+    "SELECT a FROM t ORDER BY b + 1, a",
+    "SELECT a AS x, b FROM t ORDER BY x + b, x",
+    "SELECT b AS a, a AS x FROM t ORDER BY a + x, x",
+    "SELECT c AS a FROM t ORDER BY coalesce(a, b)",
+    "SELECT a, b FROM t WHERE a IS NOT NULL ORDER BY a / b",
+    "SELECT a FROM t ORDER BY nope",
+    "SELECT c, count(*) AS n FROM t GROUP BY c ORDER BY n DESC, c",
+    "SELECT c, count(*) FROM t GROUP BY c ORDER BY a",
+]
 
-def _force_row_tier(monkeypatch) -> None:
-    """Disable the columnar kernel compilers so compiled mode runs on the
-    fused row-kernel tier — the middle of the three execution tiers."""
-    from repro.storage import executor as executor_module
 
-    monkeypatch.setattr(
-        executor_module, "compile_column_predicate", lambda expr, env: None
-    )
-    monkeypatch.setattr(
-        executor_module, "compile_column_values", lambda expr, env: None
-    )
+def _outcome_and_io(mode: str, sql: str):
+    db = _build_db(mode)
+    db.reset_stats()
+    return outcome(lambda: db.query(sql)), db.stats.records_scanned
 
 
-class TestThreeTierParity:
-    """columnar-compiled ≡ row-compiled ≡ interpreted, per statement."""
+class TestPipelineParity:
+    """compiled block pipeline ≡ interpreted reference, per statement: the
+    value or the error type, and the records scanned to get there."""
 
-    @pytest.mark.parametrize("sql", QUERIES + WINDOW_QUERIES)
-    def test_three_tiers_agree(self, sql, monkeypatch):
-        columnar = outcome(lambda: _build_db("compiled").query(sql))
-        interpreted = outcome(lambda: _build_db("interpreted").query(sql))
-        _force_row_tier(monkeypatch)
-        row_tier = outcome(lambda: _build_db("compiled").query(sql))
-        assert columnar == interpreted
-        assert row_tier == interpreted
+    @pytest.mark.parametrize("sql", QUERIES + WINDOW_QUERIES + OFF_VECTOR_QUERIES)
+    def test_both_tiers_agree(self, sql):
+        assert _outcome_and_io("compiled", sql) == _outcome_and_io("interpreted", sql)
 
-    def test_forced_row_tier_really_is_the_row_tier(self, monkeypatch):
-        _force_row_tier(monkeypatch)
+    def test_off_vector_shapes_really_are_off_vector(self):
+        """The list above must keep exercising the non-columnar kernels."""
         db = _build_db("compiled")
         db.reset_stats()
-        db.query("SELECT a FROM t WHERE b > 0")
-        assert db.stats.exprs_columnar == 0
+        for sql in OFF_VECTOR_QUERIES:
+            outcome(lambda: db.query(sql))
         assert db.stats.exprs_compiled > 0
+        assert db.stats.exprs_interpreted > 0
 
     @given(
         func=st.sampled_from(["row_number", "rank", "dense_rank"]),
@@ -336,7 +408,7 @@ class TestThreeTierParity:
     def test_generated_window_queries_agree(
         self, func, partition, order_cols, bound
     ):
-        """Windows over NULLs, ties, and DESC keys agree across all three
+        """Windows over NULLs, ties, and DESC keys agree across both
         tiers, with and without the grouped top-k outer filter."""
         over = []
         if partition:
@@ -357,13 +429,9 @@ class TestThreeTierParity:
                 f"SELECT w.a, w.rn FROM ({inner}) AS w "
                 f"WHERE w.rn <= {bound} ORDER BY w.a, w.rn"
             )
-        columnar = outcome(lambda: _build_db("compiled").query(sql))
+        compiled = outcome(lambda: _build_db("compiled").query(sql))
         interpreted = outcome(lambda: _build_db("interpreted").query(sql))
-        assert columnar == interpreted
-        with pytest.MonkeyPatch.context() as mp:
-            _force_row_tier(mp)
-            row_tier = outcome(lambda: _build_db("compiled").query(sql))
-        assert row_tier == interpreted
+        assert compiled == interpreted
 
 
 # ----------------------------------------------------- engine-mode basics
@@ -378,20 +446,28 @@ class TestExecModeKnob:
         db = _build_db("compiled")
         db.reset_stats()
         db.query("SELECT a FROM t WHERE b > 0")
-        # A plain column/comparison statement runs on the columnar tier;
-        # either way the compiled engine must charge kernel counters.
+        # A plain column/comparison statement is all vector kernels.
         assert db.stats.exprs_columnar > 0
         assert db.stats.exprs_compiled == 0
         assert db.stats.batches_scanned > 0
         assert db.stats.blocks_scanned > 0
 
-    def test_compiled_row_fallback_charges_exprs_compiled(self):
+    def test_census_is_per_kernel_not_per_statement(self):
         db = _build_db("compiled")
         db.reset_stats()
-        # abs() is not in the columnar subset -> fused row kernels.
+        # abs() is outside the vector subset -> its row function serves
+        # that one kernel; the filter beside it stays a vector kernel.
         db.query("SELECT abs(a) FROM t WHERE b > 0")
-        assert db.stats.exprs_compiled > 0
-        assert db.stats.exprs_columnar == 0
+        assert db.stats.exprs_compiled == 1
+        assert db.stats.exprs_columnar == 1
+        assert db.stats.exprs_interpreted == 0
+
+    def test_uncompilable_kernel_charges_exprs_interpreted(self):
+        db = _build_db("compiled")
+        db.reset_stats()
+        with pytest.raises(ExecutionError, match="unknown function"):
+            db.query("SELECT nosuch(a) FROM t")
+        assert db.stats.exprs_interpreted == 1
 
     def test_interpreted_mode_never_compiles(self):
         db = _build_db("interpreted")

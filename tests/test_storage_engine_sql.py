@@ -177,6 +177,65 @@ class TestSubqueries:
         assert sorted(rows) == [(1,), (2,)]
 
 
+class TestReexecutedStatements:
+    """A parsed statement is the caller's: executing it must not write the
+    first run's subquery results into its AST (they would answer every
+    later run)."""
+
+    @pytest.mark.parametrize(
+        "sql, before, after",
+        [
+            (
+                "SELECT id FROM emp WHERE dept IN "
+                "(SELECT dept FROM emp WHERE salary > 110) ORDER BY id",
+                [(1,), (2,)],
+                [(1,), (2,), (3,), (4,), (6,)],
+            ),
+            (
+                "SELECT id FROM emp WHERE salary = (SELECT max(salary) FROM emp)",
+                [(2,)],
+                [(6,)],
+            ),
+            (
+                "SELECT (SELECT count(*) FROM emp), "
+                "ARRAY(SELECT id FROM emp WHERE dept = 'sales')",
+                [(5, (3, 4))],
+                [(6, (3, 4, 6))],
+            ),
+            (
+                "SELECT dept FROM emp GROUP BY dept "
+                "HAVING count(*) >= (SELECT count(*) FROM emp) / 2 ORDER BY dept",
+                [("eng",), ("sales",)],
+                [("sales",)],
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+    def test_subqueries_run_again_on_every_execution(self, mode, sql, before, after):
+        from repro.storage.parser.parser import parse_sql
+
+        db = Database(exec_mode=mode)
+        db.execute("CREATE TABLE emp (id int PRIMARY KEY, dept text, salary int)")
+        db.execute(
+            "INSERT INTO emp VALUES (1,'eng',100),(2,'eng',120),"
+            "(3,'sales',90),(4,'sales',95),(5,'hr',70)"
+        )
+        statements = parse_sql(sql)
+        assert db.execute_statements(statements).rows == before
+        db.execute("INSERT INTO emp VALUES (6, 'sales', 130)")
+        assert db.execute_statements(statements).rows == after
+
+    def test_array_constants_are_not_rewritten_in_place(self, db):
+        from repro.storage.parser.parser import parse_sql
+
+        db.execute("CREATE TABLE v (vid int, rlist int[])")
+        db.execute("INSERT INTO v VALUES (1, ARRAY[1, 2]), (2, ARRAY[3])")
+        (select,) = parse_sql("SELECT vid FROM v WHERE rlist && ARRAY[2, 3]")
+        where = select.where
+        assert db.execute_statements([select]).rows == [(1,), (2,)]
+        assert select.where is where
+
+
 class TestArraysInSQL:
     @pytest.fixture
     def versioned(self, db):

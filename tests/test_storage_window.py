@@ -237,11 +237,10 @@ class TestGroupedTopK:
 class TestTopKHintDetection:
     """Unit tests of the planner's bound detection on parsed statements."""
 
-    def _hint(self, sql: str, mode: str = "compiled") -> int | None:
-        db = Database(exec_mode=mode)
+    def _hint(self, sql: str) -> int | None:
         statement = parse_statement(sql)
         item = statement.from_items[0]
-        return planner._subquery_topk_hint(db, item, conjuncts(statement.where))
+        return planner._subquery_topk_hint(item, conjuncts(statement.where))
 
     IDIOM = (
         "SELECT t.rid FROM (SELECT rid, row_number() OVER "
@@ -260,8 +259,26 @@ class TestTopKHintDetection:
     def test_tighter_bound_wins(self):
         assert self._hint(self.IDIOM.format("t.rn <= 5 AND t.rn <= 2")) == 2
 
-    def test_interpreted_mode_never_hints(self):
-        assert self._hint(self.IDIOM.format("t.rn <= 3"), "interpreted") is None
+    def test_only_compiled_mode_acts_on_the_hint(self, monkeypatch):
+        """The hint is mode-independent; the interpreted reference ranks
+        every row regardless."""
+        from repro.storage import executor
+
+        limits = []
+        rank_window = executor._rank_window
+
+        def spy(*args):
+            limits.append(args[5] if len(args) > 5 else None)
+            return rank_window(*args)
+
+        monkeypatch.setattr(executor, "_rank_window", spy)
+        for mode, expected in (("compiled", [3]), ("interpreted", [None])):
+            db = Database(exec_mode=mode)
+            db.execute("CREATE TABLE m (rid int, grp int, score int)")
+            db.execute("INSERT INTO m VALUES (1, 1, 5), (2, 1, 3), (3, 2, 9)")
+            del limits[:]
+            db.query(self.IDIOM.format("t.rn <= 3"))
+            assert limits == expected
 
     def test_lower_bound_is_not_a_hint(self):
         assert self._hint(self.IDIOM.format("t.rn >= 3")) is None
