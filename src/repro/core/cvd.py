@@ -365,6 +365,8 @@ class CVD:
         a dict per row.  PK conflicts among the survivors are still
         resolved per row, since distinct rids can carry the same key.
         """
+        for vid in vids:
+            self.member_rids(vid)  # raises VersionNotFoundError
         if len(vids) == 1:
             return self.model.fetch_version(vids[0])
         key_columns = self.data_schema.primary_key or tuple(

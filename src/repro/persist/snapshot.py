@@ -121,7 +121,9 @@ def write_snapshot(orpheus: OrpheusDB, directory: str | Path, last_lsn: int) -> 
     }
     manifest_path = tmp / MANIFEST_NAME
     with open(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, separators=(",", ":"))
+        # dumps, not dump: same bytes, but one pass of the C encoder
+        # instead of a Python generator frame per nested value.
+        handle.write(json.dumps(manifest, separators=(",", ":")))
         handle.flush()
         os.fsync(handle.fileno())
     # The tmp directory's own entries (each seg-*.jsonl) must be durable

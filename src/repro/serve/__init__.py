@@ -9,15 +9,20 @@ analytical readers:
   tag (replay is deterministic, so state at an lsn is state at an lsn),
   invalidation on commit / schema evolution / partition migration is
   memory hygiene.
-* :mod:`repro.serve.manager` — :class:`ServeManager`, a thread-based pool
-  multiplexing one ``mode="rw"`` writer store and N ``mode="ro"`` reader
-  sessions that catch up via the WAL-tail :meth:`Store.refresh`.
-* :mod:`repro.serve.server` — a JSON-line TCP front end
-  (``orpheus serve``) with a one-shot and a persistent client.
+* :mod:`repro.serve.manager` — :class:`ServeManager`, the one answerer:
+  a pool of ``mode="ro"`` reader sessions (plus, optionally, the
+  ``mode="rw"`` writer store) that catch up via the WAL-tail
+  :meth:`Store.refresh`, enforce the ``min_lsn`` fence and read through
+  the caches.
+* :mod:`repro.serve.server` — the JSON-line protocol and the one request
+  pipeline (``serve_connection`` → ``handle_line`` → manager), the
+  threaded front end (``orpheus serve``), a one-shot and a persistent
+  client.
 * :mod:`repro.serve.workers` — :class:`PreforkServer`, the
   process-parallel front end (``orpheus serve --workers N``): one
-  snapshot load in the parent, N forked reader workers accepting on a
-  shared socket, a supervisor that respawns the dead.
+  snapshot load in the parent, N forked workers each running the same
+  pipeline over a one-session manager, a supervisor that respawns the
+  dead.
 * :mod:`repro.serve.sharedcache` — the cross-process L2 checkout cache
   (an owner thread in the parent, one unix-socket client per worker).
 """

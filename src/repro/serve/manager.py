@@ -1,4 +1,4 @@
-"""Thread-based session manager: one writer, N read-only serving sessions.
+"""The session manager: the one answerer behind every serve topology.
 
 The shape the paper's bolt-on design wants at serving time: a single
 update path (the exclusive-lock writer store) next to many concurrent
@@ -7,6 +7,11 @@ analytical readers, each a :class:`repro.persist.Store` opened with
 Sessions live in a pool; a request borrows one, brings it up to date with
 a cheap lsn-tail :meth:`~repro.persist.Store.refresh`, serves through the
 shared :class:`~repro.serve.cache.CheckoutCache`, and returns it.
+``checkout_payload`` / ``query_payload`` / ``status`` / ``stats_snapshot``
+/ ``refresh_all`` are the only builders of those wire replies: the
+threaded server holds one manager with N sessions, a pre-fork worker one
+manager with a single session around its inherited store
+(:meth:`ServeManager.over_inherited_store`).
 
 Reentrancy model: a session is used by one thread at a time (the pool
 enforces it), sessions never share mutable state with each other, and the
@@ -20,6 +25,7 @@ polls the WAL tail, which the byte-offset resume keeps cheap.
 from __future__ import annotations
 
 import os
+import pickle
 import queue
 import threading
 import time
@@ -32,6 +38,7 @@ from repro.obs import metrics
 from repro.persist import RefreshResult, Store
 
 from repro.serve.cache import CheckoutCache, checkout_key, query_key
+from repro.serve.sharedcache import CacheClient
 
 # Pid-aware handles: a pre-fork serve worker charges its own registry.
 _BORROW_WAIT = metrics.histogram("serve.pool.borrow_wait_seconds")
@@ -44,24 +51,19 @@ _CLOSED = object()
 
 
 class ReadSession:
-    """One read-only store plus its view of the shared cache."""
+    """One read-only store plus its view of the caches: the in-process
+    L1 and, in a pre-fork worker, the pool-wide L2 behind it."""
 
     def __init__(
         self,
-        path: str | Path | None,
+        store: Store,
         cache: CheckoutCache,
         session_id: int = 0,
-        store: Store | None = None,
+        l2: CacheClient | None = None,
     ):
-        # A pre-built store (the pre-fork worker path: the parent loaded
-        # it once, the child inherited it) skips the per-session snapshot
-        # load that `path` would pay.
-        if store is None:
-            if path is None:
-                raise PersistenceError("ReadSession needs a path or a store")
-            store = Store.open(path, mode="ro")
         self.store = store
         self.cache = cache
+        self.l2 = l2
         self.session_id = session_id
         self.refreshes = 0
         self.requests = 0
@@ -81,12 +83,6 @@ class ReadSession:
             self.refreshes += 1
             self._invalidate(result)
         return result
-
-    def refresh_if_behind(self, writer_lsn: int | None) -> RefreshResult | None:
-        """Refresh when known to be behind; ``None`` target means poll."""
-        if writer_lsn is not None and self.last_lsn >= writer_lsn:
-            return None
-        return self.refresh()
 
     def ensure_lsn(self, min_lsn: int | None) -> None:
         """The refresh fence: never answer from behind ``min_lsn``.
@@ -122,25 +118,41 @@ class ReadSession:
 
     # -------------------------------------------------------------- serving
 
-    def checkout(self, cvd: str, vids: int | Sequence[int]) -> list[tuple]:
-        """Cached merged checkout of ``vids`` at this session's lsn."""
+    def _cached(self, key: tuple, compute, l2: CacheClient | None = None):
+        """``compute()`` read through L1, then ``l2`` when given."""
         self.requests += 1
-        key = checkout_key(cvd, vids, self.last_lsn)
-        rows = self.cache.get(key, _MISSING)
-        if rows is _MISSING:
-            rows = self.orpheus.checkout_rows(cvd, vids)
-            self.cache.put(key, rows)
-        return rows
+        value = self.cache.get(key, _MISSING)
+        if value is not _MISSING:
+            return value
+        blob = l2.get(key) if l2 is not None else None
+        if blob is not None:
+            value = pickle.loads(blob)
+        else:
+            value = compute()
+            if l2 is not None:
+                l2.put(key, pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
+        self.cache.put(key, value)
+        return value
+
+    def checkout(self, cvd: str, vids: int | Sequence[int]) -> list[tuple]:
+        """Cached merged checkout of ``vids`` at this session's lsn.
+
+        Only checkouts read through L2 — their values are plain row
+        tuples, cheap to pickle and worth sharing across workers; query
+        results stay L1-only.
+        """
+        return self._cached(
+            checkout_key(cvd, vids, self.last_lsn),
+            lambda: self.orpheus.checkout_rows(cvd, vids),
+            self.l2,
+        )
 
     def query(self, sql: str, params: Sequence[Any] = ()):
         """Cached read-only SQL at this session's lsn."""
-        self.requests += 1
-        key = query_key(sql, params, self.last_lsn)
-        result = self.cache.get(key, _MISSING)
-        if result is _MISSING:
-            result = self.orpheus.run(sql, params)
-            self.cache.put(key, result)
-        return result
+        return self._cached(
+            query_key(sql, params, self.last_lsn),
+            lambda: self.orpheus.run(sql, params),
+        )
 
     def close(self) -> None:
         self.store.close()
@@ -157,9 +169,48 @@ class ServeManager:
         writer: bool = True,
         checkpoint_interval: int = 256,
     ):
+        self._init_pool(path, cache_capacity, "writer" if writer else "follower")
+        try:
+            if writer:
+                self.writer_store = Store.open(
+                    path, checkpoint_interval=checkpoint_interval
+                )
+            for session_id in range(max(1, readers)):
+                self._add_session(Store.open(path, mode="ro"), session_id)
+        except BaseException:
+            self.close()
+            raise
+        self._register_collectors()
+
+    @classmethod
+    def over_inherited_store(
+        cls, store: Store, cache_capacity: int, l2: CacheClient | None, worker: int
+    ) -> "ServeManager":
+        """A pre-fork worker's manager: one follower session around the
+        read-only store the parent loaded before the fork (no second
+        snapshot load), reading through the pool's L2 when there is one."""
+        self = cls.__new__(cls)
+        self._init_pool(store.path, cache_capacity, "prefork-worker", l2, worker)
+        self._add_session(store, worker)
+        self._register_collectors()
+        return self
+
+    def _init_pool(
+        self,
+        path: str | Path,
+        cache_capacity: int,
+        mode: str,
+        l2: CacheClient | None = None,
+        worker: int | None = None,
+    ) -> None:
         self.path = Path(path)
+        self.mode = mode
         self.cache = CheckoutCache(cache_capacity)
         self.writer_store: Store | None = None
+        #: Only in a pre-fork worker: the pool-wide L2 client (None when
+        #: the shared cache is off) and the worker's slot number.
+        self.l2 = l2
+        self.worker = worker
         self._write_lock = threading.RLock()
         self._sessions: list[ReadSession] = []
         self._idle: queue.Queue[ReadSession] = queue.Queue()
@@ -173,19 +224,11 @@ class ServeManager:
         #: remembered with their callables so close() only unregisters its
         #: own (a fresher manager may have overwritten a name).
         self._collectors: list[tuple[str, Any]] = []
-        try:
-            if writer:
-                self.writer_store = Store.open(
-                    path, checkpoint_interval=checkpoint_interval
-                )
-            for session_id in range(max(1, readers)):
-                session = ReadSession(path, self.cache, session_id)
-                self._sessions.append(session)
-                self._idle.put(session)
-        except BaseException:
-            self.close()
-            raise
-        self._register_collectors()
+
+    def _add_session(self, store: Store, session_id: int) -> None:
+        session = ReadSession(store, self.cache, session_id, self.l2)
+        self._sessions.append(session)
+        self._idle.put(session)
 
     def _register_collectors(self) -> None:
         """Expose the cache and each session's engine I/O pull-style.
@@ -214,9 +257,12 @@ class ServeManager:
 
     def stats_snapshot(self) -> dict:
         """The full observability snapshot for this process (the payload of
-        the serve ``{"op": "stats"}`` endpoint); pid included so multi-
-        process workers can be told apart side by side."""
-        return {"pid": os.getpid(), "metrics": metrics.registry().snapshot()}
+        the serve ``{"op": "stats"}`` endpoint); pid (and worker slot)
+        included so multi-process workers can be told apart side by side."""
+        stats = {"pid": os.getpid(), "metrics": metrics.registry().snapshot()}
+        if self.worker is not None:
+            stats["worker"] = self.worker
+        return stats
 
     # --------------------------------------------------------------- writer
 
@@ -258,8 +304,10 @@ class ServeManager:
             raise PersistenceError("serve manager is closed")
         _IN_FLIGHT.inc()
         try:
-            if refresh:
-                session.refresh_if_behind(self.writer_lsn)
+            # Behind a known writer lsn, or a follower (None): poll the tail.
+            writer_lsn = self.writer_lsn
+            if refresh and (writer_lsn is None or session.last_lsn < writer_lsn):
+                session.refresh()
             yield session
         finally:
             _IN_FLIGHT.dec()
@@ -273,8 +321,7 @@ class ServeManager:
                     self._idle.put(session)
 
     def checkout(self, cvd: str, vids: int | Sequence[int]) -> list[tuple]:
-        with self.session() as session:
-            return session.checkout(cvd, vids)
+        return self.checkout_payload(cvd, vids)[1]
 
     def checkout_payload(
         self, cvd: str, vids: int | Sequence[int], min_lsn: int | None = None
@@ -291,8 +338,7 @@ class ServeManager:
             return ["rid", *schema.column_names], rows, session.last_lsn
 
     def query(self, sql: str, params: Sequence[Any] = ()):
-        with self.session() as session:
-            return session.query(sql, params)
+        return self.query_payload(sql, params)[0]
 
     def query_payload(
         self, sql: str, params: Sequence[Any] = (), min_lsn: int | None = None
@@ -301,12 +347,6 @@ class ServeManager:
         with self.session() as session:
             session.ensure_lsn(min_lsn)
             return session.query(sql, params), session.last_lsn
-
-    def columns(self, cvd: str) -> list[str]:
-        """Column names of a checkout payload (rid first, like the rows)."""
-        with self.session() as session:
-            schema = session.orpheus.cvd(cvd).data_schema
-            return ["rid", *schema.column_names]
 
     def refresh_all(self) -> tuple[list[dict], int]:
         """Refresh every currently idle session; returns (refreshed, busy).
@@ -344,22 +384,35 @@ class ServeManager:
     # --------------------------------------------------------------- status
 
     def status(self) -> dict:
-        return {
+        """One shape for every topology: pool totals (``lsn`` is the newest
+        any session has replayed to) plus the per-session breakdown;
+        ``worker``/``l2`` appear when this manager has them."""
+        sessions = [
+            {
+                "id": session.session_id,
+                "lsn": session.last_lsn,
+                "requests": session.requests,
+                "refreshes": session.refreshes,
+            }
+            for session in self._sessions
+        ]
+        status = {
             "path": str(self.path),
-            "mode": "writer" if self.writer_store else "follower",
+            "mode": self.mode,
+            "pid": os.getpid(),
             "writer_lsn": self.writer_lsn,
-            "readers": len(self._sessions),
-            "sessions": [
-                {
-                    "id": session.session_id,
-                    "lsn": session.last_lsn,
-                    "requests": session.requests,
-                    "refreshes": session.refreshes,
-                }
-                for session in self._sessions
-            ],
+            "lsn": max((s["lsn"] for s in sessions), default=None),
+            "requests": sum(s["requests"] for s in sessions),
+            "refreshes": sum(s["refreshes"] for s in sessions),
+            "readers": len(sessions),
+            "sessions": sessions,
             "cache": self.cache.stats_dict(),
         }
+        if self.worker is not None:
+            status["worker"] = self.worker
+        if self.l2 is not None:
+            status["l2"] = self.l2.stats() or {"degraded": True}
+        return status
 
     # ------------------------------------------------------------ lifecycle
 
@@ -391,6 +444,8 @@ class ServeManager:
         if self.writer_store is not None:
             self.writer_store.close()
             self.writer_store = None
+        if self.l2 is not None:
+            self.l2.close()
 
     def __enter__(self) -> "ServeManager":
         return self

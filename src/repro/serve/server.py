@@ -1,20 +1,30 @@
-"""A line-oriented JSON TCP front end over :class:`ServeManager`.
+"""The wire protocol, the one request pipeline, and the threaded front end.
 
 One request per line, one JSON object per response line::
 
     {"op": "checkout", "cvd": "proteins", "vids": [3, 5]}
-    {"ok": true, "columns": ["rid", ...], "rows": [...], "count": 2}
+    {"ok": true, "columns": ["rid", ...], "count": 2, "lsn": 7, "rows": [...]}
 
 Supported ops: ``ping``, ``status``, ``stats`` (full per-process
 observability snapshot), ``checkout``, ``query``, ``refresh`` (force
-every session up to date), ``shutdown``.  Connections are handled by
-daemon threads (``ThreadingTCPServer``); each request borrows a pooled
-read-only session, so concurrent clients map onto concurrent store
-sessions.  Errors come back as ``{"ok": false, "error": <human text>,
-"code": <stable machine string>}`` on the same line — the connection
-stays usable.  A request may carry ``"trace": "<id>"``; every span the
-request touches (down to store refresh and executor work) then carries
-that trace id in the structured log stream.
+every idle session up to date), ``shutdown``.
+
+What happens to a request line, in both topologies: :func:`serve_connection`
+reads bytes off the socket and cuts them at newlines (a frame longer than
+:data:`MAX_LINE_BYTES` is refused and the connection closed);
+:func:`handle_line` decodes each line (a JSON object whose fields have the
+documented types, else ``bad_request``), opens the ``serve.request`` span (a
+client-supplied ``"trace": "<id>"`` rides down to store refresh and executor
+spans), asks the :class:`~repro.serve.manager.ServeManager` for the answer —
+one session borrow that refreshes, enforces the ``min_lsn`` fence and reads
+through the L1 (then, in a pre-fork worker, L2) cache — maps any exception to
+``{"ok": false, "error": <human text>, "code": <stable machine string>}`` on
+the same line (the connection stays usable), meters ``serve.requests.<op>`` /
+``serve.request_seconds.<op>`` and encodes the reply.  The topologies differ
+only in who accepts connections and how the manager was built: here
+:class:`ServeServer` runs the loop on a daemon thread per connection over a
+pooled manager; in :mod:`repro.serve.workers` each forked worker runs it over
+a one-session manager around its inherited store.
 """
 
 from __future__ import annotations
@@ -39,7 +49,15 @@ from repro.serve.manager import ServeManager
 #: a misbehaving client cannot mint unbounded metric names.
 KNOWN_OPS = ("ping", "status", "stats", "checkout", "query", "refresh", "shutdown")
 
-_CAMEL = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
+#: Longest request line accepted.  A client that never sends a newline
+#: would otherwise grow the serving process without bound.
+MAX_LINE_BYTES = 1 << 20
+
+#: How often an idle connection looks at the drain flag.
+_POLL_SECONDS = 0.25
+
+# Word starts inside a class name, acronyms included: CVD|Not|Found.
+_CAMEL = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
 
 
 def error_response(message: str, code: str) -> dict:
@@ -66,11 +84,11 @@ def rows_checksum(rows: Any) -> int:
 def checkout_response(
     columns: list, rows: list, lsn: int, include_rows: bool = True
 ) -> dict:
-    """The wire shape of a successful checkout, shared by the threaded
-    server and the pre-fork workers so the two front ends cannot drift."""
+    """The wire shape of a successful checkout (row tuples encode as JSON
+    arrays as they are)."""
     response: dict = {"ok": True, "columns": columns, "count": len(rows), "lsn": lsn}
     if include_rows:
-        response["rows"] = [list(row) for row in rows]
+        response["rows"] = rows
     else:
         response["checksum"] = rows_checksum(rows)
     return response
@@ -80,7 +98,7 @@ def error_code(exc: BaseException) -> str:
     """A stable machine-readable code for an exception.
 
     Derived from the class name — ``ReadOnlyError`` → ``read_only``,
-    ``StoreLockedError`` → ``store_locked`` — so the wire codes track the
+    ``CVDNotFoundError`` → ``cvd_not_found`` — so the wire codes track the
     exception hierarchy without a hand-maintained table.
     """
     name = type(exc).__name__
@@ -89,127 +107,191 @@ def error_code(exc: BaseException) -> str:
     return _CAMEL.sub("_", name).lower() or "error"
 
 
-class _RequestHandler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:
-        registry = metrics.registry()
-        for raw in self.rfile:
-            line = raw.strip()
-            if not line:
-                continue
-            started = time.perf_counter()
-            op_label = "unknown"
-            try:
-                request = json.loads(line.decode("utf-8"))
-                op = request.get("op")
-                if op in KNOWN_OPS:
-                    op_label = op
-                # The root span of the request: a client-supplied trace id
-                # rides down through refresh/checkout/executor spans.
-                with trace.span(
-                    "serve.request", trace_id=request.get("trace"), op=op
-                ):
-                    response = self._dispatch(request)
-            except (ValueError, KeyError, TypeError) as exc:
-                response = self._error(f"bad request: {exc}", "bad_request")
-            except ReproError as exc:
-                response = self._error(str(exc), error_code(exc))
-            except Exception as exc:  # keep the connection alive
-                response = self._error(
-                    f"internal error: {type(exc).__name__}: {exc}", "internal"
-                )
-            registry.counter(f"serve.requests.{op_label}").inc()
-            registry.histogram(f"serve.request_seconds.{op_label}").observe(
-                time.perf_counter() - started
-            )
-            self.wfile.write(json.dumps(response).encode("utf-8") + b"\n")
-            self.wfile.flush()
-            if response.get("bye"):
-                # Trigger the shutdown only after the acknowledgement is
-                # flushed — the other order races the process exit and the
-                # client can see EOF instead of the reply.
-                server: "_Server" = self.server  # type: ignore[assignment]
-                server.request_shutdown()
-                break
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    @staticmethod
-    def _error(message: str, code: str) -> dict:
-        return error_response(message, code)
 
-    def _dispatch(self, request: dict) -> dict:
-        server: "_Server" = self.server  # type: ignore[assignment]
-        manager = server.manager
+#: What each request field must be, checked once in the decode stage so
+#: no ill-typed value reaches the engine.
+_FIELDS = {
+    "cvd": ("a string", lambda v: isinstance(v, str)),
+    "sql": ("a string", lambda v: isinstance(v, str)),
+    "params": ("a list", lambda v: isinstance(v, list)),
+    "rows": ("a boolean", lambda v: isinstance(v, bool)),
+    "min_lsn": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "vids": (
+        "an integer or a list of integers",
+        lambda v: _is_int(v) or (isinstance(v, list) and all(map(_is_int, v))),
+    ),
+}
+
+
+def _decode(line: bytes) -> dict:
+    if len(line) > MAX_LINE_BYTES:
+        raise ValueError(f"request line exceeds {MAX_LINE_BYTES} bytes")
+    request = json.loads(line.decode("utf-8"))
+    if not isinstance(request, dict):
+        raise ValueError("a request must be a JSON object")
+    for name, (expected, valid) in _FIELDS.items():
+        if name in request and not valid(request[name]):
+            raise ValueError(f"{name!r} must be {expected}")
+    return request
+
+
+def _dispatch(manager: ServeManager, request: dict) -> dict:
+    op = request.get("op")
+    if op == "ping":
+        return {"ok": True, "pong": True, "pid": os.getpid()}
+    if op == "status":
+        return {"ok": True, "status": manager.status()}
+    if op == "stats":
+        return {"ok": True, "stats": manager.stats_snapshot()}
+    if op == "checkout":
+        columns, rows, lsn = manager.checkout_payload(
+            request["cvd"], request["vids"], min_lsn=request.get("min_lsn")
+        )
+        return checkout_response(
+            columns, rows, lsn, include_rows=request.get("rows", True)
+        )
+    if op == "query":
+        result, lsn = manager.query_payload(
+            request["sql"], request.get("params", ()), min_lsn=request.get("min_lsn")
+        )
+        return {
+            "ok": True,
+            "columns": result.columns,
+            "rows": result.rows,
+            "count": result.rowcount,
+            "lsn": lsn,
+        }
+    if op == "refresh":
+        refreshed, busy = manager.refresh_all()
+        return {"ok": True, "sessions": refreshed, "busy": busy}
+    if op == "shutdown":
+        return {"ok": True, "bye": True}
+    return error_response(f"unknown op {op!r}", "unknown_op")
+
+
+def handle_line(manager: ServeManager, line: bytes) -> tuple[bytes, bool]:
+    """One request line in, one response line out (newline included), plus
+    whether the client asked the server to shut down.  Never raises: every
+    failure becomes an error reply with a stable code."""
+    started = time.perf_counter()
+    op_label = "unknown"
+    try:
+        request = _decode(line)
         op = request.get("op")
-        if op == "ping":
-            return {"ok": True, "pong": True}
-        if op == "status":
-            return {"ok": True, "status": manager.status()}
-        if op == "stats":
-            return {"ok": True, "stats": manager.stats_snapshot()}
-        if op == "checkout":
-            columns, rows, lsn = manager.checkout_payload(
-                request["cvd"], request["vids"], min_lsn=request.get("min_lsn")
-            )
-            return checkout_response(
-                columns, rows, lsn, include_rows=request.get("rows", True)
-            )
-        if op == "query":
-            result, lsn = manager.query_payload(
-                request["sql"], request.get("params", ()),
-                min_lsn=request.get("min_lsn"),
-            )
-            return {
-                "ok": True,
-                "columns": result.columns,
-                "rows": [list(row) for row in result.rows],
-                "count": result.rowcount,
-                "lsn": lsn,
-            }
-        if op == "refresh":
-            refreshed, busy = manager.refresh_all()
-            return {"ok": True, "sessions": refreshed, "busy": busy}
-        if op == "shutdown":
-            return {"ok": True, "bye": True}
-        return self._error(f"unknown op {op!r}", "unknown_op")
+        if op in KNOWN_OPS:
+            op_label = op
+        # The root span of the request: a client-supplied trace id rides
+        # down through refresh/checkout/executor spans.
+        with trace.span("serve.request", trace_id=request.get("trace"), op=op):
+            response = _dispatch(manager, request)
+        payload = json.dumps(response).encode("utf-8")
+    except Exception as exc:  # keep the connection alive
+        if isinstance(exc, (ValueError, KeyError, TypeError, RecursionError)):
+            message, code = f"bad request: {exc}", "bad_request"
+        elif isinstance(exc, ReproError):
+            message, code = str(exc), error_code(exc)
+        else:
+            message = f"internal error: {type(exc).__name__}: {exc}"
+            code = "internal"
+        response = error_response(message, code)
+        payload = json.dumps(response).encode("utf-8")
+    registry = metrics.registry()
+    registry.counter(f"serve.requests.{op_label}").inc()
+    registry.histogram(f"serve.request_seconds.{op_label}").observe(
+        time.perf_counter() - started
+    )
+    return payload + b"\n", response.get("bye", False)
 
 
-class _Server(socketserver.ThreadingTCPServer):
+def serve_connection(
+    conn: socket.socket, manager: ServeManager, drain: threading.Event
+) -> bool:
+    """Serve one connection until EOF; True if shutdown was asked.
+
+    The read loop buffers by hand with a short recv timeout instead of
+    ``makefile().readline()``: a timeout mid-``readline`` would corrupt
+    the buffered reader's state, while here it is just another chance to
+    notice the drain flag.  A request in flight always completes — drain
+    is only checked between requests.
+    """
+    conn.settimeout(_POLL_SECONDS)
+    buffer = b""
+    while True:
+        newline = buffer.find(b"\n")
+        if newline < 0 and len(buffer) <= MAX_LINE_BYTES:
+            try:
+                chunk = conn.recv(1 << 16)
+            except socket.timeout:
+                if drain.is_set():
+                    return False  # idle connection; drop it and drain out
+                continue
+            except OSError:
+                return False
+            if not chunk:
+                return False  # client EOF — the normal end
+            buffer += chunk
+            continue
+        if newline < 0:
+            # No frame boundary within the bound: handle_line refuses the
+            # oversized line, and with no way to find the next request in
+            # the stream the connection ends after the reply.
+            line, buffer = buffer, b""
+        else:
+            line, buffer = buffer[:newline].strip(), buffer[newline + 1 :]
+        if not line:
+            continue
+        payload, bye = handle_line(manager, line)
+        try:
+            # A fat payload may need the client to drain its socket;
+            # give the send a real window, then restore the drain-aware
+            # read timeout.
+            conn.settimeout(30.0)
+            conn.sendall(payload)
+        except OSError:
+            return False
+        finally:
+            conn.settimeout(_POLL_SECONDS)
+        if bye or newline < 0:
+            return bye
+
+
+class ServeServer(socketserver.ThreadingTCPServer):
+    """Who accepts in the threaded topology: a daemon thread per
+    connection runs :func:`serve_connection` over the one pooled manager,
+    which is closed when the serve loop ends."""
+
     allow_reuse_address = True
     daemon_threads = True
-    manager: ServeManager
 
-    def request_shutdown(self) -> None:
-        # shutdown() joins the serve_forever loop, which must not run on
-        # the calling thread; hand it to a helper thread so both handler
-        # threads and signal handlers can trigger it safely.
-        threading.Thread(target=self.shutdown, daemon=True).start()
-
-
-class ServeServer:
-    """Own a manager-backed TCP server; start/stop cleanly."""
-
-    def __init__(
-        self,
-        manager: ServeManager,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ):
+    def __init__(self, manager: ServeManager, host: str = "127.0.0.1", port: int = 0):
+        super().__init__((host, port), None)
         self.manager = manager
-        self._server = _Server((host, port), _RequestHandler)
-        self._server.manager = manager
+        #: Set on shutdown: idle connections are dropped at their next poll.
+        self.draining = threading.Event()
         self._thread: threading.Thread | None = None
 
     @property
     def address(self) -> tuple[str, int]:
-        host, port = self._server.server_address[:2]
+        host, port = self.server_address[:2]
         return host, port
 
-    def serve_forever(self) -> None:
+    def finish_request(self, request, client_address) -> None:
+        # The shutdown is triggered only after the acknowledgement went
+        # out — the other order races the process exit and the client can
+        # see EOF instead of the reply.
+        if serve_connection(request, self.manager, self.draining):
+            self.request_shutdown()
+
+    def serve_forever(self, poll_interval: float = 0.1) -> None:
         """Block serving requests until :meth:`shutdown` (or the shutdown
         op) is called; the manager is closed on the way out."""
         try:
-            self._server.serve_forever(poll_interval=0.1)
+            super().serve_forever(poll_interval)
         finally:
-            self._server.server_close()
+            self.server_close()
             self.manager.close()
 
     def start(self) -> "ServeServer":
@@ -218,8 +300,15 @@ class ServeServer:
         self._thread.start()
         return self
 
+    def request_shutdown(self) -> None:
+        self.draining.set()
+        # The base shutdown() joins the serve_forever loop, which must not
+        # run on the calling thread; hand it to a helper thread so both
+        # connection threads and signal handlers can trigger it safely.
+        threading.Thread(target=super().shutdown, daemon=True).start()
+
     def shutdown(self) -> None:
-        self._server.request_shutdown()
+        self.request_shutdown()
         if self._thread is not None:
             self._thread.join(timeout=10)
             self._thread = None

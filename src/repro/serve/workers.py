@@ -1,42 +1,34 @@
 """Pre-fork process workers: load the snapshot once, fork it N times.
 
-The threaded server (:mod:`repro.serve.server`) multiplexes reader
-*threads*, so checkout scans serialize on the GIL and N cores give ~1
-core of read throughput.  This module is the process-parallel shape:
+The threaded server (:mod:`repro.serve.server`) runs the request pipeline
+on reader *threads*, so checkout scans serialize on the GIL and N cores
+give ~1 core of read throughput.  This module is the process-parallel
+way of accepting connections and obtaining a manager; what happens to a
+request line is the same code (:func:`~repro.serve.server.serve_connection`):
 
 - the parent opens the store **read-only once** (one snapshot load, one
   WAL replay), binds and listens on the TCP socket, then forks N reader
   workers — each inherits the loaded :class:`~repro.persist.Store` via
-  copy-on-write and calls :meth:`Store.handle_fork` so advisory-lock fds
-  and WAL handles are re-opened, never shared;
+  copy-on-write, calls :meth:`Store.handle_fork` so advisory-lock fds
+  and WAL handles are re-opened, never shared, and wraps it in a
+  one-session follower :class:`~repro.serve.manager.ServeManager` whose
+  L2 is the parent's :class:`~repro.serve.sharedcache.CacheOwner`;
 - every worker accepts on the **inherited listening socket** (one shared
   kernel accept queue — no REUSEPORT hash imbalance, and a dead worker's
   backlog is simply drained by its siblings) and serves one connection
   at a time, start to finish: a connection is pinned to one process, so
   ``{"op": "stats"}`` snapshots are per-worker by construction;
-- workers stay fresh **independently**: each request polls the writer's
-  durable tail (CURRENT pointer + WAL tail) via the incremental
-  :meth:`Store.refresh`, and the ``min_lsn`` fence guarantees a client
-  is never answered from behind an lsn it has already observed;
-- a checkout computed by one worker is shared with the others through
-  the parent's :class:`~repro.serve.sharedcache.CacheOwner` (L2), keyed
-  by the same lsn-tagged tuples as the in-process L1;
 - a supervisor thread in the parent reaps dead workers (``waitpid`` on
   *specific* pids — never ``-1``, which would steal unrelated children
   from an embedding test runner) and re-forks replacements from the
   refreshed template store; SIGTERM drains workers cleanly, and the
   ``shutdown`` op (worker exit code 99) winds down the whole pool.
-
-The worker pool always runs in follower mode: the writer, if there is
-one, lives in another process and is discovered through the WAL.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import os
-import pickle
 import select
 import signal
 import socket
@@ -44,21 +36,12 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Sequence
 
-from repro.errors import ReproError
-from repro.obs import metrics, trace
+from repro.obs import metrics
 from repro.persist import Store
 
-from repro.serve.cache import CheckoutCache, checkout_key
-from repro.serve.manager import _MISSING, ReadSession
-from repro.serve.server import (
-    KNOWN_OPS,
-    checkout_response,
-    close_inherited_clients,
-    error_code,
-    error_response,
-)
+from repro.serve.manager import ServeManager
+from repro.serve.server import close_inherited_clients, serve_connection
 from repro.serve.sharedcache import CacheClient, CacheOwner
 
 #: A worker that was asked to shut down (the ``shutdown`` op) exits with
@@ -80,248 +63,6 @@ def _describe_exit(code: int) -> str:
             name = "unknown signal"
         return f"died on signal {-code} ({name})"
     return f"exited with status {code}"
-
-
-class WorkerSession(ReadSession):
-    """A worker's single read session: L1 in-process, L2 via the owner.
-
-    Only checkouts go through L2 — their values are plain row tuples,
-    cheap to pickle and worth sharing; query results stay L1-only.
-    """
-
-    def __init__(
-        self,
-        store: Store,
-        cache: CheckoutCache,
-        l2: CacheClient | None,
-        session_id: int = 0,
-    ):
-        super().__init__(None, cache, session_id, store=store)
-        self.l2 = l2
-
-    def checkout(self, cvd: str, vids: int | Sequence[int]) -> list[tuple]:
-        self.requests += 1
-        key = checkout_key(cvd, vids, self.last_lsn)
-        rows = self.cache.get(key, _MISSING)
-        if rows is not _MISSING:
-            return rows
-        blob = self.l2.get(key) if self.l2 is not None else None
-        if blob is not None:
-            rows = pickle.loads(blob)
-        else:
-            rows = self.orpheus.checkout_rows(cvd, vids)
-            if self.l2 is not None:
-                self.l2.put(key, pickle.dumps(rows, pickle.HIGHEST_PROTOCOL))
-        self.cache.put(key, rows)
-        return rows
-
-
-# ---------------------------------------------------------------------- worker
-
-
-def _worker_loop(
-    store: Store,
-    listener: socket.socket,
-    cache_path: str | None,
-    worker_id: int,
-    cache_capacity: int,
-    parent_pid: int,
-) -> int:
-    """A forked worker's whole life; returns the process exit code."""
-    # First metric touch after fork rebinds a per-pid registry, so this
-    # worker's counters (snapshot loads included: zero in steady state)
-    # never mix with the parent's copied totals.
-    metrics.registry()
-    store.handle_fork()
-    l2 = CacheClient(cache_path) if cache_path else None
-    session = WorkerSession(
-        store, CheckoutCache(cache_capacity), l2, session_id=worker_id
-    )
-
-    drain = threading.Event()
-    signal.signal(signal.SIGTERM, lambda _s, _f: drain.set())
-    # The parent's terminal delivers SIGINT to the whole foreground
-    # process group; the parent coordinates the drain, workers wait for
-    # its SIGTERM so in-flight requests finish first.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-    # O_NONBLOCK lives on the shared file description, so *every* worker
-    # runs the same select-then-accept loop; losing an accept race is a
-    # plain BlockingIOError, not an error.
-    listener.setblocking(False)
-    while not drain.is_set():
-        if os.getppid() != parent_pid:
-            return 0  # orphaned: the supervisor died under us
-        try:
-            ready, _, _ = select.select([listener], [], [], 0.25)
-        except OSError:
-            return 0  # listener closed: pool shutdown
-        if not ready:
-            continue
-        try:
-            conn, _addr = listener.accept()
-        except (BlockingIOError, OSError):
-            continue  # a sibling won the race
-        try:
-            saw_shutdown = _serve_connection(conn, session, drain)
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if saw_shutdown:
-            return WORKER_SHUTDOWN_EXIT
-    session.close()
-    if l2 is not None:
-        l2.close()
-    return 0
-
-
-def _serve_connection(
-    conn: socket.socket, session: WorkerSession, drain: threading.Event
-) -> bool:
-    """Serve one pinned connection until EOF; True if shutdown was asked.
-
-    The read loop buffers by hand with a short recv timeout instead of
-    ``makefile().readline()``: a timeout mid-``readline`` would corrupt
-    the buffered reader's state, while here it is just another chance to
-    notice the drain flag.  A request in flight always completes — drain
-    is only checked between requests.
-    """
-    conn.settimeout(0.25)
-    buffer = b""
-    while True:
-        newline = buffer.find(b"\n")
-        if newline < 0:
-            try:
-                chunk = conn.recv(1 << 16)
-            except socket.timeout:
-                if drain.is_set():
-                    return False  # idle connection; drop it and drain out
-                continue
-            except OSError:
-                return False
-            if not chunk:
-                return False  # client EOF — the normal end
-            buffer += chunk
-            continue
-        line, buffer = buffer[:newline].strip(), buffer[newline + 1 :]
-        if not line:
-            continue
-        response = _handle_line(line, session)
-        payload = json.dumps(response).encode("utf-8") + b"\n"
-        try:
-            # A fat payload may need the client to drain its socket;
-            # give the send a real window, then restore the drain-aware
-            # read timeout.
-            conn.settimeout(30.0)
-            conn.sendall(payload)
-        except OSError:
-            return False
-        finally:
-            conn.settimeout(0.25)
-        if response.get("bye"):
-            return True
-
-
-def _handle_line(line: bytes, session: WorkerSession) -> dict:
-    """Decode, dispatch, meter — the worker-side twin of the threaded
-    handler's per-request bookkeeping."""
-    registry = metrics.registry()
-    started = time.perf_counter()
-    op_label = "unknown"
-    try:
-        request = json.loads(line.decode("utf-8"))
-        op = request.get("op")
-        if op in KNOWN_OPS:
-            op_label = op
-        with trace.span("serve.request", trace_id=request.get("trace"), op=op):
-            response = _dispatch(request, session)
-    except (ValueError, KeyError, TypeError) as exc:
-        response = error_response(f"bad request: {exc}", "bad_request")
-    except ReproError as exc:
-        response = error_response(str(exc), error_code(exc))
-    except Exception as exc:  # keep the connection alive
-        response = error_response(
-            f"internal error: {type(exc).__name__}: {exc}", "internal"
-        )
-    registry.counter(f"serve.requests.{op_label}").inc()
-    registry.histogram(f"serve.request_seconds.{op_label}").observe(
-        time.perf_counter() - started
-    )
-    return response
-
-
-def _dispatch(request: dict, session: WorkerSession) -> dict:
-    op = request.get("op")
-    if op == "ping":
-        return {"ok": True, "pong": True, "pid": os.getpid()}
-    if op == "status":
-        return {"ok": True, "status": _status(session)}
-    if op == "stats":
-        return {
-            "ok": True,
-            "stats": {
-                "pid": os.getpid(),
-                "worker": session.session_id,
-                "metrics": metrics.registry().snapshot(),
-            },
-        }
-    if op == "checkout":
-        # Every read request polls the writer's durable tail first — the
-        # coordinated-refresh half of the design; the min_lsn fence is
-        # then enforced against the refreshed lsn.
-        session.refresh()
-        session.ensure_lsn(request.get("min_lsn"))
-        rows = session.checkout(request["cvd"], request["vids"])
-        schema = session.orpheus.cvd(request["cvd"]).data_schema
-        return checkout_response(
-            ["rid", *schema.column_names],
-            rows,
-            session.last_lsn,
-            include_rows=request.get("rows", True),
-        )
-    if op == "query":
-        session.refresh()
-        session.ensure_lsn(request.get("min_lsn"))
-        result = session.query(request["sql"], request.get("params", ()))
-        return {
-            "ok": True,
-            "columns": result.columns,
-            "rows": [list(row) for row in result.rows],
-            "count": result.rowcount,
-            "lsn": session.last_lsn,
-        }
-    if op == "refresh":
-        result = session.refresh()
-        return {
-            "ok": True,
-            "sessions": [{"id": session.session_id, "lsn": result.last_lsn}],
-            "busy": 0,
-        }
-    if op == "shutdown":
-        return {"ok": True, "bye": True}
-    return error_response(f"unknown op {op!r}", "unknown_op")
-
-
-def _status(session: WorkerSession) -> dict:
-    status = {
-        "path": str(session.store.path),
-        "mode": "prefork-worker",
-        "pid": os.getpid(),
-        "worker": session.session_id,
-        "writer_lsn": None,
-        "lsn": session.last_lsn,
-        "requests": session.requests,
-        "refreshes": session.refreshes,
-        "cache": session.cache.stats_dict(),
-    }
-    if session.l2 is not None:
-        status["l2"] = session.l2.stats() or {"degraded": True}
-    return status
-
-
-# ---------------------------------------------------------------------- parent
 
 
 class PreforkServer:
@@ -428,20 +169,64 @@ class PreforkServer:
                 # connection it later accepts, deadlocking against
                 # itself.  Bit us under chaos: respawn-while-serving.
                 close_inherited_clients()
-                code = _worker_loop(
-                    self._template,
-                    self._listener,
-                    self._cache_path,
-                    worker_id,
-                    self._cache_capacity,
-                    parent_pid,
-                )
+                code = self._worker_loop(worker_id, parent_pid)
             except BaseException:
                 code = WORKER_ERROR_EXIT
             finally:
                 os._exit(code)
         with self._pids_lock:
             self._pids[pid] = worker_id
+
+    def _worker_loop(self, worker_id: int, parent_pid: int) -> int:
+        """A forked worker's whole life; returns the process exit code."""
+        # First metric touch after fork rebinds a per-pid registry, so this
+        # worker's counters (snapshot loads included: zero in steady state)
+        # never mix with the parent's copied totals.
+        metrics.registry()
+        self._template.handle_fork()
+        manager = ServeManager.over_inherited_store(
+            self._template,
+            self._cache_capacity,
+            CacheClient(self._cache_path) if self._cache_path else None,
+            worker_id,
+        )
+
+        drain = threading.Event()
+        signal.signal(signal.SIGTERM, lambda _s, _f: drain.set())
+        # The parent's terminal delivers SIGINT to the whole foreground
+        # process group; the parent coordinates the drain, workers wait for
+        # its SIGTERM so in-flight requests finish first.
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+        # O_NONBLOCK lives on the shared file description, so *every* worker
+        # runs the same select-then-accept loop; losing an accept race is a
+        # plain BlockingIOError, not an error.
+        listener = self._listener
+        listener.setblocking(False)
+        while not drain.is_set():
+            if os.getppid() != parent_pid:
+                return 0  # orphaned: the supervisor died under us
+            try:
+                ready, _, _ = select.select([listener], [], [], 0.25)
+            except OSError:
+                return 0  # listener closed: pool shutdown
+            if not ready:
+                continue
+            try:
+                conn, _addr = listener.accept()
+            except (BlockingIOError, OSError):
+                continue  # a sibling won the race
+            try:
+                saw_shutdown = serve_connection(conn, manager, drain)
+            finally:
+                try:
+                    conn.close()
+                except OSError:
+                    pass
+            if saw_shutdown:
+                return WORKER_SHUTDOWN_EXIT
+        manager.close()
+        return 0
 
     # -------------------------------------------------------------- supervisor
 

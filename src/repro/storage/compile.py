@@ -625,7 +625,9 @@ def _source_function(expr: Expression, env: EvalEnv, slow: RowFunc) -> RowFunc |
     )
     namespace = ctx.names
     exec(compile(source, "<repro.storage.compile>", "exec"), namespace)
-    return namespace["_compiled"]
+    # Popped: a function that stays in its own globals is a reference cycle
+    # that keeps the statement's probe sets alive until the cyclic GC runs.
+    return namespace.pop("_compiled")
 
 
 def _column_prelude(ctx: "_ColumnContext") -> str:
@@ -664,7 +666,7 @@ def _row_function(expr: Expression, env: EvalEnv) -> tuple[RowFunc, str]:
 
 def _kernel(ctx: _ColumnContext, source: str, name: str):
     exec(compile(source, "<repro.storage.compile>", "exec"), ctx.names)
-    return ctx.names[name], "columnar"
+    return ctx.names.pop(name), "columnar"  # popped: see _source_function
 
 
 def compile_column_predicate(expr: Expression, env: EvalEnv) -> tuple[Callable, str]:

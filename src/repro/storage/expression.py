@@ -506,17 +506,20 @@ def map_children(
     """
     if isinstance(expr, (Literal, ColumnRef, PosRef, Star)):
         return expr
-
-    def convert(value: Any) -> Any:
-        if isinstance(value, Expression):
-            return fn(value)
-        if isinstance(value, tuple):
-            return tuple(convert(item) for item in value)
-        return value
-
     return type(expr)(
-        *(convert(getattr(expr, name)) for name in expr.__dataclass_fields__)
+        *(_map_value(getattr(expr, name), fn) for name in expr.__dataclass_fields__)
     )
+
+
+def _map_value(value: Any, fn: Callable[[Expression], Expression]) -> Any:
+    # Module-level, not a closure inside map_children: a recursive closure
+    # is a reference cycle that pins ``fn`` (an executor's bound method)
+    # until the cyclic GC runs.
+    if isinstance(value, Expression):
+        return fn(value)
+    if isinstance(value, tuple):
+        return tuple(_map_value(item, fn) for item in value)
+    return value
 
 
 def replace_windows(expr: Expression, resolved: dict[int, Expression]) -> Expression:

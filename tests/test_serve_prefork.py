@@ -31,7 +31,7 @@ import pytest
 
 from repro.persist import Store
 from repro.serve import PreforkServer
-from repro.serve.server import ServeClient, request, rows_checksum
+from repro.serve.server import ServeClient, request
 
 from invariants import assert_fence_honesty, assert_refresh_convergence
 from test_persist_readonly import build_store
@@ -65,24 +65,6 @@ def snapshot_loads(client: ServeClient) -> int:
 
 
 class TestPreforkEmbedded:
-    def test_roundtrip_and_lsn(self, store_path):
-        with PreforkServer(store_path, workers=2) as server:
-            host, port = server.address
-            reply = request(host, port, {"op": "checkout", "cvd": "t", "vids": [4]})
-            assert reply["ok"] and reply["count"] == 5
-            assert reply["lsn"] > 0
-            assert reply["columns"][0] == "rid"
-            # rows:false keeps the payload off the wire but proves it.
-            lean = request(
-                host, port,
-                {"op": "checkout", "cvd": "t", "vids": [4], "rows": False},
-            )
-            assert lean["ok"] and "rows" not in lean
-            assert lean["count"] == reply["count"]
-            assert lean["checksum"] == rows_checksum(
-                tuple(row) for row in reply["rows"]
-            )
-
     def test_connections_pin_distinct_workers_with_zero_loads(self, store_path):
         with PreforkServer(store_path, workers=3) as server:
             host, port = server.address
