@@ -4,8 +4,8 @@ OrpheusDB is bolt-on versioning for a *shared* relational store; the HTAP
 split this package implements is one update path and many concurrent
 analytical readers:
 
-* :mod:`repro.serve.cache` — a version-aware LRU whose keys carry
-  ``(cvd, tuple(vids), last_lsn)``; correctness comes from the lsn
+* :mod:`repro.serve.cache` — a version-aware LRU of encoded reply lines
+  keyed ``(cvd, tuple(vids), last_lsn)``; correctness comes from the lsn
   tag (replay is deterministic, so state at an lsn is state at an lsn),
   invalidation on commit / schema evolution / partition migration is
   memory hygiene.

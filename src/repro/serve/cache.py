@@ -1,4 +1,4 @@
-"""Version-aware result cache for the serving layer.
+"""Version-aware reply cache for the serving layer.
 
 Checkout results are a pure function of ``(cvd, version set, store lsn)``:
 WAL replay is deterministic, so any two read-only sessions at the same lsn
@@ -10,17 +10,90 @@ schema evolution, and partition migration, as reported by
 evicts entries that no live session can ever hit again, rather than being
 what correctness rests on.
 
-Query results get the same treatment with the SQL text + params in the key;
-since SQL may read arbitrary durable tables, query entries are invalidated
-conservatively whenever *any* change lands.
+An entry is the encoded reply line (:class:`Reply`), not rows — every
+field of it is a function of the key.  Query replies get the same treatment
+with the SQL text + params in the key; since SQL may read arbitrary durable
+tables, query entries are invalidated conservatively whenever *any* change
+lands.
 """
 
 from __future__ import annotations
 
+import json
 import threading
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Hashable, Sequence
+
+
+def encode(response: dict) -> bytes:
+    return json.dumps(response).encode("utf-8")
+
+
+def rows_checksum(rows: Any) -> int:
+    """CRC-32 over a checkout's rows, stable across processes and runs.
+
+    The body of a ``"rows": false`` response: the client gets integrity
+    evidence (count + checksum) without the server JSON-encoding — or the
+    client decoding — the payload, which would otherwise dominate a
+    throughput measurement.  ``repr`` of tuples of plain values is
+    deterministic (unlike ``hash``, which is salted per interpreter).
+    """
+    crc = 0
+    for row in rows:
+        crc = zlib.crc32(repr(tuple(row)).encode("utf-8"), crc)
+    return crc
+
+
+def checkout_response(
+    columns: list, rows: list, lsn: int, include_rows: bool = True
+) -> dict:
+    """The wire shape of a successful checkout (row tuples encode as JSON
+    arrays as they are)."""
+    response: dict = {"ok": True, "columns": columns, "count": len(rows), "lsn": lsn}
+    if include_rows:
+        response["rows"] = rows
+    else:
+        response["checksum"] = rows_checksum(rows)
+    return response
+
+
+@dataclass(eq=False, slots=True)
+class Reply:
+    """A cached reply line (``body``, deflated while ``packed``), plus a
+    checkout's ``"rows": false`` line once asked for."""
+
+    body: bytes
+    packed: bool = False
+    lean: bytes | None = None
+
+    def __len__(self) -> int:
+        return len(self.body)
+
+    @property
+    def line(self) -> bytes:
+        return zlib.decompress(self.body) if self.packed else self.body
+
+    def pack(self) -> Reply:
+        return Reply(zlib.compress(self.body, 1), True, self.lean)
+
+    def decode(self) -> dict:
+        """The reply with its rows as the engine returns them: tuples, and
+        ``int[]`` (the one list-valued column type) as tuples in them."""
+        reply = json.loads(self.line)
+        reply["rows"] = [
+            tuple(tuple(v) if type(v) is list else v for v in row)
+            for row in reply["rows"]
+        ]
+        return reply
+
+    def lean_line(self) -> bytes:
+        if self.lean is None:
+            reply = self.decode()
+            reply["checksum"] = rows_checksum(reply.pop("rows"))
+            self.lean = encode(reply)
+        return self.lean
 
 
 def checkout_key(cvd: str, vids: Sequence[int] | int, last_lsn: int) -> tuple:
@@ -37,7 +110,8 @@ def checkout_key(cvd: str, vids: Sequence[int] | int, last_lsn: int) -> tuple:
 
 
 def query_key(sql: str, params: Sequence[Any], last_lsn: int) -> tuple:
-    return ("query", sql, tuple(params), last_lsn)
+    """Params key as canonical JSON: arrays hash, ``1``/``1.0``/``true`` differ."""
+    return ("query", sql, json.dumps(params, sort_keys=True), last_lsn)
 
 
 @dataclass
@@ -70,7 +144,7 @@ class CacheStats:
 
 
 class CheckoutCache:
-    """A thread-safe LRU over lsn-tagged checkout and query results."""
+    """A thread-safe LRU over lsn-tagged checkout and query replies."""
 
     def __init__(self, capacity: int = 256):
         #: ``capacity=0`` disables the cache entirely (every get misses,
@@ -86,13 +160,15 @@ class CheckoutCache:
             return len(self._entries)
 
     def stats_dict(self) -> dict:
-        """Atomic counter snapshot plus the live entry count.
+        """Atomic counter snapshot plus the live entries and their ``bytes``.
 
         Taken under the cache lock, so the counters are a consistent set:
         no concurrent get/put can tear hits against misses mid-read.
         """
         with self._lock:
-            return {**self.stats.to_dict(), "entries": len(self._entries)}
+            resident = sum(map(len, self._entries.values()))
+            entries = {"entries": len(self._entries), "bytes": resident}
+            return {**self.stats.to_dict(), **entries}
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         with self._lock:

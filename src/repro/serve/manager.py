@@ -7,11 +7,12 @@ analytical readers, each a :class:`repro.persist.Store` opened with
 Sessions live in a pool; a request borrows one, brings it up to date with
 a cheap lsn-tail :meth:`~repro.persist.Store.refresh`, serves through the
 shared :class:`~repro.serve.cache.CheckoutCache`, and returns it.
-``checkout_payload`` / ``query_payload`` / ``status`` / ``stats_snapshot``
-/ ``refresh_all`` are the only builders of those wire replies: the
-threaded server holds one manager with N sessions, a pre-fork worker one
-manager with a single session around its inherited store
-(:meth:`ServeManager.over_inherited_store`).
+``reply_line`` / ``status`` / ``stats_snapshot`` / ``refresh_all`` are
+the only builders of those wire replies: the threaded server holds one
+manager with N sessions, a pre-fork worker one manager with a single
+session around its inherited store (:meth:`ServeManager.over_inherited_store`).
+The cache holds encoded replies; in-process callers get rows — computed on
+a miss, rebuilt from the cached reply on a hit.
 
 Reentrancy model: a session is used by one thread at a time (the pool
 enforces it), sessions never share mutable state with each other, and the
@@ -25,7 +26,6 @@ polls the WAL tail, which the byte-offset resume keeps cheap.
 from __future__ import annotations
 
 import os
-import pickle
 import queue
 import threading
 import time
@@ -36,8 +36,10 @@ from typing import Any, Iterator, Sequence
 from repro.errors import PersistenceError, StaleReadError
 from repro.obs import metrics
 from repro.persist import RefreshResult, Store
+from repro.storage.engine import Result
 
-from repro.serve.cache import CheckoutCache, checkout_key, query_key
+from repro.serve.cache import CheckoutCache, Reply, checkout_key, query_key
+from repro.serve.cache import checkout_response, encode
 from repro.serve.sharedcache import CacheClient
 
 # Pid-aware handles: a pre-fork serve worker charges its own registry.
@@ -119,40 +121,64 @@ class ReadSession:
     # -------------------------------------------------------------- serving
 
     def _cached(self, key: tuple, compute, l2: CacheClient | None = None):
-        """``compute()`` read through L1, then ``l2`` when given."""
+        """``(reply, value)`` read through L1, then ``l2``: ``compute()``
+        makes both on a miss.  Both tiers hold an entry deflated until its
+        first hit — most are never asked for again, and an encoded checkout
+        is ~5x the row pointers once cached — then inflated for good."""
         self.requests += 1
-        value = self.cache.get(key, _MISSING)
-        if value is not _MISSING:
-            return value
-        blob = l2.get(key) if l2 is not None else None
-        if blob is not None:
-            value = pickle.loads(blob)
-        else:
-            value = compute()
-            if l2 is not None:
-                l2.put(key, pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
-        self.cache.put(key, value)
-        return value
+        reply = self.cache.get(key, _MISSING)
+        if reply is _MISSING:
+            body = l2.get(key) if l2 is not None else None
+            if body is None:
+                value, reply = compute()
+                packed = reply.pack()
+                if l2 is not None:
+                    l2.put(key, packed.body)
+                self.cache.put(key, packed)
+                return reply, value
+            reply = Reply(body, packed=True)
+        if reply.packed:
+            reply = Reply(reply.line, False, reply.lean)
+            self.cache.put(key, reply)
+        return reply, None
+
+    def checkout_reply(self, cvd: str, vids: int | Sequence[int], lean: bool = False):
+        """``(reply, rows if computed now)`` of merged ``vids`` at this lsn;
+        ``lean`` adds the ``"rows": false`` line.  Only checkouts use L2."""
+        lsn = self.last_lsn
+
+        def compute():
+            rows = self.orpheus.checkout_rows(cvd, vids)
+            columns = ["rid", *self.orpheus.cvd(cvd).data_schema.column_names]
+            reply = Reply(encode(checkout_response(columns, rows, lsn)))
+            if lean:
+                reply.lean = encode(checkout_response(columns, rows, lsn, False))
+            return rows, reply
+
+        return self._cached(checkout_key(cvd, vids, lsn), compute, self.l2)
 
     def checkout(self, cvd: str, vids: int | Sequence[int]) -> list[tuple]:
-        """Cached merged checkout of ``vids`` at this session's lsn.
+        reply, rows = self.checkout_reply(cvd, vids)
+        return reply.decode()["rows"] if rows is None else rows
 
-        Only checkouts read through L2 — their values are plain row
-        tuples, cheap to pickle and worth sharing across workers; query
-        results stay L1-only.
-        """
-        return self._cached(
-            checkout_key(cvd, vids, self.last_lsn),
-            lambda: self.orpheus.checkout_rows(cvd, vids),
-            self.l2,
-        )
+    def query_reply(self, sql: str, params: Sequence[Any] = ()):
+        """``(reply, result)`` of read-only SQL at this session's lsn."""
+        lsn = self.last_lsn
 
-    def query(self, sql: str, params: Sequence[Any] = ()):
-        """Cached read-only SQL at this session's lsn."""
-        return self._cached(
-            query_key(sql, params, self.last_lsn),
-            lambda: self.orpheus.run(sql, params),
-        )
+        def compute():
+            result = self.orpheus.run(sql, params)
+            response = {"ok": True, "columns": result.columns, "rows": result.rows}
+            response.update(count=result.rowcount, lsn=lsn)  # the wire's key order
+            return result, Reply(encode(response))
+
+        return self._cached(query_key(sql, params, lsn), compute)
+
+    def query(self, sql: str, params: Sequence[Any] = ()) -> Result:
+        reply, result = self.query_reply(sql, params)
+        if result is None:
+            decoded = reply.decode()
+            result = Result(decoded["columns"], decoded["rows"], decoded["count"])
+        return result
 
     def close(self) -> None:
         self.store.close()
@@ -347,6 +373,18 @@ class ServeManager:
         with self.session() as session:
             session.ensure_lsn(min_lsn)
             return session.query(sql, params), session.last_lsn
+
+    def reply_line(self, request: dict) -> bytes:
+        """A decoded ``checkout``/``query`` request's reply, encoded as the
+        wire sends it — once per cache entry, so a hit encodes nothing."""
+        with self.session() as session:
+            session.ensure_lsn(request.get("min_lsn"))
+            if request["op"] == "query":
+                params = request.get("params", ())
+                return session.query_reply(request["sql"], params)[0].line
+            rows = request.get("rows", True)
+            reply = session.checkout_reply(request["cvd"], request["vids"], not rows)[0]
+            return reply.line if rows else reply.lean_line()
 
     def refresh_all(self) -> tuple[list[dict], int]:
         """Refresh every currently idle session; returns (refreshed, busy).

@@ -17,14 +17,15 @@ documented types, else ``bad_request``), opens the ``serve.request`` span (a
 client-supplied ``"trace": "<id>"`` rides down to store refresh and executor
 spans), asks the :class:`~repro.serve.manager.ServeManager` for the answer —
 one session borrow that refreshes, enforces the ``min_lsn`` fence and reads
-through the L1 (then, in a pre-fork worker, L2) cache — maps any exception to
+through the L1 (then, in a pre-fork worker, L2) cache of encoded replies —
+maps any exception to
 ``{"ok": false, "error": <human text>, "code": <stable machine string>}`` on
 the same line (the connection stays usable), meters ``serve.requests.<op>`` /
-``serve.request_seconds.<op>`` and encodes the reply.  The topologies differ
-only in who accepts connections and how the manager was built: here
-:class:`ServeServer` runs the loop on a daemon thread per connection over a
-pooled manager; in :mod:`repro.serve.workers` each forked worker runs it over
-a one-session manager around its inherited store.
+``serve.request_seconds.<op>`` and encodes any reply not already bytes.  The
+topologies differ only in who accepts connections and how the manager was
+built: here :class:`ServeServer` runs the loop on a daemon thread per
+connection over a pooled manager; in :mod:`repro.serve.workers` each forked
+worker runs it over a one-session manager around its inherited store.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ import socketserver
 import threading
 import time
 import weakref
-import zlib
 from typing import Any
 
 from repro.errors import ReproError
 from repro.obs import metrics, trace
 
+# The wire shapes live with the cache that holds replies encoded.
+from repro.serve.cache import checkout_response, encode, rows_checksum  # noqa: F401
 from repro.serve.manager import ServeManager
 
 #: The op vocabulary; anything else buckets under the ``unknown`` label so
@@ -66,34 +68,6 @@ def error_response(message: str, code: str) -> dict:
     return {"ok": False, "error": message, "code": code}
 
 
-def rows_checksum(rows: Any) -> int:
-    """CRC-32 over a checkout's rows, stable across processes and runs.
-
-    The body of a ``"rows": false`` response: the client gets integrity
-    evidence (count + checksum) without the server JSON-encoding — or the
-    client decoding — the payload, which would otherwise dominate a
-    throughput measurement.  ``repr`` of tuples of plain values is
-    deterministic (unlike ``hash``, which is salted per interpreter).
-    """
-    crc = 0
-    for row in rows:
-        crc = zlib.crc32(repr(tuple(row)).encode("utf-8"), crc)
-    return crc
-
-
-def checkout_response(
-    columns: list, rows: list, lsn: int, include_rows: bool = True
-) -> dict:
-    """The wire shape of a successful checkout (row tuples encode as JSON
-    arrays as they are)."""
-    response: dict = {"ok": True, "columns": columns, "count": len(rows), "lsn": lsn}
-    if include_rows:
-        response["rows"] = rows
-    else:
-        response["checksum"] = rows_checksum(rows)
-    return response
-
-
 def error_code(exc: BaseException) -> str:
     """A stable machine-readable code for an exception.
 
@@ -111,18 +85,21 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-#: What each request field must be, checked once in the decode stage so
-#: no ill-typed value reaches the engine.
+def _is_vids(value: Any) -> bool:
+    return _is_int(value) or (
+        isinstance(value, list) and len(value) > 0 and all(map(_is_int, value))
+    )
+
+
+#: What each request field must be and which ops require it, checked once
+#: in the decode stage so no ill-typed value reaches the engine.
 _FIELDS = {
-    "cvd": ("a string", lambda v: isinstance(v, str)),
-    "sql": ("a string", lambda v: isinstance(v, str)),
-    "params": ("a list", lambda v: isinstance(v, list)),
-    "rows": ("a boolean", lambda v: isinstance(v, bool)),
-    "min_lsn": ("an integer or null", lambda v: v is None or _is_int(v)),
-    "vids": (
-        "an integer or a list of integers",
-        lambda v: _is_int(v) or (isinstance(v, list) and all(map(_is_int, v))),
-    ),
+    "cvd": ("a string", lambda v: isinstance(v, str), ("checkout",)),
+    "sql": ("a string", lambda v: isinstance(v, str), ("query",)),
+    "params": ("a list", lambda v: isinstance(v, list), ()),
+    "rows": ("a boolean", lambda v: isinstance(v, bool), ()),
+    "min_lsn": ("an integer or null", lambda v: v is None or _is_int(v), ()),
+    "vids": ("an integer or a non-empty list of integers", _is_vids, ("checkout",)),
 }
 
 
@@ -132,13 +109,17 @@ def _decode(line: bytes) -> dict:
     request = json.loads(line.decode("utf-8"))
     if not isinstance(request, dict):
         raise ValueError("a request must be a JSON object")
-    for name, (expected, valid) in _FIELDS.items():
-        if name in request and not valid(request[name]):
+    op = request.get("op")
+    for name, (expected, valid, required_by) in _FIELDS.items():
+        if name not in request:
+            if op in required_by:
+                raise ValueError(f"{op!r} requires {name!r}")
+        elif not valid(request[name]):
             raise ValueError(f"{name!r} must be {expected}")
     return request
 
 
-def _dispatch(manager: ServeManager, request: dict) -> dict:
+def _dispatch(manager: ServeManager, request: dict) -> dict | bytes:
     op = request.get("op")
     if op == "ping":
         return {"ok": True, "pong": True, "pid": os.getpid()}
@@ -146,24 +127,8 @@ def _dispatch(manager: ServeManager, request: dict) -> dict:
         return {"ok": True, "status": manager.status()}
     if op == "stats":
         return {"ok": True, "stats": manager.stats_snapshot()}
-    if op == "checkout":
-        columns, rows, lsn = manager.checkout_payload(
-            request["cvd"], request["vids"], min_lsn=request.get("min_lsn")
-        )
-        return checkout_response(
-            columns, rows, lsn, include_rows=request.get("rows", True)
-        )
-    if op == "query":
-        result, lsn = manager.query_payload(
-            request["sql"], request.get("params", ()), min_lsn=request.get("min_lsn")
-        )
-        return {
-            "ok": True,
-            "columns": result.columns,
-            "rows": result.rows,
-            "count": result.rowcount,
-            "lsn": lsn,
-        }
+    if op in ("checkout", "query"):
+        return manager.reply_line(request)
     if op == "refresh":
         refreshed, busy = manager.refresh_all()
         return {"ok": True, "sessions": refreshed, "busy": busy}
@@ -178,6 +143,7 @@ def handle_line(manager: ServeManager, line: bytes) -> tuple[bytes, bool]:
     failure becomes an error reply with a stable code."""
     started = time.perf_counter()
     op_label = "unknown"
+    bye = False
     try:
         request = _decode(line)
         op = request.get("op")
@@ -186,8 +152,10 @@ def handle_line(manager: ServeManager, line: bytes) -> tuple[bytes, bool]:
         # The root span of the request: a client-supplied trace id rides
         # down through refresh/checkout/executor spans.
         with trace.span("serve.request", trace_id=request.get("trace"), op=op):
-            response = _dispatch(manager, request)
-        payload = json.dumps(response).encode("utf-8")
+            reply = _dispatch(manager, request)
+        if isinstance(reply, dict):
+            bye = reply.get("bye", False)
+            reply = encode(reply)
     except Exception as exc:  # keep the connection alive
         if isinstance(exc, (ValueError, KeyError, TypeError, RecursionError)):
             message, code = f"bad request: {exc}", "bad_request"
@@ -196,14 +164,13 @@ def handle_line(manager: ServeManager, line: bytes) -> tuple[bytes, bool]:
         else:
             message = f"internal error: {type(exc).__name__}: {exc}"
             code = "internal"
-        response = error_response(message, code)
-        payload = json.dumps(response).encode("utf-8")
+        reply = encode(error_response(message, code))
     registry = metrics.registry()
     registry.counter(f"serve.requests.{op_label}").inc()
     registry.histogram(f"serve.request_seconds.{op_label}").observe(
         time.perf_counter() - started
     )
-    return payload + b"\n", response.get("bye", False)
+    return reply + b"\n", bye
 
 
 def serve_connection(

@@ -11,9 +11,9 @@ is then a cache hit for workers B..N.
 Keys are the exact lsn-tagged tuples from :mod:`repro.serve.cache`
 (``checkout_key`` / ``query_key``), so the correct-by-construction story
 is unchanged: state at an lsn is state at an lsn, no matter which
-*process* populated the entry.  Values are opaque bytes — the worker
-pickles its rows before ``put`` and unpickles after ``get`` — so the
-owner never imports engine types and never deserializes untrusted data
+*process* populated the entry.  Values are opaque bytes — the same
+encoded reply a worker's L1 holds, no rows pickled — so the owner never
+imports engine types and never deserializes untrusted data
 (the socket lives in a fresh ``tempfile.mkdtemp`` directory, mode 0700,
 never inside the store directory: a read-only server must not add even a
 socket inode to the store).

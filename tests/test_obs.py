@@ -374,11 +374,15 @@ class TestCacheStatsConcurrency:
                     "evictions",
                     "invalidated",
                     "entries",
+                    "bytes",
                 }
                 assert all(
                     isinstance(v, int) and v >= 0 for v in snap.values()
                 )
                 assert snap["entries"] <= cache.capacity
+                # Every value is a one-element list (len 1), so a torn
+                # byte count would show as bytes != entries.
+                assert snap["bytes"] == snap["entries"]
                 total = snap["hits"] + snap["misses"]
                 # Counters only grow, and the atomic snapshot never tears
                 # a hit/miss pair (a torn read could go backwards).

@@ -61,6 +61,23 @@ class TestCheckoutCache:
         assert cache.get(checkout_key("a", [1], 9)) == "a9"
         assert cache.get(checkout_key("b", [1], 5)) == "b5"
 
+    def test_bytes_stat_follows_put_evict_invalidate_and_clear(self):
+        cache = CheckoutCache(capacity=2)
+
+        def resident() -> int:
+            return cache.stats_dict()["bytes"]
+
+        cache.put(checkout_key("a", [1], 5), b"x" * 10)
+        cache.put(checkout_key("a", [1], 5), b"x" * 30)  # replaced, not added
+        cache.put(checkout_key("b", [1], 5), b"y" * 7)
+        assert resident() == 37
+        cache.put(checkout_key("c", [1], 5), b"z" * 5)  # evicts a
+        assert resident() == 12
+        cache.invalidate(cvds={"b"})
+        assert resident() == 5
+        cache.clear()
+        assert resident() == 0 and cache.stats_dict()["entries"] == 0
+
     def test_invalidate_queries_conservatively(self):
         from repro.serve import query_key
 

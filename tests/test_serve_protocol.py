@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import errors
@@ -183,6 +183,9 @@ class TestHandleLineFailures:
             ({"op": "frobnicate"}, "unknown_op"),
             ({}, "unknown_op"),
             ({"op": "checkout", "vids": [1]}, "bad_request"),  # missing field
+            ({"op": "checkout", "cvd": "t"}, "bad_request"),
+            ({"op": "query"}, "bad_request"),
+            ({"op": "checkout", "cvd": "t", "vids": []}, "bad_request"),
             ({"op": "checkout", "cvd": "nope", "vids": [1]}, "cvd_not_found"),
             ({"op": "checkout", "cvd": "t", "vids": [99]}, "version_not_found"),
             ({"op": "checkout", "cvd": "t", "vids": [1, 99]}, "version_not_found"),
@@ -255,6 +258,21 @@ class TestHandleLineFailures:
         assert reply["code"] == "bad_request", reply
         assert repr(field) in reply["error"]
 
+    @pytest.mark.parametrize(
+        "request_, text",
+        [
+            ({"op": "checkout", "cvd": "t"}, "'checkout' requires 'vids'"),
+            ({"op": "checkout", "vids": [1]}, "'checkout' requires 'cvd'"),
+            ({"op": "query", "params": [1]}, "'query' requires 'sql'"),
+            ({"op": "checkout", "cvd": "t", "vids": []}, "non-empty list"),
+        ],
+    )
+    def test_missing_field_is_bad_request_naming_it_and_the_op(
+        self, manager, request_, text
+    ):
+        reply = ask(manager, request_)
+        assert reply["code"] == "bad_request" and text in reply["error"], reply
+
     def test_oversized_line_is_refused(self, manager):
         reply = ask(manager, b'{"op": "ping", "pad": "' + b"x" * MAX_LINE_BYTES + b'"}')
         assert reply["code"] == "bad_request" and "exceeds" in reply["error"]
@@ -294,6 +312,9 @@ class TestHostileInputGate:
     valid JSON line and never ``internal``."""
 
     @settings(max_examples=300, deadline=None)
+    @example(line=b'{"op": "checkout", "cvd": "t", "vids": []}')
+    @example(line=b'{"op": "checkout", "cvd": "t"}')
+    @example(line=b'{"op": "query", "sql": "SELECT ?", "params": [[1], {"a": 1}]}')
     @given(
         line=st.binary(max_size=64)
         | JSON_VALUES.map(lambda v: json.dumps(v).encode())
@@ -506,7 +527,18 @@ def script(lsn: int) -> list[bytes]:
         {"op": "status"},
     ]
     hostile = [b"[1,2]", b"5", b'"x"', b"null", b"{", b"\xff\xfe", b"{}"]
-    return [json.dumps(r).encode() for r in requests] + hostile
+    by_array = "SELECT k FROM VERSION 4 OF CVD t WHERE ARRAY[v] <@ ? ORDER BY k"
+    cached = [
+        {"op": "query", "sql": by_array, "params": [[1, 2]]},
+        {"op": "query", "sql": by_array, "params": [[1, 2]]},  # L1 hit
+        {"op": "query", "sql": "SELECT ? AS x", "params": [1]},
+        {"op": "query", "sql": "SELECT ? AS x", "params": [True]},
+        {"op": "checkout", "cvd": "t", "vids": []},
+        {"op": "checkout", "cvd": "t"},
+    ]
+    return [json.dumps(r).encode() for r in requests] + hostile + [
+        json.dumps(r).encode() for r in cached
+    ]
 
 
 def masked(line: bytes) -> bytes:
@@ -565,6 +597,11 @@ class TestTopologyParity:
         ]
         assert all(r["code"] == "bad_request" for r in replies[23:29])
         assert replies[29]["code"] == "unknown_op"  # {} has no op
+        # Array params key the cache (a repeat hits); 1 and true do not share.
+        assert replies[30] == replies[31]
+        assert replies[30]["rows"] == [["a"], ["b"], ["n1"], ["n2"]]
+        assert [replies[32]["rows"], replies[33]["rows"]] == [[[1]], [[True]]]
+        assert [r["code"] for r in replies[34:]] == ["bad_request"] * 2
 
     def test_status_and_ping_carry_the_unified_key_set(self, topologies):
         threaded, prefork, _lsn = topologies
@@ -594,11 +631,13 @@ class TestTopologyParity:
                 if not name.startswith(("serve.l2.", "serve.prefork."))
             }
         assert names["threaded"] == names["prefork"]
-        assert {"serve.cache.hits", "serve.session_0.io.records_scanned",
+        assert {"serve.cache.hits", "serve.cache.bytes",
+                "serve.session_0.io.records_scanned",
                 "serve.pool.in_flight"} <= names["prefork"]
-        # The operator's view of the same worker.
+        # The operator's view of the same worker, resident bytes included.
         assert main(["stats", "--connect", f"127.0.0.1:{prefork.port}"]) == 0
-        assert json.loads(capsys.readouterr().out)["serve"]["cache"]["hits"] > 0
+        cache = json.loads(capsys.readouterr().out)["serve"]["cache"]
+        assert cache["hits"] > 0 and cache["bytes"] > 0
 
     def test_oversized_frame_is_refused_and_the_worker_survives(self, topologies):
         _threaded, prefork, _lsn = topologies
