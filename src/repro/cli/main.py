@@ -467,6 +467,7 @@ def _status_dict(store: Store) -> dict:
                 "records": orpheus.cvd(name).record_count,
                 "model": orpheus.cvd(name).model.model_name,
                 "dag": _dag_shape(orpheus.cvd(name)),
+                "optimizer": _optimizer_state(orpheus, name),
             }
             for name in orpheus.ls()
         ],
@@ -537,8 +538,8 @@ def _print_optimizer_status(orpheus: OrpheusDB) -> None:
         )
         if cvd.model.model_name != "partitioned_rlist":
             continue
-        optimizer = orpheus.optimizer_for(name)
-        if optimizer is None:
+        state = _optimizer_state(orpheus, name)
+        if state is None:
             # A pre-optimizer-state store (format-1 snapshot) restores the
             # partitions but not the policy that placed into them.
             print(
@@ -546,32 +547,82 @@ def _print_optimizer_status(orpheus: OrpheusDB) -> None:
                 "(re-run optimize to resume online maintenance)"
             )
             continue
-        model = cvd.model
         delta = (
-            f"{optimizer.delta_star:.4f}"
-            if optimizer.delta_star is not None
+            f"{state['delta_star']:.4f}"
+            if state["delta_star"] is not None
             else "unset"
         )
         print("  optimizer: live (placement policy + online maintenance)")
         print(
             f"    delta* {delta}, storage "
-            f"{model.storage_cost_records}/{optimizer.gamma:.0f} records "
-            f"(gamma = {optimizer.storage_multiple:g} x |R|), "
-            f"Cavg {model.checkout_cost_avg:.1f}, "
-            f"mu {optimizer.tolerance:g}"
+            f"{state['storage']}/{state['gamma']:.0f} records "
+            f"(gamma = {state['storage_multiple']:g} x |R|), "
+            f"Cavg {state['cavg']:.1f}, "
+            f"mu {state['mu']:g}"
         )
         print(
-            f"    partitions {len(model.partition_states())}, trace "
-            f"{len(optimizer.trace.samples)} samples / "
-            f"{len(optimizer.trace.migrations)} migrations"
+            f"    partitions {state['partitions']}, trace "
+            f"{state['samples']} samples / "
+            f"{state['migrations']} migrations"
         )
-        pending = optimizer.pending_migration
+        last = state["last_check"]
+        if last is None:
+            print("    last check: none yet (no commit since optimize)")
+        else:
+            ratio = f"{last['ratio']:.2f}" if last["ratio"] is not None else "n/a"
+            print(
+                f"    last check: Cavg {last['current_cavg']:.1f} / "
+                f"C*avg {last['best_cavg']:.1f} = {ratio} "
+                f"(migrates above mu {state['mu']:g})"
+            )
+        pending = state["pending_migration"]
         if pending is not None:
             print(
-                f"    pending migration: {len(pending.groups)} groups "
-                f"({pending.strategy}, {pending.modifications} "
+                f"    pending migration: {pending['groups']} groups "
+                f"({pending['strategy']}, {pending['modifications']} "
                 f"modifications) — will roll forward on next open"
             )
+
+
+def _optimizer_state(orpheus: OrpheusDB, name: str) -> dict | None:
+    """Why commits to a CVD did or did not migrate: the live optimizer's
+    budget, the layout it keeps, and its last Section 4.3 check (the
+    commit migrates when ``current_cavg / best_cavg`` exceeds ``mu``).
+    None without a live optimizer."""
+    optimizer = orpheus.optimizer_for(name)
+    if optimizer is None:
+        return None
+    model = orpheus.cvd(name).model
+    samples = optimizer.trace.samples
+    last_check = None
+    if samples:
+        last = samples[-1]
+        last_check = {
+            "version_count": last.version_count,
+            "current_cavg": last.current_cavg,
+            "best_cavg": last.best_cavg,
+            "ratio": last.current_cavg / last.best_cavg if last.best_cavg else None,
+        }
+    pending = optimizer.pending_migration
+    if pending is not None:
+        pending = {
+            "groups": len(pending.groups),
+            "strategy": pending.strategy,
+            "modifications": pending.modifications,
+        }
+    return {
+        "delta_star": optimizer.delta_star,
+        "gamma": optimizer.gamma,
+        "storage_multiple": optimizer.storage_multiple,
+        "storage": model.storage_cost_records,
+        "cavg": model.checkout_cost_avg,
+        "mu": optimizer.tolerance,
+        "partitions": len(model.partition_states()),
+        "samples": len(samples),
+        "migrations": len(optimizer.trace.migrations),
+        "last_check": last_check,
+        "pending_migration": pending,
+    }
 
 
 def _main_legacy(args: argparse.Namespace, path: Path) -> int:

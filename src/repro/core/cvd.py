@@ -277,6 +277,7 @@ class CVD:
         checkout_time: int | None = None,
         commit_time: int | None = None,
         rows_have_rid: bool = True,
+        rows_coerced: bool = False,
         resolved: dict | None = None,
     ) -> int:
         """Commit staged rows as a new version.
@@ -285,6 +286,11 @@ class CVD:
         (the checkout-table path; ``rid`` may be NULL for user-inserted
         rows), or bare data tuples (the CSV path), in which case unchanged
         rows are recognized by exact value match against the parents.
+
+        ``rows_coerced`` says the data values are already what
+        ``data_schema.coerce_row`` would make of them (the caller read them
+        from a table with exactly these columns), so only the NOT NULL
+        constraints are checked again.
 
         When ``resolved`` is a dict it receives the physical resolution of
         the commit (``member_rids``, ``new_records``, ``parent_order``) so
@@ -298,12 +304,24 @@ class CVD:
         member_rids: list[int] = []
         new_records: dict[int, Row] = {}
         seen_members: set[int] = set()
+        not_null = [
+            (position, column.name)
+            for position, column in enumerate(self.data_schema.columns)
+            if column.not_null
+        ]
         for staged in staged_rows:
             if rows_have_rid:
                 rid, payload = staged[0], tuple(staged[1:])
             else:
                 rid, payload = None, tuple(staged)
-            payload = self.data_schema.coerce_row(payload)
+            if rows_coerced:
+                for position, name in not_null:
+                    if payload[position] is None:
+                        raise ConstraintViolationError(
+                            f"null value in NOT NULL column {name!r}"
+                        )
+            else:
+                payload = self.data_schema.coerce_row(payload)
             if rows_have_rid:
                 keep = rid is not None and parent_records.get(rid) == payload
             else:

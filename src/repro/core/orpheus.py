@@ -356,15 +356,28 @@ class OrpheusDB:
         self.access.check_owner(table_name, self.whoami())
         cvd = self.cvd(staged.cvd_name)
         table = self.db.table(table_name)
-        staged_schema = schema or self._staged_data_schema(table.schema)
-        evolved = staged_schema.column_names != cvd.data_schema.column_names or [
-            c.dtype for c in staged_schema.columns
-        ] != [c.dtype for c in cvd.data_schema.columns]
+        table_schema = self._staged_data_schema(table.schema)
+        staged_schema = schema or table_schema
+        evolved = not _same_columns(staged_schema, cvd.data_schema)
         if evolved:
             self._evolve_schema(cvd, staged_schema)
         rows = list(table.rows())
         has_rid = "rid" in table.schema
-        if has_rid:
+        # A checkout table without schema evolution holds (rid, *data) in
+        # the CVD's own columns, every value coerced by the same
+        # types.coerce on its way in: its rows commit as read.
+        rows_coerced = (
+            not evolved
+            and has_rid
+            and table.schema.position("rid") == 0
+            and _same_columns(table_schema, cvd.data_schema)
+        )
+        if not has_rid:
+            rows = [
+                _conform_row(list(row), table.schema.column_names, cvd.data_schema)
+                for row in rows
+            ]
+        elif not rows_coerced:
             rid_position = table.schema.position("rid")
             data_positions = [i for i in range(len(table.schema)) if i != rid_position]
             rows = [
@@ -376,11 +389,6 @@ class OrpheusDB:
                 )
                 for row in rows
             ]
-        else:
-            rows = [
-                _conform_row(list(row), table.schema.column_names, cvd.data_schema)
-                for row in rows
-            ]
         commit_time = self._tick()
         resolved: dict = {}
         vid = cvd.commit_rows(
@@ -390,6 +398,7 @@ class OrpheusDB:
             checkout_time=staged.checkout_time,
             commit_time=commit_time,
             rows_have_rid=has_rid,
+            rows_coerced=rows_coerced,
             resolved=resolved,
         )
         # Commit cleans up the staging area (Section 2.3).
@@ -699,6 +708,7 @@ class OrpheusDB:
         if frequencies is None and weighted:
             frequencies = self.checkout_frequencies(cvd_name)
         optimizer = self.optimizer_for(cvd_name)
+        knobs = None
         if optimizer is None:
             optimizer = PartitionOptimizer(
                 cvd,
@@ -714,13 +724,30 @@ class OrpheusDB:
         else:
             if tolerance < 1.0:
                 raise PartitionError("tolerance mu must be >= 1")
+            knobs = (
+                optimizer.storage_multiple,
+                optimizer.tolerance,
+                optimizer.frequencies,
+            )
             optimizer.storage_multiple = storage_threshold
             optimizer.tolerance = tolerance
             if frequencies:
                 optimizer.frequencies = frequencies
-        self._register_optimizer(cvd_name, optimizer)
         migrations_before = len(optimizer.trace.migrations)
-        optimizer.run_full_partitioning()
+        try:
+            optimizer.run_full_partitioning()
+        except PartitionError:
+            # A rejected optimize (e.g. gamma below |R|) is never journaled,
+            # so it must leave no trace: no half-installed optimizer, no
+            # retuned budget the next commit's maintenance would run with.
+            if knobs is not None:
+                (
+                    optimizer.storage_multiple,
+                    optimizer.tolerance,
+                    optimizer.frequencies,
+                ) = knobs
+            raise
+        self._register_optimizer(cvd_name, optimizer)
         migrated = len(optimizer.trace.migrations) > migrations_before
         if migrated and _migration_wall_seconds is not None:
             # Replay path: a re-optimize's embedded migration re-executes
@@ -844,6 +871,13 @@ def _statement_targets(
         else:  # pragma: no cover - future statement kinds: be conservative
             mutating = True
     return mutating, targets
+
+
+def _same_columns(a: TableSchema, b: TableSchema) -> bool:
+    """Whether two schemas hold the same (name, dtype) columns in order."""
+    return [(c.name, c.dtype) for c in a.columns] == [
+        (c.name, c.dtype) for c in b.columns
+    ]
 
 
 def _conform_row(values: list[Any], names: list[str], target: TableSchema) -> tuple:

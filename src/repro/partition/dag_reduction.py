@@ -11,6 +11,7 @@ weights, which is all LyreSplit needs — it never touches individual rids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from repro.core.version_graph import VersionGraph
@@ -26,6 +27,9 @@ class VersionTreeView:
     C.1: it inherits through its kept parent only, so the tree's total
     record count ``tree_record_count`` may exceed the true |R| by
     ``duplicated_records`` (|R-hat|).
+
+    A view is not modified once built, so its pre-order numbering is
+    computed once and shared by every LyreSplit run of a delta search.
     """
 
     root: int
@@ -65,15 +69,27 @@ class VersionTreeView:
             return self.num_records[vid]
         return self.num_records[vid] - self.weight[(parent, vid)]
 
-    def subtree(self, vid: int) -> set[int]:
-        out = {vid}
-        stack = [vid]
+    @cached_property
+    def preorder(self) -> list[int]:
+        """Every vid, parents before children, each subtree contiguous."""
+        order = []
+        stack = [self.root]
         while stack:
             node = stack.pop()
-            for child in self.children[node]:
-                out.add(child)
-                stack.append(child)
-        return out
+            order.append(node)
+            stack.extend(reversed(self.children[node]))
+        return order
+
+    @cached_property
+    def subtree_end(self) -> list[int]:
+        """Per :attr:`preorder` position, one past its subtree's last."""
+        order = self.preorder
+        position = {node: p for p, node in enumerate(order)}
+        end = list(range(1, len(order) + 1))
+        for p in range(len(order) - 1, 0, -1):
+            q = position[self.parent[order[p]]]
+            end[q] = max(end[q], end[p])
+        return end
 
 
 def reduce_to_tree(

@@ -10,7 +10,11 @@ at delta = 1 every version tends to its own partition.
 
 Storage is evaluated on the *actual* bipartite graph (duplicated R-hat
 records collapse, the paper's post-processing note), falling back to the
-tree's own estimate when no bipartite graph is supplied.
+tree's own estimate when no bipartite graph is supplied.  That estimate
+costs nothing extra: every LyreSplit group is a connected part (a
+pre-order slice of the tree), so the split already knows each group's
+record count and reports it as ``group_records`` — ``S`` and ``Cavg`` are
+two sums over it.
 """
 
 from __future__ import annotations
@@ -40,19 +44,11 @@ class DeltaSearchResult:
 
 
 def _storage_of(
-    result: LyreSplitResult,
-    tree: VersionTreeView,
-    bipartite: BipartiteGraph | None,
+    result: LyreSplitResult, bipartite: BipartiteGraph | None
 ) -> int:
     if bipartite is not None:
         return bipartite.storage_cost(result.partitioning)
-    total = 0
-    for group in result.partitioning.groups:
-        root = _group_root(tree, group)
-        total += tree.num_records[root] + sum(
-            tree.new_record_count(node) for node in group if node != root
-        )
-    return total
+    return sum(result.group_records)
 
 
 def _checkout_of(
@@ -62,22 +58,11 @@ def _checkout_of(
 ) -> float:
     if bipartite is not None:
         return bipartite.checkout_cost(result.partitioning)
-    total = 0
-    for group in result.partitioning.groups:
-        root = _group_root(tree, group)
-        records = tree.num_records[root] + sum(
-            tree.new_record_count(node) for node in group if node != root
-        )
-        total += len(group) * records
+    total = sum(
+        len(group) * records
+        for group, records in zip(result.partitioning.groups, result.group_records)
+    )
     return total / tree.num_versions
-
-
-def _group_root(tree: VersionTreeView, group: frozenset[int]) -> int:
-    for node in group:
-        parent = tree.parent[node]
-        if parent is None or parent not in group:
-            return node
-    raise InfeasibleBudgetError("partition has no root — not a subtree")
 
 
 def search_delta(
@@ -113,7 +98,7 @@ def search_delta(
         iterations += 1
         delta = (low + high) / 2
         result = lyresplit(tree, delta, edge_rule)
-        storage = _storage_of(result, tree, bipartite)
+        storage = _storage_of(result, bipartite)
         checkout = _checkout_of(result, tree, bipartite)
         if storage <= gamma:
             if best is None or checkout < best.checkout_cost:

@@ -16,11 +16,24 @@ The edge-picking rule is configurable (the guarantee is rule-independent):
 Everything runs on the :class:`~repro.partition.dag_reduction.VersionTreeView`
 — node counts and edge weights only, never record sets — which is why
 LyreSplit is orders of magnitude faster than the AGGLO / KMEANS baselines.
+
+**Parts are pre-order slices.**  Every part the recursion forms is
+connected: the subtree of its root minus whole cut-off subtrees.  With the
+tree numbered in pre-order once per view, a part is a sorted list of
+positions and, for a node ``c`` in it, ``subtree(c) ∩ part`` is one
+contiguous slice of that list, from ``c`` to a ``bisect`` for the end of
+``c``'s subtree.  A candidate cut's version balance is that slice's length;
+its record balance (needed only to break ties) is a difference of one
+prefix sum of new-record counts over the part.  Cutting is list slicing and
+both halves' statistics are subtractions — no per-node sets, no subtree
+walks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.errors import PartitionError
 from repro.partition.bipartite import Partitioning
@@ -37,24 +50,12 @@ class LyreSplitResult:
     delta: float
     levels: int  # l: deepest recursion level that performed a split
     cuts: int
+    #: |R_k| as the tree sees it, one per group of ``partitioning``.
+    group_records: list[int]
 
     @property
     def num_partitions(self) -> int:
         return len(self.partitioning)
-
-
-@dataclass
-class _PartitionStats:
-    """Aggregates for one candidate partition (a connected subtree)."""
-
-    root: int
-    nodes: set[int]
-    records: int  # |R_k| as the tree sees it
-    edges: int  # |E_k| = sum of |R(v)|
-
-    @property
-    def versions(self) -> int:
-        return len(self.nodes)
 
 
 def lyresplit(
@@ -67,112 +68,93 @@ def lyresplit(
         raise PartitionError(
             f"edge_rule must be one of {EDGE_RULES}, got {edge_rule!r}"
         )
-    initial = _stats_for(tree, tree.root, set(tree.parent))
-    groups: list[set[int]] = []
+    layout = _Layout(tree)
+    new, size = layout.new, layout.size
+    everything = list(range(len(layout.order)))
+    # A part is (sorted positions, |R_k|, |E_k|, recursion level); a part's
+    # root is its first position, whose new records are never counted.
+    stack = [(everything, size[0] + sum(new) - new[0], sum(size), 0)]
+    groups: list[list[int]] = []
+    group_records: list[int] = []
     max_level = 0
     cuts = 0
-    stack: list[tuple[_PartitionStats, int]] = [(initial, 0)]
     while stack:
-        part, level = stack.pop()
-        if part.records * part.versions < part.edges / delta:
-            groups.append(part.nodes)
-            continue
-        edge = _pick_edge(tree, part, delta, edge_rule)
-        if edge is None:
-            # No light edge exists (possible off the tree assumption or with
-            # extreme deltas); the partition is final.
-            groups.append(part.nodes)
+        part, records, edges, level = stack.pop()
+        cut = None
+        if records * len(part) >= edges / delta:
+            cut = layout.pick_cut(part, records, delta, edge_rule)
+        if cut is None:
+            # Small enough — or no light edge exists (possible off the tree
+            # assumption or with extreme deltas): the partition is final.
+            groups.append([layout.order[p] for p in part])
+            group_records.append(records)
             continue
         cuts += 1
         max_level = max(max_level, level + 1)
-        child = edge[1]
-        sub_nodes = {node for node in tree.subtree(child) if node in part.nodes}
-        rem_nodes = part.nodes - sub_nodes
-        stack.append((_stats_for(tree, part.root, rem_nodes), level + 1))
-        stack.append((_stats_for(tree, child, sub_nodes), level + 1))
+        i, j = cut
+        sub = part[i:j]
+        sub_new = sum(new[p] for p in sub)
+        sub_edges = sum(size[p] for p in sub)
+        child = sub[0]
+        stack.append(
+            (part[:i] + part[j:], records - sub_new, edges - sub_edges, level + 1)
+        )
+        stack.append(
+            (sub, size[child] + sub_new - new[child], sub_edges, level + 1)
+        )
     return LyreSplitResult(
         partitioning=Partitioning.from_groups(groups),
         delta=delta,
         levels=max_level,
         cuts=cuts,
+        group_records=group_records,
     )
 
 
-def _stats_for(tree: VersionTreeView, root: int, nodes: set[int]) -> _PartitionStats:
-    records = tree.num_records[root]
-    edges = 0
-    for node in nodes:
-        edges += tree.num_records[node]
-        if node != root:
-            records += tree.new_record_count(node)
-    return _PartitionStats(root=root, nodes=nodes, records=records, edges=edges)
+class _Layout:
+    """The tree numbered in pre-order, with per-position statistics."""
 
+    def __init__(self, tree: VersionTreeView):
+        order = tree.preorder
+        self.order = order
+        self.end = tree.subtree_end
+        self.new = [tree.new_record_count(node) for node in order]
+        self.size = [tree.num_records[node] for node in order]
+        self.edge = [None] + [(tree.parent[node], node) for node in order[1:]]
+        self.weight = [0] + [tree.weight[edge] for edge in self.edge[1:]]
 
-def _pick_edge(
-    tree: VersionTreeView,
-    part: _PartitionStats,
-    delta: float,
-    edge_rule: str,
-) -> tuple[int, int] | None:
-    threshold = delta * part.records
-    candidates = [
-        (tree.parent[node], node)
-        for node in part.nodes
-        if node != part.root
-        and tree.parent[node] in part.nodes
-        and tree.weight[(tree.parent[node], node)] <= threshold
-    ]
-    if not candidates:
-        return None
-    if edge_rule == "min_weight":
-        return min(candidates, key=lambda e: (tree.weight[e], e))
-    # "balance": minimize |V1 - V2| after the cut, tie-break on |R1 - R2|
-    # (the rule the paper's experiments use), then on edge id for determinism.
-    version_counts, newrec_sums = _subtree_aggregates(tree, part)
-
-    def balance_key(edge: tuple[int, int]):
-        child = edge[1]
-        sub_versions = version_counts[child]
-        rem_versions = part.versions - sub_versions
-        sub_records = tree.num_records[child] + (
-            newrec_sums[child] - tree.new_record_count(child)
-        )
-        rem_records = part.records - newrec_sums[child]
-        return (
-            abs(sub_versions - rem_versions),
-            abs(sub_records - rem_records),
-            edge,
-        )
-
-    return min(candidates, key=balance_key)
-
-
-def _subtree_aggregates(
-    tree: VersionTreeView, part: _PartitionStats
-) -> tuple[dict[int, int], dict[int, int]]:
-    """Per-node subtree version counts and new-record sums within the part.
-
-    Computed bottom-up in one pass over the partition's nodes (children
-    processed before parents via an explicit post-order walk).
-    """
-    version_counts: dict[int, int] = {}
-    newrec_sums: dict[int, int] = {}
-    stack: list[tuple[int, bool]] = [(part.root, False)]
-    while stack:
-        node, processed = stack.pop()
-        in_part_children = [
-            child for child in tree.children[node] if child in part.nodes
+    def pick_cut(
+        self, part: list[int], records: int, delta: float, edge_rule: str
+    ) -> tuple[int, int] | None:
+        """The slice ``part[i:j]`` below the chosen light edge, or None."""
+        threshold = delta * records
+        weight, edge, end = self.weight, self.edge, self.end
+        candidates = [
+            i for i in range(1, len(part)) if weight[part[i]] <= threshold
         ]
-        if not processed:
-            stack.append((node, True))
-            for child in in_part_children:
-                stack.append((child, False))
-            continue
-        version_counts[node] = 1 + sum(
-            version_counts[child] for child in in_part_children
-        )
-        own_new = (tree.new_record_count(node) if node != part.root else 0)
-        newrec_sums[node] = own_new + sum(
-            newrec_sums[child] for child in in_part_children
-        )
-    return version_counts, newrec_sums
+        if not candidates:
+            return None
+        if edge_rule == "min_weight":
+            i = min(candidates, key=lambda i: (weight[part[i]], edge[part[i]]))
+            return i, bisect_left(part, end[part[i]], i + 1)
+        # "balance": minimize |V1 - V2| after the cut, tie-break on |R1 - R2|
+        # (the rule the paper's experiments use), then on edge id for
+        # determinism.  Record balance is only needed among |V1 - V2| ties.
+        versions = len(part)
+        cuts = [(i, bisect_left(part, end[part[i]], i + 1)) for i in candidates]
+        imbalance = [abs(versions - 2 * (j - i)) for i, j in cuts]
+        least = min(imbalance)
+        tied = [cut for cut, gap in zip(cuts, imbalance) if gap == least]
+        if len(tied) == 1:
+            return tied[0]
+        new, size = self.new, self.size
+        newrec = list(accumulate((new[p] for p in part), initial=0))
+
+        def record_balance(cut: tuple[int, int]):
+            i, j = cut
+            p = part[i]
+            sub_new = newrec[j] - newrec[i]
+            sub_records = size[p] + sub_new - new[p]
+            return abs(sub_records - (records - sub_new)), edge[p]
+
+        return min(tied, key=record_balance)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.core.cvd import CVD
-from repro.errors import PartitionError
+from repro.errors import InfeasibleBudgetError, PartitionError
 from repro.partition.bipartite import BipartiteGraph, Partitioning
 from repro.partition.dag_reduction import reduce_to_tree
 from repro.partition.delta_search import search_delta
@@ -315,16 +315,27 @@ class PartitionOptimizer:
         the sample piggybacked on its own record (OrpheusDB folds it into
         the commit record — one fsync per commit, not two) and then run
         :meth:`apply_tolerance_trigger`.
+
+        The tree-only search sees |R| + |R-hat| records (Appendix C.1), so
+        after merges gamma can be below that estimate while the true |R|
+        fits.  Such a sample records ``C*avg = Cavg`` and ``best`` is None:
+        nothing to migrate to.  Failing here would fail a commit whose
+        version is already ingested; ``optimize``'s bipartite search stays
+        the place an infeasible budget is reported.
         """
         if self._model is None:
             raise PartitionError(
                 "optimizer has no partitioned model; run run_full_partitioning"
             )
-        best = self.compute_partitioning(use_bipartite=False)
+        current = self._model.checkout_cost_avg
+        try:
+            best = self.compute_partitioning(use_bipartite=False)
+        except InfeasibleBudgetError:
+            best = None
         sample = MaintenanceSample(
             version_count=self.cvd.version_count,
-            current_cavg=self._model.checkout_cost_avg,
-            best_cavg=best.checkout_cost,
+            current_cavg=current,
+            best_cavg=current if best is None else best.checkout_cost,
         )
         self.trace.samples.append(sample)
         return sample, best
@@ -333,6 +344,7 @@ class PartitionOptimizer:
         """Fire the migration engine when ``Cavg > mu * C*avg``."""
         if (
             self.auto_migrate
+            and best is not None
             and best.checkout_cost > 0
             and sample.current_cavg > self.tolerance * best.checkout_cost
         ):

@@ -33,17 +33,9 @@ def weighted_lyresplit(
     """
     replica_tree, replica_owner = _build_replica_tree(tree, frequencies)
     result = lyresplit(replica_tree, delta, edge_rule)
-    # Partition sizes in replica space, used to pick the smallest-record
-    # partition among each version's replicas.
-    group_records: list[int] = []
-    for group in result.partitioning.groups:
-        root = _replica_group_root(replica_tree, group)
-        records = replica_tree.num_records[root] + sum(
-            replica_tree.new_record_count(node)
-            for node in group
-            if node != root
-        )
-        group_records.append(records)
+    # Partition sizes in replica space pick the smallest-record partition
+    # among each version's replicas.
+    group_records = result.group_records
     assignment = result.partitioning.assignment()
     chosen: dict[int, int] = {}
     for replica, vid in replica_owner.items():
@@ -74,7 +66,7 @@ def _build_replica_tree(
     first_replica: dict[int, int] = {}
     last_replica: dict[int, int] = {}
     next_id = 0
-    for vid in _preorder(tree):
+    for vid in tree.preorder:
         count = int(frequencies.get(vid, 1))
         if count < 1:
             raise PartitionError(
@@ -157,20 +149,3 @@ def search_delta_weighted(
         )
     return best
 
-
-def _preorder(tree: VersionTreeView) -> list[int]:
-    order: list[int] = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(reversed(tree.children[node]))
-    return order
-
-
-def _replica_group_root(tree: VersionTreeView, group: frozenset[int]) -> int:
-    for node in group:
-        parent = tree.parent[node]
-        if parent is None or parent not in group:
-            return node
-    raise PartitionError("replica partition has no root")

@@ -244,6 +244,48 @@ class TestStatusCommand:
         # One maintenance sample: the commit after optimize.
         assert "1 samples" in out
 
+    def test_status_explains_the_last_maintenance_check(self, initialized, capsys):
+        assert run(initialized, "optimize", "p", "--tolerance", "1.5") == 0
+        capsys.readouterr()
+        assert run(initialized, "status") == 0
+        assert "last check: none yet" in capsys.readouterr().out
+        assert run(initialized, "checkout", "p", "-v", "1", "-t", "w") == 0
+        assert run(initialized, "commit", "-t", "w", "-m", "more") == 0
+        capsys.readouterr()
+        assert run(initialized, "status") == 0
+        out = capsys.readouterr().out
+        # Both versions hold the same 2 records: no layout beats Cavg = 2.
+        assert "last check: Cavg 2.0 / C*avg 2.0 = 1.00 (migrates above mu 1.5)" in out
+
+    def test_status_json_includes_optimizer_block(self, initialized, capsys):
+        assert run(initialized, "status", "--json") == 0
+        assert json.loads(capsys.readouterr().out)["cvds"][0]["optimizer"] is None
+        assert run(initialized, "optimize", "p") == 0
+        assert run(initialized, "checkout", "p", "-v", "1", "-t", "w") == 0
+        assert run(initialized, "commit", "-t", "w", "-m", "more") == 0
+        capsys.readouterr()
+        assert run(initialized, "status", "--json") == 0
+        block = json.loads(capsys.readouterr().out)["cvds"][0]["optimizer"]
+        assert block == {
+            "delta_star": block["delta_star"],
+            "gamma": 4.0,  # 2 x |R|
+            "storage_multiple": 2.0,
+            "storage": 4,  # the commit opened its own partition
+            "cavg": 2.0,
+            "mu": 1.5,
+            "partitions": 2,
+            "samples": 1,
+            "migrations": 0,
+            "last_check": {
+                "version_count": 2,
+                "current_cavg": 2.0,
+                "best_cavg": 2.0,
+                "ratio": 1.0,
+            },
+            "pending_migration": None,
+        }
+        assert 0 < block["delta_star"] <= 1
+
     def test_status_on_empty_store(self, store, capsys):
         assert run(store, "status") == 0
         assert "no CVDs" in capsys.readouterr().out

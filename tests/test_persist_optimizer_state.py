@@ -23,8 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import RecoveryError
+from repro.errors import InfeasibleBudgetError, RecoveryError
 from repro.partition.bipartite import Partitioning
+from repro.partition.dag_reduction import reduce_to_tree
 from repro.partition.migration import plan_intelligent
 from repro.partition.online import PendingMigration
 from repro.persist import Store
@@ -201,6 +202,79 @@ class TestOptimizerStateRoundTrip:
         ) == optimizer_fingerprint(live.orpheus)
         crash(live)
         crash(restored)
+
+
+def merge_history(orpheus, merges: int) -> None:
+    """Root of 100 rows, a branch Q (root - 60 + 40), then ``merges`` rounds
+    of P_i = root + 1 row merged with Q: every merge re-counts Q's records
+    in the reduced tree (Appendix C.1's |R-hat|), so the tree's estimate
+    outgrows gamma = 2 |R| long before the true |R| does."""
+    orpheus.init("m", SCHEMA, rows=[(k, k) for k in range(100)])
+    orpheus.checkout("m", 1, table_name="q")
+    orpheus.run("DELETE FROM q WHERE k < 60")
+    values = ", ".join(f"({1000 + i}, {i})" for i in range(40))
+    orpheus.run(f"INSERT INTO q (k, v) VALUES {values}")
+    q = orpheus.commit("q")
+    orpheus.optimize("m", storage_threshold=2.0)
+    for i in range(merges):
+        orpheus.checkout("m", 1, table_name="p")
+        orpheus.run(f"INSERT INTO p (k, v) VALUES ({5000 + i}, 0)")
+        p = orpheus.commit("p")
+        orpheus.checkout("m", [p, q], table_name="merge")
+        orpheus.commit("merge")
+
+
+class TestMaintenanceNeverFailsACommit:
+    """Maintenance runs after the version is ingested, so it must not raise:
+    a raise there left an unjournaled version behind and broke every later
+    commit on the CVD."""
+
+    def test_merges_past_the_tree_estimate(self, tmp_path):
+        store = Store.open(tmp_path / "store", checkpoint_interval=0)
+        orpheus = store.orpheus
+        merge_history(orpheus, merges=12)
+        cvd = orpheus.cvd("m")
+        optimizer = orpheus.optimizer_for("m")
+        assert cvd.version_count == 2 + 2 * 12
+        tree = reduce_to_tree(cvd.graph, cvd.record_count)
+        assert tree.tree_record_count > optimizer.gamma >= cvd.record_count
+        # The over-budget checks record "nothing better than what is live".
+        last = optimizer.trace.samples[-1]
+        assert last.best_cavg == last.current_cavg
+        assert len(optimizer.trace.samples) == 2 * 12
+        assert store.last_lsn == 3 + 2 * 12  # init, commit, optimize, ...
+        expected = optimizer_fingerprint(orpheus, "m")
+        expected_rows = materialize_sorted(orpheus, "m")
+        crash(store)
+
+        recovered = Store.open(tmp_path / "store", checkpoint_interval=0)
+        assert optimizer_fingerprint(recovered.orpheus, "m") == expected
+        assert materialize_sorted(recovered.orpheus, "m") == expected_rows
+        recovered.close()
+
+    @pytest.mark.parametrize("retune", [False, True])
+    def test_rejected_optimize_leaves_commits_working(self, tmp_path, retune):
+        store = Store.open(tmp_path / "store", checkpoint_interval=0)
+        orpheus = store.orpheus
+        orpheus.init("m", SCHEMA, rows=[(k, k) for k in range(20)])
+        if retune:
+            orpheus.optimize("m")
+        before = orpheus.optimizer_for("m")
+        knobs = before and (before.storage_multiple, before.tolerance)
+        with pytest.raises(InfeasibleBudgetError):
+            orpheus.optimize("m", storage_threshold=0.5, tolerance=3.0)
+        after = orpheus.optimizer_for("m")
+        assert after is before
+        assert (after and (after.storage_multiple, after.tolerance)) == knobs
+        orpheus.checkout("m", 1, table_name="w")
+        orpheus.run("INSERT INTO w (k, v) VALUES (99, 0)")
+        orpheus.commit("w")
+        expected_rows = materialize_sorted(orpheus, "m")
+        crash(store)
+
+        recovered = Store.open(tmp_path / "store", checkpoint_interval=0)
+        assert materialize_sorted(recovered.orpheus, "m") == expected_rows
+        recovered.close()
 
 
 class TestInterruptedMigration:
