@@ -5,7 +5,9 @@ A CVD couples:
 * a *data model* instance (physical storage of records and membership),
 * the Python-side :class:`~repro.core.version_graph.VersionGraph` with
   derivation edges weighted by shared-record counts (what LyreSplit reads),
-* rid-membership sets per version (what the bipartite cost model reads), and
+* rid-membership sets per version (what the bipartite cost model reads) —
+  the one copy of each version's rid set: the data model reads this dict
+  and the CVD is its only writer — and
 * a DB-resident metadata table (Figure 4a) holding version provenance so the
   metadata itself is SQL-queryable, as the paper's version manager provides.
 
@@ -45,13 +47,14 @@ class CVD:
         self.db = db
         self.name = name
         self.data_schema = data_schema
-        model_cls = resolve_model(model) if isinstance(model, str) else model
-        self.model: DataModel = model_cls(db, name, data_schema)
-        self.graph = VersionGraph()
         #: rid membership per version as packed bitmaps; every membership-
         #: heavy operation (multi-version checkout, diff, commit checks,
         #: partition cost evaluation) is set algebra over these.
         self.membership: dict[int, RidSet] = {}
+        model_cls = resolve_model(model) if isinstance(model, str) else model
+        self.model: DataModel = model_cls(db, name, data_schema)
+        self.model.membership = self.membership
+        self.graph = VersionGraph()
         self.attributes = AttributeCatalog(db, name)
         self._next_vid = 1
         self._next_rid = 1
@@ -131,6 +134,14 @@ class CVD:
     def storage_bytes(self) -> int:
         return self.model.storage_bytes()
 
+    def edge_weights(self, members: RidSet, parents: Sequence[int]) -> dict[int, int]:
+        """``w(parent, v)`` for each parent of a version with ``members``:
+        the records the two share."""
+        return {
+            parent: members.intersection_count(self.membership[parent])
+            for parent in parents
+        }
+
     # --------------------------------------------------------------- ingest
 
     def ingest_version(
@@ -161,10 +172,6 @@ class CVD:
             )
         vid = self._allocate_vid()
         self.model.add_version(vid, list(member_rids), new_records, parents)
-        edge_weights = {
-            parent: members.intersection_count(self.membership[parent])
-            for parent in parents
-        }
         version = Version(
             vid=vid,
             parents=tuple(parents),
@@ -174,7 +181,7 @@ class CVD:
             message=message,
             attribute_ids=tuple(self._current_attribute_ids),
         )
-        self.graph.add_version(version, edge_weights)
+        self.graph.add_version(version, self.edge_weights(members, parents))
         self.membership[vid] = members
         self.db.execute(
             f"INSERT INTO {self.metadata_table} VALUES "
@@ -215,10 +222,6 @@ class CVD:
         metadata_rows = []
         for vid, parents, member_rids in entries:
             members = RidSet(member_rids)
-            edge_weights = {
-                parent: members.intersection_count(self.membership[parent])
-                for parent in parents
-            }
             self.graph.add_version(
                 Version(
                     vid=vid,
@@ -226,7 +229,7 @@ class CVD:
                     num_records=len(members),
                     attribute_ids=tuple(self._current_attribute_ids),
                 ),
-                edge_weights,
+                self.edge_weights(members, parents),
             )
             self.membership[vid] = members
             metadata_rows.append(

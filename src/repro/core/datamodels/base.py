@@ -16,6 +16,9 @@ The interface is deliberately narrow:
 
 Models receive the shared :class:`~repro.storage.engine.Database` and do all
 their work through it, exactly like the paper's middleware drives PostgreSQL.
+Version membership (each version's rlist) has one owner, the CVD: a model
+reads the CVD's ``membership`` dict, bound to :attr:`DataModel.membership`,
+and never keeps a copy of its own.
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ class DataModel(ABC):
         self.db = db
         self.cvd_name = cvd_name
         self.data_schema = data_schema
+        #: The owning CVD's rid set per version, bound by the CVD, which
+        #: stays its only writer: a version's entry appears right after
+        #: :meth:`add_version` (or :meth:`bulk_load`) returns.
+        self.membership: dict[int, RidSet] = {}
 
     # ------------------------------------------------------------ lifecycle
 
@@ -107,15 +114,6 @@ class DataModel(ABC):
         """Mapping rid -> data-attribute tuple for one version."""
         return {row[0]: tuple(row[1:]) for row in self.fetch_version(vid)}
 
-    def member_ridset(self, vid: int) -> RidSet:
-        """Version ``vid``'s membership as a packed bitmap.
-
-        The generic form derives it from :meth:`fetch_version`; models
-        whose versioning tables hold the rids directly (split-by-rlist and
-        friends) override it to skip materializing the data rows.
-        """
-        return RidSet(row[0] for row in self.fetch_version(vid))
-
     def fetch_rows(self, vid: int, rids: Iterable[int]) -> list[Row]:
         """Rows of version ``vid`` restricted to ``rids``, ascending by rid.
 
@@ -162,26 +160,17 @@ class DataModel(ABC):
     # ---------------------------------------------------------- persistence
 
     def extra_state(self) -> dict:
-        """JSON-able Python-side state beyond the backing tables.
+        """JSON-able Python-side state beyond the backing tables and the
+        CVD's membership.
 
-        Most models keep everything in the database and return ``{}``; the
-        delta and partitioned models override this so snapshot/recover
-        round-trips (repro.persist) restore their in-memory bookkeeping.
+        Only the partitioned model keeps any (its version→partition
+        assignment and optimizer); every other model returns ``{}``.
         """
         return {}
 
-    def restore_extra_state(self, state: dict) -> None:
-        """Inverse of :meth:`extra_state`; called after the backing tables
-        have been restored."""
-
-    def bind_cvd(self, cvd) -> None:
-        """Late-restore hook: called once the owning CVD (graph, membership,
-        counters) is fully rebuilt around this model.
-
-        Most models need nothing; the partitioned model uses it to resume
-        its optimizer — whose state references the CVD — so a restored
-        store keeps the live placement policy.
-        """
+    def restore_extra_state(self, state: dict, cvd) -> None:
+        """Inverse of :meth:`extra_state`, called once the owning CVD —
+        backing tables, membership, graph and counters — is complete."""
 
     # ---------------------------------------------------------- inspection
 

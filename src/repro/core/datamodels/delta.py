@@ -16,6 +16,7 @@ paper highlights.
 
 from __future__ import annotations
 
+from collections import ChainMap
 from typing import Mapping, Sequence
 
 from repro.core.datamodels.base import DataModel, Row
@@ -27,13 +28,6 @@ from repro.storage.types import DataType
 class DeltaModel(DataModel):
     model_name = "delta"
     supports_sql_rewriting = False
-
-    def __init__(self, db, cvd_name, data_schema):
-        super().__init__(db, cvd_name, data_schema)
-        # rid membership per version as packed bitmaps, maintained at
-        # commit time so base selection does not re-walk chains; the
-        # physical tables remain the authoritative store used by checkout.
-        self._membership: dict[int, RidSet] = {}
 
     @property
     def precedent_table(self) -> str:
@@ -62,13 +56,11 @@ class DeltaModel(DataModel):
                 ("vid",),
             ),
         )
-        self._membership = {}
 
     def drop_storage(self) -> None:
-        for vid in list(self._membership):
+        for vid in self.membership:
             self.db.drop_table(self._delta_table(vid), if_exists=True)
         self.db.drop_table(self.precedent_table, if_exists=True)
-        self._membership = {}
 
     # -------------------------------------------------------------- commit
 
@@ -80,8 +72,7 @@ class DeltaModel(DataModel):
         parent_vids: Sequence[int],
     ) -> None:
         members = RidSet(member_rids)
-        base = self._pick_base(members, parent_vids)
-        base_members = self._membership.get(base, RidSet())
+        base, base_members = self._pick_base(members, parent_vids, self.membership)
         inserted = members - base_members
         deleted = base_members - members
         rows: list[tuple] = []
@@ -102,15 +93,21 @@ class DeltaModel(DataModel):
             f"INSERT INTO {self.precedent_table} VALUES (%s, %s)",
             (vid, base),
         )
-        self._membership[vid] = members
 
-    def _pick_base(self, members: RidSet, parent_vids: Sequence[int]) -> int | None:
-        best, best_common = None, -1
+    @staticmethod
+    def _pick_base(
+        members: RidSet,
+        parent_vids: Sequence[int],
+        membership: Mapping[int, RidSet],
+    ) -> tuple[int | None, RidSet]:
+        """(base vid, its members): the parent sharing the most records,
+        or (None, empty) for a root."""
+        best, best_members, best_common = None, RidSet(), -1
         for parent in parent_vids:
-            common = members.intersection_count(self._membership.get(parent, RidSet()))
+            common = members.intersection_count(membership[parent])
             if common > best_common:
-                best, best_common = parent, common
-        return best
+                best, best_members, best_common = parent, membership[parent], common
+        return best, best_members
 
     def _recover_payloads(
         self, rids: set[int], parent_vids: Sequence[int]
@@ -134,10 +131,13 @@ class DeltaModel(DataModel):
         default path would reconstruct parent chains per merge)."""
         width = len(self.data_schema)
         precedent_rows = []
+        # The CVD records the batch's membership only after this returns,
+        # so bases inside the batch resolve through a local overlay.
+        batch: dict[int, RidSet] = {}
+        known = ChainMap(batch, self.membership)
         for vid, parents, member_rids in versions:
             members = RidSet(member_rids)
-            base = self._pick_base(members, parents)
-            base_members = self._membership.get(base, RidSet())
+            base, base_members = self._pick_base(members, parents, known)
             rows: list[tuple] = []
             for rid in members - base_members:
                 rows.append((rid,) + tuple(payloads[rid]) + (False,))
@@ -146,32 +146,10 @@ class DeltaModel(DataModel):
             table = self.db.create_table(self._delta_table(vid), self._delta_schema())
             table.insert_many(rows)
             precedent_rows.append((vid, base))
-            self._membership[vid] = members
+            batch[vid] = members
         self.db.table(self.precedent_table).insert_many(precedent_rows)
 
-    # --------------------------------------------------------- persistence
-
-    def extra_state(self) -> dict:
-        return {
-            "membership": [
-                [vid, sorted(members)]
-                for vid, members in sorted(self._membership.items())
-            ]
-        }
-
-    def restore_extra_state(self, state: dict) -> None:
-        # Boundary conversion: the snapshot keeps sorted int lists.
-        self._membership = {
-            vid: RidSet(members) for vid, members in state["membership"]
-        }
-
     # ------------------------------------------------------------ checkout
-
-    def member_ridset(self, vid: int) -> RidSet:
-        try:
-            return self._membership[vid]
-        except KeyError:
-            raise LookupError(f"version {vid} has no membership entry") from None
 
     def _chain_of(self, vid: int) -> list[int]:
         """vid, base(vid), base(base(vid)), ... back to the root."""
@@ -213,6 +191,6 @@ class DeltaModel(DataModel):
 
     def storage_bytes(self) -> int:
         total = self.db.table(self.precedent_table).storage_bytes()
-        for vid in self._membership:
+        for vid in self.membership:
             total += self.db.table(self._delta_table(vid)).storage_bytes()
         return total

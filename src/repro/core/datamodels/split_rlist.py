@@ -12,7 +12,6 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.core.datamodels.base import DataModel, Row
 from repro.storage import arrays
-from repro.storage.ridset import RidSet
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType
 
@@ -97,18 +96,6 @@ class SplitByRlistModel(DataModel):
             f" WHERE vid = {int(vid)}) AS tmp "
             f"WHERE d.rid = tmp.rid_tmp"
         )
-
-    def member_rids(self, vid: int) -> tuple[int, ...]:
-        """The rlist of one version straight from the versioning table."""
-        result = self.db.execute(
-            f"SELECT rlist FROM {self.versioning_table} WHERE vid = %s",
-            (vid,),
-        )
-        return result.scalar() or ()
-
-    def member_ridset(self, vid: int) -> RidSet:
-        """Bitmap membership straight from the stored rlist (no data rows)."""
-        return RidSet(self.member_rids(vid))
 
     def fetch_rows(self, vid: int, rids: Iterable[int]) -> list[Row]:
         return self._fetch_rows_from_table(self.data_table, rids)

@@ -11,13 +11,9 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.core.compression import (
-    decode_ranges,
-    encode_ranges,
-)
+from repro.core.compression import encode_ranges
 from repro.core.datamodels.split_rlist import SplitByRlistModel
 from repro.core.datamodels.base import Row
-from repro.storage.ridset import RidSet
 
 
 class SplitByRlistRangeModel(SplitByRlistModel):
@@ -60,22 +56,6 @@ class SplitByRlistRangeModel(SplitByRlistModel):
             f" FROM {self.versioning_table} WHERE vid = {int(vid)}) AS tmp "
             f"WHERE d.rid = tmp.rid_tmp"
         )
-
-    def member_rids(self, vid: int) -> tuple[int, ...]:
-        encoded = self.db.execute(
-            f"SELECT rlist FROM {self.versioning_table} WHERE vid = %s",
-            (vid,),
-        ).scalar()
-        return decode_ranges(encoded or ())
-
-    def member_ridset(self, vid: int) -> RidSet:
-        """Bitmap membership built run-by-run from the range encoding —
-        a whole run materializes as one shifted mask, never per-rid."""
-        encoded = self.db.execute(
-            f"SELECT rlist FROM {self.versioning_table} WHERE vid = %s",
-            (vid,),
-        ).scalar()
-        return RidSet.from_ranges(encoded or ())
 
     def version_subquery_sql(self, vid: int) -> str:
         return (

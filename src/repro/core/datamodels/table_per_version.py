@@ -17,26 +17,15 @@ from repro.storage.ridset import RidSet
 class TablePerVersionModel(DataModel):
     model_name = "table_per_version"
 
-    def __init__(self, db, cvd_name, data_schema):
-        super().__init__(db, cvd_name, data_schema)
-        self._version_ids: list[int] = []
-
     def _table_for(self, vid: int) -> str:
         return f"{self.cvd_name}__v{vid}"
 
-    def extra_state(self) -> dict:
-        return {"version_ids": list(self._version_ids)}
-
-    def restore_extra_state(self, state: dict) -> None:
-        self._version_ids = list(state["version_ids"])
-
     def create_storage(self) -> None:
-        self._version_ids = []
+        """Nothing up front: each commit creates its version's table."""
 
     def drop_storage(self) -> None:
-        for vid in self._version_ids:
+        for vid in self.membership:
             self.db.drop_table(self._table_for(vid), if_exists=True)
-        self._version_ids = []
 
     def add_version(
         self,
@@ -71,7 +60,6 @@ class TablePerVersionModel(DataModel):
         payload = dict(inherited)
         payload.update({rid: tuple(row) for rid, row in new_records.items()})
         table.insert_many((rid,) + payload[rid] for rid in member_rids)
-        self._version_ids.append(vid)
 
     def bulk_load(self, versions, payloads) -> None:
         """Create each version's table straight from the payload map."""
@@ -80,7 +68,6 @@ class TablePerVersionModel(DataModel):
                 self._table_for(vid), self.storage_schema(), clustered_on="rid"
             )
             table.insert_many((rid,) + tuple(payloads[rid]) for rid in member_rids)
-            self._version_ids.append(vid)
 
     def checkout_into(self, vid: int, table_name: str) -> None:
         self.db.execute(f"SELECT * INTO {table_name} FROM {self._table_for(vid)}")
@@ -91,7 +78,7 @@ class TablePerVersionModel(DataModel):
     def storage_bytes(self) -> int:
         return sum(
             self.db.table(self._table_for(vid)).storage_bytes()
-            for vid in self._version_ids
+            for vid in self.membership
         )
 
     def version_subquery_sql(self, vid: int) -> str:
@@ -101,6 +88,6 @@ class TablePerVersionModel(DataModel):
         parts = [
             f"SELECT {int(vid)} AS vid, {self._data_columns_sql()} "
             f"FROM {self._table_for(vid)}"
-            for vid in self._version_ids
+            for vid in self.membership
         ]
         return "(" + " UNION ALL ".join(parts) + ")"

@@ -548,6 +548,15 @@ class OrpheusDB:
         query instrumented and returns the per-operator report; being a
         read, it is never journaled.
         """
+        try:
+            return self._run(sql, params)
+        finally:
+            # A delta CVD's versions are read through tables the translator
+            # materialized; dropping them keeps every read off the catalog.
+            for temp in self.translator.temps:
+                self.db.drop_table(temp, if_exists=True)
+
+    def _run(self, sql: str, params: Sequence[Any]) -> Result:
         profiled, sql = split_profile(sql)
         translated = self.translator.translate(sql)
         statements = parse_sql(translated, params)

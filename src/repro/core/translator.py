@@ -26,7 +26,9 @@ automatically when the query does not provide one (subqueries need one).
 Data models that cannot express version retrieval in SQL (delta) make the
 translator materialize the version into a temporary table and reference
 that instead — the "extensive computation outside the database" cost the
-paper attributes to delta storage.
+paper attributes to delta storage.  :attr:`QueryTranslator.temps` names
+the tables the last translation created; the caller drops them once the
+statement has run.
 """
 
 from __future__ import annotations
@@ -47,9 +49,12 @@ class QueryTranslator:
         self._cvd_lookup = cvd_lookup
         self._alias_counter = 0
         self._temp_counter = 0
+        #: Temporary tables materialized by the last :meth:`translate`.
+        self.temps: list[str] = []
 
     def translate(self, sql: str) -> str:
         """Rewrite every versioned construct in ``sql``; other text is kept."""
+        self.temps = []
         tokens = tokenize(sql)
         spans = self._find_spans(tokens, sql)
         for start, end, replacement in reversed(spans):
@@ -201,6 +206,7 @@ class QueryTranslator:
         self._temp_counter += 1
         temp = f"__{cvd_name}_materialized_{self._temp_counter}"
         cvd.db.drop_table(temp, if_exists=True)
+        self.temps.append(temp)
         cvd.checkout_into(list(vids), temp)
         columns = ", ".join(cvd.data_schema.column_names)
         return f"(SELECT {columns} FROM {temp})"

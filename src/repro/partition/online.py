@@ -269,14 +269,12 @@ class PartitionOptimizer:
         if not placed:
             return None
         members = arrays.to_ridset(members)
+        membership = self.cvd.membership
         best_parent = max(
             placed,
-            key=lambda p: (
-                members.intersection_count(self._model.member_rids(p)),
-                -p,
-            ),
+            key=lambda p: (members.intersection_count(membership[p]), -p),
         )
-        weight = members.intersection_count(self._model.member_rids(best_parent))
+        weight = members.intersection_count(membership[best_parent])
         delta_star = self.delta_star if self.delta_star is not None else 1.0
         record_count = self.cvd.record_count
         storage = self._model.storage_cost_records
@@ -373,7 +371,7 @@ class PartitionOptimizer:
         """
         assert self._model is not None
         strategy = strategy or self.migration_strategy
-        members = self._model._members
+        members = self.cvd.membership
         states = self._model.partition_states()
         if strategy == "intelligent":
             old_rid_sets = [set(state.rids) for state in states]

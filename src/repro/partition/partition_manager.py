@@ -63,14 +63,12 @@ class PartitionedRlistModel(DataModel):
         super().__init__(db, cvd_name, data_schema)
         self._partitions: dict[int, PartitionState] = {}
         self._assignment: dict[int, int] = {}  # vid -> partition index
-        self._members: dict[int, RidSet] = {}
         self._next_partition = 0
         self.placement_policy: PlacementPolicy | None = None
         #: The PartitionOptimizer managing this model; its decision state
         #: rides this model's extra_state so snapshots restore the live
         #: policy.
         self.optimizer = None
-        self._pending_optimizer_state: dict | None = None
 
     # ------------------------------------------------------------- naming
 
@@ -85,7 +83,6 @@ class PartitionedRlistModel(DataModel):
     def create_storage(self) -> None:
         self._partitions = {}
         self._assignment = {}
-        self._members = {}
         self._next_partition = 0
 
     def drop_storage(self) -> None:
@@ -127,49 +124,32 @@ class PartitionedRlistModel(DataModel):
     # --------------------------------------------------------- persistence
 
     def extra_state(self) -> dict:
+        """Assignment, partition counter and optimizer; each partition's
+        versions and records are derived from these plus membership."""
         return {
-            "partitions": [
-                {
-                    "index": state.index,
-                    "vids": sorted(state.vids),
-                    "rids": sorted(state.rids),
-                }
-                for state in self.partition_states()
-            ],
             "assignment": sorted(self._assignment.items()),
-            "members": [
-                [vid, sorted(members)]
-                for vid, members in sorted(self._members.items())
-            ],
             "next_partition": self._next_partition,
             "optimizer": self.optimizer.to_state(),
         }
 
-    def restore_extra_state(self, state: dict) -> None:
-        self._partitions = {
-            p["index"]: PartitionState(
-                p["index"], set(p["vids"]), RidSet(p["rids"])
-            )
-            for p in state["partitions"]
-        }
-        self._assignment = {vid: index for vid, index in state["assignment"]}
-        # Boundary conversion: extra_state keeps sorted int lists.
-        self._members = {
-            vid: RidSet(members) for vid, members in state["members"]
-        }
-        self._next_partition = state["next_partition"]
-        # The placement policy is a bound method of the optimizer, which
-        # needs the fully restored CVD; stash its state until bind_cvd.
-        self.placement_policy = None
-        self.optimizer = None
-        self._pending_optimizer_state = state["optimizer"]
-
-    def bind_cvd(self, cvd) -> None:
-        """Resume the live optimizer once the owning CVD is rebuilt."""
+    def restore_extra_state(self, state: dict, cvd) -> None:
         from repro.partition.online import PartitionOptimizer
 
-        PartitionOptimizer.from_state(cvd, self._pending_optimizer_state)
-        self._pending_optimizer_state = None
+        self._assignment = {vid: index for vid, index in state["assignment"]}
+        self._next_partition = state["next_partition"]
+        groups = self._groups()
+        # Ascending index, the order live partitions are created in:
+        # _fetch_payloads probes partitions in this dict's order.
+        self._partitions = {
+            index: PartitionState(
+                index,
+                groups[index],
+                RidSet.union_all(self.membership[vid] for vid in groups[index]),
+            )
+            for index in sorted(groups)
+        }
+        # Resumes the live placement policy on this model.
+        PartitionOptimizer.from_state(cvd, state["optimizer"])
 
     # ----------------------------------------------------------- structure
 
@@ -184,11 +164,15 @@ class PartitionedRlistModel(DataModel):
                 f"version {vid} is not in any partition"
             ) from None
 
-    def current_partitioning(self) -> Partitioning:
+    def _groups(self) -> dict[int, set[int]]:
+        """Partition index -> the vids assigned to it."""
         groups: dict[int, set[int]] = {}
         for vid, index in self._assignment.items():
             groups.setdefault(index, set()).add(vid)
-        return Partitioning.from_groups(groups.values())
+        return groups
+
+    def current_partitioning(self) -> Partitioning:
+        return Partitioning.from_groups(self._groups().values())
 
     @property
     def storage_cost_records(self) -> int:
@@ -203,28 +187,21 @@ class PartitionedRlistModel(DataModel):
         total = sum(p.num_versions * p.num_records for p in self._partitions.values())
         return total / len(self._assignment)
 
-    def member_rids(self, vid: int) -> RidSet:
-        try:
-            return self._members[vid]
-        except KeyError:
-            raise VersionNotFoundError(f"no version {vid}") from None
-
-    def member_ridset(self, vid: int) -> RidSet:
-        return self.member_rids(vid)
-
     # --------------------------------------------------------------- build
 
     def build_from(
         self,
-        membership: Mapping[int, frozenset[int]],
+        membership: dict[int, RidSet],
         payloads: Callable[[Iterable[int]], dict[int, Row]],
         partitioning: Partitioning,
     ) -> None:
         """Populate partitions from scratch.
 
-        ``payloads`` resolves rids to data rows (typically reading the old
-        monolithic data table before it is dropped).
+        ``membership`` is the owning CVD's dict, which this model reads
+        from then on.  ``payloads`` resolves rids to data rows (typically
+        reading the old monolithic data table before it is dropped).
         """
+        self.membership = membership
         for group in partitioning.groups:
             state = self._create_partition()
             group_rids = RidSet.union_all(membership[vid] for vid in group)
@@ -234,10 +211,8 @@ class PartitionedRlistModel(DataModel):
             )
             versioning = self.db.table(self._versioning_table(state.index))
             for vid in sorted(group):
-                members = arrays.to_ridset(membership[vid])
-                versioning.insert((vid, members.to_array()))
+                versioning.insert((vid, membership[vid].to_array()))
                 self._assignment[vid] = state.index
-                self._members[vid] = members
             state.vids |= set(group)
             state.rids |= group_rids
 
@@ -274,7 +249,6 @@ class PartitionedRlistModel(DataModel):
         state.vids.add(vid)
         state.rids |= members
         self._assignment[vid] = state.index
-        self._members[vid] = members
 
     def _fetch_payloads(self, rids: Iterable[int]) -> dict[int, Row]:
         """Resolve payloads of records living in other partitions.
@@ -382,7 +356,7 @@ class PartitionedRlistModel(DataModel):
         group_rid_sets: list[RidSet] = []
         needed = RidSet()
         for i, group in enumerate(new_groups):
-            group_rids = RidSet.union_all(self._members[vid] for vid in group)
+            group_rids = RidSet.union_all(self.membership[vid] for vid in group)
             group_rid_sets.append(group_rids)
             old_index = reuse.get(i)
             if old_index is not None:
@@ -425,7 +399,7 @@ class PartitionedRlistModel(DataModel):
                 target_index = state.index
             versioning = self.db.table(self._versioning_table(target_index))
             for vid in sorted(group):
-                versioning.insert((vid, self._members[vid].to_array()))
+                versioning.insert((vid, self.membership[vid].to_array()))
                 new_assignment[vid] = target_index
         for old_index in list(old_states):
             if old_index not in surviving and old_index in self._partitions:

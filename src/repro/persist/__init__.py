@@ -13,8 +13,9 @@ in-memory engine the same property with a classic two-part design:
   O(changed records) bytes rather than rewriting the database.
 * :mod:`repro.persist.snapshot` — a checkpoint format serializing the full
   engine catalog (every table as its own segment file) plus the middleware
-  state (version graphs, membership, provenance, access control, attribute
-  catalogs, data-model bookkeeping incl. the optimizer's decision state)
+  state (versions and their membership, written once; provenance, access
+  control, attribute catalogs, the partitioned model's assignment and the
+  optimizer's decision state)
   via temp-file + atomic rename; the manifest carries a format number
   and the reader refuses any format but the current one.
 * :mod:`repro.persist.store` — :class:`Store`, which ties the two together:

@@ -16,9 +16,14 @@ The manifest records, per table, the schema (stable name/type encoding via
 :meth:`TableSchema.to_dict`), clustering, primary-key enforcement, index
 definitions, and a CRC-32 of the segment bytes; plus the middleware state:
 logical clock, users and session, staged-checkout provenance, checkout
-frequencies, and for every CVD its version graph, membership, attribute
+frequencies, and for every CVD its versions, membership, attribute
 catalog, counters, and data-model bookkeeping
 (:meth:`~repro.core.datamodels.base.DataModel.extra_state`).
+
+Each version's membership is written once, in the CVD block.  Whatever is
+a function of it is derived at load instead of stored: the version graph's
+edge weights (shared-record counts) and a partitioned model's per-partition
+record sets.
 """
 
 from __future__ import annotations
@@ -48,14 +53,17 @@ from repro.storage.types import DataType
 
 from repro.persist.fsutil import fsync_dir as _fsync_dir
 
-#: The one manifest format this module writes and reads.  A partitioned
-#: model's extra_state carries its optimizer's decision state (delta*,
-#: budget knobs, trace, pending migration plan) under ``"optimizer"``,
-#: restored by :meth:`DataModel.bind_cvd`; each CVD carries its lineage
-#: interval labels under ``"lineage"`` (``None`` when the labels were
-#: never built or went stale: the index then rebuilds on the first
-#: interval probe).  Any other format is refused with RecoveryError.
-FORMAT_VERSION = 3
+#: The one manifest format this module writes and reads.  Format 4 holds
+#: each version's membership once (no graph edges, no model-side copies).
+#: A partitioned model's extra_state is its assignment, partition counter
+#: and its optimizer's decision state (delta*, budget knobs, trace,
+#: pending migration plan), restored by
+#: :meth:`DataModel.restore_extra_state` once the CVD is complete; each
+#: CVD carries its lineage interval labels under ``"lineage"`` (``None``
+#: when the labels were never built or went stale: the index then rebuilds
+#: on the first interval probe).  Any other format is refused with
+#: RecoveryError.
+FORMAT_VERSION = 4
 MANIFEST_NAME = "manifest.json"
 
 # Pid-aware handles: a pre-fork serve worker charges its own registry.
@@ -212,7 +220,6 @@ def _cvd_state(cvd: CVD) -> dict:
             }
             for v in graph.versions()
         ],
-        "edges": [[p, c, w] for p, c, w in graph.edges()],
         "membership": [
             [vid, sorted(members)]
             for vid, members in sorted(cvd.membership.items())
@@ -336,18 +343,17 @@ def _restore_cvd(db: Database, state: dict) -> CVD:
     cvd.db = db
     cvd.name = state["name"]
     cvd.data_schema = TableSchema.from_dict(state["data_schema"])
-    model_cls = _model_class(state["model"])
-    cvd.model = model_cls(db, cvd.name, cvd.data_schema)
-    cvd.model.restore_extra_state(state["model_state"])
-    cvd.graph = _restore_graph(state["versions"], state["edges"])
-    # Adopt the journaled interval labels.  None, or a state that fails
-    # validation, leaves the index stale; the first probe rebuilds it.
-    cvd.graph.lineage_import(state["lineage"])
     # Boundary conversion: the manifest keeps the sorted int-array wire
     # encoding; in memory membership lives as packed bitmaps.
     cvd.membership = {
         vid: RidSet(members) for vid, members in state["membership"]
     }
+    cvd.model = _model_class(state["model"])(db, cvd.name, cvd.data_schema)
+    cvd.model.membership = cvd.membership
+    cvd.graph = _restore_graph(state["versions"], cvd)
+    # Adopt the journaled interval labels.  None, or a state that fails
+    # validation, leaves the index stale; the first probe rebuilds it.
+    cvd.graph.lineage_import(state["lineage"])
     cvd.attributes = AttributeCatalog(db, cvd.name)
     cvd.attributes._entries = [
         AttributeEntry(attr_id, name, DataType(type_name))
@@ -356,13 +362,16 @@ def _restore_cvd(db: Database, state: dict) -> CVD:
     cvd._next_vid = state["next_vid"]
     cvd._next_rid = state["next_rid"]
     cvd._current_attribute_ids = tuple(state["current_attribute_ids"])
-    # Late-restore hook: the partitioned model resumes its optimizer (and
-    # with it the live placement policy) now that the CVD is complete.
-    cvd.model.bind_cvd(cvd)
+    # The partitioned model derives its partition record sets and resumes
+    # its optimizer (with it the live placement policy): the CVD is complete.
+    cvd.model.restore_extra_state(state["model_state"], cvd)
     return cvd
 
 
-def _restore_graph(versions: list[dict], edges: list[list]) -> VersionGraph:
+def _restore_graph(versions: list[dict], cvd: CVD) -> VersionGraph:
+    """Re-add the versions in commit order, weighting edges from the
+    restored membership the way ingest does; children lists and
+    ``edges()`` order come out as the original graph grew them."""
     graph = VersionGraph()
     for entry in versions:
         version = Version(
@@ -374,10 +383,6 @@ def _restore_graph(versions: list[dict], edges: list[list]) -> VersionGraph:
             message=entry["message"],
             attribute_ids=tuple(entry["attribute_ids"]),
         )
-        graph._versions[version.vid] = version
-    # Edges are stored in insertion order, so children lists rebuild in the
-    # order the original graph grew them.
-    for parent, child, weight in edges:
-        graph._versions[parent].children.append(child)
-        graph._edge_weights[(parent, child)] = weight
+        members = cvd.membership[version.vid]
+        graph.add_version(version, cvd.edge_weights(members, version.parents))
     return graph

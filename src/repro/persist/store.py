@@ -73,6 +73,11 @@ RO_LOAD_RETRIES = 3
 #: predecessor is kept for manual salvage if the active snapshot is lost
 #: to disk corruption (accepting the loss of the ops after it).
 KEEP_SNAPSHOTS = 2
+#: With automatic checkpoints on (``checkpoint_interval > 0``), also
+#: checkpoint once the WAL reaches this size: a record count alone lets one
+#: huge record (a bulk init) be re-replayed on every open for up to
+#: ``checkpoint_interval`` commands.
+CHECKPOINT_BYTES = 4 * 1024 * 1024
 
 # Pid-aware handles: a pre-fork serve worker charges its own registry.
 _RECORDS_REPLAYED = metrics.counter("persist.store.records_replayed")
@@ -139,7 +144,6 @@ class Store:
         self,
         path: str | Path,
         checkpoint_interval: int = 256,
-        checkpoint_bytes: int | None = None,
         mode: str = "rw",
     ):
         if mode not in ("rw", "ro"):
@@ -149,15 +153,6 @@ class Store:
         # Negative values would make `records_since >= interval` always
         # true (a full snapshot per record); clamp to "disabled".
         self.checkpoint_interval = max(0, checkpoint_interval)
-        #: Also checkpoint once the WAL exceeds this size — record counts
-        #: alone let one huge record (a bulk init) be re-replayed on every
-        #: open for up to ``checkpoint_interval`` commands.  0 disables;
-        #: the default (None) follows checkpoint_interval, so interval=0
-        #: means "no automatic checkpoints at all" without every caller
-        #: remembering to zero both knobs.
-        if checkpoint_bytes is None:
-            checkpoint_bytes = (4 * 1024 * 1024 if self.checkpoint_interval else 0)
-        self.checkpoint_bytes = max(0, checkpoint_bytes)
         self.wal = WriteAheadLog(self.path / WAL_NAME)
         self.orpheus: OrpheusDB | None = None
         self.recovery_warnings: list[str] = []
@@ -186,7 +181,6 @@ class Store:
         cls,
         path: str | Path,
         checkpoint_interval: int = 256,
-        checkpoint_bytes: int | None = None,
         mode: str = "rw",
     ) -> "Store":
         """Create or recover the store at ``path`` and attach its journal.
@@ -198,12 +192,7 @@ class Store:
         disk changes — and can later catch up with the writer via
         :meth:`refresh`.
         """
-        store = cls(
-            path,
-            checkpoint_interval=checkpoint_interval,
-            checkpoint_bytes=checkpoint_bytes,
-            mode=mode,
-        )
+        store = cls(path, checkpoint_interval=checkpoint_interval, mode=mode)
         store._recover()
         return store
 
@@ -561,16 +550,12 @@ class Store:
             self.checkpoint()
 
     def _should_auto_checkpoint(self) -> bool:
-        if self._in_checkpoint:
+        """Interval 0 means no automatic checkpoints at all."""
+        if self._in_checkpoint or not self.checkpoint_interval:
             return False
-        if (
-            self.checkpoint_interval
-            and self._records_since_checkpoint >= self.checkpoint_interval
-        ):
-            return True
-        return bool(
-            self.checkpoint_bytes
-            and self.wal_size_bytes() >= self.checkpoint_bytes
+        return (
+            self._records_since_checkpoint >= self.checkpoint_interval
+            or self.wal_size_bytes() >= CHECKPOINT_BYTES
         )
 
     @property
@@ -801,7 +786,7 @@ class Store:
             existing = {state.index for state in model.partition_states()}
             target = forced_partition if forced_partition in existing else None
 
-            def pinned_placement(_vid, _members, _parents, _target=target):
+            def pinned_placement(_vid, _rids, _parents, _target=target):
                 return _target
 
             old_policy = model.placement_policy

@@ -103,8 +103,8 @@ class WorkloadBuilder:
         self.name = name
         self.num_attributes = num_attributes
         self.rng = random.Random(seed)
+        #: Vids are allocated 1, 2, ...: version ``vid`` is entry vid - 1.
         self._versions: list[GeneratedVersion] = []
-        self._members: dict[int, frozenset[int]] = {}
         # Each rid is one immutable *version of* a logical record; updates
         # produce a new rid with the same logical key.  Merges use the keys
         # for primary-key conflict resolution, like the system itself.
@@ -138,7 +138,6 @@ class WorkloadBuilder:
         self._next_vid += 1
         version = GeneratedVersion(vid, parents, members, new_rids)
         self._versions.append(version)
-        self._members[vid] = members
         return vid
 
     @property
@@ -146,7 +145,7 @@ class WorkloadBuilder:
         return [v.vid for v in self._versions]
 
     def members(self, vid: int) -> frozenset[int]:
-        return self._members[vid]
+        return self._versions[vid - 1].members
 
     # ----------------------------------------------------------- operations
 
@@ -165,7 +164,7 @@ class WorkloadBuilder:
         deletes: int,
     ) -> int:
         """One child version: ``parent`` edited by the three operations."""
-        base = set(self._members[parent])
+        base = set(self.members(parent))
         updates = min(updates, len(base))
         touched = (
             self.rng.sample(sorted(base), updates + min(deletes, len(base) - updates))
@@ -187,11 +186,11 @@ class WorkloadBuilder:
         """Merge two versions with primary-key precedence (Section 2.2):
         the primary's records win; the secondary contributes only records
         whose logical key the primary does not carry."""
-        primary_members = self._members[primary]
+        primary_members = self.members(primary)
         primary_keys = {self._logical_key[rid] for rid in primary_members}
         carried = {
             rid
-            for rid in self._members[secondary]
+            for rid in self.members(secondary)
             if self._logical_key[rid] not in primary_keys
         }
         fresh = self._fresh_rids(inserts)

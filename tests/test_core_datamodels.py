@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.datamodels import MODEL_REGISTRY, resolve_model
 from repro.storage.engine import Database
+from repro.storage.ridset import RidSet
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType
 
@@ -23,14 +24,21 @@ SCHEMA = TableSchema(
 ALL_MODELS = sorted(MODEL_REGISTRY)
 
 
+def commit(model, vid, member_rids, new_records, parents):
+    """Add a version the way the CVD does: the model stores it, then the
+    version's membership is recorded in the dict the model reads."""
+    model.add_version(vid, member_rids, new_records, parents)
+    model.membership[vid] = RidSet(member_rids)
+
+
 def build_history(model_name: str):
     """v1 = {1,2,3}; v2 = v1 - {2} + {4}; v3 = v2 + {5} (a chain)."""
     db = Database()
     model = MODEL_REGISTRY[model_name](db, "cvd", SCHEMA)
     model.create_storage()
-    model.add_version(1, [1, 2, 3], {1: ("a", 10), 2: ("b", 20), 3: ("c", 30)}, ())
-    model.add_version(2, [1, 3, 4], {4: ("d", 40)}, (1,))
-    model.add_version(3, [1, 3, 4, 5], {5: ("e", 50)}, (2,))
+    commit(model, 1, [1, 2, 3], {1: ("a", 10), 2: ("b", 20), 3: ("c", 30)}, ())
+    commit(model, 2, [1, 3, 4], {4: ("d", 40)}, (1,))
+    commit(model, 3, [1, 3, 4, 5], {5: ("e", 50)}, (2,))
     return db, model
 
 
@@ -112,10 +120,6 @@ class TestSplitByRlist:
         # No array rewrites at all: one fresh INSERT.
         assert db.stats.array_cells_written == before_cells
 
-    def test_member_rids_helper(self):
-        _db, model = build_history("split_by_rlist")
-        assert model.member_rids(2) == (1, 3, 4)
-
     def test_data_table_deduplicates(self):
         db, _model = build_history("split_by_rlist")
         assert db.query("SELECT count(*) FROM cvd__data") == [(5,)]
@@ -147,11 +151,11 @@ class TestDelta:
         db = Database()
         model = resolve_model("delta")(db, "cvd", SCHEMA)
         model.create_storage()
-        model.add_version(1, [1, 2], {1: ("a", 1), 2: ("b", 2)}, ())
-        model.add_version(2, [1, 2, 3], {3: ("c", 3)}, (1,))
-        model.add_version(3, [1], {}, (1,))
+        commit(model, 1, [1, 2], {1: ("a", 1), 2: ("b", 2)}, ())
+        commit(model, 2, [1, 2, 3], {3: ("c", 3)}, (1,))
+        commit(model, 3, [1], {}, (1,))
         # Merge of v2 (3 common) and v3 (1 common): base must be v2.
-        model.add_version(4, [1, 2, 3], {}, (2, 3))
+        commit(model, 4, [1, 2, 3], {}, (2, 3))
         assert db.query("SELECT base FROM cvd__precedent WHERE vid = 4") == [(2,)]
         assert model.records_of(4) == {
             1: ("a", 1),

@@ -78,7 +78,7 @@ def force_pending_migration(orpheus, cvd_name="proteins"):
     single = Partitioning.single(cvd.graph.version_ids())
     states = model.partition_states()
     plan = plan_intelligent(
-        [set(state.rids) for state in states], single, model._members
+        [set(state.rids) for state in states], single, cvd.membership
     )
     pending = PendingMigration(
         groups=tuple(plan.new_groups),
@@ -361,7 +361,7 @@ class TestInterruptedMigration:
 
 
 class TestManifestFormat:
-    @pytest.mark.parametrize("old_format", [1, 2, 99])
+    @pytest.mark.parametrize("old_format", [1, 2, 3, 99])
     def test_other_formats_are_rejected(self, tmp_path, old_format):
         store = Store.open(tmp_path / "store")
         build_history(store.orpheus, "split_by_rlist")

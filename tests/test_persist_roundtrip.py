@@ -12,6 +12,7 @@ import pytest
 from repro.core.datamodels import MODEL_REGISTRY
 from repro.errors import PersistenceError
 from repro.persist import Store
+from repro.persist import store as store_module
 
 ALL_MODELS = sorted(MODEL_REGISTRY)
 
@@ -151,29 +152,25 @@ class TestStoreBehaviour:
         assert reopened.orpheus.access.has_user("a")
         assert reopened.orpheus.access.has_user("b")
 
-    def test_wal_byte_threshold_triggers_checkpoint(self, tmp_path):
+    def test_wal_byte_threshold_triggers_checkpoint(self, tmp_path, monkeypatch):
         """One big record (a bulk init) must not be re-replayed on every
         open until the record-count interval fills up."""
-        store = Store.open(
-            tmp_path / "store", checkpoint_interval=0, checkpoint_bytes=256
-        )
+        monkeypatch.setattr(store_module, "CHECKPOINT_BYTES", 256)
+        store = Store.open(tmp_path / "store")
         store.orpheus.init("big", [("v", "int")], rows=[(i,) for i in range(100)])
         # The init record alone crossed the byte threshold.
         assert (store.path / "CURRENT").exists()
         assert store.wal_size_bytes() == 0
         store.close()
 
-    def test_large_replayed_tail_checkpoints_at_open(self, tmp_path):
-        store = Store.open(
-            tmp_path / "store", checkpoint_interval=0, checkpoint_bytes=0
-        )
+    def test_large_replayed_tail_checkpoints_at_open(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "CHECKPOINT_BYTES", 256)
+        store = Store.open(tmp_path / "store", checkpoint_interval=0)
         store.orpheus.init("big", [("v", "int")], rows=[(i,) for i in range(100)])
         store.close(sync=False)
         assert not (tmp_path / "store" / "CURRENT").exists()
 
-        reopened = Store.open(
-            tmp_path / "store", checkpoint_interval=0, checkpoint_bytes=256
-        )
+        reopened = Store.open(tmp_path / "store")
         # Recovery replayed a big tail and immediately compacted it.
         assert (reopened.path / "CURRENT").exists()
         assert reopened.wal_size_bytes() == 0
