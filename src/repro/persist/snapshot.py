@@ -44,7 +44,7 @@ from repro.core.schema_evolution import AttributeCatalog, AttributeEntry
 from repro.core.translator import QueryTranslator
 from repro.core.version import Version
 from repro.core.version_graph import VersionGraph
-from repro.errors import RecoveryError
+from repro.errors import RecoveryError, ReproError
 from repro.obs import metrics
 from repro.storage.engine import Database
 from repro.storage.ridset import RidSet
@@ -72,6 +72,8 @@ _BYTES_WRITTEN = metrics.counter("persist.snapshot.bytes_written")
 _WRITE_SECONDS = metrics.histogram("persist.snapshot.write_seconds")
 _LOADS = metrics.counter("persist.snapshot.loads")
 _LOAD_SECONDS = metrics.histogram("persist.snapshot.load_seconds")
+
+_ROW_ENCODER = json.JSONEncoder(separators=(",", ":"))  # one for every row
 
 
 # --------------------------------------------------------------------- write
@@ -155,7 +157,7 @@ def _write_segment(path: Path, table) -> tuple[int, int]:
     count = 0
     with open(path, "wb") as handle:
         for row in table.dump_rows():
-            line = json.dumps(list(row), separators=(",", ":")).encode("utf-8") + b"\n"
+            line = _ROW_ENCODER.encode(row).encode("utf-8") + b"\n"
             crc = zlib.crc32(line, crc)
             handle.write(line)
             count += 1
@@ -240,9 +242,10 @@ def _cvd_state(cvd: CVD) -> dict:
 def load_snapshot(snapshot_dir: str | Path) -> tuple[OrpheusDB, int]:
     """Rebuild an OrpheusDB from one snapshot; returns (orpheus, last_lsn).
 
-    Raises :class:`RecoveryError` on a missing manifest or checksum
-    mismatch — a half-written snapshot never becomes the recovered state
-    because the writer only renames complete directories into place.
+    Checks the format, each segment's CRC and JSON, and every row's width,
+    NOT NULL columns and types (:meth:`Table.load_rows`); trusts uniqueness.
+    A failure is a :class:`RecoveryError` naming the file.  The writer only
+    renames complete directories into place, so none is ever half-written.
     """
     started = time.perf_counter()
     snapshot_dir = Path(snapshot_dir)
@@ -262,15 +265,19 @@ def load_snapshot(snapshot_dir: str | Path) -> tuple[OrpheusDB, int]:
         )
     db = Database(join_method=manifest["join_method"])
     for entry in manifest["tables"]:
-        rows = _read_segment(snapshot_dir / entry["file"], entry["crc"])
-        db.restore_table(
-            entry["name"],
-            TableSchema.from_dict(entry["schema"]),
-            rows,
-            clustered_on=entry["clustered_on"],
-            enforce_primary_key=entry["enforce_primary_key"],
-            index_specs=entry["indexes"],
-        )
+        path = snapshot_dir / entry["file"]
+        rows = _read_segment(path, entry["crc"])
+        try:
+            db.restore_table(
+                entry["name"],
+                TableSchema.from_dict(entry["schema"]),
+                rows,
+                clustered_on=entry["clustered_on"],
+                enforce_primary_key=entry["enforce_primary_key"],
+                index_specs=entry["indexes"],
+            )
+        except ReproError as exc:
+            raise RecoveryError(f"snapshot segment {path}: {exc}") from exc
     orpheus = _restore_orpheus(db, manifest["orpheus"])
     _LOADS.inc()
     _LOAD_SECONDS.observe(time.perf_counter() - started)
@@ -284,7 +291,15 @@ def _read_segment(path: Path, expected_crc: int) -> list[list]:
         raise RecoveryError(f"missing snapshot segment {path}: {exc}") from exc
     if zlib.crc32(data) != expected_crc:
         raise RecoveryError(f"snapshot segment {path} failed its CRC check")
-    return [json.loads(line) for line in data.splitlines() if line]
+    # One decode: the lines joined into one array, a row per line still.
+    try:
+        rows = json.loads(b"[" + data.rstrip(b"\n").replace(b"\n", b",\n") + b"]")
+    except ValueError as exc:
+        raise RecoveryError(f"snapshot segment {path} is malformed: {exc}") from exc
+    if set(map(type, rows)) - {list}:
+        number = next(n for n, row in enumerate(rows, 1) if type(row) is not list)
+        raise RecoveryError(f"snapshot segment {path}, row {number}: not an array")
+    return rows
 
 
 def _model_class(name: str):

@@ -32,29 +32,13 @@ Design rules the rest of the engine relies on:
   the counters every benchmark gate is built on — exactly as the row
   scan does.  Lazy materialization charges nothing: it is a layout
   change, not I/O.
-* numpy is an *optional* accelerator: when present, a few semantics-safe
-  reductions (min/max over None-free int vectors) use it; when absent,
-  every path runs on stdlib lists.  Nothing imports numpy at module load
-  time on the hot path — the probe happens once, here.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Sequence
 
-try:  # pragma: no cover - exercised implicitly by whichever env runs CI
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except Exception:  # pragma: no cover
-    _np = None
-    HAVE_NUMPY = False
-
 Row = tuple[Any, ...]
-
-#: Vectors shorter than this never bother with the numpy fast path: the
-#: fromiter conversion would cost more than the reduction saves.
-_NUMPY_MIN_ROWS = 256
 
 
 class ColumnBlock:
@@ -192,37 +176,3 @@ def rows_iter(block: ColumnBlock) -> Iterator[Row]:
     if block.rows is not None:
         return iter(block.rows)
     return iter(zip(*block.columns)) if block.columns else iter(())
-
-
-# ------------------------------------------------------------- reductions
-#
-# Aggregate combiners over already-extracted value vectors.  ``values``
-# excludes NULLs (the caller filters, exactly like the reference's
-# ``_compute_aggregate``), so min/max/sum see the same operand lists and
-# produce the same results — including the same TypeErrors on mixed
-# garbage.  The numpy path is used only where it is bit-equivalent:
-# min/max of an int-only vector returns one of the original Python ints.
-
-
-def _int_only(values: list) -> bool:
-    return all(type(v) is int for v in values)
-
-
-def reduce_min(values: list) -> Any:
-    if HAVE_NUMPY and len(values) >= _NUMPY_MIN_ROWS and _int_only(values):
-        # argmin keeps the result an element of ``values`` (a Python int),
-        # so the output is indistinguishable from min(values).
-        try:
-            return values[int(_np.argmin(_np.array(values, dtype=_np.int64)))]
-        except OverflowError:  # ints beyond int64: stdlib handles them
-            pass
-    return min(values)
-
-
-def reduce_max(values: list) -> Any:
-    if HAVE_NUMPY and len(values) >= _NUMPY_MIN_ROWS and _int_only(values):
-        try:
-            return values[int(_np.argmax(_np.array(values, dtype=_np.int64)))]
-        except OverflowError:
-            pass
-    return max(values)

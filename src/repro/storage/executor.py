@@ -35,12 +35,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ExecutionError
 from repro.storage import arrays
-from repro.storage.columns import (
-    ColumnBlock,
-    concat_columns,
-    reduce_max,
-    reduce_min,
-)
+from repro.storage.columns import ColumnBlock, concat_columns
 from repro.storage.compile import (
     compile_column_predicate,
     compile_column_values,
@@ -1020,7 +1015,7 @@ class SelectExecutor:
                 for value in map(vector.__getitem__, indices)
                 if value is not None
             ]
-        return self._combine(call, values, reduce_min, reduce_max)
+        return self._combine(call, values)
 
     # ------------------------------------------------------------ select list
 
@@ -1270,10 +1265,10 @@ class SelectExecutor:
             for value in (arg.evaluate(row, env) for row in group_rows)
             if value is not None
         ]
-        return self._combine(call, values, min, max)
+        return self._combine(call, values)
 
     @staticmethod
-    def _combine(call: FuncCall, values: list, lowest, highest) -> Any:
+    def _combine(call: FuncCall, values: list) -> Any:
         """Fold one group's non-NULL argument values, in row order."""
         name = call.name
         if call.distinct:
@@ -1289,9 +1284,9 @@ class SelectExecutor:
         if name == "avg":
             return sum(values) / len(values)
         if name == "min":
-            return lowest(values)
+            return min(values)
         if name == "max":
-            return highest(values)
+            return max(values)
         if name == "bool_and":
             return all(values)
         if name == "bool_or":

@@ -10,6 +10,7 @@ and ordered iteration, which the merge-join path uses.
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter
 from typing import Any, Iterator, Sequence
 
 Row = tuple[Any, ...]
@@ -38,6 +39,11 @@ class Index:
 
     def insert(self, row: Row, slot: int) -> None:
         raise NotImplementedError
+
+    def insert_many(self, rows: Sequence[Row], slots: Sequence[int]) -> None:
+        """One :meth:`insert` of ``rows[i]`` at ``slots[i]`` per i, in order."""
+        for row, slot in zip(rows, slots):
+            self.insert(row, slot)
 
     def delete(self, row: Row, slot: int) -> None:
         raise NotImplementedError
@@ -77,6 +83,12 @@ class HashIndex(Index):
     def insert(self, row: Row, slot: int) -> None:
         self._buckets.setdefault(self.key_of(row), []).append(slot)
         self._entries += 1
+
+    def insert_many(self, rows: Sequence[Row], slots: Sequence[int]) -> None:
+        keys = zip(*[map(itemgetter(position), rows) for position in self.positions])
+        for key, slot in zip(keys, slots):
+            self._buckets.setdefault(key, []).append(slot)
+        self._entries += len(rows)
 
     def delete(self, row: Row, slot: int) -> None:
         key = self.key_of(row)

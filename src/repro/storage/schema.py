@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 from repro.errors import CatalogError, ConstraintViolationError
-from repro.storage.types import DataType, coerce
+from repro.storage.types import CANONICAL_TYPES, DataType, coerce
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,29 @@ class TableSchema:
                 )
             coerced.append(coerce(value, column.dtype))
         return tuple(coerced)
+
+    def coerce_rows(self, rows: Iterable[Sequence[Any]]) -> list[tuple[Any, ...]]:
+        """``[self.coerce_row(row) for row in rows]``, checked a column at a time.
+
+        A column whose values already have the ``CANONICAL_TYPES`` type that
+        :func:`coerce` returns as is (INT_ARRAY: lists or tuples of ints, made
+        tuples), and ``None`` only where nullable, is kept; else row by row.
+        """
+        rows = list(rows)
+        if not rows or not self.columns or set(map(len, rows)) != {len(self.columns)}:
+            return [self.coerce_row(row) for row in rows]
+        columns = list(zip(*rows))
+        for position, (column, values) in enumerate(zip(self.columns, columns)):
+            kinds = set(map(type, values)) - {None if column.not_null else type(None)}
+            if column.dtype is DataType.INT_ARRAY:
+                elements = chain.from_iterable(filter(None, values))
+                if kinds <= {list, tuple} and set(map(type, elements)) <= {int}:
+                    columns[position] = [v if v is None else tuple(v) for v in values]
+                    continue
+            elif kinds <= {CANONICAL_TYPES[column.dtype]}:
+                continue
+            return [self.coerce_row(row) for row in rows]
+        return list(zip(*columns))
 
     def key_of(self, row: Sequence[Any]) -> tuple[Any, ...]:
         """Extract the primary-key tuple from a row (empty tuple if keyless)."""

@@ -24,9 +24,11 @@ from repro.errors import (
 from repro.storage.index import HashIndex, Index, OrderedIndex
 from repro.storage.iostats import StatsRegistry
 from repro.storage.schema import TableSchema
-from repro.storage.types import value_size_bytes
+from repro.storage.types import column_size_bytes, value_size_bytes
 
 Row = tuple[Any, ...]
+
+ROW_HEADER_BYTES = 24  # charged per stored row on top of its values
 
 
 class Table:
@@ -63,8 +65,8 @@ class Table:
         return self._live_count
 
     def _row_bytes(self, row: Row) -> int:
-        """24-byte tuple header plus each value's type-aware footprint."""
-        total = 24
+        """Tuple header plus each value's type-aware footprint."""
+        total = ROW_HEADER_BYTES
         for column, value in zip(self.schema.columns, row):
             total += value_size_bytes(value, column.dtype)
         return total
@@ -87,11 +89,9 @@ class Table:
         return total
 
     def storage_bytes_recomputed(self, include_indexes: bool = True) -> int:
-        """Reference implementation: full rescan (the pre-incremental path).
-
-        Kept for the debug assertion ``storage_bytes() ==
-        storage_bytes_recomputed()`` exercised after every mutation kind in
-        the table test suite.
+        """Full rescan: what ALTER recomputes from, and the reference for the
+        assertion ``storage_bytes() == storage_bytes_recomputed()`` the
+        table tests make after every mutation kind.
         """
         total = sum(
             self._row_bytes(row) for row in self._rows if row is not None
@@ -100,9 +100,6 @@ class Table:
             for index in self.indexes.values():
                 total += 16 * index.entry_count()
         return total
-
-    def _recompute_data_bytes(self) -> None:
-        self._data_bytes = sum(self._row_bytes(r) for r in self._rows if r is not None)
 
     # ---------------------------------------------------------------- indexes
 
@@ -159,23 +156,22 @@ class Table:
         return slot
 
     def load_rows(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Append already-consistent rows (the snapshot-restore fast path).
+        """Append already-consistent rows in bulk (the snapshot-restore path).
 
-        Skips uniqueness probes and I/O-stat charging: the rows come from a
-        snapshot of this same table, so constraints were enforced when they
-        were first inserted and restore must not pollute benchmark counters.
+        Keeps :meth:`insert`'s width, NOT NULL and type errors
+        (:meth:`TableSchema.coerce_rows`); skips uniqueness probes and
+        I/O-stat charging, so restore never pollutes benchmark counters.
         """
-        count = 0
-        for values in rows:
-            row = self.schema.coerce_row(values)
-            slot = len(self._rows)
-            self._rows.append(row)
-            self._live_count += 1
-            self._data_bytes += self._row_bytes(row)
-            for index in self.indexes.values():
-                index.insert(row, slot)
-            count += 1
-        return count
+        rows = self.schema.coerce_rows(rows)
+        self._rows.extend(rows)
+        self._live_count += len(rows)
+        self._data_bytes += ROW_HEADER_BYTES * len(rows) + sum(
+            column_size_bytes(values, column.dtype)
+            for column, values in zip(self.schema.columns, zip(*rows))
+        )
+        for index in self.indexes.values():
+            index.insert_many(rows, range(len(self._rows) - len(rows), len(self._rows)))
+        return len(rows)
 
     def dump_rows(self) -> Iterator[Row]:
         """Live rows in slot order without charging I/O stats.
@@ -447,7 +443,7 @@ class Table:
             values = list(row)
             values[position] = coerce(values[position], dtype)
             self._rows[slot] = tuple(values)
-        self._recompute_data_bytes()  # every stored value may have changed
+        self._data_bytes = self.storage_bytes_recomputed(False)  # values changed
         self.stats.rows_written += self._live_count
         for index in self.indexes.values():
             index.clear()
@@ -461,7 +457,7 @@ class Table:
         for slot, row in enumerate(self._rows):
             if row is not None:
                 self._rows[slot] = row + (default,)
-        self._recompute_data_bytes()  # row widths changed under the schema
+        self._data_bytes = self.storage_bytes_recomputed(False)  # widths changed
         self.stats.rows_written += self._live_count
         for index in self.indexes.values():
             index.clear()

@@ -11,7 +11,7 @@ promoted to the more general type, e.g. integer -> decimal -> string.
 from __future__ import annotations
 
 import enum
-from typing import Any
+from typing import Any, Sequence
 
 from repro.errors import TypeMismatchError
 
@@ -47,6 +47,21 @@ _NAME_ALIASES = {
     "bool": DataType.BOOLEAN,
     "int[]": DataType.INT_ARRAY,
     "integer[]": DataType.INT_ARRAY,
+}
+
+#: The type of each scalar type's values, which :func:`coerce` returns as is.
+CANONICAL_TYPES = {
+    DataType.INTEGER: int,
+    DataType.DECIMAL: float,
+    DataType.TEXT: str,
+    DataType.BOOLEAN: bool,
+}
+_VALUE_BYTES = {  # stored bytes of a non-NULL value: (fixed, per element)
+    DataType.INTEGER: (4, 0),
+    DataType.DECIMAL: (8, 0),
+    DataType.BOOLEAN: (1, 0),
+    DataType.TEXT: (4, 1),
+    DataType.INT_ARRAY: (24, 4),
 }
 
 # Widening lattice used for schema evolution: a pair of distinct types is
@@ -86,21 +101,17 @@ def coerce(value: Any, dtype: DataType) -> Any:
     ``None`` passes through every type (SQL NULL).  Raises
     :class:`TypeMismatchError` when the value cannot represent the type.
     """
-    if value is None:
-        return None
+    if value is None or type(value) is CANONICAL_TYPES.get(dtype):
+        return value
     try:
         if dtype is DataType.INTEGER:
-            if isinstance(value, bool):
+            if isinstance(value, int):  # bool, or an int subclass
                 return int(value)
-            if isinstance(value, int):
-                return value
             if isinstance(value, float) and value.is_integer():
                 return int(value)
             if isinstance(value, str):
                 return int(value.strip())
         elif dtype is DataType.DECIMAL:
-            if isinstance(value, bool):
-                return float(value)
             if isinstance(value, (int, float)):
                 return float(value)
             if isinstance(value, str):
@@ -115,8 +126,6 @@ def coerce(value: Any, dtype: DataType) -> Any:
             if isinstance(value, (list, tuple)):
                 return "{" + ",".join(str(v) for v in value) + "}"
         elif dtype is DataType.BOOLEAN:
-            if isinstance(value, bool):
-                return value
             if isinstance(value, int):
                 return bool(value)
             if isinstance(value, str):
@@ -169,14 +178,13 @@ def value_size_bytes(value: Any, dtype: DataType) -> int:
     """
     if value is None:
         return 1
-    if dtype is DataType.INTEGER:
-        return 4
-    if dtype is DataType.DECIMAL:
-        return 8
-    if dtype is DataType.BOOLEAN:
-        return 1
-    if dtype is DataType.TEXT:
-        return 4 + len(value)
-    if dtype is DataType.INT_ARRAY:
-        return 24 + 4 * len(value)
-    raise TypeMismatchError(f"unknown type {dtype!r}")  # pragma: no cover
+    fixed, per_element = _VALUE_BYTES[dtype]
+    return fixed + per_element * len(value) if per_element else fixed
+
+
+def column_size_bytes(values: Sequence[Any], dtype: DataType) -> int:
+    """``sum(value_size_bytes(v, dtype) for v in values)``, a column at a time."""
+    nulls = values.count(None)
+    fixed, per_element = _VALUE_BYTES[dtype]
+    lengths = sum(map(len, filter(None, values))) if per_element else 0
+    return nulls + fixed * (len(values) - nulls) + per_element * lengths

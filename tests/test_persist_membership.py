@@ -4,16 +4,18 @@ A version's rid set is one fact about a CVD (its rlist, Section 3; the
 version-record bipartite graph, Section 4.1).  The manifest writes it once,
 in the CVD block, and everything that is a function of it — graph edge
 weights, a partitioned model's per-partition record sets — is derived at
-open.  These tests pin that a reopened store equals the live session it
-was checkpointed from, for all six data models and for an optimized CVD
-with merges and online migrations, and that the manifest holds no second
-copy.
+open.  These tests pin that a reopened store, read-write or read-only,
+equals the live session it was checkpointed from, for all six data models
+and for an optimized CVD with merges and online migrations — every
+version and every table, rows, byte accounting and index entries, as
+restored in bulk — and that the manifest holds no second copy.
 
 They also pin that versioned reads of a delta CVD, which the translator
 answers through materialized temporary tables, leave the catalog as it was.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -90,14 +92,39 @@ def fingerprint(orpheus):
     return out
 
 
+def tables_of(orpheus):
+    """Every table's rows, byte accounting, and index contents by key."""
+    out = {}
+    for table in orpheus.db.tables():
+        rows = list(table.dump_rows())
+        indexes = {}
+        for name, index in table.indexes.items():
+            keys = {index.key_of(row) for row in rows}
+            indexes[name] = (
+                index.entry_count(),
+                {
+                    key: Counter(map(table.get_slot, index.lookup_key(key)))
+                    for key in keys
+                },
+            )
+        out[table.name] = (
+            rows,
+            table.storage_bytes(),
+            table.storage_bytes_recomputed(),
+            indexes,
+        )
+    return out
+
+
 def manifest_of(store):
     path = store.path / "snapshots" / store.current_snapshot_name() / "manifest.json"
     return json.loads(path.read_text(encoding="utf-8"))
 
 
 class TestRestoreEquivalence:
+    @pytest.mark.parametrize("mode", ["rw", "ro"])
     @pytest.mark.parametrize("wal_tail", [False, True])
-    def test_reopen_equals_live_session(self, tmp_path, wal_tail):
+    def test_reopen_equals_live_session(self, tmp_path, wal_tail, mode):
         store = Store.open(tmp_path / "s", checkpoint_interval=0)
         orpheus = store.orpheus
         build_session(orpheus)
@@ -108,11 +135,19 @@ class TestRestoreEquivalence:
                 latest = max(orpheus.cvd(name).graph.version_ids())
                 commit_edit(orpheus, name, latest, "tail", sql)
         expected = fingerprint(orpheus)
+        expected_tables = tables_of(orpheus)
         crash(store)
 
-        reopened = Store.open(tmp_path / "s", checkpoint_interval=0)
+        reopened = Store.open(tmp_path / "s", checkpoint_interval=0, mode=mode)
         orpheus = reopened.orpheus
         assert fingerprint(orpheus) == expected
+        tables = tables_of(orpheus)
+        assert tables == expected_tables
+        for _rows, stored, recomputed, _indexes in tables.values():
+            assert stored == recomputed
+        if mode == "ro":
+            reopened.close()
+            return
         # The reopened store keeps committing and placing like the live one.
         tip = max(expected["opt"]["membership"])
         vid = commit_edit(orpheus, "opt", tip, "after", "DELETE FROM {t} WHERE k = 6")

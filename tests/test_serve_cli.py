@@ -5,6 +5,7 @@ concurrent checkouts over TCP, request shutdown, and assert a clean exit.
 """
 
 import json
+import os
 import socket
 import subprocess
 import sys
@@ -178,3 +179,20 @@ class TestServeCommand:
             if server.poll() is None:  # pragma: no cover - failure path
                 server.kill()
                 server.wait()
+
+
+def test_cold_start_imports_no_numpy(tmp_path):
+    """Nothing a server start imports pulls in numpy, whose import alone
+    was about a third of a cold start.  A stub ``numpy`` sits on the path,
+    so an import attempt is caught whether or not numpy is installed."""
+    (tmp_path / "numpy").mkdir()
+    (tmp_path / "numpy" / "__init__.py").write_text("", encoding="utf-8")
+    probe = "import sys, repro.cli.main, repro.serve; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": os.pathsep.join([SRC, str(tmp_path)])},
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

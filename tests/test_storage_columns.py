@@ -2,22 +2,13 @@
 
 A :class:`ColumnBlock` is either row-backed (late materialization: the
 scan's live-row list, no transpose) or column-backed (computed vectors).
-Every reading method must agree between the two layouts, laziness must be
-real (nothing transposes until asked), and the reductions must be
-bit-equivalent to the stdlib min/max with or without numpy.
+Every reading method must agree between the two layouts, and laziness
+must be real (nothing transposes until asked).
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.storage.columns import (
-    ColumnBlock,
-    concat_columns,
-    reduce_max,
-    reduce_min,
-    rows_iter,
-)
+from repro.storage.columns import ColumnBlock, concat_columns, rows_iter
 
 ROWS = [(1, "a", None), (2, "b", 2.5), (3, None, 0.0)]
 
@@ -83,25 +74,3 @@ class TestDualBacking:
     def test_zero_width_rows(self):
         block = ColumnBlock([], 2)
         assert block.to_rows() == [(), ()]
-
-
-class TestReductions:
-    def test_matches_stdlib_for_ints(self):
-        values = [(v * 7919) % 1000 for v in range(400)]  # >= numpy threshold
-        assert reduce_min(values) == min(values)
-        assert reduce_max(values) == max(values)
-
-    def test_matches_stdlib_for_small_and_mixed_vectors(self):
-        assert reduce_min([3, 1, 2]) == 1
-        assert reduce_max([3.5, 1, 2]) == 3.5
-        assert reduce_min(["b", "a"] * 200) == "a"
-
-    def test_huge_ints_fall_back_to_stdlib(self):
-        values = [1 << 70] * 300 + [5]
-        assert reduce_min(values) == 5
-        assert reduce_max(values) == 1 << 70
-
-    def test_mixed_garbage_raises_like_stdlib(self):
-        values = [1, "x"] * 200
-        with pytest.raises(TypeError):
-            reduce_min(values)

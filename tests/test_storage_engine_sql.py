@@ -97,6 +97,31 @@ class TestAggregates:
         )
         assert rows == [("eng", 20), ("hr", 0), ("sales", 5)]
 
+    @pytest.mark.parametrize("exec_mode", ["compiled", "interpreted"])
+    def test_min_max_of_ints_beyond_64_bits(self, exec_mode):
+        db = Database(exec_mode=exec_mode)
+        db.execute("CREATE TABLE t (g int, a int)")
+        values = [(1 << 70) + v for v in range(300)] + [5]
+        db.execute(
+            "INSERT INTO t VALUES " + ",".join(f"({v % 2}, {v})" for v in values)
+        )
+        assert db.query("SELECT min(a), max(a) FROM t") == [
+            (5, (1 << 70) + 299)
+        ]
+        assert db.query("SELECT g, min(a), max(a) FROM t GROUP BY g ORDER BY g") == [
+            (0, 1 << 70, (1 << 70) + 298),
+            (1, 5, (1 << 70) + 299),
+        ]
+
+    @pytest.mark.parametrize("exec_mode", ["compiled", "interpreted"])
+    @pytest.mark.parametrize("func", ["min", "max"])
+    def test_min_max_over_mixed_types_raise_like_stdlib(self, exec_mode, func):
+        db = Database(exec_mode=exec_mode)
+        db.execute("CREATE TABLE t (a int, b text)")
+        db.execute("INSERT INTO t VALUES (1, NULL), (2, 'x')")
+        with pytest.raises(TypeError):
+            db.query(f"SELECT {func}(coalesce(b, a)) FROM t")
+
 
 class TestJoins:
     @pytest.fixture

@@ -1,11 +1,14 @@
 """Unit tests for TableSchema, Table, and indexes."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import (
     CatalogError,
     ConstraintViolationError,
     DuplicateObjectError,
+    ReproError,
 )
 from repro.storage.index import OrderedIndex
 from repro.storage.schema import Column, TableSchema
@@ -217,3 +220,141 @@ class TestIncrementalStorageBytes:
         table.truncate()
         self.check(table)
         assert table.storage_bytes() == 0
+
+
+# --------------------------------------------------------------- bulk restore
+#
+# Snapshot restore coerces a whole segment with TableSchema.coerce_rows and
+# loads it with Table.load_rows.  Both must be indistinguishable from the
+# row-at-a-time path: same values *and* types, the same error type on the
+# first bad row, the same byte accounting and index entries.
+
+CANONICAL = {
+    DataType.INTEGER: st.integers(-(10**20), 10**20),
+    DataType.DECIMAL: st.floats(allow_nan=False),
+    DataType.TEXT: st.text(max_size=4),
+    DataType.BOOLEAN: st.booleans(),
+    # JSON decodes an INT_ARRAY value as a list; in memory it is a tuple.
+    DataType.INT_ARRAY: st.lists(st.integers(-5, 5), max_size=3)
+    | st.lists(st.integers(-5, 5), max_size=3).map(tuple),
+}
+MESSY = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False),
+    st.sampled_from(["7", " 8 ", "2.5", "true", "no", "{1,2}", "", "x"]),
+    st.lists(st.booleans(), max_size=2),
+    st.lists(st.sampled_from([1, 2.0, "3"]), max_size=2).map(tuple),
+)
+#: One canonical value per type, and values one coercion away from it.
+EXAMPLE = {
+    DataType.INTEGER: 7,
+    DataType.DECIMAL: 1.5,
+    DataType.TEXT: "a",
+    DataType.BOOLEAN: True,
+    DataType.INT_ARRAY: [1, 2],
+}
+NEAR = {
+    DataType.INTEGER: [True, 3.0, " 4 ", "x"],
+    DataType.DECIMAL: [False, 2, "2.5", "x"],
+    DataType.TEXT: [True, 5, 1.5, [1, 2]],
+    DataType.BOOLEAN: [0, 1, "t", "x"],
+    DataType.INT_ARRAY: [[True], (1, False), [2.0], "{3,4}", ["3"], 5],
+}
+
+
+@st.composite
+def schema_and_rows(draw, messy=None):
+    """A schema and canonical rows; when ``messy``, a few cells or whole
+    rows are then swapped for values that need (or fail) coercion."""
+    specs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(list(DataType)), st.booleans()),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    schema = TableSchema(
+        [Column(f"c{i}", dtype, not_null) for i, (dtype, not_null) in enumerate(specs)]
+    )
+    row = st.tuples(
+        *[
+            CANONICAL[dtype] if not_null else CANONICAL[dtype] | st.none()
+            for dtype, not_null in specs
+        ]
+    ).map(list)
+    rows = draw(st.lists(row, max_size=6))
+    if rows and (draw(st.booleans()) if messy is None else messy):
+        width = len(specs)
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(rows) - 1))
+            if len(rows[at]) == width and draw(st.booleans()):
+                column = draw(st.integers(0, width - 1))
+                rows[at][column] = draw(st.sampled_from(NEAR[specs[column][0]]) | MESSY)
+            else:
+                rows[at] = draw(st.lists(MESSY, min_size=width - 1, max_size=width + 1))
+    return schema, rows
+
+
+def typed(value):
+    """A value with its type spelled out, so 1 and True and 1.0 differ."""
+    if isinstance(value, tuple):
+        return tuple, tuple(typed(item) for item in value)
+    return type(value), value
+
+
+def outcome(function):
+    try:
+        return "ok", [typed(row) for row in function()]
+    except ReproError as exc:
+        return "raised", type(exc)
+
+
+class TestBulkRestore:
+    @given(schema_and_rows())
+    def test_coerce_rows_equals_coerce_row_per_row(self, case):
+        schema, rows = case
+        assert outcome(lambda: schema.coerce_rows(rows)) == outcome(
+            lambda: [schema.coerce_row(row) for row in rows]
+        )
+
+    @pytest.mark.parametrize("not_null", [False, True])
+    @pytest.mark.parametrize(
+        "dtype, value",
+        [(dtype, value) for dtype in DataType for value in NEAR[dtype] + [None]],
+    )
+    def test_one_near_value_among_canonical_rows(self, dtype, value, not_null):
+        schema = TableSchema(
+            [Column("k", DataType.INTEGER), Column("c", dtype, not_null)]
+        )
+        rows = [[1, EXAMPLE[dtype]], [2, value], [3, EXAMPLE[dtype]]]
+        assert outcome(lambda: schema.coerce_rows(rows)) == outcome(
+            lambda: [schema.coerce_row(row) for row in rows]
+        )
+
+    @given(schema_and_rows(messy=False))
+    def test_load_rows_equals_one_insert_per_row(self, case):
+        schema, rows = case
+        ordered = schema.columns[0].not_null  # NULL keys do not sort
+        tables = []
+        for bulk in (True, False):
+            table = Table("t", schema)
+            table.create_index("c0_idx", ["c0"], ordered=ordered)
+            if bulk:
+                assert table.load_rows(rows) == len(rows)
+            else:
+                for row in rows:
+                    table.insert(row)
+            tables.append(table)
+        loaded, inserted = tables
+        assert list(loaded.dump_rows()) == list(inserted.dump_rows())
+        assert loaded.storage_bytes() == inserted.storage_bytes()
+        assert loaded.storage_bytes() == loaded.storage_bytes_recomputed()
+        bulk_index, row_index = loaded.indexes["c0_idx"], inserted.indexes["c0_idx"]
+        assert bulk_index.entry_count() == row_index.entry_count() == len(rows)
+        for row in rows:
+            key = row_index.key_of(inserted.schema.coerce_row(row))
+            assert bulk_index.lookup_key(key) == row_index.lookup_key(key)
+        if ordered:
+            assert list(bulk_index.ordered_slots()) == list(row_index.ordered_slots())
