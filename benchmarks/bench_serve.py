@@ -48,7 +48,7 @@ if __package__ in (None, ""):
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks._common import print_header
-from repro.obs import Histogram
+from repro.obs import Histogram, metrics
 from repro.persist import Store
 from repro.serve import PreforkServer, ServeManager
 from repro.serve.server import ServeClient
@@ -312,12 +312,13 @@ class _PreforkHarness:
         return {
             "workers_observed": len(set(self.pids)),
             "snapshot_loads": sum(
-                snap.get("persist.snapshot.loads", 0) for snap in metrics_snaps
+                metrics.lookup(snap, "persist.snapshot.loads")
+                for snap in metrics_snaps
             ),
             "cache_hits": sum(s["cache"]["hits"] for s in statuses),
             "cache_misses": sum(s["cache"]["misses"] for s in statuses),
             "l2_hits": sum(
-                snap.get("serve.l2.hits", 0) for snap in metrics_snaps
+                metrics.lookup(snap, "serve.l2.hits") for snap in metrics_snaps
             ),
         }
 

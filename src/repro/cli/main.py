@@ -4,7 +4,7 @@ Because the embedded engine is in-process, the CLI keeps the OrpheusDB
 state durable between invocations through :class:`repro.persist.Store`
 (``--store``, default ``.orpheusdb``): durable commands (``init``,
 ``commit``, ``drop``, users, durable DML, ``optimize``) append one
-fsync'd record to a write-ahead log — a commit is O(changed records) —
+fsync'd record to a write-ahead log (a commit's is O(version) at worst) —
 while staging commands (``checkout``, edits to staged tables) are
 working-tree state: they persist via a snapshot written on clean exit
 and are deliberately lost by crashes.  Snapshots also compact the log

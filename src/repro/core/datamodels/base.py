@@ -179,13 +179,14 @@ class DataModel(ABC):
         """Total bytes of all backing tables (indexes included)."""
 
     def version_subquery_sql(self, vid: int) -> str:
-        """SQL text of a derived table producing ``vid``'s data attributes.
+        """The model's Table-1 translation of ``VERSION vid OF CVD c``: a
+        parenthesized derived table producing ``vid``'s data attributes.
 
-        Used by the query translator for ``VERSION n OF CVD c``.  Models that
-        cannot express retrieval in one SQL statement raise
-        :class:`NotImplementedError` and the translator falls back to
-        materializing the version first (the delta-model penalty the paper
-        calls out).
+        The query translator parses it into the plan of the user's
+        statement.  Models that cannot express retrieval in SQL (delta)
+        set :attr:`supports_sql_rewriting` to False instead; the translator
+        then hands the planner :meth:`fetch_version`'s rows (the
+        delta-model penalty the paper calls out).
         """
         raise NotImplementedError
 

@@ -9,9 +9,10 @@ opts for single-base reconstruction rather than multi-path merging).
 Checkout walks the base chain from the version to the root, keeping the
 first occurrence of each rid: a tombstone first-seen excludes the record, an
 insert first-seen includes it.  The model cannot rewrite advanced version
-queries into single SQL statements — ``supports_sql_rewriting`` is False and
-the translator materializes versions instead, which is the disadvantage the
-paper highlights.
+queries into single SQL statements — ``supports_sql_rewriting`` is False, so
+the query translator reconstructs each version a query names, outside the
+database, and hands the rows to the planner: the disadvantage the paper
+highlights.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ wraps one :class:`~repro.storage.engine.Database` and exposes:
 * version-control commands — ``init``, ``checkout`` (tables or CSV files,
   one or many versions), ``commit``, ``diff``, ``ls``, ``drop``;
 * user commands — ``create_user``, ``config`` (login), ``whoami``;
-* SQL — :meth:`run` translates ``VERSION ... OF CVD ...`` constructs and
-  executes the result on the backing database;
+* SQL — :meth:`run` parses once and executes on the backing database,
+  whose planner asks the session's translator for each versioned FROM
+  item (``VERSION ... OF CVD ...`` and kin);
 * ``optimize`` — hands the CVD to the partition optimizer (Section 4).
 
 Timestamps are drawn from a monotonically increasing logical clock so runs
@@ -66,6 +67,7 @@ class OrpheusDB:
         self.provenance = ProvenanceManager()
         self.access = AccessController()
         self.translator = QueryTranslator(self.cvd)
+        self.db.version_resolver = self.translator
         self._clock = 0
         self._checkout_counts: dict[str, dict[int, int]] = {}
         self._journal = None
@@ -538,7 +540,7 @@ class OrpheusDB:
     # ------------------------------------------------------------------ SQL
 
     def run(self, sql: str, params: Sequence[Any] = ()) -> Result:
-        """Execute SQL, translating versioned constructs first.
+        """Execute SQL; versioned FROM items are answered by the translator.
 
         Mutating statements against durable tables are journaled; DML that
         touches only staged checkout tables is working-tree state and is
@@ -548,18 +550,8 @@ class OrpheusDB:
         query instrumented and returns the per-operator report; being a
         read, it is never journaled.
         """
-        try:
-            return self._run(sql, params)
-        finally:
-            # A delta CVD's versions are read through tables the translator
-            # materialized; dropping them keeps every read off the catalog.
-            for temp in self.translator.temps:
-                self.db.drop_table(temp, if_exists=True)
-
-    def _run(self, sql: str, params: Sequence[Any]) -> Result:
         profiled, sql = split_profile(sql)
-        translated = self.translator.translate(sql)
-        statements = parse_sql(translated, params)
+        statements = parse_sql(sql, params)
         if profiled:
             with trace.span("sql.profile"):
                 return self.db.execute_profiled(statements)
@@ -587,13 +579,12 @@ class OrpheusDB:
                     self._pending_barrier = True
             raise
         if self._journal is not None and not self._replaying:
-            self._classify_and_journal_run(sql, translated, params, statements)
+            self._classify_and_journal_run(sql, params, statements)
         return result
 
     def _classify_and_journal_run(
         self,
         sql: str,
-        translated: str,
         params: Sequence[Any],
         statements: Sequence[_ast.Statement],
     ) -> None:
@@ -605,7 +596,7 @@ class OrpheusDB:
             self._mark_ephemeral()
             return
         record = {"op": "run", "sql": sql, "params": list(params)}
-        if staged and _references_any(translated, staged):
+        if staged and _references_any(sql, staged):
             # DML writing durable tables while *reading* staged state cannot
             # be replayed from the log once staging is gone; the barrier asks
             # the journal to checkpoint immediately so the effect is captured

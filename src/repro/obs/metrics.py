@@ -281,10 +281,7 @@ class MetricsRegistry:
             # Levels pass through: restore the current value that _diff
             # just subtracted (gauge leaves are plain numbers in the
             # snapshot, indistinguishable from counters by shape).
-            node = current
-            for part in name.split("."):
-                node = node[part]
-            _assign(delta, name, node)
+            _assign(delta, name, lookup(current, name))
         return delta
 
     def reset(self) -> None:
@@ -293,6 +290,17 @@ class MetricsRegistry:
             self._metrics.clear()
             self._collectors.clear()
             self._generation += 1
+
+
+def lookup(snapshot: dict, dotted: str, default: Any = 0) -> Any:
+    """The value a dotted metric name holds in a nested :meth:`snapshot`
+    (local or a server's ``{"op": "stats"}``), ``default`` when absent."""
+    node: Any = snapshot
+    for part in dotted.split("."):
+        if not isinstance(node, dict) or part not in node:
+            return default
+        node = node[part]
+    return node
 
 
 def _assign(out: dict, dotted: str, value: Any) -> None:

@@ -8,9 +8,9 @@ in-memory engine the same property with a classic two-part design:
   (``init``, ``commit``, ``drop``, user management, durable SQL DML,
   ``optimize``, and the partition optimizer's transitions — ``maintain``
   samples and ``migration_start``/``migration_finish``) appended with CRC
-  framing and ``fsync`` before a command is acknowledged.  Commit records
-  are delta-encoded against the parent version, so a commit appends
-  O(changed records) bytes rather than rewriting the database.
+  framing and ``fsync`` before a command is acknowledged.  A commit whose
+  staged table only deleted and appended rows is delta-encoded (O(changed
+  records)); a staged UPDATE falls back to the full member list.
 * :mod:`repro.persist.snapshot` — a checkpoint format serializing the full
   engine catalog (every table as its own segment file) plus the middleware
   state (versions and their membership, written once; provenance, access

@@ -318,6 +318,7 @@ def _restore_orpheus(db: Database, state: dict) -> OrpheusDB:
     orpheus.provenance = ProvenanceManager()
     orpheus.access = AccessController()
     orpheus.translator = QueryTranslator(orpheus.cvd)
+    db.version_resolver = orpheus.translator
     orpheus._clock = state["clock"]
     orpheus._checkout_counts = {
         name: {vid: count for vid, count in counts}

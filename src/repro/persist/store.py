@@ -18,8 +18,8 @@ compacts the log.
 
 Commit records are delta-encoded: membership is stored as (records dropped
 from the parents, records appended) whenever the staged table preserved the
-parents' record order — the common case — so a commit appends O(changed
-records) bytes, not O(version) and certainly not O(database).
+parents' record order, so such a commit appends O(changed records) bytes.
+A staged UPDATE rewrites a row in place, and its commit stores O(version).
 
 ``Store.open(mode="ro")`` is the concurrent-read path: a shared advisory
 lock instead of the writer's exclusive one, recovery that is a pure read

@@ -97,6 +97,10 @@ class Database:
         self._registry = StatsRegistry()
         self.join_method = join_method
         self.exec_mode = exec_mode
+        #: Answers the FROM items the engine cannot (``ast.VersionRef``):
+        #: set by the embedding layer, called by the planner with the
+        #: item, returns a ``SubqueryRef`` or a ``Relation`` of rows.
+        self.version_resolver = None
 
     # ---------------------------------------------------------------- stats
 

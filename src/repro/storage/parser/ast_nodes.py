@@ -97,6 +97,27 @@ class SubqueryRef:
 
 
 @dataclass
+class VersionRef:
+    """A versioned relation in FROM (paper Section 2.2).
+
+    ``kind`` is ``"version"`` (``VERSION n[, m ...] OF CVD c``; ``vids``
+    lists them), ``"all"`` (``ALL VERSIONS OF CVD c``; no vids), or an
+    axis, ``"ancestor"``/``"descendant"`` (``VERSIONS ANCESTOR OF n OF
+    CVD c``; ``vids`` is ``(n,)``).  The engine never answers it itself:
+    the planner hands it to the resolver registered on the Database.
+    """
+
+    kind: str
+    cvd: str
+    vids: tuple[int, ...] = ()
+    alias: Optional[str] = None
+
+    @property
+    def binding(self) -> str:
+        return self.alias or self.cvd
+
+
+@dataclass
 class JoinClause:
     """An explicit ``JOIN ... ON`` attached to the preceding FROM item."""
 
@@ -105,7 +126,7 @@ class JoinClause:
     kind: str = "inner"  # 'inner' | 'left'
 
 
-FromItem = TableRef | SubqueryRef
+FromItem = TableRef | SubqueryRef | VersionRef
 
 
 @dataclass

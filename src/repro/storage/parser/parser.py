@@ -1,11 +1,16 @@
 """Recursive-descent parser for the engine's SQL dialect.
 
-The dialect covers everything OrpheusDB's query translator emits (paper
-Table 1 and Section 2.2): ``SELECT ... INTO`` checkouts, array containment
-and append operators, ``unnest`` in select lists, ``IN (subquery)``,
+The dialect covers every data model's Table-1 translation (paper Section
+2.2): ``SELECT ... INTO`` checkouts, array containment and append
+operators, ``unnest`` in select lists, ``IN (subquery)``,
 ``ARRAY(subquery)`` aggregation of rids, plus the ordinary DDL/DML a
 middleware needs (CREATE/DROP TABLE, CREATE INDEX, INSERT/UPDATE/DELETE,
 GROUP BY / HAVING / ORDER BY / LIMIT, UNION ALL, explicit JOIN ... ON).
+
+The versioned constructs ``VERSION n[, m ...] OF CVD c``, ``ALL VERSIONS
+OF CVD c`` and ``VERSIONS ANCESTOR|DESCENDANT OF n OF CVD c`` parse as
+FROM items (:class:`~repro.storage.parser.ast_nodes.VersionRef`); what
+relation one denotes is up to the resolver registered on the Database.
 
 Positional parameters (``%s`` or ``?``) are substituted with literals at
 parse time from the ``params`` sequence.
@@ -486,13 +491,72 @@ class _Parser:
             self._accept_keyword("as")
             alias = self._expect_ident()
             return ast.SubqueryRef(query, alias)
-        table = self._expect_ident()
-        alias = None
+        item = self._version_ref() or ast.TableRef(self._expect_ident())
         if self._accept_keyword("as"):
-            alias = self._expect_ident()
+            item.alias = self._expect_ident()
         elif self._peek().type is TokenType.IDENT:
-            alias = self._advance().value
-        return ast.TableRef(table, alias)
+            item.alias = self._advance().value
+        return item
+
+    def _word(self, ahead: int, *words: str) -> bool:
+        token = self._peek(ahead)
+        return token.type is TokenType.IDENT and token.value in words
+
+    def _version_ref(self) -> ast.VersionRef | None:
+        """A versioned FROM item, or ``None`` when none starts here.
+
+        Like OVER, the words are non-reserved: a construct opens only on
+        its full prefix (``VERSION <n>[, <n> ...] OF``, ``ALL VERSIONS OF``,
+        ``VERSIONS ANCESTOR|DESCENDANT OF <n>``); past it, a malformed tail
+        is a syntax error.
+        """
+        numbers: list[Token] = []
+        if self._peek().is_keyword("all"):
+            if not (self._word(1, "versions") and self._word(2, "of")):
+                return None
+            self._pos += 3
+            kind, construct = "all", "ALL VERSIONS OF"
+        elif self._word(0, "version"):
+            ahead = 1
+            while self._peek(ahead).type is TokenType.NUMBER:
+                numbers.append(self._peek(ahead))
+                ahead += 1
+                if not self._peek(ahead).is_op(","):
+                    break
+                ahead += 1
+            if not numbers or not self._word(ahead, "of"):
+                return None
+            self._pos += ahead + 1
+            kind, construct = "version", "VERSION ... OF"
+        elif (
+            self._word(0, "versions")
+            and self._word(1, "ancestor", "descendant")
+            and self._word(2, "of")
+            and self._peek(3).type is TokenType.NUMBER
+        ):
+            kind, numbers = self._peek(1).value, [self._peek(3)]
+            self._pos += 4
+            construct = f"VERSIONS {kind.upper()} OF {numbers[0].value}"
+        else:
+            return None
+        for token in numbers:
+            if not token.value.isdigit():
+                raise SQLSyntaxError(
+                    f"version id must be an integer, got {token.value}",
+                    token.position,
+                )
+        if kind in ("ancestor", "descendant"):
+            if not self._word(0, "of"):
+                raise self._error(f"expected OF CVD after {construct}")
+            self._advance()
+            construct += " OF"
+        if not self._word(0, "cvd"):
+            raise self._error(f"expected CVD after {construct}")
+        self._advance()
+        if self._peek().type is not TokenType.IDENT:
+            raise self._error("expected a CVD name after CVD")
+        cvd = self._advance().value
+        return ast.VersionRef(kind, cvd, tuple(int(t.value) for t in numbers))
 
     # ----------------------------------------------------------- expressions
 

@@ -2,7 +2,9 @@
 
 The planner turns a Select's FROM items into one joined
 :class:`~repro.storage.executor.Relation` and returns the residual WHERE
-predicate that still has to be applied.  Three decisions matter for the
+predicate that still has to be applied.  A versioned FROM item is not the
+engine's to answer: ``Database.version_resolver`` turns it into a derived
+table (scanned like a user's) or rows.  Three decisions matter for the
 paper's experiments:
 
 * **Index probes** — an equality conjunct on an indexed column (the
@@ -21,6 +23,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Any
 
+from repro.errors import CatalogError
 from repro.storage.executor import (
     OpProfile,
     QueryProfile,
@@ -141,6 +144,15 @@ def _scan_item(
     where_parts: list[Expression],
     executor: SelectExecutor,
 ) -> tuple[_Source, list[Expression]]:
+    if isinstance(item, ast.VersionRef):
+        if db.version_resolver is None:
+            raise CatalogError(f"no resolver for the versioned relation {item.cvd!r}")
+        resolved = db.version_resolver(item)
+        if isinstance(resolved, Relation):
+            names = [f"{item.binding}.{name}" for name in resolved.names]
+            relation = Relation(names, resolved.rows, resolved.types)
+            return _Source(relation, item.binding), where_parts
+        item = resolved
     if isinstance(item, ast.SubqueryRef):
         hint = _subquery_topk_hint(item, where_parts)
         inner = executor.execute(item.query, topk_hint=hint)

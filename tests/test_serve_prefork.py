@@ -29,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs import metrics
 from repro.persist import Store
 from repro.serve import PreforkServer
 from repro.serve.server import ServeClient, request
@@ -59,9 +60,13 @@ def wait_until(predicate, timeout=10.0, interval=0.02):
     return False
 
 
+def worker_metric(client: ServeClient, name: str) -> int:
+    """One metric of the worker pinned to ``client``."""
+    return metrics.lookup(client.request({"op": "stats"})["stats"]["metrics"], name)
+
+
 def snapshot_loads(client: ServeClient) -> int:
-    snap = client.request({"op": "stats"})["stats"]["metrics"]
-    return snap.get("persist.snapshot.loads", 0)
+    return worker_metric(client, "persist.snapshot.loads")
 
 
 class TestPreforkEmbedded:
@@ -104,6 +109,37 @@ class TestPreforkEmbedded:
                 # Worker 2's copy came over the L2 socket, not a rescan.
                 l2 = second.request({"op": "status"})["status"]["l2"]
                 assert l2["hits"] >= 1
+            finally:
+                first.close()
+                second.close()
+
+    def test_worker_metrics_see_real_l2_hits_and_reloads(self, store_path):
+        # The stats snapshot nests dotted names, so a flat
+        # ``snap.get("serve.l2.hits")`` would read 0 whatever happened.
+        with PreforkServer(store_path, workers=2, cache_capacity=64) as server:
+            host, port = server.address
+            first = ServeClient(host, port)
+            second = ServeClient(host, port)
+            try:
+                assert (
+                    first.request({"op": "stats"})["stats"]["pid"]
+                    != second.request({"op": "stats"})["stats"]["pid"]
+                )
+                payload = {"op": "checkout", "cvd": "t", "vids": [4, 2]}
+                assert first.request(payload)["ok"]
+                assert worker_metric(second, "serve.l2.hits") == 0
+                assert second.request(payload)["ok"]
+                assert worker_metric(second, "serve.l2.hits") == 1
+                # A checkpoint past the worker's lsn forces a full reload.
+                writer = Store.open(store_path)
+                writer.orpheus.checkout("t", 4, table_name="w_new")
+                writer.orpheus.run("INSERT INTO w_new (k, v) VALUES ('z', 42)")
+                writer.orpheus.commit("w_new", message="v5")
+                writer.checkpoint()
+                writer.close()
+                assert snapshot_loads(second) == 0
+                assert second.request({"op": "refresh"})["ok"]
+                assert snapshot_loads(second) == 1
             finally:
                 first.close()
                 second.close()
