@@ -6,8 +6,9 @@ follow the work across the serve pool's threads correctly: each thread
 carries its own stack), share one *trace id* per root span, and emit a
 structured record to the stdlib ``repro.trace`` logger when they close.
 With :func:`repro.obs.logs.configure` ``--log-json`` those records come
-out as one JSON object per line; without any logging configuration they
-cost a single ``isEnabledFor`` check and otherwise vanish.
+out as one JSON object per line; without any logging configuration a
+span mints no id, builds no record and, beyond its stack push and one
+clock read, costs a single ``isEnabledFor`` check.
 
 The serve layer propagates the trace id over the wire: a client may send
 ``{"op": ..., "trace": "<id>"}`` and every span the request touches —
@@ -37,23 +38,45 @@ def _new_id() -> str:
 
 
 class Span:
-    """One live span; created by :func:`span`, not directly."""
+    """One live span; created by :func:`span`, not directly.
 
-    __slots__ = ("name", "trace_id", "span_id", "parent_id", "attrs", "started")
+    Ids are minted on first read — when the span is emitted under DEBUG or
+    someone asks for :attr:`trace_id` — so an unrecorded span mints none.
+    """
+
+    __slots__ = ("name", "parent", "attrs", "started", "_trace_id", "_span_id")
 
     def __init__(
         self,
         name: str,
-        trace_id: str,
-        parent_id: str | None,
+        trace_id: str | None,
+        parent: "Span | None",
         attrs: dict,
     ):
         self.name = name
-        self.trace_id = trace_id
-        self.span_id = _new_id()
-        self.parent_id = parent_id
+        self.parent = parent
         self.attrs = attrs
         self.started = time.perf_counter()
+        self._trace_id = trace_id
+        self._span_id: str | None = None
+
+    @property
+    def trace_id(self) -> str:
+        """The pinned id, else the parent's, else a fresh one (a root)."""
+        if self._trace_id is None:
+            parent = self.parent
+            self._trace_id = parent.trace_id if parent else _new_id()
+        return self._trace_id
+
+    @property
+    def span_id(self) -> str:
+        if self._span_id is None:
+            self._span_id = _new_id()
+        return self._span_id
+
+    @property
+    def parent_id(self) -> str | None:
+        return self.parent.span_id if self.parent else None
 
 
 @contextmanager
@@ -62,14 +85,11 @@ def span(name: str, trace_id: str | None = None, **attrs):
 
     ``trace_id`` pins the trace explicitly (the serve layer passes the
     client-supplied id here); otherwise the id is inherited from the
-    enclosing span or freshly minted for a root span.  Extra keyword
-    arguments become attributes on the emitted record.
+    enclosing span or minted for a root span when first read.  Extra
+    keyword arguments become attributes on the emitted record.
     """
     stack = _STACK.get()
-    parent = stack[-1] if stack else None
-    if trace_id is None:
-        trace_id = parent.trace_id if parent else _new_id()
-    current = Span(name, trace_id, parent.span_id if parent else None, attrs)
+    current = Span(name, trace_id, stack[-1] if stack else None, attrs)
     token = _STACK.set(stack + (current,))
     try:
         yield current

@@ -32,6 +32,7 @@ pools such read-only stores behind a version-aware cache.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import time
 from dataclasses import dataclass, field
@@ -83,6 +84,9 @@ CHECKPOINT_BYTES = 4 * 1024 * 1024
 _RECORDS_REPLAYED = metrics.counter("persist.store.records_replayed")
 _RECOVERY_SECONDS = metrics.histogram("persist.store.recovery_seconds")
 _REFRESHES = metrics.counter("persist.store.refreshes")
+#: Refreshes that read CURRENT and the WAL tail; the rest were answered
+#: by the unchanged change signal without opening a file.
+_REFRESH_POLLS = metrics.counter("persist.store.refresh_polls")
 _REFRESH_RECORDS = metrics.counter("persist.store.refresh_records_applied")
 _FULL_RELOADS = metrics.counter("persist.store.full_reloads")
 _REFRESH_SECONDS = metrics.histogram("persist.store.refresh_seconds")
@@ -169,6 +173,11 @@ class Store:
         #: change means the offset belongs to a *previous* file — even
         #: when the new file happens to be byte-for-byte as long.
         self._wal_marker: str | None = None
+        #: What :meth:`refresh` stats to learn whether the writer moved.
+        self._signal_paths = (str(self.path / CURRENT_NAME), str(self.wal.path))
+        #: The change signal taken just before the last complete poll; None
+        #: until one completes.
+        self._refresh_signal: tuple | None = None
 
     @property
     def read_only(self) -> bool:
@@ -321,10 +330,16 @@ class Store:
 
     # -------------------------------------------------------------- refresh
 
-    def refresh(self) -> RefreshResult:
+    def refresh(self, force: bool = False) -> RefreshResult:
         """Catch a read-only store up with the writer; returns a summary.
 
-        The cheap path replays only WAL frames past the last applied lsn,
+        First the change signal: ``os.stat`` of CURRENT and of the WAL.
+        When neither moved since the last complete poll, nothing on disk
+        changed and the store is already current — refresh returns an
+        unchanged summary without opening a file.  ``force`` skips that
+        check, so a fence never rests on it (see :meth:`_change_signal`).
+
+        The poll replays only WAL frames past the last applied lsn,
         resuming at the remembered byte offset.  When the writer has
         checkpointed past this reader (CURRENT's ``last_lsn`` is ahead, or
         the surviving WAL tail no longer joins contiguously) it falls back
@@ -335,13 +350,48 @@ class Store:
             raise PersistenceError("refresh() is only for mode='ro' stores")
         started = time.perf_counter()
         with trace.span("store.refresh", store=str(self.path)):
-            result = self._refresh_inner()
+            # Taken before the poll, so a change that lands during it
+            # moves the signal away from the recorded value.
+            signal = self._change_signal()
+            if not force and signal == self._refresh_signal:
+                result = RefreshResult(last_lsn=self.last_lsn)
+            else:
+                result = self._refresh_inner()
+                self._refresh_signal = signal  # only once the poll finished
+                _REFRESH_POLLS.inc()
         _REFRESHES.inc()
         _REFRESH_RECORDS.inc(result.applied)
         if result.full_reload:
             _FULL_RELOADS.inc()
         _REFRESH_SECONDS.observe(time.perf_counter() - started)
         return result
+
+    def _change_signal(self) -> tuple:
+        """``(st_ino, st_size, st_mtime_ns, st_ctime_ns)`` of CURRENT and of
+        the WAL (None for a missing file): equal signals mean no writer
+        operation happened in between.
+
+        - An append grows the WAL, so its size moves.
+        - A checkpoint replaces CURRENT by atomic rename — a new inode,
+          created while the old one still existed — and truncates or
+          renames the WAL (:meth:`WriteAheadLog.compact` writes a new
+          file and renames it over the log: a new inode again).
+        - A new writer that truncates a torn tail and regrows the log to
+          *exactly* the old length keeps the inode and the size, but not
+          the timestamps: truncate and write set mtime and ctime, and a
+          writer restart takes far longer than the filesystem's timestamp
+          granularity.  The same holds for inode numbers recycled across
+          two checkpoints.
+        """
+        signal = []
+        for path in self._signal_paths:
+            try:
+                st = os.stat(path)
+            except FileNotFoundError:
+                signal.append(None)
+            else:
+                signal.append((st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns))
+        return tuple(signal)
 
     def _refresh_inner(self) -> RefreshResult:
         result = RefreshResult()
@@ -357,6 +407,8 @@ class Store:
                 # so the remembered offset belongs to the old file (and a
                 # regrown file of *exactly* the old length would defeat
                 # the size/CRC heuristics below) — rescan from the head.
+                # The change signal that gates this poll faces the same
+                # trap; :meth:`_change_signal` says why it still moves.
                 self._wal_offset = 0
                 self._wal_marker = info["snapshot"]
         offset = self._wal_offset

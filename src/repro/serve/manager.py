@@ -20,7 +20,8 @@ cache carries its own lock — so N sessions serve N requests concurrently
 with no global lock.  With an in-process writer, readers know exactly when
 they are behind (the writer's lsn is a field away); in follower mode
 (``writer=False``, the writer lives in another process) every borrow
-polls the WAL tail, which the byte-offset resume keeps cheap.
+refreshes, and an idle writer costs it two ``os.stat`` calls: the store
+polls the WAL tail only when CURRENT or the log moved.
 """
 
 from __future__ import annotations
@@ -78,9 +79,14 @@ class ReadSession:
     def last_lsn(self) -> int:
         return self.store.last_lsn
 
-    def refresh(self) -> RefreshResult:
-        """Catch up with the writer and evict what it made stale."""
-        result = self.store.refresh()
+    def refresh(self, force: bool = False) -> RefreshResult:
+        """Catch up with the writer and evict what it made stale.
+
+        ``force`` polls even when the store's change signal says nothing
+        moved (:meth:`repro.persist.Store.refresh`): the fence and the
+        wire ``refresh`` op rest on the poll, not on the signal.
+        """
+        result = self.store.refresh(force=force)
         if result.changed:
             self.refreshes += 1
             self._invalidate(result)
@@ -98,7 +104,7 @@ class ReadSession:
         """
         if min_lsn is None or self.last_lsn >= min_lsn:
             return
-        self.refresh()
+        self.refresh(force=True)
         if self.last_lsn < min_lsn:
             raise StaleReadError(
                 f"store is at lsn {self.last_lsn}, behind the client's "
@@ -406,7 +412,7 @@ class ServeManager:
         refreshed = []
         try:
             for session in sessions:
-                result = session.refresh()
+                result = session.refresh(force=True)
                 refreshed.append(
                     {"id": session.session_id, "lsn": result.last_lsn}
                 )

@@ -51,6 +51,16 @@ from repro.serve.manager import ServeManager
 #: a misbehaving client cannot mint unbounded metric names.
 KNOWN_OPS = ("ping", "status", "stats", "checkout", "query", "refresh", "shutdown")
 
+# Pid-aware handles per op label, resolved once instead of per request.
+_REQUESTS = {
+    label: metrics.counter(f"serve.requests.{label}")
+    for label in (*KNOWN_OPS, "unknown")
+}
+_REQUEST_SECONDS = {
+    label: metrics.histogram(f"serve.request_seconds.{label}")
+    for label in (*KNOWN_OPS, "unknown")
+}
+
 #: Longest request line accepted.  A client that never sends a newline
 #: would otherwise grow the serving process without bound.
 MAX_LINE_BYTES = 1 << 20
@@ -165,11 +175,8 @@ def handle_line(manager: ServeManager, line: bytes) -> tuple[bytes, bool]:
             message = f"internal error: {type(exc).__name__}: {exc}"
             code = "internal"
         reply = encode(error_response(message, code))
-    registry = metrics.registry()
-    registry.counter(f"serve.requests.{op_label}").inc()
-    registry.histogram(f"serve.request_seconds.{op_label}").observe(
-        time.perf_counter() - started
-    )
+    _REQUESTS[op_label].inc()
+    _REQUEST_SECONDS[op_label].observe(time.perf_counter() - started)
     return reply + b"\n", bye
 
 

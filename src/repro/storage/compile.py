@@ -35,7 +35,6 @@ from operator import itemgetter
 from typing import Any, Callable, Sequence
 
 from repro.errors import ExecutionError
-from repro.storage import arrays
 from repro.storage.expression import (
     BINARY_IMPLS,
     SCALAR_FUNCS,
@@ -54,7 +53,10 @@ from repro.storage.expression import (
     PosRef,
     Star,
     UnaryOp,
+    array_value,
+    between,
     like_to_regex,
+    negate,
 )
 from repro.storage.ridset import RidSet
 
@@ -180,7 +182,7 @@ def _compile(expr: Expression, env: EvalEnv) -> tuple[RowFunc, bool]:
         item_funcs = [func for func, _ in items]
 
         def func(row):
-            return arrays.make_array(f(row) for f in item_funcs)
+            return array_value(f(row) for f in item_funcs)
 
         return _fold(func, all(const for _, const in items))
     if isinstance(expr, FuncCall):
@@ -383,7 +385,7 @@ def _compile_unary(expr: UnaryOp, env: EvalEnv) -> tuple[RowFunc, bool]:
 
         def func(row):
             value = operand(row)
-            return None if value is None else -value
+            return None if value is None else negate(value)
 
         return _fold(func, const)
     raise _Uncompilable  # interpreter raises "unknown unary operator" per row
@@ -401,7 +403,7 @@ def _compile_between(expr: Between, env: EvalEnv) -> tuple[RowFunc, bool]:
         hi = high(row)
         if value is None or lo is None or hi is None:
             return None
-        result = lo <= value <= hi
+        result = between(value, lo, hi)
         return (not result) if negated else result
 
     return _fold(func, c1 and c2 and c3)
@@ -438,7 +440,7 @@ def _compile_like(expr: Like, env: EvalEnv) -> tuple[RowFunc, bool]:
             return _fold(func, c1)
         try:
             regex = like_to_regex(pattern_value)
-        except Exception:
+        except ExecutionError:
             regex = None  # non-string pattern: defer the error to run time
         if regex is not None:
 
@@ -932,7 +934,7 @@ def _emit_like(expr: Like, ctx: _SourceContext) -> str:
         return f"(({ctx.gensym('t')} := {_emit_child(expr.operand, ctx)}), None)[1]"
     try:
         regex = like_to_regex(pattern_value)
-    except Exception:
+    except ExecutionError:
         raise _NoSource from None  # non-string pattern: closure handles it
     bound = ctx.bind(regex.match)
     value = ctx.gensym("t")

@@ -34,7 +34,6 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ExecutionError
-from repro.storage import arrays
 from repro.storage.columns import ColumnBlock, concat_columns
 from repro.storage.compile import (
     compile_column_predicate,
@@ -54,6 +53,7 @@ from repro.storage.expression import (
     Star,
     UnaryOp,
     WindowFunc,
+    array_value,
     map_children,
     replace_windows,
     window_calls,
@@ -598,6 +598,11 @@ class Sort(Operator):
 
     def run(self):
         block = concat_columns(self.child, self.width)
+        if not block.length:
+            # No row evaluates a key (the reference's answer), and an empty
+            # input may carry no source block for source-side keys.
+            yield block
+            return
         # Last key first, like the reference's sort passes: with several
         # failing keys, the same one raises.
         specs = [(self._vector(key, block), key[2]) for key in reversed(self.keys)]
@@ -1276,7 +1281,7 @@ class SelectExecutor:
         if name == "count":
             return len(values)
         if name == "array_agg":
-            return arrays.make_array(values)
+            return array_value(values)
         if not values:
             return None
         if name == "sum":
@@ -1342,7 +1347,7 @@ class SelectExecutor:
             relation = self.execute(expr.query)
             if len(relation.names) != 1:
                 raise ExecutionError("ARRAY(subquery) must return one column")
-            return Literal(arrays.make_array(row[0] for row in relation.rows))
+            return Literal(array_value(row[0] for row in relation.rows))
         return map_children(expr, self._resolve_subqueries)
 
     # ----------------------------------------------------------------- types

@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import ExecutionError
 from repro.storage import arrays
@@ -120,7 +120,7 @@ class ArrayLiteral(Expression):
     items: tuple[Expression, ...]
 
     def evaluate(self, row: Sequence[Any], env: EvalEnv) -> Any:
-        return arrays.make_array(item.evaluate(row, env) for item in self.items)
+        return array_value(item.evaluate(row, env) for item in self.items)
 
     def columns(self) -> set[str]:
         if not self.items:
@@ -135,7 +135,36 @@ def _null_if_any_none(*values: Any) -> bool:
     return any(value is None for value in values)
 
 
+def negate(value: Any) -> Any:
+    """Unary ``-`` of a non-NULL value, typed like the binary operators."""
+    try:
+        return -value
+    except TypeError as exc:
+        raise ExecutionError(f"operator '-' not supported for {value!r}") from exc
+
+
+def between(value: Any, low: Any, high: Any) -> bool:
+    """``low <= value <= high`` over non-NULL values, typed like ``<=``."""
+    try:
+        return low <= value <= high
+    except TypeError as exc:
+        raise ExecutionError(
+            f"BETWEEN not supported for {value!r}, {low!r} and {high!r}"
+        ) from exc
+
+
+def array_value(values: Iterable[Any]) -> arrays.IntArray:
+    """An SQL array value: an element that is not an integer (a NULL, a
+    word) is an ``ExecutionError``, never a raw ``TypeError``."""
+    try:
+        return arrays.make_array(values)
+    except (TypeError, ValueError) as exc:
+        raise ExecutionError(f"array elements must be integers: {exc}") from exc
+
+
 def like_to_regex(pattern: str) -> "re.Pattern[str]":
+    if not isinstance(pattern, str):
+        raise ExecutionError(f"LIKE pattern must be text, not {pattern!r}")
     out = []
     for char in pattern:
         if char == "%":
@@ -145,9 +174,6 @@ def like_to_regex(pattern: str) -> "re.Pattern[str]":
         else:
             out.append(re.escape(char))
     return re.compile("^" + "".join(out) + "$", re.DOTALL)
-
-
-_like_to_regex = like_to_regex  # historical private name
 
 
 def _divide(a: Any, b: Any) -> Any:
@@ -263,7 +289,7 @@ class UnaryOp(Expression):
         if value is None:
             return None
         if self.op == "-":
-            return -value
+            return negate(value)
         raise ExecutionError(f"unknown unary operator {self.op!r}")
 
     def columns(self) -> set[str]:
@@ -302,7 +328,7 @@ class Between(Expression):
         high = self.high.evaluate(row, env)
         if _null_if_any_none(value, low, high):
             return None
-        result = low <= value <= high
+        result = between(value, low, high)
         return (not result) if self.negated else result
 
     def columns(self) -> set[str]:
@@ -359,7 +385,7 @@ class Like(Expression):
         pattern = self.pattern.evaluate(row, env)
         if _null_if_any_none(value, pattern):
             return None
-        matched = _like_to_regex(pattern).match(str(value)) is not None
+        matched = like_to_regex(pattern).match(str(value)) is not None
         return (not matched) if self.negated else matched
 
     def columns(self) -> set[str]:
