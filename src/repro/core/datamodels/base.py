@@ -8,11 +8,16 @@ The interface is deliberately narrow:
   given its full membership and the payloads of records the CVD has never
   stored before (the *no cross-version diff* rule means records deleted and
   re-added arrive here as brand-new rids).
-* :meth:`checkout_into` is the physical half of *checkout*: materialize one
-  version into a fresh table whose first column is ``rid`` followed by the
-  data attributes, normally via a single translated SQL statement (Table 1).
-* :meth:`fetch_version` returns the same rows to the middleware, used for
-  multi-version merging, diff, and commit comparison.
+* :meth:`version_plan` is the model's Table-1 translation of *checkout*:
+  an :class:`~repro.storage.parser.ast_nodes.Select` of ``rid`` followed
+  by the data attributes, built in code (never text, so no attribute name
+  needs quoting and nothing is parsed).  :meth:`all_versions_plan` is its
+  ``(vid, <data attrs>)`` counterpart over every version.
+* :meth:`checkout_into` (the physical half of *checkout*: materialize one
+  version into a fresh table) runs the plan with an ``INTO``, and
+  :meth:`fetch_version` runs it for the rows, used for multi-version
+  merging, diff and commit comparison.  The query translator derives
+  ``VERSION``/``ALL VERSIONS`` from the same two plans.
 
 Models receive the shared :class:`~repro.storage.engine.Database` and do all
 their work through it, exactly like the paper's middleware drives PostgreSQL.
@@ -24,14 +29,27 @@ and never keeps a copy of its own.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import replace
 from typing import Any, ClassVar, Iterable, Mapping, Sequence
 
 from repro.storage.engine import Database
+from repro.storage.expression import BinaryOp, ColumnRef
+from repro.storage.parser import ast_nodes as ast
 from repro.storage.ridset import RidSet
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType
 
 Row = tuple[Any, ...]
+
+
+def union_all(parts: Sequence[ast.Select]) -> ast.Select:
+    """``parts[0] UNION ALL parts[1] ...`` as one chained Select.
+
+    Links the given (freshly built) Selects in place.
+    """
+    for part, following in zip(parts, parts[1:]):
+        part.union_all_with = following
+    return parts[0]
 
 
 class DataModel(ABC):
@@ -102,13 +120,30 @@ class DataModel(ABC):
 
     # ------------------------------------------------------------- checkout
 
-    @abstractmethod
+    def version_plan(self, vid: int) -> ast.Select:
+        """Table 1's checkout of ``vid``: ``SELECT rid, <data attrs> ...``.
+
+        Models that cannot express retrieval in SQL (delta) set
+        :attr:`supports_sql_rewriting` to False and override
+        :meth:`checkout_into`/:meth:`fetch_version` instead; the translator
+        then hands the planner :meth:`fetch_version`'s rows (the
+        delta-model penalty the paper calls out).
+        """
+        raise NotImplementedError
+
+    def all_versions_plan(self) -> ast.Select:
+        """``(vid, <data attrs>)`` with one row per version membership,
+        used for cross-version aggregates."""
+        raise NotImplementedError
+
     def checkout_into(self, vid: int, table_name: str) -> None:
         """Materialize version ``vid`` as table ``table_name`` (rid + data)."""
+        plan = replace(self.version_plan(vid), into_table=table_name)
+        self.db.execute_statements([plan])
 
-    @abstractmethod
     def fetch_version(self, vid: int) -> list[Row]:
         """Rows of version ``vid`` as ``(rid, *data)`` tuples."""
+        return self.db.execute_statements([self.version_plan(vid)]).rows
 
     def records_of(self, vid: int) -> dict[int, Row]:
         """Mapping rid -> data-attribute tuple for one version."""
@@ -140,16 +175,8 @@ class DataModel(ABC):
         model's ``vlist``) from the fetched rows.
         """
         table = self.db.table(table_name)
-        index = table.index_on(["rid"])
         ordered = rids if isinstance(rids, RidSet) else sorted(rids)
-        if index is None:  # pragma: no cover - all rid tables are indexed
-            wanted = RidSet(ordered)
-            rows = sorted(
-                (row for _slot, row in table.find_where(lambda r: r[0] in wanted)),
-                key=lambda row: row[0],
-            )
-        else:
-            rows = table.probe_many(index, ((rid,) for rid in ordered))
+        rows = table.probe_many(table.index_on(["rid"]), ((rid,) for rid in ordered))
         if data_width is not None and data_width + 1 < len(table.schema):
             # Trim trailing non-data columns in one pass; when the table is
             # already rid+data wide there is nothing to cut and the fetched
@@ -178,23 +205,6 @@ class DataModel(ABC):
     def storage_bytes(self) -> int:
         """Total bytes of all backing tables (indexes included)."""
 
-    def version_subquery_sql(self, vid: int) -> str:
-        """The model's Table-1 translation of ``VERSION vid OF CVD c``: a
-        parenthesized derived table producing ``vid``'s data attributes.
-
-        The query translator parses it into the plan of the user's
-        statement.  Models that cannot express retrieval in SQL (delta)
-        set :attr:`supports_sql_rewriting` to False instead; the translator
-        then hands the planner :meth:`fetch_version`'s rows (the
-        delta-model penalty the paper calls out).
-        """
-        raise NotImplementedError
-
-    def all_versions_subquery_sql(self) -> str:
-        """SQL producing ``(vid, <data attrs>)`` with one row per version
-        membership, used for cross-version aggregates."""
-        raise NotImplementedError
-
     # -------------------------------------------------------------- helpers
 
     def storage_schema(self) -> TableSchema:
@@ -207,6 +217,31 @@ class DataModel(ABC):
     def data_column_names(self) -> list[str]:
         return self.data_schema.column_names
 
-    def _data_columns_sql(self, qualifier: str = "") -> str:
+    # ------------------------------------------------------ Table-1 plans
+
+    def _items(self, qualifier: str = "") -> list[ast.SelectItem]:
+        """Select items for the data attributes, optionally qualified."""
         prefix = f"{qualifier}." if qualifier else ""
-        return ", ".join(f"{prefix}{name}" for name in self.data_column_names)
+        return [
+            ast.SelectItem(ColumnRef(prefix + name)) for name in self.data_column_names
+        ]
+
+    def _rid_join(self, data_table: str, rids: ast.Select) -> ast.Select:
+        """``SELECT d.rid, d.<attrs> FROM data AS d, (<rids>) AS tmp
+        WHERE d.rid = tmp.rid_tmp``: one version's records, where
+        ``rids`` yields the version's rids as ``rid_tmp``."""
+        return ast.Select(
+            items=[ast.SelectItem(ColumnRef("d.rid")), *self._items("d")],
+            from_items=[ast.TableRef(data_table, "d"), ast.SubqueryRef(rids, "tmp")],
+            where=BinaryOp("=", ColumnRef("d.rid"), ColumnRef("tmp.rid_tmp")),
+        )
+
+    def _member_join(self, data_table: str, members: ast.Select) -> ast.Select:
+        """``SELECT m.vid AS vid, d.<attrs> FROM (<members>) AS m, data AS d
+        WHERE d.rid = m.rid_tmp``: every version's records, where
+        ``members`` yields ``(vid, rid_tmp)`` membership pairs."""
+        return ast.Select(
+            items=[ast.SelectItem(ColumnRef("m.vid"), "vid"), *self._items("d")],
+            from_items=[ast.SubqueryRef(members, "m"), ast.TableRef(data_table, "d")],
+            where=BinaryOp("=", ColumnRef("d.rid"), ColumnRef("m.rid_tmp")),
+        )

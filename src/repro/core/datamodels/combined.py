@@ -11,8 +11,21 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.datamodels.base import DataModel, Row
+from repro.storage.expression import (
+    ArrayLiteral,
+    BinaryOp,
+    ColumnRef,
+    FuncCall,
+    Literal,
+)
+from repro.storage.parser import ast_nodes as ast
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType
+
+
+def vlist_holds(vid: int) -> BinaryOp:
+    """``ARRAY[vid] <@ vlist``: the row's version list contains ``vid``."""
+    return BinaryOp("<@", ArrayLiteral((Literal(vid),)), ColumnRef("vlist"))
 
 
 class CombinedTableModel(DataModel):
@@ -80,20 +93,6 @@ class CombinedTableModel(DataModel):
             for rid, vids in vlists.items()
         )
 
-    def checkout_into(self, vid: int, table_name: str) -> None:
-        self.db.execute(
-            f"SELECT rid, {self._data_columns_sql()} INTO {table_name} "
-            f"FROM {self.table_name} WHERE ARRAY[%s] <@ vlist",
-            (vid,),
-        )
-
-    def fetch_version(self, vid: int) -> list[Row]:
-        return self.db.query(
-            f"SELECT rid, {self._data_columns_sql()} "
-            f"FROM {self.table_name} WHERE ARRAY[%s] <@ vlist",
-            (vid,),
-        )
-
     def fetch_rows(self, vid: int, rids: Iterable[int]) -> list[Row]:
         # The rid is the combined table's primary key; probe it and trim
         # the trailing vlist column.
@@ -104,12 +103,20 @@ class CombinedTableModel(DataModel):
     def storage_bytes(self) -> int:
         return self.db.table(self.table_name).storage_bytes()
 
-    def version_subquery_sql(self, vid: int) -> str:
-        return (
-            f"(SELECT {self._data_columns_sql()} FROM {self.table_name} "
-            f"WHERE ARRAY[{int(vid)}] <@ vlist)"
+    def version_plan(self, vid: int) -> ast.Select:
+        """``SELECT rid, <attrs> FROM T WHERE ARRAY[vid] <@ vlist``."""
+        return ast.Select(
+            items=[ast.SelectItem(ColumnRef("rid")), *self._items()],
+            from_items=[ast.TableRef(self.table_name)],
+            where=vlist_holds(vid),
         )
 
-    def all_versions_subquery_sql(self) -> str:
-        columns = self._data_columns_sql()
-        return (f"(SELECT unnest(vlist) AS vid, {columns} FROM {self.table_name})")
+    def all_versions_plan(self) -> ast.Select:
+        """``SELECT unnest(vlist) AS vid, <attrs> FROM T``."""
+        return ast.Select(
+            items=[
+                ast.SelectItem(FuncCall("unnest", (ColumnRef("vlist"),)), "vid"),
+                *self._items(),
+            ],
+            from_items=[ast.TableRef(self.table_name)],
+        )

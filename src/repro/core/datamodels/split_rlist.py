@@ -8,16 +8,20 @@ and hash-joins it against the data table — the plan Section 3.2 analyses.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 from repro.core.datamodels.base import DataModel, Row
 from repro.storage import arrays
+from repro.storage.expression import BinaryOp, ColumnRef, FuncCall, Literal
+from repro.storage.parser import ast_nodes as ast
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType
 
 
 class SplitByRlistModel(DataModel):
     model_name = "split_by_rlist"
+    #: The set-returning function that expands one rlist cell into rids.
+    unnest: ClassVar[str] = "unnest"
 
     @property
     def data_table(self) -> str:
@@ -81,22 +85,6 @@ class SplitByRlistModel(DataModel):
         self.db.table(self.data_table).insert_many(data_rows)
         self.db.table(self.versioning_table).insert_many(versioning_rows)
 
-    def checkout_into(self, vid: int, table_name: str) -> None:
-        self.db.execute(self._checkout_sql(vid, into=table_name))
-
-    def fetch_version(self, vid: int) -> list[Row]:
-        return self.db.query(self._checkout_sql(vid, into=None))
-
-    def _checkout_sql(self, vid: int, into: str | None) -> str:
-        into_clause = f" INTO {into}" if into else ""
-        return (
-            f"SELECT d.rid, {self._data_columns_sql('d')}{into_clause} "
-            f"FROM {self.data_table} AS d, "
-            f"(SELECT unnest(rlist) AS rid_tmp FROM {self.versioning_table} "
-            f" WHERE vid = {int(vid)}) AS tmp "
-            f"WHERE d.rid = tmp.rid_tmp"
-        )
-
     def fetch_rows(self, vid: int, rids: Iterable[int]) -> list[Row]:
         return self._fetch_rows_from_table(self.data_table, rids)
 
@@ -105,19 +93,31 @@ class SplitByRlistModel(DataModel):
             self.versioning_table
         ).storage_bytes()
 
-    def version_subquery_sql(self, vid: int) -> str:
-        return (
-            f"(SELECT {self._data_columns_sql('d')} "
-            f"FROM {self.data_table} AS d, "
-            f"(SELECT unnest(rlist) AS rid_tmp FROM {self.versioning_table} "
-            f" WHERE vid = {int(vid)}) AS tmp "
-            f"WHERE d.rid = tmp.rid_tmp)"
+    def version_plan(self, vid: int) -> ast.Select:
+        return self._rid_join(
+            self.data_table, rlist_scan(self.versioning_table, vid, self.unnest)
         )
 
-    def all_versions_subquery_sql(self) -> str:
-        return (
-            f"(SELECT m.vid AS vid, {self._data_columns_sql('d')} "
-            f"FROM (SELECT vid, unnest(rlist) AS rid_tmp "
-            f"      FROM {self.versioning_table}) AS m, "
-            f"{self.data_table} AS d WHERE d.rid = m.rid_tmp)"
+    def all_versions_plan(self) -> ast.Select:
+        return self._member_join(
+            self.data_table, rlist_scan(self.versioning_table, unnest=self.unnest)
         )
+
+
+def rlist_scan(
+    versioning_table: str, vid: int | None = None, unnest: str = "unnest"
+) -> ast.Select:
+    """The versioning-table side of Table 1's split-by-rlist checkout.
+
+    With ``vid``, that version's rids: ``SELECT unnest(rlist) AS rid_tmp
+    FROM V WHERE vid = <vid>`` (a primary-key probe).  Without, every
+    membership pair: ``SELECT vid, unnest(rlist) AS rid_tmp FROM V``.
+    ``unnest`` names the set-returning function that expands an rlist.
+    """
+    rids = ast.SelectItem(FuncCall(unnest, (ColumnRef("rlist"),)), "rid_tmp")
+    source = [ast.TableRef(versioning_table)]
+    if vid is None:
+        return ast.Select([ast.SelectItem(ColumnRef("vid")), rids], source)
+    return ast.Select(
+        [rids], source, where=BinaryOp("=", ColumnRef("vid"), Literal(vid))
+    )

@@ -18,6 +18,7 @@ from repro.core.datamodels.base import Row
 
 class SplitByRlistRangeModel(SplitByRlistModel):
     model_name = "split_by_rlist_rle"
+    unnest = "unnest_ranges"
 
     def add_version(
         self,
@@ -46,30 +47,3 @@ class SplitByRlistRangeModel(SplitByRlistModel):
             versioning_rows.append((vid, encode_ranges(member_rids)))
         self.db.table(self.data_table).insert_many(data_rows)
         self.db.table(self.versioning_table).insert_many(versioning_rows)
-
-    def _checkout_sql(self, vid: int, into: str | None) -> str:
-        into_clause = f" INTO {into}" if into else ""
-        return (
-            f"SELECT d.rid, {self._data_columns_sql('d')}{into_clause} "
-            f"FROM {self.data_table} AS d, "
-            f"(SELECT unnest_ranges(rlist) AS rid_tmp "
-            f" FROM {self.versioning_table} WHERE vid = {int(vid)}) AS tmp "
-            f"WHERE d.rid = tmp.rid_tmp"
-        )
-
-    def version_subquery_sql(self, vid: int) -> str:
-        return (
-            f"(SELECT {self._data_columns_sql('d')} "
-            f"FROM {self.data_table} AS d, "
-            f"(SELECT unnest_ranges(rlist) AS rid_tmp "
-            f" FROM {self.versioning_table} WHERE vid = {int(vid)}) AS tmp "
-            f"WHERE d.rid = tmp.rid_tmp)"
-        )
-
-    def all_versions_subquery_sql(self) -> str:
-        return (
-            f"(SELECT m.vid AS vid, {self._data_columns_sql('d')} "
-            f"FROM (SELECT vid, unnest_ranges(rlist) AS rid_tmp "
-            f"      FROM {self.versioning_table}) AS m, "
-            f"{self.data_table} AS d WHERE d.rid = m.rid_tmp)"
-        )

@@ -11,6 +11,9 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.datamodels.base import DataModel, Row
+from repro.core.datamodels.combined import vlist_holds
+from repro.storage.expression import ColumnRef, FuncCall
+from repro.storage.parser import ast_nodes as ast
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType
 
@@ -92,28 +95,6 @@ class SplitByVlistModel(DataModel):
             (rid, tuple(vids)) for rid, vids in vlists.items()
         )
 
-    def checkout_into(self, vid: int, table_name: str) -> None:
-        # Table 1's split-by-vlist translation: select the rids of the
-        # version from the versioning table, then join with the data table.
-        self.db.execute(
-            f"SELECT d.rid, {self._data_columns_sql('d')} INTO {table_name} "
-            f"FROM {self.data_table} AS d, "
-            f"(SELECT rid AS rid_tmp FROM {self.versioning_table} "
-            f" WHERE ARRAY[%s] <@ vlist) AS tmp "
-            f"WHERE d.rid = tmp.rid_tmp",
-            (vid,),
-        )
-
-    def fetch_version(self, vid: int) -> list[Row]:
-        return self.db.query(
-            f"SELECT d.rid, {self._data_columns_sql('d')} "
-            f"FROM {self.data_table} AS d, "
-            f"(SELECT rid AS rid_tmp FROM {self.versioning_table} "
-            f" WHERE ARRAY[%s] <@ vlist) AS tmp "
-            f"WHERE d.rid = tmp.rid_tmp",
-            (vid,),
-        )
-
     def fetch_rows(self, vid: int, rids: Iterable[int]) -> list[Row]:
         return self._fetch_rows_from_table(self.data_table, rids)
 
@@ -122,19 +103,22 @@ class SplitByVlistModel(DataModel):
             self.versioning_table
         ).storage_bytes()
 
-    def version_subquery_sql(self, vid: int) -> str:
-        return (
-            f"(SELECT {self._data_columns_sql('d')} "
-            f"FROM {self.data_table} AS d, "
-            f"(SELECT rid AS rid_tmp FROM {self.versioning_table} "
-            f" WHERE ARRAY[{int(vid)}] <@ vlist) AS tmp "
-            f"WHERE d.rid = tmp.rid_tmp)"
+    def version_plan(self, vid: int) -> ast.Select:
+        # Table 1's split-by-vlist translation: select the rids of the
+        # version from the versioning table, then join with the data table.
+        rids = ast.Select(
+            items=[ast.SelectItem(ColumnRef("rid"), "rid_tmp")],
+            from_items=[ast.TableRef(self.versioning_table)],
+            where=vlist_holds(vid),
         )
+        return self._rid_join(self.data_table, rids)
 
-    def all_versions_subquery_sql(self) -> str:
-        return (
-            f"(SELECT m.vid AS vid, {self._data_columns_sql('d')} "
-            f"FROM (SELECT rid AS rid_tmp, unnest(vlist) AS vid "
-            f"      FROM {self.versioning_table}) AS m, "
-            f"{self.data_table} AS d WHERE d.rid = m.rid_tmp)"
+    def all_versions_plan(self) -> ast.Select:
+        members = ast.Select(
+            items=[
+                ast.SelectItem(ColumnRef("rid"), "rid_tmp"),
+                ast.SelectItem(FuncCall("unnest", (ColumnRef("vlist"),)), "vid"),
+            ],
+            from_items=[ast.TableRef(self.versioning_table)],
         )
+        return self._member_join(self.data_table, members)

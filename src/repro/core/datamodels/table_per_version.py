@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.core.datamodels.base import DataModel, Row
+from repro.core.datamodels.base import DataModel, Row, union_all
+from repro.storage.expression import ColumnRef, Literal
+from repro.storage.parser import ast_nodes as ast
 from repro.storage.ridset import RidSet
 
 
@@ -69,25 +71,34 @@ class TablePerVersionModel(DataModel):
             )
             table.insert_many((rid,) + tuple(payloads[rid]) for rid in member_rids)
 
-    def checkout_into(self, vid: int, table_name: str) -> None:
-        self.db.execute(f"SELECT * INTO {table_name} FROM {self._table_for(vid)}")
-
-    def fetch_version(self, vid: int) -> list[Row]:
-        return self.db.query(f"SELECT * FROM {self._table_for(vid)}")
-
     def storage_bytes(self) -> int:
         return sum(
             self.db.table(self._table_for(vid)).storage_bytes()
             for vid in self.membership
         )
 
-    def version_subquery_sql(self, vid: int) -> str:
-        return (f"(SELECT {self._data_columns_sql()} FROM {self._table_for(vid)})")
+    def version_plan(self, vid: int) -> ast.Select:
+        """``SELECT rid, <attrs> FROM T_vid``: a plain table copy."""
+        return ast.Select(
+            items=[ast.SelectItem(ColumnRef("rid")), *self._items()],
+            from_items=[ast.TableRef(self._table_for(vid))],
+        )
 
-    def all_versions_subquery_sql(self) -> str:
-        parts = [
-            f"SELECT {int(vid)} AS vid, {self._data_columns_sql()} "
-            f"FROM {self._table_for(vid)}"
-            for vid in self.membership
-        ]
-        return "(" + " UNION ALL ".join(parts) + ")"
+    def all_versions_plan(self) -> ast.Select:
+        """``SELECT <vid> AS vid, <attrs> FROM T_vid UNION ALL ...``."""
+        if not self.membership:
+            # No version table exists yet: an empty relation of that shape.
+            nulls = [
+                ast.SelectItem(Literal(None), name) for name in self.data_column_names
+            ]
+            vid = ast.SelectItem(Literal(0), "vid")
+            return ast.Select([vid, *nulls], where=Literal(False))
+        return union_all(
+            [
+                ast.Select(
+                    items=[ast.SelectItem(Literal(vid), "vid"), *self._items()],
+                    from_items=[ast.TableRef(self._table_for(vid))],
+                )
+                for vid in self.membership
+            ]
+        )

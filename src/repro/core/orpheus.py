@@ -177,8 +177,15 @@ class OrpheusDB:
         ``schema`` is a TableSchema or a list of (name, type-name) pairs.
         ``primary_key`` names the (possibly composite) per-version primary
         key, which drives multi-version checkout precedence (Section 2.2).
+        ``name`` must be a lowercase bare identifier: it prefixes every
+        backing table, which SQL text (the CVD's own inserts, the user's
+        statements) spells unquoted.
         """
         self._check_writable("init a CVD")
+        if not _CVD_NAME.fullmatch(name):
+            raise VersioningError(
+                f"CVD name {name!r} must match [a-z_][a-z0-9_]* (lowercase, unquoted)"
+            )
         if name in self._cvds:
             raise VersioningError(f"CVD {name!r} already exists")
         if not isinstance(schema, TableSchema):
@@ -816,6 +823,8 @@ class OrpheusDB:
                 resumed.append(name)
         return resumed
 
+
+_CVD_NAME = _re.compile(r"[a-z_][a-z0-9_]*")
 
 _MUTATING_STATEMENTS = (
     _ast.Insert,

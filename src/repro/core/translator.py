@@ -20,9 +20,11 @@ The storage engine knows nothing of versions: its planner hands each such
 item to the resolver an :class:`~repro.core.orpheus.OrpheusDB` session
 registers on its Database, :meth:`QueryTranslator.translate`.  Every
 construct first checks that each vid it names exists.  A model that can
-express retrieval in SQL answers with its Table-1 translation, parsed
-into a derived table the planner scans like any other; a lineage axis is
-a scan of the CVD's metadata table filtered to the probed vids.  The delta
+express retrieval in SQL answers with its Table-1 plan, built in code
+(:meth:`~repro.core.datamodels.base.DataModel.version_plan` without its
+``rid`` item, or ``all_versions_plan``), as a derived table the planner
+scans like any other; nothing is parsed.  A lineage axis is a scan of the
+CVD's metadata table filtered to the probed vids.  The delta
 model cannot express a version in SQL, so its versions are reconstructed
 outside the database (the cost the paper attributes to delta storage) and
 handed to the planner as rows; no catalog table is created.
@@ -30,12 +32,13 @@ handed to the planner as rows; no catalog table is created.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
+from repro.core.datamodels.base import union_all
 from repro.storage.executor import Relation
 from repro.storage.expression import ColumnRef, InSet
 from repro.storage.parser import ast_nodes as ast
-from repro.storage.parser.parser import parse_statement
 from repro.storage.types import DataType
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,19 +68,11 @@ class QueryTranslator:
         if not model.supports_sql_rewriting:
             return _reconstructed(cvd, ref)
         if ref.kind == "all":
-            query = _parse(model.all_versions_subquery_sql())
+            query = model.all_versions_plan()
         else:
-            query = None
-            for vid in reversed(ref.vids):
-                part = _parse(model.version_subquery_sql(vid))
-                part.union_all_with = query
-                query = part
+            plans = [model.version_plan(vid) for vid in ref.vids]
+            query = union_all([replace(plan, items=plan.items[1:]) for plan in plans])
         return ast.SubqueryRef(query, ref.binding)
-
-
-def _parse(fragment: str) -> ast.Select:
-    """A model's parenthesized derived-table SQL as a Select."""
-    return parse_statement(fragment.strip()[1:-1])
 
 
 def _lineage_select(cvd: "CVD", ref: ast.VersionRef) -> ast.Select:

@@ -20,10 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.core.datamodels.base import DataModel, Row
+from repro.core.datamodels.base import DataModel, Row, union_all
+from repro.core.datamodels.split_rlist import rlist_scan
 from repro.errors import PartitionError, VersionNotFoundError
 from repro.partition.bipartite import Partitioning
 from repro.storage import arrays
+from repro.storage.parser import ast_nodes as ast
 from repro.storage.ridset import RidSet
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType
@@ -277,28 +279,9 @@ class PartitionedRlistModel(DataModel):
 
     # ------------------------------------------------------------ checkout
 
-    def checkout_into(self, vid: int, table_name: str) -> None:
-        index = self.partition_of(vid)
-        self.db.execute(self._checkout_sql(vid, index, into=table_name))
-
-    def fetch_version(self, vid: int) -> list[Row]:
-        index = self.partition_of(vid)
-        return self.db.query(self._checkout_sql(vid, index, into=None))
-
     def fetch_rows(self, vid: int, rids) -> list[Row]:
         return self._fetch_rows_from_table(
             self._data_table(self.partition_of(vid)), rids
-        )
-
-    def _checkout_sql(self, vid: int, index: int, into: str | None) -> str:
-        into_clause = f" INTO {into}" if into else ""
-        return (
-            f"SELECT d.rid, {self._data_columns_sql('d')}{into_clause} "
-            f"FROM {self._data_table(index)} AS d, "
-            f"(SELECT unnest(rlist) AS rid_tmp "
-            f" FROM {self._versioning_table(index)} "
-            f" WHERE vid = {int(vid)}) AS tmp "
-            f"WHERE d.rid = tmp.rid_tmp"
         )
 
     def storage_bytes(self) -> int:
@@ -308,27 +291,21 @@ class PartitionedRlistModel(DataModel):
             total += self.db.table(self._versioning_table(index)).storage_bytes()
         return total
 
-    def version_subquery_sql(self, vid: int) -> str:
+    def version_plan(self, vid: int) -> ast.Select:
         index = self.partition_of(vid)
-        return (
-            f"(SELECT {self._data_columns_sql('d')} "
-            f"FROM {self._data_table(index)} AS d, "
-            f"(SELECT unnest(rlist) AS rid_tmp "
-            f" FROM {self._versioning_table(index)} "
-            f" WHERE vid = {int(vid)}) AS tmp "
-            f"WHERE d.rid = tmp.rid_tmp)"
+        return self._rid_join(
+            self._data_table(index), rlist_scan(self._versioning_table(index), vid)
         )
 
-    def all_versions_subquery_sql(self) -> str:
-        parts = []
-        for index in sorted(self._partitions):
-            parts.append(
-                f"SELECT m.vid AS vid, {self._data_columns_sql('d')} "
-                f"FROM (SELECT vid, unnest(rlist) AS rid_tmp "
-                f"      FROM {self._versioning_table(index)}) AS m, "
-                f"{self._data_table(index)} AS d WHERE d.rid = m.rid_tmp"
-            )
-        return "(" + " UNION ALL ".join(parts) + ")"
+    def all_versions_plan(self) -> ast.Select:
+        return union_all(
+            [
+                self._member_join(
+                    self._data_table(index), rlist_scan(self._versioning_table(index))
+                )
+                for index in sorted(self._partitions)
+            ]
+        )
 
     # ----------------------------------------------------------- migration
 

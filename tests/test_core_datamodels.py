@@ -10,6 +10,8 @@ import pytest
 
 from repro.core.datamodels import MODEL_REGISTRY, resolve_model
 from repro.storage.engine import Database
+from repro.storage.parser import ast_nodes as ast
+from repro.storage.parser.parser import parse_statement
 from repro.storage.ridset import RidSet
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType
@@ -75,23 +77,28 @@ class TestModelEquivalence:
         "model_name",
         [m for m in ALL_MODELS if MODEL_REGISTRY[m].supports_sql_rewriting],
     )
-    def test_version_subquery_sql(self, model_name):
+    def test_version_plan(self, model_name):
         db, model = build_history(model_name)
-        sql = f"SELECT count(*) FROM {model.version_subquery_sql(3)} AS v"
-        assert db.query(sql) == [(4,)]
+        sql = "SELECT count(*) FROM plan AS v"
+        assert db.execute_statements([over(sql, model.version_plan(3))]).rows == [(4,)]
 
     @pytest.mark.parametrize(
         "model_name",
         [m for m in ALL_MODELS if MODEL_REGISTRY[m].supports_sql_rewriting],
     )
-    def test_all_versions_subquery_sql(self, model_name):
+    def test_all_versions_plan(self, model_name):
         db, model = build_history(model_name)
-        sql = (
-            f"SELECT vid, count(*) AS n "
-            f"FROM {model.all_versions_subquery_sql()} AS av "
-            f"GROUP BY vid ORDER BY vid"
-        )
-        assert db.query(sql) == [(1, 3), (2, 3), (3, 4)]
+        sql = "SELECT vid, count(*) AS n FROM plan AS av GROUP BY vid ORDER BY vid"
+        result = db.execute_statements([over(sql, model.all_versions_plan())])
+        assert result.rows == [(1, 3), (2, 3), (3, 4)]
+
+
+def over(sql: str, plan: ast.Select) -> ast.Select:
+    """``sql`` with its single FROM table swapped for ``plan`` as a derived
+    table under the same alias."""
+    outer = parse_statement(sql)
+    outer.from_items = [ast.SubqueryRef(plan, outer.from_items[0].alias)]
+    return outer
 
 
 class TestCombinedTable:

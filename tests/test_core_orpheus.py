@@ -7,6 +7,8 @@ from repro.errors import (
     StagingError,
     VersioningError,
 )
+from repro.persist import Store
+from repro.persist.store import WAL_NAME
 from tests.conftest import PAPER_ROWS
 from repro.workloads.protein import PROTEIN_COLUMNS, PROTEIN_PRIMARY_KEY
 
@@ -39,6 +41,24 @@ class TestInitLsDrop:
         orpheus.db.execute("INSERT INTO src VALUES (1), (2)")
         cvd = orpheus.init_from_table("a", "src")
         assert cvd.record_count == 2
+
+    @pytest.mark.parametrize("name", ["Sales", "my-data", "1st", "a b", ""])
+    def test_init_refuses_a_name_tables_cannot_carry(self, tmp_path, name):
+        # Every backing table is named after the CVD: a name SQL text
+        # would lowercase or split must fail before any table exists.
+        store = Store.open(tmp_path / "s", checkpoint_interval=0)
+        orpheus = store.orpheus
+        orpheus.init("a", [("x", "int")], rows=[(1,)])
+        tables = set(orpheus.db.table_names())
+        wal = (tmp_path / "s" / WAL_NAME).read_bytes()
+        with pytest.raises(VersioningError, match="must match"):
+            orpheus.init(name, [("x", "int")], rows=[(1,)])
+        assert set(orpheus.db.table_names()) == tables
+        assert orpheus.ls() == ["a"]
+        assert (tmp_path / "s" / WAL_NAME).read_bytes() == wal
+        orpheus.init("sales", [("x", "int")], rows=[(1,)])
+        assert orpheus.checkout_rows("sales", 1) == [(1, 1)]
+        store.close()
 
 
 class TestCheckoutCommitCycle:
