@@ -4,10 +4,12 @@ Because the embedded engine is in-process, the CLI keeps the OrpheusDB
 state durable between invocations through :class:`repro.persist.Store`
 (``--store``, default ``.orpheusdb``): durable commands (``init``,
 ``commit``, ``drop``, users, durable DML, ``optimize``) append one
-fsync'd record to a write-ahead log (a commit's is O(version) at worst) —
+fsync'd record to a write-ahead log (a commit's is O(changed records)) —
 while staging commands (``checkout``, edits to staged tables) are
 working-tree state: they persist via a snapshot written on clean exit
-and are deliberately lost by crashes.  Snapshots also compact the log
+and are deliberately lost by crashes.  A staged table's change set is not
+part of that state, so a CLI ``commit`` compares every staged row with
+its parents.  Snapshots also compact the log
 (``orpheus checkpoint``, or automatically every ``--checkpoint-every``
 records).  Commands mirror the paper's:
 

@@ -15,6 +15,14 @@ Records are immutable: commit never mutates a stored record; a modified row
 gets a fresh rid.  Commits compare staged rows only against the *parent*
 versions (the "no cross-version diff" rule of Section 2.2), so a record
 deleted and re-added later intentionally receives a new rid.
+
+A version's membership is a set: a commit hands the data model a
+:class:`~repro.storage.ridset.RidSet`, never the staged row order.  A staged
+checkout table that knows its change set (:class:`~repro.storage.table.
+ChangeSet`) commits through :meth:`CVD.commit_changes` — set algebra over
+the rows its DML touched; everything else goes through
+:meth:`CVD.commit_rows`, which compares every staged row with the parents.
+Both allocate rids and a vid only once every check has passed.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from repro.errors import ConstraintViolationError, VersionNotFoundError
 from repro.storage.engine import Database
 from repro.storage.ridset import RidSet
 from repro.storage.schema import Column, TableSchema
+from repro.storage.table import Table
 from repro.storage.types import DataType
 
 
@@ -147,7 +156,7 @@ class CVD:
     def ingest_version(
         self,
         parents: Sequence[int],
-        member_rids: Sequence[int],
+        member_rids: Iterable[int],
         new_records: Mapping[int, Row],
         message: str = "",
         checkout_time: int | None = None,
@@ -155,9 +164,11 @@ class CVD:
     ) -> int:
         """Low-level commit: membership and new payloads already resolved.
 
-        Used by :meth:`commit_rows` and by bulk workload loaders.  All rids
-        in ``new_records`` must come from :meth:`allocate_rid`; every other
-        member rid must belong to at least one parent.
+        Used by the commit paths, WAL replay and bulk workload loaders.
+        All rids in ``new_records`` must come from :meth:`allocate_rid`;
+        every other member rid must belong to at least one parent.  The
+        members may come in any order: a version is a set of records, and
+        the model receives them as a :class:`RidSet`.
         """
         members = RidSet(member_rids)
         for parent in parents:
@@ -171,7 +182,7 @@ class CVD:
                 f"from the parents of the committed version"
             )
         vid = self._allocate_vid()
-        self.model.add_version(vid, list(member_rids), new_records, parents)
+        self.model.add_version(vid, members, new_records, parents)
         version = Version(
             vid=vid,
             parents=tuple(parents),
@@ -250,21 +261,18 @@ class CVD:
         self, rows: Iterable[Sequence[Any]], message: str = "initial version"
     ) -> int:
         """Create the root version from raw data rows (the ``init`` command)."""
-        new_records: dict[int, Row] = {}
-        for row in rows:
-            coerced = self.data_schema.coerce_row(row)
-            new_records[self.allocate_rid()] = coerced
-        self._check_primary_key(new_records.values())
-        return self.ingest_version((), list(new_records), new_records, message=message)
+        fresh = [self.data_schema.coerce_row(row) for row in rows]
+        self._check_primary_key(fresh)
+        return self._ingest_resolved((), RidSet(), fresh, None, message=message)
 
     # --------------------------------------------------------------- commit
 
     def parent_record_order(self, parents: Sequence[int]) -> dict[int, Row]:
         """rid -> payload over the given parents, first parent winning.
 
-        The *iteration order* of the result is deterministic for a given
-        database state; the write-ahead log's delta-encoded commit records
-        rely on recovery reproducing exactly this order.
+        :meth:`commit_rows` reads it to tell unchanged rows from changed
+        ones; it fetches every parent record, so a staged table that
+        knows its change set (:meth:`commit_changes`) never calls it.
         """
         parent_records: dict[int, Row] = {}
         for parent in parents:
@@ -280,96 +288,141 @@ class CVD:
         checkout_time: int | None = None,
         commit_time: int | None = None,
         rows_have_rid: bool = True,
-        rows_coerced: bool = False,
         resolved: dict | None = None,
     ) -> int:
-        """Commit staged rows as a new version.
+        """Commit staged rows as a new version, comparing each with the parents.
 
         ``staged_rows`` are ``(rid, *data)`` tuples when ``rows_have_rid``
         (the checkout-table path; ``rid`` may be NULL for user-inserted
         rows), or bare data tuples (the CSV path), in which case unchanged
         rows are recognized by exact value match against the parents.
 
-        ``rows_coerced`` says the data values are already what
-        ``data_schema.coerce_row`` would make of them (the caller read them
-        from a table with exactly these columns), so only the NOT NULL
-        constraints are checked again.
-
-        When ``resolved`` is a dict it receives the physical resolution of
-        the commit (``member_rids``, ``new_records``, ``parent_order``) so
-        the caller can journal it (repro.persist).
+        When ``resolved`` is a dict it receives the commit's resolution
+        (see :meth:`_ingest_resolved`) so the caller can journal it.
         """
         parent_records = self.parent_record_order(parents)
         value_index: dict[Row, int] = {}
         if not rows_have_rid:
             for rid, payload in parent_records.items():
                 value_index.setdefault(payload, rid)
-        member_rids: list[int] = []
-        new_records: dict[int, Row] = {}
-        seen_members: set[int] = set()
-        not_null = [
-            (position, column.name)
-            for position, column in enumerate(self.data_schema.columns)
-            if column.not_null
-        ]
+        kept: set[int] = set()
+        fresh: list[Row] = []
         for staged in staged_rows:
             if rows_have_rid:
-                rid, payload = staged[0], tuple(staged[1:])
+                rid, payload = staged[0], staged[1:]
             else:
-                rid, payload = None, tuple(staged)
-            if rows_coerced:
-                for position, name in not_null:
-                    if payload[position] is None:
-                        raise ConstraintViolationError(
-                            f"null value in NOT NULL column {name!r}"
-                        )
-            else:
-                payload = self.data_schema.coerce_row(payload)
+                rid, payload = None, staged
+            payload = self.data_schema.coerce_row(payload)
             if rows_have_rid:
                 keep = rid is not None and parent_records.get(rid) == payload
             else:
                 rid = value_index.get(payload)
                 keep = rid is not None
             if not keep:
-                rid = self.allocate_rid()
-                new_records[rid] = payload
-            if rid in seen_members:
+                fresh.append(payload)
+                continue
+            if rid in kept:
                 raise ConstraintViolationError(
                     f"record {rid} appears twice in the committed table"
                 )
-            seen_members.add(rid)
-            member_rids.append(rid)
-        self._check_primary_key(
-            [
-                new_records.get(rid) or parent_records[rid]
-                for rid in member_rids
-            ]
-        )
-        if resolved is not None:
-            resolved["member_rids"] = list(member_rids)
-            resolved["new_records"] = dict(new_records)
-            resolved["parent_order"] = list(parent_records)
-        return self.ingest_version(
-            parents,
-            member_rids,
-            new_records,
-            message=message,
-            checkout_time=checkout_time,
-            commit_time=commit_time,
+            kept.add(rid)
+        self._check_primary_key([parent_records[rid] for rid in kept] + fresh)
+        return self._ingest_resolved(
+            parents, RidSet(kept), fresh, resolved,
+            message=message, checkout_time=checkout_time, commit_time=commit_time,
         )
 
-    def _check_primary_key(self, payloads: Iterable[Row]) -> None:
-        """Within a single version no two records may share the PK values."""
+    def commit_changes(
+        self,
+        parents: Sequence[int],
+        table: Table,
+        message: str = "",
+        checkout_time: int | None = None,
+        commit_time: int | None = None,
+        resolved: dict | None = None,
+    ) -> int:
+        """Commit a staged checkout table from its :class:`ChangeSet`.
+
+        The table holds ``(rid, *data)`` in the CVD's own columns and was
+        materialized from ``parents``.  An updated row keeps its rid iff
+        its payload still ``==`` the checked-out one (the same test as
+        :meth:`commit_rows`); membership is ``base - deleted - replaced |
+        new``.  Only the changed rows are read; NOT NULL is checked on the
+        new rows, the primary key in one uncharged pass over the staged
+        key column.  ``resolved`` is filled as by :meth:`commit_rows`.
+        """
+        changes = table.changes
+        updated, inserted = table.changed_rows()
+        replaced = []
+        fresh: list[Row] = []
+        for original, row in updated:
+            payload = row[1:]
+            if original[1:] != payload:
+                replaced.append(original[0])
+                fresh.append(payload)
+        fresh.extend(row[1:] for row in inserted)
+        not_null = [
+            (position, column.name)
+            for position, column in enumerate(self.data_schema.columns)
+            if column.not_null
+        ]
+        for payload in fresh:
+            for position, name in not_null:
+                if payload[position] is None:
+                    raise ConstraintViolationError(
+                        f"null value in NOT NULL column {name!r}"
+                    )
+        self._check_primary_key(table.dump_rows(), offset=1)
+        kept = changes.base_rids - RidSet(changes.deleted) - RidSet(replaced)
+        return self._ingest_resolved(
+            parents, kept, fresh, resolved,
+            message=message, checkout_time=checkout_time, commit_time=commit_time,
+        )
+
+    def _ingest_resolved(
+        self,
+        parents: Sequence[int],
+        kept: RidSet,
+        fresh: list[Row],
+        resolved: dict | None,
+        **version_info,
+    ) -> int:
+        """Number the checked ``fresh`` payloads and ingest the version.
+
+        ``resolved`` (when a dict) receives ``new_records`` and ``drop``:
+        the parents' records the version does not inherit, which with the
+        new records' rids is all a journal needs to rebuild it.
+        """
+        new_records = {self.allocate_rid(): payload for payload in fresh}
+        members = kept | RidSet(new_records)
+        if resolved is not None:
+            parent_union = RidSet.union_all(self.membership[p] for p in parents)
+            resolved["new_records"] = new_records
+            resolved["drop"] = parent_union - kept
+        return self.ingest_version(parents, members, new_records, **version_info)
+
+    def _check_primary_key(self, rows: Iterable[Row], offset: int = 0) -> None:
+        """Within a single version no two records may share the PK values.
+
+        ``offset`` skips leading non-data columns (a staged ``rid``).
+        """
         key_columns = self.data_schema.primary_key
         if not key_columns:
             return
-        positions = self.data_schema.project_positions(key_columns)
-        seen: set[tuple] = set()
-        for payload in payloads:
-            key = tuple(payload[p] for p in positions)
+        positions = [
+            position + offset
+            for position in self.data_schema.project_positions(key_columns)
+        ]
+        key_of = operator.itemgetter(*positions)
+        keys = list(map(key_of, rows))
+        if len(set(keys)) == len(keys):
+            return
+        seen: set = set()
+        for key in keys:
             if key in seen:
+                shown = key if len(positions) > 1 else (key,)
                 raise ConstraintViolationError(
-                    f"duplicate primary key {key!r} within one version"
+                    f"duplicate primary key {shown!r} within one version"
                 )
             seen.add(key)
 
@@ -422,14 +475,18 @@ class CVD:
         return merged
 
     def checkout_into(self, vids: Sequence[int], table_name: str) -> None:
-        """Materialize versions into ``table_name`` (rid + data columns)."""
+        """Materialize versions into ``table_name`` (rid + data columns),
+        which from then on tracks its change set for :meth:`commit_changes`."""
         if len(vids) == 1:
             self.model.checkout_into(vids[0], table_name)
+            self.db.table(table_name).track_changes(self.membership[vids[0]])
             return
         table = self.db.create_table(
             table_name, self.model.storage_schema(), clustered_on="rid"
         )
-        table.insert_many(self.checkout_rows(vids))
+        rows = self.checkout_rows(vids)
+        table.insert_many(rows)
+        table.track_changes(RidSet(row[0] for row in rows))
 
     # ----------------------------------------------------------------- diff
 

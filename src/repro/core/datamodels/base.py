@@ -5,9 +5,11 @@ version, plus the record payloads — but with a different physical layout.
 The interface is deliberately narrow:
 
 * :meth:`add_version` is the physical half of *commit*: persist a version
-  given its full membership and the payloads of records the CVD has never
-  stored before (the *no cross-version diff* rule means records deleted and
-  re-added arrive here as brand-new rids).
+  given its full membership (a :class:`~repro.storage.ridset.RidSet`: a
+  version is a set, so no staged row order reaches storage) and the
+  payloads of records the CVD has never stored before (the *no
+  cross-version diff* rule means records deleted and re-added arrive here
+  as brand-new rids).
 * :meth:`version_plan` is the model's Table-1 translation of *checkout*:
   an :class:`~repro.storage.parser.ast_nodes.Select` of ``rid`` followed
   by the data attributes, built in code (never text, so no attribute name
@@ -86,13 +88,13 @@ class DataModel(ABC):
     def add_version(
         self,
         vid: int,
-        member_rids: Sequence[int],
+        members: RidSet,
         new_records: Mapping[int, Row],
         parent_vids: Sequence[int],
     ) -> None:
         """Persist version ``vid``.
 
-        ``member_rids`` is the version's complete record membership;
+        ``members`` is the version's complete record membership;
         ``new_records`` maps the subset of rids never seen before to their
         data-attribute tuples.
         """
@@ -116,7 +118,7 @@ class DataModel(ABC):
         for vid, parents, member_rids in versions:
             new_records = {rid: payloads[rid] for rid in member_rids if rid not in seen}
             seen.update(new_records)
-            self.add_version(vid, list(member_rids), new_records, parents)
+            self.add_version(vid, RidSet(member_rids), new_records, parents)
 
     # ------------------------------------------------------------- checkout
 

@@ -19,6 +19,7 @@ from repro.storage.expression import (
     Literal,
 )
 from repro.storage.parser import ast_nodes as ast
+from repro.storage.ridset import RidSet
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType
 
@@ -51,7 +52,7 @@ class CombinedTableModel(DataModel):
     def add_version(
         self,
         vid: int,
-        member_rids: Sequence[int],
+        members: RidSet,
         new_records: Mapping[int, Row],
         parent_vids: Sequence[int],
     ) -> None:
@@ -59,11 +60,11 @@ class CombinedTableModel(DataModel):
         table.insert_many(
             (rid,) + tuple(row) + ((vid,),) for rid, row in new_records.items()
         )
-        existing = [rid for rid in member_rids if rid not in new_records]
+        existing = members - RidSet(new_records)
         if existing:
             self._append_vid_to(existing, vid)
 
-    def _append_vid_to(self, rids: Sequence[int], vid: int) -> None:
+    def _append_vid_to(self, rids: Iterable[int], vid: int) -> None:
         """``UPDATE T SET vlist = vlist || vid WHERE rid IN (...)`` (Table 1).
 
         The rid set is staged in a temp table so the UPDATE is one set-based

@@ -68,11 +68,10 @@ class DeltaModel(DataModel):
     def add_version(
         self,
         vid: int,
-        member_rids: Sequence[int],
+        members: RidSet,
         new_records: Mapping[int, Row],
         parent_vids: Sequence[int],
     ) -> None:
-        members = RidSet(member_rids)
         base, base_members = self._pick_base(members, parent_vids, self.membership)
         inserted = members - base_members
         deleted = base_members - members

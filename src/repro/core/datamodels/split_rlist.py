@@ -14,6 +14,7 @@ from repro.core.datamodels.base import DataModel, Row
 from repro.storage import arrays
 from repro.storage.expression import BinaryOp, ColumnRef, FuncCall, Literal
 from repro.storage.parser import ast_nodes as ast
+from repro.storage.ridset import RidSet
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType
 
@@ -59,7 +60,7 @@ class SplitByRlistModel(DataModel):
     def add_version(
         self,
         vid: int,
-        member_rids: Sequence[int],
+        members: RidSet,
         new_records: Mapping[int, Row],
         parent_vids: Sequence[int],
     ) -> None:
@@ -69,7 +70,7 @@ class SplitByRlistModel(DataModel):
         # The whole commit is one INSERT (Table 1's third column).
         self.db.execute(
             f"INSERT INTO {self.versioning_table} VALUES (%s, %s)",
-            (vid, arrays.make_array(member_rids)),
+            (vid, members.to_array()),
         )
 
     def bulk_load(self, versions, payloads) -> None:

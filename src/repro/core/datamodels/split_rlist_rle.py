@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 from repro.core.compression import encode_ranges
 from repro.core.datamodels.split_rlist import SplitByRlistModel
 from repro.core.datamodels.base import Row
+from repro.storage.ridset import RidSet
 
 
 class SplitByRlistRangeModel(SplitByRlistModel):
@@ -23,7 +24,7 @@ class SplitByRlistRangeModel(SplitByRlistModel):
     def add_version(
         self,
         vid: int,
-        member_rids: Sequence[int],
+        members: RidSet,
         new_records: Mapping[int, Row],
         parent_vids: Sequence[int],
     ) -> None:
@@ -32,7 +33,7 @@ class SplitByRlistRangeModel(SplitByRlistModel):
         )
         self.db.execute(
             f"INSERT INTO {self.versioning_table} VALUES (%s, %s)",
-            (vid, encode_ranges(member_rids)),
+            (vid, encode_ranges(members)),
         )
 
     def bulk_load(self, versions, payloads) -> None:

@@ -14,6 +14,7 @@ from repro.core.datamodels.base import DataModel, Row
 from repro.core.datamodels.combined import vlist_holds
 from repro.storage.expression import ColumnRef, FuncCall
 from repro.storage.parser import ast_nodes as ast
+from repro.storage.ridset import RidSet
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType
 
@@ -57,7 +58,7 @@ class SplitByVlistModel(DataModel):
     def add_version(
         self,
         vid: int,
-        member_rids: Sequence[int],
+        members: RidSet,
         new_records: Mapping[int, Row],
         parent_vids: Sequence[int],
     ) -> None:
@@ -67,7 +68,7 @@ class SplitByVlistModel(DataModel):
         self.db.table(self.versioning_table).insert_many(
             (rid, (vid,)) for rid in new_records
         )
-        existing = [rid for rid in member_rids if rid not in new_records]
+        existing = members - RidSet(new_records)
         if existing:
             staging = f"{self.versioning_table}__commit_rids"
             self.db.drop_table(staging, if_exists=True)

@@ -32,7 +32,7 @@ class TablePerVersionModel(DataModel):
     def add_version(
         self,
         vid: int,
-        member_rids: Sequence[int],
+        members: RidSet,
         new_records: Mapping[int, Row],
         parent_vids: Sequence[int],
     ) -> None:
@@ -40,7 +40,7 @@ class TablePerVersionModel(DataModel):
         # first-parent-wins, matching the middleware's merge rule.  The
         # wanted set is a bitmap, resolved in one pass per parent table.
         inherited: dict[int, Row] = {}
-        wanted = RidSet(member_rids) - RidSet(new_records)
+        wanted = members - RidSet(new_records)
         for parent in parent_vids:
             if not wanted:
                 break
@@ -61,7 +61,7 @@ class TablePerVersionModel(DataModel):
         )
         payload = dict(inherited)
         payload.update({rid: tuple(row) for rid, row in new_records.items()})
-        table.insert_many((rid,) + payload[rid] for rid in member_rids)
+        table.insert_many((rid,) + payload[rid] for rid in members)
 
     def bulk_load(self, versions, payloads) -> None:
         """Create each version's table straight from the payload map."""

@@ -363,46 +363,28 @@ class OrpheusDB:
         evolved = not _same_columns(staged_schema, cvd.data_schema)
         if evolved:
             self._evolve_schema(cvd, staged_schema)
-        rows = list(table.rows())
-        has_rid = "rid" in table.schema
-        # A checkout table without schema evolution holds (rid, *data) in
-        # the CVD's own columns, every value coerced by the same
-        # types.coerce on its way in: its rows commit as read.
-        rows_coerced = (
-            not evolved
-            and has_rid
-            and table.schema.position("rid") == 0
+        # A checkout table that still knows its change set and holds the
+        # CVD's own columns commits from the rows its DML touched; anything
+        # else is compared row by row with the parents.
+        tracked = (
+            table.changes is not None
+            and not evolved
             and _same_columns(table_schema, cvd.data_schema)
         )
-        if not has_rid:
-            rows = [
-                _conform_row(list(row), table.schema.column_names, cvd.data_schema)
-                for row in rows
-            ]
-        elif not rows_coerced:
-            rid_position = table.schema.position("rid")
-            data_positions = [i for i in range(len(table.schema)) if i != rid_position]
-            rows = [
-                (row[rid_position],)
-                + _conform_row(
-                    [row[i] for i in data_positions],
-                    [table.schema.columns[i].name for i in data_positions],
-                    cvd.data_schema,
-                )
-                for row in rows
-            ]
         commit_time = self._tick()
         resolved: dict = {}
-        vid = cvd.commit_rows(
-            staged.parent_vids,
-            rows,
+        version_info = dict(
             message=message,
             checkout_time=staged.checkout_time,
             commit_time=commit_time,
-            rows_have_rid=has_rid,
-            rows_coerced=rows_coerced,
             resolved=resolved,
         )
+        if tracked:
+            vid = cvd.commit_changes(staged.parent_vids, table, **version_info)
+        else:
+            vid = self._commit_staged_rows(
+                cvd, staged.parent_vids, table, version_info
+            )
         # Commit cleans up the staging area (Section 2.3).
         self.db.drop_table(table_name)
         self.provenance.remove(table_name)
@@ -417,6 +399,36 @@ class OrpheusDB:
         )
         self._apply_maintenance_trigger(maintenance)
         return vid
+
+    def _commit_staged_rows(
+        self, cvd: CVD, parents: Sequence[int], table, version_info: dict
+    ) -> int:
+        """Commit a staged table by comparing every row with the parents."""
+        rows = list(table.rows())
+        has_rid = "rid" in table.schema
+        if not has_rid:
+            rows = [
+                _conform_row(list(row), table.schema.column_names, cvd.data_schema)
+                for row in rows
+            ]
+        else:
+            rid_position = table.schema.position("rid")
+            data_positions = [i for i in range(len(table.schema)) if i != rid_position]
+            rows = [
+                (row[rid_position],)
+                + _conform_row(
+                    [row[i] for i in data_positions],
+                    [table.schema.columns[i].name for i in data_positions],
+                    cvd.data_schema,
+                )
+                for row in rows
+            ]
+        return cvd.commit_rows(
+            parents,
+            rows,
+            rows_have_rid=has_rid,
+            **version_info,
+        )
 
     def commit_csv(
         self,
@@ -478,10 +490,11 @@ class OrpheusDB:
     ) -> None:
         """Journal the physical resolution of a commit.
 
-        The record carries the exact ordered membership and the new record
-        payloads, so recovery re-applies it byte-identically without the
-        staged table.  The journal compacts the membership against
-        ``parent_order`` into an O(delta) encoding.
+        The record carries the version's change as a set difference:
+        ``drop``, the parents' records it does not inherit, and the new
+        records with their rids and payloads.  Recovery rebuilds the
+        membership as ``union(parents) - drop | new`` without the staged
+        table, and the record costs O(changed records) bytes.
 
         For partitioned storage the record also pins the partition the
         commit landed in: placement normally comes from a live policy
@@ -499,8 +512,7 @@ class OrpheusDB:
             "cvd": cvd.name,
             "vid": vid,
             "parents": list(staged.parent_vids),
-            "member_rids": list(resolved["member_rids"]),
-            "parent_order": list(resolved["parent_order"]),
+            "drop": list(resolved["drop"]),
             "new_records": [
                 [rid, list(payload)]
                 for rid, payload in resolved["new_records"].items()

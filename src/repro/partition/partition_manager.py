@@ -223,11 +223,10 @@ class PartitionedRlistModel(DataModel):
     def add_version(
         self,
         vid: int,
-        member_rids: Sequence[int],
+        members: RidSet,
         new_records: Mapping[int, Row],
         parent_vids: Sequence[int],
     ) -> None:
-        members = RidSet(member_rids)
         target = self.placement_policy(vid, members, parent_vids)
         if target is None:
             state = self._create_partition()
@@ -246,7 +245,7 @@ class PartitionedRlistModel(DataModel):
         self.db.execute(
             f"INSERT INTO {self._versioning_table(state.index)} "
             f"VALUES (%s, %s)",
-            (vid, arrays.make_array(member_rids)),
+            (vid, members.to_array()),
         )
         state.vids.add(vid)
         state.rids |= members

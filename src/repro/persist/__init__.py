@@ -8,9 +8,9 @@ in-memory engine the same property with a classic two-part design:
   (``init``, ``commit``, ``drop``, user management, durable SQL DML,
   ``optimize``, and the partition optimizer's transitions — ``maintain``
   samples and ``migration_start``/``migration_finish``) appended with CRC
-  framing and ``fsync`` before a command is acknowledged.  A commit whose
-  staged table only deleted and appended rows is delta-encoded (O(changed
-  records)); a staged UPDATE falls back to the full member list.
+  framing and ``fsync`` before a command is acknowledged.  A commit
+  record is a set difference against its parents — the rids it drops plus
+  its new records — so it costs O(changed records) whatever the DML did.
 * :mod:`repro.persist.snapshot` — a checkpoint format serializing the full
   engine catalog (every table as its own segment file) plus the middleware
   state (versions and their membership, written once; provenance, access

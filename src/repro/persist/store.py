@@ -16,10 +16,10 @@ whose append had not yet returned.  After ``checkpoint_interval`` appends
 (or an explicit :meth:`checkpoint`) the store writes a fresh snapshot and
 compacts the log.
 
-Commit records are delta-encoded: membership is stored as (records dropped
-from the parents, records appended) whenever the staged table preserved the
-parents' record order, so such a commit appends O(changed records) bytes.
-A staged UPDATE rewrites a row in place, and its commit stores O(version).
+Commit records are set differences: a version's membership is stored as
+``drop`` (the parents' records it does not inherit) plus the rids of its new
+records, and replay rebuilds it as ``union(parents) - drop | new``.  A commit
+appends O(changed records) bytes whatever its DML did.
 
 ``Store.open(mode="ro")`` is the concurrent-read path: a shared advisory
 lock instead of the writer's exclusive one, recovery that is a pure read
@@ -47,6 +47,7 @@ from repro.errors import (
     StoreLockedError,
 )
 from repro.obs import metrics, trace
+from repro.storage.ridset import RidSet
 from repro.storage.schema import TableSchema
 
 from repro.persist.fsutil import atomic_write_bytes, fsync_dir
@@ -586,8 +587,6 @@ class Store:
             # on a caller reaching in directly — refuse rather than corrupt
             # the writer's log.
             raise ReadOnlyError("read-only store cannot append to the WAL")
-        if record.get("op") == "commit":
-            record = _compact_commit(record)
         self.wal.append(self._next_lsn, record)
         self._next_lsn += 1
         self._records_since_checkpoint += 1
@@ -822,12 +821,9 @@ class Store:
         if payload["schema"] is not None:
             orpheus._evolve_schema(cvd, TableSchema.from_dict(payload["schema"]))
         parents = list(payload["parents"])
-        member_rids = _expand_members(cvd, parents, payload["members"])
-        new_records = {}
-        for rid, values in payload["new_records"]:
-            new_records[rid] = cvd.data_schema.coerce_row(values)
+        members, new_records = _commit_members(cvd, parents, payload)
         if new_records:
-            cvd._next_rid = max(cvd._next_rid, max(new_records) + 1)
+            cvd._next_rid = max(new_records) + 1
         forced_partition = payload["partition"]
         model = cvd.model
         old_policy = None
@@ -846,7 +842,7 @@ class Store:
         try:
             vid = cvd.ingest_version(
                 parents,
-                member_rids,
+                members,
                 new_records,
                 message=payload["message"],
                 checkout_time=payload["checkout_time"],
@@ -888,37 +884,40 @@ class Store:
 # ------------------------------------------------------------ commit coding
 
 
-def _compact_commit(record: dict) -> dict:
-    """Delta-encode a commit's membership against its parents' record order.
-
-    The encoded form ``{"drop": [...], "tail": [...]}`` applies when the
-    staged table kept the parents' record order (deletions tombstone in
-    place, inserts append — the engine's heap behaviour), which recovery can
-    reproduce because :meth:`CVD.parent_record_order` is deterministic.
-    Anything else falls back to the explicit member list.
-    """
-    record = dict(record)
-    member_rids = record.pop("member_rids")
-    parent_order = record.pop("parent_order")
-    new_rids = {rid for rid, _values in record["new_records"]}
-    member_set = set(member_rids)
-    prefix = [rid for rid in parent_order if rid in member_set]
-    cut = len(prefix)
-    if member_rids[:cut] == prefix and all(
-        rid in new_rids for rid in member_rids[cut:]
-    ):
-        record["members"] = {
-            "drop": [rid for rid in parent_order if rid not in member_set],
-            "tail": member_rids[cut:],
+def _commit_members(cvd, parents: list[int], payload: dict):
+    """``(members, new_records)`` of a journaled commit, checked: a CRC-valid
+    frame whose ``drop`` leaves the parents' records, whose new records are
+    not the CVD's next free rids, or that has the older ordered ``members``
+    form is a typed :class:`RecoveryError`, raised before any bitmap sized
+    by a raw rid is built."""
+    vid, start = payload["vid"], cvd._next_rid
+    if "members" in payload:
+        raise RecoveryError(
+            f"commit record for version {vid} has an ordered member list, which "
+            "this release no longer reads: checkpoint with the release that wrote it"
+        )
+    union = RidSet.union_all(cvd.member_rids(parent) for parent in parents)
+    top = union.max() if union else 0
+    try:
+        drop = list(payload["drop"])
+        new_records = {
+            rid: cvd.data_schema.coerce_row(values)
+            for rid, values in payload["new_records"]
         }
-    else:
-        record["members"] = {"full": member_rids}
-    return record
-
-
-def _expand_members(cvd, parents: list[int], encoded: dict) -> list[int]:
-    if "full" in encoded:
-        return list(encoded["full"])
-    parent_order = list(cvd.parent_record_order(parents))
-    dropped = set(encoded["drop"])
-    return [rid for rid in parent_order if rid not in dropped] + list(encoded["tail"])
+        numbered = sorted(new_records) == list(range(start, start + len(new_records)))
+    except (KeyError, TypeError, ValueError, ReproError) as exc:
+        raise RecoveryError(f"malformed commit record for version {vid}: {exc!r}")
+    stray = [rid for rid in drop if type(rid) is not int or not 0 <= rid <= top]
+    dropped = RidSet() if stray else RidSet(drop)
+    stray = stray or list(dropped - union)
+    if stray:
+        raise RecoveryError(
+            f"commit record for version {vid} drops rids {stray[:5]} "
+            f"that none of its parents {parents} holds"
+        )
+    if not numbered or len(new_records) != len(payload["new_records"]):
+        raise RecoveryError(
+            f"commit record for version {vid} numbers its new records other "
+            f"than the next free rids from {start}"
+        )
+    return (union - dropped) | RidSet(new_records), new_records

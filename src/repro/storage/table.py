@@ -10,10 +10,15 @@ built on (Appendix D.1).
 The engine keeps the heap sorted on bulk loads when a clustering column is
 declared; the Fig. 19 reproduction exercises both rid-clustered and
 primary-key-clustered layouts exactly like the paper's appendix.
+
+A staged checkout table also carries a :class:`ChangeSet`: the DML
+writing it records which of its checked-out rows it replaced or deleted,
+so commit reads only the rows that changed (paper Section 2.3).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import (
@@ -23,12 +28,31 @@ from repro.errors import (
 )
 from repro.storage.index import HashIndex, Index, OrderedIndex
 from repro.storage.iostats import StatsRegistry
+from repro.storage.ridset import RidSet
 from repro.storage.schema import TableSchema
 from repro.storage.types import column_size_bytes, value_size_bytes
 
 Row = tuple[Any, ...]
 
 ROW_HEADER_BYTES = 24  # charged per stored row on top of its values
+
+
+@dataclass
+class ChangeSet:
+    """What DML did to a staged checkout since :meth:`Table.track_changes`.
+
+    The table holds ``(rid, *data)`` rows.  Slots below ``base_slots`` hold
+    the checked-out rows, whose rids form ``base_rids``; slots past it are
+    inserts.  ``originals`` keeps a base slot's row as it was before its
+    first UPDATE, ``deleted`` the rids of deleted base slots.  Any write the set cannot attribute — a new or
+    changed ``rid``, a schema change, TRUNCATE, CLUSTER — drops the table's
+    change set, and commit falls back to comparing every row.
+    """
+
+    base_slots: int
+    base_rids: RidSet
+    originals: dict[int, Row] = field(default_factory=dict)
+    deleted: list[int] = field(default_factory=list)
 
 
 class Table:
@@ -51,6 +75,8 @@ class Table:
         self._live_count = 0
         self._data_bytes = 0  # incremental Σ _row_bytes over live rows
         self.indexes: dict[str, Index] = {}
+        #: Set by :meth:`track_changes`; None when the change set is unknown.
+        self.changes: ChangeSet | None = None
         if schema.primary_key and enforce_primary_key:
             self.create_index(f"{name}_pkey", list(schema.primary_key), unique=True)
 
@@ -153,6 +179,8 @@ class Table:
         for index in self.indexes.values():
             index.insert(row, slot)
         self.stats.rows_written += 1
+        if self.changes is not None and row[0] is not None:
+            self.changes = None  # a row claiming a rid: not a plain insert
         return slot
 
     def load_rows(self, rows: Iterable[Sequence[Any]]) -> int:
@@ -219,6 +247,10 @@ class Table:
             self._live_count -= 1
             self._data_bytes -= self._row_bytes(row)
             deleted += 1
+            changes = self.changes
+            if changes is not None and slot < changes.base_slots:
+                changes.originals.pop(slot, None)
+                changes.deleted.append(row[0])
         self.stats.rows_deleted += deleted
         return deleted
 
@@ -240,6 +272,12 @@ class Table:
         for index in self.indexes.values():
             index.delete(old_row, slot)
         self._rows[slot] = new_row
+        changes = self.changes
+        if changes is not None:
+            if new_row[0] != old_row[0]:
+                self.changes = None
+            elif slot < changes.base_slots:
+                changes.originals.setdefault(slot, old_row)
         self._data_bytes += self._row_bytes(new_row) - self._row_bytes(old_row)
         for index in self.indexes.values():
             index.insert(new_row, slot)
@@ -250,7 +288,30 @@ class Table:
             if isinstance(new_value, tuple) and new_value != old_value:
                 self.stats.array_cells_written += len(new_value)
 
+    def track_changes(self, base_rids: RidSet) -> None:
+        """Start a :class:`ChangeSet` against the current rows, a freshly
+        materialized checkout whose ``rid`` values are ``base_rids``."""
+        if self.schema.position("rid") != 0:
+            raise CatalogError(f"table {self.name!r} does not lead with a rid column")
+        self.changes = ChangeSet(len(self._rows), base_rids)
+
+    def changed_rows(self) -> tuple[list[tuple[Row, Row]], list[Row]]:
+        """The live rows the change set names, in slot order.
+
+        ``(original, current)`` for each updated base row, then each
+        inserted row; charges one record per row returned.
+        """
+        changes = self.changes
+        rows = self._rows
+        updated = [
+            (changes.originals[slot], rows[slot]) for slot in sorted(changes.originals)
+        ]
+        inserted = [row for row in rows[changes.base_slots :] if row is not None]
+        self.stats.records_scanned += len(updated) + len(inserted)
+        return updated, inserted
+
     def truncate(self) -> None:
+        self.changes = None
         self._rows.clear()
         self._live_count = 0
         self._data_bytes = 0
@@ -409,6 +470,7 @@ class Table:
         PK-clustered layouts.
         """
         key_column = column or self.clustered_on
+        self.changes = None  # slots move
         live = [row for row in self._rows if row is not None]
         if key_column is not None:
             position = self.schema.position(key_column)
@@ -430,6 +492,7 @@ class Table:
         from repro.storage.schema import Column
         from repro.storage.types import coerce
 
+        self.changes = None
         position = self.schema.position(name)
         old = self.schema.columns[position]
         columns = list(self.schema.columns)
@@ -453,6 +516,7 @@ class Table:
 
     def alter_add_column(self, column, default: Any = None) -> None:
         """``ALTER TABLE ADD COLUMN`` with a default backfill (Section 3.3)."""
+        self.changes = None
         self.schema = self.schema.with_column(column)
         for slot, row in enumerate(self._rows):
             if row is not None:

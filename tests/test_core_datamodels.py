@@ -29,7 +29,7 @@ ALL_MODELS = sorted(MODEL_REGISTRY)
 def commit(model, vid, member_rids, new_records, parents):
     """Add a version the way the CVD does: the model stores it, then the
     version's membership is recorded in the dict the model reads."""
-    model.add_version(vid, member_rids, new_records, parents)
+    model.add_version(vid, RidSet(member_rids), new_records, parents)
     model.membership[vid] = RidSet(member_rids)
 
 
@@ -112,7 +112,7 @@ class TestCombinedTable:
     def test_commit_rewrites_arrays(self):
         db, model = build_history("combined")
         before = db.stats.array_cells_written
-        model.add_version(4, [1, 3, 4, 5], {}, (3,))
+        model.add_version(4, RidSet([1, 3, 4, 5]), {}, (3,))
         # Appending v4 rewrote the vlist of all four carried-over records.
         assert db.stats.array_cells_written - before >= 4
 
@@ -123,7 +123,7 @@ class TestSplitByRlist:
         versioning_rows = db.query("SELECT count(*) FROM cvd__versions")
         assert versioning_rows == [(3,)]
         before_cells = db.stats.array_cells_written
-        model.add_version(4, [1, 3], {}, (3,))
+        model.add_version(4, RidSet([1, 3]), {}, (3,))
         # No array rewrites at all: one fresh INSERT.
         assert db.stats.array_cells_written == before_cells
 
@@ -254,9 +254,9 @@ class TestTablePerVersion:
         db = Database()
         model = resolve_model("table_per_version")(db, "cvd", SCHEMA)
         model.create_storage()
-        model.add_version(1, [1], {1: ("a", 1)}, ())
+        model.add_version(1, RidSet([1]), {1: ("a", 1)}, ())
         with pytest.raises(LookupError):
-            model.add_version(2, [1, 99], {}, (1,))
+            model.add_version(2, RidSet([1, 99]), {}, (1,))
 
 
 class TestRegistry:

@@ -152,3 +152,85 @@ class TestCompaction:
         wal.append(2, {"op": "y"})
         wal.close()
         assert [r.lsn for r in records(wal)] == [2]
+
+
+class TestCommitMembership:
+    """A commit record is ``union(parents) - drop | new``; a CRC-valid frame
+    naming any other membership is a typed error on open and on refresh."""
+
+    @staticmethod
+    def commit_frame(drop, new_records) -> dict:
+        return {
+            "op": "commit", "cvd": "p", "vid": 2, "parents": [1],
+            "drop": drop, "new_records": new_records,
+            "staged": "w", "staged_is_file": False, "partition": None,
+            "schema": None, "message": "", "checkout_time": 1,
+            "commit_time": 2, "clock": 2,
+        }
+
+    @staticmethod
+    def root_store(path):
+        from repro.persist import Store
+
+        store = Store.open(path, checkpoint_interval=0)
+        store.orpheus.init(
+            "p", [("k", "text"), ("v", "int")], [("a", 1), ("b", 2), ("c", 3)]
+        )
+        return store
+
+    def append_and_reopen(self, tmp_path, record):
+        from repro.persist import Store
+
+        store = self.root_store(tmp_path / "s")
+        store.wal.append(store.last_lsn + 1, record)
+        store.close(sync=False)
+        return Store.open(tmp_path / "s", checkpoint_interval=0)
+
+    def test_hand_built_record_replays(self, tmp_path):
+        store = self.append_and_reopen(
+            tmp_path, self.commit_frame([2], [[4, ["b", 5]]])
+        )
+        cvd = store.orpheus.cvd("p")
+        assert sorted(cvd.membership[2]) == [1, 3, 4]
+        assert cvd._next_rid == 5
+        store.close(sync=False)
+
+    @pytest.mark.parametrize(
+        "drop, new_records, match",
+        [
+            ([99], [], "drops rids \\[99\\]"),
+            ([2**40], [], "drops rids \\[1099511627776\\]"),
+            ([2], [[2, ["b", 5]]], "next free rids from 4"),
+            ([2], [[4, ["b", 5]], [4, ["d", 6]]], "next free rids from 4"),
+            ([], [[2**40, ["d", 6]]], "next free rids from 4"),
+            ([], [[4, ["d", "six"]]], "malformed commit record"),
+        ],
+        ids=[
+            "drop-outside-parents", "drop-huge-rid", "new-reuses-member",
+            "new-twice", "new-huge-rid", "new-value-uncoercible",
+        ],
+    )
+    def test_malformed_membership_refused(self, tmp_path, drop, new_records, match):
+        from repro.errors import RecoveryError
+        from repro.persist import Store
+
+        with pytest.raises(RecoveryError, match=match):
+            self.append_and_reopen(tmp_path, self.commit_frame(drop, new_records))
+        # A follower that saw the store before the frame landed refuses it
+        # on refresh too.
+        writer = self.root_store(tmp_path / "f")
+        reader = Store.open(tmp_path / "f", mode="ro")
+        writer.wal.append(writer.last_lsn + 1, self.commit_frame(drop, new_records))
+        with pytest.raises(RecoveryError, match=match):
+            reader.refresh(force=True)
+        reader.close()
+        writer.close(sync=False)
+
+    def test_ordered_member_list_names_the_old_format(self, tmp_path):
+        from repro.errors import RecoveryError
+
+        record = self.commit_frame([], [[4, ["d", 6]]])
+        del record["drop"]
+        record["members"] = {"full": [1, 2, 3, 4]}
+        with pytest.raises(RecoveryError, match="no longer reads"):
+            self.append_and_reopen(tmp_path, record)
