@@ -211,10 +211,10 @@ class PartitionedRlistModel(DataModel):
             self.db.table(self._data_table(state.index)).insert_many(
                 (rid,) + tuple(rows[rid]) for rid in group_rids
             )
-            versioning = self.db.table(self._versioning_table(state.index))
-            for vid in sorted(group):
-                versioning.insert((vid, membership[vid].to_array()))
-                self._assignment[vid] = state.index
+            self.db.table(self._versioning_table(state.index)).insert_many(
+                (vid, membership[vid].to_array()) for vid in sorted(group)
+            )
+            self._assignment.update(dict.fromkeys(sorted(group), state.index))
             state.vids |= set(group)
             state.rids |= group_rids
 
@@ -373,10 +373,10 @@ class PartitionedRlistModel(DataModel):
                 state.vids = set(group)
                 state.rids = group_rids
                 target_index = state.index
-            versioning = self.db.table(self._versioning_table(target_index))
-            for vid in sorted(group):
-                versioning.insert((vid, self.membership[vid].to_array()))
-                new_assignment[vid] = target_index
+            self.db.table(self._versioning_table(target_index)).insert_many(
+                (vid, self.membership[vid].to_array()) for vid in sorted(group)
+            )
+            new_assignment.update(dict.fromkeys(sorted(group), target_index))
         for old_index in list(old_states):
             if old_index not in surviving and old_index in self._partitions:
                 self._drop_partition(old_index)

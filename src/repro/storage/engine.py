@@ -344,8 +344,8 @@ class Database:
             for value_exprs in statement.rows or []:
                 resolved = [executor._resolve_subqueries(expr) for expr in value_exprs]
                 source_rows.append(tuple(expr.evaluate((), env) for expr in resolved))
-        count = 0
         width = len(table.schema)
+        full_rows = []
         for values in source_rows:
             if len(values) != len(positions):
                 raise ExecutionError(
@@ -354,9 +354,8 @@ class Database:
             full_row: list[Any] = [None] * width
             for position, value in zip(positions, values):
                 full_row[position] = value
-            table.insert(full_row)
-            count += 1
-        return Result(rowcount=count)
+            full_rows.append(full_row)
+        return Result(rowcount=table.insert_many(full_rows))
 
     def _execute_update(self, statement: ast.Update) -> Result:
         table = self.table(statement.table)

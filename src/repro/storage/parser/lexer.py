@@ -86,14 +86,17 @@ def tokenize(sql: str) -> list[Token]:
             tokens.append(Token(TokenType.IDENT, sql[i + 1 : j], i))
             i = j + 1
             continue
-        if char.isdigit() or (char == "." and i + 1 < length and sql[i + 1].isdigit()):
+        # isdecimal, not isdigit: '²' and '①' are digits that int() rejects.
+        if char.isdecimal() or (char == "." and sql[i + 1 : i + 2].isdecimal()):
             j = i
             seen_dot = False
-            while j < length and (sql[j].isdigit() or (sql[j] == "." and not seen_dot)):
+            while j < length and (
+                sql[j].isdecimal() or (sql[j] == "." and not seen_dot)
+            ):
                 if sql[j] == ".":
                     # Don't swallow "1." followed by an identifier (alias.col
                     # never follows a bare number in this dialect, but guard).
-                    if j + 1 >= length or not sql[j + 1].isdigit():
+                    if j + 1 >= length or not sql[j + 1].isdecimal():
                         break
                     seen_dot = True
                 j += 1

@@ -7,7 +7,7 @@ from itertools import chain
 from typing import Any, Iterable, Sequence
 
 from repro.errors import CatalogError, ConstraintViolationError
-from repro.storage.types import CANONICAL_TYPES, DataType, coerce
+from repro.storage.types import CANONICAL_TYPES, VALUE_BYTES, DataType, coerce
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,9 @@ class TableSchema:
                     f"primary key column {key_column!r} is not in the schema"
                 )
         self.primary_key = tuple(self.primary_key)
+        #: Per column: the type :func:`coerce` keeps as is, and its widths.
+        self.canonical_types = [CANONICAL_TYPES.get(c.dtype) for c in self.columns]
+        self.value_bytes = [VALUE_BYTES[c.dtype] for c in self.columns]
 
     @property
     def column_names(self) -> list[str]:
@@ -76,12 +79,14 @@ class TableSchema:
                 f"{len(self.columns)} columns"
             )
         coerced = []
-        for column, value in zip(self.columns, values):
+        for column, canonical, value in zip(self.columns, self.canonical_types, values):
             if value is None and column.not_null:
                 raise ConstraintViolationError(
                     f"null value in NOT NULL column {column.name!r}"
                 )
-            coerced.append(coerce(value, column.dtype))
+            if type(value) is not canonical:
+                value = coerce(value, column.dtype)
+            coerced.append(value)
         return tuple(coerced)
 
     def coerce_rows(self, rows: Iterable[Sequence[Any]]) -> list[tuple[Any, ...]]:

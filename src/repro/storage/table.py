@@ -19,18 +19,20 @@ so commit reads only the rows that changed (paper Section 2.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import (
     CatalogError,
     ConstraintViolationError,
     DuplicateObjectError,
+    ReproError,
 )
 from repro.storage.index import HashIndex, Index, OrderedIndex
 from repro.storage.iostats import StatsRegistry
 from repro.storage.ridset import RidSet
 from repro.storage.schema import TableSchema
-from repro.storage.types import column_size_bytes, value_size_bytes
+from repro.storage.types import column_size_bytes
 
 Row = tuple[Any, ...]
 
@@ -91,11 +93,11 @@ class Table:
         return self._live_count
 
     def _row_bytes(self, row: Row) -> int:
-        """Tuple header plus each value's type-aware footprint."""
-        total = ROW_HEADER_BYTES
-        for column, value in zip(self.schema.columns, row):
-            total += value_size_bytes(value, column.dtype)
-        return total
+        """Tuple header plus each value's :func:`value_size_bytes`."""
+        return ROW_HEADER_BYTES + sum(
+            1 if value is None else fixed + per * len(value) if per else fixed
+            for (fixed, per), value in zip(self.schema.value_bytes, row)
+        )
 
     def storage_bytes(self, include_indexes: bool = True) -> int:
         """Approximate on-disk footprint, including index entries if asked.
@@ -165,32 +167,60 @@ class Table:
 
     def insert(self, values: Sequence[Any]) -> int:
         """Insert one row, returning its heap slot."""
-        row = self.schema.coerce_row(values)
-        for index in self.indexes.values():
-            if index.unique and index.lookup_key(index.key_of(row)):
-                raise ConstraintViolationError(
-                    f"duplicate key {index.key_of(row)!r} violates unique "
-                    f"index {index.name!r} on table {self.name!r}"
-                )
-        slot = len(self._rows)
-        self._rows.append(row)
-        self._live_count += 1
-        self._data_bytes += self._row_bytes(row)
-        for index in self.indexes.values():
-            index.insert(row, slot)
-        self.stats.rows_written += 1
-        if self.changes is not None and row[0] is not None:
-            self.changes = None  # a row claiming a rid: not a plain insert
-        return slot
+        self.insert_many([values])
+        return len(self._rows) - 1
 
-    def load_rows(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Append already-consistent rows in bulk (the snapshot-restore path).
+    def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
+        """Insert rows as one statement, all or none; returns the count.
 
-        Keeps :meth:`insert`'s width, NOT NULL and type errors
-        (:meth:`TableSchema.coerce_rows`); skips uniqueness probes and
-        I/O-stat charging, so restore never pollutes benchmark counters.
+        Every row is checked (:meth:`TableSchema.coerce_rows`, then each
+        unique index against the table and the earlier rows) before any is
+        written; a rejected batch raises the first error a row-at-a-time
+        insert would meet, and leaves the table as it was.
         """
-        rows = self.schema.coerce_rows(rows)
+        rows = list(rows)
+        try:
+            coerced = self.schema.coerce_rows(rows)
+        except ReproError:
+            # One at a time, a duplicate key before the bad row comes first.
+            valid = []
+            for row in rows:
+                try:
+                    valid.append(self.schema.coerce_row(row))
+                except ReproError:
+                    break
+            self._check_unique(valid)
+            raise
+        self._check_unique(coerced)
+        self._append(coerced)
+        self.stats.rows_written += len(coerced)
+        if self.changes is not None and any(row[0] is not None for row in coerced):
+            self.changes = None  # a row claiming a rid: not a plain insert
+        return len(coerced)
+
+    def _check_unique(self, rows: list[Row]) -> None:
+        """Raise the duplicate-key error of the first row whose key is taken."""
+        taken = []  # per unique index: (first row number, index order, name, key)
+        for order, index in enumerate(self.indexes.values()):
+            if not index.unique:
+                continue
+            keys = zip(*[map(itemgetter(p), rows) for p in index.positions])
+            seen = set()
+            for at, key in enumerate(keys):
+                if key in seen or index.lookup_key(key):
+                    taken.append((at, order, index.name, key))
+                    break
+                seen.add(key)
+        if taken:
+            _at, _order, name, key = min(taken)
+            raise ConstraintViolationError(
+                f"duplicate key {key!r} violates unique "
+                f"index {name!r} on table {self.name!r}"
+            )
+
+    def _append(self, rows: list[Row]) -> None:
+        """Write checked rows at the end of the heap, bytes and index entries."""
+        start = len(self._rows)
         self._rows.extend(rows)
         self._live_count += len(rows)
         self._data_bytes += ROW_HEADER_BYTES * len(rows) + sum(
@@ -198,7 +228,17 @@ class Table:
             for column, values in zip(self.schema.columns, zip(*rows))
         )
         for index in self.indexes.values():
-            index.insert_many(rows, range(len(self._rows) - len(rows), len(self._rows)))
+            index.insert_many(rows, range(start, len(self._rows)))
+
+    def load_rows(self, rows: Iterable[Sequence[Any]]) -> int:
+        """Append already-consistent rows in bulk (the snapshot-restore path).
+
+        Keeps :meth:`insert_many`'s width, NOT NULL and type errors; skips
+        uniqueness probes and I/O-stat charging, so restore never pollutes
+        benchmark counters.
+        """
+        rows = self.schema.coerce_rows(rows)
+        self._append(rows)
         return len(rows)
 
     def dump_rows(self) -> Iterator[Row]:
@@ -225,14 +265,6 @@ class Table:
             }
             for index in self.indexes.values()
         ]
-
-    def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Bulk insert; returns the number of rows added."""
-        count = 0
-        for values in rows:
-            self.insert(values)
-            count += 1
-        return count
 
     def delete_slots(self, slots: Iterable[int]) -> int:
         """Tombstone the given heap slots; returns the number deleted."""

@@ -56,7 +56,7 @@ CANONICAL_TYPES = {
     DataType.TEXT: str,
     DataType.BOOLEAN: bool,
 }
-_VALUE_BYTES = {  # stored bytes of a non-NULL value: (fixed, per element)
+VALUE_BYTES = {  # stored bytes of a non-NULL value: (fixed, per element)
     DataType.INTEGER: (4, 0),
     DataType.DECIMAL: (8, 0),
     DataType.BOOLEAN: (1, 0),
@@ -178,13 +178,13 @@ def value_size_bytes(value: Any, dtype: DataType) -> int:
     """
     if value is None:
         return 1
-    fixed, per_element = _VALUE_BYTES[dtype]
+    fixed, per_element = VALUE_BYTES[dtype]
     return fixed + per_element * len(value) if per_element else fixed
 
 
 def column_size_bytes(values: Sequence[Any], dtype: DataType) -> int:
     """``sum(value_size_bytes(v, dtype) for v in values)``, a column at a time."""
     nulls = values.count(None)
-    fixed, per_element = _VALUE_BYTES[dtype]
+    fixed, per_element = VALUE_BYTES[dtype]
     lengths = sum(map(len, filter(None, values))) if per_element else 0
     return nulls + fixed * (len(values) - nulls) + per_element * lengths

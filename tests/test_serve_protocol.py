@@ -190,6 +190,7 @@ class TestHandleLineFailures:
             ({"op": "checkout", "cvd": "t", "vids": [99]}, "version_not_found"),
             ({"op": "checkout", "cvd": "t", "vids": [1, 99]}, "version_not_found"),
             ({"op": "query", "sql": "SELEC 1"}, "sql_syntax"),
+            ({"op": "query", "sql": "SELECT ²"}, "sql_syntax"),  # not decimal
             ({"op": "query", "sql": "SELECT * FROM missing"}, "catalog"),
             ({"op": "query", "sql": "CREATE TABLE x (a int)"}, "read_only"),
             (

@@ -59,6 +59,8 @@ VOCABULARY = sorted(
     | {"1.5", "99", "0", "-1", "NULL", "'x'", "(", ")", ",", "*", "/", "||"}
     | {"ARRAY[3]", "ARRAY[]", "LIKE", "ORDER", "BY", "LIMIT", "nope", "e"}
     | {"GROUP", "OVER", "UNION", "ALL", "SET", "WHERE", "=", "JOIN", "ON"}
+    # Unicode digits that are not decimal: int() rejects them.
+    | {"²", "³", "①"}
 )
 
 TOKENS = st.sampled_from(VOCABULARY)
@@ -150,6 +152,8 @@ def test_ill_typed_operands_are_typed_errors(sql, message):
 @example(sql="SELECT ARRAY[v] FROM t")
 @example(sql="SELECT - k FROM t ORDER BY k")
 @example(sql="SELECT * FROM t WHERE ARRAY[v] BETWEEN 1 AND 3")
+@example(sql="SELECT ²")
+@example(sql="SELECT k FROM t WHERE v > 1³")
 @given(sql=truncated() | mutated() | SOUP)
 @pytest.mark.parametrize("filled", [True, False], ids=["rows", "empty"])
 def test_only_typed_errors_escape_and_the_tiers_agree(filled, sql):
