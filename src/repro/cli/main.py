@@ -475,16 +475,17 @@ def _print_engine_status(orpheus: OrpheusDB) -> None:
 
     The counters cover this process (for `status` that is recovery/replay
     plus the command itself).  SELECTs run on the compiled block pipeline,
-    whose expressions are vector kernels; row closures serve DML, join
-    conditions and the subtrees that need a whole row; the interpreter
-    serves only what the compiler refuses.
+    whose expressions are vector kernels; generated row functions serve
+    DML, join conditions and the trees that need a whole row; the
+    interpreter serves what the compiler refuses, including trees whose
+    root is outside the generated skeleton.
     """
     db = orpheus.db
     stats = db.stats
     print(
         f"engine: {db.exec_mode} mode, exprs on "
         f"{stats.exprs_columnar} vector kernels / "
-        f"{stats.exprs_compiled} row closures / "
+        f"{stats.exprs_compiled} row functions / "
         f"{stats.exprs_interpreted} interpreter fallbacks, "
         f"{stats.batches_scanned} scan batches "
         f"({stats.blocks_scanned} column blocks)"
@@ -653,7 +654,7 @@ def _dispatch(orpheus: OrpheusDB, args: argparse.Namespace) -> None:
                 f"({detail['rowcount']} rows in "
                 f"{detail['total_seconds'] * 1000:.2f} ms, "
                 f"exprs on {detail['exprs_columnar']} vector kernels / "
-                f"{detail['exprs_compiled']} row closures / "
+                f"{detail['exprs_compiled']} row functions / "
                 f"{detail['exprs_interpreted']} interpreter fallbacks, "
                 f"{detail['records_scanned']} records in "
                 f"{detail['blocks_scanned']} column blocks, "

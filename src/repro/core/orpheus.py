@@ -588,13 +588,19 @@ class OrpheusDB:
             if self._journal is not None and not self._replaying:
                 mutating, targets = _statement_targets(statements)
                 staged = set(self.provenance.staged_names())
-                if mutating and not (targets and all(t in staged for t in targets)):
+                atomic = len(statements) == 1 and isinstance(statements[0], _ATOMIC_DML)
+                if (
+                    mutating
+                    and not atomic
+                    and not (targets and all(t in staged for t in targets))
+                ):
                     # Statements apply one at a time, so a mid-script
                     # failure may have mutated *durable* state that was
                     # never journaled; flag it so the next journaled
                     # record checkpoints instead of building on divergent
-                    # replay.  Staged-only scripts are exempt: staging is
-                    # snapshot-only state and never replayed.
+                    # replay.  Exempt: a failed lone INSERT/UPDATE/DELETE
+                    # wrote nothing, and staging is snapshot-only state
+                    # that is never replayed.
                     self._pending_barrier = True
             raise
         if self._journal is not None and not self._replaying:
@@ -858,6 +864,11 @@ def _references_any(sql: str, names: set[str]) -> bool:
     checkpoint), used to spot durable DML that reads staged tables.
     """
     return any(_re.search(rf"\b{_re.escape(name)}\b", sql) for name in names)
+
+
+#: DML that checks every row before it writes: a failed statement leaves
+#: its table as it was.
+_ATOMIC_DML = (_ast.Insert, _ast.Update, _ast.Delete)
 
 
 def _statement_targets(

@@ -1,25 +1,30 @@
-"""Expression codegen: lower an AST into closed-over Python functions.
+"""Expression codegen: lower an AST into generated Python functions.
 
 The interpreted :meth:`Expression.evaluate` walk pays dozens of dynamic
 dispatches, ``env.resolve`` dict probes, and operator-table lookups per
-row.  :func:`compile_value` lowers a tree once per statement into nested
-closures whose per-row work is direct tuple indexing plus the operator
-itself, with everything resolvable at compile time hoisted out:
+row.  :func:`compile_value` fuses the *scalar skeleton* of a tree —
+column loads, comparisons, arithmetic, AND/OR/NOT, BETWEEN, IS NULL, IN,
+LIKE against a constant pattern, containment/overlap against a constant
+array — into one ``compile()``-ed Python function whose happy path is
+straight bytecode, with everything resolvable at compile time hoisted out:
 
 * column positions are resolved once (not per row);
-* constant subtrees are folded to a single captured value;
+* row-independent subtrees are evaluated once (:func:`_constant`);
 * LIKE patterns become one precompiled regex;
 * constant array operands of ``<@`` / ``@>`` / ``&&`` are converted to a
   probe set once, so the per-row evaluation never rebuilds ``set(...)``
   (the generic :mod:`repro.storage.arrays` paths pay that per call).
 
-Semantics are bit-for-bit those of the interpreter — SQL three-valued
-logic, evaluation order, division-by-zero and type-error behaviour — and
-the hypothesis suite in ``tests/test_storage_compile.py`` enforces the
-equivalence.  Anything the compiler does not understand (aggregates,
-unresolvable columns, exotic nodes) makes :func:`compile_value` return
-``None`` and the caller falls back to the interpreter, which stays the
-reference implementation.
+The interpreter stays the one reference implementation, and everything
+outside the skeleton runs on it: a subtree the emitter does not handle is
+embedded as a bound call to its :meth:`Expression.evaluate` (an
+"island"), and when a generated function raises, the row is replayed
+through ``expr.evaluate(row, env)`` — evaluation is pure, so the replay
+reproduces the interpreter's exact value or error.  A tree whose root is
+outside the skeleton, or that names an unknown column, gets no generated
+function: :func:`compile_value` returns ``None`` and the caller runs the
+interpreter.  The hypothesis suite in ``tests/test_storage_compile.py``
+enforces the equivalence.
 
 The block kernels the SELECT pipeline runs on
 (:func:`compile_column_predicate`, :func:`compile_column_values`) are
@@ -31,32 +36,24 @@ full row) or ``"interpreted"`` (trees :func:`compile_value` refuses).
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Any, Callable, Sequence
 
 from repro.errors import ExecutionError
 from repro.storage.expression import (
     BINARY_IMPLS,
-    SCALAR_FUNCS,
-    ArrayLiteral,
     Between,
     BinaryOp,
     ColumnRef,
     EvalEnv,
     Expression,
-    FuncCall,
     InList,
     InSet,
     IsNull,
     Like,
     Literal,
     PosRef,
-    Star,
     UnaryOp,
-    array_value,
-    between,
     like_to_regex,
-    negate,
 )
 from repro.storage.ridset import RidSet
 
@@ -64,216 +61,71 @@ Row = Sequence[Any]
 RowFunc = Callable[[Row], Any]
 
 #: Constant array operands of these ops get their probe-set conversion
-#: hoisted to compile time (the satellite fix for the per-row ``set(outer)``
-#: rebuild in the generic arrays paths).
+#: hoisted to compile time, once per statement.
 _ARRAY_OPS = frozenset({"<@", "@>", "&&"})
-
-
-class _Uncompilable(Exception):
-    """Internal: this subtree must run on the interpreter."""
 
 
 def compile_value(expr: Expression, env: EvalEnv) -> RowFunc | None:
     """A function ``row -> value`` equivalent to ``expr.evaluate(row, env)``.
 
-    Returns ``None`` when any part of the tree is outside the compiled
-    subset; callers then fall back to the interpreter.  A tree that would
+    A row-independent tree is folded to its value; otherwise the tree is
+    fused into one generated function (:func:`_source_function`).  Returns
+    ``None`` when the root is outside the skeleton or a column does not
+    resolve; callers then fall back to the interpreter.  A tree that would
     *raise* per row on the interpreter (unknown column, aggregate outside
-    GROUP BY) is deliberately not compiled, so the runtime error behaviour
-    — including "no rows, no error" — is preserved exactly.
-
-    Two lowering tiers share the work: the closure tier (always built)
-    mirrors the interpreter exactly, node by node; the source tier
-    (:func:`_source_function`) then fuses the scalar skeleton of the tree
-    into one ``compile()``-ed Python function whose happy path is straight
-    bytecode — subtrees the emitter does not handle are embedded as calls
-    to their closure ("islands"), and the generated function falls back to
-    the full closure tree on *any* exception, which replays the row and
-    reproduces the interpreter's exact error or value.
+    GROUP BY) never raises here at compile time, so the runtime error
+    behaviour — including "no rows, no error" — is preserved exactly.
     """
-    try:
-        func, is_const = _compile(expr, env)
-    except _Uncompilable:
-        return None
-    if is_const:
-        return func
-    return _source_function(expr, env, func) or func
+    value = _constant(expr)
+    if value is not _DYNAMIC:
+        return lambda row: value
+    return _source_function(expr, env)
 
 
 # ------------------------------------------------------------------ helpers
 
 
-def _const(value: Any) -> tuple[RowFunc, bool]:
-    return (lambda row: value), True
+class _Uncompilable(Exception):
+    """Internal: this tree must run on the interpreter."""
 
 
-def _fold(func: RowFunc, is_const: bool) -> tuple[RowFunc, bool]:
-    """Evaluate a row-independent subtree once; keep it dynamic on error.
+class _NoSource(Exception):
+    """Internal: this node has no source form (caller islands or gives up)."""
 
-    The interpreter raises per evaluated row, so a constant subtree that
+
+class _RowRead(Exception):
+    """Internal: a constant probe touched the row."""
+
+
+class _NoRow:
+    """The row a constant probe evaluates against.  Indexing it raises, and
+    so does using it as a value (``*`` evaluates to the row itself)."""
+
+    def _read(self, *args):
+        raise _RowRead
+
+    __getitem__ = __iter__ = __len__ = __bool__ = __str__ = _read
+    __eq__ = __ne__ = __hash__ = _read
+
+
+_NO_ROW = _NoRow()
+_NO_COLUMNS = EvalEnv([])
+_DYNAMIC = object()
+
+
+def _constant(expr: Expression) -> Any:
+    """``expr``'s value when it does not depend on the row, else ``_DYNAMIC``.
+
+    The subtree is evaluated once, through the interpreter, against a row
+    whose reads raise.  Any read or any error leaves it dynamic: the
+    interpreter raises per evaluated row, so a constant subtree that
     raises (``1/0``) must keep raising at run time, not at compile time.
     """
-    if not is_const:
-        return func, False
     try:
-        value = func(())
+        value = expr.evaluate(_NO_ROW, _NO_COLUMNS)
     except Exception:
-        return func, False
-    return _const(value)
-
-
-def _const_value(func: RowFunc) -> Any:
-    """The value of an already-folded constant closure."""
-    return func(())
-
-
-# ------------------------------------------------------------------ compile
-
-
-def _compile(expr: Expression, env: EvalEnv) -> tuple[RowFunc, bool]:
-    if isinstance(expr, Literal):
-        return _const(expr.value)
-    if isinstance(expr, ColumnRef):
-        try:
-            position = env.resolve(expr.name)
-        except ExecutionError:
-            # Unknown/ambiguous columns raise per evaluated row on the
-            # interpreter; keep that behaviour by refusing to compile.
-            raise _Uncompilable from None
-        return itemgetter(position), False
-    if isinstance(expr, PosRef):
-        return itemgetter(expr.position), False
-    if isinstance(expr, Star):
-        return (lambda row: row), False
-    if isinstance(expr, BinaryOp):
-        return _compile_binary(expr, env)
-    if isinstance(expr, UnaryOp):
-        return _compile_unary(expr, env)
-    if isinstance(expr, IsNull):
-        operand, const = _compile(expr.operand, env)
-        negated = expr.negated
-
-        def func(row):
-            is_null = operand(row) is None
-            return (not is_null) if negated else is_null
-
-        return _fold(func, const)
-    if isinstance(expr, Between):
-        return _compile_between(expr, env)
-    if isinstance(expr, InList):
-        return _compile_in_list(expr, env)
-    if isinstance(expr, InSet):
-        operand, const = _compile(expr.operand, env)
-        values = expr.values
-        negated = expr.negated
-
-        def func(row):
-            value = operand(row)
-            if value is None:
-                return None
-            found = value in values
-            return (not found) if negated else found
-
-        return _fold(func, const)
-    if isinstance(expr, Like):
-        return _compile_like(expr, env)
-    if isinstance(expr, ArrayLiteral):
-        items = [_compile(item, env) for item in expr.items]
-        item_funcs = [func for func, _ in items]
-
-        def func(row):
-            return array_value(f(row) for f in item_funcs)
-
-        return _fold(func, all(const for _, const in items))
-    if isinstance(expr, FuncCall):
-        return _compile_func(expr, env)
-    raise _Uncompilable
-
-
-def _compile_binary(expr: BinaryOp, env: EvalEnv) -> tuple[RowFunc, bool]:
-    op = expr.op
-    left, left_const = _compile(expr.left, env)
-    right, right_const = _compile(expr.right, env)
-    const = left_const and right_const
-    if op == "and":
-
-        def func(row):
-            lv = left(row)
-            if lv is False:
-                return False
-            rv = right(row)
-            if rv is False:
-                return False
-            if lv is None or rv is None:
-                return None
-            return True
-
-        return _fold(func, const)
-    if op == "or":
-
-        def func(row):
-            lv = left(row)
-            if lv is True:
-                return True
-            rv = right(row)
-            if rv is True:
-                return True
-            if lv is None or rv is None:
-                return None
-            return False
-
-        return _fold(func, const)
-    if op == "||":
-        concat = BinaryOp._concat
-
-        def func(row):
-            return concat(left(row), right(row))
-
-        return _fold(func, const)
-    if op in _ARRAY_OPS and not const:
-        specialized = _compile_array_op(op, left, left_const, right, right_const)
-        if specialized is not None:
-            return specialized, False
-    impl = BINARY_IMPLS.get(op)
-    if impl is None:
-        raise _Uncompilable  # interpreter raises "unknown operator" per row
-    if op == "/":
-
-        def func(row):
-            a = left(row)
-            b = right(row)
-            if a is None or b is None:
-                return None
-            if b == 0:
-                raise ExecutionError("division by zero")
-            try:
-                return impl(a, b)
-            except TypeError as exc:
-                raise ExecutionError(
-                    f"operator {op!r} not supported for {a!r} and {b!r}"
-                ) from exc
-
-    else:
-
-        def func(row):
-            a = left(row)
-            b = right(row)
-            if a is None or b is None:
-                return None
-            try:
-                return impl(a, b)
-            except TypeError as exc:
-                raise ExecutionError(
-                    f"operator {op!r} not supported for {a!r} and {b!r}"
-                ) from exc
-
-    return _fold(func, const)
-
-
-def _identity(value):
-    """Pass-through ``dynamic`` side for :func:`_compile_array_op` when the
-    dynamic value is computed by generated source rather than a closure."""
-    return value
+        return _DYNAMIC
+    return _DYNAMIC if value is _NO_ROW else value
 
 
 def _probe_set(values: tuple) -> frozenset | None:
@@ -284,40 +136,23 @@ def _probe_set(values: tuple) -> frozenset | None:
         return None
 
 
-def _compile_array_op(
-    op: str,
-    left: RowFunc,
-    left_const: bool,
-    right: RowFunc,
-    right_const: bool,
-) -> RowFunc | None:
-    """Containment/overlap with one constant side: hoist its conversion.
+def _array_op(op: str, const_value: Any, const_is_left: bool) -> Callable | None:
+    """Containment/overlap with one constant side, as a function of the
+    dynamic side's value: the constant's conversion is hoisted.
 
     The generic :func:`arrays.contains` / :func:`arrays.overlap` paths
     rebuild a ``set(...)`` per evaluation when neither operand is a RidSet;
-    with a constant operand the conversion happens here, once per
-    statement.  Results match the interpreter exactly (probing a hoisted
-    set answers the same membership questions).  Returns ``None`` when no
-    side is constant or the constant cannot be hoisted — the caller then
-    emits the generic impl-calling closure.
+    here the conversion happens once per statement.  Results match the
+    interpreter exactly (probing a hoisted set answers the same membership
+    questions).  Returns ``None`` when the constant cannot be hoisted —
+    the caller then leaves the node to the interpreter.
     """
-    if not (left_const or right_const):
-        return None
-    if left_const and not right_const:
-        const_value, dynamic, const_is_left = _const_value(left), right, True
-    elif right_const and not left_const:
-        const_value, dynamic, const_is_left = _const_value(right), left, False
-    else:  # pragma: no cover - both-const trees are folded by the caller
-        return None
-    impl = BINARY_IMPLS[op]
     if const_value is None:
-        # NULL op anything is NULL, but the dynamic side must still be
-        # evaluated (it may raise), exactly like the interpreter.
-        def func(row):
-            dynamic(row)
-            return None
+        # NULL op anything is NULL; the dynamic side is still evaluated
+        # (it may raise), as the argument of this call.
+        return lambda other: None
+    impl = BINARY_IMPLS[op]
 
-        return func
     def generic(other):
         """The interpreter's impl call, in the original operand order."""
         a, b = (const_value, other) if const_is_left else (other, const_value)
@@ -331,11 +166,8 @@ def _compile_array_op(
     if isinstance(const_value, RidSet):
         # Already a bitmap (the executor's statement-level conversion);
         # the arrays fast paths handle it without per-row conversions.
-        def func(row):
-            other = dynamic(row)
-            if other is None:
-                return None
-            return generic(other)
+        def func(other):
+            return None if other is None else generic(other)
 
         return func
     if not isinstance(const_value, tuple):
@@ -354,8 +186,7 @@ def _compile_array_op(
         op == "<@" and not const_is_left
     )
 
-    def func(row):
-        other = dynamic(row)
+    def func(other):
         if other is None:
             return None
         if isinstance(other, tuple):
@@ -372,155 +203,6 @@ def _compile_array_op(
     return func
 
 
-def _compile_unary(expr: UnaryOp, env: EvalEnv) -> tuple[RowFunc, bool]:
-    operand, const = _compile(expr.operand, env)
-    if expr.op == "not":
-
-        def func(row):
-            value = operand(row)
-            return None if value is None else (not value)
-
-        return _fold(func, const)
-    if expr.op == "-":
-
-        def func(row):
-            value = operand(row)
-            return None if value is None else negate(value)
-
-        return _fold(func, const)
-    raise _Uncompilable  # interpreter raises "unknown unary operator" per row
-
-
-def _compile_between(expr: Between, env: EvalEnv) -> tuple[RowFunc, bool]:
-    operand, c1 = _compile(expr.operand, env)
-    low, c2 = _compile(expr.low, env)
-    high, c3 = _compile(expr.high, env)
-    negated = expr.negated
-
-    def func(row):
-        value = operand(row)
-        lo = low(row)
-        hi = high(row)
-        if value is None or lo is None or hi is None:
-            return None
-        result = between(value, lo, hi)
-        return (not result) if negated else result
-
-    return _fold(func, c1 and c2 and c3)
-
-
-def _compile_in_list(expr: InList, env: EvalEnv) -> tuple[RowFunc, bool]:
-    operand, const = _compile(expr.operand, env)
-    items = [_compile(item, env) for item in expr.items]
-    item_funcs = [func for func, _ in items]
-    negated = expr.negated
-
-    def func(row):
-        value = operand(row)
-        if value is None:
-            return None
-        found = any(f(row) == value for f in item_funcs)
-        return (not found) if negated else found
-
-    return _fold(func, const and all(c for _, c in items))
-
-
-def _compile_like(expr: Like, env: EvalEnv) -> tuple[RowFunc, bool]:
-    operand, c1 = _compile(expr.operand, env)
-    pattern, c2 = _compile(expr.pattern, env)
-    negated = expr.negated
-    if c2:
-        pattern_value = _const_value(pattern)
-        if pattern_value is None:
-
-            def func(row):
-                operand(row)  # may raise, like the interpreter
-                return None
-
-            return _fold(func, c1)
-        try:
-            regex = like_to_regex(pattern_value)
-        except ExecutionError:
-            regex = None  # non-string pattern: defer the error to run time
-        if regex is not None:
-
-            def func(row):
-                value = operand(row)
-                if value is None:
-                    return None
-                matched = regex.match(str(value)) is not None
-                return (not matched) if negated else matched
-
-            return _fold(func, c1)
-
-    def func(row):
-        value = operand(row)
-        pat = pattern(row)
-        if value is None or pat is None:
-            return None
-        matched = like_to_regex(pat).match(str(value)) is not None
-        return (not matched) if negated else matched
-
-    return _fold(func, c1 and c2)
-
-
-def _compile_func(expr: FuncCall, env: EvalEnv) -> tuple[RowFunc, bool]:
-    if expr.is_aggregate:
-        # The interpreter raises per evaluated row ("aggregate outside
-        # GROUP BY context"); fall back so that behaviour is preserved.
-        raise _Uncompilable
-    args = [_compile(arg, env) for arg in expr.args]
-    arg_funcs = [func for func, _ in args]
-    const = all(c for _, c in args)
-    if expr.name == "coalesce":
-
-        def func(row):
-            for f in arg_funcs:
-                value = f(row)
-                if value is not None:
-                    return value
-            return None
-
-        return _fold(func, const)
-    impl = SCALAR_FUNCS.get(expr.name)
-    if impl is None:
-        raise _Uncompilable  # interpreter raises "unknown function" per row
-    if len(arg_funcs) == 1:
-        arg = arg_funcs[0]
-
-        def func(row):
-            value = arg(row)
-            return None if value is None else impl(value)
-
-        return _fold(func, const)
-
-    def func(row):
-        values = [f(row) for f in arg_funcs]
-        if any(v is None for v in values):
-            return None
-        return impl(*values)
-
-    return _fold(func, const)
-
-
-# --------------------------------------------------------------- source tier
-#
-# The closure tier above is exact but still pays one Python frame per AST
-# node per row.  The source tier fuses the *scalar skeleton* of a tree —
-# column loads, comparisons, arithmetic, AND/OR/NOT, BETWEEN, IS NULL,
-# IN — into a single generated function, so the per-row cost collapses to
-# one call plus straight bytecode.  Sub-trees outside the skeleton (array
-# operators, functions, dynamic LIKE, ``||``) are embedded as calls to
-# their closure-tier function.  Correctness contract: wherever the
-# generated expression *returns*, its value equals the interpreter's;
-# anything that raises is replayed through the closure tree (evaluation
-# is pure), reproducing the interpreter's exact value or error.
-
-
-class _NoSource(Exception):
-    """Internal: this node has no source form (caller islands or gives up)."""
-
-
 _COMPARISONS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _ARITHMETIC = {"+": "+", "-": "-", "*": "*", "%": "%"}
 
@@ -533,6 +215,9 @@ def _checked_div(a: Any, b: Any) -> Any:
         return BINARY_IMPLS["/"](a, b)
     except TypeError as exc:
         raise ExecutionError(f"operator '/' not supported for {a!r} and {b!r}") from exc
+
+
+# ----------------------------------------------------------------- emission
 
 
 class _SourceContext:
@@ -548,6 +233,7 @@ class _SourceContext:
             "_div": _checked_div,
             "_TRUE": True,
             "_FALSE": False,
+            "_env": env,
         }
         self.counter = 0
 
@@ -569,11 +255,12 @@ class _SourceContext:
         return self.bind(value)
 
     def island(self, expr: Expression) -> str:
-        """Embed an unsupported subtree as a call to its closure form."""
-        func, is_const = _compile(expr, self.env)
-        if is_const:
-            return self.const(_const_value(func))
-        return f"{self.bind(func)}(row)"
+        """Embed an unsupported subtree: its value when it is row-independent,
+        else a call to the interpreter."""
+        value = _constant(expr)
+        if value is not _DYNAMIC:
+            return self.const(value)
+        return f"{self.bind(expr.evaluate)}(row, _env)"
 
     def column(self, position: int) -> str:
         """Source text of one column load (the row-layout form)."""
@@ -606,7 +293,7 @@ class _ColumnContext(_SourceContext):
         raise _NoSource
 
 
-def _source_function(expr: Expression, env: EvalEnv, slow: RowFunc) -> RowFunc | None:
+def _source_function(expr: Expression, env: EvalEnv) -> RowFunc | None:
     """Fuse ``expr`` into one generated function, or ``None`` if the root
     is outside the skeleton (a root-level island would only add overhead).
     """
@@ -615,15 +302,15 @@ def _source_function(expr: Expression, env: EvalEnv, slow: RowFunc) -> RowFunc |
         body = _emit(expr, ctx)
     except (_NoSource, _Uncompilable):
         return None
-    ctx.names["_slow"] = slow
+    ctx.names["_slow"] = expr.evaluate
     source = (
         "def _compiled(row):\n"
         "    try:\n"
         f"        return {body}\n"
         "    except Exception:\n"
-        "        # Replay through the exact closure tree: evaluation is\n"
-        "        # pure, so this reproduces the interpreter's value/error.\n"
-        "        return _slow(row)\n"
+        "        # Replay through the interpreter: evaluation is pure, so\n"
+        "        # this reproduces its exact value or error.\n"
+        "        return _slow(row, _env)\n"
     )
     namespace = ctx.names
     exec(compile(source, "<repro.storage.compile>", "exec"), namespace)
@@ -643,23 +330,23 @@ def _column_prelude(ctx: "_ColumnContext") -> str:
 def _column_source(expr: Expression, env: EvalEnv):
     """Both generated-source variants of ``expr`` (row-fused, vector) and
     the namespace they run in, or ``None`` outside the vector subset."""
+    ctx = _ColumnContext(env)
     try:
-        slow, _is_const = _compile(expr, env)
-        ctx = _ColumnContext(env)
         ctx.row_mode = True
         row_body = _emit(expr, ctx)
         ctx.row_mode = False
         col_body = _emit(expr, ctx)
     except (_NoSource, _Uncompilable):
         return None
-    ctx.names["_slow"] = slow
+    ctx.names["_slow"] = expr.evaluate
     return ctx, row_body, col_body
 
 
 def _row_function(expr: Expression, env: EvalEnv) -> tuple[RowFunc, str]:
-    """``expr`` as a row function, and the tier it is: the fused closure
-    tree (trees that need a full row: both-dynamic array operators,
-    function islands) or, for uncompilable nodes, the interpreter."""
+    """``expr`` as a row function, and the tier it is: the generated row
+    function (trees that need a full row: both-dynamic array operators,
+    function islands) or, for trees :func:`compile_value` refuses, the
+    interpreter."""
     func = compile_value(expr, env)
     if func is not None:
         return func, "compiled"
@@ -685,9 +372,8 @@ def compile_column_predicate(expr: Expression, env: EvalEnv) -> tuple[Callable, 
     (``block.rows is not None``).  Outside the vector subset the same
     contract is served by the tree's row function (see
     :func:`_row_function`); the ``tier`` returned beside the kernel says
-    which.  On any exception
-    the block is replayed row-by-row through the exact closure tree,
-    reproducing the interpreter's error at the offending row.
+    which.  On any exception the block is replayed row-by-row through the
+    interpreter, reproducing its error at the offending row.
     """
     # A bare literal would sit directly beside `is` in the generated
     # condition (a CPython SyntaxWarning); its row function is free anyway.
@@ -710,10 +396,9 @@ def compile_column_predicate(expr: Expression, env: EvalEnv) -> tuple[Callable, 
         "        try:\n"
         f"            return [_r for _r in _rows if ({row_body}) is _TRUE]\n"
         "        except Exception:\n"
-        "            # Replay through the exact closure tree: evaluation\n"
-        "            # is pure, so the interpreter's error surfaces\n"
-        "            # identically.\n"
-        "            return [_r for _r in _rows if _slow(_r) is _TRUE]\n"
+        "            # Replay through the interpreter: evaluation is pure,\n"
+        "            # so its error surfaces identically.\n"
+        "            return [_r for _r in _rows if _slow(_r, _env) is _TRUE]\n"
         "    _cols = block.columns\n"
         f"{_column_prelude(ctx)}"
         "    _n = block.length\n"
@@ -721,7 +406,7 @@ def compile_column_predicate(expr: Expression, env: EvalEnv) -> tuple[Callable, 
         f"        return [_i for _i in range(_n) if ({col_body}) is _TRUE]\n"
         "    except Exception:\n"
         "        _row = block.row\n"
-        "        return [_i for _i in range(_n) if _slow(_row(_i)) is _TRUE]\n"
+        "        return [_i for _i in range(_n) if _slow(_row(_i), _env) is _TRUE]\n"
     )
     return _kernel(ctx, source, "_compiled_colfilter")
 
@@ -739,7 +424,7 @@ def compile_column_values(expr: Expression, env: EvalEnv) -> tuple[Callable, str
     row-backed block's backing list and the vector variant otherwise.
     Trees outside the vector subset map their row function over the
     selected rows (the ``tier`` returned beside the kernel says which);
-    exceptions replay through the closure tree exactly like
+    exceptions replay through the interpreter exactly like
     :func:`compile_column_predicate`.
     """
     position = None
@@ -779,7 +464,7 @@ def compile_column_values(expr: Expression, env: EvalEnv) -> tuple[Callable, str
         "        try:\n"
         f"            return [{row_body} for _r in _rows]\n"
         "        except Exception:\n"
-        "            return [_slow(_r) for _r in _rows]\n"
+        "            return [_slow(_r, _env) for _r in _rows]\n"
         "    _cols = block.columns\n"
         f"{_column_prelude(ctx)}"
         "    _sel = range(block.length) if selection is None else selection\n"
@@ -787,7 +472,7 @@ def compile_column_values(expr: Expression, env: EvalEnv) -> tuple[Callable, str
         f"        return [{col_body} for _i in _sel]\n"
         "    except Exception:\n"
         "        _row = block.row\n"
-        "        return [_slow(_row(_i)) for _i in _sel]\n"
+        "        return [_slow(_row(_i), _env) for _i in _sel]\n"
     )
     return _kernel(ctx, source, "_compiled_colvalues")
 
@@ -797,11 +482,13 @@ def _emit(expr: Expression, ctx: _SourceContext) -> str:
     if isinstance(expr, Literal):
         if isinstance(expr.value, (bool, int, str)) or expr.value is None:
             return ctx.const(expr.value)
-        raise _NoSource  # exotic constants stay closure-bound via islands
+        raise _NoSource  # exotic constants are bound through islands
     if isinstance(expr, ColumnRef):
         try:
             position = ctx.env.resolve(expr.name)
         except ExecutionError:
+            # Unknown/ambiguous columns raise per evaluated row on the
+            # interpreter; keep that behaviour by refusing to compile.
             raise _Uncompilable from None
         return ctx.column(position)
     if isinstance(expr, PosRef):
@@ -844,10 +531,10 @@ def _emit(expr: Expression, ctx: _SourceContext) -> str:
             f" else ({value} {membership} {values}))"
         )
     if isinstance(expr, InList):
-        items = [_compile(item, ctx.env) for item in expr.items]
-        if not all(is_const for _, is_const in items):
-            raise _NoSource  # row-dependent items keep the lazy closure form
-        folded = ctx.bind(tuple(_const_value(func) for func, _ in items))
+        items = tuple(map(_constant, expr.items))
+        if any(item is _DYNAMIC for item in items):
+            raise _NoSource  # row-dependent items keep the interpreter's lazy form
+        folded = ctx.bind(items)
         value = ctx.gensym("t")
         item = ctx.gensym("t")
         found = f"any({item} == {value} for {item} in {folded})"
@@ -903,39 +590,34 @@ def _emit_binary(expr: BinaryOp, ctx: _SourceContext) -> str:
         )
     if op in _ARRAY_OPS:
         # Containment/overlap with one constant side: bind the hoisted
-        # specialization (:func:`_compile_array_op` with a pass-through
-        # dynamic side) and call it on the emitted dynamic operand.  The
-        # probe-set conversion stays once-per-statement on the columnar
-        # tier too; both-const and both-dynamic trees keep the closure
-        # island form.
-        left_func, left_const = _compile(expr.left, ctx.env)
-        right_func, right_const = _compile(expr.right, ctx.env)
-        if left_const == right_const:
+        # specialization (:func:`_array_op`) and call it on the emitted
+        # dynamic operand.  The probe-set conversion stays once per
+        # statement on the columnar tier too; both-const and both-dynamic
+        # trees are islands.
+        left, right = _constant(expr.left), _constant(expr.right)
+        if (left is _DYNAMIC) == (right is _DYNAMIC):
             raise _NoSource
-        if left_const:
-            helper = _compile_array_op(op, left_func, True, _identity, False)
-            dynamic = expr.right
+        if right is _DYNAMIC:
+            helper, dynamic = _array_op(op, left, True), expr.right
         else:
-            helper = _compile_array_op(op, _identity, False, right_func, True)
-            dynamic = expr.left
+            helper, dynamic = _array_op(op, right, False), expr.left
         if helper is None:
             raise _NoSource
         return f"{ctx.bind(helper)}({_emit_child(dynamic, ctx)})"
-    raise _NoSource  # ||: closure islands
+    raise _NoSource  # ||: an island
 
 
 def _emit_like(expr: Like, ctx: _SourceContext) -> str:
-    pattern_func, pattern_const = _compile(expr.pattern, ctx.env)
-    if not pattern_const:
+    pattern = _constant(expr.pattern)
+    if pattern is _DYNAMIC:
         raise _NoSource
-    pattern_value = _const_value(pattern_func)
-    if pattern_value is None:
+    if pattern is None:
         # NULL pattern: evaluate the operand (it may raise), yield NULL.
         return f"(({ctx.gensym('t')} := {_emit_child(expr.operand, ctx)}), None)[1]"
     try:
-        regex = like_to_regex(pattern_value)
+        regex = like_to_regex(pattern)
     except ExecutionError:
-        raise _NoSource from None  # non-string pattern: closure handles it
+        raise _NoSource from None  # non-string pattern: the interpreter raises
     bound = ctx.bind(regex.match)
     value = ctx.gensym("t")
     matched = f"{bound}(str({value})) is not None"
@@ -945,4 +627,3 @@ def _emit_like(expr: Like, ctx: _SourceContext) -> str:
         f"(None if ({value} := {_emit_child(expr.operand, ctx)}) is None"
         f" else ({matched}))"
     )
-

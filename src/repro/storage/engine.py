@@ -373,13 +373,13 @@ class Database:
             )
             for name, expr in statement.assignments
         ]
-        touched = self._matching_slots(table, where, env)
-        for slot, row in touched:
+        pairs = []
+        for slot, row in self._matching_slots(table, where, env):
             new_row = list(row)
             for position, assign in assignments:
                 new_row[position] = assign(row)
-            table.update_slot(slot, new_row)
-        return Result(rowcount=len(touched))
+            pairs.append((slot, new_row))
+        return Result(rowcount=table.update_many(pairs))
 
     def _matching_slots(self, table: Table, where, env: EvalEnv) -> list:
         """Batched scan-and-filter for DML: ``(slot, row)`` pairs matching

@@ -181,7 +181,7 @@ def _divide(a: Any, b: Any) -> Any:
 
 
 #: Binary operator implementations, shared by the interpreter and the
-#: compiled closures (:mod:`repro.storage.compile`).  Scalar ops are the
+#: generated functions (:mod:`repro.storage.compile`).  Scalar ops are the
 #: C-level :mod:`operator` functions, so both execution paths skip a layer
 #: of Python per evaluation.
 BINARY_IMPLS: dict[str, Callable[[Any, Any], Any]] = {

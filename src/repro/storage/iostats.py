@@ -26,9 +26,11 @@ class IOStats:
     hash_build_rows: int = 0
     sort_rows: int = 0
     #: Execution-engine counters: row blocks charged by the batch and
-    #: block scans, and how many expressions each statement lowered to row
-    #: closures (DML, join conditions, and the block pipeline's kernels
-    #: that need a whole row) vs. left on the interpreter.  They describe
+    #: block scans, and how many expressions each statement lowered to
+    #: generated row functions (DML, join conditions, and the block
+    #: pipeline's kernels that need a whole row) vs. left on the
+    #: interpreter (trees whose root is outside the generated skeleton,
+    #: or that the compiler refuses).  They describe
     #: *how* work ran, so they stay out of :attr:`total_touched`.
     batches_scanned: int = 0
     exprs_compiled: int = 0

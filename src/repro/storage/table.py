@@ -18,6 +18,7 @@ so commit reads only the rows that changed (paper Section 2.3).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -178,7 +179,18 @@ class Table:
         written; a rejected batch raises the first error a row-at-a-time
         insert would meet, and leaves the table as it was.
         """
-        rows = list(rows)
+        coerced = self._checked(list(rows), self._check_unique)
+        self._append(coerced)
+        self.stats.rows_written += len(coerced)
+        if self.changes is not None and any(row[0] is not None for row in coerced):
+            self.changes = None  # a row claiming a rid: not a plain insert
+        return len(coerced)
+
+    def _checked(
+        self, rows: list[Sequence[Any]], check_keys: Callable[[list[Row]], None]
+    ) -> list[Row]:
+        """``rows`` coerced, after ``check_keys`` passed on them; else the
+        first error writing them one at a time would meet."""
         try:
             coerced = self.schema.coerce_rows(rows)
         except ReproError:
@@ -189,14 +201,10 @@ class Table:
                     valid.append(self.schema.coerce_row(row))
                 except ReproError:
                     break
-            self._check_unique(valid)
+            check_keys(valid)
             raise
-        self._check_unique(coerced)
-        self._append(coerced)
-        self.stats.rows_written += len(coerced)
-        if self.changes is not None and any(row[0] is not None for row in coerced):
-            self.changes = None  # a row claiming a rid: not a plain insert
-        return len(coerced)
+        check_keys(coerced)
+        return coerced
 
     def _check_unique(self, rows: list[Row]) -> None:
         """Raise the duplicate-key error of the first row whose key is taken."""
@@ -286,39 +294,69 @@ class Table:
         self.stats.rows_deleted += deleted
         return deleted
 
-    def update_slot(self, slot: int, new_values: Sequence[Any]) -> None:
-        """Replace the row at ``slot`` in place, maintaining indexes."""
-        old_row = self._rows[slot]
-        if old_row is None:
-            raise ConstraintViolationError(f"slot {slot} is empty")
-        new_row = self.schema.coerce_row(new_values)
-        for index in self.indexes.values():
-            if (
-                index.unique
-                and index.key_of(new_row) != index.key_of(old_row)
-                and index.lookup_key(index.key_of(new_row))
-            ):
-                raise ConstraintViolationError(
-                    f"duplicate key violates unique index {index.name!r}"
-                )
-        for index in self.indexes.values():
-            index.delete(old_row, slot)
-        self._rows[slot] = new_row
+    def update_many(self, pairs: Iterable[tuple[int, Sequence[Any]]]) -> int:
+        """Replace the rows at distinct live slots as one statement, all or
+        none; returns the count.
+
+        Every new row is coerced and every changed unique key checked before
+        any row is written.  The check replays ``pairs`` in order, so a
+        rejected batch raises the first error replacing one slot at a time
+        would meet, and leaves the table as it was.  A changed ``rid`` drops
+        the change set; otherwise it keeps each base slot's row from before
+        its first update.
+        """
+        pairs = list(pairs)
+        slots = [slot for slot, _values in pairs]
+        new_rows = self._checked(
+            [values for _slot, values in pairs],
+            lambda rows: self._check_rekeyed(slots, rows),
+        )
+        rows = self._rows
+        old_rows = [rows[slot] for slot in slots]
+        indexes = self.indexes.values()
+        for slot, old_row, new_row in zip(slots, old_rows, new_rows):
+            for index in indexes:
+                index.delete(old_row, slot)
+            rows[slot] = new_row
+            for index in indexes:
+                index.insert(new_row, slot)
+        self._data_bytes += sum(map(self._row_bytes, new_rows))
+        self._data_bytes -= sum(map(self._row_bytes, old_rows))
         changes = self.changes
         if changes is not None:
-            if new_row[0] != old_row[0]:
+            if any(new[0] != old[0] for old, new in zip(old_rows, new_rows)):
                 self.changes = None
-            elif slot < changes.base_slots:
-                changes.originals.setdefault(slot, old_row)
-        self._data_bytes += self._row_bytes(new_row) - self._row_bytes(old_row)
-        for index in self.indexes.values():
-            index.insert(new_row, slot)
-        self.stats.rows_written += 1
+            else:
+                for slot, old_row in zip(slots, old_rows):
+                    if slot < changes.base_slots:
+                        changes.originals.setdefault(slot, old_row)
+        stats = self.stats
+        stats.rows_written += len(new_rows)
         # Track rewritten array cells: the dominant cost of combined-table
         # and split-by-vlist commits (Figure 3b).
-        for old_value, new_value in zip(old_row, new_row):
-            if isinstance(new_value, tuple) and new_value != old_value:
-                self.stats.array_cells_written += len(new_value)
+        for old_row, new_row in zip(old_rows, new_rows):
+            for old_value, new_value in zip(old_row, new_row):
+                if isinstance(new_value, tuple) and new_value != old_value:
+                    stats.array_cells_written += len(new_value)
+        return len(new_rows)
+
+    def _check_rekeyed(self, slots: list[int], new_rows: list[Row]) -> None:
+        """Raise the duplicate-key error of the first of ``new_rows`` whose
+        changed key is taken once the rows before it have replaced theirs."""
+        unique = [index for index in self.indexes.values() if index.unique]
+        gained = [defaultdict(int) for _ in unique]  # per index: key -> entries
+        for slot, new_row in zip(slots, new_rows):
+            old_row = self._rows[slot]
+            for index, moved in zip(unique, gained):
+                old_key, new_key = index.key_of(old_row), index.key_of(new_row)
+                if new_key == old_key:
+                    continue
+                if len(index.lookup_key(new_key)) + moved[new_key] > 0:
+                    raise ConstraintViolationError(
+                        f"duplicate key violates unique index {index.name!r}"
+                    )
+                moved[old_key] -= 1
+                moved[new_key] += 1
 
     def track_changes(self, base_rids: RidSet) -> None:
         """Start a :class:`ChangeSet` against the current rows, a freshly

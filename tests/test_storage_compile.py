@@ -453,14 +453,24 @@ class TestExecModeKnob:
         assert db.stats.blocks_scanned > 0
 
     def test_census_is_per_kernel_not_per_statement(self):
-        db = _build_db("compiled")
-        db.reset_stats()
-        # abs() is outside the vector subset -> its row function serves
-        # that one kernel; the filter beside it stays a vector kernel.
-        db.query("SELECT abs(a) FROM t WHERE b > 0")
-        assert db.stats.exprs_compiled == 1
-        assert db.stats.exprs_columnar == 1
-        assert db.stats.exprs_interpreted == 0
+        # Each select item is one kernel, charged to the tier serving it:
+        # a nested abs() island needs the generated row function, a root
+        # abs() is left to the interpreter, and a plain comparison is a
+        # vector kernel.
+        cases = {
+            "abs(a) + 1": "exprs_compiled",
+            "abs(a)": "exprs_interpreted",
+            "b > 0": "exprs_columnar",
+        }
+        for item, tier in cases.items():
+            db = _build_db("compiled")
+            db.reset_stats()
+            db.query(f"SELECT {item} FROM t")
+            census = {
+                name: getattr(db.stats, name)
+                for name in ("exprs_compiled", "exprs_interpreted", "exprs_columnar")
+            }
+            assert census == {name: int(name == tier) for name in census}, item
 
     def test_uncompilable_kernel_charges_exprs_interpreted(self):
         db = _build_db("compiled")

@@ -95,7 +95,7 @@ class TestTable:
     def test_update_slot_maintains_indexes(self):
         table = Table("t", make_schema())
         slot = table.insert((1, "a", 10))
-        table.update_slot(slot, (5, "a", 10))
+        table.update_many([(slot, (5, "a", 10))])
         index = table.index_on(["rid"])
         assert index.lookup_key((5,)) == [slot]
         assert index.lookup_key((1,)) == []
@@ -105,7 +105,7 @@ class TestTable:
         table.insert((1, "a", 10))
         slot = table.insert((2, "b", 20))
         with pytest.raises(ConstraintViolationError):
-            table.update_slot(slot, (1, "b", 20))
+            table.update_many([(slot, (1, "b", 20))])
 
     def test_scan_counts_records(self):
         table = Table("t", make_schema())
@@ -199,8 +199,12 @@ class TestIncrementalStorageBytes:
         self.check(table)
         slots = [table.insert((i, f"name{i}" * (i % 3), i * 7)) for i in range(20)]
         self.check(table)
-        table.update_slot(slots[3], (3, "a much longer replacement name", 1))
-        table.update_slot(slots[4], (4, None, None))
+        table.update_many(
+            [
+                (slots[3], (3, "a much longer replacement name", 1)),
+                (slots[4], (4, None, None)),
+            ]
+        )
         self.check(table)
         table.delete_slots(slots[5:9])
         table.delete_slots(slots[5:9])  # tombstoned slots: no double charge
