@@ -19,28 +19,57 @@ deleted and re-added later intentionally receives a new rid.
 A version's membership is a set: a commit hands the data model a
 :class:`~repro.storage.ridset.RidSet`, never the staged row order.  A staged
 checkout table that knows its change set (:class:`~repro.storage.table.
-ChangeSet`) commits through :meth:`CVD.commit_changes` — set algebra over
-the rows its DML touched; everything else goes through
-:meth:`CVD.commit_rows`, which compares every staged row with the parents.
-Both allocate rids and a vid only once every check has passed.
+ChangeSet`) is prepared by :meth:`CVD.prepare_changes` — set algebra over
+the rows its DML touched; everything else by :meth:`CVD.prepare_rows`,
+which compares every staged row with the parents.  Both, like every other
+way in (init, bulk loaders, WAL replay), yield a :class:`PreparedVersion`:
+checked, numbered and placed, with nothing written.
+:meth:`CVD.apply_version` then stores it, so a refused version uses up no
+rid and no vid.
 """
 
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.datamodels import SplitByRlistModel, resolve_model
 from repro.core.datamodels.base import DataModel, Row
-from repro.core.schema_evolution import AttributeCatalog
+from repro.core.schema_evolution import AttributeCatalog, SchemaChangePlan
 from repro.core.version import Version
 from repro.core.version_graph import VersionGraph
-from repro.errors import ConstraintViolationError, VersionNotFoundError
+from repro.errors import (
+    ConstraintViolationError,
+    SchemaEvolutionError,
+    VersionNotFoundError,
+)
 from repro.storage.engine import Database
 from repro.storage.ridset import RidSet
 from repro.storage.schema import Column, TableSchema
 from repro.storage.table import Table
 from repro.storage.types import DataType
+
+
+@dataclass
+class PreparedVersion:
+    """A version checked and numbered but not yet stored: what
+    :meth:`CVD.apply_version` writes and a WAL commit record carries.
+
+    ``drop`` is the parents' records the version does not inherit;
+    ``partition`` is where a partitioned model stores it (None for the
+    other models).
+    """
+
+    vid: int
+    parents: tuple[int, ...]
+    members: RidSet
+    new_records: dict[int, Row]
+    drop: RidSet
+    partition: int | None
+    message: str = ""
+    checkout_time: int | None = None
+    commit_time: int | None = None
 
 
 class CVD:
@@ -108,11 +137,6 @@ class CVD:
         self._next_rid += 1
         return rid
 
-    def _allocate_vid(self) -> int:
-        vid = self._next_vid
-        self._next_vid += 1
-        return vid
-
     # ------------------------------------------------------------- queries
 
     @property
@@ -153,7 +177,7 @@ class CVD:
 
     # --------------------------------------------------------------- ingest
 
-    def ingest_version(
+    def prepare_version(
         self,
         parents: Sequence[int],
         member_rids: Iterable[int],
@@ -161,14 +185,15 @@ class CVD:
         message: str = "",
         checkout_time: int | None = None,
         commit_time: int | None = None,
-    ) -> int:
-        """Low-level commit: membership and new payloads already resolved.
+    ) -> PreparedVersion:
+        """Check a version and decide its vid and placement; writes nothing.
 
-        Used by the commit paths, WAL replay and bulk workload loaders.
-        All rids in ``new_records`` must come from :meth:`allocate_rid`;
-        every other member rid must belong to at least one parent.  The
-        members may come in any order: a version is a set of records, and
-        the model receives them as a :class:`RidSet`.
+        Every rid in ``new_records`` is fresh (from :meth:`allocate_rid`,
+        or the next free rids when the caller numbers them); every other
+        member rid must belong to at least one parent.  The members may
+        come in any order: a version is a set of records, and the model
+        receives them as a :class:`RidSet`.  New records are checked
+        against NOT NULL here, the same way for every data model.
         """
         members = RidSet(member_rids)
         for parent in parents:
@@ -181,33 +206,49 @@ class CVD:
                 f"rids {sorted(stray)[:5]} are neither new nor inherited "
                 f"from the parents of the committed version"
             )
-        vid = self._allocate_vid()
-        self.model.add_version(vid, members, new_records, parents)
-        version = Version(
-            vid=vid,
-            parents=tuple(parents),
-            num_records=len(members),
-            checkout_time=checkout_time,
-            commit_time=commit_time,
-            message=message,
-            attribute_ids=tuple(self._current_attribute_ids),
+        payloads = new_records.values()
+        for position, column in enumerate(self.data_schema.columns):
+            if column.not_null and any(row[position] is None for row in payloads):
+                raise ConstraintViolationError(
+                    f"null value in NOT NULL column {column.name!r}"
+                )
+        # A partitioned model's optimizer places the version (Section 4.3),
+        # counting the records the version adds.
+        optimizer = getattr(self.model, "optimizer", None)
+        partition = None
+        if optimizer is not None:
+            record_count = max(self._next_rid - 1, max(new_records, default=0))
+            partition = optimizer._place_version(members, parents, record_count)
+        vid, drop = self._next_vid, parent_union - inherited
+        info = (message, checkout_time, commit_time)
+        return PreparedVersion(
+            vid, tuple(parents), members, dict(new_records), drop, partition, *info
         )
-        self.graph.add_version(version, self.edge_weights(members, parents))
+
+    def apply_version(self, version: PreparedVersion) -> int:
+        """Store a prepared version (live commit and WAL replay alike)."""
+        vid, members, parents = version.vid, version.members, version.parents
+        self.model.add_version(
+            vid, members, version.new_records, parents, version.partition
+        )
+        self._next_vid = vid + 1
+        if version.new_records:
+            self._next_rid = max(self._next_rid, max(version.new_records) + 1)
+        # The metadata row (Figure 4a) holds the Version's fields in order.
+        info = (version.checkout_time, version.commit_time, version.message)
+        row = (vid, parents, len(members), *info, tuple(self._current_attribute_ids))
+        self.graph.add_version(Version(*row), self.edge_weights(members, parents))
         self.membership[vid] = members
         self.db.execute(
-            f"INSERT INTO {self.metadata_table} VALUES "
-            f"(%s, %s, %s, %s, %s, %s, %s)",
-            (
-                vid,
-                tuple(parents),
-                len(members),
-                checkout_time,
-                commit_time,
-                message,
-                tuple(self._current_attribute_ids),
-            ),
+            f"INSERT INTO {self.metadata_table} VALUES (%s, %s, %s, %s, %s, %s, %s)",
+            row,
         )
         return vid
+
+    def ingest_version(self, *args, **kwargs) -> int:
+        """Low-level commit: membership and new payloads already resolved
+        (bulk workload loaders); takes :meth:`prepare_version`'s arguments."""
+        return self.apply_version(self.prepare_version(*args, **kwargs))
 
     def ingest_history(
         self,
@@ -226,7 +267,8 @@ class CVD:
         entries = []
         assigned_vids = []
         for parents, member_rids in versions:
-            vid = self._allocate_vid()
+            vid = self._next_vid
+            self._next_vid += 1
             assigned_vids.append(vid)
             entries.append((vid, tuple(parents), list(member_rids)))
         self.model.bulk_load(entries, payloads)
@@ -257,22 +299,28 @@ class CVD:
         self.db.table(self.metadata_table).insert_many(metadata_rows)
         return assigned_vids
 
+    def prepare_root(
+        self, rows: Iterable[Sequence[Any]], message: str = "initial version"
+    ) -> PreparedVersion:
+        """Check raw data rows as the root version (the ``init`` command)."""
+        fresh = [self.data_schema.coerce_row(row) for row in rows]
+        self._check_primary_key(fresh)
+        return self._number((), RidSet(), fresh, message=message)
+
     def init_version(
         self, rows: Iterable[Sequence[Any]], message: str = "initial version"
     ) -> int:
-        """Create the root version from raw data rows (the ``init`` command)."""
-        fresh = [self.data_schema.coerce_row(row) for row in rows]
-        self._check_primary_key(fresh)
-        return self._ingest_resolved((), RidSet(), fresh, None, message=message)
+        """Create the root version from raw data rows."""
+        return self.apply_version(self.prepare_root(rows, message))
 
     # --------------------------------------------------------------- commit
 
     def parent_record_order(self, parents: Sequence[int]) -> dict[int, Row]:
         """rid -> payload over the given parents, first parent winning.
 
-        :meth:`commit_rows` reads it to tell unchanged rows from changed
+        :meth:`prepare_rows` reads it to tell unchanged rows from changed
         ones; it fetches every parent record, so a staged table that
-        knows its change set (:meth:`commit_changes`) never calls it.
+        knows its change set (:meth:`prepare_changes`) never calls it.
         """
         parent_records: dict[int, Row] = {}
         for parent in parents:
@@ -280,27 +328,33 @@ class CVD:
                 parent_records.setdefault(rid, payload)
         return parent_records
 
-    def commit_rows(
+    def commit_rows(self, parents, staged_rows, **options) -> int:
+        """Commit staged rows as a new version; see :meth:`prepare_rows`."""
+        return self.apply_version(self.prepare_rows(parents, staged_rows, **options))
+
+    def prepare_rows(
         self,
         parents: Sequence[int],
         staged_rows: Iterable[Sequence[Any]],
-        message: str = "",
-        checkout_time: int | None = None,
-        commit_time: int | None = None,
         rows_have_rid: bool = True,
-        resolved: dict | None = None,
-    ) -> int:
-        """Commit staged rows as a new version, comparing each with the parents.
+        plan: SchemaChangePlan | None = None,
+        **version_info,
+    ) -> PreparedVersion:
+        """Prepare staged rows as a new version, comparing each with the parents.
 
         ``staged_rows`` are ``(rid, *data)`` tuples when ``rows_have_rid``
         (the checkout-table path; ``rid`` may be NULL for user-inserted
         rows), or bare data tuples (the CSV path), in which case unchanged
         rows are recognized by exact value match against the parents.
-
-        When ``resolved`` is a dict it receives the commit's resolution
-        (see :meth:`_ingest_resolved`) so the caller can journal it.
+        With a schema-change ``plan`` the rows are in its new schema and
+        the parents are compared as they read back once it is applied.
         """
+        schema = self.data_schema if plan is None else plan.new_schema
         parent_records = self.parent_record_order(parents)
+        if plan is not None:
+            parent_records = {
+                rid: plan.evolve_row(payload) for rid, payload in parent_records.items()
+            }
         value_index: dict[Row, int] = {}
         if not rows_have_rid:
             for rid, payload in parent_records.items():
@@ -312,7 +366,7 @@ class CVD:
                 rid, payload = staged[0], staged[1:]
             else:
                 rid, payload = None, staged
-            payload = self.data_schema.coerce_row(payload)
+            payload = schema.coerce_row(payload)
             if rows_have_rid:
                 keep = rid is not None and parent_records.get(rid) == payload
             else:
@@ -326,30 +380,22 @@ class CVD:
                     f"record {rid} appears twice in the committed table"
                 )
             kept.add(rid)
-        self._check_primary_key([parent_records[rid] for rid in kept] + fresh)
-        return self._ingest_resolved(
-            parents, RidSet(kept), fresh, resolved,
-            message=message, checkout_time=checkout_time, commit_time=commit_time,
+        self._check_primary_key(
+            [parent_records[rid] for rid in kept] + fresh, schema=schema
         )
+        return self._number(parents, RidSet(kept), fresh, **version_info)
 
-    def commit_changes(
-        self,
-        parents: Sequence[int],
-        table: Table,
-        message: str = "",
-        checkout_time: int | None = None,
-        commit_time: int | None = None,
-        resolved: dict | None = None,
-    ) -> int:
-        """Commit a staged checkout table from its :class:`ChangeSet`.
+    def prepare_changes(
+        self, parents: Sequence[int], table: Table, **version_info
+    ) -> PreparedVersion:
+        """Prepare a staged checkout table from its :class:`ChangeSet`.
 
         The table holds ``(rid, *data)`` in the CVD's own columns and was
         materialized from ``parents``.  An updated row keeps its rid iff
         its payload still ``==`` the checked-out one (the same test as
-        :meth:`commit_rows`); membership is ``base - deleted - replaced |
-        new``.  Only the changed rows are read; NOT NULL is checked on the
-        new rows, the primary key in one uncharged pass over the staged
-        key column.  ``resolved`` is filled as by :meth:`commit_rows`.
+        :meth:`prepare_rows`); membership is ``base - deleted - replaced |
+        new``.  Only the changed rows are read; the primary key is checked
+        in one uncharged pass over the staged key column.
         """
         changes = table.changes
         updated, inserted = table.changed_rows()
@@ -361,57 +407,32 @@ class CVD:
                 replaced.append(original[0])
                 fresh.append(payload)
         fresh.extend(row[1:] for row in inserted)
-        not_null = [
-            (position, column.name)
-            for position, column in enumerate(self.data_schema.columns)
-            if column.not_null
-        ]
-        for payload in fresh:
-            for position, name in not_null:
-                if payload[position] is None:
-                    raise ConstraintViolationError(
-                        f"null value in NOT NULL column {name!r}"
-                    )
         self._check_primary_key(table.dump_rows(), offset=1)
         kept = changes.base_rids - RidSet(changes.deleted) - RidSet(replaced)
-        return self._ingest_resolved(
-            parents, kept, fresh, resolved,
-            message=message, checkout_time=checkout_time, commit_time=commit_time,
+        return self._number(parents, kept, fresh, **version_info)
+
+    def _number(
+        self, parents: Sequence[int], kept: RidSet, fresh: list[Row], **version_info
+    ) -> PreparedVersion:
+        """Number the checked ``fresh`` payloads from the next free rid."""
+        new_records = dict(enumerate(fresh, self._next_rid))
+        return self.prepare_version(
+            parents, kept | RidSet(new_records), new_records, **version_info
         )
 
-    def _ingest_resolved(
-        self,
-        parents: Sequence[int],
-        kept: RidSet,
-        fresh: list[Row],
-        resolved: dict | None,
-        **version_info,
-    ) -> int:
-        """Number the checked ``fresh`` payloads and ingest the version.
-
-        ``resolved`` (when a dict) receives ``new_records`` and ``drop``:
-        the parents' records the version does not inherit, which with the
-        new records' rids is all a journal needs to rebuild it.
-        """
-        new_records = {self.allocate_rid(): payload for payload in fresh}
-        members = kept | RidSet(new_records)
-        if resolved is not None:
-            parent_union = RidSet.union_all(self.membership[p] for p in parents)
-            resolved["new_records"] = new_records
-            resolved["drop"] = parent_union - kept
-        return self.ingest_version(parents, members, new_records, **version_info)
-
-    def _check_primary_key(self, rows: Iterable[Row], offset: int = 0) -> None:
+    def _check_primary_key(
+        self, rows: Iterable[Row], offset: int = 0, schema: TableSchema | None = None
+    ) -> None:
         """Within a single version no two records may share the PK values.
 
         ``offset`` skips leading non-data columns (a staged ``rid``).
         """
-        key_columns = self.data_schema.primary_key
+        schema = schema or self.data_schema
+        key_columns = schema.primary_key
         if not key_columns:
             return
         positions = [
-            position + offset
-            for position in self.data_schema.project_positions(key_columns)
+            position + offset for position in schema.project_positions(key_columns)
         ]
         key_of = operator.itemgetter(*positions)
         keys = list(map(key_of, rows))
@@ -425,6 +446,30 @@ class CVD:
                     f"duplicate primary key {shown!r} within one version"
                 )
             seen.add(key)
+
+    # ----------------------------------------------------- schema evolution
+
+    def plan_evolution(self, staged_schema: TableSchema) -> SchemaChangePlan:
+        """The single-pool evolution of Section 3.3 to ``staged_schema``."""
+        plan = self.attributes.reconcile(self.data_schema, staged_schema)
+        alters_storage = plan.added_columns or plan.widened_columns
+        if alters_storage and not hasattr(self.model, "data_table"):
+            raise SchemaEvolutionError(
+                f"data model {self.model.model_name!r} does not support "
+                f"schema evolution"
+            )
+        return plan
+
+    def apply_evolution(self, plan: SchemaChangePlan) -> None:
+        self.attributes.apply_entries(plan.new_attributes)
+        if plan.added_columns or plan.widened_columns:
+            data_table = self.db.table(self.model.data_table)
+            for column in plan.added_columns:
+                data_table.alter_add_column(column)
+            for name, dtype in plan.widened_columns:
+                data_table.alter_column_type(name, dtype)
+        self.data_schema = self.model.data_schema = plan.new_schema
+        self._current_attribute_ids = plan.attribute_ids
 
     # ------------------------------------------------------------- checkout
 
@@ -476,7 +521,7 @@ class CVD:
 
     def checkout_into(self, vids: Sequence[int], table_name: str) -> None:
         """Materialize versions into ``table_name`` (rid + data columns),
-        which from then on tracks its change set for :meth:`commit_changes`."""
+        which from then on tracks its change set for :meth:`prepare_changes`."""
         if len(vids) == 1:
             self.model.checkout_into(vids[0], table_name)
             self.db.table(table_name).track_changes(self.membership[vids[0]])

@@ -91,12 +91,16 @@ class DataModel(ABC):
         members: RidSet,
         new_records: Mapping[int, Row],
         parent_vids: Sequence[int],
+        partition: int | None = None,
     ) -> None:
         """Persist version ``vid``.
 
         ``members`` is the version's complete record membership;
         ``new_records`` maps the subset of rids never seen before to their
-        data-attribute tuples.
+        data-attribute tuples.  ``partition`` is the placement the prepared
+        version carries: where a partitioned model stores it (a fresh
+        partition when the index does not exist yet).  The other models
+        have one place for every version and ignore it.
         """
 
     def bulk_load(

@@ -55,6 +55,7 @@ class CombinedTableModel(DataModel):
         members: RidSet,
         new_records: Mapping[int, Row],
         parent_vids: Sequence[int],
+        partition: int | None = None,
     ) -> None:
         table = self.db.table(self.table_name)
         table.insert_many(

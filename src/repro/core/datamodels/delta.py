@@ -71,6 +71,7 @@ class DeltaModel(DataModel):
         members: RidSet,
         new_records: Mapping[int, Row],
         parent_vids: Sequence[int],
+        partition: int | None = None,
     ) -> None:
         base, base_members = self._pick_base(members, parent_vids, self.membership)
         inserted = members - base_members

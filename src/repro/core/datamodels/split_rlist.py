@@ -63,6 +63,7 @@ class SplitByRlistModel(DataModel):
         members: RidSet,
         new_records: Mapping[int, Row],
         parent_vids: Sequence[int],
+        partition: int | None = None,
     ) -> None:
         self.db.table(self.data_table).insert_many(
             (rid,) + tuple(row) for rid, row in new_records.items()

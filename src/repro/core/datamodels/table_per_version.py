@@ -35,6 +35,7 @@ class TablePerVersionModel(DataModel):
         members: RidSet,
         new_records: Mapping[int, Row],
         parent_vids: Sequence[int],
+        partition: int | None = None,
     ) -> None:
         # Inherited payloads come from the parents' tables; precedence is
         # first-parent-wins, matching the middleware's merge rule.  The

@@ -23,14 +23,14 @@ import re as _re
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from repro.core.cvd import CVD
+from repro.core.cvd import CVD, PreparedVersion
 from repro.core.access import AccessController
 from repro.core.provenance import ProvenanceManager, StagedCheckout
 from repro.core.translator import QueryTranslator
 from repro.errors import (
     CVDNotFoundError,
+    DuplicateObjectError,
     ReadOnlyError,
-    SchemaEvolutionError,
     StagingError,
     VersioningError,
 )
@@ -38,6 +38,7 @@ from repro.obs import trace
 from repro.storage.engine import Database, Result, split_profile
 from repro.storage.parser import ast_nodes as _ast
 from repro.storage.parser.parser import parse_sql
+from repro.storage.ridset import RidSet
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType, parse_type_name
 
@@ -52,6 +53,12 @@ class OrpheusDB:
     (checkouts and DML on staged tables) is working-tree state: it is never
     journaled, only captured by snapshots, so a crash loses uncommitted
     checkouts but never a committed version.
+
+    Each durable operation is two steps.  ``_prepare_*`` checks and decides
+    everything and writes nothing, so a refused operation leaves the
+    session as it was; ``_apply_*`` only writes.  The public method runs
+    prepare, apply, then journals; WAL replay decodes the record and runs
+    the same apply.
     """
 
     #: Set by a read-only store open: every mutating command refuses, the
@@ -71,11 +78,10 @@ class OrpheusDB:
         self._clock = 0
         self._checkout_counts: dict[str, dict[int, int]] = {}
         self._journal = None
-        self._replaying = False
         self._ephemeral_dirty = False
         self._pending_barrier = False
-        #: Live partition optimizers by CVD name; each one owns its CVD's
-        #: placement policy and online-maintenance decisions.
+        #: Live partition optimizers by CVD name; each one places its CVD's
+        #: commits and makes its online-maintenance decisions.
         self._optimizers = {}
         # A default user so single-user scripts need no ceremony.
         self.access.create_user("default")
@@ -92,7 +98,7 @@ class OrpheusDB:
 
     def _emit(self, record: dict) -> None:
         """Journal one logical operation (no-op without a journal)."""
-        if self._journal is None or self._replaying:
+        if self._journal is None:
             return
         if self._pending_barrier:
             # An earlier operation left in-memory effects the journal does
@@ -120,10 +126,9 @@ class OrpheusDB:
         self._ephemeral_dirty = True
 
     def _check_writable(self, operation: str) -> None:
-        # Replay is exempt: a read-only store *applies* the writer's
-        # journaled operations to its in-memory state — that is how it
-        # refreshes — it just never originates one.
-        if self.read_only and not self._replaying:
+        # Only the public methods ask: a read-only store refreshes by
+        # running the writer's journaled records through the apply steps.
+        if self.read_only:
             raise ReadOnlyError(
                 f"cannot {operation}: this session is read-only (store "
                 f"opened with mode='ro'; open in mode='rw' to write)"
@@ -182,12 +187,6 @@ class OrpheusDB:
         statements) spells unquoted.
         """
         self._check_writable("init a CVD")
-        if not _CVD_NAME.fullmatch(name):
-            raise VersioningError(
-                f"CVD name {name!r} must match [a-z_][a-z0-9_]* (lowercase, unquoted)"
-            )
-        if name in self._cvds:
-            raise VersioningError(f"CVD {name!r} already exists")
         if not isinstance(schema, TableSchema):
             schema = TableSchema(
                 [Column(n, parse_type_name(t)) for n, t in schema],
@@ -195,21 +194,54 @@ class OrpheusDB:
             )
         elif primary_key:
             schema = TableSchema(list(schema.columns), tuple(primary_key))
-        cvd = CVD(self.db, name, schema, model or self.default_model)
         rows = list(rows)
-        if rows:
-            cvd.init_version(rows, message=message)
-        self._cvds[name] = cvd
+        model = model or self.default_model
+        root = self._prepare_init(name, schema, rows, model, message)
+        cvd = self._apply_init(name, schema, model, root)
         self._emit(
             {
                 "op": "init",
                 "name": name,
                 "schema": schema.to_dict(),
                 "rows": [list(row) for row in rows],
-                "model": model or self.default_model,
+                "model": model,
                 "message": message,
             }
         )
+        return cvd
+
+    def _prepare_init(
+        self, name: str, schema: TableSchema, rows: list, model: str, message: str
+    ) -> PreparedVersion | None:
+        """Check a new CVD and its root version (None without rows).
+
+        A twin built in a scratch database names every table the CVD and
+        its root version create; none of them may exist yet.
+        """
+        if not _CVD_NAME.fullmatch(name):
+            raise VersioningError(
+                f"CVD name {name!r} must match [a-z_][a-z0-9_]* (lowercase, unquoted)"
+            )
+        if name in self._cvds:
+            raise VersioningError(f"CVD {name!r} already exists")
+        twin = CVD(Database(), name, schema, model)
+        root = twin.prepare_root(rows, message) if rows else None
+        if root is not None:
+            twin.model.add_version(root.vid, RidSet(), {}, ())
+        taken = sorted(set(twin.db.table_names()) & set(self.db.table_names()))
+        if taken:
+            raise DuplicateObjectError(
+                f"CVD {name!r} needs tables that already exist: {taken}"
+            )
+        return root
+
+    def _apply_init(
+        self, name: str, schema: TableSchema, model: str, root: PreparedVersion | None
+    ) -> CVD:
+        cvd = CVD(self.db, name, schema, model)
+        if root is not None:
+            cvd.apply_version(root)
+        self._cvds[name] = cvd
         return cvd
 
     def init_from_table(
@@ -235,17 +267,20 @@ class OrpheusDB:
     def drop(self, name: str) -> None:
         """Drop a CVD and all of its backing tables."""
         self._check_writable("drop a CVD")
-        cvd = self.cvd(name)
+        self.cvd(name)
         staged = self.provenance.staged_for_cvd(name)
         if staged:
             raise StagingError(
                 f"CVD {name!r} has uncommitted checkouts: "
                 f"{[s.name for s in staged]}"
             )
-        cvd.drop_storage()
+        self._apply_drop(name)
+        self._emit({"op": "drop", "name": name})
+
+    def _apply_drop(self, name: str) -> None:
+        self.cvd(name).drop_storage()
         del self._cvds[name]
         self._optimizers.pop(name, None)
-        self._emit({"op": "drop", "name": name})
 
     # -------------------------------------------------------------- checkout
 
@@ -351,83 +386,57 @@ class OrpheusDB:
         """``commit -t [table] -m [msg]``: add the staged table as a version.
 
         If the staged table's data columns differ from the CVD schema the
-        single-pool evolution of Section 3.3 is applied first.
+        single-pool evolution of Section 3.3 is applied with it.
         """
         self._check_writable("commit")
-        staged = self.provenance.lookup(table_name)
-        self.access.check_owner(table_name, self.whoami())
-        cvd = self.cvd(staged.cvd_name)
+        staged, cvd = self._staged_commit(table_name)
         table = self.db.table(table_name)
-        table_schema = self._staged_data_schema(table.schema)
+        table_schema = TableSchema([c for c in table.schema.columns if c.name != "rid"])
         staged_schema = schema or table_schema
-        evolved = not _same_columns(staged_schema, cvd.data_schema)
-        if evolved:
-            self._evolve_schema(cvd, staged_schema)
+        plan = None
+        if not _same_columns(staged_schema, cvd.data_schema):
+            plan = cvd.plan_evolution(staged_schema)
+        info = self._version_info(staged, message)
         # A checkout table that still knows its change set and holds the
         # CVD's own columns commits from the rows its DML touched; anything
         # else is compared row by row with the parents.
-        tracked = (
+        if (
             table.changes is not None
-            and not evolved
+            and plan is None
             and _same_columns(table_schema, cvd.data_schema)
-        )
-        commit_time = self._tick()
-        resolved: dict = {}
-        version_info = dict(
+        ):
+            version = cvd.prepare_changes(staged.parent_vids, table, **info)
+        else:
+            version = self._prepare_staged_rows(cvd, table, plan, staged, info)
+        return self._commit(cvd, staged, version, plan)
+
+    def _staged_commit(self, name: str) -> tuple[StagedCheckout, CVD]:
+        staged = self.provenance.lookup(name)
+        self.access.check_owner(name, self.whoami())
+        return staged, self.cvd(staged.cvd_name)
+
+    def _version_info(self, staged: StagedCheckout, message: str) -> dict:
+        return dict(
             message=message,
             checkout_time=staged.checkout_time,
-            commit_time=commit_time,
-            resolved=resolved,
+            commit_time=self._clock + 1,
         )
-        if tracked:
-            vid = cvd.commit_changes(staged.parent_vids, table, **version_info)
-        else:
-            vid = self._commit_staged_rows(
-                cvd, staged.parent_vids, table, version_info
-            )
-        # Commit cleans up the staging area (Section 2.3).
-        self.db.drop_table(table_name)
-        self.provenance.remove(table_name)
-        self.access.revoke(table_name)
-        maintenance = self._evaluate_maintenance(cvd)
-        self._emit_commit(
-            cvd, vid, staged, resolved,
-            message=message,
-            commit_time=commit_time,
-            schema=staged_schema if evolved else None,
-            maintenance=maintenance,
-        )
-        self._apply_maintenance_trigger(maintenance)
-        return vid
 
-    def _commit_staged_rows(
-        self, cvd: CVD, parents: Sequence[int], table, version_info: dict
-    ) -> int:
-        """Commit a staged table by comparing every row with the parents."""
-        rows = list(table.rows())
+    def _prepare_staged_rows(
+        self, cvd: CVD, table, plan, staged: StagedCheckout, info: dict
+    ) -> PreparedVersion:
+        """Prepare a staged table by comparing every row with the parents."""
+        target = cvd.data_schema if plan is None else plan.new_schema
+        names = table.schema.column_names
         has_rid = "rid" in table.schema
-        if not has_rid:
-            rows = [
-                _conform_row(list(row), table.schema.column_names, cvd.data_schema)
-                for row in rows
-            ]
-        else:
-            rid_position = table.schema.position("rid")
-            data_positions = [i for i in range(len(table.schema)) if i != rid_position]
-            rows = [
-                (row[rid_position],)
-                + _conform_row(
-                    [row[i] for i in data_positions],
-                    [table.schema.columns[i].name for i in data_positions],
-                    cvd.data_schema,
-                )
-                for row in rows
-            ]
-        return cvd.commit_rows(
-            parents,
-            rows,
-            rows_have_rid=has_rid,
-            **version_info,
+        rid = [names.index("rid")] if has_rid else []
+        # Data columns are matched by name, so the rid column is ignored.
+        rows = [
+            tuple(row[i] for i in rid) + _conform_row(list(row), names, target)
+            for row in table.rows()
+        ]
+        return cvd.prepare_rows(
+            staged.parent_vids, rows, rows_have_rid=has_rid, plan=plan, **info
         )
 
     def commit_csv(
@@ -439,91 +448,59 @@ class OrpheusDB:
         """``commit -f [file] -s [schema] -m [msg]``: commit a CSV checkout."""
         self._check_writable("commit")
         path = Path(path)
-        staged = self.provenance.lookup(str(path))
-        self.access.check_owner(str(path), self.whoami())
-        cvd = self.cvd(staged.cvd_name)
+        staged, cvd = self._staged_commit(str(path))
         if schema is not None and not isinstance(schema, TableSchema):
             schema = TableSchema([Column(n, parse_type_name(t)) for n, t in schema])
         staged_schema = schema or cvd.data_schema
-        evolved = staged_schema.column_names != cvd.data_schema.column_names
-        if evolved:
-            self._evolve_schema(cvd, staged_schema)
-        rows = _read_csv_rows(path, staged_schema)
+        plan = None
+        if staged_schema.column_names != cvd.data_schema.column_names:
+            plan = cvd.plan_evolution(staged_schema)
+        target = cvd.data_schema if plan is None else plan.new_schema
         rows = [
-            _conform_row(list(row), staged_schema.column_names, cvd.data_schema)
-            for row in rows
+            _conform_row(list(row), staged_schema.column_names, target)
+            for row in _read_csv_rows(path, staged_schema)
         ]
-        commit_time = self._tick()
-        resolved: dict = {}
-        vid = cvd.commit_rows(
+        version = cvd.prepare_rows(
             staged.parent_vids,
             rows,
-            message=message,
-            checkout_time=staged.checkout_time,
-            commit_time=commit_time,
             rows_have_rid=False,
-            resolved=resolved,
+            plan=plan,
+            **self._version_info(staged, message),
         )
-        self.provenance.remove(str(path))
-        self.access.revoke(str(path))
-        maintenance = self._evaluate_maintenance(cvd)
-        self._emit_commit(
-            cvd, vid, staged, resolved,
-            message=message,
-            commit_time=commit_time,
-            schema=staged_schema if evolved else None,
-            maintenance=maintenance,
-        )
-        self._apply_maintenance_trigger(maintenance)
-        return vid
+        return self._commit(cvd, staged, version, plan)
 
-    def _emit_commit(
-        self,
-        cvd: CVD,
-        vid: int,
-        staged: StagedCheckout,
-        resolved: dict,
-        message: str,
-        commit_time: int,
-        schema: TableSchema | None,
-        maintenance=None,
-    ) -> None:
-        """Journal the physical resolution of a commit.
+    def _commit(
+        self, cvd: CVD, staged: StagedCheckout, version: PreparedVersion, plan
+    ) -> int:
+        """Apply a prepared commit, then journal it.
 
         The record carries the version's change as a set difference:
         ``drop``, the parents' records it does not inherit, and the new
-        records with their rids and payloads.  Recovery rebuilds the
-        membership as ``union(parents) - drop | new`` without the staged
-        table, and the record costs O(changed records) bytes.
-
-        For partitioned storage the record also pins the partition the
-        commit landed in: placement normally comes from a live policy
-        (installed by the optimizer) that recovery cannot reconstruct, so
-        replay must force the acknowledged placement instead of re-deciding.
-        A live optimizer's post-commit maintenance sample piggybacks on the
-        same record (``maintain``) so a commit stays one fsync'd append.
+        records with their rids and payloads, so it costs O(changed
+        records) bytes.  It also carries the partition the prepared
+        version was placed in.  A live optimizer's post-commit maintenance
+        sample piggybacks on the same record (``maintain``) so a commit
+        stays one fsync'd append; it depends on the applied version, so
+        the record is journaled after the apply.
         """
-        partition = None
-        partition_of = getattr(cvd.model, "partition_of", None)
-        if partition_of is not None:
-            partition = partition_of(vid)
+        self._apply_commit(cvd, version, plan, staged.name, staged.is_file)
+        maintenance = self._evaluate_maintenance(cvd)
         record = {
             "op": "commit",
             "cvd": cvd.name,
-            "vid": vid,
-            "parents": list(staged.parent_vids),
-            "drop": list(resolved["drop"]),
+            "vid": version.vid,
+            "parents": list(version.parents),
+            "drop": list(version.drop),
             "new_records": [
-                [rid, list(payload)]
-                for rid, payload in resolved["new_records"].items()
+                [rid, list(payload)] for rid, payload in version.new_records.items()
             ],
             "staged": staged.name,
             "staged_is_file": staged.is_file,
-            "partition": partition,
-            "schema": schema.to_dict() if schema is not None else None,
-            "message": message,
-            "checkout_time": staged.checkout_time,
-            "commit_time": commit_time,
+            "partition": version.partition,
+            "schema": None if plan is None else plan.staged_schema.to_dict(),
+            "message": version.message,
+            "checkout_time": version.checkout_time,
+            "commit_time": version.commit_time,
         }
         if maintenance is not None:
             _optimizer, sample, _best = maintenance
@@ -533,28 +510,28 @@ class OrpheusDB:
                 sample.best_cavg,
             ]
         self._emit(record)
+        self._apply_maintenance_trigger(maintenance)
+        return version.vid
 
-    def _staged_data_schema(self, table_schema: TableSchema) -> TableSchema:
-        columns = [c for c in table_schema.columns if c.name != "rid"]
-        return TableSchema(columns)
-
-    def _evolve_schema(self, cvd: CVD, staged_schema: TableSchema) -> None:
-        plan = cvd.attributes.reconcile(cvd.data_schema, staged_schema)
-        model = cvd.model
-        if plan.added_columns or plan.widened_columns:
-            if not hasattr(model, "data_table"):
-                raise SchemaEvolutionError(
-                    f"data model {model.model_name!r} does not support "
-                    f"schema evolution"
-                )
-            data_table = self.db.table(model.data_table)
-            for column in plan.added_columns:
-                data_table.alter_add_column(column)
-            for name, dtype in plan.widened_columns:
-                data_table.alter_column_type(name, dtype)
-        cvd.data_schema = plan.new_schema
-        model.data_schema = plan.new_schema
-        cvd._current_attribute_ids = plan.attribute_ids
+    def _apply_commit(
+        self,
+        cvd: CVD,
+        version: PreparedVersion,
+        plan,
+        staged_name: str,
+        staged_is_file: bool,
+    ) -> None:
+        """Write a prepared commit: its schema change, its version, and
+        the cleanup of its staging area (Section 2.3)."""
+        if plan is not None:
+            cvd.apply_evolution(plan)
+        cvd.apply_version(version)
+        self._clock = version.commit_time
+        if not staged_is_file and self.db.has_table(staged_name):
+            self.db.drop_table(staged_name)
+        if staged_name in self.provenance.staged_names():
+            self.provenance.remove(staged_name)
+        self.access.revoke(staged_name)
 
     # ------------------------------------------------------------------ SQL
 
@@ -574,7 +551,7 @@ class OrpheusDB:
         if profiled:
             with trace.span("sql.profile"):
                 return self.db.execute_profiled(statements)
-        if self.read_only and not self._replaying:
+        if self.read_only:
             mutating, _targets = _statement_targets(statements)
             if mutating:
                 raise ReadOnlyError(
@@ -582,10 +559,9 @@ class OrpheusDB:
                     "(store opened with mode='ro')"
                 )
         try:
-            with trace.span("sql.run"):
-                result = self.db.execute_statements(statements)
+            result = self._apply_run(statements)
         except Exception:
-            if self._journal is not None and not self._replaying:
+            if self._journal is not None:
                 mutating, targets = _statement_targets(statements)
                 staged = set(self.provenance.staged_names())
                 atomic = len(statements) == 1 and isinstance(statements[0], _ATOMIC_DML)
@@ -603,9 +579,13 @@ class OrpheusDB:
                     # that is never replayed.
                     self._pending_barrier = True
             raise
-        if self._journal is not None and not self._replaying:
+        if self._journal is not None:
             self._classify_and_journal_run(sql, params, statements)
         return result
+
+    def _apply_run(self, statements: Sequence[_ast.Statement]) -> Result:
+        with trace.span("sql.run"):
+            return self.db.execute_statements(statements)
 
     def _classify_and_journal_run(
         self,
@@ -703,8 +683,6 @@ class OrpheusDB:
         storage_threshold: float = 2.0,
         tolerance: float = 1.5,
         weighted: bool = False,
-        _frequencies: dict[int, int] | None = None,
-        _migration_wall_seconds: float | None = None,
     ):
         """Partition a CVD with LyreSplit (the ``optimize`` command).
 
@@ -717,58 +695,12 @@ class OrpheusDB:
         ``optimize`` on an already-partitioned CVD re-tunes the registered
         optimizer and migrates instead of rebuilding from scratch.
         """
-        from repro.errors import PartitionError
-        from repro.partition.online import PartitionOptimizer
-
         self._check_writable("optimize")
-        cvd = self.cvd(cvd_name)
-        frequencies = _frequencies
-        if frequencies is None and weighted:
-            frequencies = self.checkout_frequencies(cvd_name)
-        optimizer = self.optimizer_for(cvd_name)
-        knobs = None
-        if optimizer is None:
-            optimizer = PartitionOptimizer(
-                cvd,
-                storage_multiple=storage_threshold,
-                tolerance=tolerance,
-                frequencies=frequencies or None,
-            )
-        else:
-            if tolerance < 1.0:
-                raise PartitionError("tolerance mu must be >= 1")
-            knobs = (
-                optimizer.storage_multiple,
-                optimizer.tolerance,
-                optimizer.frequencies,
-            )
-            optimizer.storage_multiple = storage_threshold
-            optimizer.tolerance = tolerance
-            if frequencies:
-                optimizer.frequencies = frequencies
-        migrations_before = len(optimizer.trace.migrations)
-        try:
-            optimizer.run_full_partitioning()
-        except PartitionError:
-            # A rejected optimize (e.g. gamma below |R|) is never journaled,
-            # so it must leave no trace: no half-installed optimizer, no
-            # retuned budget the next commit's maintenance would run with.
-            if knobs is not None:
-                (
-                    optimizer.storage_multiple,
-                    optimizer.tolerance,
-                    optimizer.frequencies,
-                ) = knobs
-            raise
-        self._register_optimizer(cvd_name, optimizer)
-        migrated = len(optimizer.trace.migrations) > migrations_before
-        if migrated and _migration_wall_seconds is not None:
-            # Replay path: a re-optimize's embedded migration re-executes
-            # with meaningless timing; restore the acknowledged one so the
-            # recovered trace matches the live trace exactly.
-            optimizer.trace.migrations[-1].wall_seconds = (
-                _migration_wall_seconds
-            )
+        frequencies = self.checkout_frequencies(cvd_name) if weighted else None
+        optimizer, run = self._prepare_optimize(
+            cvd_name, storage_threshold, tolerance, frequencies or None
+        )
+        self._apply_optimize(cvd_name, optimizer, run)
         self._emit(
             {
                 "op": "optimize",
@@ -784,12 +716,37 @@ class OrpheusDB:
                 # for exact trace restore on replay.
                 "migration_wall_seconds": (
                     optimizer.trace.migrations[-1].wall_seconds
-                    if migrated
+                    if run.pending is not None
                     else None
                 ),
             }
         )
         return optimizer
+
+    def _prepare_optimize(
+        self,
+        cvd_name: str,
+        storage_threshold: float,
+        tolerance: float,
+        frequencies: dict[int, int] | None,
+    ):
+        """``(optimizer, run)``: the CVD's optimizer (a new, unregistered one
+        on the first run) and the LyreSplit run planned under the knobs."""
+        from repro.partition.online import PartitionOptimizer
+
+        optimizer = self.optimizer_for(cvd_name)
+        if optimizer is None:
+            optimizer = PartitionOptimizer(
+                self.cvd(cvd_name),
+                storage_multiple=storage_threshold,
+                tolerance=tolerance,
+                frequencies=frequencies,
+            )
+        return optimizer, optimizer.plan_full(storage_threshold, tolerance, frequencies)
+
+    def _apply_optimize(self, cvd_name: str, optimizer, run) -> None:
+        optimizer.run_full_partitioning(run)
+        self._register_optimizer(cvd_name, optimizer)
 
     def optimizer_for(self, cvd_name: str):
         """The live optimizer managing ``cvd_name`` (None until optimized)."""
@@ -809,7 +766,7 @@ class OrpheusDB:
         journaled every transition and recovery applies those instead.
         """
         optimizer = self.optimizer_for(cvd.name)
-        if optimizer is None or self._replaying:
+        if optimizer is None:
             return None
         sample, best = optimizer.evaluate_maintenance()
         return optimizer, sample, best

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from repro.errors import SchemaEvolutionError
 from repro.storage.engine import Database
 from repro.storage.schema import Column, TableSchema
-from repro.storage.types import DataType, widen
+from repro.storage.types import DataType, coerce, widen
 
 
 @dataclass(frozen=True)
@@ -31,17 +31,32 @@ class AttributeEntry:
 
 @dataclass
 class SchemaChangePlan:
-    """What a staged schema requires: computed by :meth:`AttributeCatalog.reconcile`."""
+    """What a staged schema requires: computed by :meth:`AttributeCatalog.reconcile`.
 
+    ``new_attributes`` are the catalog entries the plan's ids name but the
+    catalog does not hold yet; :meth:`AttributeCatalog.apply` stores them.
+    """
+
+    staged_schema: TableSchema
     new_schema: TableSchema
     attribute_ids: tuple[int, ...]
     added_columns: list[Column]
     widened_columns: list[tuple[str, DataType]]
     removed_columns: list[str]
+    new_attributes: list[AttributeEntry]
 
     @property
     def is_noop(self) -> bool:
         return not (self.added_columns or self.widened_columns or self.removed_columns)
+
+    def evolve_row(self, row) -> tuple:
+        """A stored record as it reads back once the plan is applied: widened
+        values rewritten in the wider type, added columns NULL."""
+        values = list(row) + [None] * len(self.added_columns)
+        for name, dtype in self.widened_columns:
+            position = self.new_schema.position(name)
+            values[position] = coerce(values[position], dtype)
+        return tuple(values)
 
 
 class AttributeCatalog:
@@ -81,20 +96,25 @@ class AttributeCatalog:
                 return candidate
         raise SchemaEvolutionError(f"no attribute with id {attr_id}")
 
-    def _find(self, name: str, dtype: DataType) -> AttributeEntry | None:
-        for candidate in self._entries:
+    def _find(self, name: str, dtype: DataType, pending=()) -> AttributeEntry | None:
+        for candidate in [*self._entries, *pending]:
             if candidate.name == name and candidate.dtype == dtype:
                 return candidate
         return None
 
     def _add_entry(self, name: str, dtype: DataType) -> AttributeEntry:
         entry = AttributeEntry(len(self._entries) + 1, name, dtype)
-        self._entries.append(entry)
-        self.db.execute(
-            f"INSERT INTO {self.table_name} VALUES (%s, %s, %s)",
-            (entry.attr_id, entry.name, str(entry.dtype)),
-        )
+        self.apply_entries([entry])
         return entry
+
+    def apply_entries(self, entries: list[AttributeEntry]) -> None:
+        """Store catalog entries numbered by :meth:`reconcile`."""
+        for entry in entries:
+            self._entries.append(entry)
+            self.db.execute(
+                f"INSERT INTO {self.table_name} VALUES (%s, %s, %s)",
+                (entry.attr_id, entry.name, str(entry.dtype)),
+            )
 
     def register_schema(self, schema: TableSchema) -> tuple[int, ...]:
         """Intern every column of a schema; returns the attribute-id tuple."""
@@ -107,7 +127,8 @@ class AttributeCatalog:
         return tuple(ids)
 
     def reconcile(self, current: TableSchema, staged: TableSchema) -> SchemaChangePlan:
-        """Plan the single-pool evolution from ``current`` to ``staged``.
+        """Plan the single-pool evolution from ``current`` to ``staged``;
+        the catalog is left as it is.
 
         The resulting schema keeps every current column (deletions are
         metadata-only), widens conflicting types, and appends genuinely new
@@ -117,6 +138,7 @@ class AttributeCatalog:
         added: list[Column] = []
         widened: list[tuple[str, DataType]] = []
         staged_ids: list[int] = []
+        new_entries: list[AttributeEntry] = []
         merged_columns = list(current.columns)
         position_of = {c.name: i for i, c in enumerate(merged_columns)}
         for column in staged.columns:
@@ -137,9 +159,11 @@ class AttributeCatalog:
                 merged_columns.append(column)
                 position_of[column.name] = len(merged_columns) - 1
                 final_dtype = column.dtype
-            entry = self._find(column.name, final_dtype) or self._add_entry(
-                column.name, final_dtype
-            )
+            entry = self._find(column.name, final_dtype, new_entries)
+            if entry is None:
+                attr_id = len(self._entries) + len(new_entries) + 1
+                entry = AttributeEntry(attr_id, column.name, final_dtype)
+                new_entries.append(entry)
             staged_ids.append(entry.attr_id)
         removed = [
             column.name
@@ -152,9 +176,11 @@ class AttributeCatalog:
             if name in {c.name for c in merged_columns}
         )
         return SchemaChangePlan(
+            staged_schema=staged,
             new_schema=TableSchema(merged_columns, primary_key),
             attribute_ids=tuple(staged_ids),
             added_columns=added,
             widened_columns=widened,
             removed_columns=removed,
+            new_attributes=new_entries,
         )

@@ -7,10 +7,11 @@
    result (swapping the CVD's model for a
    :class:`~repro.partition.partition_manager.PartitionedRlistModel` on the
    first run; migrating on later runs).
-2. While versions stream in, the installed placement policy applies the
-   online rule: commit vi into the partition of its closest parent vj,
-   unless ``w(vi, vj) <= delta* . |R|`` and the storage budget has room, in
-   which case vi opens a fresh partition.
+2. While versions stream in, each prepared commit asks
+   :meth:`PartitionOptimizer._place_version` for the online rule: commit vi
+   into the partition of its closest parent vj, unless
+   ``w(vi, vj) <= delta* . |R|`` and the storage budget has room, in which
+   case vi opens a fresh partition.
 3. After each commit the optimizer re-runs LyreSplit (cheap — version graph
    only) and, when the live checkout cost exceeds ``mu`` times the best
    achievable, triggers the migration engine (intelligent by default,
@@ -25,8 +26,12 @@ serializes to a JSON-able dict (:meth:`PartitionOptimizer.to_state`) that
 rides the partitioned model's ``extra_state`` in snapshots, and it emits
 typed journal records — ``maintain`` for every post-commit sample,
 ``migration_start``/``migration_finish`` around every physical migration —
-through an attached ``journal`` hook so a WAL tail replays its transitions
-deterministically.  A migration is journaled as a *pending* plan before any
+through an attached ``journal`` hook.  Each record has one ``apply_*``
+method that only writes (:meth:`~PartitionOptimizer.apply_maintain`,
+:meth:`~PartitionOptimizer.apply_migration_start`,
+:meth:`~PartitionOptimizer.apply_migration_finish`); the live transition
+decides, applies and journals, and WAL replay calls the same method on the
+journaled record.  A migration is journaled as a *pending* plan before any
 physical work happens; a crash between start and finish leaves the plan
 recoverable, and :meth:`complete_pending_migration` rolls it forward.
 """
@@ -41,10 +46,9 @@ from repro.core.cvd import CVD
 from repro.errors import InfeasibleBudgetError, PartitionError
 from repro.partition.bipartite import BipartiteGraph, Partitioning
 from repro.partition.dag_reduction import reduce_to_tree
-from repro.partition.delta_search import search_delta
+from repro.partition.delta_search import DeltaSearchResult, search_delta
 from repro.partition.migration import plan_intelligent, plan_naive
 from repro.partition.partition_manager import PartitionedRlistModel
-from repro.storage import arrays
 
 
 @dataclass
@@ -114,6 +118,19 @@ class PendingMigration:
         )
 
 
+@dataclass
+class FullRun:
+    """A prepared full partitioning run: the knobs it installs, LyreSplit's
+    answer under them and, on an already partitioned CVD, the migration to
+    that answer."""
+
+    storage_multiple: float
+    tolerance: float
+    frequencies: dict[int, int] | None
+    result: DeltaSearchResult
+    pending: PendingMigration | None
+
+
 class PartitionOptimizer:
     """Owns partitioning decisions for one CVD."""
 
@@ -159,37 +176,52 @@ class PartitionOptimizer:
 
     # ---------------------------------------------------------- full runs
 
-    def compute_partitioning(self, use_bipartite: bool = True):
+    def compute_partitioning(self, use_bipartite: bool = True, gamma=None):
         """Solve Problem 1 on the current version graph (no physical work).
 
         ``use_bipartite=False`` evaluates candidate storage on the version
         tree alone — exact for tree-shaped histories, conservative for
         DAGs — which is what makes re-running LyreSplit after *every*
         commit cheap (the paper: "LyreSplit is lightweight and can be run
-        very quickly after every commit").
+        very quickly after every commit").  ``gamma`` defaults to
+        :attr:`gamma`.
         """
+        gamma = self.gamma if gamma is None else gamma
         if use_bipartite:
             bipartite = BipartiteGraph.from_cvd(self.cvd)
             tree = reduce_to_tree(
                 self.cvd.graph, true_record_count=bipartite.num_records
             )
             return search_delta(
-                tree, self.gamma, bipartite=bipartite, edge_rule=self.edge_rule
+                tree, gamma, bipartite=bipartite, edge_rule=self.edge_rule
             )
         tree = reduce_to_tree(self.cvd.graph, true_record_count=self.cvd.record_count)
         # A coarser binary search suffices for the per-commit mu check;
         # the full-precision search runs when a migration actually fires.
-        return search_delta(
-            tree, self.gamma, edge_rule=self.edge_rule, max_iterations=12
-        )
+        return search_delta(tree, gamma, edge_rule=self.edge_rule, max_iterations=12)
 
-    def run_full_partitioning(self):
-        """Partition (or re-partition) the CVD's physical storage.
+    def plan_full(
+        self,
+        storage_multiple: float,
+        tolerance: float,
+        frequencies: dict[int, int] | None,
+    ) -> FullRun:
+        """Prepare a full run under new knobs; touches nothing.
 
-        With ``frequencies`` set, the weighted search (Appendix C.2) picks
-        the partitioning; otherwise the standard uniform-frequency search.
+        With ``frequencies`` (or, when None, the current ones) the weighted
+        search (Appendix C.2) picks the partitioning; otherwise the standard
+        uniform-frequency search.
         """
-        if self.frequencies:
+        if tolerance < 1.0:
+            raise PartitionError("tolerance mu must be >= 1")
+        if self._model is None and not hasattr(self.cvd.model, "data_table"):
+            raise PartitionError(
+                f"data model {self.cvd.model.model_name!r} keeps no data table "
+                f"to partition"
+            )
+        frequencies = frequencies or self.frequencies
+        gamma = storage_multiple * self.cvd.record_count
+        if frequencies:
             from repro.partition.weighted import search_delta_weighted
 
             bipartite = BipartiteGraph.from_cvd(self.cvd)
@@ -197,33 +229,37 @@ class PartitionOptimizer:
                 self.cvd.graph, true_record_count=bipartite.num_records
             )
             delta, partitioning, storage, cost = search_delta_weighted(
-                tree,
-                self.frequencies,
-                self.gamma,
-                bipartite,
-                edge_rule=self.edge_rule,
+                tree, frequencies, gamma, bipartite, edge_rule=self.edge_rule
             )
-            from repro.partition.delta_search import DeltaSearchResult
+            result = DeltaSearchResult(delta, partitioning, storage, cost, 0, 0)
+        else:
+            result = self.compute_partitioning(gamma=gamma)
+        pending = None
+        if self._model is not None:
+            pending = self.plan_migration(result.partitioning, delta=result.delta)
+        return FullRun(storage_multiple, tolerance, frequencies, result, pending)
 
-            result = DeltaSearchResult(
-                delta=delta,
-                partitioning=partitioning,
-                storage_cost=storage,
-                checkout_cost=cost,
-                iterations=0,
-                levels=0,
+    def run_full_partitioning(self, run: FullRun | None = None):
+        """Partition (or re-partition) the CVD's physical storage.
+
+        Applies ``run`` (by default one planned under the current knobs):
+        the first run swaps in a partitioned model, later ones migrate.  A
+        full re-optimize is journaled wholesale as one ``optimize`` record,
+        so the migration inside it takes the unjournaled steps.
+        """
+        if run is None:
+            run = self.plan_full(
+                self.storage_multiple, self.tolerance, self.frequencies
             )
+        self.storage_multiple, self.tolerance = run.storage_multiple, run.tolerance
+        self.frequencies = run.frequencies
+        self.delta_star = run.result.delta
+        if run.pending is None:
+            self._install_partitioned_model(run.result.partitioning)
         else:
-            result = self.compute_partitioning()
-        self.delta_star = result.delta
-        if self._model is None:
-            self._install_partitioned_model(result.partitioning)
-        else:
-            # A full re-optimize is journaled wholesale as one ``optimize``
-            # record (recovery re-runs the deterministic search), so the
-            # migration inside it must not be double-journaled.
-            self.migrate(result.partitioning, journal_events=False)
-        return result
+            self.apply_migration_start(run.pending)
+            self.apply_migration_finish()
+        return run.result
 
     def _install_partitioned_model(self, partitioning: Partitioning) -> None:
         old_model = self.cvd.model
@@ -251,24 +287,21 @@ class PartitionOptimizer:
 
         new_model.build_from(self.cvd.membership, payloads, partitioning)
         old_model.drop_storage()
-        new_model.placement_policy = self._place_version
         new_model.optimizer = self
         self.cvd.model = new_model
         self._model = new_model
 
     # ------------------------------------------------------ online commits
 
-    def _place_version(
-        self, vid: int, members: frozenset, parent_vids
-    ) -> int | None:
-        """Section 4.3's rule; returning None opens a new partition."""
+    def _place_version(self, members, parent_vids, record_count: int) -> int:
+        """Section 4.3's rule for a prepared version with ``members``, the
+        CVD then holding ``record_count`` records: the partition of its
+        closest parent, or the index of a fresh one."""
         assert self._model is not None
-        if not parent_vids:
-            return None
+        fresh = self._model._next_partition
         placed = [p for p in parent_vids if p in self._model._assignment]
         if not placed:
-            return None
-        members = arrays.to_ridset(members)
+            return fresh
         membership = self.cvd.membership
         best_parent = max(
             placed,
@@ -276,10 +309,12 @@ class PartitionOptimizer:
         )
         weight = members.intersection_count(membership[best_parent])
         delta_star = self.delta_star if self.delta_star is not None else 1.0
-        record_count = self.cvd.record_count
         storage = self._model.storage_cost_records
-        if weight <= delta_star * record_count and storage < self.gamma:
-            return None
+        if (
+            weight <= delta_star * record_count
+            and storage < self.storage_multiple * record_count
+        ):
+            return fresh
         return self._model.partition_of(best_parent)
 
     def after_commit(self) -> MaintenanceSample:
@@ -335,7 +370,7 @@ class PartitionOptimizer:
             current_cavg=current,
             best_cavg=current if best is None else best.checkout_cost,
         )
-        self.trace.samples.append(sample)
+        self.apply_maintain(sample)
         return sample, best
 
     def apply_tolerance_trigger(self, sample: MaintenanceSample, best) -> None:
@@ -349,17 +384,14 @@ class PartitionOptimizer:
             self.delta_star = best.delta
             self.migrate(best.partitioning)
 
-    def replay_sample(self, sample: list) -> None:
-        """Append a journaled maintenance sample without recomputing it."""
-        self.trace.samples.append(MaintenanceSample(*sample))
+    def apply_maintain(self, sample: MaintenanceSample) -> None:
+        """Record a post-commit sample (a ``maintain`` record's effect)."""
+        self.trace.samples.append(sample)
 
     # ------------------------------------------------------------ migration
 
     def migrate(
-        self,
-        new_partitioning: Partitioning,
-        strategy: str | None = None,
-        journal_events: bool = True,
+        self, new_partitioning: Partitioning, strategy: str | None = None
     ) -> MigrationEvent:
         """Reorganize physical partitions to ``new_partitioning``.
 
@@ -369,6 +401,17 @@ class PartitionOptimizer:
         either loses the unacknowledged decision entirely or leaves a
         recoverable pending plan.
         """
+        self.begin_migration(self.plan_migration(new_partitioning, strategy))
+        return self.complete_pending_migration()
+
+    def plan_migration(
+        self,
+        new_partitioning: Partitioning,
+        strategy: str | None = None,
+        delta: float | None = None,
+    ) -> PendingMigration:
+        """Decide how to reach ``new_partitioning``; touches nothing.
+        ``delta`` is the delta* adopted with it (default: the current one)."""
         assert self._model is not None
         strategy = strategy or self.migration_strategy
         members = self.cvd.membership
@@ -380,65 +423,57 @@ class PartitionOptimizer:
         else:
             plan = plan_naive(new_partitioning, members)
             reuse = {}
-        pending = PendingMigration(
+        return PendingMigration(
             groups=tuple(plan.new_groups),
             reuse=reuse,
             strategy=strategy,
             modifications=plan.modifications,
-            delta=self.delta_star,
+            delta=self.delta_star if delta is None else delta,
             at_version_count=self.cvd.version_count,
         )
-        self.begin_migration(pending, journal_event=journal_events)
-        return self.complete_pending_migration(journal_event=journal_events)
 
-    def begin_migration(
-        self, pending: PendingMigration, journal_event: bool = True
-    ) -> None:
-        """Adopt a decided migration plan as in-flight (and journal it)."""
+    def begin_migration(self, pending: PendingMigration) -> None:
+        """Adopt a decided migration plan as in-flight and journal it."""
         if self.pending_migration is not None:
             raise PartitionError("a migration is already in flight")
+        self.apply_migration_start(pending)
+        self._emit({"op": "migration_start", "plan": pending.to_state()})
+
+    def apply_migration_start(self, pending: PendingMigration) -> None:
         if pending.delta is not None:
             self.delta_star = pending.delta
         self.pending_migration = pending
-        if journal_event:
-            self._emit({"op": "migration_start", "plan": pending.to_state()})
 
-    def complete_pending_migration(
-        self,
-        journal_event: bool = True,
-        expected_inserted: int | None = None,
-        expected_deleted: int | None = None,
-        wall_seconds: float | None = None,
-    ) -> MigrationEvent:
-        """Execute the in-flight plan; the replay/roll-forward entry point.
-
-        ``expected_*`` lets WAL replay verify the re-executed migration
-        matches the acknowledged one; ``wall_seconds`` substitutes the
-        journaled timing for the (meaningless) replay timing.
-        """
-        pending = self.pending_migration
-        if pending is None:
+    def complete_pending_migration(self) -> MigrationEvent:
+        """Execute the in-flight plan and journal it; also the roll-forward
+        of a plan a crash left pending."""
+        if self.pending_migration is None:
             raise PartitionError("no migration is in flight")
-        assert self._model is not None
+        event = self.apply_migration_finish()
+        self._emit(
+            {
+                "op": "migration_finish",
+                "inserted": event.records_inserted,
+                "deleted": event.records_deleted,
+                "wall_seconds": event.wall_seconds,
+            }
+        )
+        return event
+
+    def apply_migration_finish(self) -> MigrationEvent:
+        """Execute the in-flight plan; returns the traced event."""
+        pending = self.pending_migration
+        assert self._model is not None and pending is not None
         started = time.perf_counter()
         inserted, deleted = self._model.replace_partitions(
             list(pending.groups), pending.reuse, self._payloads_from_partitions
         )
-        elapsed = time.perf_counter() - started
-        if expected_inserted is not None and (
-            inserted != expected_inserted or deleted != expected_deleted
-        ):
-            raise PartitionError(
-                f"migration replay modified {inserted}+{deleted} records, "
-                f"journal says {expected_inserted}+{expected_deleted} — "
-                f"non-deterministic state"
-            )
         event = MigrationEvent(
             at_version_count=pending.at_version_count,
             plan_modifications=pending.modifications,
             records_inserted=inserted,
             records_deleted=deleted,
-            wall_seconds=elapsed if wall_seconds is None else wall_seconds,
+            wall_seconds=time.perf_counter() - started,
             strategy=pending.strategy,
         )
         self.trace.migrations.append(event)
@@ -446,15 +481,6 @@ class PartitionOptimizer:
         # checkpoint, the snapshot must not carry a still-pending plan on
         # top of already-migrated partitions.
         self.pending_migration = None
-        if journal_event:
-            self._emit(
-                {
-                    "op": "migration_finish",
-                    "inserted": event.records_inserted,
-                    "deleted": event.records_deleted,
-                    "wall_seconds": event.wall_seconds,
-                }
-            )
         return event
 
     def _payloads_from_partitions(self, rids: Iterable[int]):
@@ -508,7 +534,7 @@ class PartitionOptimizer:
     @classmethod
     def from_state(cls, cvd: CVD, state: dict) -> "PartitionOptimizer":
         """Rebuild an optimizer onto ``cvd``'s already-restored partitioned
-        model, resuming the live placement policy."""
+        model, which it places versions into from then on."""
         frequencies = state["frequencies"]
         optimizer = cls(
             cvd,
@@ -539,7 +565,6 @@ class PartitionOptimizer:
 
     def adopt_model(self, model: PartitionedRlistModel) -> None:
         """Re-attach to an already-partitioned model (snapshot restore)."""
-        model.placement_policy = self._place_version
         model.optimizer = self
         self._model = model
 

@@ -10,9 +10,9 @@ checkout cost drops from |R| to |R_k|.
 :class:`PartitionedRlistModel` implements the
 :class:`~repro.core.datamodels.base.DataModel` interface, so an optimizer
 can swap it in for a CVD's plain split-by-rlist model and the rest of the
-middleware (checkout/commit/translation) keeps working unchanged.  New
-versions are placed by the policy the optimizer installs — the
-online-maintenance rule of Section 4.3.
+middleware (checkout/commit/translation) keeps working unchanged.  A new
+version lands in the partition its prepared commit names, which the
+optimizer decided by the online-maintenance rule of Section 4.3.
 """
 
 from __future__ import annotations
@@ -53,11 +53,6 @@ class PartitionState:
         return len(self.rids)
 
 
-#: Placement decision for a newly committed version: an existing partition
-#: index, or None to open a fresh partition.
-PlacementPolicy = Callable[[int, frozenset, Sequence[int]], "int | None"]
-
-
 class PartitionedRlistModel(DataModel):
     model_name = "partitioned_rlist"
 
@@ -66,10 +61,9 @@ class PartitionedRlistModel(DataModel):
         self._partitions: dict[int, PartitionState] = {}
         self._assignment: dict[int, int] = {}  # vid -> partition index
         self._next_partition = 0
-        self.placement_policy: PlacementPolicy | None = None
-        #: The PartitionOptimizer managing this model; its decision state
-        #: rides this model's extra_state so snapshots restore the live
-        #: policy.
+        #: The PartitionOptimizer managing this model: it places each
+        #: prepared version, and its decision state rides this model's
+        #: extra_state so snapshots restore it.
         self.optimizer = None
 
     # ------------------------------------------------------------- naming
@@ -150,7 +144,7 @@ class PartitionedRlistModel(DataModel):
             )
             for index in sorted(groups)
         }
-        # Resumes the live placement policy on this model.
+        # Resumes the optimizer that places this model's versions.
         PartitionOptimizer.from_state(cvd, state["optimizer"])
 
     # ----------------------------------------------------------- structure
@@ -226,12 +220,9 @@ class PartitionedRlistModel(DataModel):
         members: RidSet,
         new_records: Mapping[int, Row],
         parent_vids: Sequence[int],
+        partition: int | None = None,
     ) -> None:
-        target = self.placement_policy(vid, members, parent_vids)
-        if target is None:
-            state = self._create_partition()
-        else:
-            state = self._partitions[target]
+        state = self._partitions.get(partition) or self._create_partition()
         missing = members - state.rids - RidSet(new_records)
         copied = self._fetch_payloads(missing) if missing else {}
         data_table = self.db.table(self._data_table(state.index))

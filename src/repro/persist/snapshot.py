@@ -325,7 +325,6 @@ def _restore_orpheus(db: Database, state: dict) -> OrpheusDB:
         for name, counts in state["checkout_counts"]
     }
     orpheus._journal = None
-    orpheus._replaying = False
     orpheus._ephemeral_dirty = False
     orpheus._pending_barrier = False
 
@@ -379,7 +378,7 @@ def _restore_cvd(db: Database, state: dict) -> CVD:
     cvd._next_rid = state["next_rid"]
     cvd._current_attribute_ids = tuple(state["current_attribute_ids"])
     # The partitioned model derives its partition record sets and resumes
-    # its optimizer (with it the live placement policy): the CVD is complete.
+    # the optimizer that places its versions: the CVD is complete.
     cvd.model.restore_extra_state(state["model_state"], cvd)
     return cvd
 

@@ -16,10 +16,14 @@ whose append had not yet returned.  After ``checkpoint_interval`` appends
 (or an explicit :meth:`checkpoint`) the store writes a fresh snapshot and
 compacts the log.
 
-Commit records are set differences: a version's membership is stored as
-``drop`` (the parents' records it does not inherit) plus the rids of its new
-records, and replay rebuilds it as ``union(parents) - drop | new``.  A commit
-appends O(changed records) bytes whatever its DML did.
+Replay is :func:`replay_record`.  Every journaled operation is a pure
+prepare step and an apply step that only writes; the live operation runs
+prepare, apply, then appends, and replay runs the *same* apply on the
+decoded record, never the public method.  Commit records are set
+differences: a version's membership is stored as ``drop`` (the parents'
+records it does not inherit) plus the rids of its new records, and replay
+rebuilds it as ``union(parents) - drop | new``.  A commit appends
+O(changed records) bytes whatever its DML did.
 
 ``Store.open(mode="ro")`` is the concurrent-read path: a shared advisory
 lock instead of the writer's exclusive one, recovery that is a pure read
@@ -38,6 +42,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.cvd import PreparedVersion
 from repro.core.orpheus import OrpheusDB
 from repro.errors import (
     PersistenceError,
@@ -47,6 +52,7 @@ from repro.errors import (
     StoreLockedError,
 )
 from repro.obs import metrics, trace
+from repro.storage.parser.parser import parse_sql
 from repro.storage.ridset import RidSet
 from repro.storage.schema import TableSchema
 
@@ -284,29 +290,25 @@ class Store:
         last_lsn = snap_lsn
         replayed = 0
         offset = 0
-        orpheus._replaying = True
-        try:
-            for end, record in self.wal.records_from(0):
-                if record.lsn > snap_lsn:
-                    if record.lsn != last_lsn + 1:
-                        # The records between the snapshot and this frame
-                        # were compacted away (a checkpoint racing this
-                        # read-only load: CURRENT was read before it moved,
-                        # the WAL after).  Applying the survivors would
-                        # silently skip acknowledged operations; raising
-                        # lets the retry converge on the fresh CURRENT.
-                        raise RecoveryError(
-                            f"WAL tail jumps from lsn {last_lsn} to "
-                            f"{record.lsn} past snapshot "
-                            f"{snapshot_name or '<none>'} — compacted "
-                            f"past this state (concurrent checkpoint?)"
-                        )
-                    self._apply(record.payload)
-                    last_lsn = record.lsn
-                    replayed += 1
-                offset = end
-        finally:
-            orpheus._replaying = False
+        for end, record in self.wal.records_from(0):
+            if record.lsn > snap_lsn:
+                if record.lsn != last_lsn + 1:
+                    # The records between the snapshot and this frame were
+                    # compacted away (a checkpoint racing this read-only
+                    # load: CURRENT was read before it moved, the WAL
+                    # after).  Applying the survivors would silently skip
+                    # acknowledged operations; raising lets the retry
+                    # converge on the fresh CURRENT.
+                    raise RecoveryError(
+                        f"WAL tail jumps from lsn {last_lsn} to "
+                        f"{record.lsn} past snapshot "
+                        f"{snapshot_name or '<none>'} — compacted "
+                        f"past this state (concurrent checkpoint?)"
+                    )
+                replay_record(orpheus, record.payload, self.recovery_warnings)
+                last_lsn = record.lsn
+                replayed += 1
+            offset = end
         self._next_lsn = last_lsn + 1
         self._records_since_checkpoint = replayed
         self._wal_offset = offset
@@ -438,27 +440,22 @@ class Store:
         log file was replaced underneath the remembered offset).
         """
         frames = 0
-        orpheus = self.orpheus
-        orpheus._replaying = True
-        try:
-            for end, record in self.wal.records_from(offset):
-                frames += 1
-                if record.lsn <= self.last_lsn:
-                    offset = end
-                    continue
-                if record.lsn != self.last_lsn + 1:
-                    return "reload"
-                try:
-                    self._apply(record.payload)
-                except RecoveryError:
-                    return "reload"
-                _classify_record(record.payload, result)
-                self._next_lsn = record.lsn + 1
-                result.applied += 1
+        for end, record in self.wal.records_from(offset):
+            frames += 1
+            if record.lsn <= self.last_lsn:
                 offset = end
-                self._wal_offset = offset
-        finally:
-            orpheus._replaying = False
+                continue
+            if record.lsn != self.last_lsn + 1:
+                return "reload"
+            try:
+                replay_record(self.orpheus, record.payload, self.recovery_warnings)
+            except RecoveryError:
+                return "reload"
+            _classify_record(record.payload, result)
+            self._next_lsn = record.lsn + 1
+            result.applied += 1
+            offset = end
+            self._wal_offset = offset
         if frames == 0 and offset and offset < self.wal.size_bytes():
             return "swapped"
         self._wal_offset = offset
@@ -717,192 +714,151 @@ class Store:
         # close the log but skip the checkpoint (the state may be suspect).
         self.close(sync=exc_type is None)
 
-    # --------------------------------------------------------------- replay
 
-    def _apply(self, payload: dict) -> None:
-        orpheus = self.orpheus
-        op = payload.get("op")
-        try:
-            if op == "create_user":
-                orpheus.create_user(payload["username"])
-            elif op == "config":
-                orpheus.config(payload["username"])
-            elif op == "init":
-                orpheus.init(
-                    payload["name"],
-                    TableSchema.from_dict(payload["schema"]),
-                    payload["rows"],
-                    model=payload["model"],
-                    message=payload["message"],
-                )
-            elif op == "drop":
-                orpheus.drop(payload["name"])
-            elif op == "commit":
-                self._apply_commit(payload)
-            elif op == "run":
-                if payload.get("barrier"):
-                    # Barrier records read staged state; their effect lives
-                    # in the snapshot the barrier checkpoint wrote, so the
-                    # narrow crash window between append and checkpoint may
-                    # leave them legitimately unreplayable — record it.
-                    try:
-                        orpheus.run(payload["sql"], payload["params"])
-                    except ReproError as exc:
-                        # Statements apply one at a time, so the script's
-                        # leading statements may already have taken effect
-                        # before the failure — say so rather than implying
-                        # the whole record was skipped cleanly.
-                        self.recovery_warnings.append(
-                            f"barrier run replay failed and may be "
-                            f"partially applied ({exc}): {payload['sql']!r}"
-                        )
-                else:
-                    # Durable-only DML must replay; a failure means the
-                    # recovered state diverged and falls through to the
-                    # RecoveryError escalation below.
-                    orpheus.run(payload["sql"], payload["params"])
-            elif op == "optimize":
-                frequencies = payload["frequencies"]
-                orpheus.optimize(
-                    payload["cvd"],
-                    storage_threshold=payload["storage_threshold"],
-                    tolerance=payload["tolerance"],
-                    _frequencies=(
-                        {vid: count for vid, count in frequencies}
-                        if frequencies
-                        else None
-                    ),
-                    _migration_wall_seconds=payload["migration_wall_seconds"],
-                )
-            elif op in ("maintain", "migration_start", "migration_finish"):
-                self._apply_optimizer_record(op, payload)
-            else:
-                raise RecoveryError(f"unknown WAL operation {op!r}")
-        except RecoveryError:
-            raise
-        except ReproError as exc:
-            raise RecoveryError(f"WAL replay of {op!r} failed: {exc}") from exc
-        orpheus._clock = payload["clock"]
+# ---------------------------------------------------------------- replay
 
-    def _apply_optimizer_record(self, op: str, payload: dict) -> None:
-        """Replay one journaled optimizer transition.
 
-        The live run computed the decision; replay only applies what the
-        journal says — samples append to the trace, a ``migration_start``
-        re-adopts the pending plan, a ``migration_finish`` re-executes it
-        and verifies the physical result matches the acknowledged one.
-        """
-        from repro.partition.online import PendingMigration
+def replay_record(orpheus: OrpheusDB, payload: dict, warnings: list[str]) -> None:
+    """Apply one WAL record to ``orpheus``: recovery, a read-only refresh
+    and any replica all come here.
 
-        optimizer = self.orpheus.optimizer_for(payload["cvd"])
-        if optimizer is None:
-            raise RecoveryError(
-                f"WAL {op!r} record for CVD {payload['cvd']!r} but no "
-                f"optimizer was restored — non-deterministic state"
+    Each op runs the apply step of the operation that journaled it, never
+    the public method.  A record that carries an operation's inputs (init,
+    optimize, run) re-runs its pure prepare step first; a record that
+    carries the decision (a commit, an optimizer transition) is decoded and
+    checked against the state it lands on.  A barrier ``run`` that fails
+    adds to ``warnings``; any other failure is a :class:`RecoveryError`.
+    """
+    op = payload.get("op")
+    try:
+        if op == "create_user":
+            orpheus.access.create_user(payload["username"])
+        elif op == "config":
+            orpheus.access.login(payload["username"])
+        elif op == "init":
+            name, model = payload["name"], payload["model"]
+            schema = TableSchema.from_dict(payload["schema"])
+            root = orpheus._prepare_init(
+                name, schema, payload["rows"], model, payload["message"]
             )
-        if op == "maintain":
-            optimizer.replay_sample(payload["sample"])
+            orpheus._apply_init(name, schema, model, root)
+        elif op == "drop":
+            orpheus._apply_drop(payload["name"])
+        elif op == "commit":
+            cvd, version, plan = _decode_commit(orpheus, payload)
+            orpheus._apply_commit(
+                cvd, version, plan, payload["staged"], payload["staged_is_file"]
+            )
+            # A live optimizer's maintenance sample rides the commit record
+            # (one fsync per commit).
+            if payload.get("maintain") is not None:
+                _apply_sample(orpheus, payload, payload["maintain"])
+        elif op == "run":
+            try:
+                orpheus._apply_run(parse_sql(payload["sql"], payload["params"]))
+            except ReproError as exc:
+                # Durable-only DML must replay: a failure means the state
+                # diverged.  A barrier record reads staged state; its effect
+                # lives in the snapshot the barrier checkpoint wrote, so the
+                # crash window between append and checkpoint may leave it
+                # unreplayable.  Statements apply one at a time, so it may
+                # be partly applied.
+                if not payload.get("barrier"):
+                    raise
+                warnings.append(
+                    f"barrier run replay failed and may be partially "
+                    f"applied ({exc}): {payload['sql']!r}"
+                )
+        elif op == "optimize":
+            frequencies = payload["frequencies"]
+            optimizer, run = orpheus._prepare_optimize(
+                payload["cvd"],
+                payload["storage_threshold"],
+                payload["tolerance"],
+                dict(frequencies) if frequencies else None,
+            )
+            orpheus._apply_optimize(payload["cvd"], optimizer, run)
+            if run.pending is not None:
+                # The journaled timing, not this replay's.
+                event = optimizer.trace.migrations[-1]
+                event.wall_seconds = payload["migration_wall_seconds"]
+        elif op == "maintain":
+            _apply_sample(orpheus, payload, payload["sample"])
         elif op == "migration_start":
-            optimizer.begin_migration(
-                PendingMigration.from_state(payload["plan"]),
-                journal_event=False,
-            )
-        else:
-            optimizer.complete_pending_migration(
-                journal_event=False,
-                expected_inserted=payload["inserted"],
-                expected_deleted=payload["deleted"],
-                wall_seconds=payload["wall_seconds"],
-            )
+            from repro.partition.online import PendingMigration
 
-    def _apply_commit(self, payload: dict) -> None:
-        orpheus = self.orpheus
-        cvd = orpheus.cvd(payload["cvd"])
-        if payload["schema"] is not None:
-            orpheus._evolve_schema(cvd, TableSchema.from_dict(payload["schema"]))
-        parents = list(payload["parents"])
-        members, new_records = _commit_members(cvd, parents, payload)
-        if new_records:
-            cvd._next_rid = max(new_records) + 1
-        forced_partition = payload["partition"]
-        model = cvd.model
-        old_policy = None
-        force_placement = forced_partition is not None
-        if force_placement:
-            # Replay must land the version exactly where the acknowledged
-            # commit did, not re-decide with the policy's current state.
-            existing = {state.index for state in model.partition_states()}
-            target = forced_partition if forced_partition in existing else None
-
-            def pinned_placement(_vid, _rids, _parents, _target=target):
-                return _target
-
-            old_policy = model.placement_policy
-            model.placement_policy = pinned_placement
-        try:
-            vid = cvd.ingest_version(
-                parents,
-                members,
-                new_records,
-                message=payload["message"],
-                checkout_time=payload["checkout_time"],
-                commit_time=payload["commit_time"],
-            )
-        finally:
-            if force_placement:
-                model.placement_policy = old_policy
-        if vid != payload["vid"]:
-            raise RecoveryError(
-                f"commit replay produced version {vid}, journal says "
-                f"{payload['vid']} — non-deterministic state"
-            )
-        if force_placement and model.partition_of(vid) != forced_partition:
-            raise RecoveryError(
-                f"commit replay placed version {vid} in partition "
-                f"{model.partition_of(vid)}, journal says {forced_partition}"
-            )
-        staged_name = payload["staged"]
-        if not payload["staged_is_file"] and orpheus.db.has_table(staged_name):
-            orpheus.db.drop_table(staged_name)
-        if staged_name in orpheus.provenance.staged_names():
-            orpheus.provenance.remove(staged_name)
-        orpheus.access.revoke(staged_name)
-        # A live optimizer's maintenance sample rides the commit record
-        # (one fsync per commit); re-apply it to the restored trace.
-        maintain = payload.get("maintain")
-        if maintain is not None:
-            optimizer = orpheus.optimizer_for(payload["cvd"])
-            if optimizer is None:
+            optimizer = _optimizer(orpheus, payload)
+            if optimizer.pending_migration is not None:
+                raise RecoveryError("WAL migration_start while one is in flight")
+            pending = PendingMigration.from_state(payload["plan"])
+            optimizer.apply_migration_start(pending)
+        elif op == "migration_finish":
+            # The plan must move the records the journal says it moved.
+            optimizer = _optimizer(orpheus, payload)
+            if optimizer.pending_migration is None:
+                raise RecoveryError("WAL migration_finish but no migration in flight")
+            event = optimizer.apply_migration_finish()
+            moved = [event.records_inserted, event.records_deleted]
+            if moved != [payload["inserted"], payload["deleted"]]:
                 raise RecoveryError(
-                    f"commit record for CVD {payload['cvd']!r} carries a "
-                    f"maintenance sample but no optimizer was restored — "
-                    f"non-deterministic state"
+                    f"migration replay moved {moved} records (inserted, deleted), "
+                    f"journal says {[payload['inserted'], payload['deleted']]}"
                 )
-            optimizer.replay_sample(maintain)
+            event.wall_seconds = payload["wall_seconds"]
+        else:
+            raise RecoveryError(f"unknown WAL operation {op!r}")
+    except RecoveryError:
+        raise
+    except ReproError as exc:
+        raise RecoveryError(f"WAL replay of {op!r} failed: {exc}") from exc
+    orpheus._clock = payload["clock"]
+
+
+def _optimizer(orpheus: OrpheusDB, payload: dict):
+    optimizer = orpheus.optimizer_for(payload["cvd"])
+    if optimizer is None:
+        raise RecoveryError(
+            f"WAL {payload['op']!r} record for CVD {payload['cvd']!r} but no "
+            f"optimizer was restored — non-deterministic state"
+        )
+    return optimizer
+
+
+def _apply_sample(orpheus: OrpheusDB, payload: dict, sample: list) -> None:
+    # Imported here: a store without partitioned CVDs never loads the
+    # partition package.
+    from repro.partition.online import MaintenanceSample
+
+    _optimizer(orpheus, payload).apply_maintain(MaintenanceSample(*sample))
 
 
 # ------------------------------------------------------------ commit coding
 
 
-def _commit_members(cvd, parents: list[int], payload: dict):
-    """``(members, new_records)`` of a journaled commit, checked: a CRC-valid
-    frame whose ``drop`` leaves the parents' records, whose new records are
-    not the CVD's next free rids, or that has the older ordered ``members``
-    form is a typed :class:`RecoveryError`, raised before any bitmap sized
-    by a raw rid is built."""
-    vid, start = payload["vid"], cvd._next_rid
+def _decode_commit(orpheus: OrpheusDB, payload: dict):
+    """``(cvd, version, plan)`` of a journaled commit, checked against the
+    state it replays onto: a CRC-valid frame whose ``drop`` leaves the
+    parents' records, whose new records are not the next free rids, whose
+    vid or partition is not the next this state gives, or that has the older
+    ordered ``members`` form is a typed :class:`RecoveryError`, raised
+    before any bitmap sized by a raw rid is built."""
+    cvd = orpheus.cvd(payload["cvd"])
+    vid, start, parents = payload["vid"], cvd._next_rid, list(payload["parents"])
     if "members" in payload:
         raise RecoveryError(
             f"commit record for version {vid} has an ordered member list, which "
             "this release no longer reads: checkpoint with the release that wrote it"
         )
+    plan = None
+    if payload["schema"] is not None:
+        plan = cvd.plan_evolution(TableSchema.from_dict(payload["schema"]))
+    schema = cvd.data_schema if plan is None else plan.new_schema
     union = RidSet.union_all(cvd.member_rids(parent) for parent in parents)
     top = union.max() if union else 0
     try:
         drop = list(payload["drop"])
         new_records = {
-            rid: cvd.data_schema.coerce_row(values)
-            for rid, values in payload["new_records"]
+            rid: schema.coerce_row(values) for rid, values in payload["new_records"]
         }
         numbered = sorted(new_records) == list(range(start, start + len(new_records)))
     except (KeyError, TypeError, ValueError, ReproError) as exc:
@@ -920,4 +876,23 @@ def _commit_members(cvd, parents: list[int], payload: dict):
             f"commit record for version {vid} numbers its new records other "
             f"than the next free rids from {start}"
         )
-    return (union - dropped) | RidSet(new_records), new_records
+    if vid != cvd._next_vid:
+        raise RecoveryError(
+            f"commit replay would add version {cvd._next_vid}, journal says "
+            f"{vid} — non-deterministic state"
+        )
+    # A partitioned model takes an existing or the next fresh partition; the
+    # other models take none.
+    partition, model = payload["partition"], cvd.model
+    fresh = getattr(model, "_next_partition", None)
+    if partition not in {*getattr(model, "_partitions", ()), fresh}:
+        raise RecoveryError(
+            f"commit record places version {vid} in partition {partition}, "
+            f"which this state cannot give it"
+        )
+    members = (union - dropped) | RidSet(new_records)
+    info = [payload[key] for key in ("message", "checkout_time", "commit_time")]
+    version = PreparedVersion(
+        vid, tuple(parents), members, new_records, dropped, partition, *info
+    )
+    return cvd, version, plan

@@ -3,10 +3,10 @@
 ``OrpheusDB.commit`` has two ways to resolve a staged checkout table:
 
 * the table still knows its change set (:class:`repro.storage.table.
-  ChangeSet`), so ``CVD.commit_changes`` reads only the rows its DML
+  ChangeSet`), so ``CVD.prepare_changes`` reads only the rows its DML
   touched;
 * the change set is unknown (a table restored from a snapshot, or one whose
-  DML the set cannot attribute), so ``CVD.commit_rows`` coerces every row
+  DML the set cannot attribute), so ``CVD.prepare_rows`` coerces every row
   and compares it with the parents — the path CSV commits take too.
 
 These tests hold the two to one answer: on the same staged table (built
@@ -79,15 +79,15 @@ def staged(model: str) -> OrpheusDB:
 
 
 def spy_commit_rows(monkeypatch) -> list[dict]:
-    """Record each commit_rows call."""
+    """Record each call of the row-by-row path, ``CVD.prepare_rows``."""
     calls = []
-    original = CVD.commit_rows
+    original = CVD.prepare_rows
 
     def spy(self, parents, rows, **kwargs):
         calls.append(kwargs)
         return original(self, parents, rows, **kwargs)
 
-    monkeypatch.setattr(CVD, "commit_rows", spy)
+    monkeypatch.setattr(CVD, "prepare_rows", spy)
     return calls
 
 

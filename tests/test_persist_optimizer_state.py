@@ -108,9 +108,8 @@ class TestOptimizerStateRoundTrip:
         recovered = Store.open(tmp_path / "store")
         optimizer = recovered.orpheus.optimizer_for("proteins")
         model = recovered.orpheus.cvd("proteins").model
-        # The placement policy is the restored optimizer's.
-        assert model.placement_policy is not None
-        assert model.placement_policy.__self__ is optimizer
+        # The restored optimizer places the model's versions.
+        assert model.optimizer is optimizer
         assert optimizer_fingerprint(recovered.orpheus) == expected
         recovered.close()
 
