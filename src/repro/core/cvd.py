@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.datamodels import SplitByRlistModel, resolve_model
-from repro.core.datamodels.base import DataModel, Row
+from repro.core.datamodels.base import DataModel, Row, require_free
 from repro.core.schema_evolution import AttributeCatalog, SchemaChangePlan
 from repro.core.version import Version
 from repro.core.version_graph import VersionGraph
@@ -220,6 +220,11 @@ class CVD:
             record_count = max(self._next_rid - 1, max(new_records, default=0))
             partition = optimizer._place_version(members, parents, record_count)
         vid, drop = self._next_vid, parent_union - inherited
+        require_free(
+            self.db,
+            self.model.version_tables(vid, partition),
+            f"version {vid} of CVD {self.name!r}",
+        )
         info = (message, checkout_time, commit_time)
         return PreparedVersion(
             vid, tuple(parents), members, dict(new_records), drop, partition, *info

@@ -34,6 +34,7 @@ from abc import ABC, abstractmethod
 from dataclasses import replace
 from typing import Any, ClassVar, Iterable, Mapping, Sequence
 
+from repro.errors import DuplicateObjectError
 from repro.storage.engine import Database
 from repro.storage.expression import BinaryOp, ColumnRef
 from repro.storage.parser import ast_nodes as ast
@@ -42,6 +43,17 @@ from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType
 
 Row = tuple[Any, ...]
+
+
+def require_free(db: Database, names: Iterable[str], needed_by: str) -> None:
+    """Refuse, before anything is written, what would create a table that
+    already exists: a prepare step calls this on every backing table its
+    apply creates, so a clash never leaves half of them behind."""
+    taken = sorted(name for name in names if db.has_table(name))
+    if taken:
+        raise DuplicateObjectError(
+            f"{needed_by} needs tables that already exist: {taken}"
+        )
 
 
 def union_all(parts: Sequence[ast.Select]) -> ast.Select:
@@ -102,6 +114,11 @@ class DataModel(ABC):
         partition when the index does not exist yet).  The other models
         have one place for every version and ignore it.
         """
+
+    def version_tables(self, vid: int, partition: int | None) -> tuple[str, ...]:
+        """The tables :meth:`add_version` creates for ``vid`` placed in
+        ``partition`` (none: most models write to tables they already own)."""
+        return ()
 
     def bulk_load(
         self,

@@ -37,6 +37,9 @@ class DeltaModel(DataModel):
     def _delta_table(self, vid: int) -> str:
         return f"{self.cvd_name}__delta_{vid}"
 
+    def version_tables(self, vid: int, partition: int | None) -> tuple[str, ...]:
+        return (self._delta_table(vid),)
+
     def _delta_schema(self) -> TableSchema:
         # Data columns drop NOT NULL: a tombstone row is all-NULL by
         # design, and commit_rows has already checked every real row.

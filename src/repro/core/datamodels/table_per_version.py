@@ -25,6 +25,9 @@ class TablePerVersionModel(DataModel):
     def create_storage(self) -> None:
         """Nothing up front: each commit creates its version's table."""
 
+    def version_tables(self, vid: int, partition: int | None) -> tuple[str, ...]:
+        return (self._table_for(vid),)
+
     def drop_storage(self) -> None:
         for vid in self.membership:
             self.db.drop_table(self._table_for(vid), if_exists=True)

@@ -24,12 +24,12 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.core.cvd import CVD, PreparedVersion
+from repro.core.datamodels.base import require_free
 from repro.core.access import AccessController
 from repro.core.provenance import ProvenanceManager, StagedCheckout
 from repro.core.translator import QueryTranslator
 from repro.errors import (
     CVDNotFoundError,
-    DuplicateObjectError,
     ReadOnlyError,
     StagingError,
     VersioningError,
@@ -228,11 +228,7 @@ class OrpheusDB:
         root = twin.prepare_root(rows, message) if rows else None
         if root is not None:
             twin.model.add_version(root.vid, RidSet(), {}, ())
-        taken = sorted(set(twin.db.table_names()) & set(self.db.table_names()))
-        if taken:
-            raise DuplicateObjectError(
-                f"CVD {name!r} needs tables that already exist: {taken}"
-            )
+        require_free(self.db, twin.db.table_names(), f"CVD {name!r}")
         return root
 
     def _apply_init(

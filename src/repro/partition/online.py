@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.core.cvd import CVD
+from repro.core.datamodels.base import require_free
 from repro.errors import InfeasibleBudgetError, PartitionError
 from repro.partition.bipartite import BipartiteGraph, Partitioning
 from repro.partition.dag_reduction import reduce_to_tree
@@ -237,6 +238,11 @@ class PartitionOptimizer:
         pending = None
         if self._model is not None:
             pending = self.plan_migration(result.partitioning, delta=result.delta)
+        else:
+            cvd = self.cvd
+            fresh = PartitionedRlistModel(cvd.db, cvd.name, cvd.data_schema)
+            tables = fresh.new_partition_tables(len(result.partitioning.groups))
+            require_free(cvd.db, tables, f"partitioning CVD {cvd.name!r}")
         return FullRun(storage_multiple, tolerance, frequencies, result, pending)
 
     def run_full_partitioning(self, run: FullRun | None = None):
@@ -423,6 +429,12 @@ class PartitionOptimizer:
         else:
             plan = plan_naive(new_partitioning, members)
             reuse = {}
+        opened = sum(i not in reuse for i in range(len(plan.new_groups)))
+        require_free(
+            self.cvd.db,
+            self._model.new_partition_tables(opened),
+            f"migrating CVD {self.cvd.name!r}",
+        )
         return PendingMigration(
             groups=tuple(plan.new_groups),
             reuse=reuse,

@@ -74,6 +74,20 @@ class PartitionedRlistModel(DataModel):
     def _versioning_table(self, index: int) -> str:
         return f"{self.cvd_name}__p{index}_versions"
 
+    def new_partition_tables(self, count: int) -> list[str]:
+        """The tables the next ``count`` partitions this model opens create."""
+        start = self._next_partition
+        return [
+            name
+            for index in range(start, start + count)
+            for name in (self._data_table(index), self._versioning_table(index))
+        ]
+
+    def version_tables(self, vid: int, partition: int | None) -> tuple[str, ...]:
+        if partition in self._partitions:
+            return ()
+        return tuple(self.new_partition_tables(1))
+
     # ---------------------------------------------------------- lifecycle
 
     def create_storage(self) -> None:

@@ -11,24 +11,25 @@ evicts entries that no live session can ever hit again, rather than being
 what correctness rests on.
 
 An entry is the encoded reply line (:class:`Reply`), not rows — every
-field of it is a function of the key.  Query replies get the same treatment
-with the SQL text + params in the key; since SQL may read arbitrary durable
-tables, query entries are invalidated conservatively whenever *any* change
-lands.
+field of it is a function of the key; a checkout's is a join of record
+lines (:func:`checkout_head`).  Query replies get the same treatment
+with the SQL text + params in the key; since SQL may read arbitrary
+durable tables, query entries are invalidated conservatively whenever
+*any* change lands.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-import zlib
+from binascii import crc32
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Hashable, Sequence
 
 
-def encode(response: dict) -> bytes:
-    return json.dumps(response).encode("utf-8")
+def encode(value: Any) -> bytes:
+    return json.dumps(value).encode("utf-8")
 
 
 def rows_checksum(rows: Any) -> int:
@@ -42,7 +43,7 @@ def rows_checksum(rows: Any) -> int:
     """
     crc = 0
     for row in rows:
-        crc = zlib.crc32(repr(tuple(row)).encode("utf-8"), crc)
+        crc = crc32(repr(tuple(row)).encode("utf-8"), crc)
     return crc
 
 
@@ -59,41 +60,54 @@ def checkout_response(
     return response
 
 
+def checkout_head(columns: list, count: int, lsn: int) -> bytes:
+    """A checkout's line up to its first row: ``encode(checkout_response(
+    columns, rows, lsn))`` is this, ``b", ".join(map(encode, rows))`` and
+    ``b"]}"``, byte for byte (JSON encodes a row in a list as alone)."""
+    response = checkout_response(columns, [], lsn)
+    response["count"] = count
+    return encode(response)[:-2]
+
+
 @dataclass(eq=False, slots=True)
 class Reply:
-    """A cached reply line (``body``, deflated while ``packed``), plus a
-    checkout's ``"rows": false`` line once asked for."""
+    """A reply line: ``body``, or a checkout's head and the shared record
+    lines it joins until first hit; plus its ``"rows": false`` line."""
 
     body: bytes
-    packed: bool = False
+    records: tuple[bytes, ...] | None = None
     lean: bytes | None = None
 
-    def __len__(self) -> int:
-        return len(self.body)
+    def __len__(self) -> int:  # its own bytes, a pointer per record line
+        held = len(self.body) + len(self.lean or b"")
+        return held + 8 * len(self.records or ())
 
     @property
     def line(self) -> bytes:
-        return zlib.decompress(self.body) if self.packed else self.body
+        if self.records is None:
+            return self.body
+        return b"".join((self.body, b", ".join(self.records), b"]}"))
 
-    def pack(self) -> Reply:
-        return Reply(zlib.compress(self.body, 1), True, self.lean)
-
-    def decode(self) -> dict:
-        """The reply with its rows as the engine returns them: tuples, and
-        ``int[]`` (the one list-valued column type) as tuples in them."""
-        reply = json.loads(self.line)
-        reply["rows"] = [
-            tuple(tuple(v) if type(v) is list else v for v in row)
-            for row in reply["rows"]
-        ]
-        return reply
+    def joined(self) -> Reply:
+        return Reply(self.line, None, self.lean)
 
     def lean_line(self) -> bytes:
+        """A checkout's ``"rows": false`` line, made from its line once."""
         if self.lean is None:
-            reply = self.decode()
+            reply = decode(self.line)
             reply["checksum"] = rows_checksum(reply.pop("rows"))
             self.lean = encode(reply)
         return self.lean
+
+
+def decode(line: bytes) -> dict:
+    """A reply line with its rows as the engine returns them: tuples, with
+    ``int[]`` values (the one list-valued column type) as tuples."""
+    reply = json.loads(line)
+    reply["rows"] = [
+        tuple(tuple(v) if type(v) is list else v for v in row) for row in reply["rows"]
+    ]
+    return reply
 
 
 def checkout_key(cvd: str, vids: Sequence[int] | int, last_lsn: int) -> tuple:

@@ -12,7 +12,8 @@ the only builders of those wire replies: the threaded server holds one
 manager with N sessions, a pre-fork worker one manager with a single
 session around its inherited store (:meth:`ServeManager.over_inherited_store`).
 The cache holds encoded replies; in-process callers get rows — computed on
-a miss, rebuilt from the cached reply on a hit.
+a miss, rebuilt from the cached reply on a hit.  A session encodes each
+record once; a checkout's line joins those record lines.
 
 Reentrancy model: a session is used by one thread at a time (the pool
 enforces it), sessions never share mutable state with each other, and the
@@ -30,24 +31,24 @@ import os
 import queue
 import threading
 import time
+from array import array
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 from repro.errors import PersistenceError, StaleReadError
-from repro.obs import metrics
+from repro.obs import metrics, trace
 from repro.persist import RefreshResult, Store
 from repro.storage.engine import Result
 
 from repro.serve.cache import CheckoutCache, Reply, checkout_key, query_key
-from repro.serve.cache import checkout_response, encode
+from repro.serve.cache import checkout_head, checkout_response, decode, encode
 from repro.serve.sharedcache import CacheClient
 
 # Pid-aware handles: a pre-fork serve worker charges its own registry.
 _BORROW_WAIT = metrics.histogram("serve.pool.borrow_wait_seconds")
 _IN_FLIGHT = metrics.gauge("serve.pool.in_flight")
 
-_MISSING = object()
 #: Posted into the session pool by close(): wakes borrowers blocked on an
 #: empty pool so they fail cleanly instead of hanging forever.
 _CLOSED = object()
@@ -70,6 +71,9 @@ class ReadSession:
         self.session_id = session_id
         self.refreshes = 0
         self.requests = 0
+        #: CVD object → rid → ``encode(row)``: each record encoded once for
+        #: every checkout line that joins it (entries share these bytes).
+        self._lines: dict[Any, dict[int, bytes]] = {}
 
     @property
     def orpheus(self):
@@ -112,6 +116,15 @@ class ReadSession:
             )
 
     def _invalidate(self, result: RefreshResult) -> None:
+        # Record lines outlive commits (a changed payload gets a new rid)
+        # and migrations, not SQL (UPDATE <cvd>__data rewrites in place),
+        # schema evolution, or the new CVD objects of a reload or re-init.
+        orpheus = self.orpheus
+        keep = set()
+        if not (result.full_reload or result.ran_sql):
+            names = set(orpheus.ls()) - result.schema_changed_cvds
+            keep = {orpheus.cvd(name) for name in names}
+        self._lines = {cvd: held for cvd, held in self._lines.items() if cvd in keep}
         if result.full_reload:
             # No per-record classification available: everything older
             # than the reloaded lsn is suspect.
@@ -124,66 +137,90 @@ class ReadSession:
             queries=bool(result.ran_sql or result.touched_cvds),
         )
 
+    def line_stats(self) -> dict:
+        """How many record lines this session holds, and their bytes."""
+        held = list(self._lines.values())
+        size = sum(sum(map(len, lines.values())) for lines in held)
+        return {"record_lines": sum(map(len, held)), "record_line_bytes": size}
+
     # -------------------------------------------------------------- serving
 
-    def _cached(self, key: tuple, compute, l2: CacheClient | None = None):
-        """``(reply, value)`` read through L1, then ``l2``: ``compute()``
-        makes both on a miss.  Both tiers hold an entry deflated until its
-        first hit — most are never asked for again, and an encoded checkout
-        is ~5x the row pointers once cached — then inflated for good."""
+    def _l1(self, key: tuple) -> Reply | None:
+        """The L1 entry for ``key``, its record lines joined on first hit."""
         self.requests += 1
-        reply = self.cache.get(key, _MISSING)
-        if reply is _MISSING:
-            body = l2.get(key) if l2 is not None else None
-            if body is None:
-                value, reply = compute()
-                packed = reply.pack()
-                if l2 is not None:
-                    l2.put(key, packed.body)
-                self.cache.put(key, packed)
-                return reply, value
-            reply = Reply(body, packed=True)
-        if reply.packed:
-            reply = Reply(reply.line, False, reply.lean)
+        reply = self.cache.get(key)
+        if reply is not None and reply.records is not None:
+            reply = reply.joined()
             self.cache.put(key, reply)
-        return reply, None
+        return reply
 
-    def checkout_reply(self, cvd: str, vids: int | Sequence[int], lean: bool = False):
-        """``(reply, rows if computed now)`` of merged ``vids`` at this lsn;
-        ``lean`` adds the ``"rows": false`` line.  Only checkouts use L2."""
+    def checkout_line(self, cvd: str, vids: int | Sequence[int], lean: bool = False):
+        """``(line, rows if computed now)`` of merged ``vids`` at this lsn;
+        ``lean`` asks for the ``"rows": false`` line.  Only checkouts use
+        L2: its rid array is joined from the record lines held here."""
         lsn = self.last_lsn
-
-        def compute():
+        key = checkout_key(cvd, vids, lsn)
+        reply = self._l1(key)
+        if reply is None and self.l2 is not None:
+            blob = self.l2.get(key)
+            if blob is not None:
+                lines = self._lines.get(self.orpheus.cvd(cvd), {})
+                held = list(map(lines.get, array("q", blob)))
+                if None not in held:
+                    head = checkout_head(self._columns(cvd), len(held), lsn)
+                    reply = Reply(head, tuple(held)).joined()
+                    self.cache.put(key, reply)
+        if reply is not None:
+            return (reply.lean_line() if lean else reply.line), None
+        with trace.span("serve.compute"):
             rows = self.orpheus.checkout_rows(cvd, vids)
-            columns = ["rid", *self.orpheus.cvd(cvd).data_schema.column_names]
-            reply = Reply(encode(checkout_response(columns, rows, lsn)))
+        with trace.span("serve.encode"):
+            rids = [row[0] for row in rows]
+            lines = self._lines.setdefault(self.orpheus.cvd(cvd), {})
+            held = list(map(lines.get, rids))
+            if None in held:
+                for i, line in enumerate(held):
+                    if line is None:
+                        held[i] = lines[rids[i]] = encode(rows[i])
+            columns = self._columns(cvd)
+            reply = Reply(checkout_head(columns, len(rows), lsn), tuple(held))
             if lean:
                 reply.lean = encode(checkout_response(columns, rows, lsn, False))
-            return rows, reply
+            line = reply.lean if lean else reply.line
+        self.cache.put(key, reply)
+        if self.l2 is not None:
+            self.l2.put(key, array("q", rids).tobytes())
+        return line, rows
 
-        return self._cached(checkout_key(cvd, vids, lsn), compute, self.l2)
+    def _columns(self, cvd: str) -> list[str]:
+        return ["rid", *self.orpheus.cvd(cvd).data_schema.column_names]
 
     def checkout(self, cvd: str, vids: int | Sequence[int]) -> list[tuple]:
-        reply, rows = self.checkout_reply(cvd, vids)
-        return reply.decode()["rows"] if rows is None else rows
+        line, rows = self.checkout_line(cvd, vids)
+        return decode(line)["rows"] if rows is None else rows
 
-    def query_reply(self, sql: str, params: Sequence[Any] = ()):
-        """``(reply, result)`` of read-only SQL at this session's lsn."""
+    def query_line(self, sql: str, params: Sequence[Any] = ()):
+        """``(line, result if computed now)`` of read-only SQL at this
+        session's lsn."""
         lsn = self.last_lsn
-
-        def compute():
+        key = query_key(sql, params, lsn)
+        reply = self._l1(key)
+        if reply is not None:
+            return reply.line, None
+        with trace.span("serve.compute"):
             result = self.orpheus.run(sql, params)
+        with trace.span("serve.encode"):
             response = {"ok": True, "columns": result.columns, "rows": result.rows}
             response.update(count=result.rowcount, lsn=lsn)  # the wire's key order
-            return result, Reply(encode(response))
-
-        return self._cached(query_key(sql, params, lsn), compute)
+            line = encode(response)
+        self.cache.put(key, Reply(line))
+        return line, result
 
     def query(self, sql: str, params: Sequence[Any] = ()) -> Result:
-        reply, result = self.query_reply(sql, params)
+        line, result = self.query_line(sql, params)
         if result is None:
-            decoded = reply.decode()
-            result = Result(decoded["columns"], decoded["rows"], decoded["count"])
+            reply = decode(line)
+            result = Result(reply["columns"], reply["rows"], reply["count"])
         return result
 
     def close(self) -> None:
@@ -270,14 +307,11 @@ class ServeManager:
         gated benchmark figures cannot drift.
         """
         obs = metrics.registry()
-        entries: list[tuple[str, Any]] = [("serve.cache", self.cache.stats_dict)]
+        entries: list[tuple[str, Any]] = [("serve.cache", self.cache_stats)]
         for session in self._sessions:
-            entries.append(
-                (
-                    f"serve.session_{session.session_id}.io",
-                    session.store.orpheus.db.stats.as_dict,
-                )
-            )
+            prefix = f"serve.session_{session.session_id}"
+            entries.append((f"{prefix}.io", session.store.orpheus.db.stats.as_dict))
+            entries.append((prefix, session.line_stats))
         if self.writer_store is not None:
             writer_stats = self.writer_store.orpheus.db.stats
             entries.append(("serve.writer.io", writer_stats.as_dict))
@@ -286,6 +320,14 @@ class ServeManager:
         self._collectors = entries
 
     # ---------------------------------------------------------------- stats
+
+    def cache_stats(self) -> dict:
+        """The L1's figures, plus the sessions' record lines it joins."""
+        held = [session.line_stats() for session in self._sessions]
+        stats = self.cache.stats_dict()
+        for name in ("record_lines", "record_line_bytes"):
+            stats[name] = sum(lines[name] for lines in held)
+        return stats
 
     def stats_snapshot(self) -> dict:
         """The full observability snapshot for this process (the payload of
@@ -386,11 +428,9 @@ class ServeManager:
         with self.session() as session:
             session.ensure_lsn(request.get("min_lsn"))
             if request["op"] == "query":
-                params = request.get("params", ())
-                return session.query_reply(request["sql"], params)[0].line
-            rows = request.get("rows", True)
-            reply = session.checkout_reply(request["cvd"], request["vids"], not rows)[0]
-            return reply.line if rows else reply.lean_line()
+                return session.query_line(request["sql"], request.get("params", ()))[0]
+            lean = not request.get("rows", True)
+            return session.checkout_line(request["cvd"], request["vids"], lean)[0]
 
     def refresh_all(self) -> tuple[list[dict], int]:
         """Refresh every currently idle session; returns (refreshed, busy).
@@ -437,6 +477,7 @@ class ServeManager:
                 "lsn": session.last_lsn,
                 "requests": session.requests,
                 "refreshes": session.refreshes,
+                **session.line_stats(),
             }
             for session in self._sessions
         ]
@@ -450,7 +491,7 @@ class ServeManager:
             "refreshes": sum(s["refreshes"] for s in sessions),
             "readers": len(sessions),
             "sessions": sessions,
-            "cache": self.cache.stats_dict(),
+            "cache": self.cache_stats(),
         }
         if self.worker is not None:
             status["worker"] = self.worker

@@ -11,7 +11,8 @@ These tests hold that contract:
   the session exactly as it was, and the next commit succeeds;
 * the operations that used to fail after they had written — a commit
   refused after its schema change, an init refused after it created its
-  tables, a version refused by its data model after it took a vid — now
+  tables, a version refused by its data model after it took a vid, an
+  optimize or a commit refused after it opened half a partition — now
   leave nothing behind;
 * the WAL records and the snapshot manifest of a scripted session that
   covers every op kind are the ones the release before the split wrote.
@@ -412,3 +413,91 @@ def test_version_refused_by_not_null_takes_no_vid(model):
     orpheus.checkout("n", 1, table_name="w")
     orpheus.run("UPDATE w SET t = 'x' WHERE k = 1")
     assert orpheus.commit("w") == 2
+
+
+def _history(orpheus: OrpheusDB, model: str | None = None) -> None:
+    """CVD ``d``: four versions, each editing one record of its parent."""
+    orpheus.init("d", SCHEMA, rows=ROWS, primary_key=("k",), model=model)
+    for n in range(1, 4):
+        orpheus.checkout("d", n, table_name="w")
+        orpheus.run(f"UPDATE w SET v = {n} WHERE k = {n}")
+        orpheus.commit("w")
+
+
+def _stage_far_from_tip(orpheus: OrpheusDB) -> None:
+    """Staged table ``s``: the tip with all but one record replaced."""
+    orpheus.checkout("d", tip(orpheus, "d"), table_name="s")
+    orpheus.run("DELETE FROM s WHERE k > 0")
+    values = ", ".join(f"({k}, {k})" for k in range(100, 108))
+    orpheus.run(f"INSERT INTO s (k, v) VALUES {values}")
+
+
+def _versions_tables(model, count: int) -> list[str]:
+    return [name for name in model.new_partition_tables(count) if "_versions" in name]
+
+
+def clash_optimize(orpheus: OrpheusDB):
+    _history(orpheus)
+    return [f"d__p{i}_versions" for i in range(8)], lambda: orpheus.optimize("d")
+
+
+def clash_reoptimize(orpheus: OrpheusDB):
+    _history(orpheus)
+    orpheus.optimize("d", storage_threshold=1.0)  # one partition
+    model = orpheus.cvd("d").model
+    reoptimize = lambda: orpheus.optimize("d", storage_threshold=4.0)  # noqa: E731
+    return _versions_tables(model, 4), reoptimize
+
+
+def clash_commit_opening_a_partition(orpheus: OrpheusDB):
+    _history(orpheus)
+    orpheus.optimize("d")
+    _stage_far_from_tip(orpheus)
+    model = orpheus.cvd("d").model
+    return _versions_tables(model, 1), lambda: orpheus.commit("s")
+
+
+def clash_table_per_version(orpheus: OrpheusDB):
+    _history(orpheus, "table_per_version")
+    _stage_far_from_tip(orpheus)
+    return ["d__v5"], lambda: orpheus.commit("s")
+
+
+def clash_delta(orpheus: OrpheusDB):
+    _history(orpheus, "delta")
+    _stage_far_from_tip(orpheus)
+    return ["d__delta_5"], lambda: orpheus.commit("s")
+
+
+CLASHES = [
+    clash_optimize,
+    clash_reoptimize,
+    clash_commit_opening_a_partition,
+    clash_table_per_version,
+    clash_delta,
+]
+
+
+@pytest.mark.parametrize("clash", CLASHES, ids=lambda clash: clash.__name__[6:])
+def test_a_backing_table_clash_is_refused_before_any_write(tmp_path, clash):
+    """A user table that holds a name the operation would create refuses
+    it in prepare: nothing changes, and once the name is free the retry
+    succeeds and a reopen equals the live session."""
+    store = Store.open(tmp_path / "store", checkpoint_interval=0)
+    orpheus = store.orpheus
+    taken, operation = clash(orpheus)
+    for name in taken:
+        orpheus.run(f"CREATE TABLE {name} (x int)")
+    tables, before = orpheus.db.table_names(), digest(orpheus)
+    with pytest.raises(DuplicateObjectError, match="needs tables that already exist"):
+        operation()
+    assert orpheus.db.table_names() == tables
+    assert digest(orpheus) == before
+    for name in taken:
+        orpheus.run(f"DROP TABLE {name}")
+    operation()
+    assert set(taken) & set(orpheus.db.table_names())  # the clash was real
+    expected = digest(orpheus, staging=False)
+    crash(store)
+    with Store.open(tmp_path / "store", checkpoint_interval=0) as reopened:
+        assert digest(reopened.orpheus, staging=False) == expected

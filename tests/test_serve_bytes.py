@@ -1,26 +1,33 @@
-"""The bytes path: L1 and L2 hold encoded reply lines, not rows.
+"""The bytes path: L1 holds encoded reply lines, not rows.
 
 A served ``checkout``/``query`` line must be byte-identical to
 ``json.dumps`` of the reply dict built from an uncached store open — on a
 miss, an L1 hit and an L2 hit, ``"rows": true`` and ``false`` in either
 order — a hit must encode nothing, and in-process callers must still get
-the engine's Python rows back.
+the engine's Python rows back.  A checkout line is a join of the
+session's record lines, so it must stay byte-identical after every change
+that can alter a record's bytes: SQL on a CVD's data table, schema
+evolution, a drop and re-init of the name, a migration and a reload.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+import tempfile
 import threading
-import zlib
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.persist import Store
 from repro.serve import ServeManager
 from repro.serve.server import checkout_response, handle_line
 from repro.serve.sharedcache import CacheClient, CacheOwner
 
+from test_obs import captured_spans  # noqa: F401 (a fixture)
 from test_persist_readonly import build_store
 
 pytestmark = pytest.mark.timeout(120)
@@ -85,14 +92,19 @@ def reference(path, request: dict) -> bytes:
     return json.dumps(response).encode() + b"\n"
 
 
+def build_every(orpheus, rows=ROWS) -> None:
+    """CVD ``every``: v1 holds ``rows``, v2 changes one record of it."""
+    orpheus.init("every", SCHEMA, rows=rows)
+    orpheus.checkout("every", 1, table_name="w")
+    orpheus.run("UPDATE w SET d = 2.5 WHERE i = 1")
+    orpheus.commit("w", message="v2")
+
+
 @pytest.fixture
 def store_path(tmp_path):
     path = tmp_path / "s"
     store = Store.open(path)
-    store.orpheus.init("every", SCHEMA, rows=ROWS)
-    store.orpheus.checkout("every", 1, table_name="w")
-    store.orpheus.run("UPDATE w SET d = 2.5 WHERE i = 1")
-    store.orpheus.commit("w", message="v2")
+    build_every(store.orpheus)
     store.close()
     return path
 
@@ -169,7 +181,8 @@ def test_a_hit_encodes_nothing(manager, monkeypatch):
 
 def test_racing_first_hits_and_lean_lines_stay_byte_identical(store_path):
     """Eight threads over four sessions race the misses, the first hits
-    that re-cache entries inflated and the lazy ``"rows": false`` memo."""
+    that re-cache entries with their record lines joined, and the lazy
+    ``"rows": false`` memo."""
     requests = (CHECKOUT, LEAN, QUERY, {**CHECKOUT, "vids": [1]})
     expected = {encoded(r): reference(store_path, r) for r in requests}
     lines = list(expected)
@@ -213,20 +226,170 @@ def test_in_process_callers_get_engine_rows_on_miss_and_hit(store_path, manager)
     assert manager.cache.stats.misses == 2 and manager.cache.stats.hits == 4
 
 
-def test_the_l2_value_is_the_l1_bytes(workers, monkeypatch):
-    served = workers[0]
+def test_the_l2_value_is_the_reply_rid_array(store_path, workers, monkeypatch):
+    """A worker puts the reply's rids; another that holds every record's
+    line answers the L2 hit by a join, byte-identical, without a checkout."""
+    first, second = workers
     puts = []
-    put = served.l2.put
+    put = first.l2.put
 
     def recording_put(key, blob):
         puts.append((key, blob))
         put(key, blob)
 
-    monkeypatch.setattr(served.l2, "put", recording_put)
-    sent = handle_line(served, encoded(CHECKOUT))[0]
-    [(key, blob)] = puts
-    assert blob == served.cache.get(key).body  # no pickle: the L1 entry's bytes
-    assert zlib.decompress(blob) + b"\n" == sent
+    monkeypatch.setattr(first.l2, "put", recording_put)
+    sent = handle_line(first, encoded(CHECKOUT))[0]
+    [(_key, blob)] = puts
+    rids = array("q")
+    rids.frombytes(blob)
+    assert list(rids) == [row[0] for row in json.loads(sent)["rows"]]
+    for vids in ([1], [2]):  # every record of [2, 1] gets a line in `second`
+        handle_line(second, encoded({**CHECKOUT, "vids": vids}))
+    with second.session(refresh=False) as session:
+        orpheus = session.orpheus
+    monkeypatch.setattr(orpheus, "checkout_rows", None)  # any call would raise
+    assert handle_line(second, encoded(CHECKOUT))[0] == sent
+    assert sent == reference(store_path, CHECKOUT)
+    assert second.l2.stats()["hits"] == 1
+
+
+VALUE = st.tuples(
+    st.none() | st.integers(-(2**70), 2**70),
+    st.none() | st.floats(),
+    st.none() | st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    st.none() | st.booleans(),
+    st.none() | st.lists(st.integers(-(2**70), 2**70), max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rows=st.lists(VALUE, max_size=6),
+    kept=st.lists(st.booleans(), min_size=6, max_size=6),
+    added=st.lists(VALUE, max_size=4),
+)
+def test_a_joined_line_is_the_encoded_reply(rows, kept, added):
+    """v2 drops and adds records of v1; every single- and multi-version
+    line, rows or not, is the reference line, whichever checkout first
+    encoded the records it shares.
+
+    v1 always holds ``ROWS[0]``: a checkout materializes a column that
+    holds only NULLs as TEXT, and committing it would then change the
+    column's type — a checkout-table fault this property is not about."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = f"{scratch}/s"
+        store = Store.open(path)
+        orpheus = store.orpheus
+        orpheus.init("every", SCHEMA, rows=[ROWS[0], *rows])
+        orpheus.checkout("every", 1, table_name="w")
+        for rid, keep in zip(range(2, len(rows) + 2), kept):
+            if not keep:
+                orpheus.run("DELETE FROM w WHERE rid = ?", [rid])
+        for row in added:
+            orpheus.run("INSERT INTO w (i, d, s, b, a) VALUES (?, ?, ?, ?, ?)", row)
+        orpheus.commit("w", message="v2")
+        store.close()
+        requests = [
+            {**CHECKOUT, "vids": vids, "rows": full}
+            for vids in ([1], [2], [2, 1], [1, 2])
+            for full in (True, False)
+        ]
+        expected = [reference(path, request) for request in requests]
+        with ServeManager(path, readers=1, writer=False) as served:
+            for _ in range(2):  # misses, then L1 hits
+                got = [handle_line(served, encoded(r))[0] for r in requests]
+                assert got == expected
+
+
+def _update_data_by_sql(store) -> None:
+    store.orpheus.run("UPDATE every__data SET s = 'rewritten' WHERE i = 1")
+
+
+def _add_column(store) -> None:
+    orpheus = store.orpheus
+    orpheus.checkout("every", 2, table_name="x")
+    orpheus.run("ALTER TABLE x ADD COLUMN c int")
+    orpheus.run("UPDATE x SET c = 7 WHERE i = 2")
+    orpheus.commit("x", message="v3")
+
+
+def _drop_and_reinit(store) -> None:
+    store.orpheus.drop("every")
+    build_every(store.orpheus, ROWS[::-1])
+
+
+def _optimize_and_migrate(store) -> None:
+    orpheus = store.orpheus
+    orpheus.optimize("every")
+    orpheus.checkout("every", 2, table_name="x")
+    orpheus.run("DELETE FROM x WHERE i = 2")
+    orpheus.commit("x", message="v3")
+    optimizer = orpheus.optimize("every", storage_threshold=1.0)
+    assert optimizer.trace.migrations
+
+
+def _reload_behind_checkpoint(store) -> None:
+    orpheus = store.orpheus
+    orpheus.checkout("every", 2, table_name="x")
+    orpheus.run("UPDATE x SET s = 'moved' WHERE i = 3")
+    orpheus.commit("x", message="v3")
+    store.checkpoint()
+
+
+CHANGES = {
+    "update_data_by_sql": _update_data_by_sql,
+    "add_column": _add_column,
+    "drop_and_reinit": _drop_and_reinit,
+    "optimize_and_migrate": _optimize_and_migrate,
+    "reload_behind_checkpoint": _reload_behind_checkpoint,
+}
+
+
+@pytest.mark.parametrize("change", sorted(CHANGES))
+def test_lines_stay_byte_identical_across_a_change(store_path, manager, change):
+    """Each change reaches the served session through the refresh that
+    names it; the session's record lines must not outlive it."""
+    requests = (CHECKOUT, LEAN, {**CHECKOUT, "vids": [1]})
+    before = [handle_line(manager, encoded(r))[0] for r in requests]
+    writer = Store.open(store_path)  # closing it would checkpoint
+    try:
+        CHANGES[change](writer)
+        with manager.session(refresh=False) as session:
+            result = session.refresh(force=True)
+        assert result.full_reload == (change == "reload_behind_checkpoint")
+        for request, old in zip(requests, before):
+            line = handle_line(manager, encoded(request))[0]
+            assert line == reference(store_path, request)
+            if change == "update_data_by_sql" and request is CHECKOUT:
+                assert b"rewritten" in line and b"rewritten" not in old
+    finally:
+        writer.close()
+
+
+def test_a_miss_opens_compute_and_encode_spans(manager, captured_spans):  # noqa: F811
+    for request in (CHECKOUT, CHECKOUT, QUERY):  # miss, hit, miss
+        handle_line(manager, encoded(request))
+    names = [span["span"] for span in captured_spans]
+    requests = [span for span in captured_spans if span["span"] == "serve.request"]
+    assert len(requests) == 3
+    assert names.count("serve.compute") == names.count("serve.encode") == 2
+    for span in captured_spans:
+        if span["span"] in ("serve.compute", "serve.encode"):
+            assert span["parent_id"] in {r["span_id"] for r in requests}
+
+
+def test_status_reports_record_lines_and_what_entries_hold(manager):
+    reply = json.loads(handle_line(manager, encoded(CHECKOUT))[0])
+    status = manager.status()
+    [session] = status["sessions"]
+    held = {row[0]: json.dumps(row).encode() for row in reply["rows"]}
+    assert session["record_lines"] == status["cache"]["record_lines"] == len(held)
+    assert session["record_line_bytes"] == sum(map(len, held.values()))
+    # The unhit entry holds its head and a pointer per record line.
+    assert status["cache"]["bytes"] < sum(map(len, held.values()))
+    metrics = manager.stats_snapshot()["metrics"]["serve"]
+    assert metrics["session_0"]["record_lines"] == len(held)
+    assert metrics["cache"]["record_line_bytes"] == session["record_line_bytes"]
 
 
 class TestQueryParamsKeyTheCache:
