@@ -49,7 +49,7 @@ from repro.partition.bipartite import BipartiteGraph, Partitioning
 from repro.partition.dag_reduction import reduce_to_tree
 from repro.partition.delta_search import DeltaSearchResult, search_delta
 from repro.partition.migration import plan_intelligent, plan_naive
-from repro.partition.partition_manager import PartitionedRlistModel
+from repro.partition.partition_manager import PartitionedRlistModel, partition_tables
 
 
 @dataclass
@@ -240,8 +240,7 @@ class PartitionOptimizer:
             pending = self.plan_migration(result.partitioning, delta=result.delta)
         else:
             cvd = self.cvd
-            fresh = PartitionedRlistModel(cvd.db, cvd.name, cvd.data_schema)
-            tables = fresh.new_partition_tables(len(result.partitioning.groups))
+            tables = partition_tables(cvd.name, 0, len(result.partitioning.groups))
             require_free(cvd.db, tables, f"partitioning CVD {cvd.name!r}")
         return FullRun(storage_multiple, tolerance, frequencies, result, pending)
 

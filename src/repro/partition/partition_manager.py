@@ -53,6 +53,15 @@ class PartitionState:
         return len(self.rids)
 
 
+def partition_tables(cvd_name: str, start: int, count: int) -> list[str]:
+    """The data and versioning tables of partitions ``start`` onwards."""
+    return [
+        f"{cvd_name}__p{index}_{kind}"
+        for index in range(start, start + count)
+        for kind in ("data", "versions")
+    ]
+
+
 class PartitionedRlistModel(DataModel):
     model_name = "partitioned_rlist"
 
@@ -76,12 +85,7 @@ class PartitionedRlistModel(DataModel):
 
     def new_partition_tables(self, count: int) -> list[str]:
         """The tables the next ``count`` partitions this model opens create."""
-        start = self._next_partition
-        return [
-            name
-            for index in range(start, start + count)
-            for name in (self._data_table(index), self._versioning_table(index))
-        ]
+        return partition_tables(self.cvd_name, self._next_partition, count)
 
     def version_tables(self, vid: int, partition: int | None) -> tuple[str, ...]:
         if partition in self._partitions:

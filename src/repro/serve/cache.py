@@ -88,9 +88,6 @@ class Reply:
             return self.body
         return b"".join((self.body, b", ".join(self.records), b"]}"))
 
-    def joined(self) -> Reply:
-        return Reply(self.line, None, self.lean)
-
     def lean_line(self) -> bytes:
         """A checkout's ``"rows": false`` line, made from its line once."""
         if self.lean is None:
@@ -162,8 +159,9 @@ class CheckoutCache:
 
     def __init__(self, capacity: int = 256):
         #: ``capacity=0`` disables the cache entirely (every get misses,
-        #: every put is dropped) — the serving benchmarks use it to
-        #: measure raw scan throughput without changing the serve path.
+        #: every put is dropped, and a session over it keeps no record
+        #: lines) — the serving benchmarks use it to measure raw scan
+        #: throughput without changing the serve path.
         self.capacity = max(0, capacity)
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = threading.Lock()

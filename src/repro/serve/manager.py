@@ -31,7 +31,6 @@ import os
 import queue
 import threading
 import time
-from array import array
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Sequence
@@ -49,6 +48,9 @@ from repro.serve.sharedcache import CacheClient
 _BORROW_WAIT = metrics.histogram("serve.pool.borrow_wait_seconds")
 _IN_FLIGHT = metrics.gauge("serve.pool.in_flight")
 
+#: A session holds at most this many record lines per L1 entry the cache
+#: may keep: 16 384 at the default capacity of 256, none at capacity 0.
+LINES_PER_ENTRY = 64
 #: Posted into the session pool by close(): wakes borrowers blocked on an
 #: empty pool so they fail cleanly instead of hanging forever.
 _CLOSED = object()
@@ -72,8 +74,10 @@ class ReadSession:
         self.refreshes = 0
         self.requests = 0
         #: CVD object → rid → ``encode(row)``: each record encoded once for
-        #: every checkout line that joins it (entries share these bytes).
+        #: every checkout line that joins it (entries share these bytes);
+        #: ``_held`` lines in all, at most the budget of ``_record_lines``.
         self._lines: dict[Any, dict[int, bytes]] = {}
+        self._held = 0
 
     @property
     def orpheus(self):
@@ -125,6 +129,7 @@ class ReadSession:
             names = set(orpheus.ls()) - result.schema_changed_cvds
             keep = {orpheus.cvd(name) for name in names}
         self._lines = {cvd: held for cvd, held in self._lines.items() if cvd in keep}
+        self._held = sum(map(len, self._lines.values()))
         if result.full_reload:
             # No per-record classification available: everything older
             # than the reloaded lsn is suspect.
@@ -139,9 +144,8 @@ class ReadSession:
 
     def line_stats(self) -> dict:
         """How many record lines this session holds, and their bytes."""
-        held = list(self._lines.values())
-        size = sum(sum(map(len, lines.values())) for lines in held)
-        return {"record_lines": sum(map(len, held)), "record_line_bytes": size}
+        size = sum(sum(map(len, lines.values())) for lines in self._lines.values())
+        return {"record_lines": self._held, "record_line_bytes": size}
 
     # -------------------------------------------------------------- serving
 
@@ -150,49 +154,60 @@ class ReadSession:
         self.requests += 1
         reply = self.cache.get(key)
         if reply is not None and reply.records is not None:
-            reply = reply.joined()
+            reply = Reply(reply.line, None, reply.lean)
             self.cache.put(key, reply)
         return reply
 
     def checkout_line(self, cvd: str, vids: int | Sequence[int], lean: bool = False):
         """``(line, rows if computed now)`` of merged ``vids`` at this lsn;
         ``lean`` asks for the ``"rows": false`` line.  Only checkouts use
-        L2: its rid array is joined from the record lines held here."""
+        L2, whose value is the reply line any worker sends as it is."""
         lsn = self.last_lsn
         key = checkout_key(cvd, vids, lsn)
         reply = self._l1(key)
         if reply is None and self.l2 is not None:
             blob = self.l2.get(key)
             if blob is not None:
-                lines = self._lines.get(self.orpheus.cvd(cvd), {})
-                held = list(map(lines.get, array("q", blob)))
-                if None not in held:
-                    head = checkout_head(self._columns(cvd), len(held), lsn)
-                    reply = Reply(head, tuple(held)).joined()
-                    self.cache.put(key, reply)
+                reply = Reply(blob)
+                self.cache.put(key, reply)
         if reply is not None:
             return (reply.lean_line() if lean else reply.line), None
         with trace.span("serve.compute"):
             rows = self.orpheus.checkout_rows(cvd, vids)
         with trace.span("serve.encode"):
-            rids = [row[0] for row in rows]
-            lines = self._lines.setdefault(self.orpheus.cvd(cvd), {})
-            held = list(map(lines.get, rids))
-            if None in held:
-                for i, line in enumerate(held):
-                    if line is None:
-                        held[i] = lines[rids[i]] = encode(rows[i])
-            columns = self._columns(cvd)
-            reply = Reply(checkout_head(columns, len(rows), lsn), tuple(held))
+            columns = self.columns(cvd)
+            records = self._record_lines(cvd, rows)
+            if records is None:
+                reply = Reply(encode(checkout_response(columns, rows, lsn)))
+            else:
+                reply = Reply(checkout_head(columns, len(rows), lsn), records)
             if lean:
                 reply.lean = encode(checkout_response(columns, rows, lsn, False))
             line = reply.lean if lean else reply.line
         self.cache.put(key, reply)
         if self.l2 is not None:
-            self.l2.put(key, array("q", rids).tobytes())
+            self.l2.put(key, reply.line if lean else line)
         return line, rows
 
-    def _columns(self, cvd: str) -> list[str]:
+    def _record_lines(self, cvd: str, rows: list[tuple]) -> tuple[bytes, ...] | None:
+        """Each row's record line, encoded once per session; None when the
+        rows exceed the session's budget of lines (none at capacity 0).
+        A fill that would pass the budget drops every line held first."""
+        budget = LINES_PER_ENTRY * self.cache.capacity
+        if budget == 0 or len(rows) > budget:
+            return None
+        lines = self._lines.setdefault(self.orpheus.cvd(cvd), {})
+        held = [lines.get(row[0]) for row in rows]
+        if self._held + held.count(None) > budget:
+            self._lines, self._held = {}, 0
+            lines = self._lines[self.orpheus.cvd(cvd)] = {}
+        for i, line in enumerate(held):
+            if line is None:
+                held[i] = lines[rows[i][0]] = encode(rows[i])
+                self._held += 1
+        return tuple(held)
+
+    def columns(self, cvd: str) -> list[str]:
         return ["rid", *self.orpheus.cvd(cvd).data_schema.column_names]
 
     def checkout(self, cvd: str, vids: int | Sequence[int]) -> list[tuple]:
@@ -408,8 +423,7 @@ class ServeManager:
         with self.session() as session:
             session.ensure_lsn(min_lsn)
             rows = session.checkout(cvd, vids)
-            schema = session.orpheus.cvd(cvd).data_schema
-            return ["rid", *schema.column_names], rows, session.last_lsn
+            return session.columns(cvd), rows, session.last_lsn
 
     def query(self, sql: str, params: Sequence[Any] = ()):
         return self.query_payload(sql, params)[0]

@@ -12,16 +12,16 @@ Keys are the exact lsn-tagged tuples from :mod:`repro.serve.cache`
 (``checkout_key`` / ``query_key``), so the correct-by-construction story
 is unchanged: state at an lsn is state at an lsn, no matter which
 *process* populated the entry.  Values are opaque bytes — a checkout's
-rid array, joined by a worker from its own record lines — so the owner
-never imports engine types and never deserializes untrusted data
+reply line, which any worker sends as it is, no rows pickled — so the
+owner never imports engine types and never deserializes untrusted data
 (the socket lives in a fresh ``tempfile.mkdtemp`` directory, mode 0700,
 never inside the store directory: a read-only server must not add even a
 socket inode to the store).
 
 Wire format, both directions: a 4-byte little-endian length prefix, then
-a pickled tuple.  Requests are ``("get", key)``, ``("put", key, blob)``,
-``("invalidate", cvds, below_lsn, queries)``, ``("stats",)``; replies are
-``("hit", blob)``, ``("miss", None)`` or ``("ok", payload)``.
+a pickled tuple.  Requests are ``("get", key)``, ``("put", key, blob)``
+and ``("stats",)``; replies are ``("hit", blob)``, ``("miss", None)`` or
+``("ok", payload)``.
 
 Failure model: the cache is an accelerator, never a dependency.  Any
 socket error on the client side permanently degrades that worker to
@@ -168,9 +168,6 @@ class CacheOwner:
             if isinstance(blob, bytes):  # opaque bytes only, by contract
                 self.cache.put(key, blob)
             return ("ok", None)
-        if op == "invalidate":
-            cvds, below_lsn, queries = message[1], message[2], message[3]
-            return ("ok", self.cache.invalidate(cvds, below_lsn, queries))
         if op == "stats":
             return ("ok", self.cache.stats_dict())
         return ("ok", None)
@@ -259,10 +256,6 @@ class CacheClient:
                 pass
             self._conn = None
 
-    @property
-    def degraded(self) -> bool:
-        return self._broken
-
     # ------------------------------------------------------------------- api
 
     def get(self, key: Hashable) -> bytes | None:
@@ -276,15 +269,6 @@ class CacheClient:
     def put(self, key: Hashable, blob: bytes) -> None:
         if self._call(("put", key, blob)) is not None:
             metrics.registry().counter("serve.l2.puts").inc()
-
-    def invalidate(
-        self,
-        cvds: set | None = None,
-        below_lsn: int | None = None,
-        queries: bool = True,
-    ) -> int:
-        reply = self._call(("invalidate", cvds, below_lsn, queries))
-        return reply[1] if reply is not None else 0
 
     def stats(self) -> dict[str, Any] | None:
         reply = self._call(("stats",))

@@ -106,8 +106,7 @@ class TestPreforkEmbedded:
                 a = first.request(payload)
                 b = second.request(payload)
                 assert a["ok"] and b["ok"] and a["rows"] == b["rows"]
-                # Worker 2 found the entry over the L2 socket (it holds no
-                # record lines yet, so it still ran the checkout itself).
+                # Worker 2's copy came over the L2 socket, not a rescan.
                 l2 = second.request({"op": "status"})["status"]["l2"]
                 assert l2["hits"] >= 1
             finally:
