@@ -6,7 +6,7 @@ Three modes over the :mod:`repro.chaos` harness:
   scenario (real writer process + pre-fork reader pool) with at least
   one writer ``kill -9`` at a journaled WAL offset and one worker
   SIGKILL mid-request, all four invariants checked (crash-replay
-  determinism, refresh convergence, L1/L2 cache coherence, ``min_lsn``
+  determinism, refresh convergence, L1 cache coherence, ``min_lsn``
   fence honesty).  Every gated counter — trace shape, rows served,
   per-seed tip checksums, kill counts, invariant tallies — is
   deterministic for the pinned seeds, so ``check_regression.py --exact``
@@ -317,9 +317,7 @@ def run_full(base: Path) -> dict:
     )
     trace = _full_read_trace(config, built_target, FULL_REQUESTS)
 
-    server = PreforkServer(
-        store_path, workers=FULL_WORKERS, cache_capacity=512, shared_cache=True
-    ).start()
+    server = PreforkServer(store_path, workers=FULL_WORKERS, cache_capacity=512).start()
     invariants = []
     writer_rc = None
     live_versions = 0

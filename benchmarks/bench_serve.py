@@ -10,8 +10,9 @@ regime a serving tier lives in) across both, plus the pre-serve baseline:
   its version set from scratch;
 * **serve x1 / x4** — the threaded pool with 1 and 4 pooled sessions;
 * **prefork x1 / x4 (cached)** — warm steady state of the worker pool
-  over real TCP: L1 per-process caches plus the cross-process L2, with
-  per-worker ``stats`` snapshots proving zero snapshot loads after fork;
+  over real TCP: each worker answers from its own L1 cache (workers share
+  none), with per-worker ``stats`` snapshots proving zero snapshot loads
+  after fork;
 * **prefork scaling x1 / x4** — caches off, ``"rows": false`` responses
   (count + checksum only), warmup round excluded: the closest thing to a
   pure "N processes, N cores" read-throughput measurement.  Startup
@@ -246,7 +247,6 @@ class _PreforkHarness:
             path,
             workers=workers,
             cache_capacity=512 if cached else 0,
-            shared_cache=cached,
         ).start()
         host, port = self.server.address
         self.clients = [ServeClient(host, port) for _ in range(workers)]
@@ -317,9 +317,6 @@ class _PreforkHarness:
             ),
             "cache_hits": sum(s["cache"]["hits"] for s in statuses),
             "cache_misses": sum(s["cache"]["misses"] for s in statuses),
-            "l2_hits": sum(
-                metrics.lookup(snap, "serve.l2.hits") for snap in metrics_snaps
-            ),
         }
 
     def close(self) -> None:
@@ -329,7 +326,7 @@ class _PreforkHarness:
 
 
 def run_prefork_cached(path: Path, trace, workers: int) -> dict:
-    """Warm steady state of the worker pool, caches on (L1 + shared L2)."""
+    """Warm steady state of the worker pool, each worker's L1 cache on."""
     latency = Histogram("prefork_latency_seconds", buckets=LATENCY_BUCKETS)
     harness = _PreforkHarness(path, workers, cached=True)
     try:
@@ -427,9 +424,8 @@ def measure(config: dict, base_dir: Path, snapshot: bool = False) -> dict:
 
     # Deterministic figures for the CI regression gate.  Threaded-pool
     # counters come from the sequential pass (thread interleavings would
-    # perturb hit order); prefork cache counters from the x1 pool (with 4
-    # workers, which worker first computes a shared entry is a race — the
-    # x4 pool instead gates the topology: 4 distinct worker pids, zero
+    # perturb hit order); prefork cache counters from the x1 pool (the x4
+    # pool instead gates the topology: 4 distinct worker pids, zero
     # post-fork snapshot loads anywhere).
     out["counters"] = {
         "serve_cache_misses": serve1["cache_misses"],
@@ -437,7 +433,6 @@ def measure(config: dict, base_dir: Path, snapshot: bool = False) -> dict:
         "baseline_records_scanned": baseline["records_scanned"],
         "scanned_per_request": serve1["records_scanned"] / len(trace),
         "prefork_cache_misses": prefork1["cache_misses"],
-        "prefork_l2_hits": prefork1["l2_hits"],
         "prefork_snapshot_loads": (
             prefork1["snapshot_loads"]
             + prefork4["snapshot_loads"]
@@ -554,11 +549,10 @@ class TestServeAcceptance:
             counters["baseline_records_scanned"]
         )
         # Prefork steady state: a single worker's L1 misses exactly once
-        # per distinct version set (nothing else may populate it), no L2
-        # hit can exist with one process, and no worker — across all four
-        # prefork passes — ever re-loads the snapshot after the fork.
+        # per distinct version set (nothing else may populate it), and no
+        # worker — across all four prefork passes — ever re-loads the
+        # snapshot after the fork.
         assert counters["prefork_cache_misses"] == result["trace"]["distinct_sets"]
-        assert counters["prefork_l2_hits"] == 0
         assert counters["prefork_snapshot_loads"] == 0
         assert counters["prefork_workers_observed"] == 4
         assert counters["prefork_rows_served"] == result["baseline"]["rows_served"]

@@ -83,7 +83,6 @@ BENCH_PROFILES = {
             "baseline_records_scanned",
             "scanned_per_request",
             "prefork_cache_misses",
-            "prefork_l2_hits",
             "prefork_snapshot_loads",
             "prefork_workers_observed",
             "prefork_rows_served",

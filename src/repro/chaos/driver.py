@@ -22,7 +22,7 @@ Faults injected while traffic flows:
 - **forced checkpoints** riding the writer plan, racing reader refresh.
 
 After the trace drains, the remaining invariants run: refresh
-convergence to the durable tip on every connection, L1/L2 cache
+convergence to the durable tip on every connection, L1 cache
 coherence against an uncached fresh store open, ``min_lsn`` fence
 honesty (zero violations all run + an impossible-fence probe refused as
 ``stale_read``), and pool drain (no worker process survives shutdown).
@@ -161,7 +161,6 @@ class ChaosRun:
                 self.store_dir,
                 workers=self.workers,
                 cache_capacity=256,
-                shared_cache=True,
                 respawn_limit=self.faults.respawn_limit,
             ).start()
             self._note_pids()
@@ -528,7 +527,7 @@ class ChaosRun:
         self._charge_invariant(convergence)
 
         # Cache coherence at the stable tip: replay the trace's checkout
-        # sets twice each — the second pass is served from the L1/L2
+        # sets twice each — the second pass is served from the L1
         # cache — and compare both passes against an uncached fresh-open
         # checkout.  (Mid-run served figures are *not* comparable to the
         # final store: schema evolution is CVD-global, so rows served

@@ -10,7 +10,7 @@ reports directly):
    as committed, digest-compared version by version.
 2. **Refresh convergence** — a reader (store- or serve-level) must reach
    the writer's durable tip lsn within a bounded number of refreshes.
-3. **Cache coherence** — rows served through the L1/L2 cache stack must
+3. **Cache coherence** — rows served through the L1 cache must
    match an uncached checkout from a fresh read-only store open.
 4. **min_lsn fence honesty** — no response may carry an lsn behind the
    fence the client sent; a probe beyond the durable tip must be

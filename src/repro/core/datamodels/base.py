@@ -16,10 +16,10 @@ The interface is deliberately narrow:
   needs quoting and nothing is parsed).  :meth:`all_versions_plan` is its
   ``(vid, <data attrs>)`` counterpart over every version.
 * :meth:`checkout_into` (the physical half of *checkout*: materialize one
-  version into a fresh table) runs the plan with an ``INTO``, and
-  :meth:`fetch_version` runs it for the rows, used for multi-version
-  merging, diff and commit comparison.  The query translator derives
-  ``VERSION``/``ALL VERSIONS`` from the same two plans.
+  version into a fresh table of the declared types) fills it with
+  :meth:`fetch_version`'s rows; that runs the plan and also serves
+  multi-version merging, diff and commit comparison.  The query
+  translator derives ``VERSION``/``ALL VERSIONS`` from the same two plans.
 
 Models receive the shared :class:`~repro.storage.engine.Database` and do all
 their work through it, exactly like the paper's middleware drives PostgreSQL.
@@ -31,7 +31,6 @@ and never keeps a copy of its own.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import replace
 from typing import Any, ClassVar, Iterable, Mapping, Sequence
 
 from repro.errors import DuplicateObjectError
@@ -160,9 +159,11 @@ class DataModel(ABC):
         raise NotImplementedError
 
     def checkout_into(self, vid: int, table_name: str) -> None:
-        """Materialize version ``vid`` as table ``table_name`` (rid + data)."""
-        plan = replace(self.version_plan(vid), into_table=table_name)
-        self.db.execute_statements([plan])
+        """Materialize version ``vid`` as table ``table_name`` (rid + data),
+        typed as the CVD declares: a column holding only NULLs keeps its
+        type, where ``SELECT … INTO`` would infer TEXT."""
+        table = self.db.create_table(table_name, self.storage_schema())
+        table.insert_many(self.fetch_version(vid))
 
     def fetch_version(self, vid: int) -> list[Row]:
         """Rows of version ``vid`` as ``(rid, *data)`` tuples."""

@@ -19,6 +19,7 @@ design and this keeps tests and benchmark traces reproducible.
 from __future__ import annotations
 
 import csv as _csv
+import logging
 import re as _re
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -30,17 +31,20 @@ from repro.core.provenance import ProvenanceManager, StagedCheckout
 from repro.core.translator import QueryTranslator
 from repro.errors import (
     CVDNotFoundError,
+    DuplicateObjectError,
     ReadOnlyError,
     StagingError,
     VersioningError,
 )
-from repro.obs import trace
+from repro.obs import metrics, trace
 from repro.storage.engine import Database, Result, split_profile
 from repro.storage.parser import ast_nodes as _ast
 from repro.storage.parser.parser import parse_sql
 from repro.storage.ridset import RidSet
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType, parse_type_name
+
+_log = logging.getLogger("repro.core.orpheus")
 
 
 class OrpheusDB:
@@ -773,11 +777,18 @@ class OrpheusDB:
         Runs after the commit record is journaled, so a triggered
         migration's ``migration_start``/``migration_finish`` records land
         behind the commit they react to and replay in the right order.
+        The commit is durable by then: a migration refused before it
+        journals anything (a partition table name taken) is logged and
+        counted, not raised, and the next commit's maintenance tries again.
         """
         if maintenance is None:
             return
         optimizer, sample, best = maintenance
-        optimizer.apply_tolerance_trigger(sample, best)
+        try:
+            optimizer.apply_tolerance_trigger(sample, best)
+        except DuplicateObjectError as exc:
+            _log.warning("tolerance-triggered migration refused: %s", exc)
+            metrics.registry().counter("partition.migrations_refused").inc()
 
     def resume_inflight_migrations(self) -> list[str]:
         """Roll forward any journaled-but-unfinished migration.

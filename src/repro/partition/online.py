@@ -386,8 +386,13 @@ class PartitionOptimizer:
             and best.checkout_cost > 0
             and sample.current_cavg > self.tolerance * best.checkout_cost
         ):
-            self.delta_star = best.delta
-            self.migrate(best.partitioning)
+            # The plan carries delta*: adopting it before the plan is
+            # journaled would leave a delta* no record holds if
+            # plan_migration refuses.
+            self.begin_migration(
+                self.plan_migration(best.partitioning, delta=best.delta)
+            )
+            self.complete_pending_migration()
 
     def apply_maintain(self, sample: MaintenanceSample) -> None:
         """Record a post-commit sample (a ``maintain`` record's effect)."""

@@ -22,15 +22,12 @@ analytical readers:
   process-parallel front end (``orpheus serve --workers N``): one
   snapshot load in the parent, N forked workers each running the same
   pipeline over a one-session manager, a supervisor that respawns the
-  dead.
-* :mod:`repro.serve.sharedcache` — the cross-process L2 checkout cache
-  (an owner thread in the parent, one unix-socket client per worker).
+  dead.  Workers share no cache: each answers from its own L1.
 """
 
 from repro.serve.cache import CacheStats, CheckoutCache, checkout_key, query_key
 from repro.serve.manager import ReadSession, ServeManager
 from repro.serve.server import ServeClient, ServeServer, request, serve
-from repro.serve.sharedcache import CacheClient, CacheOwner
 from repro.serve.workers import PreforkServer
 
 __all__ = [
@@ -42,8 +39,6 @@ __all__ = [
     "ServeManager",
     "ServeClient",
     "ServeServer",
-    "CacheClient",
-    "CacheOwner",
     "PreforkServer",
     "request",
     "serve",

@@ -6,7 +6,8 @@ analytical readers, each a :class:`repro.persist.Store` opened with
 ``mode="ro"`` so it shares the store directory without writing a byte.
 Sessions live in a pool; a request borrows one, brings it up to date with
 a cheap lsn-tail :meth:`~repro.persist.Store.refresh`, serves through the
-shared :class:`~repro.serve.cache.CheckoutCache`, and returns it.
+process's :class:`~repro.serve.cache.CheckoutCache` (the L1 its sessions
+share; no cache spans processes), and returns it.
 ``reply_line`` / ``status`` / ``stats_snapshot`` / ``refresh_all`` are
 the only builders of those wire replies: the threaded server holds one
 manager with N sessions, a pre-fork worker one manager with a single
@@ -42,7 +43,6 @@ from repro.storage.engine import Result
 
 from repro.serve.cache import CheckoutCache, Reply, checkout_key, query_key
 from repro.serve.cache import checkout_head, checkout_response, decode, encode
-from repro.serve.sharedcache import CacheClient
 
 # Pid-aware handles: a pre-fork serve worker charges its own registry.
 _BORROW_WAIT = metrics.histogram("serve.pool.borrow_wait_seconds")
@@ -57,19 +57,11 @@ _CLOSED = object()
 
 
 class ReadSession:
-    """One read-only store plus its view of the caches: the in-process
-    L1 and, in a pre-fork worker, the pool-wide L2 behind it."""
+    """One read-only store plus its view of the process's L1 cache."""
 
-    def __init__(
-        self,
-        store: Store,
-        cache: CheckoutCache,
-        session_id: int = 0,
-        l2: CacheClient | None = None,
-    ):
+    def __init__(self, store: Store, cache: CheckoutCache, session_id: int = 0):
         self.store = store
         self.cache = cache
-        self.l2 = l2
         self.session_id = session_id
         self.refreshes = 0
         self.requests = 0
@@ -160,16 +152,10 @@ class ReadSession:
 
     def checkout_line(self, cvd: str, vids: int | Sequence[int], lean: bool = False):
         """``(line, rows if computed now)`` of merged ``vids`` at this lsn;
-        ``lean`` asks for the ``"rows": false`` line.  Only checkouts use
-        L2, whose value is the reply line any worker sends as it is."""
+        ``lean`` asks for the ``"rows": false`` line."""
         lsn = self.last_lsn
         key = checkout_key(cvd, vids, lsn)
         reply = self._l1(key)
-        if reply is None and self.l2 is not None:
-            blob = self.l2.get(key)
-            if blob is not None:
-                reply = Reply(blob)
-                self.cache.put(key, reply)
         if reply is not None:
             return (reply.lean_line() if lean else reply.line), None
         with trace.span("serve.compute"):
@@ -185,8 +171,6 @@ class ReadSession:
                 reply.lean = encode(checkout_response(columns, rows, lsn, False))
             line = reply.lean if lean else reply.line
         self.cache.put(key, reply)
-        if self.l2 is not None:
-            self.l2.put(key, reply.line if lean else line)
         return line, rows
 
     def _record_lines(self, cvd: str, rows: list[tuple]) -> tuple[bytes, ...] | None:
@@ -268,13 +252,13 @@ class ServeManager:
 
     @classmethod
     def over_inherited_store(
-        cls, store: Store, cache_capacity: int, l2: CacheClient | None, worker: int
+        cls, store: Store, cache_capacity: int, worker: int
     ) -> "ServeManager":
         """A pre-fork worker's manager: one follower session around the
         read-only store the parent loaded before the fork (no second
-        snapshot load), reading through the pool's L2 when there is one."""
+        snapshot load), with an L1 of its own."""
         self = cls.__new__(cls)
-        self._init_pool(store.path, cache_capacity, "prefork-worker", l2, worker)
+        self._init_pool(store.path, cache_capacity, "prefork-worker", worker)
         self._add_session(store, worker)
         self._register_collectors()
         return self
@@ -284,16 +268,13 @@ class ServeManager:
         path: str | Path,
         cache_capacity: int,
         mode: str,
-        l2: CacheClient | None = None,
         worker: int | None = None,
     ) -> None:
         self.path = Path(path)
         self.mode = mode
         self.cache = CheckoutCache(cache_capacity)
         self.writer_store: Store | None = None
-        #: Only in a pre-fork worker: the pool-wide L2 client (None when
-        #: the shared cache is off) and the worker's slot number.
-        self.l2 = l2
+        #: Only in a pre-fork worker: the worker's slot number.
         self.worker = worker
         self._write_lock = threading.RLock()
         self._sessions: list[ReadSession] = []
@@ -310,7 +291,7 @@ class ServeManager:
         self._collectors: list[tuple[str, Any]] = []
 
     def _add_session(self, store: Store, session_id: int) -> None:
-        session = ReadSession(store, self.cache, session_id, self.l2)
+        session = ReadSession(store, self.cache, session_id)
         self._sessions.append(session)
         self._idle.put(session)
 
@@ -484,7 +465,7 @@ class ServeManager:
     def status(self) -> dict:
         """One shape for every topology: pool totals (``lsn`` is the newest
         any session has replayed to) plus the per-session breakdown;
-        ``worker``/``l2`` appear when this manager has them."""
+        ``worker`` appears in a pre-fork worker."""
         sessions = [
             {
                 "id": session.session_id,
@@ -509,8 +490,6 @@ class ServeManager:
         }
         if self.worker is not None:
             status["worker"] = self.worker
-        if self.l2 is not None:
-            status["l2"] = self.l2.stats() or {"degraded": True}
         return status
 
     # ------------------------------------------------------------ lifecycle
@@ -543,8 +522,6 @@ class ServeManager:
         if self.writer_store is not None:
             self.writer_store.close()
             self.writer_store = None
-        if self.l2 is not None:
-            self.l2.close()
 
     def __enter__(self) -> "ServeManager":
         return self

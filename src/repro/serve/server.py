@@ -17,8 +17,7 @@ documented types, else ``bad_request``), opens the ``serve.request`` span (a
 client-supplied ``"trace": "<id>"`` rides down to store refresh and executor
 spans), asks the :class:`~repro.serve.manager.ServeManager` for the answer —
 one session borrow that refreshes, enforces the ``min_lsn`` fence and reads
-through the L1 (then, in a pre-fork worker, L2) cache of encoded replies —
-maps any exception to
+through the process's L1 cache of encoded replies — maps any exception to
 ``{"ok": false, "error": <human text>, "code": <stable machine string>}`` on
 the same line (the connection stays usable), meters ``serve.requests.<op>`` /
 ``serve.request_seconds.<op>`` and encodes any reply not already bytes.  The
@@ -396,7 +395,6 @@ def serve(
     writer: bool = True,
     checkpoint_interval: int = 256,
     workers: int = 0,
-    shared_cache: bool = True,
     respawn_limit: int = 16,
 ):
     """Build a server for ``orpheus serve`` (not yet started).
@@ -416,7 +414,6 @@ def serve(
             port=port,
             workers=workers,
             cache_capacity=cache_capacity,
-            shared_cache=shared_cache,
             respawn_limit=respawn_limit,
         )
     manager = ServeManager(

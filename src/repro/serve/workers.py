@@ -11,13 +11,14 @@ request line is the same code (:func:`~repro.serve.server.serve_connection`):
   workers — each inherits the loaded :class:`~repro.persist.Store` via
   copy-on-write, calls :meth:`Store.handle_fork` so advisory-lock fds
   and WAL handles are re-opened, never shared, and wraps it in a
-  one-session follower :class:`~repro.serve.manager.ServeManager` whose
-  L2 is the parent's :class:`~repro.serve.sharedcache.CacheOwner`;
+  one-session follower :class:`~repro.serve.manager.ServeManager`;
 - every worker accepts on the **inherited listening socket** (one shared
   kernel accept queue — no REUSEPORT hash imbalance, and a dead worker's
   backlog is simply drained by its siblings) and serves one connection
   at a time, start to finish: a connection is pinned to one process, so
-  ``{"op": "stats"}`` snapshots are per-worker by construction;
+  ``{"op": "stats"}`` snapshots are per-worker by construction, and so
+  is the cache: a worker answers from its own L1 and its session's
+  record lines, or computes (no cache is shared between workers);
 - a supervisor thread in the parent reaps dead workers (``waitpid`` on
   *specific* pids — never ``-1``, which would steal unrelated children
   from an embedding test runner) and re-forks replacements from the
@@ -32,7 +33,6 @@ import os
 import select
 import signal
 import socket
-import tempfile
 import threading
 import time
 from pathlib import Path
@@ -42,7 +42,6 @@ from repro.persist import Store
 
 from repro.serve.manager import ServeManager
 from repro.serve.server import close_inherited_clients, serve_connection
-from repro.serve.sharedcache import CacheClient, CacheOwner
 
 #: A worker that was asked to shut down (the ``shutdown`` op) exits with
 #: this code; the supervisor reads it as "wind down the whole pool", any
@@ -82,8 +81,6 @@ class PreforkServer:
         port: int = 0,
         workers: int = 2,
         cache_capacity: int = 256,
-        shared_cache: bool = True,
-        l2_capacity: int = 1024,
         respawn_limit: int = 16,
     ):
         self.path = Path(path)
@@ -99,20 +96,10 @@ class PreforkServer:
         self._cache_capacity = max(0, cache_capacity)
         # The one snapshot load + WAL replay of the pool's lifetime.
         self._template = Store.open(path, mode="ro")
-        self._listener: socket.socket | None = None
-        self._owner: CacheOwner | None = None
-        self._cache_dir: str | None = None
-        self._cache_path: str | None = None
         try:
             self._listener = socket.create_server((host, port), backlog=128)
-            if shared_cache:
-                # Never inside the store directory: read-only serving
-                # promises not to add a single inode there.
-                self._cache_dir = tempfile.mkdtemp(prefix="orpheus-l2-")
-                self._cache_path = os.path.join(self._cache_dir, "cache.sock")
-                self._owner = CacheOwner(self._cache_path, capacity=l2_capacity)
         except BaseException:
-            self._cleanup()
+            self._template.close()
             raise
         self._pids: dict[int, int] = {}  # pid -> worker id
         self._pids_lock = threading.Lock()
@@ -139,8 +126,6 @@ class PreforkServer:
         if self._started:
             return self
         self._started = True
-        if self._owner is not None:
-            self._owner.start()
         for worker_id in range(self.workers):
             self._spawn(worker_id)
         self._supervisor = threading.Thread(
@@ -158,16 +143,14 @@ class PreforkServer:
                 # Only objects created *after* the fork (plus the
                 # explicitly fork-fixed store) are touched from here on —
                 # inherited locks may have been mid-acquire in some
-                # parent thread at fork time.
-                if self._owner is not None:
-                    self._owner.close_inherited()
-                # Inherited *client* connections (the embedding process's
-                # ServeClients) must go too: a duplicate client FD keeps
-                # its TCP connection established after the real client
-                # closes, pinning whichever sibling serves it — and a
-                # worker can even inherit the client end of the very
-                # connection it later accepts, deadlocking against
-                # itself.  Bit us under chaos: respawn-while-serving.
+                # parent thread at fork time.  Inherited *client*
+                # connections (the embedding process's ServeClients)
+                # must go: a duplicate client FD keeps its TCP
+                # connection established after the real client closes,
+                # pinning whichever sibling serves it — and a worker can
+                # even inherit the client end of the very connection it
+                # later accepts, deadlocking against itself.  Bit us
+                # under chaos: respawn-while-serving.
                 close_inherited_clients()
                 code = self._worker_loop(worker_id, parent_pid)
             except BaseException:
@@ -185,10 +168,7 @@ class PreforkServer:
         metrics.registry()
         self._template.handle_fork()
         manager = ServeManager.over_inherited_store(
-            self._template,
-            self._cache_capacity,
-            CacheClient(self._cache_path) if self._cache_path else None,
-            worker_id,
+            self._template, self._cache_capacity, worker_id
         )
 
         drain = threading.Event()
@@ -325,7 +305,8 @@ class PreforkServer:
                         os.waitpid(pid, 0)
                     except (ProcessLookupError, ChildProcessError):
                         pass
-            self._cleanup()
+            self._listener.close()
+            self._template.close()
             self._done.set()
 
     @staticmethod
@@ -339,23 +320,6 @@ class PreforkServer:
                 return True
             time.sleep(0.02)
         return False
-
-    def _cleanup(self) -> None:
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
-        if self._owner is not None:
-            self._owner.close()
-            self._owner = None
-        if self._cache_dir is not None:
-            try:
-                os.rmdir(self._cache_dir)
-            except OSError:
-                pass
-            self._cache_dir = None
-        if self._template is not None:
-            self._template.close()
-            self._template = None
 
     def __enter__(self) -> "PreforkServer":
         return self.start()

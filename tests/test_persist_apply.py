@@ -14,6 +14,8 @@ These tests hold that contract:
   tables, a version refused by its data model after it took a vid, an
   optimize or a commit refused after it opened half a partition — now
   leave nothing behind;
+* a migration the tolerance check triggers after a durable commit, when
+  refused, fails neither the commit nor the optimizer's journaled state;
 * the WAL records and the snapshot manifest of a scripted session that
   covers every op kind are the ones the release before the split wrote.
 """
@@ -37,6 +39,7 @@ from repro.errors import (
     DuplicateObjectError,
     ReproError,
 )
+from repro.obs import metrics
 from repro.partition.bipartite import Partitioning
 from repro.persist import Store
 from repro.persist.store import replay_record
@@ -501,3 +504,46 @@ def test_a_backing_table_clash_is_refused_before_any_write(tmp_path, clash):
     crash(store)
     with Store.open(tmp_path / "store", checkpoint_interval=0) as reopened:
         assert digest(reopened.orpheus, staging=False) == expected
+
+
+def test_a_refused_triggered_migration_keeps_the_commit_and_the_optimizer(
+    tmp_path,
+):
+    """The tolerance check runs after its commit is journaled: a migration
+    refused by a taken partition name leaves the commit's vid, a live
+    optimizer equal to a reopened one, and a count; once the name is free
+    the next triggering commit migrates."""
+    store = Store.open(tmp_path / "store", checkpoint_interval=0)
+    orpheus = store.orpheus
+    _history(orpheus)
+    optimizer = orpheus.optimize("d", storage_threshold=3.0, tolerance=1.05)
+    optimizer.migrate(Partitioning.single(orpheus.cvd("d").graph.version_ids()))
+    # The next commit opens d__p4; the migration it triggers would open d__p5.
+    taken = orpheus.cvd("d").model.new_partition_tables(2)[2]
+    assert taken == "d__p5_data"
+    orpheus.run(f"CREATE TABLE {taken} (x int)")
+    migrations = len(optimizer.trace.migrations)
+    refused = metrics.registry().counter("partition.migrations_refused")
+    before = refused.value
+
+    def triggering_commit(orpheus: OrpheusDB, value: int) -> int:
+        orpheus.checkout("d", tip(orpheus, "d"), table_name="w")
+        orpheus.run(f"UPDATE w SET v = {value} WHERE k = 5")
+        return orpheus.commit("w")
+
+    assert triggering_commit(orpheus, 77) == 5
+    assert refused.value == before + 1
+    assert len(optimizer.trace.migrations) == migrations
+    state = optimizer.to_state()
+    crash(store)
+    store = Store.open(tmp_path / "store", checkpoint_interval=0)
+    orpheus = store.orpheus
+    assert orpheus.optimizer_for("d").to_state() == state
+    orpheus.run(f"DROP TABLE {taken}")
+    assert triggering_commit(orpheus, 78) == 6
+    optimizer = orpheus.optimizer_for("d")
+    assert len(optimizer.trace.migrations) == migrations + 1
+    state = optimizer.to_state()
+    crash(store)
+    with Store.open(tmp_path / "store", checkpoint_interval=0) as reopened:
+        assert reopened.orpheus.optimizer_for("d").to_state() == state

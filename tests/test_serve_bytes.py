@@ -2,9 +2,9 @@
 
 A served ``checkout``/``query`` line must be byte-identical to
 ``json.dumps`` of the reply dict built from an uncached store open — on a
-miss, an L1 hit and an L2 hit, ``"rows": true`` and ``false`` in either
-order — a hit must encode nothing, and in-process callers must still get
-the engine's Python rows back.  A checkout line is a join of the
+miss and an L1 hit, ``"rows": true`` and ``false`` in either order — a
+hit must encode nothing, and in-process callers must still get the
+engine's Python rows back.  A checkout line is a join of the
 session's record lines, so it must stay byte-identical after every change
 that can alter a record's bytes: SQL on a CVD's data table, schema
 evolution, a drop and re-init of the name, a migration and a reload.
@@ -26,7 +26,6 @@ from repro.core.orpheus import OrpheusDB
 from repro.serve import ServeManager
 from repro.serve import manager as manager_module
 from repro.serve.server import checkout_response, handle_line
-from repro.serve.sharedcache import CacheClient, CacheOwner
 
 from test_obs import captured_spans  # noqa: F401 (a fixture)
 from test_persist_readonly import build_store
@@ -116,25 +115,6 @@ def manager(store_path):
         yield served
 
 
-@pytest.fixture
-def workers(store_path, tmp_path):
-    """Two pre-fork-style managers, each over its own read-only store,
-    sharing one L2 owner."""
-    owner = CacheOwner(str(tmp_path / "l2.sock")).start()
-    managers = [
-        ServeManager.over_inherited_store(
-            Store.open(store_path, mode="ro"), 256, CacheClient(owner.path), worker
-        )
-        for worker in (0, 1)
-    ]
-    try:
-        yield managers
-    finally:
-        for served in managers:
-            served.close()
-        owner.close()
-
-
 class TestByteIdentity:
     @pytest.mark.parametrize("order", [(CHECKOUT, LEAN), (LEAN, CHECKOUT)])
     def test_checkout_lines_on_miss_and_l1_hits(self, store_path, manager, order):
@@ -149,17 +129,6 @@ class TestByteIdentity:
         for _ in range(2):
             assert handle_line(manager, encoded(QUERY))[0] == expected
         assert manager.cache.stats.hits == 1
-
-    @pytest.mark.parametrize("order", [(CHECKOUT, LEAN), (LEAN, CHECKOUT)])
-    def test_checkout_lines_on_l2_hits(self, store_path, workers, order):
-        first, second = workers
-        for request in order:
-            expected = reference(store_path, request)
-            for served in workers:
-                assert handle_line(served, encoded(request))[0] == expected
-        # The second worker's first request was its L1 miss and an L2 hit.
-        assert first.l2.stats()["hits"] == 1
-        assert second.cache.stats.misses == 1
 
 
 def test_a_hit_encodes_nothing(manager, monkeypatch):
@@ -227,30 +196,6 @@ def test_in_process_callers_get_engine_rows_on_miss_and_hit(store_path, manager)
     assert manager.cache.stats.misses == 2 and manager.cache.stats.hits == 4
 
 
-def test_the_l2_value_is_the_l1_bytes(store_path, workers, monkeypatch):
-    """A worker puts the line its L1 entry joins to; another worker, which
-    holds no record lines, sends those bytes on its L2 hit, no checkout."""
-    first, second = workers
-    puts = []
-    put = first.l2.put
-
-    def recording_put(key, blob):
-        puts.append((key, blob))
-        put(key, blob)
-
-    monkeypatch.setattr(first.l2, "put", recording_put)
-    sent = handle_line(first, encoded(CHECKOUT))[0]
-    [(key, blob)] = puts
-    assert blob == first.cache.get(key).line  # no pickle: the L1 entry's bytes
-    assert blob + b"\n" == sent == reference(store_path, CHECKOUT)
-    with second.session(refresh=False) as session:
-        orpheus = session.orpheus
-    monkeypatch.setattr(orpheus, "checkout_rows", None)  # any call would raise
-    assert handle_line(second, encoded(CHECKOUT))[0] == sent
-    assert second.l2.stats()["hits"] == 1
-    assert second.status()["cache"]["record_lines"] == 0
-
-
 @pytest.mark.parametrize("capacity, held", [(1, [7, 1, 1]), (0, [0, 0, 0])])
 def test_record_lines_stay_within_the_budget(store_path, monkeypatch, capacity, held):
     """A budget of 7 lines: v1 fills 7, v2's one new record starts the map
@@ -278,25 +223,23 @@ VALUE = st.tuples(
 
 @settings(max_examples=25, deadline=None)
 @given(
-    rows=st.lists(VALUE, max_size=6),
+    rows=st.lists(VALUE, min_size=1, max_size=6),
     kept=st.lists(st.booleans(), min_size=6, max_size=6),
     added=st.lists(VALUE, max_size=4),
 )
 def test_a_joined_line_is_the_encoded_reply(rows, kept, added):
     """v2 drops and adds records of v1; every single- and multi-version
     line, rows or not, is the reference line, whichever checkout first
-    encoded the records it shares.
-
-    v1 always holds ``ROWS[0]``: a checkout materializes a column that
-    holds only NULLs as TEXT, and committing it would then change the
-    column's type — a checkout-table fault this property is not about."""
+    encoded the records it shares.  A column may hold only NULLs: the
+    staged table carries the CVD's declared types, so the commit keeps
+    them."""
     with tempfile.TemporaryDirectory() as scratch:
         path = f"{scratch}/s"
         store = Store.open(path)
         orpheus = store.orpheus
-        orpheus.init("every", SCHEMA, rows=[ROWS[0], *rows])
+        orpheus.init("every", SCHEMA, rows=rows)
         orpheus.checkout("every", 1, table_name="w")
-        for rid, keep in zip(range(2, len(rows) + 2), kept):
+        for rid, keep in zip(range(1, len(rows) + 1), kept):
             if not keep:
                 orpheus.run("DELETE FROM w WHERE rid = ?", [rid])
         for row in added:
@@ -315,14 +258,11 @@ def test_a_joined_line_is_the_encoded_reply(rows, kept, added):
                 assert got == expected
 
 
-@pytest.mark.xfail(
-    strict=True, reason="checkout_into types a column of only NULLs as TEXT"
-)
 @pytest.mark.parametrize("array_value", [(1,), None])
 def test_an_unchanged_commit_keeps_all_null_column_types(array_value):
-    """Why the property keeps ``ROWS[0]`` in v1: committing a checkout of
-    a version whose decimal and boolean columns hold only NULLs retypes
-    them as TEXT, and an all-NULL ``int[]`` column makes the commit raise."""
+    """Committing a checkout of a version whose decimal and boolean
+    columns (and maybe its ``int[]`` column) hold only NULLs keeps every
+    declared type."""
     orpheus = OrpheusDB()
     orpheus.init("e", SCHEMA, rows=[(1, None, None, None, array_value)])
     before = orpheus.cvd("e").data_schema

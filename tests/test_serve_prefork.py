@@ -11,9 +11,10 @@ What must hold for ``orpheus serve --workers N``:
   in-flight connections nor shrinks the pool — the supervisor re-forks
   a replacement from the already-loaded template;
 - SIGTERM to the pool drains cleanly (exit 0, every worker reaped);
-- results are shared across processes through the L2 cache, and the
-  ``min_lsn`` fence + per-request refresh keep follower workers from
-  serving behind a client-observed lsn.
+- workers share no cache: each answers from its own L1 or computes, and
+  two workers send the same checkout as the same bytes; the ``min_lsn``
+  fence + per-request refresh keep follower workers from serving behind
+  a client-observed lsn.
 """
 
 from __future__ import annotations
@@ -92,30 +93,40 @@ class TestPreforkEmbedded:
                 for client in clients:
                     client.close()
 
-    def test_l2_shares_checkouts_across_workers(self, store_path):
+    def test_pinned_workers_each_compute_the_same_lines(self, store_path):
+        """No cache spans workers: each computes the checkout once, then
+        answers the other shape from its own L1, and both workers send
+        byte-identical lines, full and lean."""
+        full = {"op": "checkout", "cvd": "t", "vids": [4, 2]}
+        lean = {**full, "rows": False}
         with PreforkServer(store_path, workers=2, cache_capacity=64) as server:
-            host, port = server.address
-            first = ServeClient(host, port)
-            second = ServeClient(host, port)
-            try:
-                assert (
-                    first.request({"op": "stats"})["stats"]["pid"]
-                    != second.request({"op": "stats"})["stats"]["pid"]
-                )
-                payload = {"op": "checkout", "cvd": "t", "vids": [4, 2]}
-                a = first.request(payload)
-                b = second.request(payload)
-                assert a["ok"] and b["ok"] and a["rows"] == b["rows"]
-                # Worker 2's copy came over the L2 socket, not a rescan.
-                l2 = second.request({"op": "status"})["status"]["l2"]
-                assert l2["hits"] >= 1
-            finally:
-                first.close()
-                second.close()
+            conns = [
+                socket.create_connection(server.address, timeout=30) for _ in range(2)
+            ]
+            readers = [conn.makefile("rb") for conn in conns]
 
-    def test_worker_metrics_see_real_l2_hits_and_reloads(self, store_path):
+            def line(index: int, payload: dict) -> bytes:
+                conns[index].sendall(json.dumps(payload).encode() + b"\n")
+                return readers[index].readline()
+
+            try:
+                pids = {json.loads(line(i, {"op": "ping"}))["pid"] for i in (0, 1)}
+                assert len(pids) == 2
+                sent = [[line(i, r) for r in (full, lean)] for i in (0, 1)]
+                assert sent[0] == sent[1]
+                assert json.loads(sent[0][0])["count"] == 5
+                for i in (0, 1):
+                    cache = json.loads(line(i, {"op": "status"}))["status"]["cache"]
+                    assert (cache["misses"], cache["hits"]) == (1, 1)
+            finally:
+                for reader, conn in zip(readers, conns):
+                    reader.close()
+                    conn.close()
+
+    def test_worker_metrics_see_real_reloads(self, store_path):
         # The stats snapshot nests dotted names, so a flat
-        # ``snap.get("serve.l2.hits")`` would read 0 whatever happened.
+        # ``snap.get("persist.snapshot.loads")`` would read 0 whatever
+        # happened.
         with PreforkServer(store_path, workers=2, cache_capacity=64) as server:
             host, port = server.address
             first = ServeClient(host, port)
@@ -127,9 +138,7 @@ class TestPreforkEmbedded:
                 )
                 payload = {"op": "checkout", "cvd": "t", "vids": [4, 2]}
                 assert first.request(payload)["ok"]
-                assert worker_metric(second, "serve.l2.hits") == 0
                 assert second.request(payload)["ok"]
-                assert worker_metric(second, "serve.l2.hits") == 1
                 # A checkpoint past the worker's lsn forces a full reload.
                 writer = Store.open(store_path)
                 writer.orpheus.checkout("t", 4, table_name="w_new")
@@ -144,16 +153,16 @@ class TestPreforkEmbedded:
                 first.close()
                 second.close()
 
-    def test_shared_cache_off_degrades_to_local_compute(self, store_path):
-        with PreforkServer(
-            store_path, workers=2, cache_capacity=0, shared_cache=False
-        ) as server:
+    def test_capacity_zero_computes_every_request(self, store_path):
+        with PreforkServer(store_path, workers=2, cache_capacity=0) as server:
             host, port = server.address
-            reply = request(host, port, {"op": "checkout", "cvd": "t", "vids": [4]})
-            assert reply["ok"] and reply["count"] == 5
-            status = request(host, port, {"op": "status"})["status"]
-            assert "l2" not in status
+            with ServeClient(host, port) as client:
+                for _ in range(2):
+                    reply = client.request({"op": "checkout", "cvd": "t", "vids": [4]})
+                    assert reply["ok"] and reply["count"] == 5
+                status = client.request({"op": "status"})["status"]
             assert status["cache"]["entries"] == 0  # capacity 0 = disabled
+            assert (status["cache"]["misses"], status["cache"]["hits"]) == (2, 0)
 
     def test_fence_and_follower_freshness(self, store_path):
         with PreforkServer(store_path, workers=2) as server:

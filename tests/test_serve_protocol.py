@@ -544,15 +544,15 @@ def script(lsn: int) -> list[bytes]:
 
 def masked(line: bytes) -> bytes:
     """A response line with process identity masked: ``pid``/``mode`` keep
-    their key but not their value, ``worker``/``l2`` (present only where
-    the manager has them) are dropped."""
+    their key but not their value, ``worker`` (present only in a pre-fork
+    worker) is dropped."""
 
     def mask(node):
         if isinstance(node, dict):
             return {
                 key: "*" if key in ("pid", "mode") else mask(value)
                 for key, value in node.items()
-                if key not in ("worker", "l2")
+                if key != "worker"
             }
         return node
 
@@ -612,7 +612,7 @@ class TestTopologyParity:
         }
         assert set(threaded.request({"op": "status"})["status"]) == common
         status = prefork.request({"op": "status"})["status"]
-        assert set(status) == common | {"worker", "l2"}
+        assert set(status) == common | {"worker"}
         assert status["mode"] == "prefork-worker" and status["worker"] == 0
         for server in (threaded, prefork):
             ping = server.request({"op": "ping"})
@@ -629,7 +629,7 @@ class TestTopologyParity:
             names[label] = {
                 name
                 for name in metric_names(snapshot["serve"], "serve.")
-                if not name.startswith(("serve.l2.", "serve.prefork."))
+                if not name.startswith("serve.prefork.")
             }
         assert names["threaded"] == names["prefork"]
         assert {"serve.cache.hits", "serve.cache.bytes",
