@@ -551,13 +551,6 @@ def _print_optimizer_status(orpheus: OrpheusDB) -> None:
                 f"C*avg {last['best_cavg']:.1f} = {ratio} "
                 f"(migrates above mu {state['mu']:g})"
             )
-        pending = state["pending_migration"]
-        if pending is not None:
-            print(
-                f"    pending migration: {pending['groups']} groups "
-                f"({pending['strategy']}, {pending['modifications']} "
-                f"modifications) — will roll forward on next open"
-            )
 
 
 def _optimizer_state(orpheus: OrpheusDB, name: str) -> dict | None:
@@ -579,13 +572,6 @@ def _optimizer_state(orpheus: OrpheusDB, name: str) -> dict | None:
             "best_cavg": last.best_cavg,
             "ratio": last.current_cavg / last.best_cavg if last.best_cavg else None,
         }
-    pending = optimizer.pending_migration
-    if pending is not None:
-        pending = {
-            "groups": len(pending.groups),
-            "strategy": pending.strategy,
-            "modifications": pending.modifications,
-        }
     return {
         "delta_star": optimizer.delta_star,
         "gamma": optimizer.gamma,
@@ -597,7 +583,6 @@ def _optimizer_state(orpheus: OrpheusDB, name: str) -> dict | None:
         "samples": len(samples),
         "migrations": len(optimizer.trace.migrations),
         "last_check": last_check,
-        "pending_migration": pending,
     }
 
 

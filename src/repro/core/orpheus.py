@@ -716,7 +716,7 @@ class OrpheusDB:
                 # for exact trace restore on replay.
                 "migration_wall_seconds": (
                     optimizer.trace.migrations[-1].wall_seconds
-                    if run.pending is not None
+                    if run.migration is not None
                     else None
                 ),
             }
@@ -775,11 +775,11 @@ class OrpheusDB:
         """Post-commit hook, phase 2: fire the tolerance check.
 
         Runs after the commit record is journaled, so a triggered
-        migration's ``migration_start``/``migration_finish`` records land
-        behind the commit they react to and replay in the right order.
-        The commit is durable by then: a migration refused before it
-        journals anything (a partition table name taken) is logged and
-        counted, not raised, and the next commit's maintenance tries again.
+        migration's ``migration`` record lands behind the commit it reacts
+        to and replays in the right order.  The commit is durable by then:
+        a migration refused in its prepare step (a partition table name
+        taken) is logged and counted, not raised, and the next commit's
+        maintenance tries again.
         """
         if maintenance is None:
             return
@@ -789,21 +789,6 @@ class OrpheusDB:
         except DuplicateObjectError as exc:
             _log.warning("tolerance-triggered migration refused: %s", exc)
             metrics.registry().counter("partition.migrations_refused").inc()
-
-    def resume_inflight_migrations(self) -> list[str]:
-        """Roll forward any journaled-but-unfinished migration.
-
-        Called by recovery after the WAL tail replays: a crash between a
-        ``migration_start`` and its ``migration_finish`` leaves the decided
-        plan pending; executing it here (and journaling the finish) makes
-        the acknowledged decision stick.  Returns the affected CVD names.
-        """
-        resumed = []
-        for name, optimizer in sorted(self._optimizers.items()):
-            if optimizer.pending_migration is not None:
-                optimizer.complete_pending_migration()
-                resumed.append(name)
-        return resumed
 
 
 _CVD_NAME = _re.compile(r"[a-z_][a-z0-9_]*")

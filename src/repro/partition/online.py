@@ -24,16 +24,14 @@ plot.
 The optimizer's whole decision state is durable (repro.persist): it
 serializes to a JSON-able dict (:meth:`PartitionOptimizer.to_state`) that
 rides the partitioned model's ``extra_state`` in snapshots, and it emits
-typed journal records — ``maintain`` for every post-commit sample,
-``migration_start``/``migration_finish`` around every physical migration —
-through an attached ``journal`` hook.  Each record has one ``apply_*``
-method that only writes (:meth:`~PartitionOptimizer.apply_maintain`,
-:meth:`~PartitionOptimizer.apply_migration_start`,
-:meth:`~PartitionOptimizer.apply_migration_finish`); the live transition
-decides, applies and journals, and WAL replay calls the same method on the
-journaled record.  A migration is journaled as a *pending* plan before any
-physical work happens; a crash between start and finish leaves the plan
-recoverable, and :meth:`complete_pending_migration` rolls it forward.
+typed journal records — ``maintain`` for every post-commit sample and
+``migration`` for every physical migration — through an attached
+``journal`` hook.  Each record has one ``apply_*`` method that only writes
+(:meth:`~PartitionOptimizer.apply_maintain`,
+:meth:`~PartitionOptimizer.apply_migration`); the live transition decides,
+applies and then journals, and WAL replay calls the same method on the
+journaled record.  Partitions live in memory, so a crash before a
+migration's record is on disk recovers the pre-migration layout.
 """
 
 from __future__ import annotations
@@ -80,14 +78,12 @@ class OptimizerTrace:
 
 
 @dataclass
-class PendingMigration:
-    """A migration whose plan is decided (and journaled) but whose physical
-    work may not have completed.
+class PlannedMigration:
+    """A decided migration: what a ``migration`` record carries.
 
     ``reuse`` maps new group positions to *physical* partition indexes (not
-    planner positions), so the plan stays executable after a crash/restore
-    rebuilt the partition states.  ``delta`` is the delta* the re-optimize
-    decision adopted alongside the plan.
+    planner positions), so replay executes the plan on partition states a
+    restore rebuilt.  ``delta`` is the delta* adopted alongside the plan.
     """
 
     groups: tuple[frozenset[int], ...]
@@ -108,7 +104,7 @@ class PendingMigration:
         }
 
     @classmethod
-    def from_state(cls, state: dict) -> "PendingMigration":
+    def from_state(cls, state: dict) -> "PlannedMigration":
         return cls(
             groups=tuple(frozenset(group) for group in state["groups"]),
             reuse={int(i): int(j) for i, j in state["reuse"]},
@@ -129,7 +125,7 @@ class FullRun:
     tolerance: float
     frequencies: dict[int, int] | None
     result: DeltaSearchResult
-    pending: PendingMigration | None
+    migration: PlannedMigration | None
 
 
 class PartitionOptimizer:
@@ -161,11 +157,9 @@ class PartitionOptimizer:
         self.delta_star: float | None = None
         self.trace = OptimizerTrace()
         self._model: PartitionedRlistModel | None = None
-        #: A journaled-but-unfinished migration (crash-recovery state).
-        self.pending_migration: PendingMigration | None = None
         #: Journal hook for optimizer transitions (wired by OrpheusDB);
-        #: receives ``maintain`` / ``migration_start`` / ``migration_finish``
-        #: records.  None outside a durable session.
+        #: receives ``maintain`` / ``migration`` records.  None outside a
+        #: durable session.
         self.journal: Callable[[dict], None] | None = None
 
     # -------------------------------------------------------------- budget
@@ -235,14 +229,14 @@ class PartitionOptimizer:
             result = DeltaSearchResult(delta, partitioning, storage, cost, 0, 0)
         else:
             result = self.compute_partitioning(gamma=gamma)
-        pending = None
+        migration = None
         if self._model is not None:
-            pending = self.plan_migration(result.partitioning, delta=result.delta)
+            migration = self.plan_migration(result.partitioning, delta=result.delta)
         else:
             cvd = self.cvd
             tables = partition_tables(cvd.name, 0, len(result.partitioning.groups))
             require_free(cvd.db, tables, f"partitioning CVD {cvd.name!r}")
-        return FullRun(storage_multiple, tolerance, frequencies, result, pending)
+        return FullRun(storage_multiple, tolerance, frequencies, result, migration)
 
     def run_full_partitioning(self, run: FullRun | None = None):
         """Partition (or re-partition) the CVD's physical storage.
@@ -250,7 +244,7 @@ class PartitionOptimizer:
         Applies ``run`` (by default one planned under the current knobs):
         the first run swaps in a partitioned model, later ones migrate.  A
         full re-optimize is journaled wholesale as one ``optimize`` record,
-        so the migration inside it takes the unjournaled steps.
+        so the migration inside it journals no record of its own.
         """
         if run is None:
             run = self.plan_full(
@@ -259,11 +253,10 @@ class PartitionOptimizer:
         self.storage_multiple, self.tolerance = run.storage_multiple, run.tolerance
         self.frequencies = run.frequencies
         self.delta_star = run.result.delta
-        if run.pending is None:
+        if run.migration is None:
             self._install_partitioned_model(run.result.partitioning)
         else:
-            self.apply_migration_start(run.pending)
-            self.apply_migration_finish()
+            self.apply_migration(run.migration)
         return run.result
 
     def _install_partitioned_model(self, partitioning: Partitioning) -> None:
@@ -386,13 +379,9 @@ class PartitionOptimizer:
             and best.checkout_cost > 0
             and sample.current_cavg > self.tolerance * best.checkout_cost
         ):
-            # The plan carries delta*: adopting it before the plan is
-            # journaled would leave a delta* no record holds if
-            # plan_migration refuses.
-            self.begin_migration(
-                self.plan_migration(best.partitioning, delta=best.delta)
-            )
-            self.complete_pending_migration()
+            # The plan carries delta*: adopting it before planning would
+            # leave a delta* no record holds if plan_migration refuses.
+            self._migrate(self.plan_migration(best.partitioning, delta=best.delta))
 
     def apply_maintain(self, sample: MaintenanceSample) -> None:
         """Record a post-commit sample (a ``maintain`` record's effect)."""
@@ -405,21 +394,19 @@ class PartitionOptimizer:
     ) -> MigrationEvent:
         """Reorganize physical partitions to ``new_partitioning``.
 
-        The plan is journaled (``migration_start``) and recorded as
-        :attr:`pending_migration` *before* the physical work, then executed
-        and journaled again (``migration_finish``) — so a crash at any point
-        either loses the unacknowledged decision entirely or leaves a
-        recoverable pending plan.
+        Prepare (:meth:`plan_migration`, which writes nothing), apply
+        (:meth:`apply_migration`), then journal one ``migration`` record —
+        the protocol of every other durable operation.  A crash before the
+        record is on disk recovers the layout from before the migration.
         """
-        self.begin_migration(self.plan_migration(new_partitioning, strategy))
-        return self.complete_pending_migration()
+        return self._migrate(self.plan_migration(new_partitioning, strategy))
 
     def plan_migration(
         self,
         new_partitioning: Partitioning,
         strategy: str | None = None,
         delta: float | None = None,
-    ) -> PendingMigration:
+    ) -> PlannedMigration:
         """Decide how to reach ``new_partitioning``; touches nothing.
         ``delta`` is the delta* adopted with it (default: the current one)."""
         assert self._model is not None
@@ -439,7 +426,7 @@ class PartitionOptimizer:
             self._model.new_partition_tables(opened),
             f"migrating CVD {self.cvd.name!r}",
         )
-        return PendingMigration(
+        return PlannedMigration(
             groups=tuple(plan.new_groups),
             reuse=reuse,
             strategy=strategy,
@@ -448,27 +435,14 @@ class PartitionOptimizer:
             at_version_count=self.cvd.version_count,
         )
 
-    def begin_migration(self, pending: PendingMigration) -> None:
-        """Adopt a decided migration plan as in-flight and journal it."""
-        if self.pending_migration is not None:
-            raise PartitionError("a migration is already in flight")
-        self.apply_migration_start(pending)
-        self._emit({"op": "migration_start", "plan": pending.to_state()})
-
-    def apply_migration_start(self, pending: PendingMigration) -> None:
-        if pending.delta is not None:
-            self.delta_star = pending.delta
-        self.pending_migration = pending
-
-    def complete_pending_migration(self) -> MigrationEvent:
-        """Execute the in-flight plan and journal it; also the roll-forward
-        of a plan a crash left pending."""
-        if self.pending_migration is None:
-            raise PartitionError("no migration is in flight")
-        event = self.apply_migration_finish()
+    def _migrate(self, plan: PlannedMigration) -> MigrationEvent:
+        """Apply a decided plan, then journal it as one ``migration``
+        record."""
+        event = self.apply_migration(plan)
         self._emit(
             {
-                "op": "migration_finish",
+                "op": "migration",
+                "plan": plan.to_state(),
                 "inserted": event.records_inserted,
                 "deleted": event.records_deleted,
                 "wall_seconds": event.wall_seconds,
@@ -476,27 +450,25 @@ class PartitionOptimizer:
         )
         return event
 
-    def apply_migration_finish(self) -> MigrationEvent:
-        """Execute the in-flight plan; returns the traced event."""
-        pending = self.pending_migration
-        assert self._model is not None and pending is not None
+    def apply_migration(self, plan: PlannedMigration) -> MigrationEvent:
+        """Adopt the plan's delta* and execute it (a ``migration`` record's
+        effect); returns the traced event."""
+        assert self._model is not None
+        if plan.delta is not None:
+            self.delta_star = plan.delta
         started = time.perf_counter()
         inserted, deleted = self._model.replace_partitions(
-            list(pending.groups), pending.reuse, self._payloads_from_partitions
+            list(plan.groups), plan.reuse, self._payloads_from_partitions
         )
         event = MigrationEvent(
-            at_version_count=pending.at_version_count,
-            plan_modifications=pending.modifications,
+            at_version_count=plan.at_version_count,
+            plan_modifications=plan.modifications,
             records_inserted=inserted,
             records_deleted=deleted,
             wall_seconds=time.perf_counter() - started,
-            strategy=pending.strategy,
+            strategy=plan.strategy,
         )
         self.trace.migrations.append(event)
-        # Clear before journaling: if the finish append triggers a
-        # checkpoint, the snapshot must not carry a still-pending plan on
-        # top of already-migrated partitions.
-        self.pending_migration = None
         return event
 
     def _payloads_from_partitions(self, rids: Iterable[int]):
@@ -540,11 +512,6 @@ class PartitionOptimizer:
                     for m in self.trace.migrations
                 ],
             },
-            "pending_migration": (
-                self.pending_migration.to_state()
-                if self.pending_migration is not None
-                else None
-            ),
         }
 
     @classmethod
@@ -573,9 +540,6 @@ class PartitionOptimizer:
         optimizer.trace.migrations = [
             MigrationEvent(*event) for event in trace["migrations"]
         ]
-        pending = state["pending_migration"]
-        if pending is not None:
-            optimizer.pending_migration = PendingMigration.from_state(pending)
         optimizer.adopt_model(cvd.model)
         return optimizer
 

@@ -7,8 +7,8 @@ in-memory engine the same property with a classic two-part design:
 * :mod:`repro.persist.wal` — a write-ahead log of logical operations
   (``init``, ``commit``, ``drop``, user management, durable SQL DML,
   ``optimize``, and the partition optimizer's transitions — ``maintain``
-  samples and ``migration_start``/``migration_finish``) appended with CRC
-  framing and ``fsync`` before a command is acknowledged.  A commit
+  samples and ``migration``) appended with CRC framing and ``fsync``
+  after the operation has applied, before it is acknowledged.  A commit
   record is a set difference against its parents — the rids it drops plus
   its new records — so it costs O(changed records) whatever the DML did.
 * :mod:`repro.persist.snapshot` — a checkpoint format serializing the full
@@ -19,9 +19,8 @@ in-memory engine the same property with a classic two-part design:
   via temp-file + atomic rename; the manifest carries a format number
   and the reader refuses any format but the current one.
 * :mod:`repro.persist.store` — :class:`Store`, which ties the two together:
-  ``Store.open`` loads the latest valid snapshot, replays the WAL tail,
-  and rolls forward any migration interrupted between its journaled start
-  and finish; a checkpoint policy compacts the log after enough appends.
+  ``Store.open`` loads the latest valid snapshot and replays the WAL tail;
+  a checkpoint policy compacts the log after enough appends.
 
 Durability contract: journaled operations survive any crash after the
 command that acknowledged them returns.  Most ops are durable the moment

@@ -56,8 +56,8 @@ from repro.persist.fsutil import fsync_dir as _fsync_dir
 #: The one manifest format this module writes and reads.  Format 4 holds
 #: each version's membership once (no graph edges, no model-side copies).
 #: A partitioned model's extra_state is its assignment, partition counter
-#: and its optimizer's decision state (delta*, budget knobs, trace,
-#: pending migration plan), restored by
+#: and its optimizer's decision state (delta*, budget knobs, trace),
+#: restored by
 #: :meth:`DataModel.restore_extra_state` once the CVD is complete; each
 #: CVD carries its lineage interval labels under ``"lineage"`` (``None``
 #: when the labels were never built or went stale: the index then rebuilds

@@ -115,7 +115,6 @@ class RefreshResult:
     last_lsn: int = 0
     touched_cvds: set[str] = field(default_factory=set)
     schema_changed_cvds: set[str] = field(default_factory=set)
-    migrated_cvds: set[str] = field(default_factory=set)
     ran_sql: bool = False
 
     @property
@@ -133,14 +132,7 @@ def _classify_record(payload: dict, result: RefreshResult) -> None:
             result.schema_changed_cvds.add(payload["cvd"])
     elif op in ("init", "drop"):
         result.touched_cvds.add(payload["name"])
-    elif op == "optimize":
-        result.touched_cvds.add(payload["cvd"])
-        result.migrated_cvds.add(payload["cvd"])
-    elif op == "migration_finish":
-        # The physical re-org: versions move between partitions.
-        result.touched_cvds.add(payload["cvd"])
-        result.migrated_cvds.add(payload["cvd"])
-    elif op in ("maintain", "migration_start"):
+    elif op in ("optimize", "maintain", "migration"):
         result.touched_cvds.add(payload["cvd"])
     elif op == "run":
         # SQL DML names arbitrary durable tables; refresh cannot map it to
@@ -260,14 +252,6 @@ class Store:
             )
         replayed = self._load_state()
         self.orpheus.attach_journal(self)
-        # A migration whose start was journaled (or snapshotted as pending)
-        # but whose finish never made it to disk: the decision is
-        # acknowledged state, so roll the plan forward now.
-        for cvd_name in self.orpheus.resume_inflight_migrations():
-            self.recovery_warnings.append(
-                f"rolled forward an interrupted partition migration on "
-                f"CVD {cvd_name!r}"
-            )
         # A large replayed tail means every future open pays that replay
         # again until something checkpoints — do it now instead.
         if replayed and self._should_auto_checkpoint():
@@ -778,26 +762,20 @@ def replay_record(orpheus: OrpheusDB, payload: dict, warnings: list[str]) -> Non
                 dict(frequencies) if frequencies else None,
             )
             orpheus._apply_optimize(payload["cvd"], optimizer, run)
-            if run.pending is not None:
+            if run.migration is not None:
                 # The journaled timing, not this replay's.
                 event = optimizer.trace.migrations[-1]
                 event.wall_seconds = payload["migration_wall_seconds"]
         elif op == "maintain":
             _apply_sample(orpheus, payload, payload["sample"])
-        elif op == "migration_start":
-            from repro.partition.online import PendingMigration
+        elif op == "migration":
+            from repro.partition.online import PlannedMigration
 
-            optimizer = _optimizer(orpheus, payload)
-            if optimizer.pending_migration is not None:
-                raise RecoveryError("WAL migration_start while one is in flight")
-            pending = PendingMigration.from_state(payload["plan"])
-            optimizer.apply_migration_start(pending)
-        elif op == "migration_finish":
             # The plan must move the records the journal says it moved.
             optimizer = _optimizer(orpheus, payload)
-            if optimizer.pending_migration is None:
-                raise RecoveryError("WAL migration_finish but no migration in flight")
-            event = optimizer.apply_migration_finish()
+            event = optimizer.apply_migration(
+                PlannedMigration.from_state(payload["plan"])
+            )
             moved = [event.records_inserted, event.records_deleted]
             if moved != [payload["inserted"], payload["deleted"]]:
                 raise RecoveryError(

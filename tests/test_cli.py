@@ -237,7 +237,6 @@ class TestStatusCommand:
                 "best_cavg": 2.0,
                 "ratio": 1.0,
             },
-            "pending_migration": None,
         }
         assert 0 < block["delta_star"] <= 1
 

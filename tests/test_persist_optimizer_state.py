@@ -4,16 +4,18 @@ A partitioned CVD's structure is only half its state; the optimizer that
 places commits into it and runs online maintenance is the other half.
 These tests pin the contract:
 
-* the optimizer's decision state (delta*, budget knobs, trace, pending
-  migration plans) rides snapshots via the model's ``extra_state`` and
-  its transitions ride the WAL as typed records, so a reopened store
-  resumes exactly where it left off;
-* a migration interrupted between its journaled start and finish is
-  detected on open and rolled forward;
+* the optimizer's decision state (delta*, budget knobs, trace) rides
+  snapshots via the model's ``extra_state`` and its transitions ride the
+  WAL as typed records, so a reopened store resumes exactly where it left
+  off;
+* a migration is one ``migration`` record written after it runs: a crash
+  before that record is on disk recovers the pre-migration layout, and a
+  WAL in the older two-record form is refused;
 * a manifest in any format but the current one is refused.
 """
 
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -24,8 +26,6 @@ from hypothesis import strategies as st
 from repro.errors import InfeasibleBudgetError, RecoveryError
 from repro.partition.bipartite import Partitioning
 from repro.partition.dag_reduction import reduce_to_tree
-from repro.partition.migration import plan_intelligent
-from repro.partition.online import PendingMigration
 from repro.persist import Store
 from repro.persist.snapshot import FORMAT_VERSION
 from repro.persist.wal import WriteAheadLog
@@ -51,7 +51,6 @@ def optimizer_fingerprint(orpheus, name="proteins"):
         "tolerance": optimizer.tolerance,
         "samples": list(optimizer.trace.samples),
         "migrations": list(optimizer.trace.migrations),
-        "pending": optimizer.pending_migration,
         "assignment": dict(orpheus.cvd(name).model._assignment),
     }
 
@@ -62,34 +61,6 @@ def commit_step(orpheus, step, cvd_name="proteins"):
     orpheus.checkout(cvd_name, latest, table_name=table)
     orpheus.run(f"UPDATE {table} SET neighborhood = {step}")
     return orpheus.commit(table, message=f"step {step}")
-
-
-def force_pending_migration(orpheus, cvd_name="proteins"):
-    """Journal a migration_start (crash-before-finish simulation).
-
-    Builds the same plan :meth:`PartitionOptimizer.migrate` would and
-    adopts it via ``begin_migration`` — which journals the start record —
-    without running the physical work, exactly the state a process killed
-    mid-migration leaves on disk.
-    """
-    optimizer = orpheus.optimizer_for(cvd_name)
-    cvd = orpheus.cvd(cvd_name)
-    model = cvd.model
-    single = Partitioning.single(cvd.graph.version_ids())
-    states = model.partition_states()
-    plan = plan_intelligent(
-        [set(state.rids) for state in states], single, cvd.membership
-    )
-    pending = PendingMigration(
-        groups=tuple(plan.new_groups),
-        reuse=plan.resolve_reuse([state.index for state in states]),
-        strategy="intelligent",
-        modifications=plan.modifications,
-        delta=optimizer.delta_star,
-        at_version_count=cvd.version_count,
-    )
-    optimizer.begin_migration(pending)
-    return pending
 
 
 class TestOptimizerStateRoundTrip:
@@ -134,7 +105,7 @@ class TestOptimizerStateRoundTrip:
         build_history(orpheus, "split_by_rlist")
         optimizer = orpheus.optimize("proteins", tolerance=1.05)
         # Degrade the layout so the next commit's tolerance check fires an
-        # online migration (journaled as migration_start/finish).
+        # online migration (journaled as one migration record).
         single = Partitioning.single(
             orpheus.cvd("proteins").graph.version_ids()
         )
@@ -275,88 +246,111 @@ class TestMaintenanceNeverFailsACommit:
 
 
 class TestInterruptedMigration:
-    def test_start_without_finish_rolls_forward_on_open(self, tmp_path):
+    def test_a_cut_before_the_migration_record_keeps_the_commit(self, tmp_path):
+        """A commit whose tolerance check fires appends its own record,
+        migrates, then appends one ``migration`` record.  A WAL cut between
+        the two reopens cleanly with the commit on the pre-migration
+        partitioning, every checkout equal to the live store's, and the
+        next commit past mu migrating through one record."""
         store = Store.open(tmp_path / "store", checkpoint_interval=0)
         orpheus = store.orpheus
         build_history(orpheus, "split_by_rlist")
-        orpheus.optimize("proteins")
+        optimizer = orpheus.optimize("proteins", tolerance=1.05)
+        cvd = orpheus.cvd("proteins")
+        optimizer.migrate(Partitioning.single(cvd.graph.version_ids()))
+        assignment = dict(cvd.model._assignment)
+        migrations = len(optimizer.trace.migrations)
+        vid = commit_step(orpheus, 0)
+        assert len(optimizer.trace.migrations) == migrations + 1
+        (commit_end, commit), (_end, migration) = list(store.wal.records_from(0))[-2:]
+        assert [commit.payload["op"], migration.payload["op"]] == [
+            "commit",
+            "migration",
+        ]
         expected_rows = materialize_sorted(orpheus)
-        pending = force_pending_migration(orpheus)
         crash(store)
+        os.truncate(store.wal.path, commit_end)
 
         recovered = Store.open(tmp_path / "store", checkpoint_interval=0)
-        assert any(
-            "rolled forward" in warning
-            for warning in recovered.recovery_warnings
-        )
-        optimizer = recovered.orpheus.optimizer_for("proteins")
-        assert optimizer.pending_migration is None
-        model = recovered.orpheus.cvd("proteins").model
-        assert len(model.partition_states()) == len(pending.groups)
-        assert optimizer.trace.migrations[-1].strategy == "intelligent"
-        assert materialize_sorted(recovered.orpheus) == expected_rows
-        crash(recovered)
+        assert recovered.recovery_warnings == []
+        orpheus = recovered.orpheus
+        cvd = orpheus.cvd("proteins")
+        assert cvd.version_count == 5
+        assert cvd.model._assignment == {**assignment, vid: commit.payload["partition"]}
+        optimizer = orpheus.optimizer_for("proteins")
+        assert len(optimizer.trace.migrations) == migrations
+        assert materialize_sorted(orpheus) == expected_rows
 
-        # The roll-forward journaled its finish: the next open is clean.
-        reopened = Store.open(tmp_path / "store", checkpoint_interval=0)
-        assert reopened.recovery_warnings == []
-        assert materialize_sorted(reopened.orpheus) == expected_rows
-        reopened.close()
-
-    def test_pending_plan_survives_a_checkpoint(self, tmp_path):
-        """An auto-checkpoint can fire while a migration is in flight (its
-        start record tips the interval); the pending plan must ride the
-        snapshot so a crash after the checkpoint still rolls forward."""
-        store = Store.open(tmp_path / "store", checkpoint_interval=0)
-        orpheus = store.orpheus
-        build_history(orpheus, "split_by_rlist")
-        orpheus.optimize("proteins")
-        expected_rows = materialize_sorted(orpheus)
-        pending = force_pending_migration(orpheus)
-        store.checkpoint()  # snapshot carries the pending plan; WAL empties
-        crash(store)
-
-        recovered = Store.open(tmp_path / "store", checkpoint_interval=0)
-        assert any(
-            "rolled forward" in warning
-            for warning in recovered.recovery_warnings
-        )
-        model = recovered.orpheus.cvd("proteins").model
-        assert len(model.partition_states()) == len(pending.groups)
-        assert materialize_sorted(recovered.orpheus) == expected_rows
+        lsn = recovered.last_lsn
+        commit_step(orpheus, 1)
+        assert len(optimizer.trace.migrations) == migrations + 1
+        appended = [
+            record.payload["op"]
+            for _end, record in recovered.wal.records_from(0)
+            if record.lsn > lsn
+        ]
+        assert appended == ["commit", "migration"]
         recovered.close()
 
-    def test_commit_after_roll_forward_continues_history(self, tmp_path):
+    def test_a_wal_in_the_two_record_migration_form_is_refused(self, tmp_path):
+        """The older ``migration_start``/``migration_finish`` pair is not
+        read: recovery names the unknown operation instead of guessing."""
         store = Store.open(tmp_path / "store", checkpoint_interval=0)
-        orpheus = store.orpheus
-        build_history(orpheus, "split_by_rlist")
-        orpheus.optimize("proteins")
-        force_pending_migration(orpheus)
+        build_history(store.orpheus, "split_by_rlist")
+        store.orpheus.optimize("proteins")
+        lsn = store.last_lsn
         crash(store)
+        wal = WriteAheadLog(tmp_path / "store" / "wal.log")
+        plan = {
+            "groups": [[1, 2, 3, 4]],
+            "reuse": [],
+            "strategy": "naive",
+            "modifications": 0,
+            "delta": None,
+            "at_version_count": 4,
+        }
+        wal.append(
+            lsn + 1,
+            {"op": "migration_start", "cvd": "proteins", "plan": plan, "clock": 9},
+        )
+        wal.close()
 
-        recovered = Store.open(tmp_path / "store", checkpoint_interval=0)
-        vid = commit_step(recovered.orpheus, 7)
-        model = recovered.orpheus.cvd("proteins").model
-        assert model.partition_of(vid) is not None
-        assert recovered.orpheus.cvd("proteins").version_count == 5
-        recovered.close()
+        for mode in ("rw", "ro"):
+            with pytest.raises(RecoveryError, match="unknown WAL operation"):
+                Store.open(tmp_path / "store", checkpoint_interval=0, mode=mode)
 
     def test_optimizer_record_without_optimizer_is_divergence(self, tmp_path):
         """A maintain/migration record can only replay against a restored
         optimizer; anything else means the journal and the state diverged
         and recovery must refuse rather than guess."""
-        store = Store.open(tmp_path / "store", checkpoint_interval=0)
-        store.orpheus.init("t", SCHEMA, rows=[(1, 1)], primary_key=("k",))
-        crash(store)
-        wal = WriteAheadLog(tmp_path / "store" / "wal.log")
-        wal.append(
-            2, {"op": "maintain", "cvd": "t", "sample": [1, 1.0, 1.0],
-                "clock": 9}
-        )
-        wal.close()
+        migration = {
+            "op": "migration",
+            "cvd": "t",
+            "plan": {
+                "groups": [[1]],
+                "reuse": [],
+                "strategy": "naive",
+                "modifications": 0,
+                "delta": None,
+                "at_version_count": 1,
+            },
+            "inserted": 0,
+            "deleted": 0,
+            "wall_seconds": 0.0,
+            "clock": 9,
+        }
+        maintain = {"op": "maintain", "cvd": "t", "sample": [1, 1.0, 1.0], "clock": 9}
+        for record in (maintain, migration):
+            root = tmp_path / record["op"]
+            store = Store.open(root, checkpoint_interval=0)
+            store.orpheus.init("t", SCHEMA, rows=[(1, 1)], primary_key=("k",))
+            crash(store)
+            wal = WriteAheadLog(root / "wal.log")
+            wal.append(2, record)
+            wal.close()
 
-        with pytest.raises(RecoveryError, match="no optimizer"):
-            Store.open(tmp_path / "store", checkpoint_interval=0)
+            with pytest.raises(RecoveryError, match="no optimizer"):
+                Store.open(root, checkpoint_interval=0)
 
 
 class TestManifestFormat:

@@ -261,7 +261,7 @@ class TestRefresh:
         reader = Store.open(tmp_path / "s", mode="ro")
         writer.orpheus.optimize("t", storage_threshold=4.0, tolerance=1.2)
         result = reader.refresh()
-        assert "t" in result.migrated_cvds
+        assert "t" in result.touched_cvds
         assert reader.orpheus.cvd("t").model.model_name == "partitioned_rlist"
         expected = writer.orpheus.checkout_rows("t", 6)
         assert reader.orpheus.checkout_rows("t", 6) == expected

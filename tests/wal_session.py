@@ -3,16 +3,19 @@
 ``run_session`` drives one store through create_user, config, init, drop,
 SQL ``run``, tracked, row-compared, merge, schema-evolving and CSV commits,
 ``optimize``, commits with their maintenance samples, a standalone
-``maintain``, an online migration (``migration_start``/``migration_finish``)
-and a re-optimize, then checkpoints.  It returns the decoded WAL payloads
+``maintain``, an online migration (one ``migration`` record, journaled
+after it runs) and a re-optimize, then checkpoints.  It returns the decoded WAL payloads
 and the snapshot manifest with the wall-clock timings blanked and the
 scratch directory spelled ``<root>``, so two releases can be compared
 record for record.
 
 ``tests/fixtures/wal_session.jsonl`` holds what the release before the
 prepare/apply split wrote, one WAL record per line and the manifest last;
-``test_persist_apply.py`` holds every later release to it.  Regenerate
-(only on a deliberate format change) with::
+``test_persist_apply.py`` holds every later release to it.  It was
+re-recorded once, when each ``migration_start`` +
+``migration_finish`` pair became one ``migration`` record and the
+optimizer state lost ``pending_migration``.  Regenerate (only on a
+deliberate format change) with::
 
     PYTHONPATH=src:tests python tests/wal_session.py > tests/fixtures/wal_session.jsonl
 """
