@@ -223,6 +223,16 @@ class DataModel(ABC):
         """Inverse of :meth:`extra_state`, called once the owning CVD —
         backing tables, membership, graph and counters — is complete."""
 
+    def derived_tables(self) -> dict[str, Iterable[Row]]:
+        """The backing tables whose rows are a function of membership,
+        each mapped to those rows in live slot order, produced lazily.
+
+        A snapshot writes no segment for them: restore recreates each one
+        empty and refills it from here once :meth:`restore_extra_state`
+        has run.  Models whose every table holds payloads return ``{}``.
+        """
+        return {}
+
     # ---------------------------------------------------------- inspection
 
     @abstractmethod

@@ -8,10 +8,9 @@ and hash-joins it against the data table — the plan Section 3.2 analyses.
 
 from __future__ import annotations
 
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.datamodels.base import DataModel, Row
-from repro.storage import arrays
 from repro.storage.expression import BinaryOp, ColumnRef, FuncCall, Literal
 from repro.storage.parser import ast_nodes as ast
 from repro.storage.ridset import RidSet
@@ -71,8 +70,14 @@ class SplitByRlistModel(DataModel):
         # The whole commit is one INSERT (Table 1's third column).
         self.db.execute(
             f"INSERT INTO {self.versioning_table} VALUES (%s, %s)",
-            (vid, members.to_array()),
+            self.rlist_row(vid, members),
         )
+
+    def rlist_row(self, vid: int, members: RidSet) -> Row:
+        """Version ``vid``'s versioning-table row: its rlist, ascending.
+
+        Commit, bulk load and snapshot restore all build the row here."""
+        return (vid, members.to_array())
 
     def bulk_load(self, versions, payloads) -> None:
         seen: set[int] = set()
@@ -83,9 +88,17 @@ class SplitByRlistModel(DataModel):
                 if rid not in seen:
                     seen.add(rid)
                     data_rows.append((rid,) + tuple(payloads[rid]))
-            versioning_rows.append((vid, arrays.make_array(member_rids)))
+            versioning_rows.append(self.rlist_row(vid, RidSet(member_rids)))
         self.db.table(self.data_table).insert_many(data_rows)
         self.db.table(self.versioning_table).insert_many(versioning_rows)
+
+    def derived_tables(self) -> dict[str, Iterable[Row]]:
+        return {self.versioning_table: self._rlist_rows()}
+
+    def _rlist_rows(self) -> Iterator[Row]:
+        # Commits append in vid order, so ascending vid is the slot order.
+        for vid in sorted(self.membership):
+            yield self.rlist_row(vid, self.membership[vid])
 
     def fetch_rows(self, vid: int, rids: Iterable[int]) -> list[Row]:
         return self._fetch_rows_from_table(self.data_table, rids)

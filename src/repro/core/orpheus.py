@@ -30,6 +30,7 @@ from repro.core.access import AccessController
 from repro.core.provenance import ProvenanceManager, StagedCheckout
 from repro.core.translator import QueryTranslator
 from repro.errors import (
+    CatalogError,
     CVDNotFoundError,
     DuplicateObjectError,
     ReadOnlyError,
@@ -540,7 +541,9 @@ class OrpheusDB:
 
         Mutating statements against durable tables are journaled; DML that
         touches only staged checkout tables is working-tree state and is
-        captured by snapshots instead.
+        captured by snapshots instead.  SQL that writes a table a data
+        model derives from membership (an rlist table) is refused with
+        :class:`CatalogError` before anything applies.
 
         A leading ``PROFILE`` keyword (``PROFILE SELECT ...``) runs the
         query instrumented and returns the per-operator report; being a
@@ -551,13 +554,14 @@ class OrpheusDB:
         if profiled:
             with trace.span("sql.profile"):
                 return self.db.execute_profiled(statements)
-        if self.read_only:
-            mutating, _targets = _statement_targets(statements)
-            if mutating:
-                raise ReadOnlyError(
-                    "cannot run mutating SQL: this session is read-only "
-                    "(store opened with mode='ro')"
-                )
+        mutating, _targets = _statement_targets(statements)
+        if mutating:
+            self._refuse_derived_writes(statements)
+        if mutating and self.read_only:
+            raise ReadOnlyError(
+                "cannot run mutating SQL: this session is read-only "
+                "(store opened with mode='ro')"
+            )
         try:
             result = self._apply_run(statements)
         except Exception:
@@ -582,6 +586,24 @@ class OrpheusDB:
         if self._journal is not None:
             self._classify_and_journal_run(sql, params, statements)
         return result
+
+    def _refuse_derived_writes(self, statements: Sequence[_ast.Statement]) -> None:
+        """Refuse SQL that writes a table a data model derives from version
+        membership: a snapshot rebuilds that table from membership, so the
+        write would not outlive the next checkpoint.  Index DDL stays
+        allowed, since the manifest keeps index definitions."""
+        _mutating, targets = _statement_targets(
+            [s for s in statements if not isinstance(s, _INDEX_DDL)]
+        )
+        if not targets:
+            return
+        for cvd in self._cvds.values():
+            derived = cvd.model.derived_tables().keys() & set(targets)
+            if derived:
+                raise CatalogError(
+                    f"table {min(derived)} is derived from the version "
+                    f"membership of CVD {cvd.name}: change it by committing"
+                )
 
     def _apply_run(self, statements: Sequence[_ast.Statement]) -> Result:
         with trace.span("sql.run"):
@@ -814,6 +836,8 @@ def _references_any(sql: str, names: set[str]) -> bool:
     """
     return any(_re.search(rf"\b{_re.escape(name)}\b", sql) for name in names)
 
+
+_INDEX_DDL = (_ast.CreateIndex, _ast.DropIndex)
 
 #: DML that checks every row before it writes: a failed statement leaves
 #: its table as it was.

@@ -18,7 +18,7 @@ optimizer decided by the online-maintenance rule of Section 4.3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.datamodels.base import DataModel, Row, union_all
 from repro.core.datamodels.split_rlist import rlist_scan
@@ -165,6 +165,24 @@ class PartitionedRlistModel(DataModel):
         # Resumes the optimizer that places this model's versions.
         PartitionOptimizer.from_state(cvd, state["optimizer"])
 
+    def derived_tables(self) -> dict[str, Iterable[Row]]:
+        return {
+            self._versioning_table(index): self._rlist_rows(state.vids)
+            for index, state in self._partitions.items()
+        }
+
+    def rlist_row(self, vid: int, members: RidSet) -> Row:
+        """Version ``vid``'s row in its partition's versioning table.
+
+        Commit, build, migration and snapshot restore all build it here."""
+        return (vid, members.to_array())
+
+    def _rlist_rows(self, vids: Iterable[int]) -> Iterator[Row]:
+        # Ascending vid is the slot order: commits append in vid order,
+        # build and migration insert each group sorted.
+        for vid in sorted(vids):
+            yield self.rlist_row(vid, self.membership[vid])
+
     # ----------------------------------------------------------- structure
 
     def partition_states(self) -> list[PartitionState]:
@@ -224,7 +242,7 @@ class PartitionedRlistModel(DataModel):
                 (rid,) + tuple(rows[rid]) for rid in group_rids
             )
             self.db.table(self._versioning_table(state.index)).insert_many(
-                (vid, membership[vid].to_array()) for vid in sorted(group)
+                self._rlist_rows(group)
             )
             self._assignment.update(dict.fromkeys(sorted(group), state.index))
             state.vids |= set(group)
@@ -254,7 +272,7 @@ class PartitionedRlistModel(DataModel):
         self.db.execute(
             f"INSERT INTO {self._versioning_table(state.index)} "
             f"VALUES (%s, %s)",
-            (vid, members.to_array()),
+            self.rlist_row(vid, members),
         )
         state.vids.add(vid)
         state.rids |= members
@@ -383,7 +401,7 @@ class PartitionedRlistModel(DataModel):
                 state.rids = group_rids
                 target_index = state.index
             self.db.table(self._versioning_table(target_index)).insert_many(
-                (vid, self.membership[vid].to_array()) for vid in sorted(group)
+                self._rlist_rows(group)
             )
             new_assignment.update(dict.fromkeys(sorted(group), target_index))
         for old_index in list(old_states):

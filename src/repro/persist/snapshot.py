@@ -20,14 +20,19 @@ frequencies, and for every CVD its versions, membership, attribute
 catalog, counters, and data-model bookkeeping
 (:meth:`~repro.core.datamodels.base.DataModel.extra_state`).
 
-Each version's membership is written once, in the CVD block.  Whatever is
-a function of it is derived at load instead of stored: the version graph's
-edge weights (shared-record counts) and a partitioned model's per-partition
-record sets.
+Each version's membership is written once, in the CVD block, as the
+base64 of its packed bitmap (:meth:`RidSet.to_bytes`).  Whatever is a
+function of it is derived at load instead of stored: the version graph's
+edge weights (shared-record counts), a partitioned model's per-partition
+record sets, and the rows of every rlist table
+(:meth:`~repro.core.datamodels.base.DataModel.derived_tables`).  Such a
+table's manifest entry has ``"file": null``: it keeps the schema, indexes
+and clustering, and the table is refilled once its CVD is restored.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import shutil
@@ -53,8 +58,9 @@ from repro.storage.types import DataType
 
 from repro.persist.fsutil import fsync_dir as _fsync_dir
 
-#: The one manifest format this module writes and reads.  Format 4 holds
-#: each version's membership once (no graph edges, no model-side copies).
+#: The one manifest format this module writes and reads.  Format 5 holds
+#: each version's membership once, as a base64 bitmap: no graph edges, and
+#: no segment for a table the data model derives from membership.
 #: A partitioned model's extra_state is its assignment, partition counter
 #: and its optimizer's decision state (delta*, budget knobs, trace),
 #: restored by
@@ -63,7 +69,7 @@ from repro.persist.fsutil import fsync_dir as _fsync_dir
 #: when the labels were never built or went stale: the index then rebuilds
 #: on the first interval probe).  Any other format is refused with
 #: RecoveryError.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 MANIFEST_NAME = "manifest.json"
 
 # Pid-aware handles: a pre-fork serve worker charges its own registry.
@@ -95,22 +101,23 @@ def write_snapshot(orpheus: OrpheusDB, directory: str | Path, last_lsn: int) -> 
         shutil.rmtree(tmp)
     tmp.mkdir()
 
+    derived = {
+        name for cvd in orpheus._cvds.values() for name in cvd.model.derived_tables()
+    }
     tables = []
     for index, table in enumerate(orpheus.db.tables()):
-        segment = f"seg-{index:05d}.jsonl"
-        crc, row_count = _write_segment(tmp / segment, table)
-        tables.append(
-            {
-                "name": table.name,
-                "file": segment,
-                "crc": crc,
-                "rows": row_count,
-                "schema": table.schema.to_dict(),
-                "clustered_on": table.clustered_on,
-                "enforce_primary_key": table.enforce_primary_key,
-                "indexes": table.index_specs(),
-            }
+        entry = {"name": table.name, "file": None}
+        if table.name not in derived:
+            segment = f"seg-{index:05d}.jsonl"
+            crc, row_count = _write_segment(tmp / segment, table)
+            entry.update(file=segment, crc=crc, rows=row_count)
+        entry.update(
+            schema=table.schema.to_dict(),
+            clustered_on=table.clustered_on,
+            enforce_primary_key=table.enforce_primary_key,
+            indexes=table.index_specs(),
         )
+        tables.append(entry)
     manifest = {
         "format": FORMAT_VERSION,
         "last_lsn": last_lsn,
@@ -223,7 +230,7 @@ def _cvd_state(cvd: CVD) -> dict:
             for v in graph.versions()
         ],
         "membership": [
-            [vid, sorted(members)]
+            [vid, base64.b64encode(members.to_bytes()).decode("ascii")]
             for vid, members in sorted(cvd.membership.items())
         ],
         "attributes": [
@@ -242,10 +249,12 @@ def _cvd_state(cvd: CVD) -> dict:
 def load_snapshot(snapshot_dir: str | Path) -> tuple[OrpheusDB, int]:
     """Rebuild an OrpheusDB from one snapshot; returns (orpheus, last_lsn).
 
-    Checks the format, each segment's CRC and JSON, and every row's width,
-    NOT NULL columns and types (:meth:`Table.load_rows`); trusts uniqueness.
-    A failure is a :class:`RecoveryError` naming the file.  The writer only
-    renames complete directories into place, so none is ever half-written.
+    Checks the format, each segment's CRC and JSON, every row's width,
+    NOT NULL columns and types (:meth:`Table.load_rows`), and each version's
+    bitmap against its record count; trusts uniqueness.  A failure is a
+    :class:`RecoveryError` naming the file, or the CVD and version.  The
+    writer only renames complete directories into place, so none is ever
+    half-written.
     """
     started = time.perf_counter()
     snapshot_dir = Path(snapshot_dir)
@@ -264,9 +273,14 @@ def load_snapshot(snapshot_dir: str | Path) -> tuple[OrpheusDB, int]:
             f"{FORMAT_VERSION})"
         )
     db = Database(join_method=manifest["join_method"])
+    derived = set()
     for entry in manifest["tables"]:
-        path = snapshot_dir / entry["file"]
-        rows = _read_segment(path, entry["crc"])
+        if entry["file"] is None:  # refilled below, from membership
+            derived.add(entry["name"])
+            rows, source = [], f"snapshot table {entry['name']}"
+        else:
+            source = f"snapshot segment {snapshot_dir / entry['file']}"
+            rows = _read_segment(snapshot_dir / entry["file"], entry["crc"])
         try:
             db.restore_table(
                 entry["name"],
@@ -277,8 +291,21 @@ def load_snapshot(snapshot_dir: str | Path) -> tuple[OrpheusDB, int]:
                 index_specs=entry["indexes"],
             )
         except ReproError as exc:
-            raise RecoveryError(f"snapshot segment {path}: {exc}") from exc
+            raise RecoveryError(f"{source}: {exc}") from exc
     orpheus = _restore_orpheus(db, manifest["orpheus"])
+    for cvd in orpheus._cvds.values():
+        for name, rows in cvd.model.derived_tables().items():
+            if name not in derived:
+                raise RecoveryError(
+                    f"snapshot {snapshot_dir}: CVD {cvd.name} derives table "
+                    f"{name}, which the manifest lists with a segment or not at all"
+                )
+            derived.remove(name)
+            db.table(name).load_rows(rows)
+    if derived:
+        raise RecoveryError(
+            f"snapshot {snapshot_dir}: no CVD derives tables {sorted(derived)}"
+        )
     _LOADS.inc()
     _LOAD_SECONDS.observe(time.perf_counter() - started)
     return orpheus, manifest["last_lsn"]
@@ -358,10 +385,8 @@ def _restore_cvd(db: Database, state: dict) -> CVD:
     cvd.db = db
     cvd.name = state["name"]
     cvd.data_schema = TableSchema.from_dict(state["data_schema"])
-    # Boundary conversion: the manifest keeps the sorted int-array wire
-    # encoding; in memory membership lives as packed bitmaps.
     cvd.membership = {
-        vid: RidSet(members) for vid, members in state["membership"]
+        vid: _bitmap(cvd.name, vid, encoded) for vid, encoded in state["membership"]
     }
     cvd.model = _model_class(state["model"])(db, cvd.name, cvd.data_schema)
     cvd.model.membership = cvd.membership
@@ -388,6 +413,11 @@ def _restore_graph(versions: list[dict], cvd: CVD) -> VersionGraph:
     restored membership the way ingest does; children lists and
     ``edges()`` order come out as the original graph grew them."""
     graph = VersionGraph()
+    if sorted(cvd.membership) != sorted(entry["vid"] for entry in versions):
+        raise RecoveryError(
+            f"snapshot CVD {cvd.name}: membership covers versions "
+            f"{sorted(cvd.membership)}, not its own"
+        )
     for entry in versions:
         version = Version(
             vid=entry["vid"],
@@ -399,5 +429,19 @@ def _restore_graph(versions: list[dict], cvd: CVD) -> VersionGraph:
             attribute_ids=tuple(entry["attribute_ids"]),
         )
         members = cvd.membership[version.vid]
+        if len(members) != version.num_records:
+            raise RecoveryError(
+                f"snapshot CVD {cvd.name} version {version.vid}: its bitmap "
+                f"holds {len(members)} records, not {version.num_records}"
+            )
         graph.add_version(version, cvd.edge_weights(members, version.parents))
     return graph
+
+
+def _bitmap(cvd_name: str, vid: int, encoded) -> RidSet:
+    try:
+        return RidSet.from_bytes(base64.b64decode(encoded, validate=True))
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise RecoveryError(
+            f"snapshot CVD {cvd_name} version {vid}: bad membership bitmap: {exc}"
+        ) from exc

@@ -16,12 +16,11 @@ replace.  Equality is defined against any iterable-of-ints collection
 ``frozenset.__eq__`` returns ``NotImplemented`` for foreign types), so
 call sites and tests that compare memberships keep working unchanged.
 
-The persist layer never writes bitmaps: WAL and snapshot keep the
-existing int-array wire encoding and convert at the boundary (a RidSet
-iterates in ascending order, so ``sorted(members)`` call sites produce
-byte-identical output).  :meth:`to_bytes` / :meth:`from_bytes` provide a
-compact little-endian serialization for callers that do want the packed
-form (e.g. caches).
+:meth:`to_bytes` / :meth:`from_bytes` are the compact little-endian
+serialization: a snapshot manifest holds each version's membership in
+that form.  The WAL keeps the int-array wire encoding and converts at the
+boundary (a RidSet iterates in ascending order, so ``sorted(members)``
+call sites produce byte-identical output).
 """
 
 from __future__ import annotations
@@ -218,7 +217,7 @@ class RidSet:
         return self._bits.bit_length() - 1
 
     def to_array(self) -> tuple[int, ...]:
-        """The ascending int-array form (the persist wire encoding)."""
+        """The ascending int-array form (the WAL wire encoding)."""
         return tuple(self)
 
     # --------------------------------------------------------- serialization

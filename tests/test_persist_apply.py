@@ -250,7 +250,10 @@ def is_apply_step(code, optimizer: bool = True) -> bool:
 
 def prepare_sites(build, operation, optimizer: bool = True) -> list:
     """Each distinct call site inside the repository's code that the
-    operation reaches before its first apply step (:func:`is_apply_step`)."""
+    operation reaches before its first apply step (:func:`is_apply_step`).
+
+    Collection stays off while the profile runs: a gc callback (hypothesis
+    installs one) would add a call wherever a collection fires."""
     orpheus = build()
     sites: list = []
 
@@ -264,11 +267,15 @@ def prepare_sites(build, operation, optimizer: bool = True) -> list:
         if site[0].startswith(SRC) and site not in sites:
             sites.append(site)
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         operation(orpheus)
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return sites
 
 
@@ -325,17 +332,12 @@ SWEEP = {
 def test_the_optimizer_apply_step_moves_no_other_sweep_site():
     """Stopping at the optimizer's ``apply_*`` methods as well is for
     ``migrate``; every other operation reaches an ``_apply_*`` step first,
-    so its sites are the same either way.  Collection stays off: a gc
-    callback (hypothesis installs one) would add a call wherever it fires."""
-    gc.disable()
-    try:
-        for name, (build, operation) in SWEEP.items():
-            if name != "migrate":
-                assert prepare_sites(build, operation) == prepare_sites(
-                    build, operation, optimizer=False
-                ), name
-    finally:
-        gc.enable()
+    so its sites are the same either way."""
+    for name, (build, operation) in SWEEP.items():
+        if name != "migrate":
+            assert prepare_sites(build, operation) == prepare_sites(
+                build, operation, optimizer=False
+            ), name
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP))

@@ -20,9 +20,11 @@ from collections import Counter
 import pytest
 
 from repro.core.datamodels import MODEL_REGISTRY
-from repro.errors import ReproError
+from repro.errors import CatalogError, ReproError
 from repro.partition.bipartite import Partitioning
 from repro.persist import Store
+from repro.serve import ServeManager
+from repro.serve.server import handle_line
 
 from test_persist_crash import crash
 
@@ -159,11 +161,39 @@ class TestRestoreEquivalence:
         build_session(store.orpheus)
         store.checkpoint()
         manifest = manifest_of(store)
+        snapshot = store.path / "snapshots" / store.current_snapshot_name()
+        derived = {
+            table
+            for name in store.orpheus.ls()
+            for table in store.orpheus.cvd(name).model.derived_tables()
+        }
         store.close()
         blocks = {block["name"]: block for block in manifest["orpheus"]["cvds"]}
-        assert manifest["format"] == 4
+        assert manifest["format"] == 5
         for block in blocks.values():
             assert "edges" not in block
+            for _vid, bitmap in block["membership"]:
+                assert isinstance(bitmap, str)
+        # Nor do the segments: every table derived from membership is
+        # written as a catalog entry only, and no segment holds an rlist.
+        assert {"split_by_rlist__versions", "split_by_rlist_rle__versions"} <= derived
+        assert [name for name in derived if name.startswith("opt__p")]
+        entries = {entry["name"]: entry for entry in manifest["tables"]}
+        assert derived == {name for name, e in entries.items() if e["file"] is None}
+        for name in derived:
+            assert set(entries[name]) == {
+                "name",
+                "file",
+                "schema",
+                "clustered_on",
+                "enforce_primary_key",
+                "indexes",
+            }
+        segments = {e["file"] for e in entries.values() if e["file"] is not None}
+        assert {path.name for path in snapshot.glob("seg-*.jsonl")} == segments
+        for entry in entries.values():
+            columns = [column[0] for column in entry["schema"]["columns"]]
+            assert "rlist" not in columns or entry["file"] is None
         assert set(blocks["opt"]["model_state"]) == {
             "assignment",
             "next_partition",
@@ -171,6 +201,84 @@ class TestRestoreEquivalence:
         }
         for name in ALL_MODELS:
             assert blocks[name]["model_state"] == {}
+
+
+class TestDerivedTablesRefuseWrites:
+    """A table a data model derives from membership (an rlist table) is
+    rebuilt from membership at open, so SQL that writes it is refused
+    before anything applies: a checkpoint would otherwise lose the write.
+    Index DDL stays allowed; the manifest keeps index definitions."""
+
+    WRITES = {
+        "insert": "INSERT INTO {t} VALUES (99, ARRAY[1])",
+        "update": "UPDATE {t} SET vid = 99 WHERE vid = 1",
+        "delete": "DELETE FROM {t} WHERE vid = 1",
+        "create_table": "CREATE TABLE {t} (x int)",
+        "drop_table": "DROP TABLE {t}",
+        "alter_table": "ALTER TABLE {t} ADD COLUMN x int",
+        "cluster": "CLUSTER {t} USING vid",
+        "select_into": "SELECT * INTO {t} FROM notes",
+        "script": "INSERT INTO notes VALUES (2); DELETE FROM {t}",
+    }
+    TARGETS = {
+        "split_by_rlist": "s__versions",
+        "split_by_rlist_rle": "r__versions",
+        "partitioned_rlist": "p__p0_versions",
+    }
+
+    @staticmethod
+    def open_store(path):
+        store = Store.open(path, checkpoint_interval=0)
+        orpheus = store.orpheus
+        rows = [(k, k) for k in range(4)]
+        orpheus.init("s", SCHEMA, rows=rows, primary_key=("k",))
+        orpheus.init("r", SCHEMA, rows=rows, model="split_by_rlist_rle")
+        orpheus.init("p", SCHEMA, rows=rows, primary_key=("k",))
+        commit_edit(orpheus, "p", 1, "w", "DELETE FROM {t} WHERE k = 0")
+        orpheus.optimize("p")
+        orpheus.run("CREATE TABLE notes (n int)")
+        orpheus.run("INSERT INTO notes VALUES (1)")
+        return store
+
+    @pytest.mark.parametrize("target", sorted(TARGETS.values()))
+    @pytest.mark.parametrize("kind", sorted(WRITES))
+    def test_a_write_is_refused_before_it_applies(self, tmp_path, kind, target):
+        store = self.open_store(tmp_path / "s")
+        orpheus = store.orpheus
+        assert target in orpheus.cvd(target.split("__")[0]).model.derived_tables()
+        before, wal_bytes = tables_of(orpheus), store.wal.path.stat().st_size
+        with pytest.raises(CatalogError, match=f"{target} is derived"):
+            orpheus.run(self.WRITES[kind].format(t=target))
+        assert tables_of(orpheus) == before
+        assert store.wal.path.stat().st_size == wal_bytes
+        store.close()
+
+    def test_a_write_over_the_wire_is_a_typed_error(self, tmp_path):
+        self.open_store(tmp_path / "s").close()
+        line = json.dumps({"op": "query", "sql": "DELETE FROM s__versions"})
+        with ServeManager(tmp_path / "s", readers=1) as manager:
+            reply, _bye = handle_line(manager, line.encode() + b"\n")
+        reply = json.loads(reply)
+        assert (reply["ok"], reply["code"]) == (False, "catalog")
+
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    def test_a_user_index_on_a_partition_rlist_table_survives_reopen(
+        self, tmp_path, checkpoint
+    ):
+        store = self.open_store(tmp_path / "s")
+        orpheus = store.orpheus
+        orpheus.run("CREATE INDEX by_vid ON p__p0_versions (vid)")
+        orpheus.run("CREATE INDEX gone ON p__p0_versions (vid)")
+        orpheus.run("DROP INDEX gone ON p__p0_versions")
+        if checkpoint:
+            store.checkpoint()
+        expected = tables_of(orpheus)
+        crash(store)
+        with Store.open(tmp_path / "s", checkpoint_interval=0) as reopened:
+            tables = tables_of(reopened.orpheus)
+            assert "by_vid" in tables["p__p0_versions"][3]
+            assert "gone" not in tables["p__p0_versions"][3]
+            assert tables == expected
 
 
 class TestDeltaReadsLeaveNoTables:

@@ -354,7 +354,7 @@ class TestInterruptedMigration:
 
 
 class TestManifestFormat:
-    @pytest.mark.parametrize("old_format", [1, 2, 3, 99])
+    @pytest.mark.parametrize("old_format", [1, 2, 3, 4, 99])
     def test_other_formats_are_rejected(self, tmp_path, old_format):
         store = Store.open(tmp_path / "store")
         build_history(store.orpheus, "split_by_rlist")

@@ -64,3 +64,82 @@ class TestMalformedSegment:
         with pytest.raises(RecoveryError, match=re.escape(name)) as info:
             Store.open(tmp_path / "s", mode=mode)
         assert detail in str(info.value)
+
+
+def tamper_manifest(tmp_path, edit) -> None:
+    """Checkpoint a partitioned CVD ``c``, then let ``edit`` change the
+    written manifest in place (its segments stay as they are)."""
+    store = Store.open(tmp_path / "s", checkpoint_interval=0)
+    orpheus = store.orpheus
+    orpheus.init(
+        "c", SCHEMA, rows=[(k, f"n{k}", k / 2) for k in range(5)], primary_key=("k",)
+    )
+    orpheus.checkout("c", 1, table_name="w")
+    orpheus.run("DELETE FROM w WHERE k = 0")
+    orpheus.commit("w")
+    orpheus.optimize("c")
+    store.checkpoint()
+    manifest = manifest_of(store)
+    path = store.path / "snapshots" / store.current_snapshot_name() / "manifest.json"
+    store.close()
+    (block,) = manifest["orpheus"]["cvds"]
+    edit(manifest, block)
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def _set_membership(vid, value):
+    def edit(_manifest, block):
+        block["membership"][vid - 1][1] = value
+
+    return edit
+
+
+def _set_num_records(_manifest, block):
+    block["versions"][1]["num_records"] += 1
+
+
+def _drop_membership(_manifest, block):
+    del block["membership"][0]
+
+
+def _drop_derived_entry(manifest, _block):
+    manifest["tables"] = [e for e in manifest["tables"] if e["file"] is not None]
+
+
+def _underive_table(manifest, _block):
+    manifest["tables"].append(dict(manifest["tables"][-1], name="x__versions"))
+
+
+class TestTamperedMembership:
+    """Each version's bitmap is checked against the record count its
+    version block states; a table written without a segment must be one
+    the CVDs derive.  A failure is a RecoveryError naming what broke."""
+
+    @pytest.mark.parametrize("mode", ["rw", "ro"])
+    @pytest.mark.parametrize(
+        "edit, detail",
+        [
+            (_set_membership(2, "not base64!"), "c version 2: bad membership"),
+            (_set_membership(1, "AQ="), "c version 1: bad membership"),
+            (_set_membership(1, [0, 1, 2, 3, 4]), "c version 1: bad membership"),
+            (_set_membership(2, "Hw=="), "c version 2: its bitmap holds 5"),
+            (_set_num_records, "c version 2: its bitmap holds 4 records, not 5"),
+            (_drop_membership, "CVD c: membership covers versions [2]"),
+            (_drop_derived_entry, "c derives table c__p0_versions"),
+            (_underive_table, "no CVD derives tables ['x__versions']"),
+        ],
+        ids=[
+            "bad_base64",
+            "bad_padding",
+            "int_list",
+            "popcount",
+            "num_records",
+            "missing_version",
+            "derived_entry_dropped",
+            "stray_null_file",
+        ],
+    )
+    def test_open_raises_recovery_error(self, tmp_path, mode, edit, detail):
+        tamper_manifest(tmp_path, edit)
+        with pytest.raises(RecoveryError, match=re.escape(detail)):
+            Store.open(tmp_path / "s", mode=mode)
