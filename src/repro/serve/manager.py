@@ -39,6 +39,7 @@ from typing import Any, Iterator, Sequence
 from repro.errors import PersistenceError, StaleReadError
 from repro.obs import metrics, trace
 from repro.persist import RefreshResult, Store
+from repro.storage.compile import code_cache_stats
 from repro.storage.engine import Result
 
 from repro.serve.cache import CheckoutCache, Reply, checkout_key, query_key
@@ -296,14 +297,20 @@ class ServeManager:
         self._idle.put(session)
 
     def _register_collectors(self) -> None:
-        """Expose the cache and each session's engine I/O pull-style.
+        """Expose the cache, each session's engine I/O and this process's
+        kernel code cache pull-style.
 
         Registration is snapshot-time only: the counters themselves are the
         unmodified CacheStats/IOStats the hot paths already charge, so the
         gated benchmark figures cannot drift.
         """
         obs = metrics.registry()
-        entries: list[tuple[str, Any]] = [("serve.cache", self.cache_stats)]
+        entries: list[tuple[str, Any]] = [
+            ("serve.cache", self.cache_stats),
+            # A callable of this manager's own, so close() unregisters
+            # only what it registered.
+            ("storage.kernel_code", lambda: code_cache_stats()),
+        ]
         for session in self._sessions:
             prefix = f"serve.session_{session.session_id}"
             entries.append((f"{prefix}.io", session.store.orpheus.db.stats.as_dict))

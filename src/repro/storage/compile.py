@@ -5,8 +5,8 @@ dispatches, ``env.resolve`` dict probes, and operator-table lookups per
 row.  :func:`compile_value` fuses the *scalar skeleton* of a tree —
 column loads, comparisons, arithmetic, AND/OR/NOT, BETWEEN, IS NULL, IN,
 LIKE against a constant pattern, containment/overlap against a constant
-array — into one ``compile()``-ed Python function whose happy path is
-straight bytecode, with everything resolvable at compile time hoisted out:
+array — into one generated Python function whose happy path is straight
+bytecode, with everything resolvable at compile time hoisted out:
 
 * column positions are resolved once (not per row);
 * row-independent subtrees are evaluated once (:func:`_constant`);
@@ -14,6 +14,14 @@ straight bytecode, with everything resolvable at compile time hoisted out:
 * constant array operands of ``<@`` / ``@>`` / ``&&`` are converted to a
   probe set once, so the per-row evaluation never rebuilds ``set(...)``
   (the generic :mod:`repro.storage.arrays` paths pay that per call).
+
+The function is made per statement, the code object per *shape*: every
+constant except ``None``/``True``/``False`` is bound as a name in the
+function's own namespace rather than written into the source, so
+statements that differ only in a vid or a literal generate the same
+source text, and :func:`_code` compiles it once (a bounded LRU over the
+text, :data:`CODE_CACHE_SIZE` entries).  Each statement still ``exec``s
+that code object into a fresh namespace holding its own constants.
 
 The interpreter stays the one reference implementation, and everything
 outside the skeleton runs on it: a subtree the emitter does not handle is
@@ -36,6 +44,7 @@ full row) or ``"interpreted"`` (trees :func:`compile_value` refuses).
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Sequence
 
 from repro.errors import ExecutionError
@@ -63,6 +72,28 @@ RowFunc = Callable[[Row], Any]
 #: Constant array operands of these ops get their probe-set conversion
 #: hoisted to compile time, once per statement.
 _ARRAY_OPS = frozenset({"<@", "@>", "&&"})
+
+#: Distinct kernel sources whose code objects are kept (about 5 KB each).
+CODE_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
+def _code(source: str):
+    """The code object of one generated source text, compiled once per
+    shape; callers ``exec`` it into a namespace of their own."""
+    return compile(source, "<repro.storage.compile>", "exec")
+
+
+def code_cache_stats() -> dict:
+    """This process's kernel code cache: ``hits``, ``misses``, ``entries``
+    and ``capacity`` (a miss is one ``compile()``)."""
+    info = _code.cache_info()
+    return {
+        "hits": info.hits,
+        "misses": info.misses,
+        "entries": info.currsize,
+        "capacity": info.maxsize,
+    }
 
 
 def compile_value(expr: Expression, env: EvalEnv) -> RowFunc | None:
@@ -247,10 +278,11 @@ class _SourceContext:
         return name
 
     def const(self, value: Any) -> str:
-        """Source text for a constant: inlined when it is a safe literal."""
-        if value is None or isinstance(value, (bool, int)):
-            return f"({value!r})"
-        if isinstance(value, str):
+        """Source text for a constant.  ``None``/``True``/``False`` stay
+        inline; every other value is bound as a name, so the source is the
+        same for every statement of one shape and only the namespace
+        carries the statement's constants."""
+        if value is None or isinstance(value, bool):
             return f"({value!r})"
         return self.bind(value)
 
@@ -313,7 +345,7 @@ def _source_function(expr: Expression, env: EvalEnv) -> RowFunc | None:
         "        return _slow(row, _env)\n"
     )
     namespace = ctx.names
-    exec(compile(source, "<repro.storage.compile>", "exec"), namespace)
+    exec(_code(source), namespace)
     # Popped: a function that stays in its own globals is a reference cycle
     # that keeps the statement's probe sets alive until the cyclic GC runs.
     return namespace.pop("_compiled")
@@ -354,7 +386,7 @@ def _row_function(expr: Expression, env: EvalEnv) -> tuple[RowFunc, str]:
 
 
 def _kernel(ctx: _ColumnContext, source: str, name: str):
-    exec(compile(source, "<repro.storage.compile>", "exec"), ctx.names)
+    exec(_code(source), ctx.names)
     return ctx.names.pop(name), "columnar"  # popped: see _source_function
 
 
@@ -375,8 +407,8 @@ def compile_column_predicate(expr: Expression, env: EvalEnv) -> tuple[Callable, 
     which.  On any exception the block is replayed row-by-row through the
     interpreter, reproducing its error at the offending row.
     """
-    # A bare literal would sit directly beside `is` in the generated
-    # condition (a CPython SyntaxWarning); its row function is free anyway.
+    # A bare literal keeps its folded row function (free per row), and with
+    # it the "compiled" tier the census has always charged it to.
     lowered = None if isinstance(expr, Literal) else _column_source(expr, env)
     if lowered is None:
         func, tier = _row_function(expr, env)

@@ -30,6 +30,7 @@ from repro.obs import (
 )
 from repro.serve import CheckoutCache, ServeManager, ServeServer, request
 from repro.serve.server import error_code
+from repro.storage.compile import CODE_CACHE_SIZE
 from repro.storage.iostats import IOStats
 
 from test_persist_readonly import build_store
@@ -303,6 +304,25 @@ class TestServeStatsEndpoint:
         text = render_prometheus(stats["metrics"])
         assert "repro_serve_cache_hits" in text
         assert "repro_serve_request_seconds_checkout_count" in text
+
+    def test_a_literal_only_change_reuses_the_kernel_code(self, server):
+        host, port = server.address
+
+        def kernel_code():
+            stats = request(host, port, {"op": "stats"})["stats"]
+            return stats["metrics"]["storage"]["kernel_code"]
+
+        sql = "SELECT k FROM VERSION 2 OF CVD t WHERE v > {} ORDER BY k"
+        assert request(host, port, {"op": "query", "sql": sql.format(0)})["ok"]
+        before = kernel_code()
+        reply = request(host, port, {"op": "query", "sql": sql.format(1)})
+        assert reply["rows"] == [["b"]]
+        after = kernel_code()
+        # Same kernel sources, another constant: reused, not compiled.
+        assert after["misses"] == before["misses"]
+        assert after["hits"] > before["hits"]
+        assert after["capacity"] == CODE_CACHE_SIZE
+        assert 0 < after["entries"] <= after["capacity"]
 
     def test_trace_id_propagates_through_a_live_request(
         self, server, captured_spans

@@ -626,6 +626,10 @@ class TestTopologyParity:
             for _ in range(2):  # miss, then L1 hit
                 server.request({"op": "checkout", "cvd": "t", "vids": [1]})
             snapshot = server.request({"op": "stats"})["stats"]["metrics"]
+            # Each process reports its own kernel code cache.
+            assert set(snapshot["storage"]["kernel_code"]) == {
+                "hits", "misses", "entries", "capacity",
+            }
             names[label] = {
                 name
                 for name in metric_names(snapshot["serve"], "serve.")

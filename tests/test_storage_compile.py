@@ -9,17 +9,24 @@ under ``exec_mode="compiled"`` and ``exec_mode="interpreted"``.  These
 properties are enforced here over hypothesis-generated expression trees,
 rows with NULLs/mixed types, and generated queries covering filtering,
 projection, joins, grouping, ORDER BY (top-k), DISTINCT, and LIMIT/OFFSET.
+Kernels of one shape share one code object: trees that differ only in
+their constants must compile once, each keeping its own constants, and the
+code cache must stay within its bound.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExecutionError, ReproError
+from repro.storage import compile as compile_module
 from repro.storage.columns import ColumnBlock
 from repro.storage.compile import (
+    CODE_CACHE_SIZE,
     compile_column_predicate,
     compile_column_values,
     compile_value,
@@ -110,6 +117,28 @@ def outcome(fn):
         return (type(exc).__name__, None)
 
 
+def assert_block_kernels_match(expr, values, predicate, rows, env=ENV):
+    """Over either block layout, the ``values``/``predicate`` kernels yield
+    the interpreter's values and keepers for ``expr``, or its first error."""
+    width = len(env.names)
+    columns = [list(column) for column in zip(*rows)] or [[] for _ in range(width)]
+    want_values = outcome(lambda: [expr.evaluate(r, env) for r in rows])
+    want_kept = outcome(lambda: [r for r in rows if expr.evaluate(r, env) is True])
+    for block in (
+        ColumnBlock.from_rows(list(rows), width),
+        ColumnBlock(columns, len(rows)),
+    ):
+        assert outcome(lambda: values(block, None)) == want_values
+
+        def kept():
+            payload = predicate(block)
+            if block.rows is None:  # a selection vector
+                payload = [rows[i] for i in payload]
+            return payload
+
+        assert outcome(kept) == want_kept
+
+
 # ------------------------------------------------- expression equivalence
 
 
@@ -146,22 +175,7 @@ class TestExpressionEquivalence:
         values, values_tier = compile_column_values(expr, ENV)
         predicate, predicate_tier = compile_column_predicate(expr, ENV)
         assert {values_tier, predicate_tier} <= {"columnar", "compiled", "interpreted"}
-        columns = [list(column) for column in zip(*rows)] or [[] for _ in COLUMNS]
-        want_values = outcome(lambda: [expr.evaluate(r, ENV) for r in rows])
-        want_kept = outcome(lambda: [r for r in rows if expr.evaluate(r, ENV) is True])
-        for block in (
-            ColumnBlock.from_rows(list(rows), len(COLUMNS)),
-            ColumnBlock(columns, len(rows)),
-        ):
-            assert outcome(lambda: values(block, None)) == want_values
-
-            def kept():
-                payload = predicate(block)
-                if block.rows is None:  # a selection vector
-                    payload = [rows[i] for i in payload]
-                return payload
-
-            assert outcome(kept) == want_kept
+        assert_block_kernels_match(expr, values, predicate, rows)
 
     def test_unknown_column_is_not_compiled(self):
         # The interpreter raises per evaluated row; compiling would turn
@@ -182,6 +196,188 @@ class TestExpressionEquivalence:
         compiled = compile_value(expr, ENV)  # must not raise at compile time
         with pytest.raises(ExecutionError, match="division by zero"):
             compiled(())
+
+
+# ------------------------------------------- one shape, many literals
+#
+# A shape is a tree whose constants are typed holes.  ``None``/``TRUE``/
+# ``FALSE`` are written into the kernel source, so a slot's kind is part of
+# the shape; every other constant is bound by name, so two fillings of one
+# shape generate the same source and share one code object.
+
+_text = st.text(alphabet="ab%_c", max_size=4)
+_SLOT_VALUES = {
+    "null": st.none(),
+    "true": st.just(True),
+    "false": st.just(False),
+    "value": st.one_of(_ints, _text),
+    "float": st.floats(allow_nan=False, allow_infinity=False, width=32),
+}
+_slots = st.sampled_from(sorted(_SLOT_VALUES))
+_shape_columns = st.sampled_from(COLUMNS)
+_comparisons = st.sampled_from(["=", "<>", "<", "<=", ">", ">="])
+_arithmetic = st.sampled_from(["+", "-", "*", "/", "%"])
+_in_items = st.lists(
+    st.one_of(st.none(), _ints, st.booleans(), _text), max_size=3
+).map(tuple)
+
+_atom_shapes = st.one_of(
+    st.tuples(st.just("cmp"), _shape_columns, _comparisons, _slots),
+    st.tuples(
+        st.just("arith"), _shape_columns, _arithmetic, _slots, _comparisons, _slots
+    ),
+    st.tuples(st.just("between"), _shape_columns, _slots, _slots, st.booleans()),
+    st.tuples(st.just("in"), _shape_columns, st.booleans()),
+    st.tuples(st.just("like"), _shape_columns, st.booleans()),
+    st.tuples(st.just("isnull"), _shape_columns, st.booleans()),
+)
+_shapes = st.recursive(
+    _atom_shapes,
+    lambda children: st.one_of(
+        st.tuples(st.sampled_from(["and", "or"]), children, children),
+        st.tuples(st.just("not"), children),
+    ),
+    max_leaves=5,
+)
+
+
+def fill(shape, draw) -> Expression:
+    """One expression of ``shape``, its constants drawn with ``draw``."""
+    kind = shape[0]
+    if kind in ("and", "or"):
+        return BinaryOp(kind, fill(shape[1], draw), fill(shape[2], draw))
+    if kind == "not":
+        return UnaryOp("not", fill(shape[1], draw))
+
+    def const(slot):
+        return Literal(draw(_SLOT_VALUES[slot]))
+
+    column = ColumnRef(shape[1])
+    if kind == "cmp":
+        return BinaryOp(shape[2], column, const(shape[3]))
+    if kind == "arith":
+        term = BinaryOp(shape[2], column, const(shape[3]))
+        return BinaryOp(shape[4], term, const(shape[5]))
+    if kind == "between":
+        return Between(column, const(shape[2]), const(shape[3]), shape[4])
+    if kind == "in":
+        items = tuple(map(Literal, draw(_in_items)))
+        return InList(column, items, shape[2])
+    if kind == "like":
+        return Like(column, Literal(draw(_text)), shape[2])
+    return IsNull(column, shape[2])
+
+
+def kernels(expr: Expression) -> dict:
+    """Every kernel the compiler makes of ``expr``, by entry point."""
+    return {
+        "value": compile_value(expr, ENV),
+        "values": compile_column_values(expr, ENV),
+        "predicate": compile_column_predicate(expr, ENV),
+    }
+
+
+def assert_kernels_match(expr, made, rows):
+    for row in rows:
+        want = outcome(lambda: expr.evaluate(row, ENV))
+        assert outcome(lambda: made["value"](row)) == want
+    values, _ = made["values"]
+    predicate, _ = made["predicate"]
+    assert_block_kernels_match(expr, values, predicate, rows)
+
+
+TIERS = ("exprs_columnar", "exprs_compiled", "exprs_interpreted")
+
+
+def census_of(db: Database, expr: Expression):
+    """The rows of ``SELECT expr FROM t WHERE expr`` and the tier census it
+    charged."""
+    from repro.storage.parser import ast_nodes as ast
+
+    before = {name: getattr(db.stats, name) for name in TIERS}
+    select = ast.Select(
+        items=[ast.SelectItem(expr, None)],
+        from_items=[ast.TableRef("t")],
+        where=expr,
+    )
+    rows = outcome(lambda: db.execute_statements([select]).rows)
+    return rows, {name: getattr(db.stats, name) - before[name] for name in TIERS}
+
+
+class TestOneShapeManyLiterals:
+    @given(shape=_shapes, data=st.data(), rows=st.lists(_rows, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_a_shape_compiles_once_and_keeps_each_statements_constants(
+        self, shape, data, rows
+    ):
+        first = fill(shape, data.draw)
+        second = fill(shape, data.draw)
+        code = compile_module._code
+        sources: list[str] = []
+
+        def spy(source):
+            sources.append(source)
+            return code(source)
+
+        with mock.patch.object(compile_module, "_code", spy):
+            made_first = kernels(first)
+            first_sources, sources[:] = sources[:], []
+            misses = code.cache_info().misses
+            made_second = kernels(second)
+        # The literals reach the namespace, never the source: the second
+        # statement reuses every code object the first one compiled.
+        assert sources == first_sources
+        assert code.cache_info().misses == misses
+        # Each statement answers with its own constants, the first one
+        # still after the second exists (no namespace is shared).
+        assert_kernels_match(second, made_second, rows)
+        assert_kernels_match(first, made_first, rows)
+        # The tier serving each kernel is a function of the shape.
+        assert [made_first[k][1] for k in ("values", "predicate")] == [
+            made_second[k][1] for k in ("values", "predicate")
+        ]
+
+    @given(shape=_shapes, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_census_is_still_charged_per_statement(self, shape, data):
+        first = fill(shape, data.draw)
+        second = fill(shape, data.draw)
+        compiled, interpreted = _build_db("compiled"), _build_db("interpreted")
+        rows, census = census_of(compiled, first)
+        assert rows == census_of(interpreted, first)[0]
+        assert sum(census.values()) >= 2  # the WHERE and the select item
+        for expr in (second, first):
+            rows, again = census_of(compiled, expr)
+            assert rows == census_of(interpreted, expr)[0]
+            assert again == census
+
+
+class TestKernelCodeCache:
+    def test_the_cache_is_bounded_and_an_evicted_shape_recompiles(self):
+        code = compile_module._code
+        assert code.cache_info().maxsize == CODE_CACHE_SIZE == 128
+        width = CODE_CACHE_SIZE + 16
+        env = EvalEnv([f"x{i}" for i in range(width)])
+        rows = [
+            tuple(range(width)),
+            tuple(None if i % 3 == 0 else i // 2 - 1 for i in range(width)),
+        ]
+
+        def predicate(position):  # one shape per column position
+            return BinaryOp(">", ColumnRef(f"x{position}"), Literal(position // 2))
+
+        for position in range(width):
+            _, tier = compile_column_predicate(predicate(position), env)
+            assert tier == "columnar"
+            assert code.cache_info().currsize <= CODE_CACHE_SIZE
+        # Position 0's shape was evicted by the 143 after it: it compiles
+        # again, and the fresh kernel still matches the interpreter.
+        misses = code.cache_info().misses
+        expr = predicate(0)
+        kernel, _ = compile_column_predicate(expr, env)
+        assert code.cache_info().misses == misses + 1
+        values, _ = compile_column_values(expr, env)
+        assert_block_kernels_match(expr, values, kernel, rows, env)
 
 
 # ---------------------------------------------------- whole-SELECT parity
