@@ -29,10 +29,11 @@ embedded as a bound call to its :meth:`Expression.evaluate` (an
 "island"), and when a generated function raises, the row is replayed
 through ``expr.evaluate(row, env)`` — evaluation is pure, so the replay
 reproduces the interpreter's exact value or error.  A tree whose root is
-outside the skeleton, or that names an unknown column, gets no generated
-function: :func:`compile_value` returns ``None`` and the caller runs the
-interpreter.  The hypothesis suite in ``tests/test_storage_compile.py``
-enforces the equivalence.
+outside the skeleton, that names an unknown column, or whose source
+CPython refuses to compile (nested deeper than its parser allows) gets no
+generated function: :func:`compile_value` returns ``None`` and the caller
+runs the interpreter.  The hypothesis suite in
+``tests/test_storage_compile.py`` enforces the equivalence.
 
 The block kernels the SELECT pipeline runs on
 (:func:`compile_column_predicate`, :func:`compile_column_values`) are
@@ -82,6 +83,27 @@ def _code(source: str):
     """The code object of one generated source text, compiled once per
     shape; callers ``exec`` it into a namespace of their own."""
     return compile(source, "<repro.storage.compile>", "exec")
+
+
+def _function(source: str, names: dict, name: str) -> Callable | None:
+    """The function ``name`` that ``source`` defines, run in ``names``, or
+    ``None`` when CPython refuses to compile the source because the tree is
+    nested deeper than its compiler allows; the tree then runs on the
+    interpreter.  Any other compile error (a SyntaxWarning raised as an
+    error, say) is a fault in the generated source and propagates.
+    """
+    try:
+        code = _code(source)
+    except RecursionError:
+        return None
+    except SyntaxError as exc:
+        if "too many nested parentheses" not in str(exc):
+            raise
+        return None
+    exec(code, names)
+    # Popped: a function that stays in its own globals is a reference cycle
+    # that keeps the statement's probe sets alive until the cyclic GC runs.
+    return names.pop(name)
 
 
 def code_cache_stats() -> dict:
@@ -344,11 +366,7 @@ def _source_function(expr: Expression, env: EvalEnv) -> RowFunc | None:
         "        # this reproduces its exact value or error.\n"
         "        return _slow(row, _env)\n"
     )
-    namespace = ctx.names
-    exec(_code(source), namespace)
-    # Popped: a function that stays in its own globals is a reference cycle
-    # that keeps the statement's probe sets alive until the cyclic GC runs.
-    return namespace.pop("_compiled")
+    return _function(source, ctx.names, "_compiled")
 
 
 def _column_prelude(ctx: "_ColumnContext") -> str:
@@ -385,9 +403,29 @@ def _row_function(expr: Expression, env: EvalEnv) -> tuple[RowFunc, str]:
     return (lambda row: expr.evaluate(row, env)), "interpreted"
 
 
-def _kernel(ctx: _ColumnContext, source: str, name: str):
-    exec(_code(source), ctx.names)
-    return ctx.names.pop(name), "columnar"  # popped: see _source_function
+def _row_predicate(expr: Expression, env: EvalEnv) -> tuple[Callable, str]:
+    """The predicate kernel served by ``expr``'s row function."""
+    func, tier = _row_function(expr, env)
+
+    def kernel(block):
+        rows = block.rows
+        if rows is not None:
+            return [row for row in rows if func(row) is True]
+        return [i for i, row in enumerate(block.to_rows()) if func(row) is True]
+
+    return kernel, tier
+
+
+def _row_values(expr: Expression, env: EvalEnv) -> tuple[Callable, str]:
+    """The value kernel served by ``expr``'s row function."""
+    func, tier = _row_function(expr, env)
+
+    def kernel(block, selection):
+        if selection is None:
+            return list(map(func, block.to_rows()))
+        return [func(block.row(i)) for i in selection]
+
+    return kernel, tier
 
 
 def compile_column_predicate(expr: Expression, env: EvalEnv) -> tuple[Callable, str]:
@@ -411,15 +449,7 @@ def compile_column_predicate(expr: Expression, env: EvalEnv) -> tuple[Callable, 
     # it the "compiled" tier the census has always charged it to.
     lowered = None if isinstance(expr, Literal) else _column_source(expr, env)
     if lowered is None:
-        func, tier = _row_function(expr, env)
-
-        def kernel(block):
-            rows = block.rows
-            if rows is not None:
-                return [row for row in rows if func(row) is True]
-            return [i for i, row in enumerate(block.to_rows()) if func(row) is True]
-
-        return kernel, tier
+        return _row_predicate(expr, env)
     ctx, row_body, col_body = lowered
     source = (
         "def _compiled_colfilter(block):\n"
@@ -440,7 +470,8 @@ def compile_column_predicate(expr: Expression, env: EvalEnv) -> tuple[Callable, 
         "        _row = block.row\n"
         "        return [_i for _i in range(_n) if _slow(_row(_i), _env) is _TRUE]\n"
     )
-    return _kernel(ctx, source, "_compiled_colfilter")
+    kernel = _function(source, ctx.names, "_compiled_colfilter")
+    return (kernel, "columnar") if kernel else _row_predicate(expr, env)
 
 
 def compile_column_values(expr: Expression, env: EvalEnv) -> tuple[Callable, str]:
@@ -478,14 +509,7 @@ def compile_column_values(expr: Expression, env: EvalEnv) -> tuple[Callable, str
         return column_kernel, "columnar"
     lowered = _column_source(expr, env)
     if lowered is None:
-        func, tier = _row_function(expr, env)
-
-        def kernel(block, selection):
-            if selection is None:
-                return list(map(func, block.to_rows()))
-            return [func(block.row(i)) for i in selection]
-
-        return kernel, tier
+        return _row_values(expr, env)
     ctx, row_body, col_body = lowered
     source = (
         "def _compiled_colvalues(block, selection):\n"
@@ -506,7 +530,8 @@ def compile_column_values(expr: Expression, env: EvalEnv) -> tuple[Callable, str
         "        _row = block.row\n"
         "        return [_slow(_row(_i), _env) for _i in _sel]\n"
     )
-    return _kernel(ctx, source, "_compiled_colvalues")
+    kernel = _function(source, ctx.names, "_compiled_colvalues")
+    return (kernel, "columnar") if kernel else _row_values(expr, env)
 
 
 def _emit(expr: Expression, ctx: _SourceContext) -> str:

@@ -1,9 +1,17 @@
-"""Tokenizer for the engine's SQL dialect."""
+"""Tokenizer for the engine's SQL dialect: one compiled pattern, matched in a loop.
+
+The group that matched is the token's class.  In order: whitespace and
+``--`` comments; a string, ``''`` being a quote (``(?!')`` stops it closing
+on the first quote of a ``''``); a quoted identifier; a lone quote; a
+number (``\\d`` is ``str.isdecimal``); a parameter; a word; an operator,
+longest first.  A word starts with a letter (``str.isalpha``) or ``_``:
+``[^\\W\\d]`` also admits ``²`` and ``①``, refused there as unexpected.
+"""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
 
 from repro.errors import SQLSyntaxError
 
@@ -17,13 +25,6 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-# Multi-character operators first so maximal munch works.
-OPERATORS = [
-    "<@", "@>", "&&", "||", "<=", ">=", "<>", "!=",
-    "=", "<", ">", "+", "-", "*", "/", "%", "(", ")", ",", ".", ";",
-    "[", "]", "?",
-]
-
 
 class TokenType(enum.Enum):
     KEYWORD = "keyword"
@@ -35,11 +36,11 @@ class TokenType(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
 class Token:
-    type: TokenType
-    value: str
-    position: int
+    __slots__ = ("type", "value", "position")
+
+    def __init__(self, type: TokenType, value: str, position: int):
+        self.type, self.value, self.position = type, value, position
 
     def is_keyword(self, *names: str) -> bool:
         return self.type is TokenType.KEYWORD and self.value in names
@@ -48,88 +49,42 @@ class Token:
         return self.type is TokenType.OPERATOR and self.value in ops
 
 
+_PATTERN = re.compile(
+    r"(?P<skip>(?:\s+|--[^\n]*)+)"
+    r"|(?P<string>'[^']*(?:''[^']*)*'(?!'))"
+    r'|(?P<quoted>"[^"]*")'
+    r"""|(?P<open>['"])"""
+    r"|(?P<number>\d+(?:\.\d+)?|\.\d+)"
+    r"|(?P<param>%s|\?)"
+    r"|(?P<word>[^\W\d]\w*)"
+    # Two-character operators before the one-character class: maximal munch.
+    r"|(?P<operator><@|@>|&&|\|\||<=|>=|<>|!=|[=<>+\-*/%(),.;\[\]])"
+)
+_TYPES = {token_type.value: token_type for token_type in TokenType}
+
+
 def tokenize(sql: str) -> list[Token]:
     """Tokenize SQL text, raising :class:`SQLSyntaxError` on garbage."""
     tokens: list[Token] = []
-    i = 0
-    length = len(sql)
-    while i < length:
-        char = sql[i]
-        if char.isspace():
-            i += 1
-            continue
-        if sql.startswith("--", i):
-            newline = sql.find("\n", i)
-            i = length if newline == -1 else newline + 1
-            continue
-        if char == "'":
-            j = i + 1
-            parts = []
-            while True:
-                if j >= length:
-                    raise SQLSyntaxError("unterminated string literal", i)
-                if sql[j] == "'":
-                    if j + 1 < length and sql[j + 1] == "'":
-                        parts.append("'")
-                        j += 2
-                        continue
-                    break
-                parts.append(sql[j])
-                j += 1
-            tokens.append(Token(TokenType.STRING, "".join(parts), i))
-            i = j + 1
-            continue
-        if char == '"':
-            j = sql.find('"', i + 1)
-            if j == -1:
-                raise SQLSyntaxError("unterminated quoted identifier", i)
-            tokens.append(Token(TokenType.IDENT, sql[i + 1 : j], i))
-            i = j + 1
-            continue
-        # isdecimal, not isdigit: '²' and '①' are digits that int() rejects.
-        if char.isdecimal() or (char == "." and sql[i + 1 : i + 2].isdecimal()):
-            j = i
-            seen_dot = False
-            while j < length and (
-                sql[j].isdecimal() or (sql[j] == "." and not seen_dot)
-            ):
-                if sql[j] == ".":
-                    # Don't swallow "1." followed by an identifier (alias.col
-                    # never follows a bare number in this dialect, but guard).
-                    if j + 1 >= length or not sql[j + 1].isdecimal():
-                        break
-                    seen_dot = True
-                j += 1
-            tokens.append(Token(TokenType.NUMBER, sql[i:j], i))
-            i = j
-            continue
-        if char == "%" and sql.startswith("%s", i):
-            tokens.append(Token(TokenType.PARAM, "%s", i))
-            i += 2
-            continue
-        if char.isalpha() or char == "_":
-            j = i
-            while j < length and (sql[j].isalnum() or sql[j] == "_"):
-                j += 1
-            word = sql[i:j]
-            lowered = word.lower()
-            if lowered in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, lowered, i))
-            else:
-                tokens.append(Token(TokenType.IDENT, lowered, i))
-            i = j
-            continue
-        matched = False
-        for op in OPERATORS:
-            if sql.startswith(op, i):
-                if op == "?":
-                    tokens.append(Token(TokenType.PARAM, "?", i))
-                else:
-                    tokens.append(Token(TokenType.OPERATOR, op, i))
-                i += len(op)
-                matched = True
-                break
-        if not matched:
-            raise SQLSyntaxError(f"unexpected character {char!r}", i)
+    pos, length = 0, len(sql)
+    while pos < length:
+        found = _PATTERN.match(sql, pos)
+        kind, text = (found.lastgroup, found.group()) if found else ("", "")
+        if kind == "word" and (text[0].isalpha() or text[0] == "_"):
+            text = text.lower()
+            word = TokenType.KEYWORD if text in KEYWORDS else TokenType.IDENT
+            tokens.append(Token(word, text, pos))
+        elif kind == "string":
+            tokens.append(Token(TokenType.STRING, text[1:-1].replace("''", "'"), pos))
+        elif kind == "quoted":
+            tokens.append(Token(TokenType.IDENT, text[1:-1], pos))
+        elif kind in _TYPES:
+            tokens.append(Token(_TYPES[kind], text, pos))
+        elif kind == "open":
+            what = "string literal" if text == "'" else "quoted identifier"
+            raise SQLSyntaxError(f"unterminated {what}", pos)
+        elif kind != "skip":
+            raise SQLSyntaxError(f"unexpected character {sql[pos]!r}", pos)
+        pos = found.end()
     tokens.append(Token(TokenType.EOF, "", length))
     return tokens

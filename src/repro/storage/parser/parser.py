@@ -88,9 +88,14 @@ class ArraySubquery(Expression):
         raise NotImplementedError("ARRAY(subquery) not resolved by planner")
 
 
+#: The deepest fixed lookahead (``VERSIONS ANCESTOR OF <n>``): the token
+#: list carries this many extra EOFs, so :meth:`_Parser._peek` is an index.
+_LOOKAHEAD = 3
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], params: Sequence[Any]):
-        self._tokens = tokens
+        self._tokens = tokens + tokens[-1:] * _LOOKAHEAD
         self._pos = 0
         self._params = list(params)
         self._param_index = 0
@@ -98,7 +103,7 @@ class _Parser:
     # ------------------------------------------------------------- utilities
 
     def _peek(self, ahead: int = 0) -> Token:
-        return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
+        return self._tokens[self._pos + ahead]
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
@@ -162,7 +167,10 @@ class _Parser:
     def parse_statements(self) -> list[ast.Statement]:
         statements = []
         while not self._peek().type is TokenType.EOF:
-            statements.append(self._statement())
+            try:
+                statements.append(self._statement())
+            except RecursionError:
+                raise self._error("expression nested too deeply") from None
             while self._accept_op(";"):
                 pass
         if self._param_index != len(self._params):

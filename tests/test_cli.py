@@ -113,6 +113,13 @@ class TestErrors:
     def test_commit_unstaged_table(self, initialized, capsys):
         assert run(initialized, "commit", "-t", "nope") == 1
 
+    def test_sql_nested_too_deeply_is_an_error_line(self, initialized, capsys):
+        sql = "SELECT " + "(" * 200 + "1" + ")" * 200
+        assert run(initialized, "run", sql) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: expression nested too deeply"), err
+        assert "Traceback" not in err
+
 
 class TestPersistence:
     def test_state_survives_processes(self, initialized, capsys):

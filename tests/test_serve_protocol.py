@@ -131,6 +131,15 @@ class TestHandleLineOps:
         assert list(reply) == ["ok", "columns", "rows", "count", "lsn"]
         assert reply["rows"] == [[2]] and reply["count"] == 1
 
+    def test_query_too_deep_to_compile_runs_on_the_interpreter(self, manager):
+        for sql, rows in [
+            ("SELECT " + " + ".join(["1"] * 100), [[100]]),
+            ("SELECT " + " + ".join(["v"] * 100) + " FROM VERSION 4 OF CVD t"
+             " WHERE k = 'b'", [[200]]),
+        ]:
+            reply = ask(manager, {"op": "query", "sql": sql})
+            assert reply["ok"] and reply["rows"] == rows, reply
+
     def test_refresh_and_shutdown(self, manager):
         refreshed = ask(manager, {"op": "refresh"})
         assert refreshed["busy"] == 0
@@ -191,6 +200,10 @@ class TestHandleLineFailures:
             ({"op": "checkout", "cvd": "t", "vids": [1, 99]}, "version_not_found"),
             ({"op": "query", "sql": "SELEC 1"}, "sql_syntax"),
             ({"op": "query", "sql": "SELECT ²"}, "sql_syntax"),  # not decimal
+            # Nested deeper than the parser recurses.
+            ({"op": "query", "sql": "SELECT " + "(" * 200 + "1" + ")" * 200},
+             "sql_syntax"),
+            ({"op": "query", "sql": "SELECT " + "NOT " * 1200 + "TRUE"}, "sql_syntax"),
             ({"op": "query", "sql": "SELECT * FROM missing"}, "catalog"),
             ({"op": "query", "sql": "CREATE TABLE x (a int)"}, "read_only"),
             (

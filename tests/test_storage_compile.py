@@ -16,6 +16,7 @@ code cache must stay within its bound.
 
 from __future__ import annotations
 
+import warnings
 from unittest import mock
 
 import pytest
@@ -683,6 +684,49 @@ class TestExecModeKnob:
         assert db.stats.exprs_interpreted == 0
         assert db.stats.exprs_columnar == 0
         assert db.stats.blocks_scanned == 0
+
+
+class TestSourcesCPythonRefuses:
+    """A generated source nested deeper than CPython's parser allows (``too
+    many nested parentheses``) gets no generated function: its kernel takes
+    the interpreted tier and answers what the interpreter answers."""
+
+    SUM = " + ".join(["a"] * 100)
+    DEEP = {
+        "constants": "SELECT " + " + ".join(["1"] * 100) + " FROM t",
+        "column": f"SELECT {SUM} FROM t",
+        "conjuncts": "SELECT a FROM t WHERE " + " AND ".join(["a > 0"] * 150),
+    }
+
+    @pytest.mark.parametrize("sql", DEEP.values(), ids=DEEP.keys())
+    def test_deep_select_equals_the_interpreter(self, sql):
+        compiled = _outcome_and_io("compiled", sql)
+        assert compiled[0][0] == "value"
+        assert compiled == _outcome_and_io("interpreted", sql)
+
+    def test_deep_update_equals_the_interpreter(self):
+        tables = []
+        for mode in ("compiled", "interpreted"):
+            db = _build_db(mode)
+            db.execute(f"UPDATE t SET b = {self.SUM} WHERE a IS NOT NULL")
+            tables.append(db.query("SELECT * FROM t ORDER BY a"))
+        assert tables[0] == tables[1]
+        assert (1, 100, 1, "ab", (1, 2, 3)) in tables[0]
+
+    def test_census_charges_the_interpreted_tier(self):
+        db = _build_db("compiled")
+        db.reset_stats()
+        db.query(self.DEEP["column"])
+        assert (db.stats.exprs_columnar, db.stats.exprs_interpreted) == (0, 1)
+
+    def test_a_warning_raised_as_an_error_is_not_a_fallback(self):
+        # Only nesting depth falls back: a literal beside ``is`` must still
+        # fail a run with SyntaxWarnings as errors, not change the tier.
+        source = "def _warned(x):\n    return x is 5\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SyntaxWarning)
+            with pytest.raises(SyntaxError, match='"is" with a literal'):
+                compile_module._function(source, {}, "_warned")
 
 
 class TestReviewRegressions:

@@ -1,6 +1,15 @@
-"""Unit tests for the SQL lexer and parser."""
+"""Unit tests for the SQL lexer and parser.
+
+The lexer is checked against ``lexer_reference.py``, the hand-written
+scanner it replaced: on any text both give the same tokens, or the same
+error at the same position.  Every prefix of a small corpus either parses
+or is a syntax error inside the prefix, which pins the parser's bounded
+lookahead at the end of the token list.
+"""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SQLSyntaxError
 from repro.storage.expression import (
@@ -12,7 +21,7 @@ from repro.storage.expression import (
     Literal,
     Star,
 )
-from repro.storage.parser import parse_statement
+from repro.storage.parser import parse_sql, parse_statement
 from repro.storage.parser import ast_nodes as ast
 from repro.storage.parser.lexer import TokenType, tokenize
 from repro.storage.parser.parser import (
@@ -21,6 +30,18 @@ from repro.storage.parser.parser import (
     ScalarSubquery,
 )
 from repro.storage.types import DataType
+
+import lexer_reference
+from test_storage_sql_fuzz import VOCABULARY
+
+#: The SQL fuzz alphabet, plus the pieces each token class turns on:
+#: non-decimal digits (``²``, ``①``), a decimal digit ``int()`` accepts
+#: (``٣``), doubled quotes, comments, both parameter styles and the two
+#: edges of a number.
+LEXER_ALPHABET = [
+    *VOCABULARY,
+    *(" ", "\n", "'", '"', "''", "--", "%s", "?", ".5", "1.", "²", "①", "٣", "_x"),
+]
 
 
 class TestLexer:
@@ -241,3 +262,57 @@ class TestParseDDL:
     def test_multiple_statements_rejected_by_parse_statement(self):
         with pytest.raises(SQLSyntaxError):
             parse_statement("SELECT 1; SELECT 2")
+
+
+def lexed(tokenize_, sql):
+    """Each token's type, value and position, or the error text and position."""
+    try:
+        return [(t.type, t.value, t.position) for t in tokenize_(sql)]
+    except SQLSyntaxError as exc:
+        return ("error", str(exc), exc.position)
+
+
+class TestLexerOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(LEXER_ALPHABET), max_size=16).map("".join))
+    @example("SELECT ²a")
+    @example("'ab''")
+    @example('"x')
+    def test_tokens_equal_the_reference_scanner(self, sql):
+        assert lexed(tokenize, sql) == lexed(lexer_reference.tokenize, sql)
+
+
+PREFIX_CORPUS = [
+    "INSERT INTO t (k, v) VALUES ('a', 1), ('b''c', -2.5), (NULL, TRUE)",
+    "SELECT * FROM VERSION 1, 2 OF CVD x WHERE v > 1",
+    "SELECT k FROM VERSIONS ANCESTOR OF 3 OF CVD x",
+    "SELECT count(*) FROM ALL VERSIONS OF CVD x",
+    "SELECT k, rank() OVER (PARTITION BY k ORDER BY v DESC) AS r FROM t",
+    "SELECT k FROM t WHERE v NOT IN (1, 2) AND v NOT BETWEEN 3 AND 4"
+    " AND k NOT LIKE 'a%'",
+]
+
+
+class TestPrefixes:
+    @pytest.mark.parametrize("sql", PREFIX_CORPUS)
+    def test_every_prefix_parses_or_fails_inside_it(self, sql):
+        parse_sql(sql)
+        for end in range(len(sql)):
+            prefix = sql[:end]
+            try:
+                parse_sql(prefix)
+            except SQLSyntaxError as exc:
+                assert exc.position is None or exc.position <= end, prefix
+
+
+class TestNestingDepth:
+    @pytest.mark.parametrize(
+        "sql",
+        ["SELECT " + "(" * 200 + "1" + ")" * 200, "SELECT " + "NOT " * 1200 + "TRUE"],
+        ids=["parentheses", "nots"],
+    )
+    def test_too_deep_is_a_syntax_error(self, sql):
+        with pytest.raises(SQLSyntaxError, match="nested too deeply") as info:
+            parse_statement(sql)
+        assert 0 <= info.value.position <= len(sql)
+        assert parse_statement("SELECT (1)")  # the parser is usable again
