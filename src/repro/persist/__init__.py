@@ -12,9 +12,9 @@ in-memory engine the same property with a classic two-part design:
   record is a set difference against its parents — the rids it drops plus
   its new records — so it costs O(changed records) whatever the DML did.
 * :mod:`repro.persist.snapshot` — a checkpoint format serializing the full
-  engine catalog (a segment file per table; the rlist tables, derived
-  from membership, are rebuilt at open) plus the middleware
-  state (versions and their membership, written once; provenance, access
+  engine catalog (one segment file, a block of typed columns per table;
+  the rlist tables, derived from membership, are rebuilt at open) plus
+  the middleware state (versions and their membership, written once; provenance, access
   control, attribute catalogs, the partitioned model's assignment and the
   optimizer's decision state)
   via temp-file + atomic rename; the manifest carries a format number

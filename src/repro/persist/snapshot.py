@@ -1,20 +1,22 @@
-"""Snapshot (checkpoint) format: full state, per-table segments, atomic.
+"""Snapshot (checkpoint) format: full state, one segment file, atomic.
 
 A snapshot is one directory::
 
     snap-00000042/
-      manifest.json        catalog + middleware state + segment checksums
-      seg-00000.jsonl      one table's rows, one JSON array per line
-      seg-00001.jsonl
-      ...
+      manifest.json        catalog + middleware state + block locations
+      segments.bin         one block of typed columns per table
 
-The writer builds the whole directory under a temporary name, fsyncs every
-file, then atomically renames it into place — a crash mid-checkpoint leaves
-only an ignorable ``*.tmp`` directory and the previous snapshot intact.
+The writer builds the whole directory under a temporary name, fsyncs both
+files, then atomically renames it into place — a crash mid-checkpoint
+leaves only an ignorable ``*.tmp`` directory and the previous snapshot
+intact.
 
-The manifest records, per table, the schema (stable name/type encoding via
+A table's block is its row and column counts, then its columns in schema
+order (:func:`~repro.storage.types.encode_column`).  The manifest records,
+per table, the schema (stable name/type encoding via
 :meth:`TableSchema.to_dict`), clustering, primary-key enforcement, index
-definitions, and a CRC-32 of the segment bytes; plus the middleware state:
+definitions, and the block's ``offset``, ``bytes``, CRC-32 and ``rows``;
+plus the middleware state:
 logical clock, users and session, staged-checkout provenance, checkout
 frequencies, and for every CVD its versions, membership, attribute
 catalog, counters, and data-model bookkeeping
@@ -36,6 +38,7 @@ import base64
 import json
 import os
 import shutil
+import struct
 import time
 import zlib
 from pathlib import Path
@@ -54,23 +57,23 @@ from repro.obs import metrics
 from repro.storage.engine import Database
 from repro.storage.ridset import RidSet
 from repro.storage.schema import TableSchema
-from repro.storage.types import DataType
+from repro.storage.types import DataType, decode_column, encode_column
 
 from repro.persist.fsutil import fsync_dir as _fsync_dir
 
-#: The one manifest format this module writes and reads.  Format 5 holds
-#: each version's membership once, as a base64 bitmap: no graph edges, and
-#: no segment for a table the data model derives from membership.
-#: A partitioned model's extra_state is its assignment, partition counter
-#: and its optimizer's decision state (delta*, budget knobs, trace),
-#: restored by
-#: :meth:`DataModel.restore_extra_state` once the CVD is complete; each
-#: CVD carries its lineage interval labels under ``"lineage"`` (``None``
-#: when the labels were never built or went stale: the index then rebuilds
-#: on the first interval probe).  Any other format is refused with
-#: RecoveryError.
-FORMAT_VERSION = 5
+#: The one manifest format this module writes and reads.  Format 6 keeps
+#: every table's rows as typed columns in one ``segments.bin``; each
+#: version's membership once, as a base64 bitmap (no graph edges, and no
+#: block for a table derived from membership); a partitioned model's
+#: assignment, partition counter and optimizer decision state (delta*,
+#: budget knobs, trace), restored by :meth:`DataModel.restore_extra_state`
+#: once the CVD is complete; and each CVD's lineage interval labels under
+#: ``"lineage"`` (``None`` when never built or stale: the first interval
+#: probe rebuilds them).  Any other format is refused with RecoveryError.
+FORMAT_VERSION = 6
 MANIFEST_NAME = "manifest.json"
+SEGMENTS_NAME = "segments.bin"
+_BLOCK_HEAD = struct.Struct("<QI")  # rows, columns
 
 # Pid-aware handles: a pre-fork serve worker charges its own registry.
 _WRITES = metrics.counter("persist.snapshot.writes")
@@ -78,8 +81,6 @@ _BYTES_WRITTEN = metrics.counter("persist.snapshot.bytes_written")
 _WRITE_SECONDS = metrics.histogram("persist.snapshot.write_seconds")
 _LOADS = metrics.counter("persist.snapshot.loads")
 _LOAD_SECONDS = metrics.histogram("persist.snapshot.load_seconds")
-
-_ROW_ENCODER = json.JSONEncoder(separators=(",", ":"))  # one for every row
 
 
 # --------------------------------------------------------------------- write
@@ -104,13 +105,20 @@ def write_snapshot(orpheus: OrpheusDB, directory: str | Path, last_lsn: int) -> 
     derived = {
         name for cvd in orpheus._cvds.values() for name in cvd.model.derived_tables()
     }
-    tables = []
-    for index, table in enumerate(orpheus.db.tables()):
+    tables, blocks, offset = [], [], 0
+    for table in orpheus.db.tables():
         entry = {"name": table.name, "file": None}
         if table.name not in derived:
-            segment = f"seg-{index:05d}.jsonl"
-            crc, row_count = _write_segment(tmp / segment, table)
-            entry.update(file=segment, crc=crc, rows=row_count)
+            block, rows = _encode_block(table)
+            entry.update(
+                file=SEGMENTS_NAME,
+                offset=offset,
+                bytes=len(block),
+                crc=zlib.crc32(block),
+                rows=rows,
+            )
+            blocks.append(block)
+            offset += len(block)
         entry.update(
             schema=table.schema.to_dict(),
             clustered_on=table.clustered_on,
@@ -125,52 +133,44 @@ def write_snapshot(orpheus: OrpheusDB, directory: str | Path, last_lsn: int) -> 
         "tables": tables,
         "orpheus": _orpheus_state(orpheus),
     }
-    manifest_path = tmp / MANIFEST_NAME
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        # dumps, not dump: same bytes, but one pass of the C encoder
-        # instead of a Python generator frame per nested value.
-        handle.write(json.dumps(manifest, separators=(",", ":")))
-        handle.flush()
-        os.fsync(handle.fileno())
-    # The tmp directory's own entries (each seg-*.jsonl) must be durable
-    # before the rename publishes it, or a power loss could leave the
-    # active snapshot missing segments with the WAL already compacted.
+    segments = b"".join(blocks)
+    _write_durably(tmp / SEGMENTS_NAME, segments)
+    # dumps, not dump: same bytes, but one pass of the C encoder instead of
+    # a Python generator frame per nested value.
+    text = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
+    _write_durably(tmp / MANIFEST_NAME, text)
+    # The tmp directory's own entries must be durable before the rename
+    # publishes it, or a power loss could leave the active snapshot
+    # missing its segments with the WAL already compacted.
     _fsync_dir(tmp)
     os.replace(tmp, final)
     _fsync_dir(directory)
     _WRITES.inc()
-    _BYTES_WRITTEN.inc(
-        sum(entry.stat().st_size for entry in final.iterdir() if entry.is_file())
-    )
+    _BYTES_WRITTEN.inc(len(segments) + len(text))
     _WRITE_SECONDS.observe(time.perf_counter() - started)
     return final
 
 
 def _next_generation(directory: Path) -> int:
-    latest = 0
-    for entry in directory.iterdir():
-        name = entry.name
-        if name.startswith("snap-") and not name.endswith(".tmp"):
-            try:
-                latest = max(latest, int(name[5:]))
-            except ValueError:
-                continue
-    return latest + 1
+    names = [e.name[5:] for e in directory.iterdir() if e.name.startswith("snap-")]
+    return max((int(name) for name in names if name.isdigit()), default=0) + 1
 
 
-def _write_segment(path: Path, table) -> tuple[int, int]:
-    """Write one table's rows; returns (crc32-of-bytes, row count)."""
-    crc = 0
-    count = 0
+def _write_durably(path: Path, data: bytes) -> None:
     with open(path, "wb") as handle:
-        for row in table.dump_rows():
-            line = _ROW_ENCODER.encode(row).encode("utf-8") + b"\n"
-            crc = zlib.crc32(line, crc)
-            handle.write(line)
-            count += 1
+        handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
-    return crc, count
+
+
+def _encode_block(table) -> tuple[bytes, int]:
+    """One table's block: row and column counts, then each typed column."""
+    rows = list(table.dump_rows())
+    columns = table.schema.columns
+    values = list(zip(*rows)) if rows else [()] * len(columns)
+    return _BLOCK_HEAD.pack(len(rows), len(columns)) + b"".join(
+        encode_column(column, spec.dtype) for column, spec in zip(values, columns)
+    ), len(rows)
 
 
 def _orpheus_state(orpheus: OrpheusDB) -> dict:
@@ -249,12 +249,12 @@ def _cvd_state(cvd: CVD) -> dict:
 def load_snapshot(snapshot_dir: str | Path) -> tuple[OrpheusDB, int]:
     """Rebuild an OrpheusDB from one snapshot; returns (orpheus, last_lsn).
 
-    Checks the format, each segment's CRC and JSON, every row's width,
-    NOT NULL columns and types (:meth:`Table.load_rows`), and each version's
-    bitmap against its record count; trusts uniqueness.  A failure is a
-    :class:`RecoveryError` naming the file, or the CVD and version.  The
-    writer only renames complete directories into place, so none is ever
-    half-written.
+    Checks the format; each block's CRC, row count and every length in it
+    against the bytes left; every row's width, NOT NULL columns and types
+    (:meth:`Table.load_rows`); and each version's bitmap against its record
+    count; trusts uniqueness.  A failure is a :class:`RecoveryError` naming
+    the snapshot and table, or the CVD and version.  The writer only renames
+    complete directories into place, so none is ever half-written.
     """
     started = time.perf_counter()
     snapshot_dir = Path(snapshot_dir)
@@ -272,26 +272,29 @@ def load_snapshot(snapshot_dir: str | Path) -> tuple[OrpheusDB, int]:
             f"{manifest.get('format')!r} (this reader supports "
             f"{FORMAT_VERSION})"
         )
+    try:
+        segments = memoryview((snapshot_dir / SEGMENTS_NAME).read_bytes())
+    except OSError as exc:
+        raise RecoveryError(f"snapshot {snapshot_dir}: {exc}") from exc
     db = Database(join_method=manifest["join_method"])
     derived = set()
     for entry in manifest["tables"]:
+        schema = TableSchema.from_dict(entry["schema"])
         if entry["file"] is None:  # refilled below, from membership
             derived.add(entry["name"])
-            rows, source = [], f"snapshot table {entry['name']}"
-        else:
-            source = f"snapshot segment {snapshot_dir / entry['file']}"
-            rows = _read_segment(snapshot_dir / entry["file"], entry["crc"])
         try:
             db.restore_table(
                 entry["name"],
-                TableSchema.from_dict(entry["schema"]),
-                rows,
+                schema,
+                [] if entry["file"] is None else _decode_block(segments, entry, schema),
                 clustered_on=entry["clustered_on"],
                 enforce_primary_key=entry["enforce_primary_key"],
                 index_specs=entry["indexes"],
             )
         except ReproError as exc:
-            raise RecoveryError(f"{source}: {exc}") from exc
+            raise RecoveryError(
+                f"snapshot {snapshot_dir} table {entry['name']}: {exc}"
+            ) from exc
     orpheus = _restore_orpheus(db, manifest["orpheus"])
     for cvd in orpheus._cvds.values():
         for name, rows in cvd.model.derived_tables().items():
@@ -311,22 +314,30 @@ def load_snapshot(snapshot_dir: str | Path) -> tuple[OrpheusDB, int]:
     return orpheus, manifest["last_lsn"]
 
 
-def _read_segment(path: Path, expected_crc: int) -> list[list]:
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise RecoveryError(f"missing snapshot segment {path}: {exc}") from exc
-    if zlib.crc32(data) != expected_crc:
-        raise RecoveryError(f"snapshot segment {path} failed its CRC check")
-    # One decode: the lines joined into one array, a row per line still.
-    try:
-        rows = json.loads(b"[" + data.rstrip(b"\n").replace(b"\n", b",\n") + b"]")
-    except ValueError as exc:
-        raise RecoveryError(f"snapshot segment {path} is malformed: {exc}") from exc
-    if set(map(type, rows)) - {list}:
-        number = next(n for n, row in enumerate(rows, 1) if type(row) is not list)
-        raise RecoveryError(f"snapshot segment {path}, row {number}: not an array")
-    return rows
+def _decode_block(data: memoryview, entry: dict, schema: TableSchema) -> list:
+    """One table's rows from its block in ``data``: the CRC, the counts and
+    every length are checked before anything is allocated."""
+    start, size = entry["offset"], entry["bytes"]
+    if not 0 <= start <= start + size <= len(data):
+        raise RecoveryError(f"block [{start}, +{size}) is past the file's end")
+    block = data[start : start + size]
+    if zlib.crc32(block) != entry["crc"]:
+        raise RecoveryError("block failed its CRC check")
+    if size < _BLOCK_HEAD.size:
+        raise RecoveryError(f"block of {size} bytes has no header")
+    rows, width = _BLOCK_HEAD.unpack_from(block)
+    if (rows, width) != (entry["rows"], len(schema.columns)):
+        raise RecoveryError(
+            f"block holds {rows} rows of {width} columns, not "
+            f"{entry['rows']} of {len(schema.columns)}"
+        )
+    columns, at = [], _BLOCK_HEAD.size
+    for column in schema.columns:
+        values, at = decode_column(block, at, rows, column.dtype)
+        columns.append(values)
+    if at != size:
+        raise RecoveryError(f"block has {size - at} bytes past its last column")
+    return list(zip(*columns))
 
 
 def _model_class(name: str):
@@ -361,14 +372,7 @@ def _restore_orpheus(db: Database, state: dict) -> OrpheusDB:
     orpheus.access._owners = {name: user for name, user in access_state["owners"]}
     for staged in state["provenance"]:
         orpheus.provenance.register(
-            StagedCheckout(
-                name=staged["name"],
-                cvd_name=staged["cvd_name"],
-                parent_vids=tuple(staged["parent_vids"]),
-                owner=staged["owner"],
-                checkout_time=staged["checkout_time"],
-                is_file=staged["is_file"],
-            )
+            StagedCheckout(**dict(staged, parent_vids=tuple(staged["parent_vids"])))
         )
     orpheus._optimizers = {}
     for cvd_state in state["cvds"]:
@@ -419,15 +423,9 @@ def _restore_graph(versions: list[dict], cvd: CVD) -> VersionGraph:
             f"{sorted(cvd.membership)}, not its own"
         )
     for entry in versions:
-        version = Version(
-            vid=entry["vid"],
-            parents=tuple(entry["parents"]),
-            num_records=entry["num_records"],
-            checkout_time=entry["checkout_time"],
-            commit_time=entry["commit_time"],
-            message=entry["message"],
-            attribute_ids=tuple(entry["attribute_ids"]),
-        )
+        fields = dict(entry, parents=tuple(entry["parents"]))
+        fields["attribute_ids"] = tuple(entry["attribute_ids"])
+        version = Version(**fields)
         members = cvd.membership[version.vid]
         if len(members) != version.num_records:
             raise RecoveryError(

@@ -6,7 +6,7 @@ On-disk layout of one store directory::
       CURRENT            JSON pointer at the active snapshot directory
       wal.log            CRC-framed logical records since that snapshot
       snapshots/
-        snap-00000001/   manifest.json + per-table segment files
+        snap-00000001/   manifest.json + segments.bin (one block per table)
 
 :meth:`Store.open` is the recovery path: load the snapshot named by
 ``CURRENT`` (or start empty), then replay every WAL record with a higher

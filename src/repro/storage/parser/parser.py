@@ -19,6 +19,7 @@ parse time from the ``params`` sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Sequence
 
 from repro.errors import SQLSyntaxError
@@ -86,6 +87,31 @@ class ArraySubquery(Expression):
 
     def evaluate(self, row, env):  # pragma: no cover - replaced by planner
         raise NotImplementedError("ARRAY(subquery) not resolved by planner")
+
+
+#: The deepest expression a statement may nest.  The engine walks
+#: expression trees recursively (subquery resolution, planning, both exec
+#: tiers), about four frames a level, so under the interpreter's default
+#: recursion limit of 1 000 a tree this deep still runs with 150 frames of
+#: caller beneath it; a deeper one is a syntax error, not a RecursionError.
+MAX_DEPTH = 200
+
+
+def _nesting(root: Any) -> int:
+    """The longest chain of nested expressions in an AST, walked without
+    recursion (a subquery's expressions continue its host's chain)."""
+    deepest, stack = 0, [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, (list, tuple)):
+            stack.extend(zip(node, repeat(depth)))
+        elif isinstance(node, (Literal, ColumnRef)):
+            deepest = max(deepest, depth + 1)
+        elif hasattr(node, "__dataclass_fields__"):
+            depth += isinstance(node, Expression)
+            deepest = max(deepest, depth)
+            stack.extend((getattr(node, f), depth) for f in node.__dataclass_fields__)
+    return deepest
 
 
 #: The deepest fixed lookahead (``VERSIONS ANCESTOR OF <n>``): the token
@@ -167,10 +193,16 @@ class _Parser:
     def parse_statements(self) -> list[ast.Statement]:
         statements = []
         while not self._peek().type is TokenType.EOF:
+            start = self._pos
             try:
-                statements.append(self._statement())
+                statement = self._statement()
             except RecursionError:
                 raise self._error("expression nested too deeply") from None
+            # Each level of nesting takes a token, so only a statement of
+            # more than MAX_DEPTH tokens needs the walk.
+            if self._pos - start > MAX_DEPTH and _nesting(statement) > MAX_DEPTH:
+                raise self._error("expression nested too deeply")
+            statements.append(statement)
             while self._accept_op(";"):
                 pass
         if self._param_index != len(self._params):

@@ -11,9 +11,12 @@ promoted to the more general type, e.g. integer -> decimal -> string.
 from __future__ import annotations
 
 import enum
+import sys
+from array import array
+from itertools import accumulate, chain
 from typing import Any, Sequence
 
-from repro.errors import TypeMismatchError
+from repro.errors import StorageError, TypeMismatchError
 
 
 class DataType(enum.Enum):
@@ -188,3 +191,140 @@ def column_size_bytes(values: Sequence[Any], dtype: DataType) -> int:
     fixed, per_element = VALUE_BYTES[dtype]
     lengths = sum(map(len, filter(None, values))) if per_element else 0
     return nulls + fixed * (len(values) - nulls) + per_element * lengths
+
+
+# ------------------------------------------------------------ column codec
+# A column is a NULL flag byte (1: a mask byte per row follows, 1 = NULL),
+# then its values, NULLs filled in, little-endian after a one-byte tag:
+#   INTEGER    the narrowest array typecode of b/h/i/q holding min and max;
+#              past int64, x: byte sizes (as INTEGER), then two's complement
+#   DECIMAL    d: array('d');  BOOLEAN  ?: a byte per value
+#   TEXT       s: character lengths (as INTEGER), a u64 byte count and one
+#              utf-8/surrogatepass blob, decoded once and sliced
+#   INT_ARRAY  a: element counts (as INTEGER), then the flat elements
+# The decoder checks each count and length against the bytes left before
+# it allocates; malformed bytes raise StorageError.
+
+_ITEMSIZE = {code: array(code).itemsize for code in "bhiqd"}
+_CODES = {DataType.INTEGER: "bhiqx", DataType.DECIMAL: "d"}  # tags of arrays
+_TAGS = {DataType.BOOLEAN: b"?", DataType.TEXT: b"s", DataType.INT_ARRAY: b"a"}
+_FILL = {  # what a NULL's slot holds
+    DataType.INTEGER: 0,
+    DataType.DECIMAL: 0.0,
+    DataType.BOOLEAN: False,
+    DataType.TEXT: "",
+    DataType.INT_ARRAY: (),
+}
+
+
+def _array(code: str, values: Sequence[Any]) -> bytes:
+    packed = array(code, values)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return code.encode() + packed.tobytes()
+
+
+def _encode_ints(values: Sequence[int]) -> bytes:
+    low, high = min(values, default=0), max(values, default=0)
+    for code in "bhiq":
+        limit = 1 << 8 * _ITEMSIZE[code] - 1
+        if -limit <= low and high < limit:
+            return _array(code, values)
+    sizes = [(value.bit_length() + 8) // 8 for value in values]  # with a sign bit
+    return b"x" + _encode_ints(sizes) + b"".join(
+        value.to_bytes(size, "little", signed=True)
+        for value, size in zip(values, sizes)
+    )
+
+
+def encode_column(values: Sequence[Any], dtype: DataType) -> bytes:
+    """One column of canonical values (:func:`coerce`) as bytes."""
+    head = b"\x00"
+    if None in values:
+        head = b"\x01" + bytes(value is None for value in values)
+        values = [_FILL[dtype] if value is None else value for value in values]
+    if dtype is DataType.INTEGER:
+        return head + _encode_ints(values)
+    if dtype is DataType.DECIMAL:
+        return head + _array("d", values)
+    if dtype is DataType.BOOLEAN:
+        return head + b"?" + bytes(values)
+    lengths = _encode_ints(list(map(len, values)))
+    if dtype is DataType.TEXT:
+        blob = "".join(values).encode("utf-8", "surrogatepass")
+        return head + b"s" + lengths + len(blob).to_bytes(8, "little") + blob
+    return head + b"a" + lengths + _encode_ints(list(chain.from_iterable(values)))
+
+
+def _take(data: memoryview, at: int, size: int) -> tuple[memoryview, int]:
+    if not 0 <= size <= len(data) - at:
+        raise StorageError(f"column wants {size} bytes at {at}, {len(data) - at} left")
+    return data[at : at + size], at + size
+
+
+def _flags(data: memoryview, at: int, count: int) -> tuple[memoryview, int]:
+    flags, at = _take(data, at, count)
+    if bytes(flags).translate(None, b"\x00\x01"):
+        raise StorageError("a flag byte other than 0 or 1")
+    return flags, at
+
+
+def _slices(sizes: list[int], total: int) -> list[tuple[int, int]]:
+    """``(start, end)`` per size; the sizes must tile ``range(total)``."""
+    if min(sizes, default=0) < 0 or sum(sizes) != total:
+        raise StorageError(f"{len(sizes)} lengths do not tile {total} values")
+    ends = list(accumulate(sizes))
+    return list(zip([0] + ends, ends))
+
+
+def _decode_array(data: memoryview, at: int, count: int, codes: str) -> tuple:
+    (tag,), at = _take(data, at, 1)
+    if chr(tag) not in codes:
+        raise StorageError(f"bad typecode {chr(tag)!r}")
+    if chr(tag) == "x":
+        sizes, at = _decode_array(data, at, count, "bhiq")
+        raw, at = _take(data, at, sum(sizes))
+        edges = _slices(sizes, len(raw))
+        return [int.from_bytes(raw[a:b], "little", signed=True) for a, b in edges], at
+    raw, at = _take(data, at, count * _ITEMSIZE[chr(tag)])
+    values = array(chr(tag))
+    values.frombytes(raw)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values.tolist(), at
+
+
+def decode_column(
+    data: memoryview, at: int, count: int, dtype: DataType
+) -> tuple[list, int]:
+    """The ``count`` values of the :func:`encode_column` bytes at
+    ``data[at]``, and the offset just past them."""
+    (flag,), at = _take(data, at, 1)
+    if flag > 1:
+        raise StorageError(f"bad NULL flag {flag}")
+    mask, at = _flags(data, at, count) if flag else (None, at)
+    if dtype in _CODES:
+        values, at = _decode_array(data, at, count, _CODES[dtype])
+    else:
+        tag, at = _take(data, at, 1)
+        if tag != _TAGS[dtype]:
+            raise StorageError(f"bad {dtype} tag {bytes(tag)!r}")
+        if dtype is DataType.BOOLEAN:
+            values, at = _flags(data, at, count)
+            values = list(map(bool, values))
+        else:
+            lengths, at = _decode_array(data, at, count, "bhiq")
+            if dtype is DataType.INT_ARRAY:
+                flat, at = _decode_array(data, at, sum(lengths), "bhiqx")
+                values = [tuple(flat[a:b]) for a, b in _slices(lengths, len(flat))]
+            else:
+                size, at = _take(data, at, 8)
+                raw, at = _take(data, at, int.from_bytes(size, "little"))
+                try:
+                    text = str(raw, "utf-8", "surrogatepass")
+                except UnicodeDecodeError as exc:
+                    raise StorageError(f"TEXT is not UTF-8: {exc}") from None
+                values = [text[a:b] for a, b in _slices(lengths, len(text))]
+    if mask is not None:
+        values = [None if null else value for value, null in zip(values, mask)]
+    return values, at

@@ -113,8 +113,15 @@ class TestErrors:
     def test_commit_unstaged_table(self, initialized, capsys):
         assert run(initialized, "commit", "-t", "nope") == 1
 
-    def test_sql_nested_too_deeply_is_an_error_line(self, initialized, capsys):
-        sql = "SELECT " + "(" * 200 + "1" + ")" * 200
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT " + "(" * 200 + "1" + ")" * 200,  # the parser's own depth
+            "SELECT " + " + ".join(["1"] * 300),  # the executor's
+        ],
+        ids=["parentheses", "sum_300"],
+    )
+    def test_sql_nested_too_deeply_is_an_error_line(self, initialized, capsys, sql):
         assert run(initialized, "run", sql) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: expression nested too deeply"), err

@@ -169,7 +169,7 @@ class TestRestoreEquivalence:
         }
         store.close()
         blocks = {block["name"]: block for block in manifest["orpheus"]["cvds"]}
-        assert manifest["format"] == 5
+        assert manifest["format"] == 6
         for block in blocks.values():
             assert "edges" not in block
             for _vid, bitmap in block["membership"]:
@@ -190,7 +190,11 @@ class TestRestoreEquivalence:
                 "indexes",
             }
         segments = {e["file"] for e in entries.values() if e["file"] is not None}
-        assert {path.name for path in snapshot.glob("seg-*.jsonl")} == segments
+        assert segments == {"segments.bin"}
+        assert sorted(path.name for path in snapshot.iterdir()) == [
+            "manifest.json",
+            "segments.bin",
+        ]
         for entry in entries.values():
             columns = [column[0] for column in entry["schema"]["columns"]]
             assert "rlist" not in columns or entry["file"] is None

@@ -204,6 +204,16 @@ class TestHandleLineFailures:
             ({"op": "query", "sql": "SELECT " + "(" * 200 + "1" + ")" * 200},
              "sql_syntax"),
             ({"op": "query", "sql": "SELECT " + "NOT " * 1200 + "TRUE"}, "sql_syntax"),
+            # Parsed, but deeper than the executor's tree walks can take.
+            ({"op": "query", "sql": "SELECT " + "NOT " * 500 + "TRUE"}, "sql_syntax"),
+            (
+                {
+                    "op": "query",
+                    "sql": "SELECT " + " + ".join(["v"] * 300)
+                    + " FROM VERSION 4 OF CVD t",
+                },
+                "sql_syntax",
+            ),
             ({"op": "query", "sql": "SELECT * FROM missing"}, "catalog"),
             ({"op": "query", "sql": "CREATE TABLE x (a int)"}, "read_only"),
             (

@@ -24,7 +24,9 @@ from repro.storage.expression import (
 from repro.storage.parser import parse_sql, parse_statement
 from repro.storage.parser import ast_nodes as ast
 from repro.storage.parser.lexer import TokenType, tokenize
+from repro.storage.engine import Database
 from repro.storage.parser.parser import (
+    MAX_DEPTH,
     ArraySubquery,
     InSubquery,
     ScalarSubquery,
@@ -316,3 +318,42 @@ class TestNestingDepth:
             parse_statement(sql)
         assert 0 <= info.value.position <= len(sql)
         assert parse_statement("SELECT (1)")  # the parser is usable again
+
+    # Trees the parser builds in a loop, not by recursion: as deep as the
+    # engine's recursive walks can take, and past that a syntax error
+    # rather than a RecursionError from the executor.
+    DEEP = {
+        "sum_300": "SELECT " + " + ".join(["a"] * 300) + " FROM t",
+        "sum_500": "SELECT " + " + ".join(["a"] * 500) + " FROM t",
+        "where_sum_300": "SELECT a FROM t WHERE " + " + ".join(["a"] * 300) + " > 0",
+        "nots_300": "SELECT " + "NOT " * 300 + "b FROM t",
+        "nots_500": "SELECT a FROM t WHERE " + "NOT " * 500 + "b",
+        "nots_800": "SELECT " + "NOT " * 800 + "b FROM t",
+        "update_ands_300": "UPDATE t SET a = 2 WHERE " + " AND ".join(["b"] * 300),
+    }
+    DEEPEST = {  # MAX_DEPTH levels each
+        "sum": "SELECT " + " + ".join(["a"] * MAX_DEPTH) + " FROM t",
+        "nots": "SELECT a FROM t WHERE " + "NOT " * (MAX_DEPTH - 1) + "b",
+        "ands": "UPDATE t SET a = 2 WHERE " + " AND ".join(["b"] * MAX_DEPTH),
+    }
+
+    @staticmethod
+    def _database(mode):
+        db = Database(exec_mode=mode)
+        db.execute("CREATE TABLE t (a int, b boolean)")
+        db.execute("INSERT INTO t VALUES (1, true), (2, false)")
+        return db
+
+    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+    @pytest.mark.parametrize("sql", DEEP.values(), ids=DEEP.keys())
+    def test_too_deep_for_the_engine_is_a_syntax_error(self, mode, sql):
+        db = self._database(mode)
+        with pytest.raises(SQLSyntaxError, match="expression nested too deeply"):
+            db.execute(sql)
+        assert db.query("SELECT a FROM t ORDER BY a") == [(1,), (2,)]
+
+    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+    @pytest.mark.parametrize("sql", DEEPEST.values(), ids=DEEPEST.keys())
+    def test_the_deepest_accepted_tree_runs(self, mode, sql):
+        db = self._database(mode)
+        db.execute(sql)  # no RecursionError on either tier

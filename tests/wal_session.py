@@ -12,11 +12,14 @@ record for record.
 ``tests/fixtures/wal_session.jsonl`` holds what the release before the
 prepare/apply split wrote, one WAL record per line and the manifest last;
 ``test_persist_apply.py`` holds every later release to it.  It was
-re-recorded twice: when each ``migration_start`` +
+re-recorded three times: when each ``migration_start`` +
 ``migration_finish`` pair became one ``migration`` record and the
-optimizer state lost ``pending_migration``; and when manifest format 5
+optimizer state lost ``pending_migration``; when manifest format 5
 wrote each version's membership as a base64 bitmap and stopped writing
-segments for the rlist tables derived from it.  Regenerate (only on a
+segments for the rlist tables derived from it; and when format 6 put
+every table's rows in one ``segments.bin`` of typed column blocks (only
+``format`` and each table entry's ``file``/``offset``/``bytes``/``crc``
+changed).  Regenerate (only on a
 deliberate format change) with::
 
     PYTHONPATH=src:tests python tests/wal_session.py > tests/fixtures/wal_session.jsonl
