@@ -21,13 +21,9 @@ if __package__ in (None, ""):
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks._common import fresh_cvd, print_header
-from repro.partition import (
-    BipartiteGraph,
-    agglo_budget_search,
-    kmeans_budget_search,
-    reduce_to_tree,
-    search_delta,
-)
+from repro.partition import BipartiteGraph, reduce_to_tree, search_delta
+from repro.partition.agglo import agglo_budget_search
+from repro.partition.kmeans import kmeans_budget_search
 
 SWEEP_DATASETS = ["SCI_10K", "SCI_50K", "SCI_100K", "CUR_10K", "CUR_50K"]
 #: Wall-clock cap per algorithm, standing in for the paper's 10-hour cap.

@@ -30,13 +30,9 @@ from benchmarks.bench_fig9_tradeoff import (
     apply_partitioning,
 )
 from benchmarks.bench_fig19_cost_model import linearity
-from repro.partition import (
-    BipartiteGraph,
-    agglo_partition,
-    kmeans_partition,
-    lyresplit,
-    reduce_to_tree,
-)
+from repro.partition import BipartiteGraph, lyresplit, reduce_to_tree
+from repro.partition.agglo import agglo_partition
+from repro.partition.kmeans import kmeans_partition
 
 SWEEP_DATASETS = ["SCI_10K", "SCI_50K", "CUR_10K"]
 

@@ -33,11 +33,11 @@ from repro.partition import (
     BipartiteGraph,
     PartitionedRlistModel,
     Partitioning,
-    agglo_partition,
-    kmeans_partition,
     lyresplit,
     reduce_to_tree,
 )
+from repro.partition.agglo import agglo_partition
+from repro.partition.kmeans import kmeans_partition
 
 SWEEP_DATASETS = ["SCI_10K", "SCI_50K", "CUR_10K", "CUR_50K"]
 DELTAS = [0.2, 0.35, 0.5, 0.65, 0.8, 0.95]

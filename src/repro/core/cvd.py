@@ -31,7 +31,6 @@ rid and no vid.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.datamodels import SplitByRlistModel, resolve_model
@@ -44,6 +43,7 @@ from repro.errors import (
     SchemaEvolutionError,
     VersionNotFoundError,
 )
+from repro.record import Record
 from repro.storage.engine import Database
 from repro.storage.ridset import RidSet
 from repro.storage.schema import Column, TableSchema
@@ -51,8 +51,7 @@ from repro.storage.table import Table
 from repro.storage.types import DataType
 
 
-@dataclass
-class PreparedVersion:
+class PreparedVersion(Record):
     """A version checked and numbered but not yet stored: what
     :meth:`CVD.apply_version` writes and a WAL commit record carries.
 
@@ -61,15 +60,34 @@ class PreparedVersion:
     other models).
     """
 
-    vid: int
-    parents: tuple[int, ...]
-    members: RidSet
-    new_records: dict[int, Row]
-    drop: RidSet
-    partition: int | None
-    message: str = ""
-    checkout_time: int | None = None
-    commit_time: int | None = None
+    __slots__ = _fields = (
+        "vid",
+        "parents",
+        "members",
+        "new_records",
+        "drop",
+        "partition",
+        "message",
+        "checkout_time",
+        "commit_time",
+    )
+
+    def __init__(
+        self,
+        vid: int,
+        parents: tuple[int, ...],
+        members: RidSet,
+        new_records: dict[int, Row],
+        drop: RidSet,
+        partition: int | None,
+        message: str = "",
+        checkout_time: int | None = None,
+        commit_time: int | None = None,
+    ):
+        self.vid, self.parents, self.members = vid, parents, members
+        self.new_records, self.drop, self.partition = new_records, drop, partition
+        self.message, self.checkout_time = message, checkout_time
+        self.commit_time = commit_time
 
 
 class CVD:

@@ -8,21 +8,34 @@ names the CVD).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import StagingError
+from repro.record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class StagedCheckout:
-    """One uncommitted materialization of CVD version(s)."""
+class StagedCheckout(FrozenRecord):
+    """One uncommitted materialization of CVD version(s); ``name`` is the
+    table name, or the file path for CSV checkouts."""
 
-    name: str  # table name, or file path for CSV checkouts
-    cvd_name: str
-    parent_vids: tuple[int, ...]
-    owner: str
-    checkout_time: int
-    is_file: bool = False
+    __slots__ = _fields = (
+        "name",
+        "cvd_name",
+        "parent_vids",
+        "owner",
+        "checkout_time",
+        "is_file",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        cvd_name: str,
+        parent_vids: tuple[int, ...],
+        owner: str,
+        checkout_time: int,
+        is_file: bool = False,
+    ):
+        self.name, self.cvd_name, self.parent_vids = name, cvd_name, parent_vids
+        self.owner, self.checkout_time, self.is_file = owner, checkout_time, is_file
 
 
 class ProvenanceManager:

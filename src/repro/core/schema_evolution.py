@@ -14,36 +14,51 @@ in their metadata.  When a commit changes the schema:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import SchemaEvolutionError
+from repro.record import FrozenRecord, Record
 from repro.storage.engine import Database
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType, coerce, widen
 
 
-@dataclass(frozen=True)
-class AttributeEntry:
-    attr_id: int
-    name: str
-    dtype: DataType
+class AttributeEntry(FrozenRecord):
+    __slots__ = _fields = ("attr_id", "name", "dtype")
+
+    def __init__(self, attr_id: int, name: str, dtype: DataType):
+        self.attr_id, self.name, self.dtype = attr_id, name, dtype
 
 
-@dataclass
-class SchemaChangePlan:
+class SchemaChangePlan(Record):
     """What a staged schema requires: computed by :meth:`AttributeCatalog.reconcile`.
 
     ``new_attributes`` are the catalog entries the plan's ids name but the
     catalog does not hold yet; :meth:`AttributeCatalog.apply` stores them.
     """
 
-    staged_schema: TableSchema
-    new_schema: TableSchema
-    attribute_ids: tuple[int, ...]
-    added_columns: list[Column]
-    widened_columns: list[tuple[str, DataType]]
-    removed_columns: list[str]
-    new_attributes: list[AttributeEntry]
+    __slots__ = _fields = (
+        "staged_schema",
+        "new_schema",
+        "attribute_ids",
+        "added_columns",
+        "widened_columns",
+        "removed_columns",
+        "new_attributes",
+    )
+
+    def __init__(
+        self,
+        staged_schema: TableSchema,
+        new_schema: TableSchema,
+        attribute_ids: tuple[int, ...],
+        added_columns: list[Column],
+        widened_columns: list[tuple[str, DataType]],
+        removed_columns: list[str],
+        new_attributes: list[AttributeEntry],
+    ):
+        self.staged_schema, self.new_schema = staged_schema, new_schema
+        self.attribute_ids, self.added_columns = attribute_ids, added_columns
+        self.widened_columns, self.removed_columns = widened_columns, removed_columns
+        self.new_attributes = new_attributes
 
     @property
     def is_noop(self) -> bool:

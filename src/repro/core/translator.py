@@ -32,7 +32,6 @@ handed to the planner as rows; no catalog table is created.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.datamodels.base import union_all
@@ -71,7 +70,7 @@ class QueryTranslator:
             query = model.all_versions_plan()
         else:
             plans = [model.version_plan(vid) for vid in ref.vids]
-            query = union_all([replace(plan, items=plan.items[1:]) for plan in plans])
+            query = union_all([plan._replace(items=plan.items[1:]) for plan in plans])
         return ast.SubqueryRef(query, ref.binding)
 
 

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from repro.record import Record
 
 
-@dataclass
-class Version:
+class Version(Record):
     """Metadata for one version of a CVD.
 
     ``checkout_time`` / ``commit_time`` are logical timestamps drawn from the
@@ -16,14 +15,32 @@ class Version:
     supports the single-pool schema-evolution scheme.
     """
 
-    vid: int
-    parents: tuple[int, ...] = ()
-    num_records: int = 0
-    checkout_time: int | None = None
-    commit_time: int | None = None
-    message: str = ""
-    attribute_ids: tuple[int, ...] = ()
-    children: list[int] = field(default_factory=list)
+    __slots__ = _fields = (
+        "vid",
+        "parents",
+        "num_records",
+        "checkout_time",
+        "commit_time",
+        "message",
+        "attribute_ids",
+        "children",
+    )
+
+    def __init__(
+        self,
+        vid: int,
+        parents: tuple[int, ...] = (),
+        num_records: int = 0,
+        checkout_time: int | None = None,
+        commit_time: int | None = None,
+        message: str = "",
+        attribute_ids: tuple[int, ...] = (),
+        children: list[int] | None = None,
+    ):
+        self.vid, self.parents, self.num_records = vid, parents, num_records
+        self.checkout_time, self.commit_time = checkout_time, commit_time
+        self.message, self.attribute_ids = message, attribute_ids
+        self.children = [] if children is None else children
 
     @property
     def is_merge(self) -> bool:

@@ -1,10 +1,14 @@
-"""Partition optimizer: LyreSplit, baselines, online maintenance, migration."""
+"""Partition optimizer: LyreSplit, online maintenance, migration.
 
-from repro.partition.agglo import agglo_budget_search, agglo_partition
+The paper's baselines (:mod:`~repro.partition.agglo`,
+:mod:`~repro.partition.kmeans`, :mod:`~repro.partition.schema_aware`,
+:mod:`~repro.partition.weighted`) are imported from their modules, so
+opening a partitioned store never loads them.
+"""
+
 from repro.partition.bipartite import BipartiteGraph, Partitioning
 from repro.partition.dag_reduction import VersionTreeView, reduce_to_tree
 from repro.partition.delta_search import DeltaSearchResult, search_delta
-from repro.partition.kmeans import kmeans_budget_search, kmeans_partition
 from repro.partition.lyresplit import LyreSplitResult, lyresplit
 from repro.partition.migration import (
     MigrationPlan,
@@ -13,8 +17,6 @@ from repro.partition.migration import (
 )
 from repro.partition.online import PartitionOptimizer
 from repro.partition.partition_manager import PartitionedRlistModel
-from repro.partition.schema_aware import schema_aware_lyresplit
-from repro.partition.weighted import search_delta_weighted, weighted_lyresplit
 
 __all__ = [
     "BipartiteGraph",
@@ -25,16 +27,9 @@ __all__ = [
     "LyreSplitResult",
     "search_delta",
     "DeltaSearchResult",
-    "agglo_partition",
-    "agglo_budget_search",
-    "kmeans_partition",
-    "kmeans_budget_search",
     "plan_intelligent",
     "plan_naive",
     "MigrationPlan",
     "PartitionOptimizer",
     "PartitionedRlistModel",
-    "weighted_lyresplit",
-    "search_delta_weighted",
-    "schema_aware_lyresplit",
 ]

@@ -14,18 +14,20 @@ Extremes (Observations 1 and 2): one-partition-per-version minimizes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.errors import PartitionError
+from repro.record import FrozenRecord
 from repro.storage.ridset import RidSet
 
 
-@dataclass(frozen=True)
-class Partitioning:
+class Partitioning(FrozenRecord):
     """An assignment of versions to partitions (frozenset of vids each)."""
 
-    groups: tuple[frozenset[int], ...]
+    __slots__ = _fields = ("groups",)
+
+    def __init__(self, groups: tuple[frozenset[int], ...]):
+        self.groups = groups
 
     @staticmethod
     def from_groups(groups: Iterable[Iterable[int]]) -> "Partitioning":

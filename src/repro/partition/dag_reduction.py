@@ -10,16 +10,15 @@ weights, which is all LyreSplit needs — it never touches individual rids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
 from repro.core.version_graph import VersionGraph
 from repro.errors import PartitionError
+from repro.record import Record
 
 
-@dataclass
-class VersionTreeView:
+class VersionTreeView(Record):
     """A rooted tree over vids with the statistics LyreSplit consumes.
 
     ``num_records[v]`` is |R(v)| and ``weight[(p, c)]`` is w(p, c).  In the
@@ -29,17 +28,31 @@ class VersionTreeView:
     ``duplicated_records`` (|R-hat|).
 
     A view is not modified once built, so its pre-order numbering is
-    computed once and shared by every LyreSplit run of a delta search.
+    computed once and shared by every LyreSplit run of a delta search
+    (in the instance dict: the class has no ``__slots__``).
     """
 
-    root: int
-    parent: dict[int, int | None]
-    children: dict[int, list[int]]
-    num_records: dict[int, int]
-    weight: dict[tuple[int, int], int]
-    duplicated_records: int = 0
+    _fields = (
+        "root",
+        "parent",
+        "children",
+        "num_records",
+        "weight",
+        "duplicated_records",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        root: int,
+        parent: dict[int, int | None],
+        children: dict[int, list[int]],
+        num_records: dict[int, int],
+        weight: dict[tuple[int, int], int],
+        duplicated_records: int = 0,
+    ):
+        self.root, self.parent, self.children = root, parent, children
+        self.num_records, self.weight = num_records, weight
+        self.duplicated_records = duplicated_records
         for vid, parent in self.parent.items():
             if parent is not None and (parent, vid) not in self.weight:
                 raise PartitionError(f"missing weight for tree edge {parent} -> {vid}")

@@ -19,24 +19,37 @@ two sums over it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import InfeasibleBudgetError
 from repro.partition.bipartite import BipartiteGraph, Partitioning
 from repro.partition.dag_reduction import VersionTreeView
 from repro.partition.lyresplit import LyreSplitResult, lyresplit
+from repro.record import Record
 
 
-@dataclass
-class DeltaSearchResult:
+class DeltaSearchResult(Record):
     """Best feasible partitioning found plus search telemetry."""
 
-    delta: float
-    partitioning: Partitioning
-    storage_cost: int
-    checkout_cost: float
-    iterations: int
-    levels: int
+    __slots__ = _fields = (
+        "delta",
+        "partitioning",
+        "storage_cost",
+        "checkout_cost",
+        "iterations",
+        "levels",
+    )
+
+    def __init__(
+        self,
+        delta: float,
+        partitioning: Partitioning,
+        storage_cost: int,
+        checkout_cost: float,
+        iterations: int,
+        levels: int,
+    ):
+        self.delta, self.partitioning = delta, partitioning
+        self.storage_cost, self.checkout_cost = storage_cost, checkout_cost
+        self.iterations, self.levels = iterations, levels
 
     @property
     def num_partitions(self) -> int:

@@ -32,26 +32,26 @@ walks.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 
 from repro.errors import PartitionError
 from repro.partition.bipartite import Partitioning
 from repro.partition.dag_reduction import VersionTreeView
+from repro.record import Record
 
 EDGE_RULES = ("balance", "min_weight")
 
 
-@dataclass
-class LyreSplitResult:
-    """Partitioning plus the recursion statistics the analysis refers to."""
+class LyreSplitResult(Record):
+    """Partitioning plus the recursion statistics the analysis refers to:
+    ``levels`` is l, the deepest recursion level that performed a split,
+    and ``group_records`` |R_k| as the tree sees it, one per group."""
 
-    partitioning: Partitioning
-    delta: float
-    levels: int  # l: deepest recursion level that performed a split
-    cuts: int
-    #: |R_k| as the tree sees it, one per group of ``partitioning``.
-    group_records: list[int]
+    __slots__ = _fields = ("partitioning", "delta", "levels", "cuts", "group_records")
+
+    def __init__(self, partitioning: Partitioning, delta, levels, cuts, group_records):
+        self.partitioning, self.delta, self.levels = partitioning, delta, levels
+        self.cuts, self.group_records = cuts, group_records
 
     @property
     def num_partitions(self) -> int:

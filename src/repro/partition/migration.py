@@ -15,15 +15,14 @@ paper's two-step description.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from repro.partition.bipartite import Partitioning
+from repro.record import Record
 from repro.storage.ridset import RidSet
 
 
-@dataclass
-class MigrationPlan:
+class MigrationPlan(Record):
     """What the migration engine will do.
 
     ``reuse[i] = j`` means new partition i is produced by editing old
@@ -32,9 +31,16 @@ class MigrationPlan:
     partitions (scratch builds count their full size).
     """
 
-    new_groups: tuple[frozenset[int], ...]
-    reuse: dict[int, int] = field(default_factory=dict)
-    modifications: int = 0
+    __slots__ = _fields = ("new_groups", "reuse", "modifications")
+
+    def __init__(
+        self,
+        new_groups: tuple[frozenset[int], ...],
+        reuse: dict[int, int] | None = None,
+        modifications: int = 0,
+    ):
+        self.new_groups, self.modifications = new_groups, modifications
+        self.reuse = {} if reuse is None else reuse
 
     @property
     def num_reused(self) -> int:

@@ -37,7 +37,6 @@ migration's record is on disk recovers the pre-migration layout.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.core.cvd import CVD
@@ -48,37 +47,55 @@ from repro.partition.dag_reduction import reduce_to_tree
 from repro.partition.delta_search import DeltaSearchResult, search_delta
 from repro.partition.migration import plan_intelligent, plan_naive
 from repro.partition.partition_manager import PartitionedRlistModel, partition_tables
+from repro.record import Record
 
 
-@dataclass
-class MigrationEvent:
+class MigrationEvent(Record):
     """One firing of the migration engine."""
 
-    at_version_count: int
-    plan_modifications: int
-    records_inserted: int
-    records_deleted: int
-    wall_seconds: float
-    strategy: str
+    __slots__ = _fields = (
+        "at_version_count",
+        "plan_modifications",
+        "records_inserted",
+        "records_deleted",
+        "wall_seconds",
+        "strategy",
+    )
+
+    def __init__(
+        self,
+        at_version_count: int,
+        plan_modifications: int,
+        records_inserted: int,
+        records_deleted: int,
+        wall_seconds: float,
+        strategy: str,
+    ):
+        self.at_version_count = at_version_count
+        self.plan_modifications = plan_modifications
+        self.records_inserted, self.records_deleted = records_inserted, records_deleted
+        self.wall_seconds, self.strategy = wall_seconds, strategy
 
 
-@dataclass
-class MaintenanceSample:
+class MaintenanceSample(Record):
     """One point of the online-maintenance trace (Fig. 14a/15a)."""
 
-    version_count: int
-    current_cavg: float
-    best_cavg: float
+    __slots__ = _fields = ("version_count", "current_cavg", "best_cavg")
+
+    def __init__(self, version_count: int, current_cavg: float, best_cavg: float):
+        self.version_count, self.current_cavg = version_count, current_cavg
+        self.best_cavg = best_cavg
 
 
-@dataclass
-class OptimizerTrace:
-    samples: list[MaintenanceSample] = field(default_factory=list)
-    migrations: list[MigrationEvent] = field(default_factory=list)
+class OptimizerTrace(Record):
+    __slots__ = _fields = ("samples", "migrations")
+
+    def __init__(self, samples=None, migrations=None):
+        self.samples: list[MaintenanceSample] = [] if samples is None else samples
+        self.migrations: list[MigrationEvent] = [] if migrations is None else migrations
 
 
-@dataclass
-class PlannedMigration:
+class PlannedMigration(Record):
     """A decided migration: what a ``migration`` record carries.
 
     ``reuse`` maps new group positions to *physical* partition indexes (not
@@ -86,12 +103,27 @@ class PlannedMigration:
     restore rebuilt.  ``delta`` is the delta* adopted alongside the plan.
     """
 
-    groups: tuple[frozenset[int], ...]
-    reuse: dict[int, int]
-    strategy: str
-    modifications: int
-    delta: float | None
-    at_version_count: int
+    __slots__ = _fields = (
+        "groups",
+        "reuse",
+        "strategy",
+        "modifications",
+        "delta",
+        "at_version_count",
+    )
+
+    def __init__(
+        self,
+        groups: tuple[frozenset[int], ...],
+        reuse: dict[int, int],
+        strategy: str,
+        modifications: int,
+        delta: float | None,
+        at_version_count: int,
+    ):
+        self.groups, self.reuse, self.strategy = groups, reuse, strategy
+        self.modifications, self.delta = modifications, delta
+        self.at_version_count = at_version_count
 
     def to_state(self) -> dict:
         return {
@@ -115,17 +147,29 @@ class PlannedMigration:
         )
 
 
-@dataclass
-class FullRun:
+class FullRun(Record):
     """A prepared full partitioning run: the knobs it installs, LyreSplit's
     answer under them and, on an already partitioned CVD, the migration to
     that answer."""
 
-    storage_multiple: float
-    tolerance: float
-    frequencies: dict[int, int] | None
-    result: DeltaSearchResult
-    migration: PlannedMigration | None
+    __slots__ = _fields = (
+        "storage_multiple",
+        "tolerance",
+        "frequencies",
+        "result",
+        "migration",
+    )
+
+    def __init__(
+        self,
+        storage_multiple: float,
+        tolerance: float,
+        frequencies: dict[int, int] | None,
+        result: DeltaSearchResult,
+        migration: PlannedMigration | None,
+    ):
+        self.storage_multiple, self.tolerance = storage_multiple, tolerance
+        self.frequencies, self.result, self.migration = frequencies, result, migration
 
 
 class PartitionOptimizer:

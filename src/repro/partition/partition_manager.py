@@ -17,13 +17,13 @@ optimizer decided by the online-maintenance rule of Section 4.3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.datamodels.base import DataModel, Row, union_all
 from repro.core.datamodels.split_rlist import rlist_scan
 from repro.errors import PartitionError, VersionNotFoundError
 from repro.partition.bipartite import Partitioning
+from repro.record import Record
 from repro.storage import arrays
 from repro.storage.parser import ast_nodes as ast
 from repro.storage.ridset import RidSet
@@ -31,8 +31,7 @@ from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType
 
 
-@dataclass
-class PartitionState:
+class PartitionState(Record):
     """Bookkeeping for one physical partition.
 
     ``rids`` is a packed bitmap, so the optimizer's per-commit storage
@@ -40,9 +39,12 @@ class PartitionState:
     delete costs are bitmap differences.
     """
 
-    index: int
-    vids: set[int] = field(default_factory=set)
-    rids: RidSet = field(default_factory=RidSet)
+    __slots__ = _fields = ("index", "vids", "rids")
+
+    def __init__(self, index: int, vids: set[int] | None = None, rids=None):
+        self.index = index
+        self.vids = set() if vids is None else vids
+        self.rids: RidSet = RidSet() if rids is None else rids
 
     @property
     def num_versions(self) -> int:

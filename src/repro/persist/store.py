@@ -39,7 +39,6 @@ import json
 import os
 import shutil
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.cvd import PreparedVersion
@@ -52,6 +51,7 @@ from repro.errors import (
     StoreLockedError,
 )
 from repro.obs import metrics, trace
+from repro.record import Record
 from repro.storage.parser.parser import parse_sql
 from repro.storage.ridset import RidSet
 from repro.storage.schema import TableSchema
@@ -101,8 +101,7 @@ _CHECKPOINTS = metrics.counter("persist.store.checkpoints")
 _CHECKPOINT_SECONDS = metrics.histogram("persist.store.checkpoint_seconds")
 
 
-@dataclass
-class RefreshResult:
+class RefreshResult(Record):
     """What one read-only :meth:`Store.refresh` brought in.
 
     ``full_reload`` means the reader fell behind a checkpoint and rebuilt
@@ -110,12 +109,30 @@ class RefreshResult:
     so callers (e.g. the serve cache) must treat every CVD as touched.
     """
 
-    applied: int = 0
-    full_reload: bool = False
-    last_lsn: int = 0
-    touched_cvds: set[str] = field(default_factory=set)
-    schema_changed_cvds: set[str] = field(default_factory=set)
-    ran_sql: bool = False
+    __slots__ = _fields = (
+        "applied",
+        "full_reload",
+        "last_lsn",
+        "touched_cvds",
+        "schema_changed_cvds",
+        "ran_sql",
+    )
+
+    def __init__(
+        self,
+        applied: int = 0,
+        full_reload: bool = False,
+        last_lsn: int = 0,
+        touched_cvds: set[str] | None = None,
+        schema_changed_cvds: set[str] | None = None,
+        ran_sql: bool = False,
+    ):
+        self.applied, self.full_reload, self.last_lsn = applied, full_reload, last_lsn
+        self.touched_cvds = set() if touched_cvds is None else touched_cvds
+        self.schema_changed_cvds = (
+            set() if schema_changed_cvds is None else schema_changed_cvds
+        )
+        self.ran_sql = ran_sql
 
     @property
     def changed(self) -> bool:

@@ -22,7 +22,6 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -30,6 +29,7 @@ from repro.errors import PersistenceError
 from repro.obs import metrics
 from repro.persist.fsutil import fsync_dir as _fsync_dir
 from repro.persist.injection import crash_point
+from repro.record import FrozenRecord
 
 # Pid-aware handles: a pre-fork serve worker charges its own registry.
 _APPENDS = metrics.counter("persist.wal.appends")
@@ -44,12 +44,13 @@ _META = struct.Struct("<QI")  # lsn, length — the header bytes the CRC covers
 MAX_PAYLOAD = 1 << 30
 
 
-@dataclass(frozen=True)
-class WalRecord:
+class WalRecord(FrozenRecord):
     """One recovered log record."""
 
-    lsn: int
-    payload: dict
+    __slots__ = _fields = ("lsn", "payload")
+
+    def __init__(self, lsn: int, payload: dict):
+        self.lsn, self.payload = lsn, payload
 
 
 def _frame_crc(lsn: int, body: bytes) -> int:

@@ -24,8 +24,9 @@ import json
 import threading
 from binascii import crc32
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Hashable, Sequence
+
+from repro.record import Record
 
 
 def encode(value: Any) -> bytes:
@@ -69,14 +70,18 @@ def checkout_head(columns: list, count: int, lsn: int) -> bytes:
     return encode(response)[:-2]
 
 
-@dataclass(eq=False, slots=True)
-class Reply:
+class Reply(Record):
     """A reply line: ``body``, or a checkout's head and the shared record
-    lines it joins until first hit; plus its ``"rows": false`` line."""
+    lines it joins until first hit; plus its ``"rows": false`` line.
+    Replies compare and hash by identity."""
 
-    body: bytes
-    records: tuple[bytes, ...] | None = None
-    lean: bytes | None = None
+    __slots__ = _fields = ("body", "records", "lean")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(
+        self, body: bytes, records: tuple[bytes, ...] | None = None, lean=None
+    ):
+        self.body, self.records, self.lean = body, records, lean
 
     def __len__(self) -> int:  # its own bytes, a pointer per record line
         held = len(self.body) + len(self.lean or b"")
@@ -125,8 +130,7 @@ def query_key(sql: str, params: Sequence[Any], last_lsn: int) -> tuple:
     return ("query", sql, json.dumps(params, sort_keys=True), last_lsn)
 
 
-@dataclass
-class CacheStats:
+class CacheStats(Record):
     """Counters for one :class:`CheckoutCache`.
 
     Lock discipline: every mutation happens inside the owning cache's
@@ -137,10 +141,11 @@ class CacheStats:
     snapshot.
     """
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    invalidated: int = 0
+    __slots__ = _fields = ("hits", "misses", "evictions", "invalidated")
+
+    def __init__(self, hits=0, misses=0, evictions=0, invalidated=0):
+        self.hits, self.misses = hits, misses
+        self.evictions, self.invalidated = evictions, invalidated
 
     def to_dict(self) -> dict:
         return {

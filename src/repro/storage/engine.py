@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from repro.errors import (
@@ -25,6 +24,7 @@ from repro.errors import (
     DuplicateObjectError,
     ExecutionError,
 )
+from repro.record import Record
 from repro.storage.executor import (
     QueryProfile,
     Relation,
@@ -55,17 +55,26 @@ def split_profile(sql: str) -> tuple[bool, str]:
     return False, sql
 
 
-@dataclass
-class Result:
-    """Outcome of one statement: rows for queries, rowcount for DML/DDL."""
+class Result(Record):
+    """Outcome of one statement: rows for queries, rowcount for DML/DDL.
 
-    columns: list[str] = field(default_factory=list)
-    rows: list[tuple] = field(default_factory=list)
-    rowcount: int = 0
-    #: ``PROFILE SELECT`` attaches the full profile dict here; the rows
-    #: above are then the per-operator report, and ``rowcount`` is the
-    #: profiled query's own output count.
-    profile: dict | None = None
+    ``PROFILE SELECT`` attaches the full profile dict as ``profile``; the
+    rows are then the per-operator report, and ``rowcount`` is the
+    profiled query's own output count.
+    """
+
+    __slots__ = _fields = ("columns", "rows", "rowcount", "profile")
+
+    def __init__(
+        self,
+        columns: list[str] | None = None,
+        rows: list[tuple] | None = None,
+        rowcount: int = 0,
+        profile: dict | None = None,
+    ):
+        self.columns = [] if columns is None else columns
+        self.rows = [] if rows is None else rows
+        self.rowcount, self.profile = rowcount, profile
 
     def scalar(self) -> Any:
         """First column of the first row (None when empty)."""

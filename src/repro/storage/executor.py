@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import asdict, dataclass, field, replace as _dc_replace
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ExecutionError
+from repro.record import Record
 from repro.storage.columns import ColumnBlock, concat_columns
 from repro.storage.compile import (
     compile_column_predicate,
@@ -167,14 +167,13 @@ def _column_position(expr: Expression, env: EvalEnv) -> int | None:
     return None
 
 
-@dataclass
-class OpProfile:
+class OpProfile(Record):
     """One pipeline operator's tally for one statement."""
 
-    op: str
-    rows: int = 0
-    batches: int = 0
-    seconds: float = 0.0
+    __slots__ = _fields = ("op", "rows", "batches", "seconds")
+
+    def __init__(self, op: str, rows: int = 0, batches: int = 0, seconds: float = 0.0):
+        self.op, self.rows, self.batches, self.seconds = op, rows, batches, seconds
 
     def charge(self, rows: int, started: float | None = None) -> None:
         """One batch of ``rows`` produced (since ``started``, when timed)."""
@@ -207,20 +206,23 @@ class QueryProfile:
         """The tallies in first-use order — the planner's scans and joins,
         then each pipeline's operators as ``_build`` chained them — so the
         report reads in data-flow order."""
-        return {"operators": [asdict(entry) for entry in self._ops.values()]}
+        return {
+            "operators": [
+                {"op": t.op, "rows": t.rows, "batches": t.batches, "seconds": t.seconds}
+                for t in self._ops.values()
+            ]
+        }
 
 
-@dataclass
-class Relation:
-    """A materialized intermediate result: column names, rows, known types."""
+class Relation(Record):
+    """A materialized intermediate result: column names, rows, known types
+    (all unknown when ``types`` is empty or left out)."""
 
-    names: list[str]
-    rows: list[Row]
-    types: list[DataType | None] = field(default_factory=list)
+    __slots__ = _fields = ("names", "rows", "types")
 
-    def __post_init__(self) -> None:
-        if not self.types:
-            self.types = [None] * len(self.names)
+    def __init__(self, names: list[str], rows: list[Row], types=None):
+        self.names, self.rows = names, rows
+        self.types: list[DataType | None] = types or [None] * len(names)
 
     def env(self) -> EvalEnv:
         return EvalEnv(self.names)
@@ -374,8 +376,7 @@ def _order_vectors(
 # ------------------------------------------------------------- operators
 
 
-@dataclass
-class Operator:
+class Operator(Record):
     """One stage of the compiled pipeline; iterate it for its output blocks.
 
     Subclasses implement ``run()``, a generator over ``child`` (any
@@ -384,12 +385,13 @@ class Operator:
     statement's tally for this stage.
     """
 
-    profile: QueryProfile
-    child: Iterable[ColumnBlock] | None
+    __slots__ = ("profile", "child", "tally")
+    _fields = ("profile", "child")
     name = ""
 
-    def __post_init__(self) -> None:
-        self.tally = self.profile.op(self.name)
+    def __init__(self, profile: QueryProfile, child: Iterable[ColumnBlock] | None):
+        self.profile, self.child = profile, child
+        self.tally = profile.op(self.name)
 
     def __iter__(self) -> Iterator[ColumnBlock]:
         profile, tally = self.profile, self.tally
@@ -407,25 +409,32 @@ class Operator:
             yield block
 
 
-@dataclass
 class Scan(Operator):
     """A lazy base-table scan: one stats charge per block pulled, so a
     consumer that stops early never pays for the blocks it did not read."""
 
+    __slots__ = ("table",)
+    _fields = ("profile", "child", "table")
     name = "scan"
-    table: Any
+
+    def __init__(self, profile, child, table: Any):
+        super().__init__(profile, child)
+        self.table = table
 
     def run(self):
         return self.table.scan_column_blocks()
 
 
-@dataclass
 class Filter(Operator):
     """WHERE: keeps the rows whose predicate is exactly ``True``."""
 
+    __slots__ = ("predicate", "width")
+    _fields = ("profile", "child", "predicate", "width")
     name = "filter"
-    predicate: Callable
-    width: int
+
+    def __init__(self, profile, child, predicate: Callable, width: int):
+        super().__init__(profile, child)
+        self.predicate, self.width = predicate, width
 
     def run(self):
         for block in self.child:
@@ -447,7 +456,6 @@ def _widen(block: ColumnBlock, vectors: list[list]) -> ColumnBlock:
     return ColumnBlock.from_rows(wide, block.width + len(vectors))
 
 
-@dataclass
 class Window(Operator):
     """Ranks whole partitions and appends one column per window call.
 
@@ -455,10 +463,14 @@ class Window(Operator):
     k rows survive (see :func:`_rank_window`).
     """
 
+    __slots__ = ("calls", "limit_k", "width")
+    _fields = ("profile", "child", "calls", "limit_k", "width")
     name = "window"
-    calls: list  # (WindowFunc, partition kernels, order kernels)
-    limit_k: int | None
-    width: int
+
+    def __init__(self, profile, child, calls: list, limit_k: int | None, width: int):
+        # calls: (WindowFunc, partition kernels, order kernels) triples
+        super().__init__(profile, child)
+        self.calls, self.limit_k, self.width = calls, limit_k, width
 
     def run(self):
         block = concat_columns(self.child, self.width)
@@ -480,14 +492,18 @@ class Window(Operator):
         yield _widen(block, vectors)
 
 
-@dataclass
 class Unnest(Operator):
     """Expands the set-returning select items of a projected block in place:
     each row repeats once per array element; several arrays zip in
     parallel, the shorter ones padded with NULL."""
 
+    __slots__ = ("ranges",)
+    _fields = ("profile", "child", "ranges")
     name = "unnest"
-    ranges: dict[int, bool]  # output position -> range-encoded array?
+
+    def __init__(self, profile, child, ranges: dict[int, bool]):
+        super().__init__(profile, child)
+        self.ranges = ranges  # output position -> range-encoded array?
 
     def run(self):
         from repro.core.compression import decode_ranges
@@ -516,16 +532,18 @@ class Unnest(Operator):
             yield out
 
 
-@dataclass
 class Project(Operator):
     """The select list, one value kernel per item.  ``positions`` (every
     item a bare column) is the one-pass ``itemgetter`` form for row-backed
     blocks; ``keep_source`` remembers the input block for a Sort above."""
 
+    __slots__ = ("kernels", "positions", "keep_source")
+    _fields = ("profile", "child", "kernels", "positions", "keep_source")
     name = "project"
-    kernels: list
-    positions: list[int] | None
-    keep_source: bool
+
+    def __init__(self, profile, child, kernels, positions, keep_source: bool):
+        super().__init__(profile, child)
+        self.kernels, self.positions, self.keep_source = kernels, positions, keep_source
 
     def run(self):
         positions = self.positions
@@ -562,16 +580,18 @@ class Project(Operator):
             yield out
 
 
-@dataclass
 class Aggregate(Operator):
     """GROUP BY / aggregates: ``grouper`` maps the whole filtered input to
     ``(representative source row, output row)`` pairs, one per group."""
 
+    __slots__ = ("grouper", "width", "out_width", "keep_source")
+    _fields = ("profile", "child", "grouper", "width", "out_width", "keep_source")
     name = "group"
-    grouper: Callable[[ColumnBlock], Pairs]
-    width: int
-    out_width: int
-    keep_source: bool
+
+    def __init__(self, profile, child, grouper, width, out_width, keep_source):
+        super().__init__(profile, child)
+        self.grouper: Callable[[ColumnBlock], Pairs] = grouper
+        self.width, self.out_width, self.keep_source = width, out_width, keep_source
 
     def run(self):
         pairs = self.grouper(concat_columns(self.child, self.width))
@@ -581,7 +601,6 @@ class Aggregate(Operator):
         yield out
 
 
-@dataclass
 class Sort(Operator):
     """ORDER BY over key vectors; ``top`` makes it a heap top-k.
 
@@ -591,10 +610,13 @@ class Sort(Operator):
     ExecutionError, then the source row does.
     """
 
+    __slots__ = ("keys", "top", "width")
+    _fields = ("profile", "child", "keys", "top", "width")
     name = "order"
-    keys: list
-    top: int | None
-    width: int
+
+    def __init__(self, profile, child, keys: list, top: int | None, width: int):
+        super().__init__(profile, child)
+        self.keys, self.top, self.width = keys, top, width
 
     def run(self):
         block = concat_columns(self.child, self.width)
@@ -627,10 +649,14 @@ class Sort(Operator):
         return values
 
 
-@dataclass
 class Distinct(Operator):
+    __slots__ = ("width",)
+    _fields = ("profile", "child", "width")
     name = "distinct"
-    width: int
+
+    def __init__(self, profile, child, width: int):
+        super().__init__(profile, child)
+        self.width = width
 
     def run(self):
         seen: set[Row] = set()
@@ -643,17 +669,19 @@ class Distinct(Operator):
             yield ColumnBlock.from_rows(unique, self.width)
 
 
-@dataclass
 class Limit(Operator):
     """OFFSET/LIMIT as Python slices (so negative bounds, reachable via
     parameters, mean what they mean in the reference).  ``stop_after`` is
     the bare-LIMIT pushdown: stop pulling once that many rows exist."""
 
+    __slots__ = ("limit", "offset", "stop_after", "width")
+    _fields = ("profile", "child", "limit", "offset", "stop_after", "width")
     name = "limit"
-    limit: int | None
-    offset: int | None
-    stop_after: int | None
-    width: int
+
+    def __init__(self, profile, child, limit, offset, stop_after, width: int):
+        super().__init__(profile, child)
+        self.limit, self.offset, self.stop_after = limit, offset, stop_after
+        self.width = width
 
     def run(self):
         rows: list[Row] = []
@@ -720,8 +748,7 @@ class SelectExecutor:
 
         # Plan from a copy: the caller may execute the same AST again, and
         # must then see its subqueries run again.
-        select = _dc_replace(
-            select,
+        select = select._replace(
             where=_bitmapize_array_constants(resolved(select.where)),
             items=[
                 ast.SelectItem(resolved(item.expr), item.alias)
@@ -1112,7 +1139,7 @@ class SelectExecutor:
         rows = [row + extra for row, extra in zip(rows, zip(*vectors))]
         names = relation.names + [f"__win{k}" for k in range(len(calls))]
         types = relation.types + [None] * len(calls)
-        return _dc_replace(select, items=items), Relation(names, rows, types), rows
+        return select._replace(items=items), Relation(names, rows, types), rows
 
     def _projected(
         self, select: ast.Select, relation: Relation, rows: list[Row]

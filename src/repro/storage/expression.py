@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import ExecutionError
+from repro.record import FrozenRecord
 from repro.storage import arrays
 
 AGGREGATE_FUNCTIONS = frozenset(
@@ -59,8 +59,10 @@ class EvalEnv:
         return position
 
 
-class Expression:
+class Expression(FrozenRecord):
     """Base expression node."""
+
+    __slots__ = ()
 
     def evaluate(self, row: Sequence[Any], env: EvalEnv) -> Any:
         raise NotImplementedError
@@ -73,17 +75,21 @@ class Expression:
         return False
 
 
-@dataclass(frozen=True)
 class Literal(Expression):
-    value: Any
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Any):
+        self.value = value
 
     def evaluate(self, row: Sequence[Any], env: EvalEnv) -> Any:
         return self.value
 
 
-@dataclass(frozen=True)
 class ColumnRef(Expression):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
     def evaluate(self, row: Sequence[Any], env: EvalEnv) -> Any:
         return row[env.resolve(self.name)]
@@ -92,15 +98,15 @@ class ColumnRef(Expression):
         return {self.name}
 
 
-@dataclass(frozen=True)
 class Star(Expression):
     """``*`` in a select list or ``count(*)``."""
+
+    __slots__ = ()
 
     def evaluate(self, row: Sequence[Any], env: EvalEnv) -> Any:
         return row
 
 
-@dataclass(frozen=True)
 class PosRef(Expression):
     """Positional column reference (internal).
 
@@ -109,15 +115,20 @@ class PosRef(Expression):
     produced by the parser.
     """
 
-    position: int
+    __slots__ = _fields = ("position",)
+
+    def __init__(self, position: int):
+        self.position = position
 
     def evaluate(self, row: Sequence[Any], env: EvalEnv) -> Any:
         return row[self.position]
 
 
-@dataclass(frozen=True)
 class ArrayLiteral(Expression):
-    items: tuple[Expression, ...]
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items: tuple[Expression, ...]):
+        self.items = items
 
     def evaluate(self, row: Sequence[Any], env: EvalEnv) -> Any:
         return array_value(item.evaluate(row, env) for item in self.items)
@@ -201,14 +212,12 @@ BINARY_IMPLS: dict[str, Callable[[Any, Any], Any]] = {
     "&&": arrays.overlap,
 }
 
-_BINARY_IMPLS = BINARY_IMPLS  # historical private name
 
-
-@dataclass(frozen=True)
 class BinaryOp(Expression):
-    op: str
-    left: Expression
-    right: Expression
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expression, right: Expression):
+        self.op, self.left, self.right = op, left, right
 
     def evaluate(self, row: Sequence[Any], env: EvalEnv) -> Any:
         op = self.op
@@ -224,7 +233,7 @@ class BinaryOp(Expression):
             return None
         if op == "/" and right == 0:
             raise ExecutionError("division by zero")
-        impl = _BINARY_IMPLS.get(op)
+        impl = BINARY_IMPLS.get(op)
         if impl is None:
             raise ExecutionError(f"unknown operator {op!r}")
         try:
@@ -277,10 +286,11 @@ class BinaryOp(Expression):
         return self.left.contains_aggregate() or self.right.contains_aggregate()
 
 
-@dataclass(frozen=True)
 class UnaryOp(Expression):
-    op: str  # 'not', '-'
-    operand: Expression
+    __slots__ = _fields = ("op", "operand")
+
+    def __init__(self, op: str, operand: Expression):  # op: 'not' or '-'
+        self.op, self.operand = op, operand
 
     def evaluate(self, row: Sequence[Any], env: EvalEnv) -> Any:
         value = self.operand.evaluate(row, env)
@@ -299,10 +309,11 @@ class UnaryOp(Expression):
         return self.operand.contains_aggregate()
 
 
-@dataclass(frozen=True)
 class IsNull(Expression):
-    operand: Expression
-    negated: bool = False
+    __slots__ = _fields = ("operand", "negated")
+
+    def __init__(self, operand: Expression, negated: bool = False):
+        self.operand, self.negated = operand, negated
 
     def evaluate(self, row: Sequence[Any], env: EvalEnv) -> Any:
         is_null = self.operand.evaluate(row, env) is None
@@ -315,12 +326,12 @@ class IsNull(Expression):
         return self.operand.contains_aggregate()
 
 
-@dataclass(frozen=True)
 class Between(Expression):
-    operand: Expression
-    low: Expression
-    high: Expression
-    negated: bool = False
+    __slots__ = _fields = ("operand", "low", "high", "negated")
+
+    def __init__(self, operand, low: Expression, high: Expression, negated=False):
+        self.operand, self.low, self.high = operand, low, high
+        self.negated = negated
 
     def evaluate(self, row: Sequence[Any], env: EvalEnv) -> Any:
         value = self.operand.evaluate(row, env)
@@ -335,11 +346,11 @@ class Between(Expression):
         return self.operand.columns() | self.low.columns() | self.high.columns()
 
 
-@dataclass(frozen=True)
 class InList(Expression):
-    operand: Expression
-    items: tuple[Expression, ...]
-    negated: bool = False
+    __slots__ = _fields = ("operand", "items", "negated")
+
+    def __init__(self, operand, items: tuple[Expression, ...], negated=False):
+        self.operand, self.items, self.negated = operand, items, negated
 
     def evaluate(self, row: Sequence[Any], env: EvalEnv) -> Any:
         value = self.operand.evaluate(row, env)
@@ -355,13 +366,13 @@ class InList(Expression):
         return out
 
 
-@dataclass(frozen=True)
 class InSet(Expression):
     """``x IN (subquery)`` after the planner materializes the subquery."""
 
-    operand: Expression
-    values: frozenset
-    negated: bool = False
+    __slots__ = _fields = ("operand", "values", "negated")
+
+    def __init__(self, operand: Expression, values: frozenset, negated=False):
+        self.operand, self.values, self.negated = operand, values, negated
 
     def evaluate(self, row: Sequence[Any], env: EvalEnv) -> Any:
         value = self.operand.evaluate(row, env)
@@ -374,11 +385,11 @@ class InSet(Expression):
         return self.operand.columns()
 
 
-@dataclass(frozen=True)
 class Like(Expression):
-    operand: Expression
-    pattern: Expression
-    negated: bool = False
+    __slots__ = _fields = ("operand", "pattern", "negated")
+
+    def __init__(self, operand: Expression, pattern: Expression, negated=False):
+        self.operand, self.pattern, self.negated = operand, pattern, negated
 
     def evaluate(self, row: Sequence[Any], env: EvalEnv) -> Any:
         value = self.operand.evaluate(row, env)
@@ -405,14 +416,12 @@ SCALAR_FUNCS: dict[str, Callable[..., Any]] = {
     "round": lambda x, n=0: round(x, int(n)),
 }
 
-_SCALAR_FUNCS = SCALAR_FUNCS  # historical private name
 
-
-@dataclass(frozen=True)
 class FuncCall(Expression):
-    name: str
-    args: tuple[Expression, ...]
-    distinct: bool = False
+    __slots__ = _fields = ("name", "args", "distinct")
+
+    def __init__(self, name: str, args: tuple[Expression, ...], distinct=False):
+        self.name, self.args, self.distinct = name, args, distinct
 
     @property
     def is_aggregate(self) -> bool:
@@ -429,7 +438,7 @@ class FuncCall(Expression):
                 if value is not None:
                     return value
             return None
-        impl = _SCALAR_FUNCS.get(self.name)
+        impl = SCALAR_FUNCS.get(self.name)
         if impl is None:
             raise ExecutionError(f"unknown function {self.name!r}")
         values = [arg.evaluate(row, env) for arg in self.args]
@@ -450,7 +459,6 @@ class FuncCall(Expression):
 WINDOW_FUNCTIONS = frozenset({"row_number", "rank", "dense_rank"})
 
 
-@dataclass(frozen=True)
 class WindowFunc(Expression):
     """``row_number() OVER (PARTITION BY ... ORDER BY ...)``.
 
@@ -460,10 +468,16 @@ class WindowFunc(Expression):
     identically in every execution mode.
     """
 
-    name: str  # 'row_number' | 'rank' | 'dense_rank'
-    partition_by: tuple[Expression, ...] = ()
-    #: (key expression, descending) pairs, like ORDER BY items.
-    order_by: tuple[tuple[Expression, bool], ...] = ()
+    __slots__ = _fields = ("name", "partition_by", "order_by")
+
+    def __init__(
+        self,
+        name: str,  # 'row_number' | 'rank' | 'dense_rank'
+        partition_by: tuple[Expression, ...] = (),
+        #: (key expression, descending) pairs, like ORDER BY items.
+        order_by: tuple[tuple[Expression, bool], ...] = (),
+    ):
+        self.name, self.partition_by, self.order_by = name, partition_by, order_by
 
     def evaluate(self, row: Sequence[Any], env: EvalEnv) -> Any:
         raise ExecutionError(
@@ -493,32 +507,12 @@ def window_calls(expr: Expression) -> list["WindowFunc"]:
 def _collect_windows(node: Expression, out: list["WindowFunc"]) -> None:
     if isinstance(node, WindowFunc):
         out.append(node)
-    elif isinstance(node, BinaryOp):
-        _collect_windows(node.left, out)
-        _collect_windows(node.right, out)
-    elif isinstance(node, UnaryOp):
-        _collect_windows(node.operand, out)
-    elif isinstance(node, IsNull):
-        _collect_windows(node.operand, out)
-    elif isinstance(node, Between):
-        _collect_windows(node.operand, out)
-        _collect_windows(node.low, out)
-        _collect_windows(node.high, out)
-    elif isinstance(node, InList):
-        _collect_windows(node.operand, out)
-        for item in node.items:
-            _collect_windows(item, out)
-    elif isinstance(node, InSet):
-        _collect_windows(node.operand, out)
-    elif isinstance(node, Like):
-        _collect_windows(node.operand, out)
-        _collect_windows(node.pattern, out)
-    elif isinstance(node, ArrayLiteral):
-        for item in node.items:
-            _collect_windows(item, out)
-    elif isinstance(node, FuncCall):
-        for arg in node.args:
-            _collect_windows(arg, out)
+        return
+    for name in node._fields:
+        value = getattr(node, name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, Expression):
+                _collect_windows(child, out)
 
 
 def map_children(
@@ -533,7 +527,7 @@ def map_children(
     if isinstance(expr, (Literal, ColumnRef, PosRef, Star)):
         return expr
     return type(expr)(
-        *(_map_value(getattr(expr, name), fn) for name in expr.__dataclass_fields__)
+        *(_map_value(getattr(expr, name), fn) for name in expr._fields)
     )
 
 

@@ -11,37 +11,65 @@ assert that plans touch the amount of data the paper says they should.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from repro.record import Record
 
 
-@dataclass
-class IOStats:
-    """Mutable counters; cheap to snapshot and subtract."""
+class IOStats(Record):
+    """Mutable counters; cheap to snapshot and subtract.
 
-    records_scanned: int = 0
-    index_probes: int = 0
-    rows_written: int = 0
-    rows_deleted: int = 0
-    array_cells_written: int = 0
-    hash_build_rows: int = 0
-    sort_rows: int = 0
-    #: Execution-engine counters: row blocks charged by the batch and
-    #: block scans, and how many expressions each statement lowered to
-    #: generated row functions (DML, join conditions, and the block
-    #: pipeline's kernels that need a whole row) vs. left on the
-    #: interpreter (trees whose root is outside the generated skeleton,
-    #: or that the compiler refuses).  They describe
-    #: *how* work ran, so they stay out of :attr:`total_touched`.
-    batches_scanned: int = 0
-    exprs_compiled: int = 0
-    exprs_interpreted: int = 0
-    #: Block-pipeline counters: column blocks handed out by
-    #: :meth:`Table.scan_column_blocks` (each also charges one
-    #: ``batches_scanned``), and expressions served by per-column vector
-    #: kernels.  ``exprs_compiled + exprs_columnar + exprs_interpreted``
-    #: is the full per-statement expression census.
-    blocks_scanned: int = 0
-    exprs_columnar: int = 0
+    No ``__slots__``: the counters live in the instance dict, so ``vars()``
+    of an IOStats is its counters, in field order.
+    """
+
+    _fields = (
+        "records_scanned",
+        "index_probes",
+        "rows_written",
+        "rows_deleted",
+        "array_cells_written",
+        "hash_build_rows",
+        "sort_rows",
+        "batches_scanned",
+        "exprs_compiled",
+        "exprs_interpreted",
+        "blocks_scanned",
+        "exprs_columnar",
+    )
+
+    def __init__(
+        self,
+        records_scanned: int = 0,
+        index_probes: int = 0,
+        rows_written: int = 0,
+        rows_deleted: int = 0,
+        array_cells_written: int = 0,
+        hash_build_rows: int = 0,
+        sort_rows: int = 0,
+        #: Execution-engine counters: row blocks charged by the batch and
+        #: block scans, and how many expressions each statement lowered to
+        #: generated row functions (DML, join conditions, and the block
+        #: pipeline's kernels that need a whole row) vs. left on the
+        #: interpreter (trees whose root is outside the generated skeleton,
+        #: or that the compiler refuses).  They describe
+        #: *how* work ran, so they stay out of :attr:`total_touched`.
+        batches_scanned: int = 0,
+        exprs_compiled: int = 0,
+        exprs_interpreted: int = 0,
+        #: Block-pipeline counters: column blocks handed out by
+        #: :meth:`Table.scan_column_blocks` (each also charges one
+        #: ``batches_scanned``), and expressions served by per-column vector
+        #: kernels.  ``exprs_compiled + exprs_columnar + exprs_interpreted``
+        #: is the full per-statement expression census.
+        blocks_scanned: int = 0,
+        exprs_columnar: int = 0,
+    ):
+        self.records_scanned, self.index_probes = records_scanned, index_probes
+        self.rows_written, self.rows_deleted = rows_written, rows_deleted
+        self.array_cells_written = array_cells_written
+        self.hash_build_rows, self.sort_rows = hash_build_rows, sort_rows
+        self.batches_scanned, self.exprs_compiled = batches_scanned, exprs_compiled
+        self.exprs_interpreted = exprs_interpreted
+        self.blocks_scanned, self.exprs_columnar = blocks_scanned, exprs_columnar
 
     def snapshot(self) -> "IOStats":
         return IOStats(**vars(self))
@@ -79,8 +107,10 @@ class IOStats:
         )
 
 
-@dataclass
-class StatsRegistry:
+class StatsRegistry(Record):
     """Holder shared by all tables of one database."""
 
-    stats: IOStats = field(default_factory=IOStats)
+    __slots__ = _fields = ("stats",)
+
+    def __init__(self, stats: IOStats | None = None):
+        self.stats = IOStats() if stats is None else stats

@@ -18,11 +18,11 @@ parse time from the ``params`` sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence, TypeVar
 
 from repro.errors import SQLSyntaxError
+from repro.record import Record
 from repro.storage.expression import (
     ArrayLiteral,
     Between,
@@ -45,11 +45,13 @@ from repro.storage.parser.lexer import Token, TokenType, tokenize
 from repro.storage.types import parse_type_name
 
 
-@dataclass(frozen=True)
 class ScalarSubquery(Expression):
     """``(SELECT ...)`` used as a value; resolved by the planner."""
 
-    query: ast.Select
+    __slots__ = _fields = ("query",)
+
+    def __init__(self, query: ast.Select):
+        self.query = query
 
     def __hash__(self):  # Select is mutable; identity hash is fine here.
         return id(self.query)
@@ -58,13 +60,13 @@ class ScalarSubquery(Expression):
         raise NotImplementedError("scalar subquery not resolved by planner")
 
 
-@dataclass(frozen=True)
 class InSubquery(Expression):
     """``x IN (SELECT ...)``; the planner materializes it to an InSet."""
 
-    operand: Expression
-    query: ast.Select
-    negated: bool = False
+    __slots__ = _fields = ("operand", "query", "negated")
+
+    def __init__(self, operand: Expression, query: ast.Select, negated=False):
+        self.operand, self.query, self.negated = operand, query, negated
 
     def __hash__(self):
         return hash((id(self.query), self.operand, self.negated))
@@ -76,11 +78,13 @@ class InSubquery(Expression):
         return self.operand.columns()
 
 
-@dataclass(frozen=True)
 class ArraySubquery(Expression):
     """``ARRAY(SELECT ...)`` — collect a single column into an int array."""
 
-    query: ast.Select
+    __slots__ = _fields = ("query",)
+
+    def __init__(self, query: ast.Select):
+        self.query = query
 
     def __hash__(self):
         return id(self.query)
@@ -107,12 +111,17 @@ def _nesting(root: Any) -> int:
             stack.extend(zip(node, repeat(depth)))
         elif isinstance(node, (Literal, ColumnRef)):
             deepest = max(deepest, depth + 1)
-        elif hasattr(node, "__dataclass_fields__"):
+        elif isinstance(node, Record):
             depth += isinstance(node, Expression)
             deepest = max(deepest, depth)
-            stack.extend((getattr(node, f), depth) for f in node.__dataclass_fields__)
+            stack.extend((getattr(node, f), depth) for f in node._fields)
     return deepest
 
+
+T = TypeVar("T")
+
+_STATEMENTS = "select insert update delete create drop alter cluster".split()
+_CONSTANTS = {"true": True, "false": False, "null": None}
 
 #: The deepest fixed lookahead (``VERSIONS ANCESTOR OF <n>``): the token
 #: list carries this many extra EOFs, so :meth:`_Parser._peek` is an index.
@@ -181,6 +190,13 @@ class _Parser:
             return True
         return False
 
+    def _list(self, parse: Callable[[], T]) -> list[T]:
+        """One or more ``parse()`` items separated by commas."""
+        items = [parse()]
+        while self._accept_op(","):
+            items.append(parse())
+        return items
+
     def _next_param(self) -> Any:
         if self._param_index >= len(self._params):
             raise self._error("not enough parameters supplied")
@@ -212,24 +228,11 @@ class _Parser:
         return statements
 
     def _statement(self) -> ast.Statement:
+        """Dispatch on the leading keyword to the method named after it."""
         token = self._peek()
-        if token.is_keyword("select"):
-            return self._select()
-        if token.is_keyword("insert"):
-            return self._insert()
-        if token.is_keyword("update"):
-            return self._update()
-        if token.is_keyword("delete"):
-            return self._delete()
-        if token.is_keyword("create"):
-            return self._create()
-        if token.is_keyword("drop"):
-            return self._drop()
-        if token.is_keyword("alter"):
-            return self._alter()
-        if token.is_keyword("cluster"):
-            return self._cluster()
-        raise self._error("expected a SQL statement")
+        if not token.is_keyword(*_STATEMENTS):
+            raise self._error("expected a SQL statement")
+        return getattr(self, f"_{token.value}")()
 
     # ------------------------------------------------------------------- DDL
 
@@ -244,11 +247,10 @@ class _Parser:
         return self._create_index(unique)
 
     def _create_table(self) -> ast.CreateTable:
-        if_not_exists = False
-        if self._accept_keyword("if"):
+        if_not_exists = self._accept_keyword("if")
+        if if_not_exists:
             self._expect_keyword("not")
             self._expect_keyword("exists")
-            if_not_exists = True
         table = self._expect_ident()
         self._expect_op("(")
         columns: list[ast.ColumnDef] = []
@@ -258,11 +260,8 @@ class _Parser:
                 self._advance()
                 self._expect_keyword("key")
                 self._expect_op("(")
-                key_cols = [self._expect_ident()]
-                while self._accept_op(","):
-                    key_cols.append(self._expect_ident())
+                primary_key = tuple(self._list(self._expect_ident))
                 self._expect_op(")")
-                primary_key = tuple(key_cols)
             else:
                 name = self._expect_ident()
                 dtype = self._type_name()
@@ -304,25 +303,21 @@ class _Parser:
             method = self._expect_ident()
             ordered = method == "btree"
         self._expect_op("(")
-        columns = [self._expect_ident()]
-        while self._accept_op(","):
-            columns.append(self._expect_ident())
+        columns = tuple(self._list(self._expect_ident))
         self._expect_op(")")
-        return ast.CreateIndex(index, table, tuple(columns), unique, ordered)
+        return ast.CreateIndex(index, table, columns, unique, ordered)
 
     def _drop(self) -> ast.Statement:
         self._expect_keyword("drop")
         if self._accept_keyword("index"):
-            table = None
             index = self._expect_ident()
             self._expect_keyword("on")
             table = self._expect_ident()
             return ast.DropIndex(table, index)
         self._expect_keyword("table")
-        if_exists = False
-        if self._accept_keyword("if"):
+        if_exists = self._accept_keyword("if")
+        if if_exists:
             self._expect_keyword("exists")
-            if_exists = True
         table = self._expect_ident()
         return ast.DropTable(table, if_exists)
 
@@ -334,13 +329,10 @@ class _Parser:
         self._accept_keyword("column")
         name = self._expect_ident()
         dtype = self._type_name()
-        not_null = False
-        default = None
-        if self._accept_keyword("default"):
-            default = self._expression()
-        if self._accept_keyword("not"):
+        default = self._expression() if self._accept_keyword("default") else None
+        not_null = self._accept_keyword("not")
+        if not_null:
             self._expect_keyword("null")
-            not_null = True
         return ast.AlterTableAddColumn(
             table, ast.ColumnDef(name, dtype, not_null), default
         )
@@ -361,16 +353,10 @@ class _Parser:
         columns = None
         if self._peek().is_op("(") and self._looks_like_column_list():
             self._expect_op("(")
-            names = [self._expect_ident()]
-            while self._accept_op(","):
-                names.append(self._expect_ident())
+            columns = tuple(self._list(self._expect_ident))
             self._expect_op(")")
-            columns = tuple(names)
         if self._accept_keyword("values"):
-            rows = [self._value_row()]
-            while self._accept_op(","):
-                rows.append(self._value_row())
-            return ast.Insert(table, columns, rows)
+            return ast.Insert(table, columns, self._list(self._value_row))
         if self._peek().is_keyword("select") or self._peek().is_op("("):
             self._accept_op("(")
             query = self._select()
@@ -385,9 +371,7 @@ class _Parser:
 
     def _value_row(self) -> list[Expression]:
         self._expect_op("(")
-        values = [self._expression()]
-        while self._accept_op(","):
-            values.append(self._expression())
+        values = self._list(self._expression)
         self._expect_op(")")
         return values
 
@@ -395,12 +379,8 @@ class _Parser:
         self._expect_keyword("update")
         table = self._expect_ident()
         self._expect_keyword("set")
-        assignments = [self._assignment()]
-        while self._accept_op(","):
-            assignments.append(self._assignment())
-        where = None
-        if self._accept_keyword("where"):
-            where = self._expression()
+        assignments = self._list(self._assignment)
+        where = self._expression() if self._accept_keyword("where") else None
         return ast.Update(table, assignments, where)
 
     def _assignment(self) -> tuple[str, Expression]:
@@ -412,9 +392,7 @@ class _Parser:
         self._expect_keyword("delete")
         self._expect_keyword("from")
         table = self._expect_ident()
-        where = None
-        if self._accept_keyword("where"):
-            where = self._expression()
+        where = self._expression() if self._accept_keyword("where") else None
         return ast.Delete(table, where)
 
     # ---------------------------------------------------------------- SELECT
@@ -422,12 +400,8 @@ class _Parser:
     def _select(self) -> ast.Select:
         self._expect_keyword("select")
         distinct = self._accept_keyword("distinct")
-        items = [self._select_item()]
-        while self._accept_op(","):
-            items.append(self._select_item())
-        into_table = None
-        if self._accept_keyword("into"):
-            into_table = self._expect_ident()
+        items = self._list(self._select_item)
+        into_table = self._expect_ident() if self._accept_keyword("into") else None
         from_items: list[ast.FromItem] = []
         joins: list[ast.JoinClause] = []
         if self._accept_keyword("from"):
@@ -451,29 +425,20 @@ class _Parser:
                 self._expect_keyword("on")
                 condition = self._expression()
                 joins.append(ast.JoinClause(item, condition, kind))
-        where = None
-        if self._accept_keyword("where"):
-            where = self._expression()
+        where = self._expression() if self._accept_keyword("where") else None
         group_by: list[Expression] = []
         if self._accept_keyword("group"):
             self._expect_keyword("by")
-            group_by.append(self._expression())
-            while self._accept_op(","):
-                group_by.append(self._expression())
-        having = None
-        if self._accept_keyword("having"):
-            having = self._expression()
+            group_by = self._list(self._expression)
+        having = self._expression() if self._accept_keyword("having") else None
         order_by: list[ast.OrderItem] = []
         if self._accept_keyword("order"):
             self._expect_keyword("by")
-            order_by.append(self._order_item())
-            while self._accept_op(","):
-                order_by.append(self._order_item())
-        limit = offset = None
-        if self._accept_keyword("limit"):
-            limit = int(self._number_or_param())
-        if self._accept_keyword("offset"):
-            offset = int(self._number_or_param())
+            order_by = self._list(self._order_item)
+        limit = int(self._number_or_param()) if self._accept_keyword("limit") else None
+        offset = (
+            int(self._number_or_param()) if self._accept_keyword("offset") else None
+        )
         select = ast.Select(
             items=items,
             from_items=from_items,
@@ -516,10 +481,8 @@ class _Parser:
 
     def _order_item(self) -> ast.OrderItem:
         expr = self._expression()
-        descending = False
-        if self._accept_keyword("desc"):
-            descending = True
-        else:
+        descending = self._accept_keyword("desc")
+        if not descending:
             self._accept_keyword("asc")
         return ast.OrderItem(expr, descending)
 
@@ -635,37 +598,25 @@ class _Parser:
                 self._expect_keyword("null")
                 left = IsNull(left, negated)
                 continue
+            negated = token.is_keyword("not") and self._peek(1).is_keyword(
+                "in", "between", "like"
+            )
+            if negated:
+                self._advance()
+                token = self._peek()
             if token.is_keyword("between"):
                 self._advance()
                 low = self._additive()
                 self._expect_keyword("and")
-                high = self._additive()
-                left = Between(left, low, high)
-                continue
-            if token.is_keyword("like"):
+                left = Between(left, low, self._additive(), negated)
+            elif token.is_keyword("like"):
                 self._advance()
-                left = Like(left, self._additive())
-                continue
-            if token.is_keyword("in"):
+                left = Like(left, self._additive(), negated)
+            elif token.is_keyword("in"):
                 self._advance()
-                left = self._in_tail(left, negated=False)
-                continue
-            if token.is_keyword("not") and self._peek(1).is_keyword(
-                "in", "between", "like"
-            ):
-                self._advance()
-                follower = self._advance()
-                if follower.value == "in":
-                    left = self._in_tail(left, negated=True)
-                elif follower.value == "between":
-                    low = self._additive()
-                    self._expect_keyword("and")
-                    high = self._additive()
-                    left = Between(left, low, high, negated=True)
-                else:
-                    left = Like(left, self._additive(), negated=True)
-                continue
-            return left
+                left = self._in_tail(left, negated)
+            else:
+                return left
 
     def _in_tail(self, operand: Expression, negated: bool) -> Expression:
         self._expect_op("(")
@@ -673,11 +624,9 @@ class _Parser:
             query = self._select()
             self._expect_op(")")
             return InSubquery(operand, query, negated)
-        items = [self._expression()]
-        while self._accept_op(","):
-            items.append(self._expression())
+        items = tuple(self._list(self._expression))
         self._expect_op(")")
-        return InList(operand, tuple(items), negated)
+        return InList(operand, items, negated)
 
     def _additive(self) -> Expression:
         left = self._multiplicative()
@@ -717,15 +666,9 @@ class _Parser:
         if token.type is TokenType.PARAM:
             self._advance()
             return Literal(self._next_param())
-        if token.is_keyword("true"):
+        if token.type is TokenType.KEYWORD and token.value in _CONSTANTS:
             self._advance()
-            return Literal(True)
-        if token.is_keyword("false"):
-            self._advance()
-            return Literal(False)
-        if token.is_keyword("null"):
-            self._advance()
-            return Literal(None)
+            return Literal(_CONSTANTS[token.value])
         if token.is_keyword("array"):
             self._advance()
             return self._array_tail()
@@ -758,11 +701,9 @@ class _Parser:
             if self._peek().is_op("]"):
                 self._advance()
                 return ArrayLiteral(())
-            items = [self._expression()]
-            while self._accept_op(","):
-                items.append(self._expression())
+            items = tuple(self._list(self._expression))
             self._expect_op("]")
-            return ArrayLiteral(tuple(items))
+            return ArrayLiteral(items)
         self._expect_op("(")
         query = self._select()
         self._expect_op(")")
@@ -775,9 +716,7 @@ class _Parser:
             distinct = self._accept_keyword("distinct")
             args: list[Expression] = []
             if not self._peek().is_op(")"):
-                args.append(self._expression())
-                while self._accept_op(","):
-                    args.append(self._expression())
+                args = self._list(self._expression)
             self._expect_op(")")
             call = FuncCall(name, tuple(args), distinct)
             # OVER only opens a window clause when followed by "(" — else it
@@ -804,17 +743,12 @@ class _Parser:
         if self._peek().is_keyword("partition"):
             self._advance()
             self._expect_keyword("by")
-            partition.append(self._expression())
-            while self._accept_op(","):
-                partition.append(self._expression())
+            partition = self._list(self._expression)
         order: list[tuple[Expression, bool]] = []
         if self._accept_keyword("order"):
             self._expect_keyword("by")
-            item = self._order_item()
-            order.append((item.expr, item.descending))
-            while self._accept_op(","):
-                item = self._order_item()
-                order.append((item.expr, item.descending))
+            items = self._list(self._order_item)
+            order = [(item.expr, item.descending) for item in items]
         self._expect_op(")")
         keys = partition + [expr for expr, _descending in order]
         if any(window_calls(key) for key in keys):

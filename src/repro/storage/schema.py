@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Iterable, Sequence
 
 from repro.errors import CatalogError, ConstraintViolationError
+from repro.record import FrozenRecord, Record
 from repro.storage.types import CANONICAL_TYPES, VALUE_BYTES, DataType, coerce
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(FrozenRecord):
     """A named, typed column.
 
     ``not_null`` is enforced on insert/update; primary-key membership is
@@ -20,23 +19,21 @@ class Column:
     ``<protein1, protein2>`` composite key example.
     """
 
-    name: str
-    dtype: DataType
-    not_null: bool = False
+    __slots__ = _fields = ("name", "dtype", "not_null")
+
+    def __init__(self, name: str, dtype: DataType, not_null: bool = False):
+        self.name, self.dtype, self.not_null = name, dtype, not_null
 
 
-@dataclass
-class TableSchema:
+class TableSchema(Record):
     """Ordered collection of columns plus an optional composite primary key."""
 
-    columns: list[Column]
-    primary_key: tuple[str, ...] = ()
-    _index_by_name: dict[str, int] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    _fields = ("columns", "primary_key")
+    __slots__ = _fields + ("_index_by_name", "canonical_types", "value_bytes")
 
-    def __post_init__(self) -> None:
-        self._index_by_name = {}
+    def __init__(self, columns: list[Column], primary_key: Iterable[str] = ()):
+        self.columns, self.primary_key = columns, tuple(primary_key)
+        self._index_by_name: dict[str, int] = {}
         for position, column in enumerate(self.columns):
             if column.name in self._index_by_name:
                 raise CatalogError(f"duplicate column name {column.name!r}")
@@ -46,7 +43,6 @@ class TableSchema:
                 raise CatalogError(
                     f"primary key column {key_column!r} is not in the schema"
                 )
-        self.primary_key = tuple(self.primary_key)
         #: Per column: the type :func:`coerce` keeps as is, and its widths.
         self.canonical_types = [CANONICAL_TYPES.get(c.dtype) for c in self.columns]
         self.value_bytes = [VALUE_BYTES[c.dtype] for c in self.columns]

@@ -19,7 +19,6 @@ so commit reads only the rows that changed (paper Section 2.3).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -29,6 +28,7 @@ from repro.errors import (
     DuplicateObjectError,
     ReproError,
 )
+from repro.record import Record
 from repro.storage.index import HashIndex, Index, OrderedIndex
 from repro.storage.iostats import StatsRegistry
 from repro.storage.ridset import RidSet
@@ -40,8 +40,7 @@ Row = tuple[Any, ...]
 ROW_HEADER_BYTES = 24  # charged per stored row on top of its values
 
 
-@dataclass
-class ChangeSet:
+class ChangeSet(Record):
     """What DML did to a staged checkout since :meth:`Table.track_changes`.
 
     The table holds ``(rid, *data)`` rows.  Slots below ``base_slots`` hold
@@ -52,10 +51,14 @@ class ChangeSet:
     change set, and commit falls back to comparing every row.
     """
 
-    base_slots: int
-    base_rids: RidSet
-    originals: dict[int, Row] = field(default_factory=dict)
-    deleted: list[int] = field(default_factory=list)
+    __slots__ = _fields = ("base_slots", "base_rids", "originals", "deleted")
+
+    def __init__(
+        self, base_slots: int, base_rids: RidSet, originals=None, deleted=None
+    ):
+        self.base_slots, self.base_rids = base_slots, base_rids
+        self.originals: dict[int, Row] = {} if originals is None else originals
+        self.deleted: list[int] = [] if deleted is None else deleted
 
 
 class Table:

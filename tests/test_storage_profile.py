@@ -116,6 +116,27 @@ class TestOperatorLines:
         assert all(seconds >= 0 for *_rest, seconds in result.rows)
 
 
+class TestProfileDetail:
+    def test_operators_of_a_join_with_an_aggregate(self, db):
+        # The detail's operator entries are plain dicts in field order; all
+        # but the timings are the same on every run.
+        result = db.execute(
+            "PROFILE SELECT x.c, count(*) FROM t x JOIN t y ON x.a = y.a"
+            " WHERE x.b = 2 GROUP BY x.c ORDER BY x.c"
+        )
+        operators = result.profile["operators"]
+        fields = ["op", "rows", "batches", "seconds"]
+        assert all(list(entry) == fields for entry in operators)
+        assert all(type(entry.pop("seconds")) is float for entry in operators)
+        assert operators == [
+            {"op": "scan", "rows": 2 * N, "batches": 2},
+            {"op": "join", "rows": N, "batches": 1},
+            {"op": "filter", "rows": 429, "batches": 1},
+            {"op": "group", "rows": 5, "batches": 1},
+            {"op": "order", "rows": 5, "batches": 1},
+        ]
+
+
 class TestJoinsAndScans:
     def test_join_line_and_scan_agree_with_iostats(self, db):
         result = db.execute(
