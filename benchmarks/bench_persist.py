@@ -65,9 +65,12 @@ class _TimedJournal:
         self.store = store
         self.times: list[float] = []
 
-    def append(self, record: dict) -> None:
+    def encode(self, record: dict) -> bytes:
+        return self.store.encode(record)
+
+    def append(self, body: bytes, barrier: bool) -> None:
         started = time.perf_counter()
-        self.store.append(record)
+        self.store.append(body, barrier)
         self.times.append(time.perf_counter() - started)
 
 

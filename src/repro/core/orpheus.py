@@ -43,7 +43,7 @@ from repro.storage.parser import ast_nodes as _ast
 from repro.storage.parser.parser import parse_sql
 from repro.storage.ridset import RidSet
 from repro.storage.schema import Column, TableSchema
-from repro.storage.types import DataType, parse_type_name
+from repro.storage.types import DataType, pack_block, parse_type_name
 
 _log = logging.getLogger("repro.core.orpheus")
 
@@ -62,8 +62,9 @@ class OrpheusDB:
     Each durable operation is two steps.  ``_prepare_*`` checks and decides
     everything and writes nothing, so a refused operation leaves the
     session as it was; ``_apply_*`` only writes.  The public method runs
-    prepare, apply, then journals; WAL replay decodes the record and runs
-    the same apply.
+    prepare and encodes its record (:meth:`_encode`), applies, then
+    journals the encoded bytes (:meth:`_emit`); WAL replay decodes the
+    record and runs the same apply.
     """
 
     #: Set by a read-only store open: every mutating command refuses, the
@@ -95,31 +96,50 @@ class OrpheusDB:
     # -------------------------------------------------------------- journal
 
     def attach_journal(self, journal) -> None:
-        """Wire a journal: any object with ``append(record: dict)``."""
+        """Wire a journal: any object with ``encode(record: dict) -> bytes``
+        (a JSON object; it may refuse) and ``append(body: bytes, barrier:
+        bool)`` (see :class:`repro.persist.Store`)."""
         self._journal = journal
 
     def detach_journal(self) -> None:
         self._journal = None
 
-    def _emit(self, record: dict) -> None:
-        """Journal one logical operation (no-op without a journal)."""
+    def _encode(self, record: dict, clock: int | None = None):
+        """``(body, barrier)`` of an operation's record, encoded in its
+        prepare step (None without a journal): the journal's refusal leaves
+        nothing applied.  ``clock`` is the clock the apply leaves."""
         if self._journal is None:
-            return
+            return None
         if self._pending_barrier:
             # An earlier operation left in-memory effects the journal does
             # not carry; replaying this record on top of a journal-built
             # state could diverge (or brick recovery), so have the journal
             # checkpoint right after it.
             record["barrier"] = True
-            self._pending_barrier = False
-        record["clock"] = self._clock
+        record["clock"] = self._clock if clock is None else clock
+        return self._journal.encode(record), record.get("barrier", False)
+
+    def _emit(self, entry, **applied) -> None:
+        """Journal an :meth:`_encode` entry once its operation has applied.
+
+        ``applied`` holds the numbers the operation learned as it applied
+        (a commit's maintenance sample, a migration's timing); they join
+        the encoded JSON object and cannot fail to encode.  So only the
+        journal's write or fsync can fail here.  The caller then holds an
+        operation that is applied in memory but not in the log, like a
+        lost ack: the next journaled operation carries ``barrier``, and its
+        checkpoint makes this one durable too; a crash before that loses
+        it.
+        """
+        if entry is None:
+            return
+        body, barrier = entry
+        if applied:
+            body = body[:-1] + b"," + self._journal.encode(applied)[1:]
+        self._pending_barrier = False
         try:
-            self._journal.append(record)
+            self._journal.append(body, barrier)
         except Exception:
-            # The operation already applied in memory but was never
-            # journaled (e.g. disk full); if the session carries on, the
-            # next successful record must checkpoint rather than let
-            # recovery replay it against a state missing this one.
             self._pending_barrier = True
             raise
 
@@ -143,14 +163,16 @@ class OrpheusDB:
 
     def create_user(self, username: str) -> None:
         self._check_writable("create a user")
+        entry = self._encode({"op": "create_user", "username": username})
         self.access.create_user(username)
-        self._emit({"op": "create_user", "username": username})
+        self._emit(entry)
 
     def config(self, username: str) -> None:
         """Log in as ``username`` (the paper's ``config`` command)."""
         self._check_writable("switch users")
+        entry = self._encode({"op": "config", "username": username})
         self.access.login(username)
-        self._emit({"op": "config", "username": username})
+        self._emit(entry)
 
     def whoami(self) -> str:
         return self.access.whoami()
@@ -202,17 +224,21 @@ class OrpheusDB:
         rows = list(rows)
         model = model or self.default_model
         root = self._prepare_init(name, schema, rows, model, message)
-        cvd = self._apply_init(name, schema, model, root)
-        self._emit(
+        entry = self._encode(
             {
                 "op": "init",
                 "name": name,
                 "schema": schema.to_dict(),
-                "rows": [list(row) for row in rows],
+                "rows": pack_block(
+                    [] if root is None else list(root.new_records.values()),
+                    schema.dtypes,
+                ),
                 "model": model,
                 "message": message,
             }
         )
+        cvd = self._apply_init(name, schema, model, root)
+        self._emit(entry)
         return cvd
 
     def _prepare_init(
@@ -275,8 +301,9 @@ class OrpheusDB:
                 f"CVD {name!r} has uncommitted checkouts: "
                 f"{[s.name for s in staged]}"
             )
+        entry = self._encode({"op": "drop", "name": name})
         self._apply_drop(name)
-        self._emit({"op": "drop", "name": name})
+        self._emit(entry)
 
     def _apply_drop(self, name: str) -> None:
         self.cvd(name).drop_storage()
@@ -473,44 +500,48 @@ class OrpheusDB:
     def _commit(
         self, cvd: CVD, staged: StagedCheckout, version: PreparedVersion, plan
     ) -> int:
-        """Apply a prepared commit, then journal it.
+        """Encode a prepared commit's record, apply it, then journal it.
 
         The record carries the version's change as a set difference:
         ``drop``, the parents' records it does not inherit, and the new
-        records with their rids and payloads, so it costs O(changed
-        records) bytes.  It also carries the partition the prepared
-        version was placed in.  A live optimizer's post-commit maintenance
-        sample piggybacks on the same record (``maintain``) so a commit
-        stays one fsync'd append; it depends on the applied version, so
-        the record is journaled after the apply.
+        records' payloads, numbered from ``first_rid``, each a block of
+        typed columns (:func:`~repro.storage.types.pack_block`), so it
+        costs O(changed records) bytes.  It also carries the partition the
+        prepared version was placed in.  A live optimizer's post-commit
+        maintenance sample depends on the applied version; it joins the
+        same record (``maintain``), so a commit stays one fsync'd append.
         """
+        schema = cvd.data_schema if plan is None else plan.new_schema
+        entry = self._encode(
+            {
+                "op": "commit",
+                "cvd": cvd.name,
+                "vid": version.vid,
+                "parents": list(version.parents),
+                "drop": pack_block(list(zip(version.drop)), [DataType.INTEGER]),
+                "first_rid": cvd._next_rid,
+                "new_records": pack_block(
+                    list(version.new_records.values()), schema.dtypes
+                ),
+                "staged": staged.name,
+                "staged_is_file": staged.is_file,
+                "partition": version.partition,
+                "schema": None if plan is None else plan.staged_schema.to_dict(),
+                "message": version.message,
+                "checkout_time": version.checkout_time,
+                "commit_time": version.commit_time,
+            },
+            clock=version.commit_time,
+        )
         self._apply_commit(cvd, version, plan, staged.name, staged.is_file)
         maintenance = self._evaluate_maintenance(cvd)
-        record = {
-            "op": "commit",
-            "cvd": cvd.name,
-            "vid": version.vid,
-            "parents": list(version.parents),
-            "drop": list(version.drop),
-            "new_records": [
-                [rid, list(payload)] for rid, payload in version.new_records.items()
-            ],
-            "staged": staged.name,
-            "staged_is_file": staged.is_file,
-            "partition": version.partition,
-            "schema": None if plan is None else plan.staged_schema.to_dict(),
-            "message": version.message,
-            "checkout_time": version.checkout_time,
-            "commit_time": version.commit_time,
-        }
+        applied = {}
         if maintenance is not None:
             _optimizer, sample, _best = maintenance
-            record["maintain"] = [
-                sample.version_count,
-                sample.current_cavg,
-                sample.best_cavg,
+            applied["maintain"] = [
+                sample.version_count, sample.current_cavg, sample.best_cavg
             ]
-        self._emit(record)
+        self._emit(entry, **applied)
         self._apply_maintenance_trigger(maintenance)
         return version.vid
 
@@ -554,7 +585,7 @@ class OrpheusDB:
         if profiled:
             with trace.span("sql.profile"):
                 return self.db.execute_profiled(statements)
-        mutating, _targets = _statement_targets(statements)
+        mutating, targets = _statement_targets(statements)
         if mutating:
             self._refuse_derived_writes(statements)
         if mutating and self.read_only:
@@ -562,29 +593,33 @@ class OrpheusDB:
                 "cannot run mutating SQL: this session is read-only "
                 "(store opened with mode='ro')"
             )
+        staged = set(self.provenance.staged_names()) if mutating else set()
+        # DML that writes only staged checkout tables is working-tree state.
+        durable = mutating and not (targets and set(targets) <= staged)
+        entry = None
+        if durable and self._journal is not None:
+            record = {"op": "run", "sql": sql, "params": list(params)}
+            if staged and _references_any(sql, staged):
+                # DML writing durable tables while *reading* staged state
+                # cannot be replayed from the log once staging is gone; the
+                # barrier asks the journal to checkpoint immediately so the
+                # effect is captured by a snapshot instead.
+                record["barrier"] = True
+            entry = self._encode(record)
         try:
             result = self._apply_run(statements)
         except Exception:
-            if self._journal is not None:
-                mutating, targets = _statement_targets(statements)
-                staged = set(self.provenance.staged_names())
-                atomic = len(statements) == 1 and isinstance(statements[0], _ATOMIC_DML)
-                if (
-                    mutating
-                    and not atomic
-                    and not (targets and all(t in staged for t in targets))
-                ):
-                    # Statements apply one at a time, so a mid-script
-                    # failure may have mutated *durable* state that was
-                    # never journaled; flag it so the next journaled
-                    # record checkpoints instead of building on divergent
-                    # replay.  Exempt: a failed lone INSERT/UPDATE/DELETE
-                    # wrote nothing, and staging is snapshot-only state
-                    # that is never replayed.
-                    self._pending_barrier = True
+            atomic = len(statements) == 1 and isinstance(statements[0], _ATOMIC_DML)
+            if durable and not atomic and self._journal is not None:
+                # Statements apply one at a time, so a failed script may
+                # have written durable state no record carries: the next
+                # record checkpoints.  A failed lone INSERT/UPDATE/DELETE
+                # wrote nothing.
+                self._pending_barrier = True
             raise
-        if self._journal is not None:
-            self._classify_and_journal_run(sql, params, statements)
+        if mutating and not durable and self._journal is not None:
+            self._mark_ephemeral()
+        self._emit(entry)
         return result
 
     def _refuse_derived_writes(self, statements: Sequence[_ast.Statement]) -> None:
@@ -608,28 +643,6 @@ class OrpheusDB:
     def _apply_run(self, statements: Sequence[_ast.Statement]) -> Result:
         with trace.span("sql.run"):
             return self.db.execute_statements(statements)
-
-    def _classify_and_journal_run(
-        self,
-        sql: str,
-        params: Sequence[Any],
-        statements: Sequence[_ast.Statement],
-    ) -> None:
-        mutating, targets = _statement_targets(statements)
-        if not mutating:
-            return
-        staged = set(self.provenance.staged_names())
-        if targets and all(t in staged for t in targets):
-            self._mark_ephemeral()
-            return
-        record = {"op": "run", "sql": sql, "params": list(params)}
-        if staged and _references_any(sql, staged):
-            # DML writing durable tables while *reading* staged state cannot
-            # be replayed from the log once staging is gone; the barrier asks
-            # the journal to checkpoint immediately so the effect is captured
-            # by a snapshot instead.
-            record["barrier"] = True
-        self._emit(record)
 
     # ------------------------------------------------- version-graph shortcuts
 
@@ -722,8 +735,7 @@ class OrpheusDB:
         optimizer, run = self._prepare_optimize(
             cvd_name, storage_threshold, tolerance, frequencies or None
         )
-        self._apply_optimize(cvd_name, optimizer, run)
-        self._emit(
+        entry = self._encode(
             {
                 "op": "optimize",
                 "cvd": cvd_name,
@@ -734,15 +746,14 @@ class OrpheusDB:
                 "frequencies": (
                     sorted(frequencies.items()) if frequencies else None
                 ),
-                # Timing of the migration a re-optimize performed (if any),
-                # for exact trace restore on replay.
-                "migration_wall_seconds": (
-                    optimizer.trace.migrations[-1].wall_seconds
-                    if run.migration is not None
-                    else None
-                ),
             }
         )
+        self._apply_optimize(cvd_name, optimizer, run)
+        # Timing of the migration a re-optimize performed (if any), for
+        # exact trace restore on replay.
+        migrated = run.migration is not None
+        seconds = optimizer.trace.migrations[-1].wall_seconds if migrated else None
+        self._emit(entry, migration_wall_seconds=seconds)
         return optimizer
 
     def _prepare_optimize(
@@ -777,7 +788,9 @@ class OrpheusDB:
     def _register_optimizer(self, cvd_name: str, optimizer) -> None:
         """Track an optimizer and wire its transition journaling."""
         self._optimizers[cvd_name] = optimizer
-        optimizer.journal = self._emit
+        # A transition's apply decides its record, which holds only numbers
+        # and version ids: it is encoded as it is appended.
+        optimizer.journal = lambda record: self._emit(self._encode(record))
 
     def _evaluate_maintenance(self, cvd: CVD):
         """Post-commit hook, phase 1: compute the online rule's sample.

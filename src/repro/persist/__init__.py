@@ -8,9 +8,11 @@ in-memory engine the same property with a classic two-part design:
   (``init``, ``commit``, ``drop``, user management, durable SQL DML,
   ``optimize``, and the partition optimizer's transitions — ``maintain``
   samples and ``migration``) appended with CRC framing and ``fsync``
-  after the operation has applied, before it is acknowledged.  A commit
-  record is a set difference against its parents — the rids it drops plus
-  its new records — so it costs O(changed records) whatever the DML did.
+  after the operation has applied, before it is acknowledged; each record
+  is encoded before its operation applies.  A commit record is a set
+  difference against its parents — the rids it drops plus its new records,
+  as blocks of the snapshot's typed-column codec — so it costs O(changed
+  records) whatever the DML did.
 * :mod:`repro.persist.snapshot` — a checkpoint format serializing the full
   engine catalog (one segment file, a block of typed columns per table;
   the rlist tables, derived from membership, are rebuilt at open) plus
@@ -21,7 +23,7 @@ in-memory engine the same property with a classic two-part design:
   and the reader refuses any format but the current one.
 * :mod:`repro.persist.store` — :class:`Store`, which ties the two together:
   ``Store.open`` loads the latest valid snapshot and replays the WAL tail;
-  a checkpoint policy compacts the log after enough appends.
+  a checkpoint policy empties the log after enough appends.
 
 Durability contract: journaled operations survive any crash after the
 command that acknowledged them returns.  Most ops are durable the moment

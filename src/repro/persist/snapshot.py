@@ -12,7 +12,8 @@ leaves only an ignorable ``*.tmp`` directory and the previous snapshot
 intact.
 
 A table's block is its row and column counts, then its columns in schema
-order (:func:`~repro.storage.types.encode_column`).  The manifest records,
+order (:func:`~repro.storage.types.encode_block`, the codec WAL records
+carry rows in as well).  The manifest records,
 per table, the schema (stable name/type encoding via
 :meth:`TableSchema.to_dict`), clustering, primary-key enforcement, index
 definitions, and the block's ``offset``, ``bytes``, CRC-32 and ``rows``;
@@ -38,7 +39,6 @@ import base64
 import json
 import os
 import shutil
-import struct
 import time
 import zlib
 from pathlib import Path
@@ -57,7 +57,7 @@ from repro.obs import metrics
 from repro.storage.engine import Database
 from repro.storage.ridset import RidSet
 from repro.storage.schema import TableSchema
-from repro.storage.types import DataType, decode_column, encode_column
+from repro.storage.types import DataType, block_shape, decode_block, encode_block
 
 from repro.persist.fsutil import fsync_dir as _fsync_dir
 
@@ -73,7 +73,6 @@ from repro.persist.fsutil import fsync_dir as _fsync_dir
 FORMAT_VERSION = 6
 MANIFEST_NAME = "manifest.json"
 SEGMENTS_NAME = "segments.bin"
-_BLOCK_HEAD = struct.Struct("<QI")  # rows, columns
 
 # Pid-aware handles: a pre-fork serve worker charges its own registry.
 _WRITES = metrics.counter("persist.snapshot.writes")
@@ -109,13 +108,14 @@ def write_snapshot(orpheus: OrpheusDB, directory: str | Path, last_lsn: int) -> 
     for table in orpheus.db.tables():
         entry = {"name": table.name, "file": None}
         if table.name not in derived:
-            block, rows = _encode_block(table)
+            rows = list(table.dump_rows())
+            block = encode_block(rows, table.schema.dtypes)
             entry.update(
                 file=SEGMENTS_NAME,
                 offset=offset,
                 bytes=len(block),
                 crc=zlib.crc32(block),
-                rows=rows,
+                rows=len(rows),
             )
             blocks.append(block)
             offset += len(block)
@@ -161,16 +161,6 @@ def _write_durably(path: Path, data: bytes) -> None:
         handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
-
-
-def _encode_block(table) -> tuple[bytes, int]:
-    """One table's block: row and column counts, then each typed column."""
-    rows = list(table.dump_rows())
-    columns = table.schema.columns
-    values = list(zip(*rows)) if rows else [()] * len(columns)
-    return _BLOCK_HEAD.pack(len(rows), len(columns)) + b"".join(
-        encode_column(column, spec.dtype) for column, spec in zip(values, columns)
-    ), len(rows)
 
 
 def _orpheus_state(orpheus: OrpheusDB) -> dict:
@@ -323,21 +313,13 @@ def _decode_block(data: memoryview, entry: dict, schema: TableSchema) -> list:
     block = data[start : start + size]
     if zlib.crc32(block) != entry["crc"]:
         raise RecoveryError("block failed its CRC check")
-    if size < _BLOCK_HEAD.size:
-        raise RecoveryError(f"block of {size} bytes has no header")
-    rows, width = _BLOCK_HEAD.unpack_from(block)
+    rows, width = block_shape(block)
     if (rows, width) != (entry["rows"], len(schema.columns)):
         raise RecoveryError(
             f"block holds {rows} rows of {width} columns, not "
             f"{entry['rows']} of {len(schema.columns)}"
         )
-    columns, at = [], _BLOCK_HEAD.size
-    for column in schema.columns:
-        values, at = decode_column(block, at, rows, column.dtype)
-        columns.append(values)
-    if at != size:
-        raise RecoveryError(f"block has {size - at} bytes past its last column")
-    return list(zip(*columns))
+    return decode_block(block, schema.dtypes)
 
 
 def _model_class(name: str):

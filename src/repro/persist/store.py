@@ -14,16 +14,16 @@ lsn.  Each mutating OrpheusDB call appends one fsync'd record via the
 attached journal, so a crash at any instant loses at most the operation
 whose append had not yet returned.  After ``checkpoint_interval`` appends
 (or an explicit :meth:`checkpoint`) the store writes a fresh snapshot and
-compacts the log.
+empties the log.
 
 Replay is :func:`replay_record`.  Every journaled operation is a pure
 prepare step and an apply step that only writes; the live operation runs
 prepare, apply, then appends, and replay runs the *same* apply on the
 decoded record, never the public method.  Commit records are set
 differences: a version's membership is stored as ``drop`` (the parents'
-records it does not inherit) plus the rids of its new records, and replay
-rebuilds it as ``union(parents) - drop | new``.  A commit appends
-O(changed records) bytes whatever its DML did.
+records it does not inherit) plus its new records, numbered from
+``first_rid``, and replay rebuilds it as ``union(parents) - drop | new``.
+A commit appends O(changed records) bytes whatever its DML did.
 
 ``Store.open(mode="ro")`` is the concurrent-read path: a shared advisory
 lock instead of the writer's exclusive one, recovery that is a pure read
@@ -55,11 +55,12 @@ from repro.record import Record
 from repro.storage.parser.parser import parse_sql
 from repro.storage.ridset import RidSet
 from repro.storage.schema import TableSchema
+from repro.storage.types import DataType, unpack_block
 
 from repro.persist.fsutil import atomic_write_bytes, fsync_dir
 from repro.persist.injection import crash_point
 from repro.persist.snapshot import load_snapshot, write_snapshot
-from repro.persist.wal import WriteAheadLog
+from repro.persist.wal import WriteAheadLog, encode_record
 
 try:
     import fcntl
@@ -377,9 +378,9 @@ class Store:
 
         - An append grows the WAL, so its size moves.
         - A checkpoint replaces CURRENT by atomic rename — a new inode,
-          created while the old one still existed — and truncates or
-          renames the WAL (:meth:`WriteAheadLog.compact` writes a new
-          file and renames it over the log: a new inode again).
+          created while the old one still existed — and empties the WAL
+          (:meth:`WriteAheadLog.truncate_to_empty` renames a new empty
+          file over the log: a new inode again).
         - A new writer that truncates a torn tail and regrows the log to
           *exactly* the old length keeps the inode and the size, but not
           the timestamps: truncate and write set mtime and ctime, and a
@@ -577,20 +578,23 @@ class Store:
 
     # -------------------------------------------------------------- journal
 
-    def append(self, record: dict) -> None:
-        """Journal one logical record (called by OrpheusDB after the
-        operation succeeds); fsyncs before returning."""
+    #: A record's frame payload; OrpheusDB encodes in an operation's prepare.
+    encode = staticmethod(encode_record)
+
+    def append(self, body: bytes, barrier: bool) -> None:
+        """Journal one encoded record (called by OrpheusDB after the
+        operation applied); fsyncs before returning."""
         if self.read_only:
             # Read-only stores never attach a journal, so this only fires
             # on a caller reaching in directly — refuse rather than corrupt
             # the writer's log.
             raise ReadOnlyError("read-only store cannot append to the WAL")
-        self.wal.append(self._next_lsn, record)
+        self.wal.append(self._next_lsn, body)
         self._next_lsn += 1
         self._records_since_checkpoint += 1
         if self._in_checkpoint:
             return
-        if record.get("barrier"):
+        if barrier:
             # The operation's effect depends on staging the WAL does not
             # carry (e.g. INSERT INTO durable SELECT ... FROM staged):
             # snapshot right away so the acknowledged state is durable.
@@ -625,7 +629,7 @@ class Store:
     # ----------------------------------------------------------- checkpoint
 
     def checkpoint(self) -> Path:
-        """Snapshot the full state, repoint CURRENT, compact the WAL."""
+        """Snapshot the full state, repoint CURRENT, empty the WAL."""
         if self.read_only:
             raise ReadOnlyError(
                 "read-only store cannot checkpoint (no byte on disk may "
@@ -642,9 +646,8 @@ class Store:
             crash_point("checkpoint.before_current")
             self._write_current(snapshot.name)
             crash_point("checkpoint.after_current")
-            # The store has appended every lsn up to last_lsn itself, so the
-            # compaction keeps nothing: truncate-to-empty without decoding.
-            self.wal.compact(self.last_lsn, known_end_lsn=self.last_lsn)
+            # The snapshot covers every lsn the store has appended.
+            self.wal.truncate_to_empty()
             self._records_since_checkpoint = 0
             self.orpheus._ephemeral_dirty = False
             # Any un-journaled in-memory effect is captured by the snapshot
@@ -739,9 +742,8 @@ def replay_record(orpheus: OrpheusDB, payload: dict, warnings: list[str]) -> Non
         elif op == "init":
             name, model = payload["name"], payload["model"]
             schema = TableSchema.from_dict(payload["schema"])
-            root = orpheus._prepare_init(
-                name, schema, payload["rows"], model, payload["message"]
-            )
+            rows = unpack_block(payload["rows"], schema.dtypes)
+            root = orpheus._prepare_init(name, schema, rows, model, payload["message"])
             orpheus._apply_init(name, schema, model, root)
         elif op == "drop":
             orpheus._apply_drop(payload["name"])
@@ -832,33 +834,32 @@ def _apply_sample(orpheus: OrpheusDB, payload: dict, sample: list) -> None:
 
 def _decode_commit(orpheus: OrpheusDB, payload: dict):
     """``(cvd, version, plan)`` of a journaled commit, checked against the
-    state it replays onto: a CRC-valid frame whose ``drop`` leaves the
-    parents' records, whose new records are not the next free rids, whose
-    vid or partition is not the next this state gives, or that has the older
-    ordered ``members`` form is a typed :class:`RecoveryError`, raised
-    before any bitmap sized by a raw rid is built."""
+    state it replays onto.  A CRC-valid frame whose blocks do not decode
+    (:func:`~repro.storage.types.decode_block`) or hold a NULL in a NOT NULL
+    column, whose ``drop`` leaves the parents' records, whose ``first_rid``
+    is not the next free rid, whose vid or partition is not the next this
+    state gives, or that has an older release's shape is a typed
+    :class:`RecoveryError` naming the version, raised before any bitmap
+    sized by a raw rid is built."""
     cvd = orpheus.cvd(payload["cvd"])
     vid, start, parents = payload["vid"], cvd._next_rid, list(payload["parents"])
-    if "members" in payload:
+    if "first_rid" not in payload:
         raise RecoveryError(
-            f"commit record for version {vid} has an ordered member list, which "
-            "this release no longer reads: checkpoint with the release that wrote it"
+            f"commit record for version {vid} has a shape this release no "
+            "longer reads: checkpoint with the release that wrote it"
         )
     plan = None
     if payload["schema"] is not None:
         plan = cvd.plan_evolution(TableSchema.from_dict(payload["schema"]))
     schema = cvd.data_schema if plan is None else plan.new_schema
+    try:
+        drop = [rid for (rid,) in unpack_block(payload["drop"], [DataType.INTEGER])]
+        rows = schema.coerce_rows(unpack_block(payload["new_records"], schema.dtypes))
+    except ReproError as exc:
+        raise RecoveryError(f"malformed commit record for version {vid}: {exc}")
     union = RidSet.union_all(cvd.member_rids(parent) for parent in parents)
     top = union.max() if union else 0
-    try:
-        drop = list(payload["drop"])
-        new_records = {
-            rid: schema.coerce_row(values) for rid, values in payload["new_records"]
-        }
-        numbered = sorted(new_records) == list(range(start, start + len(new_records)))
-    except (KeyError, TypeError, ValueError, ReproError) as exc:
-        raise RecoveryError(f"malformed commit record for version {vid}: {exc!r}")
-    stray = [rid for rid in drop if type(rid) is not int or not 0 <= rid <= top]
+    stray = [rid for rid in drop if rid is None or not 0 <= rid <= top]
     dropped = RidSet() if stray else RidSet(drop)
     stray = stray or list(dropped - union)
     if stray:
@@ -866,10 +867,10 @@ def _decode_commit(orpheus: OrpheusDB, payload: dict):
             f"commit record for version {vid} drops rids {stray[:5]} "
             f"that none of its parents {parents} holds"
         )
-    if not numbered or len(new_records) != len(payload["new_records"]):
+    if payload["first_rid"] != start:
         raise RecoveryError(
-            f"commit record for version {vid} numbers its new records other "
-            f"than the next free rids from {start}"
+            f"commit record for version {vid} numbers its new records from "
+            f"{payload['first_rid']!r}, not the next free rid {start}"
         )
     if vid != cvd._next_vid:
         raise RecoveryError(
@@ -885,6 +886,7 @@ def _decode_commit(orpheus: OrpheusDB, payload: dict):
             f"commit record places version {vid} in partition {partition}, "
             f"which this state cannot give it"
         )
+    new_records = dict(enumerate(rows, start))
     members = (union - dropped) | RidSet(new_records)
     info = [payload[key] for key in ("message", "checkout_time", "commit_time")]
     version = PreparedVersion(

@@ -10,9 +10,20 @@ Frame layout (little-endian), one frame per logical record::
                       snapshot-lsn filtering)
     payload           UTF-8 JSON object
 
+The payload is a record's small fields as JSON.  Rows travel as base64
+blocks of typed columns (:func:`~repro.storage.types.encode_block`, the
+codec of the snapshot's ``segments.bin``): an ``init`` record's root rows
+under ``rows``; a ``commit`` record's new records under ``new_records``,
+numbered from ``first_rid``, and the rids it drops as one INTEGER column
+under ``drop``.
+
+An operation encodes its record in its prepare step
+(:func:`encode_record`, the write path's one refusal), so a record JSON
+cannot carry or one too large to frame is refused before anything applies.
 Append writes one frame and fsyncs before returning — that is the
-durability point of every journaled operation.  Reads stop at the first
-torn or corrupt frame (a crash mid-append leaves a partial tail, which is
+durability point of every journaled operation — and only that write or
+fsync can fail after the operation applied.  Reads stop at the first torn
+or corrupt frame (a crash mid-append leaves a partial tail, which is
 expected and harmless): everything before it is the recovered log.
 """
 
@@ -42,6 +53,9 @@ _META = struct.Struct("<QI")  # lsn, length — the header bytes the CRC covers
 #: Upper bound on one record's payload; a guard against reading garbage
 #: lengths from a corrupt header, not a practical limit (1 GiB).
 MAX_PAYLOAD = 1 << 30
+#: Room an encoded record keeps under MAX_PAYLOAD for the numbers its
+#: operation adds as it applies (a commit's maintenance sample, a timing).
+APPLIED_ROOM = 1 << 10
 
 
 class WalRecord(FrozenRecord):
@@ -57,21 +71,29 @@ def _frame_crc(lsn: int, body: bytes) -> int:
     return zlib.crc32(body, zlib.crc32(_META.pack(lsn, len(body))))
 
 
-def encode_frame(lsn: int, payload: dict) -> bytes:
-    """Serialize one record to its on-disk frame."""
+def encode_record(payload: dict) -> bytes:
+    """One record's frame payload, built before its operation applies.
+
+    Refuses (:class:`PersistenceError`) a value JSON cannot carry, and a
+    payload that leaves less than ``APPLIED_ROOM`` bytes under
+    ``MAX_PAYLOAD``: the reader treats larger frames as corruption, so
+    recovery would truncate them (and everything after).
+    """
     try:
         body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise PersistenceError(f"WAL record is not JSON-serializable: {exc}") from exc
-    if len(body) > MAX_PAYLOAD:
-        # The reader treats oversized frames as corruption and recovery
-        # would truncate them (and everything after); refuse to write what
-        # we would later destroy.
+    if len(body) > MAX_PAYLOAD - APPLIED_ROOM:
         raise PersistenceError(
             f"WAL record of {len(body)} bytes exceeds the "
-            f"{MAX_PAYLOAD}-byte frame limit; checkpoint instead of "
-            f"journaling bulk loads this large"
+            f"{MAX_PAYLOAD - APPLIED_ROOM}-byte frame limit; checkpoint "
+            f"instead of journaling bulk loads this large"
         )
+    return body
+
+
+def encode_frame(lsn: int, body: bytes) -> bytes:
+    """One record's on-disk frame around its :func:`encode_record` bytes."""
     return _HEADER.pack(MAGIC, lsn, len(body), _frame_crc(lsn, body)) + body
 
 
@@ -94,9 +116,9 @@ class WriteAheadLog:
                 _fsync_dir(self.path.parent)
         return self._handle
 
-    def append(self, lsn: int, payload: dict) -> int:
+    def append(self, lsn: int, body: bytes) -> int:
         """Write one frame and fsync; returns the frame's byte length."""
-        frame = encode_frame(lsn, payload)
+        frame = encode_frame(lsn, body)
         crash_point("wal.before_append")
         handle = self._open_for_append()
         handle.write(frame)
@@ -130,14 +152,18 @@ class WriteAheadLog:
 
     # ----------------------------------------------------------------- read
 
-    def _scan(self, start: int = 0) -> Iterator[tuple[int, int, int, bytes]]:
-        """(frame start, frame end, lsn, payload bytes) per valid frame.
+    def records_from(self, start: int) -> Iterator[tuple[int, WalRecord]]:
+        """(offset past the frame, record) pairs starting at byte ``start``.
 
-        CRC-validates every frame but never JSON-decodes the payload —
-        the shared kernel under replay (which decodes) and compaction
-        (which copies raw bytes).  Stops at the first torn/corrupt frame.
-        ``start`` must be a frame boundary from a previous scan (or 0);
-        anything else fails the CRC check and reads as an empty tail.
+        CRC-validates every frame and stops at the first torn or corrupt
+        one.  The incremental-refresh kernel: a reader that remembers the
+        offset past its last applied frame resumes there instead of
+        re-decoding the whole log.  ``start`` must be a frame boundary
+        observed on this log file; if the file was replaced underneath
+        (shrunk, or the bytes at ``start`` no longer frame-align) the scan
+        CRC-fails immediately and yields nothing — callers detect
+        staleness through the lsn bookkeeping, never through garbage
+        records.
         """
         if not self.path.exists():
             return
@@ -155,37 +181,12 @@ class WriteAheadLog:
                 body = handle.read(length)
                 if len(body) < length or _frame_crc(lsn, body) != crc:
                     return  # torn or corrupt header/payload
-                end = offset + _HEADER.size + length
-                yield offset, end, lsn, body
-                offset = end
-
-    def _frames(self) -> Iterator[tuple[int, WalRecord]]:
-        """(byte offset past the frame, record) pairs; stops at the first
-        torn or corrupt frame."""
-        return self.records_from(0)
-
-    def records(self) -> Iterator[WalRecord]:
-        """Valid records in append order; stops at the first bad frame."""
-        for _offset, record in self._frames():
-            yield record
-
-    def records_from(self, start: int) -> Iterator[tuple[int, WalRecord]]:
-        """(offset past the frame, record) pairs starting at byte ``start``.
-
-        The incremental-refresh kernel: a reader that remembers the offset
-        past its last applied frame resumes there instead of re-decoding
-        the whole log.  ``start`` must be a frame boundary observed on this
-        log file; if the file was compacted underneath (shrunk, or the
-        bytes at ``start`` no longer frame-align) the scan CRC-fails
-        immediately and yields nothing — callers detect staleness through
-        the lsn bookkeeping, never through garbage records.
-        """
-        for _start, end, lsn, body in self._scan(start):
-            try:
-                payload = json.loads(body.decode("utf-8"))
-            except ValueError:
-                return
-            yield end, WalRecord(lsn, payload)
+                try:
+                    payload = json.loads(body.decode("utf-8"))
+                except ValueError:
+                    return
+                offset += _HEADER.size + length
+                yield offset, WalRecord(lsn, payload)
 
     def size_bytes(self) -> int:
         """Current byte length of the log file (0 when missing)."""
@@ -193,13 +194,6 @@ class WriteAheadLog:
             return self.path.stat().st_size
         except OSError:
             return 0
-
-    def valid_end_offset(self) -> int:
-        """Byte offset just past the last valid frame (0 when empty)."""
-        offset = 0
-        for offset, _record in self._frames():
-            pass
-        return offset
 
     def truncate_torn_tail(self) -> int:
         """Cut any torn/corrupt tail off the log; returns bytes dropped.
@@ -210,8 +204,9 @@ class WriteAheadLog:
         """
         if not self.path.exists():
             return 0
-        size = self.path.stat().st_size
-        offset = self.valid_end_offset()
+        size, offset = self.path.stat().st_size, 0
+        for offset, _record in self.records_from(0):
+            pass  # to just past the last valid frame
         if offset >= size:
             return 0
         self.close()
@@ -221,21 +216,15 @@ class WriteAheadLog:
             os.fsync(handle.fileno())
         return size - offset
 
-    def last_lsn(self) -> int:
-        """Highest valid lsn in the log (0 when empty/missing)."""
-        last = 0
-        for record in self.records():
-            last = record.lsn
-        return last
-
-    # ----------------------------------------------------------- compaction
+    # ----------------------------------------------------------- checkpoint
 
     def truncate_to_empty(self) -> None:
         """Atomically replace the log with an empty file without reading it.
 
-        The checkpoint fast path: a checkpoint supersedes every record it
-        covers, so when the caller knows nothing survives there is no
-        reason to decode (or even scan) the old log first.
+        A checkpoint supersedes every record the store has appended, so
+        nothing in the old log survives it and nothing is read.  The new
+        file's inode is also what tells a follower the log was replaced
+        (:meth:`~repro.persist.store.Store._change_signal`).
         """
         self.close()
         tmp = self.path.with_name(self.path.name + ".tmp")
@@ -244,48 +233,3 @@ class WriteAheadLog:
             os.fsync(handle.fileno())
         os.replace(tmp, self.path)
         _fsync_dir(self.path.parent)
-
-    def compact(self, keep_after_lsn: int, known_end_lsn: int | None = None) -> int:
-        """Drop every record with ``lsn <= keep_after_lsn`` (post-checkpoint).
-
-        Rewrites the log to a temp file and atomically renames it into
-        place, so a crash mid-compaction leaves the old log intact.
-        Returns the number of records retained.
-
-        ``known_end_lsn`` is the highest lsn the caller knows the log holds
-        (the store tracks it); when it shows zero records survive, the log
-        is truncated to empty without being read at all.  The general path
-        copies the retained suffix as raw CRC-checked frames — lsns are
-        strictly increasing, so survivors are contiguous at the tail — and
-        never JSON-decodes a payload.
-        """
-        if known_end_lsn is not None and known_end_lsn <= keep_after_lsn:
-            self.truncate_to_empty()
-            return 0
-        first_kept: int | None = None
-        end = 0
-        kept = 0
-        for start, stop, lsn, _body in self._scan():
-            if lsn > keep_after_lsn:
-                if first_kept is None:
-                    first_kept = start
-                kept += 1
-            end = stop
-        self.close()
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            if first_kept is not None:
-                with open(self.path, "rb") as source:
-                    source.seek(first_kept)
-                    remaining = end - first_kept
-                    while remaining > 0:
-                        chunk = source.read(min(1 << 20, remaining))
-                        if not chunk:  # pragma: no cover - shrank mid-copy
-                            break
-                        handle.write(chunk)
-                        remaining -= len(chunk)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
-        _fsync_dir(self.path.parent)
-        return kept

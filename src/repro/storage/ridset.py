@@ -217,7 +217,7 @@ class RidSet:
         return self._bits.bit_length() - 1
 
     def to_array(self) -> tuple[int, ...]:
-        """The ascending int-array form (the WAL wire encoding)."""
+        """The ascending int-array form."""
         return tuple(self)
 
     # --------------------------------------------------------- serialization

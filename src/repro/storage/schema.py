@@ -29,7 +29,7 @@ class TableSchema(Record):
     """Ordered collection of columns plus an optional composite primary key."""
 
     _fields = ("columns", "primary_key")
-    __slots__ = _fields + ("_index_by_name", "canonical_types", "value_bytes")
+    __slots__ = _fields + ("_index_by_name", "dtypes", "canonical_types", "value_bytes")
 
     def __init__(self, columns: list[Column], primary_key: Iterable[str] = ()):
         self.columns, self.primary_key = columns, tuple(primary_key)
@@ -43,7 +43,9 @@ class TableSchema(Record):
                 raise CatalogError(
                     f"primary key column {key_column!r} is not in the schema"
                 )
-        #: Per column: the type :func:`coerce` keeps as is, and its widths.
+        #: Per column: its type, the type :func:`coerce` keeps as is, and its
+        #: widths.
+        self.dtypes = [c.dtype for c in self.columns]
         self.canonical_types = [CANONICAL_TYPES.get(c.dtype) for c in self.columns]
         self.value_bytes = [VALUE_BYTES[c.dtype] for c in self.columns]
 

@@ -10,7 +10,9 @@ promoted to the more general type, e.g. integer -> decimal -> string.
 
 from __future__ import annotations
 
+import base64
 import enum
+import struct
 import sys
 from array import array
 from itertools import accumulate, chain
@@ -202,9 +204,13 @@ def column_size_bytes(values: Sequence[Any], dtype: DataType) -> int:
 #   TEXT       s: character lengths (as INTEGER), a u64 byte count and one
 #              utf-8/surrogatepass blob, decoded once and sliced
 #   INT_ARRAY  a: element counts (as INTEGER), then the flat elements
+# A block is rows as columns: a u64 row count and a u32 column count, then
+# each column.  A snapshot holds a block per table; a WAL record carries its
+# rows as a packed block, the block's base64 text inside the JSON frame.
 # The decoder checks each count and length against the bytes left before
 # it allocates; malformed bytes raise StorageError.
 
+_BLOCK_HEAD = struct.Struct("<QI")  # rows, columns
 _ITEMSIZE = {code: array(code).itemsize for code in "bhiqd"}
 _CODES = {DataType.INTEGER: "bhiqx", DataType.DECIMAL: "d"}  # tags of arrays
 _TAGS = {DataType.BOOLEAN: b"?", DataType.TEXT: b"s", DataType.INT_ARRAY: b"a"}
@@ -328,3 +334,48 @@ def decode_column(
     if mask is not None:
         values = [None if null else value for value, null in zip(values, mask)]
     return values, at
+
+
+def encode_block(rows: Sequence[Sequence[Any]], dtypes: Sequence[DataType]) -> bytes:
+    """Rows of canonical values as one block of ``dtypes`` columns."""
+    columns = zip(*rows) if rows else [()] * len(dtypes)
+    return _BLOCK_HEAD.pack(len(rows), len(dtypes)) + b"".join(
+        map(encode_column, columns, dtypes)
+    )
+
+
+def block_shape(data: memoryview) -> tuple[int, int]:
+    """The row and column counts at the head of a block."""
+    if len(data) < _BLOCK_HEAD.size:
+        raise StorageError(f"block of {len(data)} bytes has no header")
+    return _BLOCK_HEAD.unpack_from(data)
+
+
+def decode_block(data: memoryview, dtypes: Sequence[DataType]) -> list[tuple]:
+    """The rows of the :func:`encode_block` bytes ``data``, which must hold
+    ``dtypes`` columns and nothing past them."""
+    data = memoryview(data)
+    rows, width = block_shape(data)
+    if width != len(dtypes):
+        raise StorageError(f"block holds {width} columns, not {len(dtypes)}")
+    columns, at = [], _BLOCK_HEAD.size
+    for dtype in dtypes:
+        values, at = decode_column(data, at, rows, dtype)
+        columns.append(values)
+    if at != len(data):
+        raise StorageError(f"block has {len(data) - at} bytes past its last column")
+    return list(zip(*columns)) if columns else [()] * rows
+
+
+def pack_block(rows: Sequence[Sequence[Any]], dtypes: Sequence[DataType]) -> str:
+    """:func:`encode_block` as the base64 text a WAL record carries."""
+    return base64.b64encode(encode_block(rows, dtypes)).decode("ascii")
+
+
+def unpack_block(text: str, dtypes: Sequence[DataType]) -> list[tuple]:
+    """The rows of :func:`pack_block` text."""
+    try:
+        data = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise StorageError(f"not a base64 block: {exc}") from None
+    return decode_block(data, dtypes)

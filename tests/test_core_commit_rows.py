@@ -19,7 +19,6 @@ rid or vid), and at a cost that does not grow with the version.
 
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +32,9 @@ from repro.errors import ConstraintViolationError, ReproError
 from repro.persist import Store
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType
+
+import wal_session
+from wal_session import unpacked
 
 MODELS = sorted(MODEL_REGISTRY) + ["partitioned"]
 
@@ -92,14 +94,15 @@ def spy_commit_rows(monkeypatch) -> list[dict]:
 
 
 def journal(orpheus: OrpheusDB) -> list[dict]:
-    """Capture every journaled record of a session."""
-    records: list[dict] = []
-    orpheus.attach_journal(SimpleNamespace(append=records.append))
-    return records
+    """Capture every journaled record of a session (:func:`unpacked` reads
+    its blocks)."""
+    orpheus.attach_journal(wal_session.Journal())
+    return orpheus._journal.records
 
 
 def fingerprint(orpheus: OrpheusDB, vid: int, record: dict) -> str:
     """repr keeps what == hides: nan, -0.0, 7 vs 7.0, True vs 1."""
+    record = unpacked(record)
     return repr(
         (
             sorted(orpheus.cvd("c").membership[vid]),
@@ -275,7 +278,7 @@ def commit_cost(monkeypatch, root_rows: int) -> tuple[int, int, list[int]]:
     orpheus.commit("w")
     scanned = orpheus.db.stats.records_scanned - before
     monkeypatch.undo()
-    return scanned, len(reads), records[-1]["drop"]
+    return scanned, len(reads), unpacked(records[-1])["drop"]
 
 
 def test_tracked_commit_costs_the_change_not_the_version(monkeypatch):
@@ -341,15 +344,8 @@ def apply_op(orpheus: OrpheusDB, op: tuple) -> None:
 
 def journal_store(store: Store) -> list[dict]:
     """The records a store appends from here on."""
-    records: list[dict] = []
-    append = store.append
-
-    def spy(record):
-        records.append(record)
-        append(record)
-
-    store.orpheus.attach_journal(SimpleNamespace(append=spy))
-    return records
+    store.orpheus.attach_journal(wal_session.Journal(store))
+    return store.orpheus._journal.records
 
 
 def scripted_commit(path: Path, model: str, merge: bool, script, tracked: bool):
@@ -385,10 +381,11 @@ def scripted_commit(path: Path, model: str, merge: bool, script, tracked: bool):
         assert (cvd._next_rid, cvd._next_vid) == counters
         store.close(sync=False)
         return outcome
+    record = unpacked(records[-1])
     live = (
         sorted(cvd.membership[vid]),
-        records[-1]["drop"],
-        repr(sorted(records[-1]["new_records"])),
+        record["drop"],
+        repr(sorted(record["new_records"])),
         repr(cvd.checkout_rows([vid])),
     )
     reader = Store.open(path, mode="ro")

@@ -23,11 +23,9 @@ These tests hold that contract:
 
 import csv
 import gc
-import json
 import sys
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -196,8 +194,7 @@ def _step(orpheus: OrpheusDB, op: str, n: int, serial: int, scratch: Path) -> No
 )
 def test_replica_applying_the_records_equals_the_live_session(ops):
     live = OrpheusDB()
-    records: list[dict] = []
-    live.attach_journal(SimpleNamespace(append=records.append))
+    live.attach_journal(wal_session.Journal())
     live.run("CREATE TABLE notes (id int, body text)")
     live.init("a", SCHEMA, rows=ROWS, primary_key=("k",))
     with tempfile.TemporaryDirectory() as scratch:
@@ -207,9 +204,8 @@ def test_replica_applying_the_records_equals_the_live_session(ops):
             except ReproError:
                 pass
     replica = OrpheusDB()
-    for record in records:
-        # The WAL's JSON round trip: tuples come back as lists.
-        replay_record(replica, json.loads(json.dumps(record)), [])
+    for record in live._journal.records:
+        replay_record(replica, record, [])
     assert digest(replica, staging=False) == digest(live, staging=False)
 
 
@@ -282,8 +278,7 @@ def prepare_sites(build, operation, optimizer: bool = True) -> list:
 def session() -> OrpheusDB:
     """A session whose journal records collect in ``_journal.records``."""
     orpheus = OrpheusDB()
-    records: list[dict] = []
-    orpheus.attach_journal(SimpleNamespace(append=records.append, records=records))
+    orpheus.attach_journal(wal_session.Journal())
     orpheus.init("p", SCHEMA, rows=ROWS, primary_key=("k",))
     orpheus.init("gone", SCHEMA, rows=ROWS[:3], model="table_per_version")
     orpheus.checkout("p", 1, table_name="w")
@@ -308,7 +303,7 @@ def replayed(orpheus: OrpheusDB) -> dict:
     """The digest of a fresh session that applied ``orpheus``'s journal."""
     replica = OrpheusDB()
     for record in orpheus._journal.records:
-        replay_record(replica, json.loads(json.dumps(record)), [])
+        replay_record(replica, record, [])
     return digest(replica, staging=False)
 
 

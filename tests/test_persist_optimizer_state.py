@@ -28,7 +28,7 @@ from repro.partition.bipartite import Partitioning
 from repro.partition.dag_reduction import reduce_to_tree
 from repro.persist import Store
 from repro.persist.snapshot import FORMAT_VERSION
-from repro.persist.wal import WriteAheadLog
+from repro.persist.wal import WriteAheadLog, encode_record
 
 from test_persist_crash import crash
 from test_persist_roundtrip import build_history
@@ -311,7 +311,9 @@ class TestInterruptedMigration:
         }
         wal.append(
             lsn + 1,
-            {"op": "migration_start", "cvd": "proteins", "plan": plan, "clock": 9},
+            encode_record(
+                {"op": "migration_start", "cvd": "proteins", "plan": plan, "clock": 9}
+            ),
         )
         wal.close()
 
@@ -346,7 +348,7 @@ class TestInterruptedMigration:
             store.orpheus.init("t", SCHEMA, rows=[(1, 1)], primary_key=("k",))
             crash(store)
             wal = WriteAheadLog(root / "wal.log")
-            wal.append(2, record)
+            wal.append(2, encode_record(record))
             wal.close()
 
             with pytest.raises(RecoveryError, match="no optimizer"):

@@ -14,6 +14,8 @@ from repro.errors import PersistenceError
 from repro.persist import Store
 from repro.persist import store as store_module
 
+import wal_session
+
 ALL_MODELS = sorted(MODEL_REGISTRY)
 
 SCHEMA = [
@@ -270,16 +272,14 @@ class TestStoreBehaviour:
         would replay it against a state missing the lost op."""
         from repro.core.orpheus import OrpheusDB
 
-        class FailOnce:
-            def __init__(self):
-                self.fail = True
-                self.records = []
+        class FailOnce(wal_session.Journal):
+            fail = True
 
-            def append(self, record):
+            def append(self, body, barrier):
                 if self.fail:
                     self.fail = False
                     raise OSError("disk full")
-                self.records.append(record)
+                super().append(body, barrier)
 
         orpheus = OrpheusDB()
         journal = FailOnce()

@@ -19,6 +19,8 @@ Three parts:
   still sets the barrier.
 """
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -194,9 +196,9 @@ def durable_store(tmp_path):
     store.records = []
     append = store.wal.append
 
-    def collect(lsn, record):
-        store.records.append(record)
-        return append(lsn, record)
+    def collect(lsn, body):
+        store.records.append(json.loads(body))
+        return append(lsn, body)
 
     store.wal.append = collect
     return store

@@ -19,10 +19,10 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from repro.persist.snapshot import _decode_block, _encode_block
+from repro.persist.snapshot import _decode_block
 from repro.storage.schema import Column, TableSchema
 from repro.storage.table import Table
-from repro.storage.types import DataType, decode_column, encode_column
+from repro.storage.types import DataType, decode_column, encode_block, encode_column
 
 from segment_reference import read_segment, write_segment
 
@@ -88,8 +88,11 @@ def rows_key(rows) -> list:
 
 def block_rows(table: Table) -> list:
     """``table``'s rows through its snapshot block and ``load_rows``."""
-    block, count = _encode_block(table)
-    entry = {"offset": 0, "bytes": len(block), "crc": zlib.crc32(block), "rows": count}
+    rows = list(table.dump_rows())
+    block = encode_block(rows, table.schema.dtypes)
+    entry = {
+        "offset": 0, "bytes": len(block), "crc": zlib.crc32(block), "rows": len(rows)
+    }
     restored = Table("t", table.schema)
     restored.load_rows(_decode_block(memoryview(block), entry, table.schema))
     return list(restored.dump_rows())

@@ -7,7 +7,10 @@ SQL ``run``, tracked, row-compared, merge, schema-evolving and CSV commits,
 after it runs) and a re-optimize, then checkpoints.  It returns the decoded WAL payloads
 and the snapshot manifest with the wall-clock timings blanked and the
 scratch directory spelled ``<root>``, so two releases can be compared
-record for record.
+record for record.  Records carry their rows as base64 blocks of typed
+columns; :func:`unpacked` turns them back into the JSON lists the fixture
+holds (``rows``; ``drop``; ``new_records`` as ``[rid, payload]`` pairs), so
+the fixture shows the packed record carries exactly the old information.
 
 ``tests/fixtures/wal_session.jsonl`` holds what the release before the
 prepare/apply split wrote, one WAL record per line and the manifest last;
@@ -19,14 +22,16 @@ wrote each version's membership as a base64 bitmap and stopped writing
 segments for the rlist tables derived from it; and when format 6 put
 every table's rows in one ``segments.bin`` of typed column blocks (only
 ``format`` and each table entry's ``file``/``offset``/``bytes``/``crc``
-changed).  Regenerate (only on a
-deliberate format change) with::
+changed).  Records have carried their rows as column blocks since, with
+the fixture's WAL lines unchanged through :func:`unpacked`.  Regenerate
+(only on a deliberate format change) with::
 
     PYTHONPATH=src:tests python tests/wal_session.py > tests/fixtures/wal_session.jsonl
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import json
 import sys
@@ -35,9 +40,66 @@ from pathlib import Path
 
 from repro.partition.bipartite import Partitioning
 from repro.persist import Store
+from repro.persist.wal import encode_record
+from repro.storage.types import DataType, block_shape, decode_column
 
 FIXTURE = Path(__file__).parent / "fixtures" / "wal_session.jsonl"
 TIMINGS = ("wall_seconds", "migration_wall_seconds")
+
+
+#: A column's type by the tag after its NULL flag (and mask), so a block
+#: decodes without its schema.
+_TAG_TYPES = {
+    **dict.fromkeys(b"bhiqx", DataType.INTEGER),
+    ord("d"): DataType.DECIMAL,
+    ord("?"): DataType.BOOLEAN,
+    ord("s"): DataType.TEXT,
+    ord("a"): DataType.INT_ARRAY,
+}
+
+
+def block_rows(text: str) -> list[list]:
+    """The rows of a record's base64 block, as JSON lists."""
+    data = memoryview(base64.b64decode(text))
+    rows, width = block_shape(data)
+    columns, at = [], 12
+    for _ in range(width):
+        dtype = _TAG_TYPES[data[at + 1 + data[at] * rows]]
+        values, at = decode_column(data, at, rows, dtype)
+        columns.append(values)
+    assert at == len(data)
+    return [list(row) for row in zip(*columns)] if columns else [[]] * rows
+
+
+def unpacked(payload: dict) -> dict:
+    """A WAL payload with its blocks as the JSON lists they replaced."""
+    out = dict(payload)
+    if out.get("op") == "init":
+        out["rows"] = block_rows(out["rows"])
+    elif out.get("op") == "commit":
+        first = out.pop("first_rid")
+        out["drop"] = [rid for (rid,) in block_rows(out["drop"])]
+        out["new_records"] = [
+            [rid, row] for rid, row in enumerate(block_rows(out["new_records"]), first)
+        ]
+    return out
+
+
+class Journal:
+    """A journal that keeps each record it is handed, JSON-decoded, in
+    ``records`` (:func:`unpacked` reads their blocks); with a ``store`` it
+    appends them there too."""
+
+    def __init__(self, store=None):
+        self.records: list[dict] = []
+        self.store = store
+
+    encode = staticmethod(encode_record)
+
+    def append(self, body: bytes, barrier: bool) -> None:
+        self.records.append(json.loads(body))
+        if self.store is not None:
+            self.store.append(body, barrier)
 
 
 def _blank_timings(value):
@@ -117,7 +179,7 @@ def run_session(root: Path) -> dict:
     orpheus.optimize("p", storage_threshold=1.5)
     _edit(orpheus, "p", tip, "INSERT INTO w (k, v) VALUES (500, 5)", message="last")
 
-    wal = [record.payload for _end, record in store.wal.records_from(0)]
+    wal = [unpacked(record.payload) for _end, record in store.wal.records_from(0)]
     snapshot = store.checkpoint()
     manifest = json.loads((snapshot / "manifest.json").read_text())
     store.close()
