@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv as _csv
 import logging
 import re as _re
+import time
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -46,6 +47,9 @@ from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType, pack_block, parse_type_name
 
 _log = logging.getLogger("repro.core.orpheus")
+#: What the post-commit tolerance check (the tree-only delta search) costs,
+#: once per commit of a CVD a live optimizer manages.
+_MAINTENANCE_SECONDS = metrics.histogram("partition.maintenance_seconds")
 
 
 class OrpheusDB:
@@ -255,6 +259,8 @@ class OrpheusDB:
             )
         if name in self._cvds:
             raise VersioningError(f"CVD {name!r} already exists")
+        if not schema.columns:
+            raise VersioningError(f"CVD {name!r} needs at least one data column")
         twin = CVD(Database(), name, schema, model)
         root = twin.prepare_root(rows, message) if rows else None
         if root is not None:
@@ -803,7 +809,9 @@ class OrpheusDB:
         optimizer = self.optimizer_for(cvd.name)
         if optimizer is None:
             return None
+        started = time.perf_counter()
         sample, best = optimizer.evaluate_maintenance()
+        _MAINTENANCE_SECONDS.observe(time.perf_counter() - started)
         return optimizer, sample, best
 
     def _apply_maintenance_trigger(self, maintenance) -> None:

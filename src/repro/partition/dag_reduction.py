@@ -27,9 +27,12 @@ class VersionTreeView(Record):
     record count ``tree_record_count`` may exceed the true |R| by
     ``duplicated_records`` (|R-hat|).
 
-    A view is not modified once built, so its pre-order numbering is
-    computed once and shared by every LyreSplit run of a delta search
-    (in the instance dict: the class has no ``__slots__``).
+    A view must not be modified once built: its pre-order numbering and
+    its LyreSplit :attr:`layout` are computed on first use and kept (in
+    the instance dict: the class has no ``__slots__``), and the layout
+    memoizes each part's ranked cut choices, so every run of a delta
+    search reuses the earlier runs' work.  A changed history is a new
+    view: the memo lives as long as the search's view and never goes stale.
     """
 
     _fields = (
@@ -103,6 +106,13 @@ class VersionTreeView(Record):
             q = position[self.parent[order[p]]]
             end[q] = max(end[q], end[p])
         return end
+
+    @cached_property
+    def layout(self):
+        """LyreSplit's per-position statistics and per-part cut memo."""
+        from repro.partition.lyresplit import Layout  # it imports this module
+
+        return Layout(self)
 
 
 def reduce_to_tree(

@@ -15,6 +15,12 @@ costs nothing extra: every LyreSplit group is a connected part (a
 pre-order slice of the tree), so the split already knows each group's
 record count and reports it as ``group_records`` — ``S`` and ``Cavg`` are
 two sums over it.
+
+Every run of one search splits the same view, so the runs share its
+LyreSplit layout: the first run builds it, and from the second run on each
+part's cut choices are ranked once and reused at every later delta (see
+:mod:`repro.partition.lyresplit`).  Probing a new delta costs a walk over
+the parts that delta forms, each one ``bisect`` into its ranking.
 """
 
 from __future__ import annotations

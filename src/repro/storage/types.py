@@ -358,13 +358,16 @@ def decode_block(data: memoryview, dtypes: Sequence[DataType]) -> list[tuple]:
     rows, width = block_shape(data)
     if width != len(dtypes):
         raise StorageError(f"block holds {width} columns, not {len(dtypes)}")
+    if not width and rows:
+        # Its columns would bound the count; a block of none holds no rows.
+        raise StorageError(f"block of no columns claims {rows} rows")
     columns, at = [], _BLOCK_HEAD.size
     for dtype in dtypes:
         values, at = decode_column(data, at, rows, dtype)
         columns.append(values)
     if at != len(data):
         raise StorageError(f"block has {len(data) - at} bytes past its last column")
-    return list(zip(*columns)) if columns else [()] * rows
+    return list(zip(*columns))
 
 
 def pack_block(rows: Sequence[Sequence[Any]], dtypes: Sequence[DataType]) -> str:

@@ -19,12 +19,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.core.orpheus as orpheus_module
+from repro.core.orpheus import OrpheusDB
 from repro.errors import ReadOnlyError, StoreLockedError
 from repro.obs import (
     DURATION_BUCKETS,
     Histogram,
     JsonFormatter,
     MetricsRegistry,
+    metrics,
     render_prometheus,
     trace,
 )
@@ -414,3 +417,57 @@ class TestCacheStatsConcurrency:
                 thread.join()
         snap = cache.stats_dict()
         assert snap["hits"] + snap["misses"] == sum(gets_done)
+
+
+# ------------------------------------------------ partition maintenance
+
+
+class TestMaintenanceSeconds:
+    """``partition.maintenance_seconds``: one observation per commit of a
+    CVD a live optimizer manages (the post-commit tolerance check), none
+    for any other commit, and no gated counter moved by observing it."""
+
+    @staticmethod
+    def observations() -> int:
+        node = metrics.registry().snapshot().get("partition", {})
+        return node.get("maintenance_seconds", {}).get("count", 0)
+
+    @staticmethod
+    def commits(orpheus, cvd: str, count: int) -> None:
+        for vid in range(1, count + 1):
+            orpheus.checkout(cvd, [vid], table_name="w")
+            orpheus.run(f"UPDATE w SET v = v + {vid} WHERE k < 5")
+            orpheus.commit("w")
+
+    def session(self) -> OrpheusDB:
+        orpheus = OrpheusDB()
+        rows = [(k, k) for k in range(40)]
+        for cvd in ("p", "q"):
+            orpheus.init(cvd, [("k", "int"), ("v", "int")], rows=rows)
+        orpheus.optimize("p")
+        return orpheus
+
+    def test_one_observation_per_commit_of_an_optimized_cvd(self):
+        orpheus = self.session()
+        before = self.observations()
+        self.commits(orpheus, "p", 3)
+        assert self.observations() == before + 3
+        self.commits(orpheus, "q", 3)
+        assert self.observations() == before + 3
+        node = metrics.registry().snapshot()["partition"]["maintenance_seconds"]
+        assert _histogram_shaped(node)
+
+    def test_observing_moves_no_gated_counter(self, monkeypatch):
+        def io_after_commits() -> dict:
+            orpheus = self.session()
+            self.commits(orpheus, "p", 3)
+            return dict(vars(orpheus.db.stats))
+
+        observed = io_after_commits()
+
+        class Unobserved:
+            def observe(self, value):
+                pass
+
+        monkeypatch.setattr(orpheus_module, "_MAINTENANCE_SECONDS", Unobserved())
+        assert io_after_commits() == observed

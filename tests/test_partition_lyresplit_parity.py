@@ -165,6 +165,86 @@ class TestLyreSplitParity:
         ) == outcome(reference_lyresplit(scaled, 0.5, edge_rule))
 
 
+#: One step against a shared view: ("split", rule, delta) is one direct
+#: LyreSplit run; ("search", rule, max_iterations, bipartite, gamma
+#: multiple) is one delta search.
+view_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("split"), st.sampled_from(EDGE_RULES), deltas),
+        st.tuples(
+            st.just("search"),
+            st.sampled_from(EDGE_RULES),
+            st.sampled_from([12, 40]),
+            st.booleans(),
+            st.sampled_from([1.0, 1.2, 2.0, 4.0]),
+        ),
+    ),
+    min_size=2,
+    max_size=10,
+)
+
+
+def reference_search(*args, **kwargs):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(delta_search, "lyresplit", reference_lyresplit)
+        return search_delta(*args, **kwargs)
+
+
+class TestSharedViewMemo:
+    """Every run on one view reuses the view's layout and its per-part cut
+    rankings; interleaved rules, deltas and searches must still answer
+    exactly what the reference answers on each call alone."""
+
+    @given(histories, view_steps)
+    @settings(max_examples=60, deadline=None)
+    def test_interleaved_runs_match_reference(self, params, steps):
+        tree, bipartite = history(*params)
+        for step in steps:
+            if step[0] == "split":
+                _, rule, delta = step
+                assert outcome(lyresplit(tree, delta, rule)) == outcome(
+                    reference_lyresplit(tree, delta, rule)
+                ), step
+                continue
+            _, rule, iterations, use_bipartite, multiple = step
+            graph = bipartite if use_bipartite else None
+            gamma = multiple * tree.tree_record_count
+            kwargs = dict(edge_rule=rule, max_iterations=iterations)
+            assert search_delta(tree, gamma, graph, **kwargs) == reference_search(
+                tree, gamma, graph, **kwargs
+            ), step
+
+    @pytest.mark.parametrize("delta", [1e-9, 0.3, 1.0])
+    def test_extreme_deltas_after_a_search(self, delta):
+        tree, bipartite = history("random", 60, 7, 0.2)
+        for rule in EDGE_RULES:
+            search_delta(tree, 2 * tree.tree_record_count, bipartite, edge_rule=rule)
+        for rule in EDGE_RULES:
+            assert outcome(lyresplit(tree, delta, rule)) == outcome(
+                reference_lyresplit(tree, delta, rule)
+            )
+
+    def test_search_ranks_each_part_once(self, monkeypatch):
+        """The first run scans; later runs rank each (rule, part) once."""
+        tree, _ = history("random", 108, 3, 0.2)
+        layout = tree.layout
+        assert tree.layout is layout
+        ranked = []
+        rank = type(layout).rank
+
+        def counting_rank(self, part, records, edge_rule):
+            ranked.append((edge_rule, part))
+            return rank(self, part, records, edge_rule)
+
+        monkeypatch.setattr(type(layout), "rank", counting_rank)
+        for rule in EDGE_RULES:
+            search_delta(tree, 2 * tree.tree_record_count, edge_rule=rule)
+            search_delta(tree, 1.5 * tree.tree_record_count, edge_rule=rule)
+        assert ranked, "the searches are meant to revisit parts"
+        assert len(ranked) == len(set(ranked))
+        assert {rule for rule, _ in ranked} == set(EDGE_RULES)
+
+
 def test_online_trace_identical_with_reference_split(monkeypatch):
     """The Fig. 14/15 stream: every maintenance sample and migration."""
     from benchmarks.bench_fig14_15_online import stream

@@ -16,17 +16,21 @@ the codec of the snapshot's ``segments.bin``.  These tests hold:
 * a CRC-valid commit frame whose blocks are malformed (every truncation,
   bad tags, overrunning counts and lengths, NULL flag 2, a NULL in a NOT
   NULL column, invalid UTF-8, seeded byte flips), each re-signed, opens
-  and refreshes cleanly or raises a RecoveryError naming the version.
+  and refreshes cleanly or raises a RecoveryError naming the version;
+* a CVD needs a data column: ``init`` of none is refused before apply,
+  and an ``init`` frame whose zero-width block claims 2**40 rows is a
+  RecoveryError, with nothing large allocated first.
 """
 
 import base64
 import random
 import shutil
 import struct
+import tracemalloc
 
 import pytest
 
-from repro.errors import PersistenceError, RecoveryError
+from repro.errors import PersistenceError, RecoveryError, VersioningError
 from repro.persist import Store
 from repro.persist.wal import WriteAheadLog, encode_frame, encode_record
 from repro.storage.schema import Column, TableSchema
@@ -299,3 +303,40 @@ class TestMalformedCommitFrame:
             path = rewrite(template, tmp_path / str(trial), field, edit)
             outcomes.add(outcome(path, mode) is None)
         assert outcomes == {True, False}  # some flips open, some are refused
+
+
+# ------------------------------------------------------ zero-width blocks
+
+
+def test_an_init_with_no_data_columns_is_refused_before_apply(tmp_path):
+    store = Store.open(tmp_path / "s", checkpoint_interval=0)
+    orpheus = store.orpheus
+    with pytest.raises(VersioningError, match="at least one data column"):
+        orpheus.init("c", [], rows=[(), ()])
+    assert orpheus.ls() == [] and orpheus.db.table_names() == []
+    assert store.wal_size_bytes() == 0
+    store.close()
+
+
+def test_a_zero_width_init_block_claiming_rows_is_a_recovery_error(tmp_path):
+    """A CRC-valid ``init`` frame of a CVD with no data columns whose block
+    claims 2**40 rows: open refuses it before allocating anything large."""
+    path = tmp_path / "s"
+    store = Store.open(path, checkpoint_interval=0)
+    store.orpheus.init("c", SCHEMA, rows=[(1, 1)])
+    crash(store)
+    ((_end, record),) = WriteAheadLog(path / "wal.log").records_from(0)
+    payload = dict(
+        record.payload,
+        schema={"columns": [], "primary_key": []},
+        rows=base64.b64encode(HEAD.pack(2**40, 0)).decode(),
+    )
+    (path / "wal.log").write_bytes(encode_frame(record.lsn, encode_record(payload)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(RecoveryError, match="block of no columns claims"):
+            Store.open(path, checkpoint_interval=0)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
