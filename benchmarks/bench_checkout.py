@@ -151,15 +151,9 @@ class _LegacySetBipartite:
             out |= self._membership[vid]
         return frozenset(out)
 
-    def storage_cost(self, partitioning):
-        return sum(len(self.partition_records(group)) for group in partitioning.groups)
-
-    def checkout_cost(self, partitioning):
-        total = sum(
-            len(group) * len(self.partition_records(group))
-            for group in partitioning.groups
-        )
-        return total / self.num_versions
+    def group_sizes(self, partitioning):
+        """``|R_k|`` per group, the list every delta-search cost folds."""
+        return [len(self.partition_records(group)) for group in partitioning.groups]
 
 
 # -------------------------------------------------------------- measurement

@@ -59,7 +59,8 @@ def apply_partitioning(cvd, partitioning: Partitioning):
             out[rid] = tuple(rows[0][1:])
         return out
 
-    model.build_from(cvd.membership, payloads, partitioning)
+    model.membership = cvd.membership
+    model.replace_partitions(partitioning.groups, {}, payloads)
     return model
 
 

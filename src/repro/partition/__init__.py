@@ -1,5 +1,9 @@
 """Partition optimizer: LyreSplit, online maintenance, migration.
 
+Problem 1 has one solver, :func:`search_delta`, weighted or not; its
+costs are folds over ``|R_k|`` per group, and every physical layout, the
+first included, is written by :meth:`PartitionedRlistModel.replace_partitions`.
+
 The paper's baselines (:mod:`~repro.partition.agglo`,
 :mod:`~repro.partition.kmeans`, :mod:`~repro.partition.schema_aware`,
 :mod:`~repro.partition.weighted`) are imported from their modules, so

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from repro.errors import PartitionError
-from repro.partition.bipartite import BipartiteGraph, Partitioning
+from repro.partition.bipartite import BipartiteGraph, Partitioning, average_checkout
 from repro.storage.ridset import RidSet
 
 
@@ -141,9 +141,9 @@ def agglo_budget_search(
     for _ in range(max_iterations):
         capacity = (low + high) / 2
         partitioning = agglo_partition(bipartite, capacity, **agglo_kwargs)
-        storage = bipartite.storage_cost(partitioning)
-        if storage <= gamma:
-            checkout = bipartite.checkout_cost(partitioning)
+        sizes = bipartite.group_sizes(partitioning)
+        if sum(sizes) <= gamma:
+            checkout = average_checkout(partitioning, sizes)
             if best is None or checkout < best[1]:
                 best = (partitioning, checkout)
             high = capacity  # fits: smaller partitions may still fit

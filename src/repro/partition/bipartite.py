@@ -10,10 +10,14 @@ are duplicated wherever needed.  Costs:
 
 Extremes (Observations 1 and 2): one-partition-per-version minimizes
 ``Cavg = |E|/|V|``; a single partition minimizes ``S = |R|``.
+
+Every cost, Appendix C.2's weighted ``Cw`` included, is a fold over one
+list, ``|R_k|`` per group (:meth:`BipartiteGraph.group_sizes`).
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Mapping
 
 from repro.errors import PartitionError
@@ -69,6 +73,23 @@ class Partitioning(FrozenRecord):
         return out
 
 
+def average_checkout(
+    partitioning: Partitioning,
+    sizes: list[int],
+    frequencies: Mapping[int, float] | None = None,
+) -> float:
+    """``Cavg = sum_k |V_k|*|R_k| / n`` from ``sizes`` (``|R_k|`` per group);
+    with ``frequencies`` (vid -> f_i, default 1) each group weighs the sum
+    of its versions' f_i instead of ``|V_k|``, which is Appendix C.2's
+    ``Cw = sum_i f_i*C_i / sum_i f_i``."""
+    groups = partitioning.groups
+    if frequencies:
+        weights = [sum(frequencies.get(vid, 1) for vid in group) for group in groups]
+    else:
+        weights = list(map(len, groups))
+    return sum(map(mul, weights, sizes)) / sum(weights)
+
+
 class BipartiteGraph:
     """Version-record membership with the Section 4.1 cost model.
 
@@ -120,49 +141,28 @@ class BipartiteGraph:
         """Union of record sets of the versions in one partition."""
         return RidSet.union_all(self.records_of(vid) for vid in group)
 
-    def partition_record_count(self, group: Iterable[int]) -> int:
-        """``|R_k|`` as one union + popcount (no materialization)."""
-        return len(self.partition_records(group))
+    def group_sizes(self, partitioning: Partitioning) -> list[int]:
+        """``|R_k|`` per group, in group order: one cover check and one
+        union + popcount per group.  Every cost below is a fold over it."""
+        self._validate_cover(partitioning)
+        return [len(self.partition_records(group)) for group in partitioning.groups]
 
     # ----------------------------------------------------------------- cost
 
     def storage_cost(self, partitioning: Partitioning) -> int:
         """``S = sum_k |R_k|`` in records."""
-        self._validate_cover(partitioning)
-        return sum(self.partition_record_count(group) for group in partitioning.groups)
+        return sum(self.group_sizes(partitioning))
 
     def checkout_cost(self, partitioning: Partitioning) -> float:
         """``Cavg = sum_k |V_k|*|R_k| / n`` in records."""
-        self._validate_cover(partitioning)
-        total = sum(
-            len(group) * self.partition_record_count(group)
-            for group in partitioning.groups
-        )
-        return total / self.num_versions
-
-    def checkout_cost_of(self, vid: int, partitioning: Partitioning) -> int:
-        """``C_i = |R_k|`` where vid lives in partition k."""
-        for group in partitioning.groups:
-            if vid in group:
-                return self.partition_record_count(group)
-        raise PartitionError(f"version {vid} is not in the partitioning")
+        return average_checkout(partitioning, self.group_sizes(partitioning))
 
     def weighted_checkout_cost(
         self, partitioning: Partitioning, frequencies: Mapping[int, float]
     ) -> float:
         """``Cw = sum_i f_i*C_i / sum_i f_i`` (Appendix C.2)."""
-        self._validate_cover(partitioning)
-        sizes = {
-            index: self.partition_record_count(group)
-            for index, group in enumerate(partitioning.groups)
-        }
-        assignment = partitioning.assignment()
-        numerator = sum(
-            frequencies.get(vid, 1.0) * sizes[assignment[vid]]
-            for vid in self._membership
-        )
-        denominator = sum(frequencies.get(vid, 1.0) for vid in self._membership)
-        return numerator / denominator
+        sizes = self.group_sizes(partitioning)
+        return average_checkout(partitioning, sizes, frequencies)
 
     # -------------------------------------------------------------- bounds
 

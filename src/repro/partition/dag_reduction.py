@@ -116,21 +116,16 @@ class VersionTreeView(Record):
 
 
 def reduce_to_tree(
-    graph: VersionGraph,
-    true_record_count: int | None = None,
-    keep_rule: str = "heaviest",
+    graph: VersionGraph, true_record_count: int | None = None
 ) -> VersionTreeView:
     """Build the version tree view from a (possibly merged) version graph.
 
-    ``keep_rule`` selects which incoming edge a merge node keeps:
-    ``"heaviest"`` (the paper's rule — max shared records) or ``"first"``
-    (first-listed parent, the ablation baseline).  ``true_record_count``
+    A merge node keeps its heaviest incoming edge (the paper's rule: most
+    shared records; ties go to the lower parent vid).  ``true_record_count``
     (|R| from the bipartite graph) enables the |R-hat| computation; without
     it, duplicated_records is reported for tree graphs as 0 and unknown
     (-1) for DAGs.
     """
-    if keep_rule not in ("heaviest", "first"):
-        raise PartitionError(f"unknown keep_rule {keep_rule!r}")
     roots = graph.roots()
     if len(roots) != 1:
         raise PartitionError(
@@ -152,13 +147,10 @@ def reduce_to_tree(
             kept = version.parents[0]
         else:
             has_merge = True
-            if keep_rule == "first":
-                kept = version.parents[0]
-            else:
-                kept = max(
-                    version.parents,
-                    key=lambda p: (graph.edge_weight(p, vid), -p),
-                )
+            kept = max(
+                version.parents,
+                key=lambda p: (graph.edge_weight(p, vid), -p),
+            )
         parent[vid] = kept
         children[kept].append(vid)
         weight[(kept, vid)] = graph.edge_weight(kept, vid)

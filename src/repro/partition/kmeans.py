@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 
 from repro.errors import PartitionError
-from repro.partition.bipartite import BipartiteGraph, Partitioning
+from repro.partition.bipartite import BipartiteGraph, Partitioning, average_checkout
 from repro.storage.ridset import RidSet
 
 
@@ -108,9 +108,9 @@ def kmeans_budget_search(
             break
         k = (low + high) // 2
         partitioning = kmeans_partition(bipartite, k, **kmeans_kwargs)
-        storage = bipartite.storage_cost(partitioning)
-        if storage <= gamma:
-            checkout = bipartite.checkout_cost(partitioning)
+        sizes = bipartite.group_sizes(partitioning)
+        if sum(sizes) <= gamma:
+            checkout = average_checkout(partitioning, sizes)
             if best is None or checkout < best[1]:
                 best = (partitioning, checkout)
             low = k + 1

@@ -33,7 +33,9 @@ per edge rule and part, the part's *ranking*: its edges by weight, each
 with the best cut by the rule's key among those up to it; a later visit at
 any delta is one ``bisect_right`` of the threshold.  The first run on a
 view scans only each part's light edges and keeps nothing, so a view split
-once (a weighted replica tree, a cell-scaled tree) pays nothing for it.
+once (a cell-scaled tree, a direct weighted run) pays nothing for it; a
+weighted delta search splits one replica tree at every delta and shares
+its memo like any other search.
 """
 
 from __future__ import annotations

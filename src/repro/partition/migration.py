@@ -43,10 +43,6 @@ class MigrationPlan(Record):
         self.reuse = {} if reuse is None else reuse
 
     @property
-    def num_reused(self) -> int:
-        return len(self.reuse)
-
-    @property
     def num_scratch(self) -> int:
         return len(self.new_groups) - len(self.reuse)
 

@@ -37,7 +37,7 @@ migration's record is on disk recovers the pre-migration layout.
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.core.cvd import CVD
 from repro.core.datamodels.base import require_free
@@ -261,16 +261,20 @@ class PartitionOptimizer:
         frequencies = frequencies or self.frequencies
         gamma = storage_multiple * self.cvd.record_count
         if frequencies:
-            from repro.partition.weighted import search_delta_weighted
-
             bipartite = BipartiteGraph.from_cvd(self.cvd)
             tree = reduce_to_tree(
                 self.cvd.graph, true_record_count=bipartite.num_records
             )
-            delta, partitioning, storage, cost = search_delta_weighted(
-                tree, frequencies, gamma, bipartite, edge_rule=self.edge_rule
+            # Appendix C.2's search probes all 20 deltas: no early stop.
+            result = search_delta(
+                tree,
+                gamma,
+                bipartite,
+                self.edge_rule,
+                tolerance=float("inf"),
+                max_iterations=20,
+                frequencies=frequencies,
             )
-            result = DeltaSearchResult(delta, partitioning, storage, cost, 0, 0)
         else:
             result = self.compute_partitioning(gamma=gamma)
         migration = None
@@ -309,25 +313,13 @@ class PartitionOptimizer:
             self.cvd.db, self.cvd.name, self.cvd.data_schema
         )
         new_model.create_storage()
+        new_model.membership = self.cvd.membership
 
-        def payloads(rids: Iterable[int]):
-            wanted = set(rids)
-            data_table = self.cvd.db.table(old_model.data_table)
-            rid_index = data_table.index_on(["rid"])
-            out = {
-                row[0]: tuple(row[1:])
-                for row in data_table.probe_many(
-                    rid_index, ((rid,) for rid in wanted)
-                )
-            }
-            missing = wanted - set(out)
-            if missing:
-                raise PartitionError(
-                    f"records {sorted(missing)[:5]} missing from data table"
-                )
-            return out
+        def payloads(rids: list[int]):
+            rows = old_model._fetch_rows_from_table(old_model.data_table, rids)
+            return {row[0]: row[1:] for row in rows}
 
-        new_model.build_from(self.cvd.membership, payloads, partitioning)
+        new_model.replace_partitions(partitioning.groups, {}, payloads)
         old_model.drop_storage()
         new_model.optimizer = self
         self.cvd.model = new_model
@@ -458,7 +450,7 @@ class PartitionOptimizer:
         members = self.cvd.membership
         states = self._model.partition_states()
         if strategy == "intelligent":
-            old_rid_sets = [set(state.rids) for state in states]
+            old_rid_sets = [state.rids for state in states]
             plan = plan_intelligent(old_rid_sets, new_partitioning, members)
             reuse = plan.resolve_reuse([state.index for state in states])
         else:
@@ -502,7 +494,7 @@ class PartitionOptimizer:
             self.delta_star = plan.delta
         started = time.perf_counter()
         inserted, deleted = self._model.replace_partitions(
-            list(plan.groups), plan.reuse, self._payloads_from_partitions
+            list(plan.groups), plan.reuse, self._model._fetch_payloads
         )
         event = MigrationEvent(
             at_version_count=plan.at_version_count,
@@ -514,10 +506,6 @@ class PartitionOptimizer:
         )
         self.trace.migrations.append(event)
         return event
-
-    def _payloads_from_partitions(self, rids: Iterable[int]):
-        assert self._model is not None
-        return self._model._fetch_payloads(rids)
 
     # ---------------------------------------------------------- persistence
 

@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from repro.core.datamodels.base import DataModel, Row, union_all
 from repro.core.datamodels.split_rlist import rlist_scan
 from repro.errors import PartitionError, VersionNotFoundError
-from repro.partition.bipartite import Partitioning
 from repro.record import Record
 from repro.storage import arrays
 from repro.storage.parser import ast_nodes as ast
@@ -176,12 +175,12 @@ class PartitionedRlistModel(DataModel):
     def rlist_row(self, vid: int, members: RidSet) -> Row:
         """Version ``vid``'s row in its partition's versioning table.
 
-        Commit, build, migration and snapshot restore all build it here."""
+        Commit, migration and snapshot restore all build it here."""
         return (vid, members.to_array())
 
     def _rlist_rows(self, vids: Iterable[int]) -> Iterator[Row]:
         # Ascending vid is the slot order: commits append in vid order,
-        # build and migration insert each group sorted.
+        # migration inserts each group sorted.
         for vid in sorted(vids):
             yield self.rlist_row(vid, self.membership[vid])
 
@@ -205,9 +204,6 @@ class PartitionedRlistModel(DataModel):
             groups.setdefault(index, set()).add(vid)
         return groups
 
-    def current_partitioning(self) -> Partitioning:
-        return Partitioning.from_groups(self._groups().values())
-
     @property
     def storage_cost_records(self) -> int:
         """S = sum over partitions of |R_k| (Equation 4.1)."""
@@ -220,35 +216,6 @@ class PartitionedRlistModel(DataModel):
             return 0.0
         total = sum(p.num_versions * p.num_records for p in self._partitions.values())
         return total / len(self._assignment)
-
-    # --------------------------------------------------------------- build
-
-    def build_from(
-        self,
-        membership: dict[int, RidSet],
-        payloads: Callable[[Iterable[int]], dict[int, Row]],
-        partitioning: Partitioning,
-    ) -> None:
-        """Populate partitions from scratch.
-
-        ``membership`` is the owning CVD's dict, which this model reads
-        from then on.  ``payloads`` resolves rids to data rows (typically
-        reading the old monolithic data table before it is dropped).
-        """
-        self.membership = membership
-        for group in partitioning.groups:
-            state = self._create_partition()
-            group_rids = RidSet.union_all(membership[vid] for vid in group)
-            rows = payloads(sorted(group_rids))
-            self.db.table(self._data_table(state.index)).insert_many(
-                (rid,) + tuple(rows[rid]) for rid in group_rids
-            )
-            self.db.table(self._versioning_table(state.index)).insert_many(
-                self._rlist_rows(group)
-            )
-            self._assignment.update(dict.fromkeys(sorted(group), state.index))
-            state.vids |= set(group)
-            state.rids |= group_rids
 
     # -------------------------------------------------------------- commit
 
@@ -347,8 +314,10 @@ class PartitionedRlistModel(DataModel):
 
         ``reuse[i] = j`` reuses old partition ``j`` (applying record inserts
         and deletes) as new group ``i``; unmapped groups are built from
-        scratch.  Returns (records_inserted, records_deleted) — the
-        migration cost the Fig. 14/15 benchmarks track.
+        scratch, so with no ``reuse`` on an empty model this is the first
+        build (``payloads`` then reads the old model's data table).  Returns
+        (records_inserted, records_deleted) — the migration cost the
+        Fig. 14/15 benchmarks track.
         """
         inserted = deleted = 0
         old_states = dict(self._partitions)
@@ -369,6 +338,9 @@ class PartitionedRlistModel(DataModel):
             else:
                 needed |= group_rids
         all_rows = payloads(sorted(needed)) if needed else {}
+        if len(all_rows) < len(needed):
+            missing = sorted(needed - RidSet(all_rows))
+            raise PartitionError(f"records {missing[:5]} missing from data table")
         for i, group in enumerate(new_groups):
             group_rids = group_rid_sets[i]
             old_index = reuse.get(i)

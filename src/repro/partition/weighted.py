@@ -7,6 +7,9 @@ run plain LyreSplit on T', then post-process by pulling all replicas of a
 version into the single partition (among those holding its replicas) with
 the fewest records.  The same ``((1+delta)^l, 1/delta)`` guarantee carries
 over, now relative to the weighted lower bound zeta.
+
+:func:`~repro.partition.delta_search.search_delta` given ``frequencies``
+builds T' once, so all its runs share one view's memo.
 """
 
 from __future__ import annotations
@@ -14,16 +17,15 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.errors import PartitionError
-from repro.partition.bipartite import BipartiteGraph, Partitioning
+from repro.partition.bipartite import Partitioning
 from repro.partition.dag_reduction import VersionTreeView
-from repro.partition.lyresplit import lyresplit
+from repro.partition.lyresplit import LyreSplitResult, lyresplit
 
 
 def weighted_lyresplit(
     tree: VersionTreeView,
     frequencies: Mapping[int, int],
     delta: float,
-    bipartite: BipartiteGraph | None = None,
     edge_rule: str = "balance",
 ) -> Partitioning:
     """Run LyreSplit on the replica tree T' and map back to real versions.
@@ -33,8 +35,15 @@ def weighted_lyresplit(
     """
     replica_tree, replica_owner = _build_replica_tree(tree, frequencies)
     result = lyresplit(replica_tree, delta, edge_rule)
-    # Partition sizes in replica space pick the smallest-record partition
-    # among each version's replicas.
+    return replicas_to_versions(result, replica_owner)
+
+
+def replicas_to_versions(
+    result: LyreSplitResult, replica_owner: dict[int, int]
+) -> Partitioning:
+    """Pull each version's replicas into one group of a split of T': the
+    group, among those holding its replicas, with the fewest records in
+    replica space."""
     group_records = result.group_records
     assignment = result.partitioning.assignment()
     chosen: dict[int, int] = {}
@@ -103,49 +112,3 @@ def _build_replica_tree(
         weight=weight,
     )
     return view, replica_owner
-
-
-def search_delta_weighted(
-    tree: VersionTreeView,
-    frequencies: Mapping[int, int],
-    gamma: float,
-    bipartite: BipartiteGraph,
-    edge_rule: str = "balance",
-    max_iterations: int = 20,
-) -> tuple[float, Partitioning, int, float]:
-    """Binary-search delta for the weighted objective under budget gamma.
-
-    Returns ``(delta, partitioning, storage_cost, weighted_checkout_cost)``
-    — the weighted analogue of
-    :func:`repro.partition.delta_search.search_delta`, used when checkout
-    frequencies are skewed (Appendix C.2).
-    """
-    records = bipartite.num_records
-    if gamma < records:
-        raise PartitionError(f"storage threshold {gamma} is below |R| = {records}")
-    low = tree.num_edges / (records * tree.num_versions)
-    high = 1.0
-    best: tuple[float, Partitioning, int, float] | None = None
-    for _ in range(max_iterations):
-        delta = (low + high) / 2
-        partitioning = weighted_lyresplit(
-            tree, frequencies, delta, bipartite, edge_rule
-        )
-        storage = bipartite.storage_cost(partitioning)
-        if storage <= gamma:
-            cost = bipartite.weighted_checkout_cost(partitioning, frequencies)
-            if best is None or cost < best[3]:
-                best = (delta, partitioning, storage, cost)
-            low = delta
-        else:
-            high = delta
-    if best is None:
-        single = Partitioning.single(tree.parent.keys())
-        best = (
-            low,
-            single,
-            bipartite.storage_cost(single),
-            bipartite.weighted_checkout_cost(single, frequencies),
-        )
-    return best
-

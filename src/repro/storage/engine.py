@@ -213,12 +213,6 @@ class Database:
         table.insert_many(relation.rows)
         return table
 
-    def total_storage_bytes(self, include_indexes: bool = True) -> int:
-        return sum(
-            table.storage_bytes(include_indexes)
-            for table in self._tables.values()
-        )
-
     # ------------------------------------------------------------------ SQL
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> Result:

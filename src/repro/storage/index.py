@@ -198,8 +198,3 @@ class OrderedIndex(Index):
 
     def entry_count(self) -> int:
         return self._entries
-
-
-def matches_prefix(key: Key, prefix: Sequence[Any]) -> bool:
-    """True when ``key`` starts with ``prefix`` (composite-key helper)."""
-    return key[: len(prefix)] == tuple(prefix)

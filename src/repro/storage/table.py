@@ -526,12 +526,6 @@ class Table:
         self.stats.index_probes += probes
         return self.fetch_slots(slots)
 
-    def find_where(self, predicate: Callable[[Row], bool]) -> Iterator[tuple[int, Row]]:
-        """Scan-and-filter used by engine internals."""
-        for slot, row in self.scan():
-            if predicate(row):
-                yield slot, row
-
     # --------------------------------------------------------------- physical
 
     def recluster(self, column: str | None = None) -> None:

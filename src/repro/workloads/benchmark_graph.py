@@ -87,9 +87,6 @@ class VersionedWorkload:
             for j in range(self.num_attributes)
         )
 
-    def new_payloads(self, version: GeneratedVersion) -> dict[int, tuple]:
-        return {rid: self.payload(rid) for rid in version.new_rids}
-
 
 class WorkloadBuilder:
     """Incrementally builds a :class:`VersionedWorkload`.

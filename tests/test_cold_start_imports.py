@@ -3,7 +3,8 @@
 ``python -m repro.cli ... serve`` imports the CLI and the serving tier,
 then opens the store.  None of that may load ``dataclasses`` (its code
 generator, and the ``inspect`` it pulls in, were the largest share of
-the import time) or the partitioning baselines an open never runs.  The
+the import time) or the partitioning baselines an open never runs; the
+replica-tree code loads only when a weighted search runs.  The
 check runs in a fresh interpreter, against an optimized (partitioned)
 store on disk opened read-only, as a server opens it; modules the bare
 interpreter already loads are not held against the repo.
@@ -26,6 +27,7 @@ FORBIDDEN = [
     "inspect",
     "repro.partition.agglo",
     "repro.partition.kmeans",
+    "repro.partition.weighted",
 ]
 
 BARE = "import json, sys; print(json.dumps(sorted(sys.modules)))"

@@ -108,10 +108,11 @@ def _partitioned_history() -> tuple[Database, PartitionedRlistModel]:
     model.create_storage()
     payloads = {rid: row for rows in EXPECTED.values() for rid, row in rows.items()}
     membership = {vid: RidSet(records) for vid, records in EXPECTED.items()}
-    model.build_from(
-        membership,
+    model.membership = membership
+    model.replace_partitions(
+        Partitioning.from_groups([{1, 2}, {3}]).groups,
+        {},
         lambda rids: {rid: payloads[rid] for rid in rids},
-        Partitioning.from_groups([{1, 2}, {3}]),
     )
     return db, model
 

@@ -68,9 +68,13 @@ class TestCosts:
         assert graph.checkout_cost(single) == graph.num_records
 
     def test_checkout_cost_of_version(self, graph):
+        """``C_i`` is ``|R_k|`` of the group holding vid, in group order."""
         partitioning = Partitioning.from_groups([{1, 2}, {3, 4}])
-        assert graph.checkout_cost_of(1, partitioning) == 4
-        assert graph.checkout_cost_of(4, partitioning) == 6
+        sizes = graph.group_sizes(partitioning)
+        assert sizes == [4, 6]
+        assignment = partitioning.assignment()
+        assert sizes[assignment[1]] == 4
+        assert sizes[assignment[4]] == 6
 
     def test_incomplete_partitioning_rejected(self, graph):
         with pytest.raises(PartitionError):

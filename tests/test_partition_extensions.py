@@ -5,7 +5,9 @@ import pytest
 from repro.errors import PartitionError
 from repro.partition.bipartite import BipartiteGraph
 from repro.partition.dag_reduction import reduce_to_tree, tree_from_mappings
+from repro.partition.delta_search import search_delta
 from repro.partition.lyresplit import lyresplit
+from repro.partition.online import PartitionOptimizer
 from repro.partition.schema_aware import (
     cell_scaled_tree,
     schema_aware_lyresplit,
@@ -41,16 +43,14 @@ class TestWeighted:
         bip = BipartiteGraph.from_cvd(sci_cvd)
         tree = reduce_to_tree(sci_cvd.graph, bip.num_records)
         plain = lyresplit(tree, 0.5).partitioning
-        weighted = weighted_lyresplit(
-            tree, {vid: 1 for vid in sci_cvd.membership}, 0.5, bip
-        )
+        weighted = weighted_lyresplit(tree, {vid: 1 for vid in sci_cvd.membership}, 0.5)
         assert bip.checkout_cost(weighted) <= bip.checkout_cost(plain) * 1.2
 
     def test_all_versions_covered(self, sci_cvd):
         bip = BipartiteGraph.from_cvd(sci_cvd)
         tree = reduce_to_tree(sci_cvd.graph, bip.num_records)
         freqs = {vid: (vid % 3) + 1 for vid in sci_cvd.membership}
-        partitioning = weighted_lyresplit(tree, freqs, 0.5, bip)
+        partitioning = weighted_lyresplit(tree, freqs, 0.5)
         assert partitioning.version_ids() == set(sci_cvd.membership)
 
     def test_hot_version_weighted_cost_improves(self, sci_cvd):
@@ -61,7 +61,7 @@ class TestWeighted:
         hot = max(sci_cvd.membership)  # newest version is hot
         freqs = {vid: 1 for vid in sci_cvd.membership}
         freqs[hot] = 50
-        weighted = weighted_lyresplit(tree, freqs, 0.5, bip)
+        weighted = weighted_lyresplit(tree, freqs, 0.5)
         plain = lyresplit(tree, 0.5).partitioning
         assert bip.weighted_checkout_cost(
             weighted, freqs
@@ -114,17 +114,39 @@ class TestSchemaAware:
 
 class TestWeightedSearchAndIntegration:
     def test_search_delta_weighted_respects_budget(self, sci_cvd):
-        from repro.partition.weighted import search_delta_weighted
-
         bip = BipartiteGraph.from_cvd(sci_cvd)
         tree = reduce_to_tree(sci_cvd.graph, bip.num_records)
         freqs = {vid: (vid % 4) + 1 for vid in sci_cvd.membership}
         gamma = 2.0 * bip.num_records
-        _delta, partitioning, storage, cost = search_delta_weighted(
-            tree, freqs, gamma, bip
+        result = search_delta(tree, gamma, bip, frequencies=freqs)
+        assert result.storage_cost <= gamma
+        assert result.storage_cost == bip.storage_cost(result.partitioning)
+        assert result.checkout_cost == bip.weighted_checkout_cost(
+            result.partitioning, freqs
         )
-        assert storage <= gamma
-        assert cost == bip.weighted_checkout_cost(partitioning, freqs)
+
+    def test_weighted_search_builds_one_replica_tree(self, orpheus, monkeypatch):
+        """One replica tree per search: its runs share one view's memo."""
+        from repro.partition import weighted
+
+        orpheus.init("f", [("x", "int")], rows=[(i,) for i in range(30)])
+        tip = 1
+        for step in range(6):
+            orpheus.checkout("f", tip, table_name="w")
+            orpheus.db.execute("DELETE FROM w WHERE x = %s", (step,))
+            tip = orpheus.commit("w")
+        built = []
+        build = weighted._build_replica_tree
+
+        def counting_build(tree, frequencies):
+            built.append(tree)
+            return build(tree, frequencies)
+
+        monkeypatch.setattr(weighted, "_build_replica_tree", counting_build)
+        optimizer = PartitionOptimizer(orpheus.cvd("f"))
+        run = optimizer.plan_full(2.0, 1.5, {vid: vid % 3 + 1 for vid in range(1, 8)})
+        assert len(built) == 1
+        assert run.result.iterations == 20  # Appendix C.2's search: no early stop
 
     def test_orpheus_tracks_checkout_frequencies(self, orpheus):
         orpheus.init("f", [("x", "int")], rows=[(1,), (2,)])

@@ -173,18 +173,6 @@ class TestDagReduction:
         assert tree.tree_record_count == 9
         assert tree.duplicated_records == 2
 
-    def test_keep_first_rule(self):
-        from repro.core.version import Version
-        from repro.core.version_graph import VersionGraph
-
-        graph = VersionGraph()
-        graph.add_version(Version(1, (), num_records=3), {})
-        graph.add_version(Version(2, (1,), num_records=3), {1: 2})
-        graph.add_version(Version(3, (1,), num_records=4), {1: 1})
-        graph.add_version(Version(4, (2, 3), num_records=6), {2: 3, 3: 4})
-        tree = reduce_to_tree(graph, 7, keep_rule="first")
-        assert tree.parent[4] == 2
-
     def test_tree_graph_passthrough(self, sci_cvd):
         tree = reduce_to_tree(sci_cvd.graph)
         assert tree.duplicated_records == 0

@@ -8,8 +8,14 @@ placements and WAL records that follow — is a function of these outputs,
 so they must agree exactly: the same groups in the same order, the same
 ``levels`` and ``cuts``, and ``group_records`` equal to the record counts
 recomputed from the reference's groups.
+
+The delta search is held to its own oracle: ``delta_search_reference``
+keeps the plain search, the weighted search and the cost methods the one
+search replaced, and every field of a search's result must equal the
+oracle's, floats bit for bit.
 """
 
+import math
 import random
 
 import pytest
@@ -18,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.version import Version
 from repro.core.version_graph import VersionGraph
+from repro.errors import InfeasibleBudgetError, PartitionError
 from repro.partition import delta_search, weighted
 from repro.partition.bipartite import BipartiteGraph
 from repro.partition.dag_reduction import reduce_to_tree, tree_from_mappings
@@ -25,7 +32,9 @@ from repro.partition.delta_search import search_delta
 from repro.partition.lyresplit import EDGE_RULES, lyresplit
 from repro.partition.schema_aware import cell_scaled_tree, schema_aware_lyresplit
 from repro.partition.weighted import weighted_lyresplit
+from repro.storage.ridset import RidSet
 
+import delta_search_reference as oracle
 from lyresplit_reference import reference_lyresplit
 
 SHAPES = ("random", "dag", "chain", "star", "single")
@@ -149,7 +158,7 @@ class TestLyreSplitParity:
         for split in (lyresplit, reference_lyresplit):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(weighted, "lyresplit", split)
-                runs.append(weighted_lyresplit(tree, frequencies, delta, bipartite))
+                runs.append(weighted_lyresplit(tree, frequencies, delta))
         assert runs[0] == runs[1]
 
     @given(histories, st.integers(0, 10**6), st.sampled_from(EDGE_RULES))
@@ -267,3 +276,110 @@ def test_online_trace_identical_with_reference_split(monkeypatch):
     monkeypatch.setattr(delta_search, "lyresplit", reference_lyresplit)
     assert live == trace()
     assert live[1], "the stream is meant to exercise migrations"
+
+
+#: How a search scores its candidates: by the tree's own record counts, by
+#: the bipartite graph's, or by Cw under frequencies 1-4 or one hot version.
+SEARCH_KINDS = ("tree", "bipartite", "weighted", "hot")
+
+
+def frequencies_for(kind: str, tree, seed: int):
+    rng = random.Random(seed)
+    if kind == "weighted":
+        return {vid: rng.randint(1, 4) for vid in tree.parent}
+    return {rng.choice(sorted(tree.parent)): rng.randint(5, 12)}
+
+
+def bits(delta, partitioning, storage, checkout, *telemetry):
+    """A result's fields with floats as their exact bits."""
+    return (delta.hex(), partitioning.groups, storage, checkout.hex(), *telemetry)
+
+
+def answer(search, *args, **kwargs):
+    """The search's result as :func:`bits`, or its refusal's message."""
+    try:
+        result = search(*args, **kwargs)
+    except InfeasibleBudgetError as refusal:
+        return "refused", str(refusal)
+    return bits(*(getattr(result, field) for field in result._fields))
+
+
+class TestDeltaSearchOracle:
+    """``search_delta`` returns what the searches it replaced returned."""
+
+    @given(
+        histories,
+        st.sampled_from(EDGE_RULES),
+        st.sampled_from([12, 20, 40]),
+        st.sampled_from(SEARCH_KINDS),
+        st.one_of(
+            st.floats(min_value=1.0, max_value=4.0),
+            st.sampled_from([0.5, 0.999]),
+        ),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_result_as_oracle(
+        self, params, rule, iterations, kind, multiple, seed
+    ):
+        tree, bipartite = history(*params)
+        reference = oracle.ReferenceBipartiteGraph(
+            {vid: bipartite.records_of(vid) for vid in bipartite.version_ids()}
+        )
+        graphs = (None, None) if kind == "tree" else (bipartite, reference)
+        records = tree.tree_record_count if kind == "tree" else bipartite.num_records
+        gamma = multiple * records
+        expected = answer(
+            oracle.search_delta, tree, gamma, graphs[1], rule, max_iterations=iterations
+        )
+        if kind in ("tree", "bipartite"):
+            got = answer(
+                search_delta, tree, gamma, graphs[0], rule, max_iterations=iterations
+            )
+            assert got == expected
+            assert (got[0] == "refused") == (multiple < 1.0)
+            return
+        frequencies = frequencies_for(kind, tree, seed)
+        got = answer(
+            search_delta,
+            tree,
+            gamma,
+            bipartite,
+            rule,
+            tolerance=math.inf,
+            max_iterations=iterations,
+            frequencies=frequencies,
+        )
+        if multiple < 1.0:
+            # The weighted search refused with a bare PartitionError; the one
+            # search refuses as the plain search does, with its message.
+            assert got == expected
+            with pytest.raises(PartitionError):
+                oracle.search_delta_weighted(tree, frequencies, gamma, reference)
+            return
+        old = oracle.search_delta_weighted(
+            tree, frequencies, gamma, reference, rule, max_iterations=iterations
+        )
+        assert got[:4] == bits(*old)
+        assert got[4] == iterations  # no early stop
+
+    def test_bipartite_run_unions_each_group_once(self, monkeypatch):
+        tree, bipartite = history("dag", 60, 11, 0.2)
+        groups, unions = [], []
+        union_all = RidSet.union_all
+
+        def counting_split(*args):
+            result = lyresplit(*args)
+            groups.append(len(result.partitioning))
+            return result
+
+        def counting_union(sets):
+            unions.append(1)
+            return union_all(sets)
+
+        monkeypatch.setattr(delta_search, "lyresplit", counting_split)
+        monkeypatch.setattr(RidSet, "union_all", staticmethod(counting_union))
+        result = search_delta(tree, 2 * bipartite.num_records, bipartite)
+        assert result.num_partitions > 1
+        assert len(groups) == result.iterations
+        assert len(unions) == sum(groups)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import PartitionError
 from repro.partition.bipartite import BipartiteGraph, Partitioning
 from repro.partition.migration import plan_intelligent, plan_naive
 from repro.partition.online import PartitionOptimizer
@@ -82,6 +83,85 @@ class TestPhysicalPartitioning:
             "SELECT count(*) FROM ALL VERSIONS OF CVD sci AS av"
         ).scalar()
         assert total == cvd.bipartite_edge_count
+
+
+def dag_history():
+    """Versions 2 and 3 branch off 1, 4 merges them, 5 follows 4 and 6
+    follows 2; records 5-12 live in both partitions an optimize forms."""
+    from repro.core.orpheus import OrpheusDB
+
+    orpheus = OrpheusDB()
+    rows = [(k, f"r{k}") for k in range(12)]
+    orpheus.init("d", [("k", "int"), ("v", "text")], rows=rows, primary_key=("k",))
+    edits = [
+        ([1], "UPDATE w SET v = 'a' || v WHERE k < 4"),
+        ([1], "UPDATE w SET v = 'b' || v WHERE k >= 8"),
+        ([2, 3], "DELETE FROM w WHERE k = 5"),
+        ([4], "INSERT INTO w VALUES (NULL, 40, 'n40')"),
+        ([2], "UPDATE w SET v = 'c' || v WHERE k < 2"),
+    ]
+    for parents, sql in edits:
+        orpheus.checkout("d", parents, "w")
+        orpheus.run(sql)
+        orpheus.commit("w", message=sql)
+    return orpheus
+
+
+#: The partitions the first optimize of :func:`dag_history` writes, per
+#: partition index: its data table's rows in slot order and its rlist rows.
+DAG_LAYOUT = {
+    0: (
+        [(5, 4, "r4"), (6, 5, "r5"), (7, 6, "r6"), (8, 7, "r7"), (9, 8, "r8")]
+        + [(10, 9, "r9"), (11, 10, "r10"), (12, 11, "r11"), (13, 0, "ar0")]
+        + [(14, 1, "ar1"), (15, 2, "ar2"), (16, 3, "ar3"), (21, 40, "n40")]
+        + [(22, 0, "car0"), (23, 1, "car1")],
+        [
+            (2, [5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]),
+            (4, [5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]),
+            (5, [5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 21]),
+            (6, [5, 6, 7, 8, 9, 10, 11, 12, 15, 16, 22, 23]),
+        ],
+    ),
+    1: (
+        [(rid, rid - 1, f"r{rid - 1}") for rid in range(1, 13)]
+        + [(17, 8, "br8"), (18, 9, "br9"), (19, 10, "br10"), (20, 11, "br11")],
+        [
+            (1, list(range(1, 13))),
+            (3, [1, 2, 3, 4, 5, 6, 7, 8, 17, 18, 19, 20]),
+        ],
+    ),
+}
+
+
+class TestFirstOptimize:
+    def test_writes_the_known_layout_on_a_dag(self):
+        orpheus = dag_history()
+        cvd = orpheus.cvd("d")
+        assert cvd.graph.parents(4) == (2, 3)
+        orpheus.optimize("d", storage_threshold=1.6)
+        model = cvd.model
+        assert list(model._assignment.items()) == [
+            (2, 0),
+            (4, 0),
+            (5, 0),
+            (6, 0),
+            (1, 1),
+            (3, 1),
+        ]
+
+        def tables(index):
+            data = cvd.db.table(f"d__p{index}_data").rows()
+            rlists = cvd.db.table(f"d__p{index}_versions").rows()
+            return list(data), [(vid, list(rids)) for vid, rids in rlists]
+
+        layout = {index: tables(index) for index in sorted(model._partitions)}
+        assert layout == DAG_LAYOUT
+
+    def test_missing_record_is_refused(self):
+        orpheus = dag_history()
+        orpheus.run("DELETE FROM d__data WHERE rid = 7")
+        with pytest.raises(PartitionError, match=r"records \[7\] missing"):
+            orpheus.optimize("d", storage_threshold=1.6)
 
 
 class TestOnlineMaintenance:

@@ -148,8 +148,8 @@ class TestWeightedProperties:
     def test_weighted_covers_all_versions(self, params, freq_seed):
         from repro.partition.weighted import weighted_lyresplit
 
-        tree, bip = random_history(*params)
+        tree, _ = random_history(*params)
         rng = random.Random(freq_seed)
         freqs = {vid: rng.randint(1, 5) for vid in tree.parent}
-        partitioning = weighted_lyresplit(tree, freqs, 0.5, bip)
+        partitioning = weighted_lyresplit(tree, freqs, 0.5)
         assert partitioning.version_ids() == set(tree.parent)
