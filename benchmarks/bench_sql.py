@@ -1,5 +1,5 @@
-"""SQL benchmark: the compiled block pipeline vs the interpreted
-row-at-a-time reference pipeline.
+"""SQL benchmark: the engine's block pipeline vs the row-at-a-time
+reference pipeline in ``tests/select_reference.py``.
 
 The compiled pipeline runs the scan-to-result data path as a chain of
 operators over column-vector blocks: ``Table.scan_column_blocks`` hands
@@ -9,8 +9,9 @@ pre-extracted key vectors, ``unnest`` is a block operator, and an
 expression outside the vector subset runs its row function over the
 block's rows.  This benchmark measures exactly that trade on a
 generated versioned store: the same SQL runs on two databases that differ
-only in ``exec_mode`` (``compiled`` vs ``interpreted``), the results are
-asserted identical, and ``BENCH_sql.json`` records wall-clock per scenario
+only in their executor (the engine's, ``compiled``, and the reference,
+``interpreted``), the results are asserted identical, and
+``BENCH_sql.json`` records wall-clock per scenario
 plus the deterministic logical-I/O / rows-processed counters CI gates
 (``check_regression.py`` with ``BENCH_sql_smoke.json``).
 
@@ -20,7 +21,8 @@ fullscan/join/topk are >=5x acceptance targets), bare-LIMIT streaming stop
 (whose scanned-record counter proves unread scan blocks are never
 charged), ranked window functions, and the grouped top-k pushdown (a
 ``row_number() <= k`` derived table that compiled mode answers with
-per-partition heaps).
+per-partition heaps).  The ``sql`` regression gate counts the compiled
+side only.
 
 Run directly for the full sweep::
 
@@ -40,9 +42,9 @@ if __package__ in (None, ""):
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks._common import print_header
-from repro.storage.engine import Database
 from repro.workloads.benchmark_graph import WorkloadBuilder
 from repro.workloads.datasets import load_workload
+from tests.select_reference import database
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_sql.json"
 
@@ -111,11 +113,12 @@ ACCEPTANCE_SCENARIOS = ("fullscan", "join", "topk")
 # ----------------------------------------------------------------- workload
 
 
-def build_store(config: dict, exec_mode: str):
+def build_store(config: dict, mode: str):
     """A versioned store (split-by-rlist) plus the per-scenario SQL texts.
 
-    The generator is deterministic, so the two ``exec_mode`` databases hold
-    byte-identical data and every scenario must return identical rows.
+    The generator is deterministic, so the ``compiled`` and ``interpreted``
+    databases hold byte-identical data and every scenario must return
+    identical rows.
     """
     builder = WorkloadBuilder("sqlbench", num_attributes=4, seed=23)
     root = builder.root(config["root_records"])
@@ -130,9 +133,7 @@ def build_store(config: dict, exec_mode: str):
             deletes=churn // 4,
         )
     workload = builder.build(config["branches"], churn)
-    cvd = load_workload(
-        Database(exec_mode=exec_mode), "sqlbench", workload, "split_by_rlist"
-    )
+    cvd = load_workload(database(mode), "sqlbench", workload, "split_by_rlist")
     names = {
         "data": cvd.model.data_table,
         "versions": cvd.model.versioning_table,

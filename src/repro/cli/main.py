@@ -442,7 +442,7 @@ def _status_dict(store: Store) -> dict:
             "records_since_checkpoint": store.records_since_checkpoint,
             "last_lsn": store.last_lsn,
         },
-        "engine": {"exec_mode": db.exec_mode, "io": db.stats.as_dict()},
+        "engine": {"io": db.stats.as_dict()},
         "cvds": [
             {
                 "name": name,
@@ -474,16 +474,15 @@ def _print_engine_status(orpheus: OrpheusDB) -> None:
     """How this process's expressions ran, by kernel tier.
 
     The counters cover this process (for `status` that is recovery/replay
-    plus the command itself).  SELECTs run on the compiled block pipeline,
+    plus the command itself).  SELECTs run on the one block pipeline,
     whose expressions are vector kernels; generated row functions serve
     DML, join conditions and the trees that need a whole row; the
     interpreter serves what the compiler refuses, including trees whose
     root is outside the generated skeleton.
     """
-    db = orpheus.db
-    stats = db.stats
+    stats = orpheus.db.stats
     print(
-        f"engine: {db.exec_mode} mode, exprs on "
+        f"engine: exprs on "
         f"{stats.exprs_columnar} vector kernels / "
         f"{stats.exprs_compiled} row functions / "
         f"{stats.exprs_interpreted} interpreter fallbacks, "
@@ -642,8 +641,7 @@ def _dispatch(orpheus: OrpheusDB, args: argparse.Namespace) -> None:
                 f"{detail['exprs_compiled']} row functions / "
                 f"{detail['exprs_interpreted']} interpreter fallbacks, "
                 f"{detail['records_scanned']} records in "
-                f"{detail['blocks_scanned']} column blocks, "
-                f"{detail['exec_mode']} mode)"
+                f"{detail['blocks_scanned']} column blocks)"
             )
         else:
             if result.columns:

@@ -33,7 +33,9 @@ outside the skeleton, that names an unknown column, or whose source
 CPython refuses to compile (nested deeper than its parser allows) gets no
 generated function: :func:`compile_value` returns ``None`` and the caller
 runs the interpreter.  The hypothesis suite in
-``tests/test_storage_compile.py`` enforces the equivalence.
+``tests/test_storage_compile.py`` enforces the equivalence, kernel by
+kernel and for whole SELECTs against the row-at-a-time reference in
+``tests/select_reference.py``.
 
 The block kernels the SELECT pipeline runs on
 (:func:`compile_column_predicate`, :func:`compile_column_values`) are
@@ -257,17 +259,20 @@ def _array_op(op: str, const_value: Any, const_is_left: bool) -> Callable | None
 
 
 _COMPARISONS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
-_ARITHMETIC = {"+": "+", "-": "-", "*": "*", "%": "%"}
+_ARITHMETIC = {"+": "+", "-": "-", "*": "*"}
 
 
-def _checked_div(a: Any, b: Any) -> Any:
-    """The interpreter's ``/`` semantics for the generated code."""
+def _checked(op: str, a: Any, b: Any) -> Any:
+    """The interpreter's ``/`` and ``%`` for the generated code: a zero
+    divisor is an error before the operand types are looked at."""
     if b == 0:
         raise ExecutionError("division by zero")
     try:
-        return BINARY_IMPLS["/"](a, b)
+        return BINARY_IMPLS[op](a, b)
     except TypeError as exc:
-        raise ExecutionError(f"operator '/' not supported for {a!r} and {b!r}") from exc
+        raise ExecutionError(
+            f"operator {op!r} not supported for {a!r} and {b!r}"
+        ) from exc
 
 
 # ----------------------------------------------------------------- emission
@@ -283,7 +288,7 @@ class _SourceContext:
         # trip CPython's literal-`is` SyntaxWarning.
         self.names: dict[str, Any] = {
             "ExecutionError": ExecutionError,
-            "_div": _checked_div,
+            "_checked": _checked,
             "_TRUE": True,
             "_FALSE": False,
             "_env": env,
@@ -392,11 +397,12 @@ def _column_source(expr: Expression, env: EvalEnv):
     return ctx, row_body, col_body
 
 
-def _row_function(expr: Expression, env: EvalEnv) -> tuple[RowFunc, str]:
+def row_function(expr: Expression, env: EvalEnv) -> tuple[RowFunc, str]:
     """``expr`` as a row function, and the tier it is: the generated row
     function (trees that need a full row: both-dynamic array operators,
     function islands) or, for trees :func:`compile_value` refuses, the
-    interpreter."""
+    interpreter.  The row kernels below map it over a block; DML and join
+    conditions call it per row."""
     func = compile_value(expr, env)
     if func is not None:
         return func, "compiled"
@@ -405,7 +411,7 @@ def _row_function(expr: Expression, env: EvalEnv) -> tuple[RowFunc, str]:
 
 def _row_predicate(expr: Expression, env: EvalEnv) -> tuple[Callable, str]:
     """The predicate kernel served by ``expr``'s row function."""
-    func, tier = _row_function(expr, env)
+    func, tier = row_function(expr, env)
 
     def kernel(block):
         rows = block.rows
@@ -418,7 +424,7 @@ def _row_predicate(expr: Expression, env: EvalEnv) -> tuple[Callable, str]:
 
 def _row_values(expr: Expression, env: EvalEnv) -> tuple[Callable, str]:
     """The value kernel served by ``expr``'s row function."""
-    func, tier = _row_function(expr, env)
+    func, tier = row_function(expr, env)
 
     def kernel(block, selection):
         if selection is None:
@@ -441,7 +447,7 @@ def compile_column_predicate(expr: Expression, env: EvalEnv) -> tuple[Callable, 
     Callers distinguish the payloads by the block's backing
     (``block.rows is not None``).  Outside the vector subset the same
     contract is served by the tree's row function (see
-    :func:`_row_function`); the ``tier`` returned beside the kernel says
+    :func:`row_function`); the ``tier`` returned beside the kernel says
     which.  On any exception the block is replayed row-by-row through the
     interpreter, reproducing its error at the offending row.
     """
@@ -582,10 +588,15 @@ def _emit(expr: Expression, ctx: _SourceContext) -> str:
     if isinstance(expr, InSet):
         value = ctx.gensym("t")
         values = ctx.bind(expr.values)
-        membership = "not in" if expr.negated else "in"
+        if not expr.values:  # nothing is in an empty set, not even NULL
+            return f"(({value} := {_emit_child(expr.operand, ctx)}), {expr.negated})[1]"
+        if None in expr.values:  # a miss against a NULL member is NULL
+            test = f"({not expr.negated} if {value} in {values} else None)"
+        else:
+            test = f"({value} {'not in' if expr.negated else 'in'} {values})"
         return (
             f"(None if ({value} := {_emit_child(expr.operand, ctx)}) is None"
-            f" else ({value} {membership} {values}))"
+            f" else {test})"
         )
     if isinstance(expr, InList):
         items = tuple(map(_constant, expr.items))
@@ -595,11 +606,13 @@ def _emit(expr: Expression, ctx: _SourceContext) -> str:
         value = ctx.gensym("t")
         item = ctx.gensym("t")
         found = f"any({item} == {value} for {item} in {folded})"
-        if expr.negated:
-            found = f"not ({found})"
+        # A miss is NULL when the list holds a NULL.  It is bound, not
+        # inlined, so a NULL item does not change the kernel's shape.
+        unknown = any(item is None for item in items)
+        miss = ctx.bind(None if unknown else expr.negated)
         return (
             f"(None if ({value} := {_emit_child(expr.operand, ctx)}) is None"
-            f" else ({found}))"
+            f" else ({not expr.negated} if {found} else {miss}))"
         )
     if isinstance(expr, Like):
         return _emit_like(expr, ctx)
@@ -629,13 +642,13 @@ def _emit_binary(expr: BinaryOp, ctx: _SourceContext) -> str:
             f" else (None if {left_value} is None or {right_value} is None"
             f" else {'True' if op == 'and' else 'False'})))"
         )
-    if op in _COMPARISONS or op in _ARITHMETIC or op == "/":
+    if op in _COMPARISONS or op in _ARITHMETIC or op in ("/", "%"):
         left_value = ctx.gensym("t")
         right_value = ctx.gensym("t")
         left = _emit_child(expr.left, ctx)
         right = _emit_child(expr.right, ctx)
-        if op == "/":
-            body = f"_div({left_value}, {right_value})"
+        if op in ("/", "%"):
+            body = f"_checked({op!r}, {left_value}, {right_value})"
         else:
             py_op = _COMPARISONS.get(op) or _ARITHMETIC[op]
             body = f"{left_value} {py_op} {right_value}"

@@ -1,13 +1,11 @@
 """The :class:`Database` facade — the engine's public entry point.
 
-A Database owns a catalog of tables, a shared I/O-stats registry, a
+A Database owns a catalog of tables, a shared I/O-stats registry and a
 ``join_method`` knob (``hash`` / ``merge`` / ``inl``) mirroring the join
-choices the paper profiles in Appendix D.1, and an ``exec_mode`` knob:
-``"compiled"`` (the default) runs every SELECT on the compiled block
-pipeline — expressions lowered to block kernels once per statement, a
-chain of operators fed column blocks — while ``"interpreted"`` forces the
-row-at-a-time reference executor that the equivalence tests and
-``bench_sql.py`` compare against.
+choices the paper profiles in Appendix D.1.  Every SELECT runs on the one
+block pipeline of :mod:`repro.storage.executor` — expressions lowered to
+block kernels once per statement, a chain of operators fed column blocks —
+and DML predicates and join conditions on the same compiled row functions.
 SQL goes through :meth:`Database.execute`; library code that wants to
 skip parsing can use the direct table API (:meth:`table`,
 :meth:`create_table`, ...).
@@ -25,12 +23,7 @@ from repro.errors import (
     ExecutionError,
 )
 from repro.record import Record
-from repro.storage.executor import (
-    QueryProfile,
-    Relation,
-    SelectExecutor,
-    value_evaluator,
-)
+from repro.storage.executor import QueryProfile, Relation, SelectExecutor
 from repro.storage.expression import EvalEnv
 from repro.storage.iostats import IOStats, StatsRegistry
 from repro.storage.parser import ast_nodes as ast
@@ -40,7 +33,6 @@ from repro.storage.table import Table
 from repro.storage.types import DataType
 
 JOIN_METHODS = ("hash", "merge", "inl")
-EXEC_MODES = ("compiled", "interpreted")
 
 #: ``PROFILE`` is a wrapper keyword the lexer never sees: it is stripped
 #: before parsing, like EXPLAIN in most engines.
@@ -93,19 +85,19 @@ class Result(Record):
 class Database:
     """An embedded, in-memory relational database."""
 
-    def __init__(self, join_method: str = "hash", exec_mode: str = "compiled"):
+    #: Makes the executor each statement's SELECTs, DML predicates and join
+    #: conditions run through.  A subclass may substitute its own (the
+    #: row-at-a-time reference in ``tests/select_reference.py`` does).
+    select_executor = SelectExecutor
+
+    def __init__(self, join_method: str = "hash"):
         if join_method not in JOIN_METHODS:
             raise ExecutionError(
                 f"join_method must be one of {JOIN_METHODS}, got {join_method!r}"
             )
-        if exec_mode not in EXEC_MODES:
-            raise ExecutionError(
-                f"exec_mode must be one of {EXEC_MODES}, got {exec_mode!r}"
-            )
         self._tables: dict[str, Table] = {}
         self._registry = StatsRegistry()
         self.join_method = join_method
-        self.exec_mode = exec_mode
         #: Answers the FROM items the engine cannot (``ast.VersionRef``):
         #: set by the embedding layer, called by the planner with the
         #: item, returns a ``SubqueryRef`` or a ``Relation`` of rows.
@@ -249,7 +241,7 @@ class Database:
         profile = QueryProfile()
         before = self.stats.snapshot()
         started = time.perf_counter()
-        relation = SelectExecutor(self, profile=profile).execute(statements[0])
+        relation = self.select_executor(self, profile=profile).execute(statements[0])
         elapsed = time.perf_counter() - started
         delta = self.stats.since(before)
         detail = profile.as_dict()
@@ -257,7 +249,6 @@ class Database:
             {
                 "total_seconds": elapsed,
                 "rowcount": len(relation.rows),
-                "exec_mode": self.exec_mode,
                 "exprs_compiled": delta.exprs_compiled,
                 "exprs_interpreted": delta.exprs_interpreted,
                 "exprs_columnar": delta.exprs_columnar,
@@ -283,7 +274,7 @@ class Database:
 
     def _execute_statement(self, statement: ast.Statement) -> Result:
         if isinstance(statement, ast.Select):
-            relation = SelectExecutor(self).execute(statement)
+            relation = self.select_executor(self).execute(statement)
             return Result(
                 columns=[name.split(".")[-1] for name in relation.names],
                 rows=relation.rows,
@@ -338,11 +329,10 @@ class Database:
         else:
             positions = list(range(len(table.schema)))
         env = EvalEnv([])
+        executor = self.select_executor(self)
         if statement.query is not None:
-            relation = SelectExecutor(self).execute(statement.query)
-            source_rows: Iterable[tuple] = relation.rows
+            source_rows: Iterable[tuple] = executor.execute(statement.query).rows
         else:
-            executor = SelectExecutor(self)
             source_rows = []
             for value_exprs in statement.rows or []:
                 resolved = [executor._resolve_subqueries(expr) for expr in value_exprs]
@@ -363,7 +353,7 @@ class Database:
     def _execute_update(self, statement: ast.Update) -> Result:
         table = self.table(statement.table)
         env = EvalEnv([column.name for column in table.schema.columns])
-        executor = SelectExecutor(self)
+        executor = self.select_executor(self)
         where = (
             executor._resolve_subqueries(statement.where)
             if statement.where is not None
@@ -372,28 +362,31 @@ class Database:
         assignments = [
             (
                 table.schema.position(name),
-                value_evaluator(self, executor._resolve_subqueries(expr), env),
+                executor.row_func(executor._resolve_subqueries(expr), env),
             )
             for name, expr in statement.assignments
         ]
         pairs = []
-        for slot, row in self._matching_slots(table, where, env):
+        for slot, row in self._matching_slots(executor, table, where, env):
             new_row = list(row)
             for position, assign in assignments:
                 new_row[position] = assign(row)
             pairs.append((slot, new_row))
         return Result(rowcount=table.update_many(pairs))
 
-    def _matching_slots(self, table: Table, where, env: EvalEnv) -> list:
+    @staticmethod
+    def _matching_slots(
+        executor: SelectExecutor, table: Table, where, env: EvalEnv
+    ) -> list:
         """Batched scan-and-filter for DML: ``(slot, row)`` pairs matching
-        ``where`` (all live rows when it is None), via the same compiled-
-        predicate-over-blocks kernel the SELECT pipeline uses."""
+        ``where`` (all live rows when it is None), through the executor's
+        row function for it."""
         if where is None:
             touched = []
             for batch in table.scan_batches(with_slots=True):
                 touched.extend(batch)
             return touched
-        predicate = value_evaluator(self, where, env)
+        predicate = executor.row_func(where, env)
         touched = []
         for batch in table.scan_batches(with_slots=True):
             touched.extend(pair for pair in batch if predicate(pair[1]) is True)
@@ -402,13 +395,15 @@ class Database:
     def _execute_delete(self, statement: ast.Delete) -> Result:
         table = self.table(statement.table)
         env = EvalEnv([column.name for column in table.schema.columns])
-        executor = SelectExecutor(self)
+        executor = self.select_executor(self)
         where = (
             executor._resolve_subqueries(statement.where)
             if statement.where is not None
             else None
         )
-        slots = [slot for slot, _row in self._matching_slots(table, where, env)]
+        slots = [
+            slot for slot, _row in self._matching_slots(executor, table, where, env)
+        ]
         deleted = table.delete_slots(slots)
         return Result(rowcount=deleted)
 

@@ -2,32 +2,34 @@
 
 FROM resolution, join order and index shortcuts live in
 :mod:`repro.storage.planner`, which hands back one (possibly joined)
-source; this module owns everything above it, in two tiers.
+source; this module owns everything above it: one pipeline.
 
-**The compiled block pipeline** (``exec_mode="compiled"``, the default) is
-the one path a SELECT takes.  :meth:`SelectExecutor._build` chains small
-operators — Scan → Filter → Window → Project → Unnest | Aggregate → Sort →
-Distinct → Limit — that exchange :class:`ColumnBlock`s and are iterated
-for the result.  Every expression is lowered once per statement to a block
-kernel (:mod:`repro.storage.compile`); the kernels are total, so no
-statement falls off the pipeline.  Pushdowns are choices ``_build`` makes
-once: a bare ``LIMIT`` stops pulling scan blocks when enough rows exist,
-``ORDER BY`` + ``LIMIT`` is a heap top-k (run before the projection when
-its keys are source columns), a ``row_number() <= k`` derived table keeps
-k rows per partition, an all-bare-columns select list is one
-``itemgetter`` pass.  Each operator charges rows, batches and time to the
-statement's :class:`QueryProfile`, which ``PROFILE SELECT`` reports.
+:meth:`SelectExecutor._build` chains small operators — Scan → Filter →
+Window → Project → Unnest | Aggregate → Sort → Distinct → Limit — that
+exchange :class:`ColumnBlock`s and are iterated for the result.  Every
+expression is lowered once per statement to a block kernel
+(:mod:`repro.storage.compile`); the kernels are total, so no statement
+falls off the pipeline.  Pushdowns are choices ``_build`` makes once: a
+bare ``LIMIT`` stops pulling scan blocks when enough rows exist, ``ORDER
+BY`` + ``LIMIT`` is a heap top-k (run before the projection when its keys
+are source columns), a ``row_number() <= k`` derived table keeps k rows per
+partition, an all-bare-columns select list is one ``itemgetter`` pass.
+Each operator charges rows, batches and time to the statement's
+:class:`QueryProfile`, which ``PROFILE SELECT`` reports.
 
-**The interpreted reference** (``exec_mode="interpreted"``) is the original
-row-at-a-time pipeline over :meth:`Expression.evaluate`: the equivalence
-suites and ``benchmarks/bench_sql.py`` compare the compiled pipeline with
-it, and the Aggregate operator replays a failed vectorized pass through
-its grouping so errors surface exactly as the reference raises them.
+The answers are SQL's row-at-a-time semantics over
+:meth:`Expression.evaluate`: the Aggregate operator replays a failed
+vectorized pass through :meth:`SelectExecutor._grouped`, and Sort and
+Project replay a failing block row by row, so the error that surfaces is
+the one a row-by-row evaluation raises first.  The row-at-a-time
+pipeline itself lives in ``tests/select_reference.py``, the oracle the
+parity suites and ``benchmarks/bench_sql.py`` compare this one with.
 """
 
 from __future__ import annotations
 
 import heapq
+import reprlib
 import time
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
@@ -38,7 +40,7 @@ from repro.storage.columns import ColumnBlock, concat_columns
 from repro.storage.compile import (
     compile_column_predicate,
     compile_column_values,
-    compile_value,
+    row_function,
 )
 from repro.storage.expression import (
     ArrayLiteral,
@@ -58,6 +60,7 @@ from repro.storage.expression import (
     replace_windows,
     window_calls,
 )
+from repro.storage.joins import hash_join_vectors
 from repro.storage.parser import ast_nodes as ast
 from repro.storage.parser.parser import (
     ArraySubquery,
@@ -85,23 +88,6 @@ _ARRAY_SET_OPS = frozenset({"<@", "@>", "&&"})
 #: Real rids are dense sequential allocations far below it; anything
 #: larger falls back to the hash-probe path unchanged.
 _MAX_BITMAP_RID = 1 << 24
-
-
-def value_evaluator(db: "Database", expr: Expression, env: EvalEnv) -> RowFunc:
-    """A ``row -> value`` function for ``expr``: compiled when the engine
-    mode allows and the tree is compilable, otherwise the interpreter.
-
-    This is the row-at-a-time form DML and join conditions run on; the
-    compile/fallback decision is charged to the stats (``exprs_compiled``
-    / ``exprs_interpreted``).
-    """
-    if db.exec_mode == "compiled":
-        func = compile_value(expr, env)
-        if func is not None:
-            db.stats.exprs_compiled += 1
-            return func
-        db.stats.exprs_interpreted += 1
-    return lambda row: expr.evaluate(row, env)
 
 
 def _bitmapized(expr: Expression) -> Expression:
@@ -300,8 +286,9 @@ def _rank_window(
 ) -> tuple[list, list[int] | None]:
     """Rank ``n`` rows for one window call over pre-extracted key vectors.
 
-    Both tiers feed this same core — they differ only in how the key
-    vectors are extracted — so window values are identical by construction.
+    The Window operator and the row-at-a-time reference feed this same
+    core — they differ only in how the key vectors are extracted — so
+    window values are identical by construction.
     NULLs sort last ascending / first descending (the engine's ORDER BY
     convention), sorts are stable, and without ORDER BY every peer ties:
     ``row_number`` stays positional while ``rank``/``dense_rank`` are all 1.
@@ -492,6 +479,21 @@ class Window(Operator):
         yield _widen(block, vectors)
 
 
+def unnested(array: Any, ranges: bool) -> tuple:
+    """The values one set-returning item expands to: none for NULL, a
+    range-encoded array decoded.  An operand that is no array is an error."""
+    if array is None:
+        return ()
+    if not isinstance(array, tuple):
+        name = "unnest_ranges" if ranges else "unnest"
+        raise ExecutionError(f"{name}() takes an array, not {reprlib.repr(array)}")
+    if ranges:
+        from repro.core.compression import decode_ranges
+
+        return decode_ranges(array)
+    return array
+
+
 class Unnest(Operator):
     """Expands the set-returning select items of a projected block in place:
     each row repeats once per array element; several arrays zip in
@@ -506,15 +508,13 @@ class Unnest(Operator):
         self.ranges = ranges  # output position -> range-encoded array?
 
     def run(self):
-        from repro.core.compression import decode_ranges
-
         for block in self.child:
             columns = block.columns
             expanded: dict[int, list] = {p: [] for p in self.ranges}
             repeats: list[int] = []  # source row index of each output row
             for i, found in enumerate(zip(*[columns[p] for p in self.ranges])):
                 decoded = [
-                    () if array is None else decode_ranges(array) if ranges else array
+                    unnested(array, ranges)
                     for ranges, array in zip(self.ranges.values(), found)
                 ]
                 height = max(map(len, decoded))
@@ -724,6 +724,24 @@ class SelectExecutor:
             return None
         return self._kernel(compile_column_values, expr, env)
 
+    # --------------------------------------------------------- planner hooks
+
+    #: The hash join the planner runs when no rewrite removes the join: the
+    #: vectorized unique-build-key form.
+    hash_join = staticmethod(hash_join_vectors)
+
+    def row_func(self, expr: Expression, env: EvalEnv) -> RowFunc:
+        """A ``row -> value`` function for ``expr``, the form DML and join
+        conditions run on, charged to the census like a kernel."""
+        return self._kernel(row_function, expr, env)
+
+    def rewrite_join(self, select, left, right, keys, where_parts):
+        """The planner's hash join removed outright, or ``None``: see
+        :func:`repro.storage.planner.semi_join_rewrite`."""
+        from repro.storage.planner import semi_join_rewrite
+
+        return semi_join_rewrite(self._db, select, left, right, keys, where_parts)
+
     # ------------------------------------------------------------- top level
 
     def execute(
@@ -764,20 +782,16 @@ class SelectExecutor:
             raise ExecutionError(
                 "window functions cannot be combined with GROUP BY or aggregates"
             )
-        if self._db.exec_mode == "compiled":
-            names, types, pipeline = self._build(
-                select, source, residual_where, grouped, topk_hint
-            )
-            rows = concat_columns(pipeline, len(names)).to_rows()
-            output = Relation(names, rows, types)
-            self._infer_missing_types(output)
-        else:
-            output = self._interpret(select, source, residual_where, grouped)
+        names, types, pipeline = self._build(
+            select, source, residual_where, grouped, topk_hint
+        )
+        output = Relation(names, concat_columns(pipeline, len(names)).to_rows(), types)
+        self._infer_missing_types(output)
         if select.into_table is not None:
             self._db.create_table_from_relation(select.into_table, output)
         return output
 
-    # ------------------------------------------------- the compiled pipeline
+    # ---------------------------------------------------------- the pipeline
 
     def _build(
         self,
@@ -849,11 +863,12 @@ class SelectExecutor:
                     if call.args:
                         items[position] = ast.SelectItem(call.args[0], item.alias)
                     else:
-                        # Zero-arg unnest(): the reference touches args[0]
-                        # per evaluated row, so the IndexError must stay a
-                        # rows-exist-only runtime error.
-                        def no_argument(block, selection, args=call.args):
-                            return [args[0] for _ in range(block.length)]
+                        # Zero-arg unnest(): a per-row error, raised only
+                        # when rows exist.
+                        def no_argument(block, selection, name=call.name):
+                            if block.length:
+                                raise ExecutionError(f"{name}() takes an array")
+                            return []
 
                         kernels[position] = no_argument
             positions = [_column_position(item.expr, env) for item in items]
@@ -948,9 +963,9 @@ class SelectExecutor:
         Group keys and aggregate inputs are extracted once as column
         vectors over the filtered block; per-group work is then pure
         gathering.  Any runtime error during the vectorized pass replays
-        the block through the reference's :meth:`_grouped`, which decides
+        the block through the row-at-a-time :meth:`_grouped`, which decides
         which error surfaces first (HAVING may legally skip a group whose
-        aggregate input would raise) — as do the shapes the reference
+        aggregate input would raise) — as do the shapes :meth:`_grouped`
         rejects itself (``*``, an aggregate without arguments).
         """
         env = relation.env()
@@ -1059,7 +1074,8 @@ class SelectExecutor:
         ``*`` expands into positional references, so it never picks up a
         column a later stage appends; each window call becomes a positional
         reference to the column the window step appends for it; output
-        names are pinned as aliases.  Both tiers share this step.
+        names are pinned as aliases.  The row-at-a-time reference shares
+        this step.
         """
         width = len(relation.names)
         calls = [call for item in select.items for call in window_calls(item.expr)]
@@ -1077,135 +1093,6 @@ class SelectExecutor:
             items.append(ast.SelectItem(expr, alias))
             types.append(None)
         return calls, items, types
-
-    # --------------------------------------------- the interpreted reference
-
-    def _interpret(
-        self,
-        select: ast.Select,
-        source: "_Source",
-        where: Expression | None,
-        grouped: bool,
-    ) -> Relation:
-        """Row-at-a-time: materialize the scan up front, then filter,
-        group or project, order, de-duplicate and slice, each over
-        :meth:`Expression.evaluate`."""
-        source.materialize()
-        relation = source.relation
-        env = relation.env()
-        rows = relation.rows
-        if where is not None:
-            rows = [row for row in rows if where.evaluate(row, env) is True]
-        if grouped:
-            names = _item_names(select.items)
-            types: list[DataType | None] = [None] * len(names)
-            pairs = self._grouped(select, relation, rows)
-        else:
-            if any(window_calls(item.expr) for item in select.items):
-                select, relation, rows = self._windowed(select, relation, rows)
-                env = relation.env()
-            names, types, pairs = self._projected(select, relation, rows)
-        output = Relation(names, [pair[1] for pair in pairs], types)
-        self._infer_missing_types(output)
-        if select.order_by:
-            pairs = self._order_multipass(select.order_by, pairs, env, output.env())
-            output.rows = [pair[1] for pair in pairs]
-        if select.distinct:
-            output.rows = list(dict.fromkeys(output.rows))
-        if select.offset is not None:
-            output.rows = output.rows[select.offset :]
-        if select.limit is not None:
-            output.rows = output.rows[: select.limit]
-        return output
-
-    def _windowed(
-        self, select: ast.Select, relation: Relation, rows: list[Row]
-    ) -> tuple[ast.Select, Relation, list[Row]]:
-        """Window step: rank the filtered rows, append each window's value
-        vector as a synthetic column, and hand back the rewritten select
-        with the widened relation and rows."""
-        env = relation.env()
-        calls, items, _types = self._select_list(select, relation)
-        vectors = [
-            _rank_window(
-                call.name,
-                len(rows),
-                [[e.evaluate(row, env) for row in rows] for e in call.partition_by],
-                [[e.evaluate(row, env) for row in rows] for e, _d in call.order_by],
-                [descending for _e, descending in call.order_by],
-            )[0]
-            for call in calls
-        ]
-        rows = [row + extra for row, extra in zip(rows, zip(*vectors))]
-        names = relation.names + [f"__win{k}" for k in range(len(calls))]
-        types = relation.types + [None] * len(calls)
-        return select._replace(items=items), Relation(names, rows, types), rows
-
-    def _projected(
-        self, select: ast.Select, relation: Relation, rows: list[Row]
-    ) -> tuple[list[str], list[DataType | None], Pairs]:
-        env = relation.env()
-        names: list[str] = []
-        types: list[DataType | None] = []
-        plan: list[RowFunc | None] = []  # None marks Star (extend with row)
-        # Set-returning functions: position -> kind ('unnest' yields the
-        # array's elements; 'unnest_ranges' decodes a range-encoded array).
-        unnest_positions: dict[int, str] = {}
-        for item in select.items:
-            expr = item.expr
-            if isinstance(expr, Star):
-                names.extend(relation.base_names())
-                types.extend(relation.types)
-                plan.append(None)
-                continue
-            position = len(names)
-            if isinstance(expr, FuncCall) and expr.name in _SET_RETURNING:
-                unnest_positions[position] = expr.name
-                # args[0] is touched per evaluated row, so a zero-arg
-                # unnest() is a rows-exist-only IndexError.
-                plan.append(lambda row, args=expr.args: args[0].evaluate(row, env))
-            else:
-                plan.append(lambda row, expr=expr: expr.evaluate(row, env))
-            names.append(_base_name(expr, item.alias, position))
-            types.append(None)
-        pairs: Pairs = []
-        for row in rows:
-            values: list[Any] = []
-            for func in plan:
-                if func is None:
-                    values.extend(row)
-                else:
-                    values.append(func(row))
-            pairs.append((row, tuple(values)))
-        if unnest_positions:
-            pairs = self._expand_unnest(pairs, unnest_positions)
-        return names, types, pairs
-
-    @staticmethod
-    def _expand_unnest(
-        pairs: list[tuple[Row, Row]], positions: dict[int, str]
-    ) -> list[tuple[Row, Row]]:
-        """Expand set-returning columns, zipping multiple in parallel."""
-        from repro.core.compression import decode_ranges
-
-        expanded: list[tuple[Row, Row]] = []
-        for source_row, out_row in pairs:
-            decoded: dict[int, tuple] = {}
-            for p, kind in positions.items():
-                array = out_row[p]
-                if array is None:
-                    decoded[p] = ()
-                elif kind == "unnest_ranges":
-                    decoded[p] = decode_ranges(array)
-                else:
-                    decoded[p] = array
-            height = max((len(a) for a in decoded.values()), default=0)
-            for i in range(height):
-                values = list(out_row)
-                for p, array in decoded.items():
-                    values[p] = array[i] if i < len(array) else None
-                expanded.append((source_row, tuple(values)))
-        return expanded
 
     # -------------------------------------------------------------- grouping
 
@@ -1311,10 +1198,12 @@ class SelectExecutor:
             return array_value(values)
         if not values:
             return None
-        if name == "sum":
-            return sum(values)
-        if name == "avg":
-            return sum(values) / len(values)
+        if name in ("sum", "avg"):
+            try:
+                total = sum(values)
+            except TypeError as exc:
+                raise ExecutionError(f"{name}() needs numbers: {exc}") from exc
+            return total if name == "sum" else total / len(values)
         if name == "min":
             return min(values)
         if name == "max":
@@ -1324,33 +1213,6 @@ class SelectExecutor:
         if name == "bool_or":
             return any(values)
         raise ExecutionError(f"unknown aggregate {name!r}")
-
-    # ------------------------------------------------------------- ordering
-
-    @staticmethod
-    def _order_multipass(
-        order_by: Sequence[ast.OrderItem],
-        pairs: list[tuple[Row, Row]],
-        source_env: EvalEnv,
-        output_env: EvalEnv,
-    ) -> list[tuple[Row, Row]]:
-        """The interpreted reference: one stable sort pass per ORDER BY item."""
-
-        def sort_value(item: ast.OrderItem, pair: tuple[Row, Row]):
-            source_row, output_row = pair
-            try:
-                value = item.expr.evaluate(output_row, output_env)
-            except ExecutionError:
-                value = item.expr.evaluate(source_row, source_env)
-            return (value is None, value)
-
-        for item in reversed(order_by):
-            pairs = sorted(
-                pairs,
-                key=lambda pair: sort_value(item, pair),
-                reverse=item.descending,
-            )
-        return pairs
 
     # ------------------------------------------------------------ subqueries
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 import re
+import reprlib
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import ExecutionError
@@ -231,7 +232,7 @@ class BinaryOp(Expression):
             return self._concat(left, right)
         if _null_if_any_none(left, right):
             return None
-        if op == "/" and right == 0:
+        if op in ("/", "%") and right == 0:
             raise ExecutionError("division by zero")
         impl = BINARY_IMPLS.get(op)
         if impl is None:
@@ -356,8 +357,13 @@ class InList(Expression):
         value = self.operand.evaluate(row, env)
         if value is None:
             return None
-        found = any(item.evaluate(row, env) == value for item in self.items)
-        return (not found) if self.negated else found
+        unknown = False  # a NULL item: no match is NULL, not false
+        for item in self.items:
+            candidate = item.evaluate(row, env)
+            if candidate == value:
+                return not self.negated
+            unknown = unknown or candidate is None
+        return None if unknown else self.negated
 
     def columns(self) -> set[str]:
         out = self.operand.columns()
@@ -376,10 +382,13 @@ class InSet(Expression):
 
     def evaluate(self, row: Sequence[Any], env: EvalEnv) -> Any:
         value = self.operand.evaluate(row, env)
+        if not self.values:  # nothing is in an empty set, not even NULL
+            return self.negated
         if value is None:
             return None
-        found = value in self.values
-        return (not found) if self.negated else found
+        if value in self.values:
+            return not self.negated
+        return None if None in self.values else self.negated
 
     def columns(self) -> set[str]:
         return self.operand.columns()
@@ -444,7 +453,15 @@ class FuncCall(Expression):
         values = [arg.evaluate(row, env) for arg in self.args]
         if any(v is None for v in values):
             return None
-        return impl(*values)
+        try:
+            return impl(*values)
+        except (TypeError, AttributeError, ValueError) as exc:
+            # A wrong-typed or miscounted operand (``abs('x')``,
+            # ``upper(5)``, ``round(1.5, 'x')``) is the statement's error.
+            operands = ", ".join(map(reprlib.repr, values))
+            raise ExecutionError(
+                f"function {self.name}() not supported for ({operands})"
+            ) from exc
 
     def columns(self) -> set[str]:
         out: set[str] = set()

@@ -30,7 +30,6 @@ from repro.storage.executor import (
     Relation,
     SelectExecutor,
     _position,
-    value_evaluator,
 )
 from repro.storage.expression import (
     BinaryOp,
@@ -45,12 +44,7 @@ from repro.storage.expression import (
     conjuncts,
     window_calls,
 )
-from repro.storage.joins import (
-    hash_join,
-    hash_join_vectors,
-    index_nested_loop_join,
-    merge_join,
-)
+from repro.storage.joins import index_nested_loop_join, merge_join
 from repro.storage.parser import ast_nodes as ast
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -112,7 +106,6 @@ def resolve_from(
     if not select.from_items:
         # SELECT without FROM: a single empty row so expressions evaluate.
         return _Source(Relation([], [()]), ""), select.where
-    profile = executor.profile
     where_parts = conjuncts(select.where)
     sources = []
     for item in select.from_items:
@@ -125,13 +118,13 @@ def resolve_from(
         nxt = remaining.pop(best_index)
         if join_keys:
             current, where_parts = _equi_join(
-                db, profile, current, nxt, where_parts, join_keys, select=select
+                db, executor, current, nxt, where_parts, join_keys, select=select
             )
         else:
-            current = _cross_join(profile, current, nxt)
+            current = _cross_join(executor.profile, current, nxt)
     for join_clause in select.joins:
         source, where_parts = _scan_item(db, join_clause.item, where_parts, executor)
-        current = _explicit_join(db, profile, current, source, join_clause)
+        current = _explicit_join(db, executor, current, source, join_clause)
     return current, combine_and(where_parts)
 
 
@@ -193,7 +186,7 @@ def _subquery_topk_hint(
     of ranking everything the outer filter will discard.  The outer
     conjunct is NOT consumed — it still runs, so the pushdown can only
     ever drop rows that filter would drop anyway, and the hint is safe to
-    ignore — which the interpreted reference does.
+    ignore, as the row-at-a-time reference does.
     """
     query = item.query
     if (
@@ -356,7 +349,7 @@ def _joined(
 
 def _equi_join(
     db: "Database",
-    profile: QueryProfile,
+    executor: SelectExecutor,
     left: _Source,
     right: _Source,
     where_parts: list[Expression],
@@ -404,7 +397,6 @@ def _equi_join(
             )
         else:
             right.materialize()
-            left_width = len(left.relation.names)
             flipped = index_nested_loop_join(
                 right.relation.rows,
                 right_positions,
@@ -415,56 +407,37 @@ def _equi_join(
             right_width = len(right.relation.names)
             rows = [row[right_width:] + row[:right_width] for row in flipped]
     else:
-        # Hash join, building on the smaller side (Section 3.2's plan).
-        # Compiled mode first tries to eliminate the join outright (the
-        # semi-join rewrite below); failing that it runs the vectorized
-        # unique-build-key form (which falls back to the reference
-        # hash_join itself on duplicate keys).  Interpreted mode always
-        # runs the reference.
-        join = hash_join
-        if db.exec_mode == "compiled":
-            semi = _semi_join_rewrite(
-                db, select, left, right, keys, left_positions, right_positions,
-                where_parts,
-            )
-            if semi is not None:
-                return semi
-            join = hash_join_vectors
+        # Hash join, building on the smaller side (Section 3.2's plan),
+        # unless the semi-join rewrite removes the join outright.  The join
+        # is the executor's: the vectorized unique-build-key form, which
+        # falls back to the textbook hash_join itself on duplicate keys.
+        semi = executor.rewrite_join(select, left, right, keys, where_parts)
+        if semi is not None:
+            return semi
         left.materialize()
         right.materialize()
-        if len(left.relation.rows) <= len(right.relation.rows):
-            rows = join(
-                left.relation.rows,
-                left_positions,
-                right.relation.rows,
-                right_positions,
-                stats=stats,
-                build_side_first=True,
-            )
-        else:
-            rows = join(
-                right.relation.rows,
-                right_positions,
-                left.relation.rows,
-                left_positions,
-                stats=stats,
-                build_side_first=False,
-            )
+        sides = [
+            (left.relation.rows, left_positions),
+            (right.relation.rows, right_positions),
+        ]
+        left_builds = len(sides[0][0]) <= len(sides[1][0])
+        (build, build_at), (probe, probe_at) = sides if left_builds else sides[::-1]
+        rows = executor.hash_join(
+            build, build_at, probe, probe_at, stats=stats, build_side_first=left_builds
+        )
     if residual is not None:
         names = left.relation.names + right.relation.names
-        keep = value_evaluator(db, residual, EvalEnv(names))
+        keep = executor.row_func(residual, EvalEnv(names))
         rows = [row for row in rows if keep(row) is True]
-    return _joined(profile, started, left, right, rows), where_parts
+    return _joined(executor.profile, started, left, right, rows), where_parts
 
 
-def _semi_join_rewrite(
+def semi_join_rewrite(
     db: "Database",
     select: "ast.Select | None",
     left: _Source,
     right: _Source,
     keys: list[tuple[str, str, Expression]],
-    left_positions: list[int],
-    right_positions: list[int],
     where_parts: list[Expression],
 ) -> tuple[_Source, list[Expression]] | None:
     """Collapse a hash join whose build side is only a key filter.
@@ -479,31 +452,29 @@ def _semi_join_rewrite(
     columnar scan with the key-membership test fused into the same
     generated predicate as every other pushed-down filter.
 
-    Equivalence with the reference hash join, case by case: the output
+    Equivalence with the textbook hash join, case by case: the output
     row set is identical (unique non-NULL build keys ⇒ each probe row
     survives exactly when its key is in the set, exactly once; NULL probe
     keys are dropped by both ``IN`` and the hash lookup); the output
-    *order* is identical (the reference emits rows in probe iteration
+    *order* is identical (the hash join emits rows in probe iteration
     order, which is the probe scan order the filter preserves); and the
     logical-I/O charge is identical (the probe scan charges the same
     records either way, and the build side charges the same
     ``hash_build_rows``).  Every bail-out below simply falls back to the
-    reference join — including unhashable build keys, whose TypeError the
-    reference path raises itself.  The caller tries it in compiled mode
-    only; the interpreted engine keeps the textbook plan.
+    hash join — including unhashable build keys, whose TypeError the join
+    raises itself.  :meth:`SelectExecutor.rewrite_join` calls it; the
+    row-at-a-time reference keeps the textbook plan.
     """
     if select is None or len(keys) != 1:
         return None
-    # Mirror the reference's build-side choice: the smaller input.  The
+    # Mirror the hash join's build-side choice: the smaller input.  The
     # *probe* side survives, so only the build side may be eliminated.
     if left.known_row_count <= right.known_row_count:
         build, probe = left, right
-        build_position = left_positions[0]
-        probe_key = keys[0][1]
+        build_key, probe_key = keys[0][0], keys[0][1]
     else:
         build, probe = right, left
-        build_position = right_positions[0]
-        probe_key = keys[0][0]
+        build_key, probe_key = keys[0][1], keys[0][0]
     # Everything the statement still needs must resolve on the probe side
     # alone.  Star projections (which would expand build columns) and
     # window functions bail outright; for the rest, any referenced name
@@ -525,6 +496,7 @@ def _semi_join_rewrite(
     build_env = build.relation.env()
     if any(build_env.positions.get(name) is not None for name in referenced):
         return None
+    build_position = build_env.resolve(build_key)
     build.materialize()
     column = [
         key
@@ -534,7 +506,7 @@ def _semi_join_rewrite(
     try:
         key_set = frozenset(column)
     except TypeError:
-        return None  # unhashable keys: let the reference join raise
+        return None  # unhashable keys: let the hash join raise
     if len(key_set) != len(column):
         return None  # duplicate build keys would multiply probe rows
     db.stats.hash_build_rows += len(column)
@@ -562,7 +534,7 @@ def _cross_join(profile: QueryProfile, left: _Source, right: _Source) -> _Source
 
 def _explicit_join(
     db: "Database",
-    profile: QueryProfile,
+    executor: SelectExecutor,
     left: _Source,
     right: _Source,
     clause: ast.JoinClause,
@@ -572,7 +544,7 @@ def _explicit_join(
     if keys and clause.kind == "inner":
         used = [u for _l, _r, u in keys]
         residual = combine_and([part for part in parts if part not in used])
-        merged, _ = _equi_join(db, profile, left, right, parts, keys, None, residual)
+        merged, _ = _equi_join(db, executor, left, right, parts, keys, None, residual)
         return merged
     left.materialize()
     right.materialize()
@@ -580,7 +552,7 @@ def _explicit_join(
     started = time.perf_counter()
     rows = []
     right_width = len(right.relation.names)
-    condition_func = value_evaluator(db, clause.condition, env)
+    condition_func = executor.row_func(clause.condition, env)
     for lrow in left.relation.rows:
         matched = False
         for rrow in right.relation.rows:
@@ -590,4 +562,4 @@ def _explicit_join(
                 matched = True
         if clause.kind == "left" and not matched:
             rows.append(lrow + (None,) * right_width)
-    return _joined(profile, started, left, right, rows)
+    return _joined(executor.profile, started, left, right, rows)

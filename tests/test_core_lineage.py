@@ -26,6 +26,7 @@ from lineage_reference import (
     on_branch_walk,
     path_between_walk,
 )
+from select_reference import database
 
 from repro.core.lineage import LineageIndex
 from repro.core.orpheus import OrpheusDB
@@ -35,7 +36,6 @@ from repro.errors import SQLSyntaxError, VersionNotFoundError
 from repro.obs import metrics
 from repro.persist.snapshot import FORMAT_VERSION
 from repro.persist.store import Store
-from repro.storage.engine import Database
 from repro.storage.ridset import RidSet
 from repro.workloads.protein import PROTEIN_COLUMNS, PROTEIN_PRIMARY_KEY
 
@@ -318,48 +318,48 @@ class TestPersistRoundTrip:
         recovered.close()
 
 
-def _sql_orpheus(exec_mode: str) -> OrpheusDB:
-    orpheus = OrpheusDB(Database(exec_mode=exec_mode))
+def _sql_orpheus(mode: str) -> OrpheusDB:
+    orpheus = OrpheusDB(database(mode))
     _build_store_history(orpheus)
     return orpheus
 
 
 class TestLineageSQL:
-    @pytest.mark.parametrize("exec_mode", ["compiled", "interpreted"])
-    def test_ancestor_axis(self, exec_mode):
-        orpheus = _sql_orpheus(exec_mode)
+    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+    def test_ancestor_axis(self, mode):
+        orpheus = _sql_orpheus(mode)
         rows = orpheus.run(
             "SELECT vid FROM VERSIONS ANCESTOR OF 5 OF CVD p ORDER BY vid"
         ).rows
         assert rows == [(1,), (2,), (3,), (4,)]
 
-    @pytest.mark.parametrize("exec_mode", ["compiled", "interpreted"])
-    def test_descendant_axis(self, exec_mode):
-        orpheus = _sql_orpheus(exec_mode)
+    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+    def test_descendant_axis(self, mode):
+        orpheus = _sql_orpheus(mode)
         rows = orpheus.run(
             "SELECT vid, num_records FROM VERSIONS DESCENDANT OF 2 OF CVD p "
             "ORDER BY vid"
         ).rows
         assert [vid for vid, _ in rows] == [4, 5]
 
-    @pytest.mark.parametrize("exec_mode", ["compiled", "interpreted"])
-    def test_empty_axis_yields_no_rows(self, exec_mode):
-        orpheus = _sql_orpheus(exec_mode)
+    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+    def test_empty_axis_yields_no_rows(self, mode):
+        orpheus = _sql_orpheus(mode)
         rows = orpheus.run("SELECT vid FROM VERSIONS ANCESTOR OF 1 OF CVD p").rows
         assert rows == []
 
-    @pytest.mark.parametrize("exec_mode", ["compiled", "interpreted"])
-    def test_composes_with_predicates_and_aliases(self, exec_mode):
-        orpheus = _sql_orpheus(exec_mode)
+    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+    def test_composes_with_predicates_and_aliases(self, mode):
+        orpheus = _sql_orpheus(mode)
         rows = orpheus.run(
             "SELECT lineage.vid FROM VERSIONS ANCESTOR OF 5 OF CVD p AS lineage "
             "WHERE lineage.vid > 2 ORDER BY lineage.vid"
         ).rows
         assert rows == [(3,), (4,)]
 
-    @pytest.mark.parametrize("exec_mode", ["compiled", "interpreted"])
-    def test_malformed_tail_rejected_identically(self, exec_mode):
-        orpheus = _sql_orpheus(exec_mode)
+    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+    def test_malformed_tail_rejected_identically(self, mode):
+        orpheus = _sql_orpheus(mode)
         with pytest.raises(
             SQLSyntaxError, match="expected OF CVD after VERSIONS ANCESTOR OF 4"
         ):
@@ -369,17 +369,17 @@ class TestLineageSQL:
         ):
             orpheus.run("SELECT * FROM VERSIONS DESCENDANT OF 4 OF TABLE p")
 
-    @pytest.mark.parametrize("exec_mode", ["compiled", "interpreted"])
-    def test_unknown_vid_rejected(self, exec_mode):
-        orpheus = _sql_orpheus(exec_mode)
+    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+    def test_unknown_vid_rejected(self, mode):
+        orpheus = _sql_orpheus(mode)
         with pytest.raises(VersionNotFoundError):
             orpheus.run("SELECT * FROM VERSIONS ANCESTOR OF 99 OF CVD p")
 
-    @pytest.mark.parametrize("exec_mode", ["compiled", "interpreted"])
-    def test_words_stay_usable_as_identifiers(self, exec_mode):
+    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+    def test_words_stay_usable_as_identifiers(self, mode):
         # versions/ancestor/descendant are non-reserved: without the full
         # construct prefix they are ordinary identifiers (the OVER rule).
-        orpheus = OrpheusDB(Database(exec_mode=exec_mode))
+        orpheus = OrpheusDB(database(mode))
         orpheus.run("CREATE TABLE versions (ancestor INTEGER, descendant INTEGER)")
         orpheus.run("INSERT INTO versions VALUES (1, 2), (3, 4)")
         rows = orpheus.run(

@@ -220,6 +220,23 @@ class TestHandleLineFailures:
                 {"op": "checkout", "cvd": "t", "vids": [1], "min_lsn": 10**9},
                 "stale_read",
             ),
+            # Operands the operator or function cannot take.
+            ({"op": "query", "sql": "SELECT 7 % 0"}, "execution"),
+            ({"op": "query", "sql": "SELECT 7.5 % 0.0"}, "execution"),
+            ({"op": "query", "sql": "SELECT v % 0 FROM VERSION 4 OF CVD t"},
+             "execution"),
+            ({"op": "query", "sql": "SELECT abs(k) FROM VERSION 4 OF CVD t"},
+             "execution"),
+            ({"op": "query", "sql": "SELECT length(v) FROM VERSION 4 OF CVD t"},
+             "execution"),
+            ({"op": "query", "sql": "SELECT upper(v) FROM VERSION 4 OF CVD t"},
+             "execution"),
+            ({"op": "query", "sql": "SELECT sum(k) FROM VERSION 4 OF CVD t"},
+             "execution"),
+            ({"op": "query", "sql": "SELECT avg(k) FROM VERSION 4 OF CVD t"},
+             "execution"),
+            ({"op": "query", "sql": "SELECT unnest(v) FROM VERSION 4 OF CVD t"},
+             "execution"),
         ],
     )
     def test_typed_errors(self, manager, request_, code):

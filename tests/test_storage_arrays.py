@@ -2,6 +2,7 @@
 
 from hypothesis import given
 from hypothesis import strategies as st
+from select_reference import database
 
 from repro.storage import arrays
 
@@ -80,9 +81,7 @@ class TestConversionHoisting:
     N_ROWS = 40
 
     def _db(self, mode):
-        from repro.storage.engine import Database
-
-        db = Database(exec_mode=mode)
+        db = database(mode)
         db.execute("CREATE TABLE t (id int, arr int[])")
         for i in range(self.N_ROWS):
             db.execute(
@@ -114,9 +113,7 @@ class TestConversionHoisting:
         # The columnar pipeline compiles its predicate once per statement,
         # so a scan spanning several blocks must still pay zero per-row
         # (or per-block) probe-set conversions.
-        from repro.storage.engine import Database
-
-        db = Database(exec_mode="compiled")
+        db = database("compiled")
         db.execute("CREATE TABLE big (id int, arr int[])")
         values = ", ".join(
             f"({i}, ARRAY[{self.BIG + i}, {self.BIG + i + 1}, "

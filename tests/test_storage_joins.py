@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from select_reference import database
 
 from repro.errors import ExecutionError
 from repro.storage.iostats import IOStats
@@ -154,9 +155,7 @@ class TestSemiJoinRewrite:
     N = 300
 
     def _db(self, mode):
-        from repro.storage.engine import Database
-
-        db = Database(exec_mode=mode)
+        db = database(mode)
         db.execute("CREATE TABLE d (rid int, a1 int, a2 text)")
         for rid in range(self.N):
             db.execute(

@@ -24,7 +24,6 @@ from repro.storage.expression import (
 from repro.storage.parser import parse_sql, parse_statement
 from repro.storage.parser import ast_nodes as ast
 from repro.storage.parser.lexer import TokenType, tokenize
-from repro.storage.engine import Database
 from repro.storage.parser.parser import (
     MAX_DEPTH,
     ArraySubquery,
@@ -34,6 +33,7 @@ from repro.storage.parser.parser import (
 from repro.storage.types import DataType
 
 import lexer_reference
+from select_reference import database
 from test_storage_sql_fuzz import VOCABULARY
 
 #: The SQL fuzz alphabet, plus the pieces each token class turns on:
@@ -339,7 +339,7 @@ class TestNestingDepth:
 
     @staticmethod
     def _database(mode):
-        db = Database(exec_mode=mode)
+        db = database(mode)
         db.execute("CREATE TABLE t (a int, b boolean)")
         db.execute("INSERT INTO t VALUES (1, true), (2, false)")
         return db

@@ -199,15 +199,6 @@ class TestProfileContract:
         assert result.rows[-1][:2] == ("limit", len(rows))
         assert db.query(self.SQL) == rows  # profiling left nothing behind
 
-    def test_interpreted_mode_profiles_scans_and_totals(self):
-        reference = Database(exec_mode="interpreted")
-        reference.execute("CREATE TABLE s (k int)")
-        reference.execute("INSERT INTO s VALUES (1), (2), (3)")
-        result = reference.execute("PROFILE SELECT k FROM s WHERE k > 1")
-        assert _lines(result) == [("scan", 3)]
-        assert result.rowcount == 2
-        assert result.profile["exec_mode"] == "interpreted"
-
     @pytest.mark.parametrize(
         "sql",
         [

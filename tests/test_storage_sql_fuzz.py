@@ -1,12 +1,12 @@
-"""Fuzz plain SQL through ``Database.execute`` on both exec tiers.
+"""Fuzz plain SQL through ``Database.execute`` and the reference.
 
 Valid statements over filters, joins, GROUP BY, windows, top-k, arrays,
 UPDATE and DELETE are truncated, mutated token by token and shuffled
-into token soup.  Each text runs on a fresh compiled and a fresh
-interpreted database, once with rows in every table and once with every
-table empty.  Whatever the text, two things must hold: only
-``ReproError`` subclasses escape, and the two tiers agree on error
-versus success.
+into token soup.  Each text runs on a fresh engine and a fresh
+row-at-a-time reference (``tests/select_reference.py``), once with rows
+in every table and once with every table empty.  Whatever the text, two
+things must hold: only ``ReproError`` subclasses escape, and the two
+agree on error versus success.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from select_reference import database
 
 from repro.errors import ReproError
 from repro.storage.engine import Database
@@ -47,6 +48,7 @@ VALID = [
     "SELECT k FROM t WHERE k IN (SELECT k FROM s)",
     "SELECT max(v) FROM (SELECT v FROM t WHERE v > 0) AS q",
     "SELECT k, coalesce(v, 0) * 2 - abs(f) FROM t",
+    "SELECT k, v % 3 AS m, upper(k), length(k) FROM t WHERE abs(v) >= 0 ORDER BY m",
     "UPDATE t SET v = v + 1 WHERE k = 'a'",
     "UPDATE t SET f = f * 2, a = ARRAY[v] WHERE v IS NOT NULL",
     "DELETE FROM t WHERE v < 2 OR f IS NULL",
@@ -59,6 +61,8 @@ VOCABULARY = sorted(
     | {"1.5", "99", "0", "-1", "NULL", "'x'", "(", ")", ",", "*", "/", "||"}
     | {"ARRAY[3]", "ARRAY[]", "LIKE", "ORDER", "BY", "LIMIT", "nope", "e"}
     | {"GROUP", "OVER", "UNION", "ALL", "SET", "WHERE", "=", "JOIN", "ON"}
+    # Operators and functions whose operands can be the wrong type or zero.
+    | {"%", "0", "abs", "upper", "length", "sum", "avg", "unnest"}
     # Unicode digits that are not decimal: int() rejects them.
     | {"²", "³", "①"}
 )
@@ -91,17 +95,17 @@ def mutated(draw) -> str:
 SOUP = st.lists(TOKENS, max_size=14).map(" ".join)
 
 
-def _database(exec_mode: str, filled: bool) -> Database:
-    db = Database(exec_mode=exec_mode)
+def _database(mode: str, filled: bool) -> Database:
+    db = database(mode)
     for sql in SCHEMA + (ROWS if filled else ()):
         db.execute(sql)
     return db
 
 
-def _outcome(exec_mode: str, filled: bool, sql: str) -> str:
+def _outcome(mode: str, filled: bool, sql: str) -> str:
     """``"ok"`` or the name of the typed error; anything else escapes."""
     try:
-        _database(exec_mode, filled).execute(sql)
+        _database(mode, filled).execute(sql)
     except ReproError as exc:
         return type(exc).__name__
     return "ok"
@@ -110,20 +114,20 @@ def _outcome(exec_mode: str, filled: bool, sql: str) -> str:
 @pytest.mark.parametrize("filled", [True, False], ids=["rows", "empty"])
 @pytest.mark.parametrize("sql", VALID)
 def test_seed_statements_are_valid(sql, filled):
-    for exec_mode in ("compiled", "interpreted"):
-        assert _outcome(exec_mode, filled, sql) == "ok"
+    for mode in ("compiled", "interpreted"):
+        assert _outcome(mode, filled, sql) == "ok"
 
 
 @pytest.mark.parametrize("filled", [True, False], ids=["rows", "empty"])
 @pytest.mark.parametrize("limit", ["", " LIMIT 2"])
 def test_order_by_an_unknown_column_of_an_empty_input(filled, limit):
     sql = "SELECT * FROM t ORDER BY nope" + limit
-    for exec_mode in ("compiled", "interpreted"):
+    for mode in ("compiled", "interpreted"):
         if filled:
             with pytest.raises(ReproError, match="nope"):
-                _database(exec_mode, filled).execute(sql)
+                _database(mode, filled).execute(sql)
         else:
-            assert _database(exec_mode, filled).execute(sql).rows == []
+            assert _database(mode, filled).execute(sql).rows == []
 
 
 @pytest.mark.parametrize(
@@ -136,12 +140,21 @@ def test_order_by_an_unknown_column_of_an_empty_input(filled, limit):
         ("SELECT array_agg(k) FROM t", "array elements must be integers"),
         ("SELECT - k FROM t", "operator '-' not supported"),
         ("SELECT * FROM t WHERE a BETWEEN 1 AND 3", "BETWEEN not supported"),
+        ("SELECT 7 % 0", "division by zero"),
+        ("SELECT v % 0 FROM t", "division by zero"),
+        ("SELECT f % 0.0 FROM t", "division by zero"),
+        ("SELECT abs(k) FROM t", r"abs\(\) not supported"),
+        ("SELECT length(v) FROM t", r"length\(\) not supported"),
+        ("SELECT upper(v) FROM t", r"upper\(\) not supported"),
+        ("SELECT sum(k) FROM t", r"sum\(\) needs numbers"),
+        ("SELECT avg(k) FROM t GROUP BY v", r"avg\(\) needs numbers"),
+        ("SELECT unnest(v) FROM t", r"unnest\(\) takes an array"),
     ],
 )
 def test_ill_typed_operands_are_typed_errors(sql, message):
-    for exec_mode in ("compiled", "interpreted"):
+    for mode in ("compiled", "interpreted"):
         with pytest.raises(ReproError, match=message):
-            _database(exec_mode, True).execute(sql)
+            _database(mode, True).execute(sql)
 
 
 @settings(max_examples=300, deadline=None)
@@ -154,6 +167,9 @@ def test_ill_typed_operands_are_typed_errors(sql, message):
 @example(sql="SELECT * FROM t WHERE ARRAY[v] BETWEEN 1 AND 3")
 @example(sql="SELECT ²")
 @example(sql="SELECT k FROM t WHERE v > 1³")
+@example(sql="SELECT k, v % 0 AS m FROM t")
+@example(sql="SELECT k, upper(v) FROM t")
+@example(sql="SELECT unnest ( ) FROM t")
 @given(sql=truncated() | mutated() | SOUP)
 @pytest.mark.parametrize("filled", [True, False], ids=["rows", "empty"])
 def test_only_typed_errors_escape_and_the_tiers_agree(filled, sql):

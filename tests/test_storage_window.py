@@ -4,12 +4,12 @@ The analytic layer promises three things, each pinned here:
 
 * **Shape errors** — the parser rejects malformed window specs (OVER on a
   non-window function, arguments, nesting) and the executor rejects
-  windows outside the SELECT list or mixed with grouping, identically in
-  both execution modes.
+  windows outside the SELECT list or mixed with grouping, identically on
+  the engine and on the row-at-a-time reference.
 * **Semantics** — ties, NULL ordering (last ascending, first descending),
   DESC keys, multi-key partitions, and the no-ORDER-BY all-peers rule all
-  produce the reference values, and ``exec_mode="compiled"`` matches
-  ``exec_mode="interpreted"`` bit for bit.
+  produce the reference values, and the engine matches the reference in
+  ``tests/select_reference.py`` bit for bit.
 * **Grouped top-k pushdown** — the planner's ``row_number`` bound
   detection fires exactly on the documented idiom, never changes results
   (the outer filter still runs), and stays off for every shape it cannot
@@ -19,6 +19,7 @@ The analytic layer promises three things, each pinned here:
 from __future__ import annotations
 
 import pytest
+from select_reference import database
 
 from repro.errors import ExecutionError, SQLSyntaxError
 from repro.storage import planner
@@ -28,7 +29,7 @@ from repro.storage.parser import parse_statement
 
 
 def _db(mode: str) -> Database:
-    db = Database(exec_mode=mode)
+    db = database(mode)
     db.execute("CREATE TABLE s (g int, x int, y text)")
     rows = [
         (1, 10, "a"),
@@ -189,7 +190,7 @@ class TestWindowSemantics:
 
 
 def _topk_db(mode: str, groups: int = 8, per_group: int = 50) -> Database:
-    db = Database(exec_mode=mode)
+    db = database(mode)
     db.execute("CREATE TABLE m (rid int, grp int, score int)")
     for rid in range(groups * per_group):
         db.execute(
@@ -260,8 +261,10 @@ class TestTopKHintDetection:
         assert self._hint(self.IDIOM.format("t.rn <= 5 AND t.rn <= 2")) == 2
 
     def test_only_compiled_mode_acts_on_the_hint(self, monkeypatch):
-        """The hint is mode-independent; the interpreted reference ranks
-        every row regardless."""
+        """The hint is planned either way; the row-at-a-time reference
+        ranks every row regardless."""
+        import select_reference
+
         from repro.storage import executor
 
         limits = []
@@ -272,8 +275,9 @@ class TestTopKHintDetection:
             return rank_window(*args)
 
         monkeypatch.setattr(executor, "_rank_window", spy)
+        monkeypatch.setattr(select_reference, "_rank_window", spy)
         for mode, expected in (("compiled", [3]), ("interpreted", [None])):
-            db = Database(exec_mode=mode)
+            db = database(mode)
             db.execute("CREATE TABLE m (rid int, grp int, score int)")
             db.execute("INSERT INTO m VALUES (1, 1, 5), (2, 1, 3), (3, 2, 9)")
             del limits[:]
