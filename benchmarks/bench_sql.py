@@ -2,12 +2,13 @@
 reference pipeline in ``tests/select_reference.py``.
 
 The compiled pipeline runs the scan-to-result data path as a chain of
-operators over column-vector blocks: ``Table.scan_column_blocks`` hands
-out ``ColumnBlock``s, WHERE predicates become selection-vector kernels,
-projections and key extraction run per column, ORDER BY sorts
-pre-extracted key vectors, ``unnest`` is a block operator, and an
-expression outside the vector subset runs its row function over the
-block's rows.  This benchmark measures exactly that trade on a
+operators over row blocks: the Scan operator wraps each batch of
+``Table.scan_batches`` in a ``ColumnBlock``, WHERE predicates become
+generated kernels that return the kept rows, projections and key
+extraction run one listcomp per expression over the block's rows, ORDER
+BY sorts pre-extracted key vectors, ``unnest`` is a block operator, and
+an expression outside the generated subset runs its row function over
+the block's rows.  This benchmark measures exactly that trade on a
 generated versioned store: the same SQL runs on two databases that differ
 only in their executor (the engine's, ``compiled``, and the reference,
 ``interpreted``), the results are asserted identical, and

@@ -18,8 +18,8 @@
    naive available for the Fig. 14/15 comparison).
 
 The optimizer records a trace of (versions-committed, Cavg, C*avg) samples
-and every migration event, which is exactly what the online benchmarks
-plot.
+— the newest :data:`MAX_SAMPLES` of them — and every migration event,
+which is exactly what the online benchmarks plot.
 
 The optimizer's whole decision state is durable (repro.persist): it
 serializes to a JSON-able dict (:meth:`PartitionOptimizer.to_state`) that
@@ -48,6 +48,11 @@ from repro.partition.delta_search import DeltaSearchResult, search_delta
 from repro.partition.migration import plan_intelligent, plan_naive
 from repro.partition.partition_manager import PartitionedRlistModel, partition_tables
 from repro.record import Record
+
+#: Maintenance samples an optimizer keeps, newest last.  One is taken per
+#: commit and every snapshot writes the whole trace, so an unbounded trace
+#: would grow both memory and every checkpoint with the history.
+MAX_SAMPLES = 1024
 
 
 class MigrationEvent(Record):
@@ -420,8 +425,12 @@ class PartitionOptimizer:
             self._migrate(self.plan_migration(best.partitioning, delta=best.delta))
 
     def apply_maintain(self, sample: MaintenanceSample) -> None:
-        """Record a post-commit sample (a ``maintain`` record's effect)."""
-        self.trace.samples.append(sample)
+        """Record a post-commit sample (a ``maintain`` record's effect),
+        dropping the oldest past :data:`MAX_SAMPLES`."""
+        samples = self.trace.samples
+        samples.append(sample)
+        if len(samples) > MAX_SAMPLES:
+            del samples[0]
 
     # ------------------------------------------------------------ migration
 
@@ -566,9 +575,8 @@ class PartitionOptimizer:
         )
         optimizer.delta_star = state["delta_star"]
         trace = state["trace"]
-        optimizer.trace.samples = [
-            MaintenanceSample(*sample) for sample in trace["samples"]
-        ]
+        for sample in trace["samples"]:
+            optimizer.apply_maintain(MaintenanceSample(*sample))
         optimizer.trace.migrations = [
             MigrationEvent(*event) for event in trace["migrations"]
         ]

@@ -39,10 +39,12 @@ kernel and for whole SELECTs against the row-at-a-time reference in
 
 The block kernels the SELECT pipeline runs on
 (:func:`compile_column_predicate`, :func:`compile_column_values`) are
-*total*: each returns ``(kernel, tier)``, the tier serving it being
-``"columnar"`` (generated per-column source), or, with the tree's row
-function mapped over the block's rows, ``"compiled"`` (trees that need a
-full row) or ``"interpreted"`` (trees :func:`compile_value` refuses).
+*total*: each takes a block and returns ``(kernel, tier)``, the tier
+serving it being ``"columnar"`` (a bare column's cached vector, or one
+generated listcomp over the block's rows with no island in it), or, with
+the tree's row function mapped over the block's rows, ``"compiled"``
+(trees that need a full row) or ``"interpreted"`` (trees
+:func:`compile_value` refuses).
 """
 
 from __future__ import annotations
@@ -321,32 +323,12 @@ class _SourceContext:
             return self.const(value)
         return f"{self.bind(expr.evaluate)}(row, _env)"
 
-    def column(self, position: int) -> str:
-        """Source text of one column load (the row-layout form)."""
-        return f"row[{position}]"
-
 
 class _ColumnContext(_SourceContext):
-    """Emission context for the columnar tier.
-
-    Every columnar kernel is generated in two variants sharing one
-    namespace: a *row-fused* body (``row_mode``) whose column loads read
-    the backing row tuple (``_r[N]``) — the fast path for the scan's
-    late-materializing row-backed blocks — and a *vector* body whose loads
-    index materialized column vectors (``_cN[_i]``).  Subtrees that would
-    need a full row ("islands") abort emission in both; the kernel then
-    maps the fused row function over the block's rows instead."""
-
-    def __init__(self, env: EvalEnv):
-        super().__init__(env)
-        self.used_positions: set[int] = set()
-        self.row_mode = False
-
-    def column(self, position: int) -> str:
-        if self.row_mode:
-            return f"_r[{position}]"
-        self.used_positions.add(position)
-        return f"_c{position}[_i]"
+    """Emission context for the columnar tier, whose one body is a
+    listcomp over the block's rows.  A subtree that would need a full row
+    (an "island") aborts emission; the kernel then maps the tree's row
+    function over the block's rows instead."""
 
     def island(self, expr: Expression) -> str:
         raise _NoSource
@@ -374,27 +356,16 @@ def _source_function(expr: Expression, env: EvalEnv) -> RowFunc | None:
     return _function(source, ctx.names, "_compiled")
 
 
-def _column_prelude(ctx: "_ColumnContext") -> str:
-    """Local bindings for every column vector the body references."""
-    return "".join(
-        f"    _c{position} = _cols[{position}]\n"
-        for position in sorted(ctx.used_positions)
-    )
-
-
 def _column_source(expr: Expression, env: EvalEnv):
-    """Both generated-source variants of ``expr`` (row-fused, vector) and
-    the namespace they run in, or ``None`` outside the vector subset."""
+    """The generated-source body of ``expr`` over one ``row`` and the
+    namespace it runs in, or ``None`` outside the island-free subset."""
     ctx = _ColumnContext(env)
     try:
-        ctx.row_mode = True
-        row_body = _emit(expr, ctx)
-        ctx.row_mode = False
-        col_body = _emit(expr, ctx)
+        body = _emit(expr, ctx)
     except (_NoSource, _Uncompilable):
         return None
     ctx.names["_slow"] = expr.evaluate
-    return ctx, row_body, col_body
+    return ctx, body
 
 
 def row_function(expr: Expression, env: EvalEnv) -> tuple[RowFunc, str]:
@@ -414,10 +385,7 @@ def _row_predicate(expr: Expression, env: EvalEnv) -> tuple[Callable, str]:
     func, tier = row_function(expr, env)
 
     def kernel(block):
-        rows = block.rows
-        if rows is not None:
-            return [row for row in rows if func(row) is True]
-        return [i for i, row in enumerate(block.to_rows()) if func(row) is True]
+        return [row for row in block.rows if func(row) is True]
 
     return kernel, tier
 
@@ -426,75 +394,53 @@ def _row_values(expr: Expression, env: EvalEnv) -> tuple[Callable, str]:
     """The value kernel served by ``expr``'s row function."""
     func, tier = row_function(expr, env)
 
-    def kernel(block, selection):
-        if selection is None:
-            return list(map(func, block.to_rows()))
-        return [func(block.row(i)) for i in selection]
+    def kernel(block):
+        return list(map(func, block.rows))
 
     return kernel, tier
 
 
 def compile_column_predicate(expr: Expression, env: EvalEnv) -> tuple[Callable, str]:
-    """A ``block -> kept rows / selection vector`` kernel for a WHERE
-    predicate, and its tier.
+    """A ``block -> kept rows`` kernel for a WHERE predicate, and its tier.
 
-    Row-backed blocks take the fused fast path: one listcomp over the
-    backing row list whose condition reads ``_r[N]`` directly, returning
-    the *kept rows themselves* — no selection vector, no gather.
-    Column-backed blocks run the vector variant: a listcomp over
-    ``range(block.length)`` reading column vectors, returning the list of
-    row positions (ascending) where the predicate is exactly ``True``.
-    Callers distinguish the payloads by the block's backing
-    (``block.rows is not None``).  Outside the vector subset the same
-    contract is served by the tree's row function (see
-    :func:`row_function`); the ``tier`` returned beside the kernel says
-    which.  On any exception the block is replayed row-by-row through the
-    interpreter, reproducing its error at the offending row.
+    One listcomp over the block's rows whose condition reads ``row[N]``
+    directly, returning the rows where the predicate is exactly ``True``,
+    in order.  Outside the island-free subset the same contract is served
+    by the tree's row function (see :func:`row_function`); the ``tier``
+    returned beside the kernel says which.  On any exception the block is
+    replayed row by row through the interpreter, reproducing its error at
+    the offending row.
     """
     # A bare literal keeps its folded row function (free per row), and with
     # it the "compiled" tier the census has always charged it to.
     lowered = None if isinstance(expr, Literal) else _column_source(expr, env)
     if lowered is None:
         return _row_predicate(expr, env)
-    ctx, row_body, col_body = lowered
+    ctx, body = lowered
     source = (
         "def _compiled_colfilter(block):\n"
-        "    _rows = block.rows\n"
-        "    if _rows is not None:\n"
-        "        try:\n"
-        f"            return [_r for _r in _rows if ({row_body}) is _TRUE]\n"
-        "        except Exception:\n"
-        "            # Replay through the interpreter: evaluation is pure,\n"
-        "            # so its error surfaces identically.\n"
-        "            return [_r for _r in _rows if _slow(_r, _env) is _TRUE]\n"
-        "    _cols = block.columns\n"
-        f"{_column_prelude(ctx)}"
-        "    _n = block.length\n"
         "    try:\n"
-        f"        return [_i for _i in range(_n) if ({col_body}) is _TRUE]\n"
+        f"        return [row for row in block.rows if ({body}) is _TRUE]\n"
         "    except Exception:\n"
-        "        _row = block.row\n"
-        "        return [_i for _i in range(_n) if _slow(_row(_i), _env) is _TRUE]\n"
+        "        # Replay through the interpreter: evaluation is pure, so its\n"
+        "        # error surfaces identically.\n"
+        "        return [row for row in block.rows if _slow(row, _env) is _TRUE]\n"
     )
     kernel = _function(source, ctx.names, "_compiled_colfilter")
     return (kernel, "columnar") if kernel else _row_predicate(expr, env)
 
 
 def compile_column_values(expr: Expression, env: EvalEnv) -> tuple[Callable, str]:
-    """A ``(block, selection) -> value vector`` kernel for one expression,
-    and its tier.
+    """A ``block -> value vector`` kernel for one expression, and its tier.
 
-    Evaluates ``expr`` at each selected position (``selection=None`` means
-    every row of the block), returning the values in selection order —
-    the columnar form of projection, join/group/ORDER BY key extraction,
-    and aggregate input extraction.  A bare column reference hands off the
-    block's (lazily materialized) column vector — zero copy when
-    unselected; general expressions run the row-fused variant over a
-    row-backed block's backing list and the vector variant otherwise.
-    Trees outside the vector subset map their row function over the
-    selected rows (the ``tier`` returned beside the kernel says which);
-    exceptions replay through the interpreter exactly like
-    :func:`compile_column_predicate`.
+    Evaluates ``expr`` on each row of the block, returning the values in
+    row order — the columnar form of projection, join/group/ORDER BY key
+    extraction, and aggregate input extraction.  A bare column reference
+    hands off the block's (lazily built, cached) column vector; general
+    expressions run one listcomp over the block's rows.  Trees outside the
+    island-free subset map their row function over the rows (the ``tier``
+    returned beside the kernel says which); exceptions replay through the
+    interpreter exactly like :func:`compile_column_predicate`.
     """
     position = None
     if isinstance(expr, PosRef):
@@ -503,38 +449,20 @@ def compile_column_values(expr: Expression, env: EvalEnv) -> tuple[Callable, str
         position = env.positions.get(expr.name)
     if position is not None and position != EvalEnv.AMBIGUOUS:
 
-        def column_kernel(block, selection, _p=position):
-            if selection is None:
-                return block.column(_p)
-            rows = block.rows
-            if rows is not None:
-                return [rows[i][_p] for i in selection]
-            column = block.columns[_p]
-            return [column[i] for i in selection]
+        def column_kernel(block, _p=position):
+            return block.column(_p)
 
         return column_kernel, "columnar"
     lowered = _column_source(expr, env)
     if lowered is None:
         return _row_values(expr, env)
-    ctx, row_body, col_body = lowered
+    ctx, body = lowered
     source = (
-        "def _compiled_colvalues(block, selection):\n"
-        "    _rows = block.rows\n"
-        "    if _rows is not None:\n"
-        "        if selection is not None:\n"
-        "            _rows = [_rows[_i] for _i in selection]\n"
-        "        try:\n"
-        f"            return [{row_body} for _r in _rows]\n"
-        "        except Exception:\n"
-        "            return [_slow(_r, _env) for _r in _rows]\n"
-        "    _cols = block.columns\n"
-        f"{_column_prelude(ctx)}"
-        "    _sel = range(block.length) if selection is None else selection\n"
+        "def _compiled_colvalues(block):\n"
         "    try:\n"
-        f"        return [{col_body} for _i in _sel]\n"
+        f"        return [{body} for row in block.rows]\n"
         "    except Exception:\n"
-        "        _row = block.row\n"
-        "        return [_slow(_row(_i), _env) for _i in _sel]\n"
+        "        return [_slow(row, _env) for row in block.rows]\n"
     )
     kernel = _function(source, ctx.names, "_compiled_colvalues")
     return (kernel, "columnar") if kernel else _row_values(expr, env)
@@ -553,9 +481,9 @@ def _emit(expr: Expression, ctx: _SourceContext) -> str:
             # Unknown/ambiguous columns raise per evaluated row on the
             # interpreter; keep that behaviour by refusing to compile.
             raise _Uncompilable from None
-        return ctx.column(position)
+        return f"row[{position}]"
     if isinstance(expr, PosRef):
-        return ctx.column(expr.position)
+        return f"row[{expr.position}]"
     if isinstance(expr, BinaryOp):
         return _emit_binary(expr, ctx)
     if isinstance(expr, UnaryOp):

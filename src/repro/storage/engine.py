@@ -4,7 +4,7 @@ A Database owns a catalog of tables, a shared I/O-stats registry and a
 ``join_method`` knob (``hash`` / ``merge`` / ``inl``) mirroring the join
 choices the paper profiles in Appendix D.1.  Every SELECT runs on the one
 block pipeline of :mod:`repro.storage.executor` — expressions lowered to
-block kernels once per statement, a chain of operators fed column blocks —
+block kernels once per statement, a chain of operators fed row blocks —
 and DML predicates and join conditions on the same compiled row functions.
 SQL goes through :meth:`Database.execute`; library code that wants to
 skip parsing can use the direct table API (:meth:`table`,

@@ -6,24 +6,26 @@ source; this module owns everything above it: one pipeline.
 
 :meth:`SelectExecutor._build` chains small operators — Scan → Filter →
 Window → Project → Unnest | Aggregate → Sort → Distinct → Limit — that
-exchange :class:`ColumnBlock`s and are iterated for the result.  Every
-expression is lowered once per statement to a block kernel
-(:mod:`repro.storage.compile`); the kernels are total, so no statement
-falls off the pipeline.  Pushdowns are choices ``_build`` makes once: a
-bare ``LIMIT`` stops pulling scan blocks when enough rows exist, ``ORDER
-BY`` + ``LIMIT`` is a heap top-k (run before the projection when its keys
-are source columns), a ``row_number() <= k`` derived table keeps k rows per
-partition, an all-bare-columns select list is one ``itemgetter`` pass.
+exchange :class:`ColumnBlock`s (each one list of row tuples, the only
+layout) and are iterated for the result.  Every expression is lowered
+once per statement to a block kernel (:mod:`repro.storage.compile`); the
+kernels are total, so no statement falls off the pipeline.  Pushdowns
+are choices ``_build`` makes once: a bare ``LIMIT`` stops pulling scan
+blocks when enough rows exist, ``ORDER BY`` + ``LIMIT`` is a heap top-k
+(run before the projection when its keys are source columns), a
+``row_number() <= k`` derived table keeps k rows per partition, an
+all-bare-columns select list is one ``itemgetter`` pass.
 Each operator charges rows, batches and time to the statement's
 :class:`QueryProfile`, which ``PROFILE SELECT`` reports.
 
 The answers are SQL's row-at-a-time semantics over
 :meth:`Expression.evaluate`: the Aggregate operator replays a failed
 vectorized pass through :meth:`SelectExecutor._grouped`, and Sort and
-Project replay a failing block row by row, so the error that surfaces is
-the one a row-by-row evaluation raises first.  The row-at-a-time
-pipeline itself lives in ``tests/select_reference.py``, the oracle the
-parity suites and ``benchmarks/bench_sql.py`` compare this one with.
+Project replay a failing block row by row, as one-row blocks, so the
+error that surfaces is the one a row-by-row evaluation raises first.
+The row-at-a-time pipeline itself lives in ``tests/select_reference.py``,
+the oracle the parity suites and ``benchmarks/bench_sql.py`` compare this
+one with.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import heapq
 import reprlib
 import time
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
@@ -397,8 +400,10 @@ class Operator(Record):
 
 
 class Scan(Operator):
-    """A lazy base-table scan: one stats charge per block pulled, so a
-    consumer that stops early never pays for the blocks it did not read."""
+    """A lazy base-table scan: each batch of :meth:`Table.scan_batches` is
+    one block, charged to ``blocks_scanned`` (the table charges its rows
+    and batch), so a consumer that stops early never pays for the blocks
+    it did not read."""
 
     __slots__ = ("table",)
     _fields = ("profile", "child", "table")
@@ -409,38 +414,32 @@ class Scan(Operator):
         self.table = table
 
     def run(self):
-        return self.table.scan_column_blocks()
+        stats = self.table.stats
+        for batch in self.table.scan_batches():
+            stats.blocks_scanned += 1
+            yield ColumnBlock(batch)
 
 
 class Filter(Operator):
     """WHERE: keeps the rows whose predicate is exactly ``True``."""
 
-    __slots__ = ("predicate", "width")
-    _fields = ("profile", "child", "predicate", "width")
+    __slots__ = ("predicate",)
+    _fields = ("profile", "child", "predicate")
     name = "filter"
 
-    def __init__(self, profile, child, predicate: Callable, width: int):
+    def __init__(self, profile, child, predicate: Callable):
         super().__init__(profile, child)
-        self.predicate, self.width = predicate, width
+        self.predicate = predicate
 
     def run(self):
         for block in self.child:
             kept = self.predicate(block)
-            if len(kept) != block.length:
-                # A row-backed block gets its kept rows back, a
-                # column-backed one a selection vector.
-                if block.rows is not None:
-                    block = ColumnBlock.from_rows(kept, self.width)
-                else:
-                    block = block.take(kept)
-            yield block
+            yield block if len(kept) == block.length else ColumnBlock(kept)
 
 
 def _widen(block: ColumnBlock, vectors: list[list]) -> ColumnBlock:
-    """``block`` with computed columns appended to each row tuple — it
-    stays row-backed, so the stages above keep their row-layout paths."""
-    wide = [row + extra for row, extra in zip(block.to_rows(), zip(*vectors))]
-    return ColumnBlock.from_rows(wide, block.width + len(vectors))
+    """``block`` with computed columns appended to each row tuple."""
+    return ColumnBlock([row + extra for row, extra in zip(block.rows, zip(*vectors))])
 
 
 class Window(Operator):
@@ -450,25 +449,25 @@ class Window(Operator):
     k rows survive (see :func:`_rank_window`).
     """
 
-    __slots__ = ("calls", "limit_k", "width")
-    _fields = ("profile", "child", "calls", "limit_k", "width")
+    __slots__ = ("calls", "limit_k")
+    _fields = ("profile", "child", "calls", "limit_k")
     name = "window"
 
-    def __init__(self, profile, child, calls: list, limit_k: int | None, width: int):
+    def __init__(self, profile, child, calls: list, limit_k: int | None):
         # calls: (WindowFunc, partition kernels, order kernels) triples
         super().__init__(profile, child)
-        self.calls, self.limit_k, self.width = calls, limit_k, width
+        self.calls, self.limit_k = calls, limit_k
 
     def run(self):
-        block = concat_columns(self.child, self.width)
+        block = concat_columns(self.child)
         vectors: list[list] = []
         keep = None
         for call, part, order in self.calls:
             values, keep = _rank_window(
                 call.name,
                 block.length,
-                [kernel(block, None) for kernel in part],
-                [kernel(block, None) for kernel in order],
+                [kernel(block) for kernel in part],
+                [kernel(block) for kernel in order],
                 [descending for _e, descending in call.order_by],
                 self.limit_k,
             )
@@ -509,24 +508,17 @@ class Unnest(Operator):
 
     def run(self):
         for block in self.child:
-            columns = block.columns
-            expanded: dict[int, list] = {p: [] for p in self.ranges}
+            rows: list[Row] = []
             repeats: list[int] = []  # source row index of each output row
-            for i, found in enumerate(zip(*[columns[p] for p in self.ranges])):
-                decoded = [
-                    unnested(array, ranges)
-                    for ranges, array in zip(self.ranges.values(), found)
-                ]
-                height = max(map(len, decoded))
+            for i, row in enumerate(block.rows):
+                arrays = [unnested(row[p], r) for p, r in self.ranges.items()]
+                height = max(map(len, arrays))
                 repeats.extend([i] * height)
-                for values, array in zip(expanded.values(), decoded):
-                    values.extend(array)
-                    values.extend([None] * (height - len(array)))
-            columns = [
-                expanded[p] if p in expanded else [column[i] for i in repeats]
-                for p, column in enumerate(columns)
-            ]
-            out = ColumnBlock(columns, len(repeats))
+                cells = [repeat(value, height) for value in row]
+                for p, array in zip(self.ranges, arrays):
+                    cells[p] = chain(array, repeat(None, height - len(array)))
+                rows.extend(zip(*cells))
+            out = ColumnBlock(rows)
             if block.source is not None:
                 out.source = block.source.take(repeats)
             yield out
@@ -534,8 +526,8 @@ class Unnest(Operator):
 
 class Project(Operator):
     """The select list, one value kernel per item.  ``positions`` (every
-    item a bare column) is the one-pass ``itemgetter`` form for row-backed
-    blocks; ``keep_source`` remembers the input block for a Sort above."""
+    item a bare column) is the one-pass ``itemgetter`` form; ``keep_source``
+    remembers the input block for a Sort above."""
 
     __slots__ = ("kernels", "positions", "keep_source")
     _fields = ("profile", "child", "kernels", "positions", "keep_source")
@@ -562,19 +554,20 @@ class Project(Operator):
                 return list(map(getter, rows))
 
         for block in self.child:
-            if project is not None and block.rows is not None:
-                out = ColumnBlock.from_rows(project(block.rows), len(positions))
+            if project is not None:
+                out = ColumnBlock(project(block.rows))
             else:
                 try:
-                    columns = [kernel(block, None) for kernel in self.kernels]
+                    vectors = [kernel(block) for kernel in self.kernels]
                 except Exception:
                     # Two items can fail on different rows.  The reference
                     # goes row by row, so replay that way for its error.
-                    for i in range(block.length):
+                    for row in block.rows:
                         for kernel in self.kernels:
-                            kernel(block, (i,))
+                            kernel(ColumnBlock([row]))
                     raise
-                out = ColumnBlock(columns, block.length)
+                rows = list(zip(*vectors)) if vectors else [()] * block.length
+                out = ColumnBlock(rows)
             if self.keep_source:
                 out.source = block
             yield out
@@ -584,20 +577,20 @@ class Aggregate(Operator):
     """GROUP BY / aggregates: ``grouper`` maps the whole filtered input to
     ``(representative source row, output row)`` pairs, one per group."""
 
-    __slots__ = ("grouper", "width", "out_width", "keep_source")
-    _fields = ("profile", "child", "grouper", "width", "out_width", "keep_source")
+    __slots__ = ("grouper", "keep_source")
+    _fields = ("profile", "child", "grouper", "keep_source")
     name = "group"
 
-    def __init__(self, profile, child, grouper, width, out_width, keep_source):
+    def __init__(self, profile, child, grouper, keep_source: bool):
         super().__init__(profile, child)
         self.grouper: Callable[[ColumnBlock], Pairs] = grouper
-        self.width, self.out_width, self.keep_source = width, out_width, keep_source
+        self.keep_source = keep_source
 
     def run(self):
-        pairs = self.grouper(concat_columns(self.child, self.width))
-        out = ColumnBlock.from_rows([pair[1] for pair in pairs], self.out_width)
+        pairs = self.grouper(concat_columns(self.child))
+        out = ColumnBlock([pair[1] for pair in pairs])
         if self.keep_source:
-            out.source = ColumnBlock.from_rows([pair[0] for pair in pairs], self.width)
+            out.source = ColumnBlock([pair[0] for pair in pairs])
         yield out
 
 
@@ -610,16 +603,16 @@ class Sort(Operator):
     ExecutionError, then the source row does.
     """
 
-    __slots__ = ("keys", "top", "width")
-    _fields = ("profile", "child", "keys", "top", "width")
+    __slots__ = ("keys", "top")
+    _fields = ("profile", "child", "keys", "top")
     name = "order"
 
-    def __init__(self, profile, child, keys: list, top: int | None, width: int):
+    def __init__(self, profile, child, keys: list, top: int | None):
         super().__init__(profile, child)
-        self.keys, self.top, self.width = keys, top, width
+        self.keys, self.top = keys, top
 
     def run(self):
-        block = concat_columns(self.child, self.width)
+        block = concat_columns(self.child)
         if not block.length:
             # No row evaluates a key (the reference's answer), and an empty
             # input may carry no source block for source-side keys.
@@ -634,39 +627,34 @@ class Sort(Operator):
     def _vector(key, block: ColumnBlock) -> list:
         on_block, on_source, _descending = key
         if on_block is None:
-            return on_source(block.source, None)
+            return on_source(block.source)
         try:
-            return on_block(block, None)
+            return on_block(block)
         except ExecutionError:
             if on_source is None:
                 raise
         values = []
-        for i in range(block.length):
+        for i, row in enumerate(block.rows):
             try:
-                values.append(on_block(block, (i,))[0])
+                values.append(on_block(ColumnBlock([row]))[0])
             except ExecutionError:
-                values.append(on_source(block.source, (i,))[0])
+                values.append(on_source(ColumnBlock([block.source.rows[i]]))[0])
         return values
 
 
 class Distinct(Operator):
-    __slots__ = ("width",)
-    _fields = ("profile", "child", "width")
+    __slots__ = ()
     name = "distinct"
-
-    def __init__(self, profile, child, width: int):
-        super().__init__(profile, child)
-        self.width = width
 
     def run(self):
         seen: set[Row] = set()
         for block in self.child:
             unique = []
-            for row in block.to_rows():
+            for row in block.rows:
                 if row not in seen:
                     seen.add(row)
                     unique.append(row)
-            yield ColumnBlock.from_rows(unique, self.width)
+            yield ColumnBlock(unique)
 
 
 class Limit(Operator):
@@ -674,26 +662,25 @@ class Limit(Operator):
     parameters, mean what they mean in the reference).  ``stop_after`` is
     the bare-LIMIT pushdown: stop pulling once that many rows exist."""
 
-    __slots__ = ("limit", "offset", "stop_after", "width")
-    _fields = ("profile", "child", "limit", "offset", "stop_after", "width")
+    __slots__ = ("limit", "offset", "stop_after")
+    _fields = ("profile", "child", "limit", "offset", "stop_after")
     name = "limit"
 
-    def __init__(self, profile, child, limit, offset, stop_after, width: int):
+    def __init__(self, profile, child, limit, offset, stop_after):
         super().__init__(profile, child)
         self.limit, self.offset, self.stop_after = limit, offset, stop_after
-        self.width = width
 
     def run(self):
         rows: list[Row] = []
         for block in self.child:
-            rows.extend(block.to_rows())
+            rows.extend(block.rows)
             if self.stop_after is not None and len(rows) >= self.stop_after:
                 break
         if self.offset is not None:
             rows = rows[self.offset :]
         if self.limit is not None:
             rows = rows[: self.limit]
-        yield ColumnBlock.from_rows(rows, self.width)
+        yield ColumnBlock(rows)
 
 
 class SelectExecutor:
@@ -785,7 +772,7 @@ class SelectExecutor:
         names, types, pipeline = self._build(
             select, source, residual_where, grouped, topk_hint
         )
-        output = Relation(names, concat_columns(pipeline, len(names)).to_rows(), types)
+        output = Relation(names, concat_columns(pipeline).rows, types)
         self._infer_missing_types(output)
         if select.into_table is not None:
             self._db.create_table_from_relation(select.into_table, output)
@@ -809,17 +796,16 @@ class SelectExecutor:
         profile = self.profile
         relation = source.relation
         env = relation.env()
-        width = len(relation.names)
         node: Iterable[ColumnBlock]
         if source.lazy:
             node = Scan(profile, None, source.table)
         else:
             # Already materialized (probe, join, derived table): its rows
             # were charged when they were produced.
-            node = [ColumnBlock.from_rows(relation.rows, width)]
+            node = [ColumnBlock(relation.rows)]
         if where is not None:
             predicate = self._kernel(compile_column_predicate, where, env)
-            node = Filter(profile, node, predicate, width)
+            node = Filter(profile, node, predicate)
         unnests: dict[int, bool] = {}  # output position -> range-encoded?
         kernels: dict[int, Callable] = {}  # select-list kernels fixed early
         bound = None
@@ -853,8 +839,7 @@ class SelectExecutor:
                     )
                     for call in calls
                 ]
-                node = Window(profile, node, ranked, topk_hint, width)
-                width += len(calls)
+                node = Window(profile, node, ranked, topk_hint)
             for position, item in enumerate(items):
                 call = item.expr
                 if isinstance(call, FuncCall) and call.name in _SET_RETURNING:
@@ -865,7 +850,7 @@ class SelectExecutor:
                     else:
                         # Zero-arg unnest(): a per-row error, raised only
                         # when rows exist.
-                        def no_argument(block, selection, name=call.name):
+                        def no_argument(block, name=call.name):
                             if block.length:
                                 raise ExecutionError(f"{name}() takes an array")
                             return []
@@ -886,12 +871,12 @@ class SelectExecutor:
                 (self._values(PosRef(position), env), None, descending)
                 for position, (_o, _s, descending) in zip(first, keys)
             ]
-            node = Sort(profile, node, order, bound, width)
+            node = Sort(profile, node, order, bound)
             keys = []
         keep_source = any(on_source is not None for _o, on_source, _d in keys)
         if grouped:
             grouper = self._grouper(select, relation)
-            node = Aggregate(profile, node, grouper, width, len(names), keep_source)
+            node = Aggregate(profile, node, grouper, keep_source)
         else:
             project = [
                 kernels.get(position) or self._values(item.expr, env)
@@ -905,11 +890,11 @@ class SelectExecutor:
                 (self._values(on_output, out_env), self._values(on_source, env), d)
                 for on_output, on_source, d in keys
             ]
-            node = Sort(profile, node, order, bound, len(names))
+            node = Sort(profile, node, order, bound)
         if select.distinct:
-            node = Distinct(profile, node, len(names))
+            node = Distinct(profile, node)
         if select.limit is not None or select.offset is not None:
-            node = Limit(profile, node, select.limit, select.offset, bound, len(names))
+            node = Limit(profile, node, select.limit, select.offset, bound)
         return names, types, node
 
     @staticmethod
@@ -985,7 +970,7 @@ class SelectExecutor:
         if any(isinstance(item.expr, Star) for item in select.items) or not all(
             call.args for call in agg_calls.values()
         ):
-            return lambda block: self._grouped(select, relation, block.to_rows())
+            return lambda block: self._grouped(select, relation, block.rows)
         key_kernels = [self._values(expr, env) for expr in select.group_by]
         agg_kernels = {
             key: self._values(call.args[0], env) for key, call in agg_calls.items()
@@ -997,7 +982,7 @@ class SelectExecutor:
                     select, relation, block, key_kernels, agg_kernels
                 )
             except Exception:
-                return self._grouped(select, relation, block.to_rows())
+                return self._grouped(select, relation, block.rows)
 
         return grouper
 
@@ -1012,22 +997,22 @@ class SelectExecutor:
         n = fblock.length
         groups: dict[tuple, list[int] | None] = {}
         if select.group_by:
-            key_vectors = [kernel(fblock, None) for kernel in key_kernels]
+            key_vectors = [kernel(fblock) for kernel in key_kernels]
             for i, key in enumerate(zip(*key_vectors)):
                 groups.setdefault(key, []).append(i)
         elif n:
             groups[()] = None  # sentinel: every row, in order
         else:
             groups[()] = []  # global aggregate over an empty input
-        agg_vectors = {key: kernel(fblock, None) for key, kernel in agg_kernels.items()}
+        agg_vectors = {key: kernel(fblock) for key, kernel in agg_kernels.items()}
         width = len(relation.names)
 
         def each_group():
             for indices in groups.values():
                 if indices is None:
-                    representative = fblock.row(0)
+                    representative = fblock.rows[0]
                 elif indices:
-                    representative = fblock.row(indices[0])
+                    representative = fblock.rows[indices[0]]
                 else:
                     representative = tuple([None] * width)
                 yield representative, lambda call, indices=indices: (
@@ -1204,10 +1189,13 @@ class SelectExecutor:
             except TypeError as exc:
                 raise ExecutionError(f"{name}() needs numbers: {exc}") from exc
             return total if name == "sum" else total / len(values)
-        if name == "min":
-            return min(values)
-        if name == "max":
-            return max(values)
+        if name in ("min", "max"):
+            try:
+                return min(values) if name == "min" else max(values)
+            except TypeError as exc:
+                raise ExecutionError(
+                    f"{name}() needs comparable values: {exc}"
+                ) from exc
         if name == "bool_and":
             return all(values)
         if name == "bool_or":

@@ -3,8 +3,8 @@
 Both index kinds map a key tuple extracted from fixed row positions to the
 set of heap slots holding matching rows.  :class:`HashIndex` is the default
 (PostgreSQL's primary-key b-tree behaves like a hash for the equality probes
-OrpheusDB issues); :class:`OrderedIndex` additionally supports range scans
-and ordered iteration, which the merge-join path uses.
+OrpheusDB issues); :class:`OrderedIndex` additionally supports ordered
+iteration, which the merge-join path uses.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class HashIndex(Index):
 
 
 class OrderedIndex(Index):
-    """Sorted-key index supporting range scans and ordered iteration."""
+    """Sorted-key index supporting ordered iteration."""
 
     def __init__(self, name, columns, positions, unique):
         super().__init__(name, columns, positions, unique)
@@ -162,29 +162,6 @@ class OrderedIndex(Index):
 
     def lookup_key(self, key: Key) -> list[int]:
         return self._slots.get(key, [])
-
-    def range_scan(
-        self,
-        low: Key | None = None,
-        high: Key | None = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> Iterator[int]:
-        """Yield slots whose keys fall inside [low, high] (None = unbounded)."""
-        if low is None:
-            start = 0
-        elif include_low:
-            start = bisect.bisect_left(self._keys, low)
-        else:
-            start = bisect.bisect_right(self._keys, low)
-        if high is None:
-            stop = len(self._keys)
-        elif include_high:
-            stop = bisect.bisect_right(self._keys, high)
-        else:
-            stop = bisect.bisect_left(self._keys, high)
-        for key in self._keys[start:stop]:
-            yield from self._slots[key]
 
     def ordered_slots(self) -> Iterator[int]:
         """All slots in key order (the merge-join inner path)."""

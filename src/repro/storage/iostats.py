@@ -55,11 +55,11 @@ class IOStats(Record):
         batches_scanned: int = 0,
         exprs_compiled: int = 0,
         exprs_interpreted: int = 0,
-        #: Block-pipeline counters: column blocks handed out by
-        #: :meth:`Table.scan_column_blocks` (each also charges one
-        #: ``batches_scanned``), and expressions served by per-column vector
-        #: kernels.  ``exprs_compiled + exprs_columnar + exprs_interpreted``
-        #: is the full per-statement expression census.
+        #: Block-pipeline counters: blocks the SELECT pipeline's Scan
+        #: operator wraps around :meth:`Table.scan_batches` (each also
+        #: charges one ``batches_scanned``), and expressions served by
+        #: generated block kernels.  ``exprs_compiled + exprs_columnar +
+        #: exprs_interpreted`` is the full per-statement expression census.
         blocks_scanned: int = 0,
         exprs_columnar: int = 0,
     ):

@@ -81,23 +81,6 @@ class RidSet:
         out._count = None
         return out
 
-    @classmethod
-    def from_ranges(cls, encoded: Iterable[int]) -> "RidSet":
-        """Build from a flat ``(start, length, ...)`` range encoding
-        (:mod:`repro.core.compression`) without expanding the runs: a run
-        of ``length`` rids from ``start`` is ``((1 << length) - 1) << start``.
-        """
-        pairs = list(encoded)
-        if len(pairs) % 2 != 0:
-            raise ValueError(f"range encoding must have even length, got {len(pairs)}")
-        bits = 0
-        for position in range(0, len(pairs), 2):
-            start, length = pairs[position], pairs[position + 1]
-            if start < 0 or length < 1:
-                raise ValueError(f"bad range (start={start}, length={length})")
-            bits |= ((1 << length) - 1) << start
-        return cls._from_bits(bits)
-
     # ------------------------------------------------------------- protocol
 
     def __len__(self) -> int:

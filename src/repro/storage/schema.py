@@ -144,11 +144,3 @@ class TableSchema(Record):
     def with_column(self, column: Column) -> "TableSchema":
         """A copy of this schema with one appended column."""
         return TableSchema(self.columns + [column], self.primary_key)
-
-    def without_column(self, name: str) -> "TableSchema":
-        """A copy of this schema with one column removed."""
-        self.position(name)  # validation
-        return TableSchema(
-            [c for c in self.columns if c.name != name],
-            tuple(k for k in self.primary_key if k != name),
-        )

@@ -4,7 +4,9 @@ A :class:`Table` is a tombstoned list of row tuples plus any number of
 secondary indexes.  Every row read or written is charged to the database's
 shared :class:`~repro.storage.iostats.IOStats`, which is how benchmarks
 observe "records touched" — the quantity the paper's checkout cost model is
-built on (Appendix D.1).
+built on (Appendix D.1).  A table has one scan feed,
+:meth:`Table.scan_batches`: the SELECT pipeline's Scan operator, the
+planner's materialization and DML all read it.
 
 ``clustered_on`` records which column the heap is physically ordered by.
 The engine keeps the heap sorted on bulk loads when a clustering column is
@@ -404,14 +406,17 @@ class Table:
     def scan_batches(
         self, size: int = 1024, with_slots: bool = False
     ) -> Iterator[list]:
-        """Full scan yielding blocks of live rows (the batch-pipeline feed).
+        """Full scan yielding blocks of live rows: the one scan feed of the
+        SELECT pipeline's Scan operator, the planner's materialization and
+        DML.
 
         Each yielded block is a plain list of rows (or ``(slot, row)`` pairs
         with ``with_slots``) built by one tight local-variable loop, and
-        charges its whole record count to the stats in a single operation —
-        per-row logical I/O totals are identical to :meth:`scan`, minus the
-        per-row attribute traffic.  Consumers that stop early (LIMIT
-        pushdown) simply never pay for the blocks they do not read.
+        charges its whole record count and one ``batches_scanned`` to the
+        stats in a single operation — per-row logical I/O totals are
+        identical to :meth:`scan`, minus the per-row attribute traffic.
+        Consumers that stop early (LIMIT pushdown) simply never pay for the
+        blocks they do not read.
         """
         rows = self._rows
         stats = self.stats
@@ -429,52 +434,6 @@ class Table:
                 stats.records_scanned += len(batch)
                 stats.batches_scanned += 1
                 yield batch
-
-    def scan_column_blocks(
-        self, size: int = 1024, with_slots: bool = False
-    ):
-        """Full scan yielding :class:`ColumnBlock`s (the columnar feed).
-
-        Block boundaries, row order, and logical-I/O charging are exactly
-        those of :meth:`scan_batches` — one ``records_scanned`` per live
-        row and one ``batches_scanned`` per non-empty block — so flipping
-        a query between representations never moves a gated benchmark
-        counter.  Each block additionally charges one ``blocks_scanned``,
-        the columnar pipeline's own (ungated) census.  Blocks are
-        row-backed (late materialization): nothing is transposed here, and
-        a column vector exists only once a kernel asks for it.
-        ``with_slots`` attaches the heap-slot vector for consumers that
-        need rid/slot addressing next to the values.
-        """
-        from repro.storage.columns import ColumnBlock
-
-        rows = self._rows
-        stats = self.stats
-        width = len(self.schema.columns)
-        for start in range(0, len(rows), size):
-            chunk = rows[start : start + size]
-            if with_slots:
-                live = [
-                    (start + offset, row)
-                    for offset, row in enumerate(chunk)
-                    if row is not None
-                ]
-                if not live:
-                    continue
-                block = ColumnBlock.from_rows(
-                    [row for _slot, row in live],
-                    width,
-                    slots=[slot for slot, _row in live],
-                )
-            else:
-                live_rows = [row for row in chunk if row is not None]
-                if not live_rows:
-                    continue
-                block = ColumnBlock.from_rows(live_rows, width)
-            stats.records_scanned += block.length
-            stats.batches_scanned += 1
-            stats.blocks_scanned += 1
-            yield block
 
     def rows(self) -> Iterator[Row]:
         """Full scan yielding rows only."""

@@ -56,8 +56,7 @@ class ReferenceExecutor(SelectExecutor):
         """The whole statement, interpreted; ``topk_hint`` is a pushdown,
         which the reference ignores."""
         output = self._interpret(select, source, where, grouped)
-        block = ColumnBlock.from_rows(output.rows, len(output.names))
-        return output.names, output.types, [block]
+        return output.names, output.types, [ColumnBlock(output.rows)]
 
     def _interpret(self, select, source, where, grouped) -> Relation:
         """Materialize the scan up front, then filter, group or project,

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import PartitionError
 from repro.partition.bipartite import BipartiteGraph, Partitioning
 from repro.partition.migration import plan_intelligent, plan_naive
-from repro.partition.online import PartitionOptimizer
+from repro.partition.online import MAX_SAMPLES, MaintenanceSample, PartitionOptimizer
 from repro.storage.engine import Database
 from repro.workloads import load_workload
 
@@ -200,6 +200,19 @@ class TestOnlineMaintenance:
         sample = optimizer.after_commit()
         assert sample.version_count == cvd.version_count
         assert optimizer.trace.samples[-1] is sample
+
+    def test_trace_keeps_the_newest_samples(self, optimized):
+        cvd, optimizer = optimized
+        for count in range(1100):
+            optimizer.apply_maintain(MaintenanceSample(count, float(count), 1.0))
+        samples = optimizer.trace.samples
+        assert len(samples) == MAX_SAMPLES == 1024
+        assert [s.version_count for s in samples] == list(range(76, 1100))
+        state = optimizer.to_state()
+        assert PartitionOptimizer.from_state(cvd, state).trace.samples == samples
+        # A state holding more (written before the bound) is cut the same way.
+        state["trace"]["samples"][:0] = [[-1, 0.0, 0.0]] * 50
+        assert PartitionOptimizer.from_state(cvd, state).trace.samples == samples
 
     def test_tolerance_triggers_migration(self, sci_tiny):
         db = Database()

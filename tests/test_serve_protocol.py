@@ -237,6 +237,14 @@ class TestHandleLineFailures:
              "execution"),
             ({"op": "query", "sql": "SELECT unnest(v) FROM VERSION 4 OF CVD t"},
              "execution"),
+            (
+                {
+                    "op": "query",
+                    "sql": "SELECT min(x) FROM (SELECT k AS x FROM VERSION 4 OF CVD t"
+                    " UNION ALL SELECT v FROM VERSION 4 OF CVD t) AS u",
+                },
+                "execution",
+            ),
         ],
     )
     def test_typed_errors(self, manager, request_, code):

@@ -2,8 +2,7 @@
 
 Every algebraic operation the membership hot paths rely on is checked
 against the reference ``set[int]`` implementation over random inputs —
-empty, sparse, and dense — plus the serialization round-trips and the
-range-encoded constructor the RLE model uses.
+empty, sparse, and dense — plus the serialization round-trips.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.compression import decode_ranges, encode_ranges
 from repro.storage import arrays
 from repro.storage.ridset import RidSet
 
@@ -127,25 +125,12 @@ class TestSerialization:
         assert ridset.to_array() == tuple(sorted(set(values)))
         assert sorted(ridset) == sorted(set(values))
 
-    @given(rid_lists)
-    @settings(max_examples=40, deadline=None)
-    def test_from_ranges_matches_decode(self, values):
-        encoded = encode_ranges(values)
-        assert RidSet.from_ranges(encoded) == set(decode_ranges(encoded))
 
 
 class TestValidation:
     def test_negative_rid_rejected(self):
         with pytest.raises(ValueError):
             RidSet([3, -1])
-
-    def test_odd_range_encoding_rejected(self):
-        with pytest.raises(ValueError):
-            RidSet.from_ranges([4])
-
-    def test_bad_range_rejected(self):
-        with pytest.raises(ValueError):
-            RidSet.from_ranges([4, 0])
 
     def test_hashable(self):
         assert hash(RidSet([1, 2])) == hash(RidSet((2, 1)))
